@@ -12,10 +12,11 @@ runtime infeasibility (an unusable link). Diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .config import ScenarioConfig, load_config
+from .config import RetrievalConfig, ScenarioConfig, load_config
 from .errors import ConfigError, SplitCVLError, ZeroRateError
 from .nnprofile import device_flops, intermediate_bytes
 from .retrieval import (
@@ -125,47 +126,41 @@ def cmd_optimize(config: ScenarioConfig, args) -> int:
     return EXIT_OK
 
 
-def _retrieval_seed_worker(task) -> list[dict]:
-    """Per-seed metric grid; top-level so process pools can pickle it."""
-    locations, dim, noise, images_per_view, fusion, seed = task
+def _retrieval_seed_worker(ret: RetrievalConfig, seed: int) -> list[dict]:
+    """One seed's cell metrics in (uav, ground) order; top-level so process
+    pools can pickle it."""
     gallery, pools = synth_gallery(
-        locations, dim, noise, seed=seed, images_per_view=images_per_view
+        ret.locations, ret.dim, ret.view_noise, seed=seed,
+        images_per_view=ret.images_per_view,
     )
-    strategy = FusionStrategy(fusion)
+    strategy = FusionStrategy(ret.fusion)
+    counts = range(1, ret.images_per_view + 1)
+    return [evaluate_cell(gallery, pools, u, g, strategy) for u in counts for g in counts]
+
+
+def retrieval_grid(ret: RetrievalConfig, base_seed: int, jobs: int = 1) -> list[dict]:
+    """Cell metrics averaged over ``ret.seeds`` gallery seeds counted from
+    ``base_seed``; rows ordered by (uav, ground)."""
+    seeds = range(base_seed, base_seed + ret.seeds)
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            per_seed = list(pool.map(_retrieval_seed_worker, [ret] * len(seeds), seeds))
+    else:
+        per_seed = [_retrieval_seed_worker(ret, seed) for seed in seeds]
+    counts = range(1, ret.images_per_view + 1)
     rows = []
-    for u in range(1, images_per_view + 1):
-        for g in range(1, images_per_view + 1):
-            row = {"uav_images": u, "ground_images": g}
-            row.update(evaluate_cell(gallery, pools, u, g, strategy))
-            rows.append(row)
+    for (u, g), cells in zip(itertools.product(counts, counts), zip(*per_seed)):
+        row = {"uav_images": u, "ground_images": g}
+        for name in METRIC_NAMES:
+            row[name] = sum(cell[name] for cell in cells) / len(cells)
+        rows.append(row)
     return rows
 
 
 def cmd_retrieval_sim(config: ScenarioConfig, args) -> int:
     ret = config.retrieval
     base_seed = args.seed if args.seed is not None else ret.seed
-    tasks = [
-        (
-            ret.locations, ret.dim, ret.view_noise, ret.images_per_view,
-            ret.fusion, base_seed + i,
-        )
-        for i in range(ret.seeds)
-    ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            per_seed = list(pool.map(_retrieval_seed_worker, tasks))
-    else:
-        per_seed = [_retrieval_seed_worker(task) for task in tasks]
-
-    rows = []
-    for i in range(len(per_seed[0])):
-        row = {
-            "uav_images": per_seed[0][i]["uav_images"],
-            "ground_images": per_seed[0][i]["ground_images"],
-        }
-        for name in METRIC_NAMES:
-            row[name] = sum(seed_rows[i][name] for seed_rows in per_seed) / len(per_seed)
-        rows.append(row)
+    rows = retrieval_grid(ret, base_seed, args.jobs)
     _write_output(format_metrics_table(rows), args.out)
     return EXIT_OK
 
@@ -213,7 +208,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error(f"argument --jobs: must be >= 1, got {args.jobs}")
     try:
         if args.command == "privacy":
             return cmd_privacy(args)

@@ -30,6 +30,7 @@ Sections (all optional unless a command needs them):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 
@@ -79,6 +80,14 @@ class RetrievalConfig:
     images_per_view: int = 4
     fusion: str = "mean"
 
+    def __post_init__(self) -> None:
+        if self.locations < 2 or self.dim < 2:
+            raise ValueError("locations and dim must be >= 2")
+        if self.seeds < 1 or self.images_per_view < 1:
+            raise ValueError("seeds and images_per_view must be >= 1")
+        if min(self.view_noise.values()) < 0:
+            raise ValueError("noise must be >= 0")
+
     @property
     def view_noise(self) -> dict[str, float]:
         return {
@@ -112,17 +121,17 @@ def _check_keys(node: dict, allowed: set[str], path: str) -> None:
 
 def _coerce_number(value, path: str):
     # YAML 1.1 reads exponents without a sign ("1.0e6") as strings, so
-    # numeric-looking strings are accepted too
-    if isinstance(value, bool):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
-    if isinstance(value, (int, float)):
-        return value
+    # numeric-looking strings are accepted too; NaN and infinities are not
     if isinstance(value, str):
         try:
-            return float(value)
+            value = float(value)
         except ValueError:
             pass
-    raise ConfigError(f"{path}: expected a number, got {value!r}")
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and math.isfinite(value):
+        return value
+    raise ConfigError(f"{path}: expected a finite number, got {value!r}")
 
 
 def _get_number(node: dict, key: str, path: str, default=None):

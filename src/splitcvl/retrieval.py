@@ -28,7 +28,6 @@ from enum import Enum
 import numpy as np
 
 from .errors import (
-    ConfigError,
     DimensionMismatchError,
     MissingTruthError,
     UnknownLocationError,
@@ -340,55 +339,49 @@ def evaluate_cell(
     ground_count: int,
     strategy: FusionStrategy = FusionStrategy.MEAN,
 ) -> dict[str, float]:
-    """Mean metrics (in percent) over all locations for one image-count cell."""
-    k_top1 = top1_percent_k(len(gallery))
-    sums = {name: [] for name in METRIC_NAMES}
+    """Mean metrics (in percent) over all locations for one image-count cell.
+
+    Scores are those of ``rank_query_set``; instead of sorting them, the
+    true record's rank is counted: 1 + #(higher scores) + #(equal scores
+    at a smaller location id), the order ``_sort_scores`` gives. With one
+    record per location, Recall@K is ``rank <= K`` and AP is ``1 / rank``.
+    """
+    if not gallery:
+        raise ValueError("gallery must not be empty")
+    ids = [r.location_id for r in gallery]
+    index_of = {loc: i for i, loc in enumerate(ids)}
+    if len(index_of) != len(ids):
+        raise ValueError("gallery location ids must be unique")
+    id_order = np.empty(len(ids), dtype=np.intp)
+    id_order[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    matrix = np.stack([r.embedding.vector for r in gallery])
+    ks = (1, min(5, len(gallery)), min(10, len(gallery)), top1_percent_k(len(gallery)))
+    hits = [0] * len(ks)
+    inverse_ranks = []
     for pool in pools:
         qs = make_query_set(pool, uav_count, ground_count)
-        ranked = rank_query_set(qs, gallery, strategy)
-        sums["recall_at_1"].append(recall_at_k(ranked, pool.location_id, 1))
-        sums["recall_at_5"].append(recall_at_k(ranked, pool.location_id, min(5, len(gallery))))
-        sums["recall_at_10"].append(recall_at_k(ranked, pool.location_id, min(10, len(gallery))))
-        sums["recall_at_top1"].append(recall_at_k(ranked, pool.location_id, k_top1))
-        sums["ap"].append(average_precision(ranked, {pool.location_id}))
-    return {
-        name: 100.0 * math.fsum(values) / len(values) for name, values in sums.items()
-    }
-
-
-def metrics_grid(
-    locations: int,
-    dim: int,
-    view_noise: dict[str, float],
-    seeds: list[int],
-    uav_counts=(1, 2, 3, 4),
-    ground_counts=(1, 2, 3, 4),
-    strategy: FusionStrategy = FusionStrategy.MEAN,
-) -> list[dict]:
-    """Per-cell metrics averaged over seeds; rows ordered by (uav, ground)."""
-    accum: dict[tuple[int, int], dict[str, float]] = {
-        (u, g): {name: 0.0 for name in METRIC_NAMES}
-        for u in uav_counts
-        for g in ground_counts
-    }
-    for seed in seeds:
-        gallery, pools = synth_gallery(
-            locations, dim, view_noise, seed=seed,
-            images_per_view=max(max(uav_counts), max(ground_counts)),
-        )
-        for (u, g), cell in accum.items():
-            metrics = evaluate_cell(gallery, pools, u, g, strategy)
-            for name in METRIC_NAMES:
-                cell[name] += metrics[name]
-    rows = []
-    for u in uav_counts:
-        for g in ground_counts:
-            row = {"uav_images": u, "ground_images": g}
-            row.update(
-                {name: accum[(u, g)][name] / len(seeds) for name in METRIC_NAMES}
+        if qs.embeddings[0].dim != matrix.shape[1]:
+            raise DimensionMismatchError(
+                f"query dim {qs.embeddings[0].dim} vs gallery dim {matrix.shape[1]}"
             )
-            rows.append(row)
-    return rows
+        true = index_of.get(pool.location_id)
+        if true is None:
+            raise MissingTruthError(f"true id {pool.location_id!r} not in gallery")
+        if strategy is FusionStrategy.MEAN:
+            scores = matrix @ fuse_queries(qs).vector
+        else:
+            queries = np.stack([e.vector for e in qs.embeddings])
+            scores = (matrix @ queries.T).max(axis=1)
+        s_true = scores[true]
+        rank = 1 + int(np.count_nonzero(scores > s_true)) + int(
+            np.count_nonzero((scores == s_true) & (id_order < id_order[true]))
+        )
+        for slot, k in enumerate(ks):
+            hits[slot] += rank <= k
+        inverse_ranks.append(1 / rank)
+    n = len(pools)
+    percents = [100.0 * count / n for count in hits]
+    return dict(zip(METRIC_NAMES, percents + [100.0 * math.fsum(inverse_ranks) / n]))
 
 
 def format_metrics_table(rows: list[dict]) -> str:
@@ -397,70 +390,3 @@ def format_metrics_table(rows: list[dict]) -> str:
         values = ",".join(repr(float(row[name])) for name in METRIC_NAMES)
         lines.append(f"{row['uav_images']},{row['ground_images']},{values}")
     return "\n".join(lines) + "\n"
-
-
-# -- gallery file format ----------------------------------------------------
-
-
-def format_gallery(gallery: list[GalleryRecord]) -> str:
-    """dim header line, then location_id,view,lat,lon,v0,...,v(dim-1)."""
-    if not gallery:
-        raise ValueError("gallery must not be empty")
-    dim = gallery[0].embedding.dim
-    lines = [f"dim={dim}"]
-    for r in gallery:
-        comps = ",".join(repr(float(v)) for v in r.embedding.vector)
-        lines.append(f"{r.location_id},{r.view},{r.lat!r},{r.lon!r},{comps}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_gallery(text: str) -> list[GalleryRecord]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("dim="):
-        raise ConfigError("gallery file must start with a 'dim=N' header")
-    try:
-        dim = int(lines[0][4:])
-    except ValueError as exc:
-        raise ConfigError(f"bad dim header: {lines[0]!r}") from exc
-    gallery = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 4 + dim:
-            raise ConfigError(
-                f"gallery line {lineno}: expected {4 + dim} fields, got {len(parts)}"
-            )
-        try:
-            record = GalleryRecord(
-                location_id=parts[0],
-                view=parts[1],
-                lat=float(parts[2]),
-                lon=float(parts[3]),
-                embedding=Embedding(np.array([float(v) for v in parts[4:]])),
-            )
-        except (ValueError, ZeroVectorError) as exc:
-            raise ConfigError(f"gallery line {lineno}: {exc}") from exc
-        gallery.append(record)
-    if not gallery:
-        raise ConfigError("gallery file contains no records")
-    return gallery
-
-
-def save_gallery(gallery: list[GalleryRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(format_gallery(gallery))
-
-
-def load_gallery(path) -> list[GalleryRecord]:
-    with open(path) as fh:
-        return parse_gallery(fh.read())
-
-
-def query_sets_from_records(records: list[GalleryRecord]) -> list[QuerySet]:
-    """Group query-side records (same file format) into per-location sets."""
-    by_location: dict[str, list[Embedding]] = {}
-    for record in records:
-        by_location.setdefault(record.location_id, []).append(record.embedding)
-    return [
-        QuerySet(true_location_id=loc, embeddings=tuple(embeddings))
-        for loc, embeddings in sorted(by_location.items())
-    ]

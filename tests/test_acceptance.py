@@ -10,7 +10,8 @@ import time
 
 import numpy as np
 
-from splitcvl.cli import main as cli_main
+from splitcvl.cli import main as cli_main, retrieval_grid
+from splitcvl.config import RetrievalConfig
 from splitcvl.nnprofile import build_resnet50_usam_profile, device_flops, intermediate_bytes
 from splitcvl.privmetrics import (
     Histogram,
@@ -19,7 +20,6 @@ from splitcvl.privmetrics import (
     ssim,
     write_demo_corpus,
 )
-from splitcvl.retrieval import metrics_grid
 from splitcvl.rlopt.agents import (
     policy_effect,
     train_actor_critic,
@@ -195,10 +195,11 @@ def test_criterion_6_metric_oracles():
 
 
 def test_criterion_7_retrieval_trend():
-    rows = metrics_grid(
-        200, 64, {"satellite": 0.0, "uav": 0.5, "ground": 0.5},
-        seeds=list(range(10)),
+    ret = RetrievalConfig(
+        locations=200, dim=64, seeds=10,
+        noise_satellite=0.0, noise_uav=0.5, noise_ground=0.5, images_per_view=4,
     )
+    rows = retrieval_grid(ret, base_seed=0)
     cells = {(r["uav_images"], r["ground_images"]): r for r in rows}
     diagonal = [cells[(n, n)] for n in (1, 2, 3, 4)]
     tol = 0.5  # percentage points per step

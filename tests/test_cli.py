@@ -114,6 +114,54 @@ class TestCostCommand:
         assert "infeasible" in capsys.readouterr().err
 
 
+NON_FINITE_CONFIGS = {
+    "w_comm_nan": ("weights.w_comm", QUICK_CONFIG + "weights: {w_comm: .nan}\n"),
+    "bandwidth_inf": (
+        "channels.uav1.distribution.bandwidth_hz",
+        QUICK_CONFIG.replace("bandwidth_hz: [5.0e6, 20.0e6]", "bandwidth_hz: [5.0e6, .inf]", 1),
+    ),
+    "snr_db_nan": (
+        "channels.veh1.distribution.snr_db",
+        QUICK_CONFIG.replace("snr_db: [5.0, 15.0]}}\nmodel", "snr_db: [5.0, .nan]}}\nmodel"),
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["cost", "oracle"])
+@pytest.mark.parametrize("case", sorted(NON_FINITE_CONFIGS))
+def test_non_finite_config_number_exits_2(case, command, tmp_path, capsys):
+    key_path, text = NON_FINITE_CONFIGS[case]
+    assert text != QUICK_CONFIG
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    assert main([command, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "nan" not in captured.out and "inf" not in captured.out
+    assert captured.err.count("\n") == 1
+    assert key_path in captured.err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_rejected(jobs, config_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["profile", "--config", config_path, "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command", ["profile", "cost", "oracle", "optimize", "retrieval-sim", "privacy"]
+)
+def test_every_command_accepts_one_job(command, config_path, tmp_path):
+    if command == "privacy":
+        write_demo_corpus(tmp_path / "corpus", seed=0, triples_per_cut=1)
+        source = [str(tmp_path / "corpus")]
+    else:
+        source = ["--config", config_path]
+    out = tmp_path / "out.csv"
+    assert main([command, *source, "--jobs", "1", "--out", str(out)]) == 0
+
+
 class TestOracleCommand:
     def test_matches_cost_argmin_for_single_device(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.yaml"

@@ -120,6 +120,18 @@ class TestRejection:
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(MINIMAL + "optimizer: {hyper: {learning: 1}}\n")
 
+    @pytest.mark.parametrize("field", [
+        "seeds: 0", "images_per_view: 0", "locations: 1", "dim: 1", "noise: {uav: -0.1}",
+    ])
+    def test_retrieval_out_of_range(self, field):
+        with pytest.raises(ConfigError, match="retrieval"):
+            parse_config(f"retrieval: {{{field}}}\n")
+
+    @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf", "'nan'", "'1e999'"])
+    def test_non_finite_number(self, value):
+        with pytest.raises(ConfigError, match="weights.w_comm: expected a finite number"):
+            parse_config(MINIMAL + f"weights: {{w_comm: {value}}}\n")
+
     def test_unknown_agent(self):
         with pytest.raises(ConfigError, match="unknown agent"):
             parse_config(MINIMAL + "optimizer: {agent: sarsa}\n")

@@ -2,8 +2,9 @@
 
 Speed-ups must keep every output byte: the same config and seed give the
 same trace and the same tables. The digests below were recorded before
-the cost model, the environment and the agents were sped up (Python
-3.11, numpy 2.4 with OpenBLAS, x86-64). An intended output change
+the cost model, the environment and the agents were sped up, and the
+``retrieval-sim`` ones before its ranking was replaced by rank counting
+(Python 3.11, numpy 2.4 with OpenBLAS, x86-64). An intended output change
 re-records them and says why.
 
 Last-digit float results of numpy and its BLAS (tanh, exp, small matrix
@@ -34,6 +35,10 @@ TRACE_DIGESTS = {
 COMMAND_DIGESTS = {
     "cost": "300cb9d48b0f6df7ae25db4e7840120a91fc48227ecec29c353990a1c9b5bd04",
     "oracle": "6bc6be1b8fe24f3a252086aed04b14198f53dc1ab30927479ee74790923434f1",
+}
+RETRIEVAL_DIGESTS = {
+    "max_score": "7d947f3edd9136a1b6a43e84c40f3454763b46362716f530eba44d61266d7966",
+    "mean": "dbb6361b54bf26d3b528ebbc9b30322bbbbb3634a428e5b5ad99267ad09b8ca3",
 }
 PLATFORM_DIGEST = "e493df5eb2425930d9e0a1eff9152ad6a238a42aac2ec1fae4eb2d156ee8982d"
 
@@ -80,3 +85,14 @@ def test_command_digest(command, tmp_path):
     out = tmp_path / f"{command}.csv"
     assert main([command, "--config", str(CONFIG), "--out", str(out)]) == 0
     assert sha256(out) == COMMAND_DIGESTS[command]
+
+
+@pytest.mark.parametrize("fusion", sorted(RETRIEVAL_DIGESTS))
+def test_retrieval_sim_digest(fusion, tmp_path):
+    config = tmp_path / "retrieval.yaml"
+    config.write_text(
+        f"retrieval: {{locations: 200, dim: 64, seeds: 2, fusion: {fusion}}}\n"
+    )
+    out = tmp_path / "grid.csv"
+    assert main(["retrieval-sim", "--config", str(config), "--out", str(out)]) == 0
+    assert sha256(out) == RETRIEVAL_DIGESTS[fusion]

@@ -3,15 +3,19 @@
 recall_at_k and average_precision are compared against independent,
 definition-following oracles over every binary relevance pattern of up to
 8 ranked items (a ranking's metrics depend only on which ranks hold true
-matches, so this enumeration is exhaustive for that size)."""
+matches, so this enumeration is exhaustive for that size). evaluate_cell,
+which counts ranks instead of sorting, is compared against those
+definitions applied to full rankings."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+from splitcvl.cli import retrieval_grid
+from splitcvl.config import RetrievalConfig
 from splitcvl.errors import (
-    ConfigError,
     DimensionMismatchError,
     MissingTruthError,
     UnknownLocationError,
@@ -21,24 +25,21 @@ from splitcvl.retrieval import (
     Embedding,
     FusionStrategy,
     GalleryRecord,
+    METRIC_NAMES,
     QuerySet,
     RankedResult,
+    SyntheticQueryPool,
     average_precision,
     cosine_similarity,
     evaluate_cell,
-    format_gallery,
     format_metrics_table,
     fuse_queries,
-    load_gallery,
     localize,
     make_query_set,
     match_with_threshold,
-    metrics_grid,
-    parse_gallery,
     rank_gallery,
     rank_query_set,
     recall_at_k,
-    save_gallery,
     synth_gallery,
     top1_percent_k,
 )
@@ -356,11 +357,85 @@ class TestSynthetic:
             make_query_set(pools[0], 5, 0)
 
 
+def reference_cell(gallery, pools, uav_count, ground_count, strategy):
+    """evaluate_cell by definition: sort every ranking, then score it."""
+    ks = (1, min(5, len(gallery)), min(10, len(gallery)), top1_percent_k(len(gallery)))
+    values = {name: [] for name in METRIC_NAMES}
+    for pool in pools:
+        qs = make_query_set(pool, uav_count, ground_count)
+        ranked = rank_query_set(qs, gallery, strategy)
+        for name, k in zip(METRIC_NAMES, ks):
+            values[name].append(recall_at_k(ranked, pool.location_id, k))
+        values["ap"].append(average_precision(ranked, {pool.location_id}))
+    return {name: 100.0 * math.fsum(v) / len(v) for name, v in values.items()}
+
+
+def tied_corpus():
+    """Zero-noise gallery whose ids are out of list order, with exact ties.
+
+    "d" and "b" share one embedding and "c" and "a" another, so their
+    scores tie exactly and only the location id can order them.
+    """
+    e1, e2, e3 = unit(1, 0, 0, 0), unit(0, 1, 0, 0), unit(0, 0, 1, 0)
+    vectors = {"d": e1, "b": e1, "c": e2, "a": e2, "e": e3}
+    gallery = [
+        GalleryRecord(loc, "satellite", 0.0, 0.0, vec) for loc, vec in vectors.items()
+    ]
+    others = {"d": e2, "b": e3, "c": e1, "a": e3, "e": e1}
+    pools = [
+        SyntheticQueryPool(loc, uav=(vec, others[loc]), ground=(others[loc], vec))
+        for loc, vec in vectors.items()
+    ]
+    return gallery, pools
+
+
+class TestEvaluateCell:
+    @pytest.mark.parametrize("strategy", list(FusionStrategy))
+    def test_matches_definition_on_exact_ties(self, strategy):
+        gallery, pools = tied_corpus()
+        for u, g in itertools.product(range(3), range(3)):
+            if u + g == 0:
+                continue
+            assert evaluate_cell(gallery, pools, u, g, strategy) == reference_cell(
+                gallery, pools, u, g, strategy
+            )
+
+    def test_ties_rank_by_location_id(self):
+        gallery, pools = tied_corpus()
+        # own image only: "b" and "a" win their ties, "d" and "c" rank second
+        metrics = evaluate_cell(gallery, pools, 1, 0)
+        assert metrics["recall_at_1"] == 60.0
+        assert metrics["recall_at_5"] == 100.0
+        assert metrics["ap"] == pytest.approx(80.0)
+
+    @pytest.mark.parametrize("strategy", list(FusionStrategy))
+    def test_matches_definition_on_random_galleries(self, strategy):
+        rng = np.random.default_rng(11)
+        for seed in range(4):
+            noise = {
+                "satellite": float(rng.uniform(0.0, 0.3)),
+                "uav": float(rng.uniform(0.3, 1.2)),
+                "ground": float(rng.uniform(0.3, 1.2)),
+            }
+            gallery, pools = synth_gallery(40, 8, noise, seed=seed, images_per_view=3)
+            for u, g in itertools.product(range(4), range(4)):
+                if u + g == 0:
+                    continue
+                assert evaluate_cell(gallery, pools, u, g, strategy) == reference_cell(
+                    gallery, pools, u, g, strategy
+                )
+
+    def test_duplicate_location_ids_rejected(self):
+        gallery, pools = tied_corpus()
+        gallery.append(GalleryRecord("a", "satellite", 0.0, 0.0, unit(0, 0, 0, 1)))
+        with pytest.raises(ValueError, match="unique"):
+            evaluate_cell(gallery, pools, 1, 0)
+
+
 class TestMetricsGrid:
     def test_shape_and_columns(self):
-        rows = metrics_grid(
-            20, 8, {"satellite": 0.0, "uav": 0.4, "ground": 0.4}, seeds=[0]
-        )
+        ret = RetrievalConfig(locations=20, dim=8, seeds=1, noise_uav=0.4, noise_ground=0.4)
+        rows = retrieval_grid(ret, base_seed=0)
         assert len(rows) == 16
         text = format_metrics_table(rows)
         lines = text.strip().split("\n")
@@ -376,34 +451,5 @@ class TestMetricsGrid:
         assert top1_percent_k(1000) == 10
 
     def test_deterministic(self):
-        noise = {"satellite": 0.0, "uav": 0.5, "ground": 0.5}
-        a = metrics_grid(15, 8, noise, seeds=[0, 1])
-        b = metrics_grid(15, 8, noise, seeds=[0, 1])
-        assert a == b
-
-
-class TestGalleryFile:
-    def test_round_trip(self, tmp_path):
-        gallery, _ = synth_gallery(5, 6, {"uav": 0.3, "ground": 0.3}, seed=3)
-        path = tmp_path / "gallery.csv"
-        save_gallery(gallery, path)
-        loaded = load_gallery(path)
-        assert len(loaded) == len(gallery)
-        for a, b in zip(loaded, gallery):
-            assert a.location_id == b.location_id
-            assert a.view == b.view
-            assert (a.lat, a.lon) == (b.lat, b.lon)
-            assert np.array_equal(a.embedding.vector, b.embedding.vector)
-        assert format_gallery(loaded) == format_gallery(gallery)
-
-    def test_header_declares_dim(self):
-        gallery, _ = synth_gallery(3, 4, {"uav": 0.2, "ground": 0.2}, seed=4)
-        assert format_gallery(gallery).startswith("dim=4\n")
-
-    def test_malformed_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_gallery("no header\n")
-        with pytest.raises(ConfigError):
-            parse_gallery("dim=3\nx,satellite,0,0,1.0,0.0\n")  # wrong field count
-        with pytest.raises(ConfigError):
-            parse_gallery("dim=2\nx,satellite,99,181,1.0,0.0\n")  # bad lon
+        ret = RetrievalConfig(locations=15, dim=8, seeds=2)
+        assert retrieval_grid(ret, base_seed=0) == retrieval_grid(ret, base_seed=0)
