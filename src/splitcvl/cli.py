@@ -100,7 +100,6 @@ def cmd_optimize(config: ScenarioConfig, args) -> int:
         scenario,
         bandwidth_bins=opt.bandwidth_bins,
         snr_bins=opt.snr_bins,
-        battery_bins=opt.battery_bins,
         horizon=opt.horizon,
     )
     policy, trace = train_agent(opt.agent, env, opt.steps, hyper=opt.hyper, seed=seed)
@@ -193,7 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None,
                        help="output file (default: stdout)")
         p.add_argument("--jobs", type=int, default=1,
-                       help="parallel workers across seeds (never within a run)")
+                       help="parallel workers across retrieval-sim seeds (never "
+                            "within a run); the other commands ignore it")
 
     add_common(sub.add_parser("profile", help="per-cut device FLOPs and bytes"))
     add_common(sub.add_parser("cost", help="per-device, per-cut cost table"))

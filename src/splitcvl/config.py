@@ -8,8 +8,8 @@ and reported with the offending key path.
 Sections (all optional unless a command needs them):
 
   devices:          list of {id, kind, peak_flops?, compute_power_w?,
-                    tx_power_w?, battery_j?}; omitted numbers fall back to
-                    the per-kind defaults
+                    tx_power_w?}; omitted numbers fall back to the
+                    per-kind defaults
   channels:         per device id, either {fixed: {bandwidth_hz,
                     snr_db | snr_linear}} or {distribution: {bandwidth_hz:
                     [lo, hi], snr_db: [lo, hi]}}
@@ -21,9 +21,8 @@ Sections (all optional unless a command needs them):
                     entirely means the monotone default table
   weights:          {w_comm?, w_comp?, w_conf?, alpha_open?,
                     lambda_latency?}
-  optimizer:        {agent, steps?, seed?, moving_avg_window?, horizon?,
-                    bandwidth_bins?, snr_bins?, battery_bins?, hyper?:
-                    {...Hyperparams fields...}}
+  optimizer:        {agent, steps?, seed?, horizon?, bandwidth_bins?,
+                    snr_bins?, hyper?: {...Hyperparams fields...}}
   retrieval:        {locations?, dim?, seeds?, seed?, noise?: {satellite?,
                     uav?, ground?}, images_per_view?, fusion?}
 """
@@ -64,8 +63,13 @@ class OptimizerConfig:
     horizon: int = 1
     bandwidth_bins: int = 1
     snr_bins: int = 2
-    battery_bins: int = 1
     hyper: Hyperparams = Hyperparams()
+
+    def __post_init__(self) -> None:
+        if self.steps < 0:
+            raise ValueError("steps must be >= 0")
+        if self.horizon < 1 or self.bandwidth_bins < 1 or self.snr_bins < 1:
+            raise ValueError("horizon, bandwidth_bins and snr_bins must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -152,7 +156,7 @@ def _parse_devices(node, path: str) -> tuple[DeviceProfile, ...]:
         entry = _require_mapping(entry, dpath)
         _check_keys(
             entry,
-            {"id", "kind", "peak_flops", "compute_power_w", "tx_power_w", "battery_j"},
+            {"id", "kind", "peak_flops", "compute_power_w", "tx_power_w"},
             dpath,
         )
         if "id" not in entry or "kind" not in entry:
@@ -170,15 +174,8 @@ def _parse_devices(node, path: str) -> tuple[DeviceProfile, ...]:
         for key in ("peak_flops", "compute_power_w", "tx_power_w"):
             if key in entry:
                 values[key] = _get_number(entry, key, dpath)
-        battery = None
-        if "battery_j" in entry:
-            battery = _get_number(entry, "battery_j", dpath)
         try:
-            devices.append(
-                DeviceProfile(
-                    id=str(entry["id"]), kind=kind, battery_j=battery, **values
-                )
-            )
+            devices.append(DeviceProfile(id=str(entry["id"]), kind=kind, **values))
         except ValueError as exc:
             raise ConfigError(f"{dpath}: {exc}") from exc
     return tuple(devices)
@@ -281,8 +278,10 @@ def _parse_confidentiality(node, path: str, base_dir: Path, num_candidates: int)
                     ConfEntry(
                         kl_open=_get_number(row, "kl_open", rpath),
                         kl_closed=_get_number(row, "kl_closed", rpath),
-                        ssim_open=row.get("ssim_open"),
-                        ssim_closed=row.get("ssim_closed"),
+                        **{
+                            key: _get_number(row, key, rpath)
+                            for key in ("ssim_open", "ssim_closed") if key in row
+                        },
                     )
                 )
             return ConfidentialityTable(tuple(entries))
@@ -320,7 +319,7 @@ def _parse_optimizer(node, path: str) -> OptimizerConfig:
         node,
         {
             "agent", "steps", "seed", "horizon",
-            "bandwidth_bins", "snr_bins", "battery_bins", "hyper",
+            "bandwidth_bins", "snr_bins", "hyper",
         },
         path,
     )
@@ -334,14 +333,19 @@ def _parse_optimizer(node, path: str) -> OptimizerConfig:
         hyper_node = _require_mapping(node["hyper"], f"{path}.hyper")
         allowed = {f.name for f in dataclass_fields(Hyperparams)}
         _check_keys(hyper_node, allowed, f"{path}.hyper")
-        hyper_kwargs = dict(hyper_node)
-        if "hidden" in hyper_kwargs:
-            hidden = hyper_kwargs["hidden"]
-            if not isinstance(hidden, list) or not all(
-                isinstance(h, int) for h in hidden
-            ):
-                raise ConfigError(f"{path}.hyper.hidden: expected a list of ints")
-            hyper_kwargs["hidden"] = tuple(hidden)
+        for key, value in hyper_node.items():
+            kpath = f"{path}.hyper.{key}"
+            if key == "hidden":
+                if not isinstance(value, list):
+                    raise ConfigError(f"{kpath}: expected a list of ints")
+                value = tuple(value)
+            elif key != "ac_replay":
+                value = _coerce_number(value, kpath)
+            hyper_kwargs[key] = value
+    try:
+        hyper = Hyperparams(**hyper_kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{path}.hyper: {exc}") from exc
     try:
         return OptimizerConfig(
             agent=agent,
@@ -350,10 +354,9 @@ def _parse_optimizer(node, path: str) -> OptimizerConfig:
             horizon=int(_get_number(node, "horizon", path, default=1)),
             bandwidth_bins=int(_get_number(node, "bandwidth_bins", path, default=1)),
             snr_bins=int(_get_number(node, "snr_bins", path, default=2)),
-            battery_bins=int(_get_number(node, "battery_bins", path, default=1)),
-            hyper=Hyperparams(**hyper_kwargs),
+            hyper=hyper,
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 

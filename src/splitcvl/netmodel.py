@@ -45,7 +45,6 @@ class DeviceProfile:
     peak_flops: float        # FLOP/s at full compute load
     compute_power_w: float   # W drawn at full compute load
     tx_power_w: float        # W drawn while transmitting
-    battery_j: float | None = None  # J available; carried as context only
 
     def __post_init__(self) -> None:
         if self.kind not in DEVICE_KINDS:
@@ -56,8 +55,6 @@ class DeviceProfile:
             raise ValueError(f"device {self.id!r}: compute_power_w must be > 0")
         if self.tx_power_w <= 0:
             raise ValueError(f"device {self.id!r}: tx_power_w must be > 0")
-        if self.battery_j is not None and self.battery_j < 0:
-            raise ValueError(f"device {self.id!r}: battery_j must be >= 0")
 
 
 def device_from_kind(id: str, kind: str, **overrides) -> DeviceProfile:

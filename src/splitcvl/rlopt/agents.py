@@ -37,6 +37,16 @@ from .env import ReplayBuffer, Transition
 from .nets import TinyNet, log_softmax, softmax
 
 
+_COUNT_FIELDS = (
+    "replay_capacity", "batch_size", "target_sync", "ppo_epochs", "ppo_batch",
+    "multi_q_tables", "moving_avg_window",
+)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Hyperparams:
     """Training knobs. Defaults are artifact choices, all overridable."""
@@ -61,10 +71,16 @@ class Hyperparams:
     ac_replay: bool = False
 
     def __post_init__(self) -> None:
-        if self.moving_avg_window < 1:
-            raise ValueError("moving_avg_window must be >= 1")
+        for name in _COUNT_FIELDS:
+            value = getattr(self, name)
+            if not _is_int(value) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if self.multi_q_tables < 2:
             raise ValueError("multi_q_tables must be >= 2")
+        if not all(_is_int(h) and h >= 1 for h in self.hidden):
+            raise ValueError(f"hidden sizes must be integers >= 1, got {self.hidden!r}")
+        if not isinstance(self.ac_replay, bool):
+            raise ValueError(f"ac_replay must be true or false, got {self.ac_replay!r}")
         if not 0.0 <= self.epsilon_final <= self.epsilon_start <= 1.0:
             raise ValueError("need 0 <= epsilon_final <= epsilon_start <= 1")
 
@@ -151,12 +167,15 @@ _PROB_SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
 def _action_cdf(probs: np.ndarray) -> np.ndarray:
     """The normalized cumulative sums ``rng.choice(n, p=probs)`` draws on.
 
-    Of that call's input checks only the sum check is kept; it also
-    catches non-finite probabilities.
+    Of that call's input checks only the sum check is kept. The
+    probabilities come from a softmax, so it fails only when the policy
+    has diverged to non-finite values.
     """
     cdf = probs.cumsum()
     if not abs(cdf[-1] - 1.0) <= _PROB_SUM_ATOL:
-        raise ValueError("probabilities do not sum to 1")
+        raise NonFiniteError(
+            "policy diverged to non-finite values; lower the learning rates"
+        )
     cdf /= cdf[-1]
     return cdf
 
@@ -191,11 +210,7 @@ def train_q_learning(
 
 
 def train_multi_q(
-    env,
-    episodes: int,
-    K: int | None = None,
-    hyper: Hyperparams | None = None,
-    seed: int = 0,
+    env, episodes: int, hyper: Hyperparams | None = None, seed: int = 0
 ) -> tuple[TrainedPolicy, ConvergenceTrace]:
     """Ensemble Q-learning: bootstrap each table from the mean of the rest.
 
@@ -205,9 +220,7 @@ def train_multi_q(
     size.
     """
     hyper = hyper or Hyperparams()
-    k = K if K is not None else hyper.multi_q_tables
-    if k < 2:
-        raise ValueError("multi-Q needs at least two tables")
+    k = hyper.multi_q_tables
     rng = np.random.default_rng(seed)
     tables = np.zeros((k, env.n_states, env.n_actions))
     table_lr = min(1.0, hyper.lr * k)
@@ -271,11 +284,11 @@ def train_actor_critic(
         logits[state] += hyper.lr_actor * advantage * (one_hot - probs)
         if buffer is not None:
             buffer.push(tr)
-            for rep in buffer.sample(rng, hyper.batch_size):
-                rep_target = rep.reward + (
-                    0.0 if rep.done else hyper.gamma * values[rep.next_state]
-                )
-                values[rep.state] += hyper.lr * (rep_target - values[rep.state])
+            rep = buffer.sample_batch(rng, hyper.batch_size)
+            for s, r, ns, nd in zip(rep.states.tolist(), rep.rewards.tolist(),
+                                    rep.next_states.tolist(), rep.not_done.tolist()):
+                rep_target = r + (hyper.gamma * values[ns] if nd else 0.0)
+                values[s] += hyper.lr * (rep_target - values[s])
         effects.append(-tr.reward)
         steps_in_episode += 1
         if tr.done or steps_in_episode >= env.horizon:
@@ -515,6 +528,4 @@ def train_agent(
         raise ValueError(
             f"unknown agent {name!r}; choose one of {sorted(AGENTS)}"
         )
-    if name == "multi_q":
-        return train_multi_q(env, steps, hyper=hyper, seed=seed)
     return AGENTS[name](env, steps, hyper=hyper, seed=seed)

@@ -1,8 +1,8 @@
 """Partition-point selection cast as a sequential decision problem.
 
 The environment state is the observable network context: one discretized
-channel bin per device (a grid over bandwidth x SNR-in-dB), one battery
-bin per device, and a step counter. The action jointly assigns one
+channel bin per device (a grid over bandwidth x SNR-in-dB) and a step
+counter. The action jointly assigns one
 partition candidate to every device, flattened to a single discrete id.
 The reward is the additive inverse of the decision's effect value, so it
 lies in [-1, 0] whenever the cost weights sum to 1; an infeasible link
@@ -13,9 +13,6 @@ Episodes default to a single step: the partition choice has no state
 dynamics, so the problem is a contextual bandit over sampled channel
 states. A longer horizon can be configured, in which case channels are
 redrawn every step and the step counter becomes part of the state.
-
-Battery and step bins exist because they are part of the observable
-context; no cost term consumes battery, it is carried as state only.
 """
 
 from __future__ import annotations
@@ -39,7 +36,6 @@ class EnvState:
     """Decoded environment state."""
 
     channel_bins: tuple[int, ...]  # one bin index per device
-    battery_bins: tuple[int, ...]  # one bin index per device
     step: int
 
 
@@ -99,13 +95,6 @@ class ReplayBuffer:
         idx = rng.integers(0, self._size, size=batch_size)
         return Batch(self._states[idx], self._actions[idx], self._rewards[idx],
                      self._next_states[idx], self._not_done[idx])
-
-    def sample(self, rng: np.random.Generator, batch_size: int) -> list[Transition]:
-        batch = self.sample_batch(rng, batch_size)
-        return [
-            Transition(s, a, r, ns, nd == 0.0)
-            for s, a, r, ns, nd in zip(*(field.tolist() for field in batch))
-        ]
 
 
 class _ChannelGrid:
@@ -194,10 +183,9 @@ class PartitionEnv:
         scenario: Scenario,
         bandwidth_bins: int = 1,
         snr_bins: int = 2,
-        battery_bins: int = 1,
         horizon: int = 1,
     ):
-        if bandwidth_bins < 1 or snr_bins < 1 or battery_bins < 1:
+        if bandwidth_bins < 1 or snr_bins < 1:
             raise ValueError("bin counts must be >= 1")
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
@@ -209,17 +197,12 @@ class PartitionEnv:
             )
         self.scenario = scenario
         self.horizon = horizon
-        self.battery_bins = battery_bins
         self.grids = [
             _ChannelGrid(ch, bandwidth_bins, snr_bins) for ch in scenario.channels
         ]
-        self._combo_sizes = [g.n_bins for g in self.grids] + [
-            battery_bins for _ in scenario.devices
-        ]
-        # a state id is step * n_combos + channel_combo * battery_block +
-        # battery_combo, each combo a mixed-radix number, first device first
-        self._battery_block = battery_bins ** scenario.num_devices
-        self._n_combos = math.prod(self._combo_sizes)
+        # a state id is step * n_combos + channel combo, the combo a
+        # mixed-radix number of the devices' bins, first device first
+        self.n_combos = math.prod(g.n_bins for g in self.grids)
         self._draws_per_set = sum(2 for g in self.grids if not g.fixed)
         self._decisions = tuple(
             PartitionDecision(cuts)
@@ -234,41 +217,28 @@ class PartitionEnv:
         return len(self._decisions)
 
     @property
-    def n_combos(self) -> int:
-        return self._n_combos
-
-    @property
     def n_states(self) -> int:
         return self.n_combos * self.horizon
 
     @property
     def feature_dim(self) -> int:
-        return sum(self._combo_sizes) + (self.horizon if self.horizon > 1 else 0)
+        return sum(g.n_bins for g in self.grids) + (
+            self.horizon if self.horizon > 1 else 0
+        )
 
     # -- encodings -------------------------------------------------------
 
     def encode_state(self, state: EnvState) -> int:
-        digits = list(state.channel_bins) + list(state.battery_bins)
         combo = 0
-        for digit, size in zip(digits, self._combo_sizes):
-            if not 0 <= digit < size:
-                raise ValueError(f"state digit {digit} out of range {size}")
-            combo = combo * size + digit
+        for digit, grid in zip(state.channel_bins, self.grids):
+            if not 0 <= digit < grid.n_bins:
+                raise ValueError(f"state digit {digit} out of range {grid.n_bins}")
+            combo = combo * grid.n_bins + digit
         return state.step * self.n_combos + combo
 
     def decode_state(self, state_id: int) -> EnvState:
         step, combo = divmod(state_id, self.n_combos)
-        digits = []
-        for size in reversed(self._combo_sizes):
-            combo, d = divmod(combo, size)
-            digits.append(d)
-        digits.reverse()
-        n_dev = self.scenario.num_devices
-        return EnvState(
-            channel_bins=tuple(digits[:n_dev]),
-            battery_bins=tuple(digits[n_dev:]),
-            step=step,
-        )
+        return EnvState(channel_bins=tuple(self._channel_bins(combo)), step=step)
 
     def encode_action(self, cuts: tuple[int, ...]) -> int:
         action = 0
@@ -287,10 +257,8 @@ class PartitionEnv:
         """Concatenated one-hot bins (plus a step one-hot for horizons > 1)."""
         state = self.decode_state(state_id)
         parts = []
-        for digit, size in zip(
-            list(state.channel_bins) + list(state.battery_bins), self._combo_sizes
-        ):
-            one_hot = np.zeros(size)
+        for digit, grid in zip(state.channel_bins, self.grids):
+            one_hot = np.zeros(grid.n_bins)
             one_hot[digit] = 1.0
             parts.append(one_hot)
         if self.horizon > 1:
@@ -324,30 +292,25 @@ class PartitionEnv:
         return combo
 
     def reset(self, rng: np.random.Generator) -> int:
-        return self._draw_channel_combo(self._uniforms(rng, 1)) * self._battery_block
+        return self._draw_channel_combo(self._uniforms(rng, 1))
 
     def step(self, state_id: int, action: int, rng: np.random.Generator) -> Transition:
-        step, combo = divmod(state_id, self._n_combos)
-        channel_combo, battery_combo = divmod(combo, self._battery_block)
+        step, combo = divmod(state_id, self.n_combos)
         decision = self.decode_action(action)
         # this step's channels, then the next state's channels
         draws = self._uniforms(rng, 2)
         channels = tuple(
             grid.draw_within(b, draws)
-            for grid, b in zip(self.grids, self._channel_bins(channel_combo))
+            for grid, b in zip(self.grids, self._channel_bins(combo))
         )
         try:
             reward = -decision_effect(self.scenario, decision, channels)
         except ZeroRateError:
             reward = -1.0
         done = step + 1 >= self.horizon
-        next_combo = (
-            self._draw_channel_combo(draws) * self._battery_block + battery_combo
-        )
         next_step = 0 if done else step + 1
-        return Transition(
-            state_id, action, reward, next_step * self._n_combos + next_combo, done
-        )
+        next_state = next_step * self.n_combos + self._draw_channel_combo(draws)
+        return Transition(state_id, action, reward, next_state, done)
 
     # -- deterministic evaluation -----------------------------------------
 

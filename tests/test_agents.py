@@ -91,20 +91,21 @@ class TestMultiQ:
         # the same greedy arm as plain Q-learning.
         env = BanditEnv([-0.9, -0.2, -0.5])
         single, _ = train_q_learning(env, 400, seed=5)
-        multi, _ = train_multi_q(env, 400, K=4, seed=5)
+        multi, _ = train_multi_q(env, 400, Hyperparams(multi_q_tables=4), seed=5)
         assert multi.action(0) == single.action(0) == 1
 
     def test_bandit_argmax(self):
-        policy, _ = train_multi_q(BanditEnv(TWO_ARM), 300, K=3, seed=6)
+        policy, _ = train_multi_q(BanditEnv(TWO_ARM), 300, Hyperparams(multi_q_tables=3), seed=6)
         assert policy.action(0) == 1
 
     def test_needs_two_tables(self):
         with pytest.raises(ValueError):
-            train_multi_q(BanditEnv(TWO_ARM), 10, K=1, seed=0)
+            Hyperparams(multi_q_tables=1)
 
     def test_deterministic(self):
-        a = train_multi_q(BanditEnv(TWO_ARM), 200, K=4, seed=9)[1]
-        b = train_multi_q(BanditEnv(TWO_ARM), 200, K=4, seed=9)[1]
+        hyper = Hyperparams(multi_q_tables=4)
+        a = train_multi_q(BanditEnv(TWO_ARM), 200, hyper, seed=9)[1]
+        b = train_multi_q(BanditEnv(TWO_ARM), 200, hyper, seed=9)[1]
         assert np.array_equal(a.effects, b.effects)
 
 

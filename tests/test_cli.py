@@ -141,6 +141,65 @@ def test_non_finite_config_number_exits_2(case, command, tmp_path, capsys):
     assert key_path in captured.err
 
 
+QUICK_OPTIMIZER = "optimizer: {agent: q_learning, steps: 200, seed: 7}"
+FIVE_ROW_TABLE = "confidentiality: {table: [%s]}\n" % ", ".join(
+    ["{kl_open: 1.0, kl_closed: 1.0, ssim_open: abc}"]
+    + ["{kl_open: 1.0, kl_closed: 1.0}"] * 4
+)
+
+
+def optimizer_config(fields: str) -> str:
+    return QUICK_CONFIG.replace(QUICK_OPTIMIZER, f"optimizer: {{{fields}}}")
+
+
+# (message fragment on stderr, config text); every one exits 2
+INVALID_OPTIMIZE_CONFIGS = {
+    "dqn_lr_net_unsigned_exponent": (
+        "lower lr_net", optimizer_config("agent: dqn, steps: 50, hyper: {lr_net: 1.0e3}")
+    ),
+    "ppo_lr_net_unsigned_exponent": (
+        "lower lr_net", optimizer_config("agent: ppo, steps: 800, hyper: {lr_net: 1.0e3}")
+    ),
+    "lr_nan": (
+        "optimizer.hyper.lr: expected a finite number",
+        optimizer_config("agent: ppo, hyper: {lr: .nan}"),
+    ),
+    "ppo_batch_zero": ("ppo_batch", optimizer_config("agent: ppo, hyper: {ppo_batch: 0}")),
+    "target_sync_zero": ("target_sync", optimizer_config("agent: dqn, hyper: {target_sync: 0}")),
+    "replay_capacity_zero": (
+        "replay_capacity", optimizer_config("agent: dqn, hyper: {replay_capacity: 0}")
+    ),
+    "batch_size_float": ("batch_size", optimizer_config("agent: dqn, hyper: {batch_size: 2.5}")),
+    "ac_replay_not_bool": (
+        "ac_replay", optimizer_config("agent: actor_critic, hyper: {ac_replay: 1}")
+    ),
+    "hidden_zero": ("hidden", optimizer_config("agent: dqn, hyper: {hidden: [0]}")),
+    "steps_negative": ("steps", optimizer_config("agent: dqn, steps: -5")),
+    "horizon_zero": ("horizon", optimizer_config("agent: dqn, horizon: 0")),
+    "actor_critic_diverges": (
+        "diverged",
+        optimizer_config("agent: actor_critic, steps: 50, hyper: {lr: 1.0e+300}"),
+    ),
+    "ssim_not_a_number": (
+        "confidentiality.table[0].ssim_open", QUICK_CONFIG + FIVE_ROW_TABLE
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_OPTIMIZE_CONFIGS))
+def test_invalid_optimize_config_exits_2(case, tmp_path, capsys):
+    fragment, text = INVALID_OPTIMIZE_CONFIGS[case]
+    assert text != QUICK_CONFIG
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    out = tmp_path / "trace.csv"
+    assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert fragment in captured.err
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_rejected(jobs, config_path, capsys):
     with pytest.raises(SystemExit) as exc:

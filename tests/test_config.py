@@ -45,11 +45,10 @@ class TestParsing:
     def test_device_overrides(self):
         text = MINIMAL.replace(
             "{id: u1, kind: uav}",
-            "{id: u1, kind: uav, tx_power_w: 5.0, battery_j: 1000.0}",
+            "{id: u1, kind: uav, tx_power_w: 5.0}",
         )
         dev = parse_config(text).scenario.devices[0]
         assert dev.tx_power_w == 5.0
-        assert dev.battery_j == 1000.0
 
     def test_snr_linear_form(self):
         text = MINIMAL.replace("snr_db: 10.0", "snr_linear: 3.0")
@@ -115,6 +114,14 @@ class TestRejection:
     def test_unknown_device_key(self):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(MINIMAL.replace("kind: uav", "kind: uav, speed: 9"))
+
+    @pytest.mark.parametrize("text", [
+        MINIMAL.replace("kind: uav", "kind: uav, battery_j: 1000.0"),
+        MINIMAL + "optimizer: {battery_bins: 1}\n",
+    ], ids=["battery_j", "battery_bins"])
+    def test_battery_keys_rejected(self, text):
+        with pytest.raises(ConfigError, match="unknown key.*battery"):
+            parse_config(text)
 
     def test_unknown_hyper_key(self):
         with pytest.raises(ConfigError, match="unknown key"):

@@ -153,9 +153,9 @@ class TestDeviceProfile:
         assert veh.tx_power_w == 2.0
 
     def test_overrides(self):
-        dev = device_from_kind("u", "uav", tx_power_w=3.0, battery_j=100.0)
+        dev = device_from_kind("u", "uav", tx_power_w=3.0)
         assert dev.tx_power_w == 3.0
-        assert dev.battery_j == 100.0
+        assert dev.peak_flops == 0.641e12
 
     def test_invariants(self):
         with pytest.raises(ValueError):
@@ -163,6 +163,4 @@ class TestDeviceProfile:
         with pytest.raises(ValueError):
             DeviceProfile("x", "boat", peak_flops=1, compute_power_w=1, tx_power_w=1)
         with pytest.raises(ValueError):
-            DeviceProfile(
-                "x", "uav", peak_flops=1, compute_power_w=1, tx_power_w=1, battery_j=-1
-            )
+            DeviceProfile("x", "uav", peak_flops=1, compute_power_w=1, tx_power_w=0)

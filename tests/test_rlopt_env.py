@@ -31,8 +31,8 @@ class TestSpaces:
     def test_default_scenario_spaces(self):
         env = PartitionEnv(default_scenario(), snr_bins=2)
         assert env.n_actions == 25
-        assert env.n_states == 4  # 2 snr bins per device, 1 battery bin
-        assert env.feature_dim == 2 + 2 + 1 + 1
+        assert env.n_states == 4  # 2 snr bins per device
+        assert env.feature_dim == 2 + 2
 
     def test_action_space_cap(self):
         profile = synthetic_profile([400, 200], flops=[1, 1])
@@ -63,7 +63,7 @@ class TestSpaces:
             f = env.state_features(s)
             assert f.shape == (env.feature_dim,)
             assert set(np.unique(f)) <= {0.0, 1.0}
-            assert f.sum() == 4  # one hot per device channel + battery
+            assert f.sum() == 2  # one hot per device channel
 
 
 class TestStep:
@@ -145,8 +145,8 @@ class TestStep:
         for _ in range(200):
             s = env.reset(rng)
             st = env.decode_state(s)
+            assert len(st.channel_bins) == 2
             assert all(0 <= b < 12 for b in st.channel_bins)
-            assert st.battery_bins == (0, 0)
 
 
 class TestReplayBuffer:
@@ -155,7 +155,7 @@ class TestReplayBuffer:
         for i in range(5):
             buf.push(Transition(i, 0, 0.0, 0, True))
         assert len(buf) == 2
-        states = {t.state for t in buf.sample(np.random.default_rng(0), 50)}
+        states = set(buf.sample_batch(np.random.default_rng(0), 50).states.tolist())
         assert states <= {3, 4}
 
     def test_capacity_one_always_latest(self):
@@ -163,28 +163,29 @@ class TestReplayBuffer:
         rng = np.random.default_rng(1)
         for i in range(10):
             buf.push(Transition(i, 0, 0.0, 0, True))
-            assert buf.sample(rng, 1)[0].state == i
+            assert buf.sample_batch(rng, 1).states.tolist() == [i]
 
     def test_sampling_deterministic_under_seed(self):
         buf = ReplayBuffer(100)
         for i in range(100):
             buf.push(Transition(i, 0, 0.0, 0, True))
-        a = buf.sample(np.random.default_rng(3), 10)
-        b = buf.sample(np.random.default_rng(3), 10)
-        assert a == b
+        a = buf.sample_batch(np.random.default_rng(3), 10)
+        b = buf.sample_batch(np.random.default_rng(3), 10)
+        for field_a, field_b in zip(a, b):
+            assert np.array_equal(field_a, field_b)
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
-            ReplayBuffer(3).sample(np.random.default_rng(0), 1)
+            ReplayBuffer(3).sample_batch(np.random.default_rng(0), 1)
 
 
 class TestEnvState:
     def test_decode_fields(self):
-        env = PartitionEnv(default_scenario(), snr_bins=2, battery_bins=2)
-        state = EnvState(channel_bins=(1, 0), battery_bins=(1, 1), step=0)
+        env = PartitionEnv(default_scenario(), snr_bins=2, horizon=2)
+        state = EnvState(channel_bins=(1, 0), step=1)
         assert env.decode_state(env.encode_state(state)) == state
 
     def test_out_of_range_digit_rejected(self):
         env = PartitionEnv(default_scenario(), snr_bins=2)
         with pytest.raises(ValueError):
-            env.encode_state(EnvState((5, 0), (0, 0), 0))
+            env.encode_state(EnvState((5, 0), 0))
