@@ -5,7 +5,6 @@ from .netmodel import (
     ChannelDistribution,
     ChannelState,
     DeviceProfile,
-    sample_channel,
     shannon_rate,
     tx_energy,
     tx_latency,
@@ -24,12 +23,11 @@ from .trico import (
     Scenario,
     TriCoBreakdown,
     TriCoWeights,
-    brute_force_optimal,
-    comm_cost,
     comp_cost,
     conf_cost,
     decision_effect,
     default_scenario,
+    optimal_decision,
 )
 
 __version__ = "0.1.0"
@@ -46,16 +44,14 @@ __all__ = [
     "Scenario",
     "TriCoBreakdown",
     "TriCoWeights",
-    "brute_force_optimal",
     "build_resnet50_usam_profile",
-    "comm_cost",
     "comp_cost",
     "conf_cost",
     "decision_effect",
     "default_scenario",
     "device_flops",
     "intermediate_bytes",
-    "sample_channel",
+    "optimal_decision",
     "shannon_rate",
     "tx_energy",
     "tx_latency",

@@ -29,10 +29,10 @@ from .retrieval import (
 from .rlopt.agents import train_agent
 from .rlopt.env import PartitionEnv
 from .trico import (
-    brute_force_optimal,
     decision_effect,
     format_conf_table,
     format_cost_table,
+    optimal_decision,
 )
 
 EXIT_OK = 0
@@ -83,7 +83,7 @@ def cmd_cost(config: ScenarioConfig, args) -> int:
 
 def cmd_oracle(config: ScenarioConfig, args) -> int:
     scenario = _require_scenario(config)
-    decision, effect = brute_force_optimal(scenario)
+    decision, effect = optimal_decision(scenario)
     text = (
         f"decision={_decision_text(scenario, decision)}\n"
         f"effect={effect!r}\n"
@@ -107,7 +107,7 @@ def cmd_optimize(config: ScenarioConfig, args) -> int:
 
     decision = env.decode_action(policy.action(0))
     effect = decision_effect(scenario, decision)
-    _, oracle_effect = brute_force_optimal(scenario)
+    _, oracle_effect = optimal_decision(scenario)
     gap = (effect - oracle_effect) / oracle_effect if oracle_effect > 0 else effect
     summary = [
         f"agent={opt.agent}",
@@ -198,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sub.add_parser("profile", help="per-cut device FLOPs and bytes"))
     add_common(sub.add_parser("cost", help="per-device, per-cut cost table"))
     add_common(sub.add_parser("optimize", help="train an agent, write its trace"))
-    add_common(sub.add_parser("oracle", help="exhaustive optimal decision"))
+    add_common(sub.add_parser("oracle", help="exact optimal decision"))
     add_common(sub.add_parser("retrieval-sim", help="synthetic matching grid"))
     privacy = sub.add_parser("privacy", help="confidentiality table from a corpus")
     privacy.add_argument("corpus_dir", help="reconstruction corpus directory")

@@ -10,16 +10,16 @@ how link budgets are usually specified. No path-loss or mobility model is
 attached; the channel is an input.
 
 All types are immutable and all operations are pure, so values can be
-shared freely across threads. Sampling takes an explicit numpy Generator
-so parallel runs never share RNG state.
+shared freely across threads. Sampling maps uniform draws the caller
+supplies (``ChannelDistribution.at``), so parallel runs never share RNG
+state. Every number must be finite; the constructors reject NaN and
+infinities.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ZeroRateError
 
@@ -49,12 +49,9 @@ class DeviceProfile:
     def __post_init__(self) -> None:
         if self.kind not in DEVICE_KINDS:
             raise ValueError(f"device {self.id!r}: unknown kind {self.kind!r}")
-        if self.peak_flops <= 0:
-            raise ValueError(f"device {self.id!r}: peak_flops must be > 0")
-        if self.compute_power_w <= 0:
-            raise ValueError(f"device {self.id!r}: compute_power_w must be > 0")
-        if self.tx_power_w <= 0:
-            raise ValueError(f"device {self.id!r}: tx_power_w must be > 0")
+        for name in ("peak_flops", "compute_power_w", "tx_power_w"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"device {self.id!r}: {name} must be finite and > 0")
 
 
 def device_from_kind(id: str, kind: str, **overrides) -> DeviceProfile:
@@ -74,10 +71,10 @@ class ChannelState:
     snr_linear: float  # dimensionless, linear scale
 
     def __post_init__(self) -> None:
-        if self.bandwidth_hz <= 0:
-            raise ValueError("bandwidth_hz must be > 0")
-        if self.snr_linear < 0:
-            raise ValueError("snr_linear must be >= 0")
+        if not 0 < self.bandwidth_hz < math.inf:
+            raise ValueError("bandwidth_hz must be finite and > 0")
+        if not 0 <= self.snr_linear < math.inf:
+            raise ValueError("snr_linear must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -93,11 +90,11 @@ class ChannelDistribution:
 
     def __post_init__(self) -> None:
         lo, hi = self.bandwidth_range
-        if lo <= 0 or lo > hi:
-            raise ValueError("bandwidth_range must satisfy 0 < min <= max")
+        if not 0 < lo <= hi < math.inf:
+            raise ValueError("bandwidth_range must be finite with 0 < min <= max")
         lo_db, hi_db = self.snr_range_db
-        if lo_db > hi_db:
-            raise ValueError("snr_range_db must satisfy min <= max")
+        if not -math.inf < lo_db <= hi_db < math.inf:
+            raise ValueError("snr_range_db must be finite with min <= max")
         # (low, width) of each range, as Generator.uniform scales a draw
         object.__setattr__(self, "_bw_scale", (float(lo), float(hi) - float(lo)))
         object.__setattr__(
@@ -119,9 +116,13 @@ class ChannelDistribution:
         return bw_lo + bw_width * u_bw, snr_db_to_linear(db_lo + db_width * u_snr)
 
     def mean_channel(self) -> ChannelState:
-        """Midpoint channel, in the sampling parameterization (SNR in dB)."""
-        bw = 0.5 * (self.bandwidth_range[0] + self.bandwidth_range[1])
-        db = 0.5 * (self.snr_range_db[0] + self.snr_range_db[1])
+        """Midpoint channel, in the sampling parameterization (SNR in dB).
+
+        Halving is exact, so ``0.5 * lo + 0.5 * hi`` is the float
+        ``0.5 * (lo + hi)`` gives, without overflowing near the float limit.
+        """
+        bw = 0.5 * self.bandwidth_range[0] + 0.5 * self.bandwidth_range[1]
+        db = 0.5 * self.snr_range_db[0] + 0.5 * self.snr_range_db[1]
         return ChannelState(bandwidth_hz=bw, snr_linear=snr_db_to_linear(db))
 
 
@@ -148,15 +149,6 @@ def tx_energy(tx_power_w: float, latency_s: float) -> float:
     if tx_power_w < 0 or latency_s < 0:
         raise ValueError("tx_energy inputs must be >= 0")
     return tx_power_w * latency_s
-
-
-def sample_channel(dist: ChannelDistribution, rng: np.random.Generator) -> ChannelState:
-    """Draw one channel state; deterministic for a given generator state.
-
-    Bandwidth takes the first draw, SNR the second.
-    """
-    bw, snr = dist.at(rng.random(), rng.random())
-    return ChannelState(bandwidth_hz=bw, snr_linear=snr)
 
 
 def resolve_channel(ch: ChannelState | ChannelDistribution) -> ChannelState:

@@ -185,32 +185,37 @@ def _draw_action(cdf: np.ndarray, rng: np.random.Generator) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
+def _advance(env, tr: Transition, steps_in_episode: int, rng) -> tuple[int, int]:
+    """(next state, steps taken in its episode); resets once an episode ends."""
+    steps_in_episode += 1
+    if tr.done or steps_in_episode >= env.horizon:
+        return env.reset(rng), 0
+    return tr.next_state, steps_in_episode
+
+
 def train_q_learning(
-    env, episodes: int, hyper: Hyperparams | None = None, seed: int = 0
+    env, steps: int, hyper: Hyperparams | None = None, seed: int = 0
 ) -> tuple[TrainedPolicy, ConvergenceTrace]:
     """Tabular Q-learning; one trace row per environment step."""
     hyper = hyper or Hyperparams()
     rng = np.random.default_rng(seed)
     q = np.zeros((env.n_states, env.n_actions))
-    total_steps = episodes * env.horizon
     effects: list[float] = []
-    t = 0
-    for _ in range(episodes):
-        state = env.reset(rng)
-        for _ in range(env.horizon):
-            action = _eps_greedy(q[state], _epsilon(t, total_steps, hyper), rng)
-            tr = env.step(state, action, rng)
-            bootstrap = 0.0 if tr.done else hyper.gamma * float(q[tr.next_state].max())
-            q[state, action] += hyper.lr * (tr.reward + bootstrap - q[state, action])
-            effects.append(-tr.reward)
-            state = tr.next_state
-            t += 1
+    state = env.reset(rng)
+    steps_in_episode = 0
+    for t in range(steps):
+        action = _eps_greedy(q[state], _epsilon(t, steps, hyper), rng)
+        tr = env.step(state, action, rng)
+        bootstrap = 0.0 if tr.done else hyper.gamma * float(q[tr.next_state].max())
+        q[state, action] += hyper.lr * (tr.reward + bootstrap - q[state, action])
+        effects.append(-tr.reward)
+        state, steps_in_episode = _advance(env, tr, steps_in_episode, rng)
     policy = TrainedPolicy("q_learning", lambda s, q=q: int(np.argmax(q[s])), table=q)
     return policy, _make_trace(effects, hyper.moving_avg_window)
 
 
 def train_multi_q(
-    env, episodes: int, hyper: Hyperparams | None = None, seed: int = 0
+    env, steps: int, hyper: Hyperparams | None = None, seed: int = 0
 ) -> tuple[TrainedPolicy, ConvergenceTrace]:
     """Ensemble Q-learning: bootstrap each table from the mean of the rest.
 
@@ -224,29 +229,26 @@ def train_multi_q(
     rng = np.random.default_rng(seed)
     tables = np.zeros((k, env.n_states, env.n_actions))
     table_lr = min(1.0, hyper.lr * k)
-    total_steps = episodes * env.horizon
     effects: list[float] = []
-    t = 0
-    for _ in range(episodes):
-        state = env.reset(rng)
-        for _ in range(env.horizon):
-            # only the rows read are reduced; with two or more actions a
-            # row's sums equal the whole ensemble's bit for bit
-            mean_row = tables[:, state].mean(axis=0)
-            action = _eps_greedy(mean_row, _epsilon(t, total_steps, hyper), rng)
-            tr = env.step(state, action, rng)
-            j = int(rng.integers(k))
-            bootstrap = 0.0
-            if not tr.done:
-                next_rows = tables[:, tr.next_state]
-                others = (next_rows.sum(axis=0) - next_rows[j]) / (k - 1)
-                bootstrap = hyper.gamma * float(others.max())
-            tables[j, state, action] += table_lr * (
-                tr.reward + bootstrap - tables[j, state, action]
-            )
-            effects.append(-tr.reward)
-            state = tr.next_state
-            t += 1
+    state = env.reset(rng)
+    steps_in_episode = 0
+    for t in range(steps):
+        # only the rows read are reduced; with two or more actions a
+        # row's sums equal the whole ensemble's bit for bit
+        mean_row = tables[:, state].mean(axis=0)
+        action = _eps_greedy(mean_row, _epsilon(t, steps, hyper), rng)
+        tr = env.step(state, action, rng)
+        j = int(rng.integers(k))
+        bootstrap = 0.0
+        if not tr.done:
+            next_rows = tables[:, tr.next_state]
+            others = (next_rows.sum(axis=0) - next_rows[j]) / (k - 1)
+            bootstrap = hyper.gamma * float(others.max())
+        tables[j, state, action] += table_lr * (
+            tr.reward + bootstrap - tables[j, state, action]
+        )
+        effects.append(-tr.reward)
+        state, steps_in_episode = _advance(env, tr, steps_in_episode, rng)
     mean_q = tables.mean(axis=0)
     policy = TrainedPolicy("multi_q", lambda s, q=mean_q: int(np.argmax(q[s])), table=mean_q)
     return policy, _make_trace(effects, hyper.moving_avg_window)
@@ -290,12 +292,7 @@ def train_actor_critic(
                 rep_target = r + (hyper.gamma * values[ns] if nd else 0.0)
                 values[s] += hyper.lr * (rep_target - values[s])
         effects.append(-tr.reward)
-        steps_in_episode += 1
-        if tr.done or steps_in_episode >= env.horizon:
-            state = env.reset(rng)
-            steps_in_episode = 0
-        else:
-            state = tr.next_state
+        state, steps_in_episode = _advance(env, tr, steps_in_episode, rng)
     policy = TrainedPolicy(
         "actor_critic", lambda s, logits=logits: int(np.argmax(logits[s])),
         table=logits,
@@ -368,12 +365,7 @@ def train_dqn(
         if (t + 1) % hyper.target_sync == 0:
             target.copy_params_from(net)
         effects.append(-tr.reward)
-        steps_in_episode += 1
-        if tr.done or steps_in_episode >= env.horizon:
-            state = env.reset(rng)
-            steps_in_episode = 0
-        else:
-            state = tr.next_state
+        state, steps_in_episode = _advance(env, tr, steps_in_episode, rng)
 
     def act(s: int, net=net, feats=feats) -> int:
         return int(np.argmax(net.forward(feats(s))[0]))
@@ -468,12 +460,7 @@ def train_ppo(
             batch.append(tr)
             logp_old[i] = logp_row[action]
             effects.append(-tr.reward)
-            steps_in_episode += 1
-            if tr.done or steps_in_episode >= env.horizon:
-                state = env.reset(rng)
-                steps_in_episode = 0
-            else:
-                state = tr.next_state
+            state, steps_in_episode = _advance(env, tr, steps_in_episode, rng)
         done_steps += batch_n
         entropy_coef = hyper.entropy_coef * (1.0 - done_steps / steps)
 
@@ -523,9 +510,14 @@ AGENTS: dict[str, Callable] = {
 def train_agent(
     name: str, env, steps: int, hyper: Hyperparams | None = None, seed: int = 0
 ) -> tuple[TrainedPolicy, ConvergenceTrace]:
-    """Dispatch by agent name; episode-based agents treat steps as episodes."""
+    """Dispatch by agent name; ``steps`` counts environment steps.
+
+    Floating-point overflow and invalid results are not warned about: a
+    diverging run ends in the agent's own NonFiniteError instead.
+    """
     if name not in AGENTS:
         raise ValueError(
             f"unknown agent {name!r}; choose one of {sorted(AGENTS)}"
         )
-    return AGENTS[name](env, steps, hyper=hyper, seed=seed)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return AGENTS[name](env, steps, hyper=hyper, seed=seed)

@@ -21,12 +21,10 @@ normalized terms, averaged over devices, and lies in [0, 1] whenever the
 weights sum to 1. The reward used by the optimizer is its additive
 inverse.
 
-``brute_force_optimal`` enumerates every joint decision and is the exact
-oracle the learning agents are validated against. Evaluations are
-independent, so they could run in parallel; the result is deterministic
-regardless of order because ties break toward deeper cuts (better
-confidentiality at equal effect), lexicographically from the first
-device.
+``optimal_decision`` is the exact oracle the learning agents are
+validated against. The effect of a joint decision is the mean of
+independent per-device terms, so each device takes its own minimum; ties
+break toward the deeper cut (better confidentiality at equal effect).
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 from .errors import MissingEntryError
 from .netmodel import (
@@ -126,8 +123,8 @@ class TriCoWeights:
 
     def __post_init__(self) -> None:
         for name in ("w_comm", "w_comp", "w_conf"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be a number >= 0")
         total = self.w_comm + self.w_comp + self.w_conf
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"cost weights must sum to 1, got {total}")
@@ -293,17 +290,6 @@ class PartitionDecision:
         return tuple(PartitionPoint(c) for c in self.cuts)
 
 
-def comm_cost(
-    dev: DeviceProfile,
-    ch: ChannelState,
-    profile: ModelProfile,
-    cut: PartitionPoint | int,
-) -> tuple[float, float]:
-    """(latency_s, energy_j) of shipping the cut's features to the server."""
-    latency = tx_latency(intermediate_bytes(profile, cut), shannon_rate(ch))
-    return latency, tx_energy(dev.tx_power_w, latency)
-
-
 def comp_cost(
     dev: DeviceProfile, profile: ModelProfile, cut: PartitionPoint | int
 ) -> float:
@@ -334,17 +320,6 @@ def _minmax(values: list[float]) -> list[float]:
     if hi == lo:
         return [0.0 for _ in values]
     return [(v - lo) / (hi - lo) for v in values]
-
-
-def candidate_costs(
-    dev: DeviceProfile,
-    ch: ChannelState,
-    profile: ModelProfile,
-    table: ConfidentialityTable,
-    weights: TriCoWeights,
-) -> list[TriCoBreakdown]:
-    """Raw and normalized costs for every candidate cut of one device."""
-    return CutCosts.build(dev, profile, table, weights).breakdowns(ch)
 
 
 def effect_value(
@@ -396,24 +371,23 @@ def decision_effect(
     return math.fsum(per_device) / len(per_device)
 
 
-def brute_force_optimal(
+def optimal_decision(
     scenario: Scenario, channels: tuple[ChannelState, ...] | None = None
 ) -> tuple[PartitionDecision, float]:
-    """Exhaustive argmin of the effect over candidates^devices.
+    """Exact argmin of the effect over every joint decision.
 
-    Ties break toward the lexicographically largest cut vector, i.e. the
-    deeper cut wins, starting from the first device.
+    Each device takes the deepest cut among its float-equal minima. fsum
+    is correctly rounded, hence monotone in each term, so the returned
+    effect is the smallest over all candidates^devices decisions, bit for
+    bit. The decision can differ from the lexicographically deepest of the
+    joint minima only when two different exact sums round to one float.
     """
-    effects = effect_table(scenario, channels)
-    n_dev = scenario.num_devices
-    best_cuts: tuple[int, ...] | None = None
-    best_effect = math.inf
-    for cuts in product(range(scenario.num_candidates), repeat=n_dev):
-        eff = math.fsum(effects[d][c] for d, c in enumerate(cuts)) / n_dev
-        if eff < best_effect or (eff == best_effect and cuts > best_cuts):
-            best_effect = eff
-            best_cuts = cuts
-    return PartitionDecision(best_cuts), best_effect
+    cuts, minima = [], []
+    for row in effect_table(scenario, channels):
+        low = min(row)
+        cuts.append(max(c for c, e in enumerate(row) if e == low))
+        minima.append(low)
+    return PartitionDecision(tuple(cuts)), math.fsum(minima) / len(minima)
 
 
 CONF_TABLE_HEADER = "cut_name,kl_open,kl_closed,ssim_open,ssim_closed"

@@ -63,11 +63,17 @@ def oracle_enumerate(scenario, channels):
             for c in range(n)
         ]
         per_device_effect.append(effs)
+    return enumerate_optimum(per_device_effect)
 
+
+def enumerate_optimum(per_device_effect):
+    """(cuts, effect) minimizing the mean effect over every joint decision.
+
+    Ties break toward the lexicographically largest cut vector.
+    """
     best, best_cuts = math.inf, None
-    for cuts in product(
-        range(scenario.profile.num_candidates), repeat=len(scenario.devices)
-    ):
+    n_cuts = len(per_device_effect[0])
+    for cuts in product(range(n_cuts), repeat=len(per_device_effect)):
         eff = math.fsum(per_device_effect[d][c] for d, c in enumerate(cuts)) / len(cuts)
         if eff < best or (eff == best and cuts > best_cuts):
             best, best_cuts = eff, cuts

@@ -30,7 +30,7 @@ from splitcvl.rlopt.agents import (
 )
 from splitcvl.rlopt.env import PartitionEnv
 from splitcvl.rlopt.nets import TinyNet, grad_check
-from splitcvl.trico import brute_force_optimal, conf_cost, default_scenario
+from splitcvl.trico import conf_cost, default_scenario, optimal_decision
 
 from helpers import oracle_enumerate, random_scenario
 from test_nnprofile import oracle_candidate_elements, oracle_conv_flops
@@ -55,10 +55,10 @@ AGENT_SPECS = [
 
 
 def test_criterion_1_oracle_convergence():
-    """All five agents track the brute-force optimum on the default scenario."""
+    """All five agents track the exact optimum on the default scenario."""
     scenario = default_scenario()
     env = PartitionEnv(scenario, snr_bins=2)
-    _, oracle_eff = brute_force_optimal(scenario)
+    _, oracle_eff = optimal_decision(scenario)
     started = time.perf_counter()
     failures = []
     for name, train, tol in AGENT_SPECS:
@@ -80,14 +80,14 @@ def test_criterion_1_oracle_convergence():
 
 
 def test_criterion_2_oracle_lower_bound():
-    """No trained greedy policy beats the exhaustive optimum; the optimum is
+    """No trained greedy policy beats the exact optimum; the optimum is
     cross-checked by an independently coded enumerator."""
     rng = np.random.default_rng(2024)
     violations = []
     for case in range(50):
         scenario = random_scenario(rng, max_devices=3)
         channels = scenario.resolved_channels()
-        decision, oracle_eff = brute_force_optimal(scenario, channels)
+        decision, oracle_eff = optimal_decision(scenario, channels)
         indep_cuts, indep_eff = oracle_enumerate(scenario, channels)
         if decision.cuts != indep_cuts or abs(oracle_eff - indep_eff) > 1e-12:
             violations.append(f"case {case}: enumerators disagree")

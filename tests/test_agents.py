@@ -18,7 +18,7 @@ from splitcvl.rlopt.agents import (
 )
 from splitcvl.rlopt.env import PartitionEnv
 from splitcvl.rlopt.nets import TinyNet, softmax
-from splitcvl.trico import brute_force_optimal, default_scenario
+from splitcvl.trico import default_scenario, optimal_decision
 
 from helpers import BanditEnv
 
@@ -226,7 +226,7 @@ class TestOnScenarioEnv:
     def test_q_learning_approaches_oracle_on_default_scenario(self):
         scenario = default_scenario()
         env = PartitionEnv(scenario, snr_bins=2)
-        _, oracle_eff = brute_force_optimal(scenario)
+        _, oracle_eff = optimal_decision(scenario)
         policy, trace = train_q_learning(env, 3000, seed=0)
         assert trace.final_moving_avg <= 1.05 * oracle_eff
         assert policy_effect(env, policy) == pytest.approx(oracle_eff, rel=1e-6)
@@ -234,7 +234,7 @@ class TestOnScenarioEnv:
     def test_actor_critic_approaches_oracle(self):
         scenario = default_scenario()
         env = PartitionEnv(scenario, snr_bins=2)
-        _, oracle_eff = brute_force_optimal(scenario)
+        _, oracle_eff = optimal_decision(scenario)
         _, trace = train_actor_critic(env, 3000, seed=0)
         assert trace.final_moving_avg <= 1.05 * oracle_eff
 
@@ -248,7 +248,7 @@ class TestOnScenarioEnv:
     def test_greedy_effect_never_beats_oracle(self):
         scenario = default_scenario()
         env = PartitionEnv(scenario, snr_bins=2)
-        _, oracle_eff = brute_force_optimal(scenario)
+        _, oracle_eff = optimal_decision(scenario)
         for name in ("q_learning", "multi_q", "actor_critic", "dqn", "ppo"):
             policy, _ = train_agent(name, env, 150, seed=2)
             assert policy_effect(env, policy) >= oracle_eff - 1e-9
@@ -265,3 +265,9 @@ class TestDispatch:
             policy, trace = train_agent(name, env, 60, seed=3)
             assert len(trace) == 60
             assert policy.action(0) in (0, 1)
+
+    @pytest.mark.parametrize("name", ["q_learning", "multi_q", "actor_critic", "dqn", "ppo"])
+    def test_steps_count_env_steps_for_every_agent(self, name):
+        env = PartitionEnv(default_scenario(), horizon=3)
+        _, trace = train_agent(name, env, 100, seed=4)
+        assert len(trace) == 100

@@ -1,6 +1,7 @@
 """End-to-end CLI checks through the public main() entry point."""
 
 import hashlib
+import warnings
 
 import pytest
 
@@ -193,9 +194,13 @@ def test_invalid_optimize_config_exits_2(case, tmp_path, capsys):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(text)
     out = tmp_path / "trace.csv"
-    assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 2
+    # a warning would print its own stderr lines before the error line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
+    assert [str(w.message) for w in caught] == []
     assert captured.err.count("\n") == 1
     assert fragment in captured.err
 

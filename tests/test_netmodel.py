@@ -1,3 +1,4 @@
+import math
 
 import numpy as np
 import pytest
@@ -9,12 +10,12 @@ from splitcvl.netmodel import (
     DeviceProfile,
     device_from_kind,
     resolve_channel,
-    sample_channel,
     shannon_rate,
     snr_db_to_linear,
     tx_energy,
     tx_latency,
 )
+from splitcvl.trico import TriCoWeights
 
 
 class TestShannonRate:
@@ -91,21 +92,23 @@ class TestTxEnergy:
 class TestSampleChannel:
     def test_degenerate_ranges(self):
         dist = ChannelDistribution((1e6, 1e6), (6.0, 6.0))
-        ch = sample_channel(dist, np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        ch = ChannelState(*dist.at(rng.random(), rng.random()))
         assert ch.bandwidth_hz == 1e6
         assert ch.snr_linear == pytest.approx(10**0.6)
 
     def test_same_seed_identical(self):
         dist = ChannelDistribution((1e6, 9e6), (0.0, 20.0))
-        a = sample_channel(dist, np.random.default_rng(42))
-        b = sample_channel(dist, np.random.default_rng(42))
+        rng_a, rng_b = np.random.default_rng(42), np.random.default_rng(42)
+        a = ChannelState(*dist.at(rng_a.random(), rng_a.random()))
+        b = ChannelState(*dist.at(rng_b.random(), rng_b.random()))
         assert a == b
 
     def test_seed_stream_sequences_identical(self):
         dist = ChannelDistribution((1e6, 9e6), (0.0, 20.0))
         rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
-        seq_a = [sample_channel(dist, rng_a) for _ in range(50)]
-        seq_b = [sample_channel(dist, rng_b) for _ in range(50)]
+        seq_a = [dist.at(rng_a.random(), rng_a.random()) for _ in range(50)]
+        seq_b = [dist.at(rng_b.random(), rng_b.random()) for _ in range(50)]
         assert seq_a == seq_b
 
     def test_snr_range_exhaustive_sampling(self):
@@ -113,7 +116,7 @@ class TestSampleChannel:
         dist = ChannelDistribution((1e6, 2e6), (0.0, 10.0))
         rng = np.random.default_rng(5)
         for _ in range(10_000):
-            ch = sample_channel(dist, rng)
+            ch = ChannelState(*dist.at(rng.random(), rng.random()))
             assert 1.0 <= ch.snr_linear <= 10.0
             assert 1e6 <= ch.bandwidth_hz <= 2e6
 
@@ -124,6 +127,12 @@ class TestChannelTypes:
         mean = dist.mean_channel()
         assert mean.bandwidth_hz == 12.5e6
         assert mean.snr_linear == pytest.approx(10.0)
+
+    def test_mean_channel_of_huge_finite_range_is_finite(self):
+        dist = ChannelDistribution((1e308, 1.7e308), (-1e308, 1e308))
+        mean = dist.mean_channel()
+        assert mean.bandwidth_hz == 1.35e308
+        assert mean.snr_linear == 1.0
 
     def test_resolve_channel_passthrough(self):
         ch = ChannelState(1e6, 2.0)
@@ -136,6 +145,11 @@ class TestChannelTypes:
             ChannelDistribution((0.0, 1e6), (0.0, 1.0))
         with pytest.raises(ValueError):
             ChannelDistribution((1e6, 2e6), (3.0, 1.0))
+
+    def test_finite_bounds_of_infinite_width_overflow_when_drawn(self):
+        dist = ChannelDistribution((1e6, 2e6), (-1e308, 1e308))
+        with pytest.raises(OverflowError):
+            dist.at(0.5, 0.5)
 
     def test_snr_db_to_linear(self):
         assert snr_db_to_linear(0.0) == 1.0
@@ -164,3 +178,27 @@ class TestDeviceProfile:
             DeviceProfile("x", "boat", peak_flops=1, compute_power_w=1, tx_power_w=1)
         with pytest.raises(ValueError):
             DeviceProfile("x", "uav", peak_flops=1, compute_power_w=1, tx_power_w=0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ChannelState(math.nan, 1.0),
+        lambda: ChannelState(1e6, math.inf),
+        lambda: ChannelDistribution((1e6, math.inf), (0.0, 1.0)),
+        lambda: ChannelDistribution((1e6, 2e6), (math.nan, 1.0)),
+        lambda: ChannelDistribution((1e6, 2e6), (-math.inf, 1.0)),
+        lambda: device_from_kind("u", "uav", peak_flops=math.inf),
+        lambda: device_from_kind("u", "uav", compute_power_w=math.nan),
+        lambda: device_from_kind("u", "uav", tx_power_w=math.nan),
+        lambda: TriCoWeights(math.nan, math.nan, math.nan),
+    ],
+    ids=[
+        "channel_bandwidth_nan", "channel_snr_inf", "distribution_bandwidth_inf",
+        "distribution_snr_nan", "distribution_snr_minus_inf", "device_peak_flops_inf",
+        "device_compute_power_nan", "device_tx_power_nan", "weights_nan",
+    ],
+)
+def test_library_types_reject_non_finite_numbers(build):
+    with pytest.raises(ValueError):
+        build()

@@ -7,18 +7,17 @@ from itertools import permutations, product
 import numpy as np
 import pytest
 
+from splitcvl import trico
 from splitcvl.errors import MissingEntryError, ZeroRateError
-from splitcvl.netmodel import ChannelState, device_from_kind
+from splitcvl.netmodel import ChannelState, device_from_kind, shannon_rate
 from splitcvl.nnprofile import build_resnet50_usam_profile
 from splitcvl.trico import (
     ConfEntry,
     ConfidentialityTable,
+    CutCosts,
     PartitionDecision,
     Scenario,
     TriCoWeights,
-    brute_force_optimal,
-    candidate_costs,
-    comm_cost,
     comp_cost,
     conf_cost,
     decision_effect,
@@ -26,11 +25,12 @@ from splitcvl.trico import (
     default_scenario,
     effect_value,
     format_cost_table,
+    optimal_decision,
     scenario_breakdowns,
 )
 
 
-from helpers import oracle_enumerate, random_scenario, synthetic_profile
+from helpers import enumerate_optimum, oracle_enumerate, random_scenario, synthetic_profile
 
 
 class TestCommCost:
@@ -38,28 +38,31 @@ class TestCommCost:
         dev = device_from_kind("v", "vehicle")  # 2 W transmit
         ch = ChannelState(1e6, 3.0)  # rate 2e6
         profile = build_resnet50_usam_profile(224, 224)
-        lat, en = comm_cost(dev, ch, profile, 4)
+        costs = CutCosts.build(dev, profile, default_conf_table(), TriCoWeights())
+        lat, en, _ = costs.comm_terms(shannon_rate(ch), 4)
         assert lat == 1.605632
         assert en == pytest.approx(3.211264)
 
     def test_halving_rate_doubles_both(self):
         dev = device_from_kind("u", "uav")
         profile = build_resnet50_usam_profile(224, 224)
+        costs = CutCosts.build(dev, profile, default_conf_table(), TriCoWeights())
         rng = np.random.default_rng(3)
         for _ in range(50):
             bw = float(rng.uniform(1e6, 1e8))
             snr = float(rng.uniform(0.1, 100))
             cut = int(rng.integers(0, 5))
-            lat1, en1 = comm_cost(dev, ChannelState(bw, snr), profile, cut)
-            lat2, en2 = comm_cost(dev, ChannelState(bw / 2, snr), profile, cut)
+            lat1, en1, _ = costs.comm_terms(shannon_rate(ChannelState(bw, snr)), cut)
+            lat2, en2, _ = costs.comm_terms(shannon_rate(ChannelState(bw / 2, snr)), cut)
             assert lat2 == 2 * lat1
             assert en2 == 2 * en1
 
     def test_zero_rate_propagates(self):
         dev = device_from_kind("u", "uav")
         profile = build_resnet50_usam_profile(224, 224)
+        costs = CutCosts.build(dev, profile, default_conf_table(), TriCoWeights())
         with pytest.raises(ZeroRateError):
-            comm_cost(dev, ChannelState(1e6, 0.0), profile, 0)
+            costs.comm_terms(shannon_rate(ChannelState(1e6, 0.0)), 0)
 
 
 class TestCompCost:
@@ -126,7 +129,8 @@ class TestNormalization:
         dev = device_from_kind("u", "uav")
         ch = ChannelState(1e6, 3.0)
         profile = synthetic_profile([4000, 2000, 1000], flops=[10, 20, 30])
-        rows = candidate_costs(dev, ch, profile, default_conf_table(3), TriCoWeights())
+        costs = CutCosts.build(dev, profile, default_conf_table(3), TriCoWeights())
+        rows = costs.breakdowns(ch)
         assert (rows[0].n_comm, rows[0].n_comp) == (1.0, 0.0)
         assert (rows[2].n_comm, rows[2].n_comp) == (0.0, 1.0)
 
@@ -136,7 +140,8 @@ class TestNormalization:
         # per-layer flops [10, 10, 10] make the device-side prefix sums
         # evenly spaced, so the middle candidate sits at 0.5 after scaling
         profile = synthetic_profile([4000, 3000, 2000], flops=[10, 10, 10])
-        rows = candidate_costs(dev, ch, profile, default_conf_table(3), TriCoWeights())
+        costs = CutCosts.build(dev, profile, default_conf_table(3), TriCoWeights())
+        rows = costs.breakdowns(ch)
         assert rows[1].n_comm == pytest.approx(0.5)
         assert rows[1].n_comp == pytest.approx(0.5)
 
@@ -146,7 +151,8 @@ class TestNormalization:
         # second layer adds no flops, so both prefix sums and both payload
         # sizes are identical: every range is degenerate
         profile = synthetic_profile([4000, 4000], flops=[10, 0])
-        rows = candidate_costs(dev, ch, profile, default_conf_table(2), TriCoWeights())
+        costs = CutCosts.build(dev, profile, default_conf_table(2), TriCoWeights())
+        rows = costs.breakdowns(ch)
         assert all(r.n_comm == 0.0 and r.n_comp == 0.0 for r in rows)
 
     def test_conf_passes_through(self):
@@ -154,7 +160,8 @@ class TestNormalization:
         ch = ChannelState(1e6, 3.0)
         profile = synthetic_profile([4000, 2000], flops=[10, 20])
         table = ConfidentialityTable((ConfEntry(1.0, 1.0), ConfEntry(2.0, 2.0)))
-        rows = candidate_costs(dev, ch, profile, table, TriCoWeights())
+        costs = CutCosts.build(dev, profile, table, TriCoWeights())
+        rows = costs.breakdowns(ch)
         assert rows[0].n_conf == conf_cost(table, 0)
         assert rows[1].n_conf == conf_cost(table, 1)
 
@@ -214,7 +221,7 @@ class TestBruteForce:
             default_conf_table(1),
             TriCoWeights(),
         )
-        decision, _ = brute_force_optimal(scenario)
+        decision, _ = optimal_decision(scenario)
         assert decision.cuts == (0,)
 
     def test_conf_only_weights_pick_deepest(self):
@@ -226,7 +233,7 @@ class TestBruteForce:
             scenario.conf_table,
             TriCoWeights(0.0, 0.0, 1.0),
         )
-        decision, _ = brute_force_optimal(scenario)
+        decision, _ = optimal_decision(scenario)
         assert decision.cuts == (4, 4)
 
     def test_comp_only_weights_pick_shallowest(self):
@@ -238,7 +245,7 @@ class TestBruteForce:
             scenario.conf_table,
             TriCoWeights(0.0, 1.0, 0.0),
         )
-        decision, _ = brute_force_optimal(scenario)
+        decision, _ = optimal_decision(scenario)
         assert decision.cuts == (0, 0)
 
     def test_matches_independent_enumerator_on_random_scenarios(self):
@@ -246,7 +253,7 @@ class TestBruteForce:
         for _ in range(60):
             scenario = random_scenario(rng)
             channels = scenario.resolved_channels()
-            decision, eff = brute_force_optimal(scenario, channels)
+            decision, eff = optimal_decision(scenario, channels)
             oracle_cuts, oracle_eff = oracle_enumerate(scenario, channels)
             assert decision.cuts == oracle_cuts
             assert eff == pytest.approx(oracle_eff, abs=1e-12)
@@ -255,7 +262,7 @@ class TestBruteForce:
         rng = np.random.default_rng(24)
         for _ in range(20):
             scenario = random_scenario(rng, max_devices=3)
-            decision, eff = brute_force_optimal(scenario)
+            decision, eff = optimal_decision(scenario)
             for cuts in product(
                 range(scenario.num_candidates), repeat=scenario.num_devices
             ):
@@ -272,8 +279,31 @@ class TestBruteForce:
             table,
             TriCoWeights(),
         )
-        decision, _ = brute_force_optimal(scenario)
+        decision, _ = optimal_decision(scenario)
         assert decision.cuts == (1, 1)
+
+    def test_rounding_tie_keeps_per_device_cut_and_effect(self, monkeypatch):
+        # fsum rounds 1e-17 + 0.5 and 2e-17 + 0.5 to the same float, so
+        # decisions (0, 0) and (1, 0) tie at 0.25. Enumeration keeps the
+        # lexicographically larger vector; the per-device argmin keeps the
+        # first device's exact minimum. The effect is the same.
+        table = [[1e-17, 2e-17, 0.9, 0.9, 0.9], [0.5, 0.9, 0.9, 0.9, 0.9]]
+        monkeypatch.setattr(trico, "effect_table", lambda scenario, channels: table)
+        decision, eff = optimal_decision(default_scenario())
+        assert decision.cuts == (0, 0)
+        assert eff == 0.25
+        assert enumerate_optimum(table) == ((1, 0), 0.25)
+
+    def test_six_device_fleet_matches_independent_enumerator(self):
+        rng = np.random.default_rng(25)
+        scenario = random_scenario(rng, max_devices=6)
+        while (scenario.num_devices, scenario.num_candidates) != (6, 5):
+            scenario = random_scenario(rng, max_devices=6)
+        channels = scenario.resolved_channels()
+        decision, eff = optimal_decision(scenario, channels)
+        oracle_cuts, oracle_eff = oracle_enumerate(scenario, channels)
+        assert decision.cuts == oracle_cuts
+        assert eff == oracle_eff
 
 
 class TestTradeOffDirection:
