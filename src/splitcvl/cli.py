@@ -24,7 +24,7 @@ from .retrieval import (
     METRIC_NAMES,
     evaluate_cell,
     format_metrics_table,
-    synth_gallery,
+    synth_corpus,
 )
 from .rlopt.agents import train_agent
 from .rlopt.env import PartitionEnv
@@ -128,13 +128,13 @@ def cmd_optimize(config: ScenarioConfig, args) -> int:
 def _retrieval_seed_worker(ret: RetrievalConfig, seed: int) -> list[dict]:
     """One seed's cell metrics in (uav, ground) order; top-level so process
     pools can pickle it."""
-    gallery, pools = synth_gallery(
+    corpus = synth_corpus(
         ret.locations, ret.dim, ret.view_noise, seed=seed,
         images_per_view=ret.images_per_view,
     )
     strategy = FusionStrategy(ret.fusion)
     counts = range(1, ret.images_per_view + 1)
-    return [evaluate_cell(gallery, pools, u, g, strategy) for u in counts for g in counts]
+    return [evaluate_cell(corpus, u, g, strategy) for u in counts for g in counts]
 
 
 def retrieval_grid(ret: RetrievalConfig, base_seed: int, jobs: int = 1) -> list[dict]:

@@ -41,6 +41,7 @@ from .netmodel import (
     ChannelState,
     DeviceProfile,
     KIND_DEFAULTS,
+    shannon_rate,
     snr_db_to_linear,
 )
 from .nnprofile import ModelProfile, build_resnet50_usam_profile, load_profile
@@ -181,6 +182,22 @@ def _parse_devices(node, path: str) -> tuple[DeviceProfile, ...]:
     return tuple(devices)
 
 
+def _snr_linear(snr_db: float, path: str) -> float:
+    try:
+        return snr_db_to_linear(snr_db)
+    except OverflowError:
+        raise ConfigError(f"{path}: {snr_db!r} dB overflows the linear SNR") from None
+
+
+def _require_finite_rate(peak: ChannelState, path: str) -> None:
+    # every rate of a channel is at most its peak's, so one check bounds them all
+    if not math.isfinite(shannon_rate(peak)):
+        raise ConfigError(
+            f"{path}: peak rate {peak.bandwidth_hz!r} Hz * log2(1 + {peak.snr_linear!r}) "
+            "is not finite"
+        )
+
+
 def _parse_channel(node, path: str):
     node = _require_mapping(node, path)
     _check_keys(node, {"fixed", "distribution"}, path)
@@ -195,14 +212,18 @@ def _parse_channel(node, path: str):
                     f"{path}.fixed: give exactly one of 'snr_db' or 'snr_linear'"
                 )
             snr = (
-                snr_db_to_linear(_get_number(fixed, "snr_db", f"{path}.fixed"))
+                _snr_linear(
+                    _get_number(fixed, "snr_db", f"{path}.fixed"), f"{path}.fixed.snr_db"
+                )
                 if "snr_db" in fixed
                 else _get_number(fixed, "snr_linear", f"{path}.fixed")
             )
-            return ChannelState(
+            channel = ChannelState(
                 bandwidth_hz=_get_number(fixed, "bandwidth_hz", f"{path}.fixed"),
                 snr_linear=snr,
             )
+            _require_finite_rate(channel, f"{path}.fixed")
+            return channel
         dist = _require_mapping(node["distribution"], f"{path}.distribution")
         _check_keys(dist, {"bandwidth_hz", "snr_db"}, f"{path}.distribution")
         for key in ("bandwidth_hz", "snr_db"):
@@ -210,7 +231,7 @@ def _parse_channel(node, path: str):
                 raise ConfigError(
                     f"{path}.distribution.{key}: expected a [min, max] pair"
                 )
-        return ChannelDistribution(
+        channel = ChannelDistribution(
             bandwidth_range=tuple(
                 _coerce_number(v, f"{path}.distribution.bandwidth_hz")
                 for v in dist["bandwidth_hz"]
@@ -220,6 +241,12 @@ def _parse_channel(node, path: str):
                 for v in dist["snr_db"]
             ),
         )
+        peak = ChannelState(
+            channel.bandwidth_range[1],
+            _snr_linear(channel.snr_range_db[1], f"{path}.distribution.snr_db"),
+        )
+        _require_finite_rate(peak, f"{path}.distribution")
+        return channel
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 

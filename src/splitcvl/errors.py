@@ -33,14 +33,6 @@ class ZeroVectorError(SplitCVLError):
     """A vector with (near-)zero norm cannot be normalized."""
 
 
-class UnknownLocationError(SplitCVLError):
-    """Location id not present in the gallery."""
-
-
-class MissingTruthError(SplitCVLError):
-    """A ground-truth id is absent from the ranking."""
-
-
 class NotNormalizedError(SplitCVLError):
     """Histogram is not smoothed and normalized to unit mass."""
 

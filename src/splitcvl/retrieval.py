@@ -1,38 +1,33 @@
-"""Matching and localization over unit-norm embedding galleries.
+"""Cross-view retrieval over unit-norm embedding galleries.
 
-Reference images live in a gallery of geo-tagged, view-labeled embeddings;
-queries are ranked against it by cosine similarity (a plain dot product on
-unit vectors). A match above a threshold assigns the query the geographic
-coordinates of the matched reference. Multiple query images of the same
-place can be fused either by averaging embeddings before ranking (mean)
-or by taking each record's best score across the individual rankings
-(max-score late fusion).
+A gallery holds one satellite embedding per location. A location's UAV
+and ground query images are scored against every gallery row by cosine
+similarity (a plain dot product on unit vectors). Several query images
+of one place are fused either by averaging them before scoring (mean)
+or by taking each gallery row's best score across the images (max-score
+late fusion).
 
 Retrieval quality is scored with Recall@K and average precision. The
 "top1" recall column follows the cross-view dataset convention of K being
 1% of the gallery size (at least 1).
 
-``synth_gallery`` generates a synthetic cross-view corpus: a unit-norm
-prototype per location plus per-view Gaussian perturbations, standing in
-for trained feature extractors so that multi-image fusion experiments are
-reproducible at desk scale. Trend directions transfer; absolute accuracy
-numbers of any real system do not.
+``synth_corpus`` generates a synthetic cross-view corpus as plain arrays:
+a unit-norm prototype per location plus per-view Gaussian perturbations,
+standing in for trained feature extractors so that multi-image fusion
+experiments are reproducible at desk scale. Trend directions transfer;
+absolute accuracy numbers of any real system do not. ``synth_gallery``
+gives the same corpus as per-record objects.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    MissingTruthError,
-    UnknownLocationError,
-    ZeroVectorError,
-)
+from .errors import DimensionMismatchError, ZeroVectorError
 
 VIEWS = ("satellite", "uav", "ground")
 
@@ -89,154 +84,14 @@ class GalleryRecord:
             raise ValueError("lon must lie in [-180, 180]")
 
 
-@dataclass(frozen=True)
-class QuerySet:
-    """All query images of one location, as embeddings."""
-
-    true_location_id: str
-    embeddings: tuple[Embedding, ...]
-
-    def __post_init__(self) -> None:
-        if not self.embeddings:
-            raise ValueError("query set must contain at least one embedding")
-        dims = {e.dim for e in self.embeddings}
-        if len(dims) != 1:
-            raise ValueError("query embeddings must share one dimension")
-
-
-@dataclass(frozen=True)
-class RankedResult:
-    """Scores sorted descending; ties broken by ascending location id."""
-
-    entries: tuple[tuple[str, float], ...]
-    record_indices: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def ids(self) -> list[str]:
-        return [rid for rid, _ in self.entries]
-
-
 class FusionStrategy(Enum):
     MEAN = "mean"
     MAX_SCORE = "max_score"
 
 
-def cosine_similarity(a: Embedding, b: Embedding) -> float:
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"embedding dims differ: {a.dim} vs {b.dim}")
-    return float(a.vector @ b.vector)
-
-
-def fuse_queries(qs: QuerySet) -> Embedding:
-    """Mean of the member vectors, renormalized to unit length."""
-    mean = np.mean([e.vector for e in qs.embeddings], axis=0)
-    norm = float(np.linalg.norm(mean))
-    if norm < 1e-12:
-        raise ZeroVectorError(
-            "query embeddings cancel out; views are contradictory"
-        )
-    return Embedding(mean / norm)
-
-
-def _sort_scores(scores: np.ndarray, gallery: list[GalleryRecord]) -> RankedResult:
-    order = sorted(
-        range(len(gallery)), key=lambda i: (-scores[i], gallery[i].location_id, i)
-    )
-    return RankedResult(
-        entries=tuple((gallery[i].location_id, float(scores[i])) for i in order),
-        record_indices=tuple(order),
-    )
-
-
-def rank_gallery(query: Embedding, gallery: list[GalleryRecord]) -> RankedResult:
-    if not gallery:
-        raise ValueError("gallery must not be empty")
-    dim = gallery[0].embedding.dim
-    if query.dim != dim:
-        raise DimensionMismatchError(f"query dim {query.dim} vs gallery dim {dim}")
-    matrix = np.stack([r.embedding.vector for r in gallery])
-    return _sort_scores(matrix @ query.vector, gallery)
-
-
-def rank_query_set(
-    qs: QuerySet,
-    gallery: list[GalleryRecord],
-    strategy: FusionStrategy = FusionStrategy.MEAN,
-) -> RankedResult:
-    """Rank a multi-image query under the chosen fusion strategy."""
-    if strategy is FusionStrategy.MEAN:
-        return rank_gallery(fuse_queries(qs), gallery)
-    if not gallery:
-        raise ValueError("gallery must not be empty")
-    dim = gallery[0].embedding.dim
-    if qs.embeddings[0].dim != dim:
-        raise DimensionMismatchError(
-            f"query dim {qs.embeddings[0].dim} vs gallery dim {dim}"
-        )
-    matrix = np.stack([r.embedding.vector for r in gallery])
-    queries = np.stack([e.vector for e in qs.embeddings])
-    best = (matrix @ queries.T).max(axis=1)
-    return _sort_scores(best, gallery)
-
-
-def match_with_threshold(ranked: RankedResult, tau: float) -> str | None:
-    """Top id if its similarity is strictly above tau, else no match."""
-    if not ranked.entries:
-        return None
-    top_id, top_score = ranked.entries[0]
-    return top_id if top_score > tau else None
-
-
-def localize(
-    location_id: str,
-    gallery: list[GalleryRecord],
-    ranked: RankedResult | None = None,
-) -> tuple[float, float]:
-    """Coordinates of the matched reference record.
-
-    With several records sharing the id, the ranking (when given) selects
-    the highest-similarity one; otherwise the first gallery record wins.
-    """
-    if ranked is not None:
-        for idx in ranked.record_indices:
-            if gallery[idx].location_id == location_id:
-                return gallery[idx].lat, gallery[idx].lon
-        raise UnknownLocationError(f"location {location_id!r} not in ranking")
-    for record in gallery:
-        if record.location_id == location_id:
-            return record.lat, record.lon
-    raise UnknownLocationError(f"location {location_id!r} not in gallery")
-
-
-def recall_at_k(ranked: RankedResult, true_id: str, k: int) -> int:
-    """1 if any of the top-k entries carries the true id, else 0."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return int(any(rid == true_id for rid, _ in ranked.entries[:k]))
-
-
 def top1_percent_k(gallery_size: int, fraction: float = 0.01) -> int:
     """K used by the dataset-style 'top1' recall: 1% of the gallery."""
     return max(1, round(gallery_size * fraction))
-
-
-def average_precision(ranked: RankedResult, true_ids: set[str]) -> float:
-    """Mean of precision values at the ranks of the true matches."""
-    if not true_ids:
-        raise ValueError("true_ids must not be empty")
-    present = {rid for rid, _ in ranked.entries}
-    missing = true_ids - present
-    if missing:
-        raise MissingTruthError(f"true ids missing from ranking: {sorted(missing)}")
-    hits = 0
-    precisions = []
-    for rank, (rid, _) in enumerate(ranked.entries, start=1):
-        if rid in true_ids:
-            hits += 1
-            precisions.append(hits / rank)
-    return math.fsum(precisions) / len(precisions)
 
 
 # -- synthetic cross-view corpus ------------------------------------------
@@ -251,29 +106,72 @@ class SyntheticQueryPool:
     ground: tuple[Embedding, ...]
 
 
-def _noisy_unit(prototype: np.ndarray, sigma: float, rng: np.random.Generator):
-    vec = prototype + sigma * rng.standard_normal(prototype.size)
-    norm = float(np.linalg.norm(vec))
-    if norm < 1e-12:
-        vec = prototype
-        norm = float(np.linalg.norm(vec))
-    return Embedding(vec / norm)
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    # one dot per row: the float np.linalg.norm gives each row, which a
+    # batched reduction such as einsum does not reproduce in the last bit
+    return np.sqrt([row @ row for row in rows])
 
 
-def synth_gallery(
+@dataclass(frozen=True, eq=False)
+class Corpus:
+    """A cross-view corpus as arrays; row i of each belongs to ``ids[i]``.
+
+    ``gallery`` (locations, dim) holds one satellite embedding per
+    location, ``uav`` and ``ground`` (locations, images, dim) its query
+    images. Every row must be a finite unit vector and the ids unique;
+    this is checked once, here, and the arrays are made read-only.
+    ``id_rank[i]`` is the position of ``ids[i]`` in string order.
+    """
+
+    ids: tuple[str, ...]
+    gallery: np.ndarray
+    uav: np.ndarray
+    ground: np.ndarray
+    id_rank: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        n = len(self.ids)
+        if n == 0:
+            raise ValueError("gallery must not be empty")
+        if len(set(self.ids)) != n:
+            raise ValueError("gallery location ids must be unique")
+        gallery = np.asarray(self.gallery, dtype=np.float64)
+        if gallery.ndim != 2 or gallery.shape[0] != n:
+            raise ValueError("gallery must be a (locations, dim) matrix")
+        for name in ("gallery", "uav", "ground"):
+            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            if name != "gallery" and (arr.ndim != 3 or arr.shape[0] != n):
+                raise ValueError(f"{name} must be a (locations, images, dim) array")
+            if arr.shape[-1] != gallery.shape[1]:
+                raise DimensionMismatchError(
+                    f"{name} dim {arr.shape[-1]} vs gallery dim {gallery.shape[1]}"
+                )
+            norms = np.sqrt(np.einsum("...i,...i", arr, arr))
+            if not np.all(np.abs(norms - 1.0) <= _UNIT_TOL):
+                raise ValueError(f"{name} rows must be finite unit vectors")
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        id_rank = np.empty(n, dtype=np.intp)
+        id_rank[sorted(range(n), key=self.ids.__getitem__)] = np.arange(n)
+        object.__setattr__(self, "id_rank", id_rank)
+
+
+def synth_corpus(
     locations: int,
     dim: int,
     view_noise: dict[str, float],
     seed: int = 0,
     images_per_view: int = 4,
-) -> tuple[list[GalleryRecord], list[SyntheticQueryPool]]:
-    """Generate a satellite gallery plus UAV/ground query pools.
+) -> Corpus:
+    """Generate a satellite gallery plus UAV/ground query images.
 
     One unit-norm prototype per location; each image adds Gaussian noise
-    with its view's standard deviation and is renormalized. The gallery
-    holds one satellite record per location; query pools hold
-    ``images_per_view`` UAV and ground embeddings each. Deterministic per
-    seed.
+    with its view's standard deviation and is renormalized (an image of
+    near-zero norm falls back to the prototype). The gallery holds one
+    satellite image per location, and each location has
+    ``images_per_view`` UAV and ground images. Location i draws, in this
+    order, its prototype, its satellite image, its UAV and its ground
+    images, all from one standard-normal block. Deterministic per seed.
     """
     if locations < 2:
         raise ValueError("need at least 2 locations")
@@ -283,105 +181,126 @@ def synth_gallery(
         if view_noise.get(view, 0.0) < 0:
             raise ValueError("view noise must be >= 0")
     rng = np.random.default_rng(seed)
-    gallery: list[GalleryRecord] = []
-    pools: list[SyntheticQueryPool] = []
-    for i in range(locations):
-        prototype = rng.standard_normal(dim)
-        prototype /= np.linalg.norm(prototype)
-        loc_id = f"loc{i:04d}"
-        lat = -80.0 + 160.0 * (i / max(1, locations - 1))
-        lon = -170.0 + 340.0 * (i / max(1, locations - 1))
-        gallery.append(
-            GalleryRecord(
-                location_id=loc_id,
-                view="satellite",
-                lat=round(lat, 6),
-                lon=round(lon, 6),
-                embedding=_noisy_unit(prototype, view_noise.get("satellite", 0.0), rng),
-            )
-        )
-        pools.append(
-            SyntheticQueryPool(
-                location_id=loc_id,
-                uav=tuple(
-                    _noisy_unit(prototype, view_noise.get("uav", 0.0), rng)
-                    for _ in range(images_per_view)
-                ),
-                ground=tuple(
-                    _noisy_unit(prototype, view_noise.get("ground", 0.0), rng)
-                    for _ in range(images_per_view)
-                ),
-            )
-        )
-    return gallery, pools
-
-
-def make_query_set(
-    pool: SyntheticQueryPool, uav_count: int, ground_count: int
-) -> QuerySet:
-    if uav_count < 0 or ground_count < 0 or uav_count + ground_count == 0:
-        raise ValueError("need at least one query image")
-    if uav_count > len(pool.uav) or ground_count > len(pool.ground):
-        raise ValueError("not enough images in the pool")
-    return QuerySet(
-        true_location_id=pool.location_id,
-        embeddings=pool.uav[:uav_count] + pool.ground[:ground_count],
+    per_location = 2 + 2 * images_per_view
+    block = rng.standard_normal((locations, per_location, dim))
+    prototypes = block[:, 0]
+    prototypes /= _row_norms(prototypes)[:, None]
+    images = block[:, 1:]  # a view, so the in-place steps below write the block
+    images *= np.repeat(
+        [view_noise.get(view, 0.0) for view in VIEWS], [1, images_per_view, images_per_view]
+    )[:, None]
+    images += prototypes[:, None]
+    # slot 0 holds each prototype's own norm, which the fallback divides by
+    norms = _row_norms(block.reshape(-1, dim)).reshape(locations, per_location)
+    for loc, slot in zip(*np.nonzero(norms < 1e-12)):
+        block[loc, slot] = prototypes[loc]
+        norms[loc, slot] = norms[loc, 0]
+    images /= norms[:, 1:, None]
+    return Corpus(
+        ids=tuple(f"loc{i:04d}" for i in range(locations)),
+        gallery=np.ascontiguousarray(block[:, 1]),
+        uav=block[:, 2 : 2 + images_per_view],
+        ground=block[:, 2 + images_per_view :],
     )
+
+
+def synth_gallery(
+    locations: int,
+    dim: int,
+    view_noise: dict[str, float],
+    seed: int = 0,
+    images_per_view: int = 4,
+) -> tuple[list[GalleryRecord], list[SyntheticQueryPool]]:
+    """``synth_corpus`` as records: one geo-tagged satellite
+    ``GalleryRecord`` and one ``SyntheticQueryPool`` per location."""
+    corpus = synth_corpus(locations, dim, view_noise, seed, images_per_view)
+    span = max(1, locations - 1)
+    gallery = [
+        GalleryRecord(
+            location_id=loc_id,
+            view="satellite",
+            lat=round(-80.0 + 160.0 * (i / span), 6),
+            lon=round(-170.0 + 340.0 * (i / span), 6),
+            embedding=Embedding(corpus.gallery[i]),
+        )
+        for i, loc_id in enumerate(corpus.ids)
+    ]
+    pools = [
+        SyntheticQueryPool(
+            location_id=loc_id,
+            uav=tuple(map(Embedding, corpus.uav[i])),
+            ground=tuple(map(Embedding, corpus.ground[i])),
+        )
+        for i, loc_id in enumerate(corpus.ids)
+    ]
+    return gallery, pools
 
 
 METRIC_NAMES = ("recall_at_1", "recall_at_5", "recall_at_10", "recall_at_top1", "ap")
 
+_CHUNK = 16  # query locations scored together; bounds the score block's size
+
 
 def evaluate_cell(
-    gallery: list[GalleryRecord],
-    pools: list[SyntheticQueryPool],
+    corpus: Corpus,
     uav_count: int,
     ground_count: int,
     strategy: FusionStrategy = FusionStrategy.MEAN,
 ) -> dict[str, float]:
     """Mean metrics (in percent) over all locations for one image-count cell.
 
-    Scores are those of ``rank_query_set``; instead of sorting them, the
-    true record's rank is counted: 1 + #(higher scores) + #(equal scores
-    at a smaller location id), the order ``_sort_scores`` gives. With one
-    record per location, Recall@K is ``rank <= K`` and AP is ``1 / rank``.
+    Location i's query is its first ``uav_count`` UAV and ``ground_count``
+    ground images. Mean fusion scores the gallery against the query's
+    renormalized mean, max-score fusion takes each gallery row's best
+    score over the images. Instead of sorting the scores, the rank of the
+    true row i is counted: 1 + #(higher scores) + #(equal scores at a
+    smaller location id), so equal scores rank by id string order. With
+    one record per location, Recall@K is ``rank <= K`` and AP is
+    ``1 / rank``.
+
+    Queries are scored ``_CHUNK`` locations at a time. Each query's
+    scores come from its own matrix product (a stacked ``matmul`` makes
+    the same BLAS call per query), because one product over the whole
+    chunk differs from it in the last bit.
     """
-    if not gallery:
-        raise ValueError("gallery must not be empty")
-    ids = [r.location_id for r in gallery]
-    index_of = {loc: i for i, loc in enumerate(ids)}
-    if len(index_of) != len(ids):
-        raise ValueError("gallery location ids must be unique")
-    id_order = np.empty(len(ids), dtype=np.intp)
-    id_order[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
-    matrix = np.stack([r.embedding.vector for r in gallery])
-    ks = (1, min(5, len(gallery)), min(10, len(gallery)), top1_percent_k(len(gallery)))
-    hits = [0] * len(ks)
-    inverse_ranks = []
-    for pool in pools:
-        qs = make_query_set(pool, uav_count, ground_count)
-        if qs.embeddings[0].dim != matrix.shape[1]:
-            raise DimensionMismatchError(
-                f"query dim {qs.embeddings[0].dim} vs gallery dim {matrix.shape[1]}"
-            )
-        true = index_of.get(pool.location_id)
-        if true is None:
-            raise MissingTruthError(f"true id {pool.location_id!r} not in gallery")
-        if strategy is FusionStrategy.MEAN:
-            scores = matrix @ fuse_queries(qs).vector
-        else:
-            queries = np.stack([e.vector for e in qs.embeddings])
-            scores = (matrix @ queries.T).max(axis=1)
-        s_true = scores[true]
-        rank = 1 + int(np.count_nonzero(scores > s_true)) + int(
-            np.count_nonzero((scores == s_true) & (id_order < id_order[true]))
+    if not (
+        0 <= uav_count <= corpus.uav.shape[1] and 0 <= ground_count <= corpus.ground.shape[1]
+    ):
+        raise ValueError("not enough images in the pool")
+    if uav_count + ground_count == 0:
+        raise ValueError("need at least one query image")
+    matrix = corpus.gallery
+    n = len(matrix)
+    ranks = np.empty(n, dtype=np.int64)
+    for start in range(0, n, _CHUNK):
+        stop = min(start + _CHUNK, n)
+        own = np.arange(start, stop)
+        queries = np.concatenate(
+            (corpus.uav[start:stop, :uav_count], corpus.ground[start:stop, :ground_count]),
+            axis=1,
         )
-        for slot, k in enumerate(ks):
-            hits[slot] += rank <= k
-        inverse_ranks.append(1 / rank)
-    n = len(pools)
-    percents = [100.0 * count / n for count in hits]
-    return dict(zip(METRIC_NAMES, percents + [100.0 * math.fsum(inverse_ranks) / n]))
+        if strategy is FusionStrategy.MEAN:
+            means = queries.mean(axis=1)
+            norms = _row_norms(means)
+            if np.any(norms < 1e-12):
+                raise ZeroVectorError("query embeddings cancel out; views are contradictory")
+            scores = np.matmul(matrix, (means / norms[:, None])[:, :, None])[:, :, 0]
+        else:
+            per_image = np.matmul(matrix, queries.transpose(0, 2, 1))
+            # image by image: a max reduction over the short last axis is slow
+            scores = per_image[:, :, 0].copy()
+            for image in range(1, per_image.shape[2]):
+                np.maximum(scores, per_image[:, :, image], out=scores)
+        true = scores[own - start, own][:, None]
+        ahead = corpus.id_rank < corpus.id_rank[own][:, None]
+        ranks[start:stop] = (
+            1
+            + np.count_nonzero(scores > true, axis=1)
+            + np.count_nonzero((scores == true) & ahead, axis=1)
+        )
+    ks = (1, min(5, n), min(10, n), top1_percent_k(n))
+    percents = [100.0 * int(np.count_nonzero(ranks <= k)) / n for k in ks]
+    return dict(zip(METRIC_NAMES, percents + [100.0 * math.fsum(1.0 / ranks) / n]))
 
 
 def format_metrics_table(rows: list[dict]) -> str:

@@ -41,6 +41,12 @@ _COUNT_FIELDS = (
     "replay_capacity", "batch_size", "target_sync", "ppo_epochs", "ppo_batch",
     "multi_q_tables", "moving_avg_window",
 )
+# Ceiling on the counts that size allocations: replay slots, sampled batch
+# rows, Q tables, and the hidden units of all layers together (so a net's
+# weights stay within a few million). Checked when Hyperparams is built,
+# before any training allocates.
+MAX_SIZE = 4096
+_SIZE_FIELDS = ("replay_capacity", "batch_size", "ppo_batch", "multi_q_tables")
 
 
 def _is_int(value) -> bool:
@@ -79,6 +85,11 @@ class Hyperparams:
             raise ValueError("multi_q_tables must be >= 2")
         if not all(_is_int(h) and h >= 1 for h in self.hidden):
             raise ValueError(f"hidden sizes must be integers >= 1, got {self.hidden!r}")
+        for name in _SIZE_FIELDS:
+            if getattr(self, name) > MAX_SIZE:
+                raise ValueError(f"{name} must be <= {MAX_SIZE}, got {getattr(self, name)!r}")
+        if sum(self.hidden) > MAX_SIZE:
+            raise ValueError(f"hidden sizes must sum to <= {MAX_SIZE}, got {self.hidden!r}")
         if not isinstance(self.ac_replay, bool):
             raise ValueError(f"ac_replay must be true or false, got {self.ac_replay!r}")
         if not 0.0 <= self.epsilon_final <= self.epsilon_start <= 1.0:

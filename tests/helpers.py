@@ -1,12 +1,22 @@
 """Shared scenario builders and independent oracles used across test modules."""
 
 import math
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
+from splitcvl.errors import DimensionMismatchError, ZeroVectorError
 from splitcvl.netmodel import ChannelState, device_from_kind, shannon_rate
 from splitcvl.nnprofile import LayerProfile, ModelProfile
+from splitcvl.retrieval import (
+    METRIC_NAMES,
+    Embedding,
+    FusionStrategy,
+    GalleryRecord,
+    SyntheticQueryPool,
+    top1_percent_k,
+)
 from splitcvl.trico import ConfEntry, ConfidentialityTable, Scenario, TriCoWeights
 
 
@@ -143,3 +153,152 @@ class BanditEnv:
 
     def evaluate_action(self, state, action):
         return -self.rewards[action]
+
+
+# -- retrieval oracle: rank by sorting, score by definition ---------------
+
+
+@dataclass(frozen=True)
+class QuerySet:
+    """All query images of one location, as embeddings."""
+
+    true_location_id: str
+    embeddings: tuple[Embedding, ...]
+
+    def __post_init__(self) -> None:
+        if not self.embeddings:
+            raise ValueError("query set must contain at least one embedding")
+        dims = {e.dim for e in self.embeddings}
+        if len(dims) != 1:
+            raise ValueError("query embeddings must share one dimension")
+
+
+@dataclass(frozen=True)
+class RankedResult:
+    """Scores sorted descending; ties broken by ascending location id."""
+
+    entries: tuple[tuple[str, float], ...]
+    record_indices: tuple[int, ...]
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def ids(self) -> list[str]:
+        return [rid for rid, _ in self.entries]
+
+
+def cosine_similarity(a: Embedding, b: Embedding) -> float:
+    if a.dim != b.dim:
+        raise DimensionMismatchError(f"embedding dims differ: {a.dim} vs {b.dim}")
+    return float(a.vector @ b.vector)
+
+
+def make_query_set(pool: SyntheticQueryPool, uav_count: int, ground_count: int) -> QuerySet:
+    if uav_count < 0 or ground_count < 0 or uav_count + ground_count == 0:
+        raise ValueError("need at least one query image")
+    if uav_count > len(pool.uav) or ground_count > len(pool.ground):
+        raise ValueError("not enough images in the pool")
+    return QuerySet(
+        true_location_id=pool.location_id,
+        embeddings=pool.uav[:uav_count] + pool.ground[:ground_count],
+    )
+
+
+def fuse_queries(qs: QuerySet) -> Embedding:
+    """Mean of the member vectors, renormalized to unit length."""
+    mean = np.mean([e.vector for e in qs.embeddings], axis=0)
+    norm = float(np.linalg.norm(mean))
+    if norm < 1e-12:
+        raise ZeroVectorError("query embeddings cancel out; views are contradictory")
+    return Embedding(mean / norm)
+
+
+def _sort_scores(scores: np.ndarray, gallery: list[GalleryRecord]) -> RankedResult:
+    order = sorted(
+        range(len(gallery)), key=lambda i: (-scores[i], gallery[i].location_id, i)
+    )
+    return RankedResult(
+        entries=tuple((gallery[i].location_id, float(scores[i])) for i in order),
+        record_indices=tuple(order),
+    )
+
+
+def rank_gallery(query: Embedding, gallery: list[GalleryRecord]) -> RankedResult:
+    if not gallery:
+        raise ValueError("gallery must not be empty")
+    dim = gallery[0].embedding.dim
+    if query.dim != dim:
+        raise DimensionMismatchError(f"query dim {query.dim} vs gallery dim {dim}")
+    matrix = np.stack([r.embedding.vector for r in gallery])
+    return _sort_scores(matrix @ query.vector, gallery)
+
+
+def rank_query_set(
+    qs: QuerySet,
+    gallery: list[GalleryRecord],
+    strategy: FusionStrategy = FusionStrategy.MEAN,
+) -> RankedResult:
+    """Rank a multi-image query under the chosen fusion strategy."""
+    if strategy is FusionStrategy.MEAN:
+        return rank_gallery(fuse_queries(qs), gallery)
+    if not gallery:
+        raise ValueError("gallery must not be empty")
+    dim = gallery[0].embedding.dim
+    if qs.embeddings[0].dim != dim:
+        raise DimensionMismatchError(
+            f"query dim {qs.embeddings[0].dim} vs gallery dim {dim}"
+        )
+    matrix = np.stack([r.embedding.vector for r in gallery])
+    queries = np.stack([e.vector for e in qs.embeddings])
+    best = (matrix @ queries.T).max(axis=1)
+    return _sort_scores(best, gallery)
+
+
+def recall_at_k(ranked: RankedResult, true_id: str, k: int) -> int:
+    """1 if any of the top-k entries carries the true id, else 0."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return int(any(rid == true_id for rid, _ in ranked.entries[:k]))
+
+
+def average_precision(ranked: RankedResult, true_ids: set[str]) -> float:
+    """Mean of precision values at the ranks of the true matches."""
+    if not true_ids:
+        raise ValueError("true_ids must not be empty")
+    missing = true_ids - {rid for rid, _ in ranked.entries}
+    if missing:
+        raise ValueError(f"true ids missing from ranking: {sorted(missing)}")
+    hits = 0
+    precisions = []
+    for rank, (rid, _) in enumerate(ranked.entries, start=1):
+        if rid in true_ids:
+            hits += 1
+            precisions.append(hits / rank)
+    return math.fsum(precisions) / len(precisions)
+
+
+def reference_cell(gallery, pools, uav_count, ground_count, strategy):
+    """evaluate_cell by definition: sort every ranking, then score it."""
+    ks = (1, min(5, len(gallery)), min(10, len(gallery)), top1_percent_k(len(gallery)))
+    values = {name: [] for name in METRIC_NAMES}
+    for pool in pools:
+        ranked = rank_query_set(make_query_set(pool, uav_count, ground_count), gallery, strategy)
+        for name, k in zip(METRIC_NAMES, ks):
+            values[name].append(recall_at_k(ranked, pool.location_id, k))
+        values["ap"].append(average_precision(ranked, {pool.location_id}))
+    return {name: 100.0 * math.fsum(v) / len(v) for name, v in values.items()}
+
+
+def corpus_records(corpus):
+    """A ``Corpus`` as the oracle's records: (gallery records, query pools)."""
+    gallery = [
+        GalleryRecord(loc, "satellite", 0.0, 0.0, Embedding(corpus.gallery[i]))
+        for i, loc in enumerate(corpus.ids)
+    ]
+    pools = [
+        SyntheticQueryPool(
+            loc, tuple(map(Embedding, corpus.uav[i])), tuple(map(Embedding, corpus.ground[i]))
+        )
+        for i, loc in enumerate(corpus.ids)
+    ]
+    return gallery, pools

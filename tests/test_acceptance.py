@@ -163,7 +163,7 @@ def test_criterion_5_trade_off_direction():
 
 
 def test_criterion_6_metric_oracles():
-    from splitcvl.retrieval import average_precision, recall_at_k
+    from helpers import average_precision, recall_at_k
 
     mismatches = 0
     checked = 0

@@ -125,6 +125,31 @@ NON_FINITE_CONFIGS = {
         "channels.veh1.distribution.snr_db",
         QUICK_CONFIG.replace("snr_db: [5.0, 15.0]}}\nmodel", "snr_db: [5.0, .nan]}}\nmodel"),
     ),
+    # finite numbers whose linear SNR or peak Shannon rate overflows
+    "snr_db_overflows": (
+        "channels.uav1.distribution.snr_db",
+        QUICK_CONFIG.replace("snr_db: [5.0, 15.0]", "snr_db: [4000.0, 5000.0]", 1),
+    ),
+    "fixed_snr_db_overflows": (
+        "channels.veh1.fixed.snr_db",
+        QUICK_CONFIG.replace(
+            "veh1: {distribution: {bandwidth_hz: [5.0e6, 20.0e6], snr_db: [5.0, 15.0]}}",
+            "veh1: {fixed: {bandwidth_hz: 5.0e6, snr_db: 3100.0}}",
+        ),
+    ),
+    "peak_rate_overflows": (
+        "channels.uav1.distribution: peak rate",
+        QUICK_CONFIG.replace(
+            "bandwidth_hz: [5.0e6, 20.0e6]", "bandwidth_hz: [1.0e308, 1.7e308]", 1
+        ),
+    ),
+    "fixed_rate_overflows": (
+        "channels.veh1.fixed: peak rate",
+        QUICK_CONFIG.replace(
+            "veh1: {distribution: {bandwidth_hz: [5.0e6, 20.0e6], snr_db: [5.0, 15.0]}}",
+            "veh1: {fixed: {bandwidth_hz: 1.0e308, snr_linear: 1.0e300}}",
+        ),
+    ),
 }
 
 
@@ -175,6 +200,30 @@ INVALID_OPTIMIZE_CONFIGS = {
         "ac_replay", optimizer_config("agent: actor_critic, hyper: {ac_replay: 1}")
     ),
     "hidden_zero": ("hidden", optimizer_config("agent: dqn, hyper: {hidden: [0]}")),
+    # counts that size allocations have one ceiling, checked before training
+    "batch_size_huge": (
+        "batch_size must be <= 4096",
+        optimizer_config("agent: dqn, hyper: {batch_size: 1000000000000}"),
+    ),
+    "replay_capacity_huge": (
+        "replay_capacity must be <= 4096",
+        optimizer_config("agent: dqn, hyper: {replay_capacity: 4097}"),
+    ),
+    "ppo_batch_huge": (
+        "ppo_batch must be <= 4096", optimizer_config("agent: ppo, hyper: {ppo_batch: 100000}")
+    ),
+    "multi_q_tables_huge": (
+        "multi_q_tables must be <= 4096",
+        optimizer_config("agent: multi_q, hyper: {multi_q_tables: 1000000000}"),
+    ),
+    "hidden_huge": (
+        "hidden sizes must sum to <= 4096",
+        optimizer_config("agent: ppo, hyper: {hidden: [1000000, 1000000]}"),
+    ),
+    "hidden_layers_sum_huge": (
+        "hidden sizes must sum to <= 4096",
+        optimizer_config("agent: dqn, hyper: {hidden: [4096, 1]}"),
+    ),
     "steps_negative": ("steps", optimizer_config("agent: dqn, steps: -5")),
     "horizon_zero": ("horizon", optimizer_config("agent: dqn, horizon: 0")),
     "actor_critic_diverges": (

@@ -7,6 +7,10 @@ the cost model, the environment and the agents were sped up, and the
 (Python 3.11, numpy 2.4 with OpenBLAS, x86-64). An intended output change
 re-records them and says why.
 
+The ``retrieval-sim`` layout digests (150 locations, dim 32, 3 images
+per view, nonzero satellite noise) were recorded before the corpus moved
+from per-vector objects to one array draw.
+
 The ``dqn`` and ``ppo`` digests were re-recorded when the battery bins
 left the environment state: each device no longer adds a size-1 battery
 one-hot to the network input, so ``feature_dim`` on the stock scenario
@@ -43,9 +47,19 @@ COMMAND_DIGESTS = {
     "cost": "300cb9d48b0f6df7ae25db4e7840120a91fc48227ecec29c353990a1c9b5bd04",
     "oracle": "6bc6be1b8fe24f3a252086aed04b14198f53dc1ab30927479ee74790923434f1",
 }
+# keyed "[layout-]fusion"; the layout grid (150 locations, dim 32, 3 images
+# per view, nonzero satellite noise) pins the per-location draw order:
+# prototype, satellite, uav..., ground...
 RETRIEVAL_DIGESTS = {
     "max_score": "7d947f3edd9136a1b6a43e84c40f3454763b46362716f530eba44d61266d7966",
     "mean": "dbb6361b54bf26d3b528ebbc9b30322bbbbb3634a428e5b5ad99267ad09b8ca3",
+    "layout-max_score": "ce8f7dd1502d5d5dd3f47959b46de68c1b681bc6a2254c56629db0818b5d5992",
+    "layout-mean": "a6d40e572af292aa46e3ea4b10405bf246fed343a2b999b197c8ced073e8385b",
+}
+RETRIEVAL_SECTIONS = {
+    "": "{locations: 200, dim: 64, seeds: 2, fusion: %s}",
+    "layout": "{locations: 150, dim: 32, images_per_view: 3, seeds: 2, fusion: %s,"
+    " noise: {satellite: 0.1, uav: 0.7, ground: 0.4}}",
 }
 PLATFORM_DIGEST = "e493df5eb2425930d9e0a1eff9152ad6a238a42aac2ec1fae4eb2d156ee8982d"
 
@@ -94,12 +108,11 @@ def test_command_digest(command, tmp_path):
     assert sha256(out) == COMMAND_DIGESTS[command]
 
 
-@pytest.mark.parametrize("fusion", sorted(RETRIEVAL_DIGESTS))
-def test_retrieval_sim_digest(fusion, tmp_path):
+@pytest.mark.parametrize("case", sorted(RETRIEVAL_DIGESTS))
+def test_retrieval_sim_digest(case, tmp_path):
+    layout, _, fusion = case.rpartition("-")
     config = tmp_path / "retrieval.yaml"
-    config.write_text(
-        f"retrieval: {{locations: 200, dim: 64, seeds: 2, fusion: {fusion}}}\n"
-    )
+    config.write_text(f"retrieval: {RETRIEVAL_SECTIONS[layout] % fusion}\n")
     out = tmp_path / "grid.csv"
     assert main(["retrieval-sim", "--config", str(config), "--out", str(out)]) == 0
-    assert sha256(out) == RETRIEVAL_DIGESTS[fusion]
+    assert sha256(out) == RETRIEVAL_DIGESTS[case]

@@ -1,45 +1,43 @@
 """Retrieval and metric checks.
 
-recall_at_k and average_precision are compared against independent,
-definition-following oracles over every binary relevance pattern of up to
-8 ranked items (a ranking's metrics depend only on which ranks hold true
-matches, so this enumeration is exhaustive for that size). evaluate_cell,
-which counts ranks instead of sorting, is compared against those
-definitions applied to full rankings."""
+The definition-following oracle lives in ``helpers``: it ranks by sorting
+every gallery and scores each ranking with recall_at_k and
+average_precision. Those two are compared against independent oracles
+over every binary relevance pattern of up to 8 ranked items (a ranking's
+metrics depend only on which ranks hold true matches, so this enumeration
+is exhaustive for that size). The array ``evaluate_cell``, which counts
+ranks instead of sorting, is compared against the oracle on synthetic,
+random and tied corpora."""
 
 import itertools
-import math
 
 import numpy as np
 import pytest
 
-from splitcvl.cli import retrieval_grid
-from splitcvl.config import RetrievalConfig
-from splitcvl.errors import (
-    DimensionMismatchError,
-    MissingTruthError,
-    UnknownLocationError,
-    ZeroVectorError,
-)
-from splitcvl.retrieval import (
-    Embedding,
-    FusionStrategy,
-    GalleryRecord,
-    METRIC_NAMES,
+from helpers import (
     QuerySet,
     RankedResult,
-    SyntheticQueryPool,
     average_precision,
+    corpus_records,
     cosine_similarity,
-    evaluate_cell,
-    format_metrics_table,
     fuse_queries,
-    localize,
     make_query_set,
-    match_with_threshold,
     rank_gallery,
     rank_query_set,
     recall_at_k,
+    reference_cell,
+)
+from splitcvl.cli import retrieval_grid
+from splitcvl.config import RetrievalConfig
+from splitcvl.errors import DimensionMismatchError, ZeroVectorError
+from splitcvl.retrieval import (
+    Corpus,
+    Embedding,
+    FusionStrategy,
+    GalleryRecord,
+    evaluate_cell,
+    format_metrics_table,
+    synth_corpus,
     synth_gallery,
     top1_percent_k,
 )
@@ -213,41 +211,6 @@ class TestRanking:
         assert ranked.entries[0][1] == pytest.approx(1.0)
 
 
-class TestThresholdAndLocalize:
-    def test_above_threshold(self):
-        ranked = ranking_from_relevance([1, 0])
-        assert match_with_threshold(ranked, 0.5) == "true"
-
-    def test_below_threshold(self):
-        ranked = RankedResult((("a", 0.4),), (0,))
-        assert match_with_threshold(ranked, 0.5) is None
-
-    def test_equal_is_no_match(self):
-        ranked = RankedResult((("a", 0.5),), (0,))
-        assert match_with_threshold(ranked, 0.5) is None
-
-    def test_localize_returns_geo(self):
-        gallery = small_gallery()
-        assert localize("a", gallery) == (1.0, 2.0)
-
-    def test_localize_unknown(self):
-        with pytest.raises(UnknownLocationError):
-            localize("nope", small_gallery())
-
-    def test_localize_duplicate_ids_uses_highest_similarity(self):
-        gallery = [
-            GalleryRecord("dup", "satellite", 1.0, 1.0, unit(1, 0)),
-            GalleryRecord("dup", "satellite", 2.0, 2.0, unit(0, 1)),
-        ]
-        query = Embedding.normalized(np.array([0.1, 1.0]))  # nearer the second
-        ranked = rank_gallery(query, gallery)
-        assert localize("dup", gallery, ranked) == (2.0, 2.0)
-        # verify against a recomputed-score oracle
-        scores = [float(np.dot(query.vector, r.embedding.vector)) for r in gallery]
-        best = gallery[int(np.argmax(scores))]
-        assert localize("dup", gallery, ranked) == (best.lat, best.lon)
-
-
 class TestRecallOracle:
     def test_frozen_examples(self):
         assert recall_at_k(ranking_from_relevance([1, 0, 0]), "true", 1) == 1
@@ -302,7 +265,7 @@ class TestAveragePrecision:
                 assert (ap == 1.0) == leads
 
     def test_missing_truth(self):
-        with pytest.raises(MissingTruthError):
+        with pytest.raises(ValueError, match="missing"):
             average_precision(ranking_from_relevance([0, 0]), {"true"})
 
     def test_empty_truth_rejected(self):
@@ -310,37 +273,56 @@ class TestAveragePrecision:
             average_precision(ranking_from_relevance([1]), set())
 
 
+NOISE = {"satellite": 0.1, "uav": 0.4, "ground": 0.4}
+
+
 class TestSynthetic:
     def test_noiseless_is_perfect(self):
-        gallery, pools = synth_gallery(
-            20, 16, {"satellite": 0.0, "uav": 0.0, "ground": 0.0}, seed=0
-        )
-        metrics = evaluate_cell(gallery, pools, 1, 1)
+        noise = {"satellite": 0.0, "uav": 0.0, "ground": 0.0}
+        metrics = evaluate_cell(synth_corpus(20, 16, noise, seed=0), 1, 1)
         assert metrics["recall_at_1"] == 100.0
         assert metrics["ap"] == 100.0
+        gallery, pools = synth_gallery(20, 16, noise, seed=0)
         for pool in pools:
             ranked = rank_query_set(make_query_set(pool, 1, 0), gallery)
             assert ranked.entries[0][0] == pool.location_id
             assert ranked.entries[0][1] == pytest.approx(1.0)
 
     def test_same_seed_identical_gallery(self):
-        noise = {"satellite": 0.1, "uav": 0.4, "ground": 0.4}
-        g1, p1 = synth_gallery(10, 8, noise, seed=9)
-        g2, p2 = synth_gallery(10, 8, noise, seed=9)
-        for a, b in zip(g1, g2):
-            assert np.array_equal(a.embedding.vector, b.embedding.vector)
-        for a, b in zip(p1, p2):
-            for x, y in zip(a.uav + a.ground, b.uav + b.ground):
-                assert np.array_equal(x.vector, y.vector)
+        a, b = synth_corpus(10, 8, NOISE, seed=9), synth_corpus(10, 8, NOISE, seed=9)
+        assert a.ids == b.ids
+        for name in ("gallery", "uav", "ground"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert not np.array_equal(a.gallery, synth_corpus(10, 8, NOISE, seed=10).gallery)
+
+    @pytest.mark.parametrize("images_per_view", [1, 3])
+    def test_records_equal_corpus_rows(self, images_per_view):
+        corpus = synth_corpus(30, 6, NOISE, seed=4, images_per_view=images_per_view)
+        gallery, pools = synth_gallery(30, 6, NOISE, seed=4, images_per_view=images_per_view)
+        assert [r.location_id for r in gallery] == list(corpus.ids)
+        assert [p.location_id for p in pools] == list(corpus.ids)
+        for i, (record, pool) in enumerate(zip(gallery, pools)):
+            assert record.view == "satellite"
+            assert np.array_equal(record.embedding.vector, corpus.gallery[i])
+            assert len(pool.uav) == len(pool.ground) == images_per_view
+            for j in range(images_per_view):
+                assert np.array_equal(pool.uav[j].vector, corpus.uav[i, j])
+                assert np.array_equal(pool.ground[j].vector, corpus.ground[i, j])
+
+    def test_corpus_is_read_only(self):
+        corpus = synth_corpus(5, 4, NOISE, seed=1)
+        for name in ("gallery", "uav", "ground"):
+            with pytest.raises(ValueError):
+                getattr(corpus, name)[0, 0] = 1.0
 
     def test_fused_four_beats_single_over_ten_seeds(self):
         # direction-only check at heavy noise
         noise = {"satellite": 0.0, "uav": 0.8, "ground": 0.8}
         single, fused = [], []
         for seed in range(10):
-            gallery, pools = synth_gallery(200, 64, noise, seed=seed)
-            single.append(evaluate_cell(gallery, pools, 1, 0)["recall_at_1"])
-            fused.append(evaluate_cell(gallery, pools, 4, 0)["recall_at_1"])
+            corpus = synth_corpus(200, 64, noise, seed=seed)
+            single.append(evaluate_cell(corpus, 1, 0)["recall_at_1"])
+            fused.append(evaluate_cell(corpus, 4, 0)["recall_at_1"])
         assert np.mean(fused) >= np.mean(single)
 
     def test_geo_tags_valid(self):
@@ -350,60 +332,77 @@ class TestSynthetic:
             assert -180 <= r.lon <= 180
 
     def test_pool_validation(self):
-        _, pools = synth_gallery(5, 8, {"uav": 0.2, "ground": 0.2}, seed=2)
-        with pytest.raises(ValueError):
-            make_query_set(pools[0], 0, 0)
-        with pytest.raises(ValueError):
-            make_query_set(pools[0], 5, 0)
+        corpus = synth_corpus(5, 8, {"uav": 0.2, "ground": 0.2}, seed=2)
+        for uav, ground in [(0, 0), (5, 0), (0, 5), (-1, 2)]:
+            with pytest.raises(ValueError):
+                evaluate_cell(corpus, uav, ground)
 
 
-def reference_cell(gallery, pools, uav_count, ground_count, strategy):
-    """evaluate_cell by definition: sort every ranking, then score it."""
-    ks = (1, min(5, len(gallery)), min(10, len(gallery)), top1_percent_k(len(gallery)))
-    values = {name: [] for name in METRIC_NAMES}
-    for pool in pools:
-        qs = make_query_set(pool, uav_count, ground_count)
-        ranked = rank_query_set(qs, gallery, strategy)
-        for name, k in zip(METRIC_NAMES, ks):
-            values[name].append(recall_at_k(ranked, pool.location_id, k))
-        values["ap"].append(average_precision(ranked, {pool.location_id}))
-    return {name: 100.0 * math.fsum(v) / len(v) for name, v in values.items()}
+def unit_rows(rng, shape):
+    x = rng.standard_normal(shape)
+    return x / np.linalg.norm(x, axis=-1, keepdims=True)
+
+
+def random_corpus(rng, locations, dim, images):
+    """Random corpus with exact ties, whose ids are out of index order.
+
+    Ids are unpadded ("loc100" sorts before "loc11") and shuffled. A fifth
+    of the gallery rows repeat another row, and some query images are
+    exact copies of gallery rows, so some scores tie exactly.
+    """
+    gallery = unit_rows(rng, (locations, dim))
+    copies = rng.choice(locations, size=locations // 5, replace=False)
+    gallery[copies] = gallery[rng.integers(0, locations, size=copies.size)]
+    views = []
+    for _ in range(2):
+        noisy = gallery[:, None] + rng.uniform(0.3, 1.5) * rng.standard_normal(
+            (locations, images, dim)
+        )
+        images_ = noisy / np.linalg.norm(noisy, axis=-1, keepdims=True)
+        exact = rng.random((locations, images)) < 0.2
+        images_[exact] = gallery[rng.integers(0, locations, size=int(exact.sum()))]
+        views.append(images_)
+    ids = tuple(f"loc{j}" for j in rng.permutation(locations))
+    return Corpus(ids=ids, gallery=gallery, uav=views[0], ground=views[1])
 
 
 def tied_corpus():
-    """Zero-noise gallery whose ids are out of list order, with exact ties.
+    """Zero-noise corpus whose ids are out of index order, with exact ties.
 
     "d" and "b" share one embedding and "c" and "a" another, so their
     scores tie exactly and only the location id can order them.
     """
-    e1, e2, e3 = unit(1, 0, 0, 0), unit(0, 1, 0, 0), unit(0, 0, 1, 0)
+    e1, e2, e3 = np.eye(4)[:3]
     vectors = {"d": e1, "b": e1, "c": e2, "a": e2, "e": e3}
-    gallery = [
-        GalleryRecord(loc, "satellite", 0.0, 0.0, vec) for loc, vec in vectors.items()
-    ]
     others = {"d": e2, "b": e3, "c": e1, "a": e3, "e": e1}
-    pools = [
-        SyntheticQueryPool(loc, uav=(vec, others[loc]), ground=(others[loc], vec))
-        for loc, vec in vectors.items()
-    ]
-    return gallery, pools
+    ids = tuple(vectors)
+    return Corpus(
+        ids=ids,
+        gallery=np.array([vectors[loc] for loc in ids]),
+        uav=np.array([[vectors[loc], others[loc]] for loc in ids]),
+        ground=np.array([[others[loc], vectors[loc]] for loc in ids]),
+    )
+
+
+def assert_matches_oracle(corpus, max_count, strategy):
+    """Every cell, including those with no UAV or no ground image."""
+    gallery, pools = corpus_records(corpus)
+    for u, g in itertools.product(range(max_count + 1), repeat=2):
+        if u + g == 0:
+            continue
+        assert evaluate_cell(corpus, u, g, strategy) == reference_cell(
+            gallery, pools, u, g, strategy
+        ), (u, g)
 
 
 class TestEvaluateCell:
     @pytest.mark.parametrize("strategy", list(FusionStrategy))
     def test_matches_definition_on_exact_ties(self, strategy):
-        gallery, pools = tied_corpus()
-        for u, g in itertools.product(range(3), range(3)):
-            if u + g == 0:
-                continue
-            assert evaluate_cell(gallery, pools, u, g, strategy) == reference_cell(
-                gallery, pools, u, g, strategy
-            )
+        assert_matches_oracle(tied_corpus(), 2, strategy)
 
     def test_ties_rank_by_location_id(self):
-        gallery, pools = tied_corpus()
         # own image only: "b" and "a" win their ties, "d" and "c" rank second
-        metrics = evaluate_cell(gallery, pools, 1, 0)
+        metrics = evaluate_cell(tied_corpus(), 1, 0)
         assert metrics["recall_at_1"] == 60.0
         assert metrics["recall_at_5"] == 100.0
         assert metrics["ap"] == pytest.approx(80.0)
@@ -417,19 +416,70 @@ class TestEvaluateCell:
                 "uav": float(rng.uniform(0.3, 1.2)),
                 "ground": float(rng.uniform(0.3, 1.2)),
             }
+            corpus = synth_corpus(40, 8, noise, seed=seed, images_per_view=3)
+            assert_matches_oracle(corpus, 3, strategy)
+            # the oracle on synth_gallery's own records agrees too
             gallery, pools = synth_gallery(40, 8, noise, seed=seed, images_per_view=3)
-            for u, g in itertools.product(range(4), range(4)):
-                if u + g == 0:
-                    continue
-                assert evaluate_cell(gallery, pools, u, g, strategy) == reference_cell(
-                    gallery, pools, u, g, strategy
-                )
+            assert evaluate_cell(corpus, 2, 1, strategy) == reference_cell(
+                gallery, pools, 2, 1, strategy
+            )
+
+    @pytest.mark.parametrize("strategy", list(FusionStrategy))
+    def test_matches_definition_on_random_corpora(self, strategy):
+        # more locations than one scoring chunk, with a partial last chunk
+        rng = np.random.default_rng(12)
+        for locations, dim in [(3, 2), (70, 5), (117, 16)]:
+            assert_matches_oracle(random_corpus(rng, locations, dim, 3), 3, strategy)
+
+    def test_cancelling_images_raise_under_mean_fusion(self):
+        corpus = tied_corpus()
+        uav, ground = corpus.uav.copy(), corpus.ground.copy()
+        ground[2, 0] = -uav[2, 0]
+        corpus = Corpus(corpus.ids, corpus.gallery, uav, ground)
+        with pytest.raises(ZeroVectorError):
+            evaluate_cell(corpus, 1, 1, FusionStrategy.MEAN)
+        assert_matches_oracle(corpus, 1, FusionStrategy.MAX_SCORE)
 
     def test_duplicate_location_ids_rejected(self):
-        gallery, pools = tied_corpus()
-        gallery.append(GalleryRecord("a", "satellite", 0.0, 0.0, unit(0, 0, 0, 1)))
+        corpus = tied_corpus()
         with pytest.raises(ValueError, match="unique"):
-            evaluate_cell(gallery, pools, 1, 0)
+            Corpus(("a",) + corpus.ids[1:], corpus.gallery, corpus.uav, corpus.ground)
+
+
+class TestCorpus:
+    def arrays(self):
+        corpus = tied_corpus()
+        return corpus.ids, corpus.gallery.copy(), corpus.uav.copy(), corpus.ground.copy()
+
+    def test_non_unit_or_non_finite_rows_rejected(self):
+        for name, bad in [(1, 2.0), (2, np.nan), (3, np.inf)]:
+            arrays = list(self.arrays())
+            arrays[name][0, 0] = bad
+            with pytest.raises(ValueError, match="unit"):
+                Corpus(*arrays)
+
+    def test_dimension_mismatch_rejected(self):
+        ids, gallery, uav, ground = self.arrays()
+        with pytest.raises(DimensionMismatchError):
+            Corpus(ids, gallery, uav[:, :, :3], ground)
+
+    def test_shapes_rejected(self):
+        ids, gallery, uav, ground = self.arrays()
+        with pytest.raises(ValueError):
+            Corpus(ids[:4], gallery, uav, ground)
+        with pytest.raises(ValueError):
+            Corpus(ids, gallery, uav[:, 0], ground)
+        with pytest.raises(ValueError):
+            Corpus((), gallery[:0], uav[:0], ground[:0])
+
+    def test_id_rank_is_string_order(self):
+        corpus = Corpus(
+            ("loc9999", "loc10000", "z"),
+            np.eye(3),
+            np.eye(3)[:, None],
+            np.eye(3)[:, None],
+        )
+        assert corpus.id_rank.tolist() == [1, 0, 2]
 
 
 class TestMetricsGrid:
