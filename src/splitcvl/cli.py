@@ -96,12 +96,16 @@ def cmd_optimize(config: ScenarioConfig, args) -> int:
     scenario = _require_scenario(config)
     opt = config.optimizer
     seed = args.seed if args.seed is not None else opt.seed
-    env = PartitionEnv(
-        scenario,
-        bandwidth_bins=opt.bandwidth_bins,
-        snr_bins=opt.snr_bins,
-        horizon=opt.horizon,
-    )
+    # the env's action and state caps bound RL only; cost and oracle have none
+    try:
+        env = PartitionEnv(
+            scenario,
+            bandwidth_bins=opt.bandwidth_bins,
+            snr_bins=opt.snr_bins,
+            horizon=opt.horizon,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"optimizer: {exc}") from None
     policy, trace = train_agent(opt.agent, env, opt.steps, hyper=opt.hyper, seed=seed)
     _write_output(trace.to_csv(), args.out)
 

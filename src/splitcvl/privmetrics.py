@@ -5,10 +5,8 @@ reveals about the original image:
 
   * SSIM, the structural similarity index, in [0, 1]. Computed over
     non-overlapping windows (default 8x8) with the standard constants
-    C1=(0.01*255)^2, C2=(0.03*255)^2 and population statistics; a
-    Gaussian-weighted sliding window (11x11, sigma 1.5) is available as a
-    mode option. Higher SSIM means the attack recovered more structure,
-    i.e. more leakage.
+    C1=(0.01*255)^2, C2=(0.03*255)^2 and population statistics. Higher
+    SSIM means the attack recovered more structure, i.e. more leakage.
   * KL divergence between per-channel 256-bin pixel-intensity histograms,
     in nats, direction KL(original || reconstruction), with additive
     smoothing before normalization. Higher KL means the reconstruction
@@ -151,74 +149,41 @@ def _ssim_terms(mu_a, mu_b, var_a, var_b, cov, c1, c2):
     )
 
 
-def _gaussian_kernel(size: int = 11, sigma: float = 1.5) -> np.ndarray:
-    x = np.arange(size) - (size - 1) / 2.0
-    k = np.exp(-(x**2) / (2 * sigma**2))
-    return k / k.sum()
-
-
-def _sep_filter(plane: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Valid-region separable correlation with a 1-d kernel."""
-    win = kernel.size
-    rows = np.lib.stride_tricks.sliding_window_view(plane, win, axis=1) @ kernel
-    return (np.lib.stride_tricks.sliding_window_view(rows, win, axis=0) @ kernel)
-
-
 def ssim(
     a: Image,
     b: Image,
     window: int = 8,
     c1: float | None = None,
     c2: float | None = None,
-    mode: str = "blocks",
 ) -> float:
     """Mean structural similarity of two images, clamped to [0, 1].
 
-    ``blocks`` tiles the image into non-overlapping window x window
-    patches (trailing remainder pixels are ignored); ``gaussian`` uses the
-    classic 11x11 sigma-1.5 sliding window and ignores ``window``.
+    The image is tiled into non-overlapping window x window patches
+    (trailing remainder pixels are ignored).
     """
     if (a.width, a.height, a.channels) != (b.width, b.height, b.channels):
         raise DimensionMismatchError("images must share dimensions and channels")
+    if window < 1 or window > min(a.width, a.height):
+        raise WindowTooLargeError(
+            f"window {window} exceeds image extent {a.width}x{a.height}"
+        )
     c1 = (0.01 * DYNAMIC_RANGE) ** 2 if c1 is None else c1
     c2 = (0.03 * DYNAMIC_RANGE) ** 2 if c2 is None else c2
 
+    nh, nw = a.height // window, a.width // window
     values = []
     for ch in range(a.channels):
-        pa = a.pixels[:, :, ch].astype(np.float64)
-        pb = b.pixels[:, :, ch].astype(np.float64)
-        if mode == "blocks":
-            if window < 1 or window > min(a.width, a.height):
-                raise WindowTooLargeError(
-                    f"window {window} exceeds image extent "
-                    f"{a.width}x{a.height}"
-                )
-            nh, nw = a.height // window, a.width // window
-            pa = pa[: nh * window, : nw * window]
-            pb = pb[: nh * window, : nw * window]
-            blocks_a = pa.reshape(nh, window, nw, window).transpose(0, 2, 1, 3)
-            blocks_a = blocks_a.reshape(nh * nw, -1)
-            blocks_b = pb.reshape(nh, window, nw, window).transpose(0, 2, 1, 3)
-            blocks_b = blocks_b.reshape(nh * nw, -1)
-            mu_a = blocks_a.mean(axis=1)
-            mu_b = blocks_b.mean(axis=1)
-            var_a = (blocks_a**2).mean(axis=1) - mu_a**2
-            var_b = (blocks_b**2).mean(axis=1) - mu_b**2
-            cov = (blocks_a * blocks_b).mean(axis=1) - mu_a * mu_b
-        elif mode == "gaussian":
-            size = 11
-            if size > min(a.width, a.height):
-                raise WindowTooLargeError(
-                    "gaussian mode needs images of at least 11x11"
-                )
-            k = _gaussian_kernel(size)
-            mu_a = _sep_filter(pa, k)
-            mu_b = _sep_filter(pb, k)
-            var_a = _sep_filter(pa**2, k) - mu_a**2
-            var_b = _sep_filter(pb**2, k) - mu_b**2
-            cov = _sep_filter(pa * pb, k) - mu_a * mu_b
-        else:
-            raise ValueError(f"unknown ssim mode {mode!r}")
+        pa = a.pixels[: nh * window, : nw * window, ch].astype(np.float64)
+        pb = b.pixels[: nh * window, : nw * window, ch].astype(np.float64)
+        blocks_a = pa.reshape(nh, window, nw, window).transpose(0, 2, 1, 3)
+        blocks_a = blocks_a.reshape(nh * nw, -1)
+        blocks_b = pb.reshape(nh, window, nw, window).transpose(0, 2, 1, 3)
+        blocks_b = blocks_b.reshape(nh * nw, -1)
+        mu_a = blocks_a.mean(axis=1)
+        mu_b = blocks_b.mean(axis=1)
+        var_a = (blocks_a**2).mean(axis=1) - mu_a**2
+        var_b = (blocks_b**2).mean(axis=1) - mu_b**2
+        cov = (blocks_a * blocks_b).mean(axis=1) - mu_a * mu_b
         values.append(float(np.mean(_ssim_terms(mu_a, mu_b, var_a, var_b, cov, c1, c2))))
 
     return min(1.0, max(0.0, math.fsum(values) / len(values)))

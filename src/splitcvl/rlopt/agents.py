@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from ..errors import NonFiniteError
-from .env import ReplayBuffer, Transition
+from .env import MAX_SIZE, ReplayBuffer, Transition
 from .nets import TinyNet, log_softmax, softmax
 
 
@@ -41,11 +41,7 @@ _COUNT_FIELDS = (
     "replay_capacity", "batch_size", "target_sync", "ppo_epochs", "ppo_batch",
     "multi_q_tables", "moving_avg_window",
 )
-# Ceiling on the counts that size allocations: replay slots, sampled batch
-# rows, Q tables, and the hidden units of all layers together (so a net's
-# weights stay within a few million). Checked when Hyperparams is built,
-# before any training allocates.
-MAX_SIZE = 4096
+# capped at MAX_SIZE when Hyperparams is built, before any training allocates
 _SIZE_FIELDS = ("replay_capacity", "batch_size", "ppo_batch", "multi_q_tables")
 
 
@@ -114,10 +110,10 @@ class ConvergenceTrace:
         return float(self.moving_avg[-1])
 
     def to_csv(self) -> str:
-        lines = ["step,effect,moving_avg"]
-        for i, (e, m) in enumerate(zip(self.effects, self.moving_avg)):
-            lines.append(f"{i},{float(e)!r},{float(m)!r}")
-        return "\n".join(lines) + "\n"
+        rows = zip(self.effects.tolist(), self.moving_avg.tolist())
+        return "step,effect,moving_avg\n" + "".join(
+            f"{i},{e!r},{m!r}\n" for i, (e, m) in enumerate(rows)
+        )
 
 
 def _make_trace(effects: list[float], window: int) -> ConvergenceTrace:
@@ -311,31 +307,9 @@ def train_actor_critic(
     return policy, _make_trace(effects, hyper.moving_avg_window)
 
 
-def _feature_cache(env) -> Callable[[int], np.ndarray]:
-    cache: dict[int, np.ndarray] = {}
-
-    def features(state: int) -> np.ndarray:
-        if state not in cache:
-            cache[state] = env.state_features(state)
-        return cache[state]
-
-    return features
-
-
-_FEATURE_TABLE_LIMIT = 4096
-
-
-def _feature_table(env) -> np.ndarray | None:
-    """Dense (n_states, feature_dim) matrix for small state spaces."""
-    if env.n_states > _FEATURE_TABLE_LIMIT:
-        return None
+def _feature_table(env) -> np.ndarray:
+    """Dense (n_states, feature_dim) matrix; the env caps ``n_states``."""
     return np.stack([env.state_features(s) for s in range(env.n_states)])
-
-
-def _batch_features(table, feats, state_ids) -> np.ndarray:
-    if table is not None:
-        return table[state_ids]
-    return np.stack([feats(s) for s in state_ids])
 
 
 def train_dqn(
@@ -344,7 +318,6 @@ def train_dqn(
     """Deep Q-network on bin one-hot features."""
     hyper = hyper or Hyperparams()
     rng = np.random.default_rng(seed)
-    feats = _feature_cache(env)
     table = _feature_table(env)
     rows = np.arange(hyper.batch_size)
     net = TinyNet((env.feature_dim, *hyper.hidden, env.n_actions), rng)
@@ -354,7 +327,7 @@ def train_dqn(
     state = env.reset(rng)
     steps_in_episode = 0
     for t in range(steps):
-        q_row = net.forward(feats(state))[0]
+        q_row = net.forward(table[state])[0]
         if not np.isfinite(q_row).all():
             raise NonFiniteError("Q-network diverged to non-finite values; lower lr_net")
         action = _eps_greedy(q_row, _epsilon(t, steps, hyper), rng)
@@ -362,11 +335,13 @@ def train_dqn(
         buffer.push(tr)
         batch_size = min(hyper.batch_size, len(buffer))
         batch = buffer.sample_batch(rng, batch_size)
-        x = _batch_features(table, feats, batch.states)
-        x_next = _batch_features(table, feats, batch.next_states)
-        q_next = target.forward(x_next).max(axis=1)
-        y = batch.rewards + hyper.gamma * batch.not_done * q_next
-        q = net.forward(x)
+        # a terminal row's bootstrap, gamma * 0.0 * q, is +-0.0 and leaves
+        # its reward unchanged: with no continuing row the target is unused
+        y = batch.rewards
+        if batch.not_done.any():
+            q_next = target.forward(table[batch.next_states]).max(axis=1)
+            y = batch.rewards + hyper.gamma * batch.not_done * q_next
+        q = net.forward(table[batch.states])
         grad = np.zeros_like(q)
         picked = (rows[:batch_size], batch.actions)
         grad[picked] = 2.0 * (q[picked] - y) / batch_size
@@ -378,8 +353,8 @@ def train_dqn(
         effects.append(-tr.reward)
         state, steps_in_episode = _advance(env, tr, steps_in_episode, rng)
 
-    def act(s: int, net=net, feats=feats) -> int:
-        return int(np.argmax(net.forward(feats(s))[0]))
+    def act(s: int, net=net, table=table) -> int:
+        return int(np.argmax(net.forward(table[s])[0]))
 
     policy = TrainedPolicy("dqn", act)
     return policy, _make_trace(effects, hyper.moving_avg_window)
@@ -443,7 +418,6 @@ def train_ppo(
     """
     hyper = hyper or Hyperparams()
     rng = np.random.default_rng(seed)
-    feats = _feature_cache(env)
     table = _feature_table(env)
     policy_net = TinyNet((env.feature_dim, *hyper.hidden, env.n_actions), rng)
     value_net = TinyNet((env.feature_dim, *hyper.hidden, 1), rng)
@@ -459,7 +433,7 @@ def train_ppo(
         rollout_policy: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for i in range(batch_n):
             if state not in rollout_policy:
-                logp_row = log_softmax(policy_net.forward(feats(state)))[0]
+                logp_row = log_softmax(policy_net.forward(table[state]))[0]
                 if not np.isfinite(logp_row).all():
                     raise NonFiniteError(
                         "policy diverged to non-finite logits; lower lr_net"
@@ -478,11 +452,13 @@ def train_ppo(
         states, actions, rewards, next_states, dones = (
             np.array(field) for field in zip(*batch)
         )
-        x = _batch_features(table, feats, states)
-        x_next = _batch_features(table, feats, next_states)
+        x = table[states]
         not_done = 1.0 - dones
-        v_next = value_net.forward(x_next)[:, 0]
-        targets = rewards + hyper.gamma * not_done * v_next
+        # as in DQN, an all-terminal batch needs no bootstrap
+        targets = rewards
+        if not_done.any():
+            v_next = value_net.forward(table[next_states])[:, 0]
+            targets = rewards + hyper.gamma * not_done * v_next
         advantages = targets - value_net.forward(x)[:, 0]
         spread = advantages.std()
         if spread > 1e-12:
@@ -502,8 +478,8 @@ def train_ppo(
             value_net.backward(2.0 * (v - targets[:, None]) / len(batch))
             value_net.sgd_step(hyper.lr_net)
 
-    def act(s: int, net=policy_net, feats=feats) -> int:
-        return int(np.argmax(net.forward(feats(s))[0]))
+    def act(s: int, net=policy_net, table=table) -> int:
+        return int(np.argmax(net.forward(table[s])[0]))
 
     policy = TrainedPolicy("ppo", act)
     return policy, _make_trace(effects, hyper.moving_avg_window)

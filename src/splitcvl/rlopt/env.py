@@ -29,6 +29,10 @@ from ..netmodel import ChannelDistribution, ChannelState, resolve_channel
 from ..trico import PartitionDecision, Scenario, decision_effect
 
 MAX_JOINT_ACTIONS = 125  # 5 candidates ** 3 devices
+# Ceiling on every count that sizes an allocation: env states, replay
+# slots, sampled batch rows, Q tables, and the hidden units of all layers
+# together (so a net's weights stay within a few million).
+MAX_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -40,6 +44,9 @@ class EnvState:
 
 
 class Transition(NamedTuple):
+    """One env step. An episode's last transition has ``next_state`` 0:
+    the agent resets instead of reading it."""
+
     state: int
     action: int
     reward: float
@@ -114,17 +121,16 @@ class _ChannelGrid:
     ):
         self.channel = channel
         self.fixed = isinstance(channel, ChannelState)
+        self.n_bins = _bin_count(channel, bandwidth_bins, snr_bins)
         # (low, width) of each range that is split into bins, else None
         self._bw_split = self._snr_split = None
         if self.fixed:
             self.bandwidth_bins = 1
             self.snr_bins = 1
-            self.n_bins = 1
             self.bins = (channel,)
             return
         self.bandwidth_bins = bandwidth_bins
         self.snr_bins = snr_bins
-        self.n_bins = bandwidth_bins * snr_bins
         lo, hi = channel.bandwidth_range
         if hi > lo:
             self._bw_split = (lo, hi - lo)
@@ -170,6 +176,10 @@ class _ChannelGrid:
         return resolve_channel(self.bins[bin_index])
 
 
+def _bin_count(channel, bandwidth_bins: int, snr_bins: int) -> int:
+    return 1 if isinstance(channel, ChannelState) else bandwidth_bins * snr_bins
+
+
 def _sub_range(lo: float, hi: float, bins: int, index: int) -> tuple[float, float]:
     width = (hi - lo) / bins
     return lo + index * width, lo + (index + 1) * width
@@ -194,6 +204,15 @@ class PartitionEnv:
             raise ValueError(
                 f"joint action space {n_actions} exceeds the cap of "
                 f"{MAX_JOINT_ACTIONS}; reduce devices or candidates"
+            )
+        # counted before any bin is built, so a huge bin count fails at once
+        n_states = horizon * math.prod(
+            _bin_count(ch, bandwidth_bins, snr_bins) for ch in scenario.channels
+        )
+        if n_states > MAX_SIZE:
+            raise ValueError(
+                f"state space of {n_states} states exceeds the cap of {MAX_SIZE}; "
+                "reduce snr_bins, bandwidth_bins or horizon"
             )
         self.scenario = scenario
         self.horizon = horizon
@@ -297,7 +316,8 @@ class PartitionEnv:
     def step(self, state_id: int, action: int, rng: np.random.Generator) -> Transition:
         step, combo = divmod(state_id, self.n_combos)
         decision = self.decode_action(action)
-        # this step's channels, then the next state's channels
+        # this step's channels, then the next state's; a terminal step draws
+        # both too, so the random stream does not depend on the horizon
         draws = self._uniforms(rng, 2)
         channels = tuple(
             grid.draw_within(b, draws)
@@ -307,10 +327,10 @@ class PartitionEnv:
             reward = -decision_effect(self.scenario, decision, channels)
         except ZeroRateError:
             reward = -1.0
-        done = step + 1 >= self.horizon
-        next_step = 0 if done else step + 1
-        next_state = next_step * self.n_combos + self._draw_channel_combo(draws)
-        return Transition(state_id, action, reward, next_state, done)
+        if step + 1 >= self.horizon:
+            return Transition(state_id, action, reward, 0, True)
+        next_state = (step + 1) * self.n_combos + self._draw_channel_combo(draws)
+        return Transition(state_id, action, reward, next_state, False)
 
     # -- deterministic evaluation -----------------------------------------
 

@@ -156,6 +156,22 @@ class TestDQN:
         policy, _ = train_dqn(BanditEnv([-0.7, -0.2, -0.5]), 500, seed=16)
         assert policy.action(0) == 1
 
+    def test_horizon_one_skips_target_forward(self, monkeypatch):
+        # every sampled transition is terminal, so the target bootstrap is
+        # multiplied by zero: only the action and batch forwards run
+        calls = []
+        forward = TinyNet.forward
+
+        def counting_forward(self, x):
+            calls.append(1)
+            return forward(self, x)
+
+        monkeypatch.setattr(TinyNet, "forward", counting_forward)
+        env = PartitionEnv(default_scenario(), snr_bins=2)
+        assert env.horizon == 1
+        train_dqn(env, 120, seed=23)
+        assert len(calls) == 2 * 120
+
     def test_deterministic(self):
         a = train_dqn(BanditEnv(TWO_ARM), 150, seed=17)[1]
         b = train_dqn(BanditEnv(TWO_ARM), 150, seed=17)[1]
@@ -220,6 +236,22 @@ class TestPPOMechanics:
         a = train_ppo(BanditEnv(TWO_ARM), 200, seed=22)[1]
         b = train_ppo(BanditEnv(TWO_ARM), 200, seed=22)[1]
         assert np.array_equal(a.effects, b.effects)
+
+    def test_horizon_one_skips_value_bootstrap(self, monkeypatch):
+        # value-net forwards per rollout batch: one for the advantages and
+        # one per epoch; the next-state bootstrap would be multiplied by zero
+        value_calls = []
+        forward = TinyNet.forward
+
+        def counting_forward(self, x):
+            if self.sizes[-1] == 1:
+                value_calls.append(1)
+            return forward(self, x)
+
+        monkeypatch.setattr(TinyNet, "forward", counting_forward)
+        hyper = Hyperparams(ppo_batch=64, ppo_epochs=4)
+        train_ppo(PartitionEnv(default_scenario(), snr_bins=2), 128, hyper=hyper, seed=24)
+        assert len(value_calls) == 2 * (1 + 4)
 
 
 class TestOnScenarioEnv:

@@ -178,6 +178,18 @@ def optimizer_config(fields: str) -> str:
     return QUICK_CONFIG.replace(QUICK_OPTIMIZER, f"optimizer: {{{fields}}}")
 
 
+# 5 cuts ** 4 devices = 625 joint actions, over the RL cap of 125; the
+# cost model and the oracle have no such cap
+FOUR_DEVICE_CONFIG = QUICK_CONFIG.replace(
+    "  - {id: veh1, kind: vehicle}\n",
+    "  - {id: veh1, kind: vehicle}\n  - {id: uav2, kind: uav}\n  - {id: veh2, kind: vehicle}\n",
+).replace(
+    "model:",
+    "  uav2: {fixed: {bandwidth_hz: 2.0e6, snr_db: 10.0}}\n"
+    "  veh2: {fixed: {bandwidth_hz: 8.0e6, snr_db: 12.0}}\nmodel:",
+)
+
+
 # (message fragment on stderr, config text); every one exits 2
 INVALID_OPTIMIZE_CONFIGS = {
     "dqn_lr_net_unsigned_exponent": (
@@ -226,6 +238,27 @@ INVALID_OPTIMIZE_CONFIGS = {
     ),
     "steps_negative": ("steps", optimizer_config("agent: dqn, steps: -5")),
     "horizon_zero": ("horizon", optimizer_config("agent: dqn, horizon: 0")),
+    "dqn_diverges": (
+        "Q-network diverged",
+        optimizer_config("agent: dqn, steps: 200, hyper: {lr_net: 1.0e+6}"),
+    ),
+    # the RL state space (devices' bin counts times horizon) is capped at
+    # 4096 states, checked before any bin is built
+    "state_space_snr_bins": (
+        "optimizer: state space of 4900 states exceeds",
+        optimizer_config("agent: q_learning, snr_bins: 70"),
+    ),
+    "state_space_bin_grid": (
+        "optimizer: state space of 8192 states exceeds",
+        optimizer_config("agent: ppo, bandwidth_bins: 8, snr_bins: 8, horizon: 2"),
+    ),
+    "state_space_horizon": (
+        "optimizer: state space of 4100 states exceeds",
+        optimizer_config("agent: dqn, horizon: 1025"),
+    ),
+    "joint_actions_over_cap": (
+        "optimizer: joint action space 625 exceeds the cap of 125", FOUR_DEVICE_CONFIG
+    ),
     "actor_critic_diverges": (
         "diverged",
         optimizer_config("agent: actor_critic, steps: 50, hyper: {lr: 1.0e+300}"),
@@ -252,6 +285,16 @@ def test_invalid_optimize_config_exits_2(case, tmp_path, capsys):
     assert [str(w.message) for w in caught] == []
     assert captured.err.count("\n") == 1
     assert fragment in captured.err
+
+
+@pytest.mark.parametrize("command", ["cost", "oracle"])
+def test_four_devices_over_action_cap_still_cost_and_oracle(command, tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(FOUR_DEVICE_CONFIG)
+    assert main([command, "--config", str(cfg)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert all(dev in captured.out for dev in ("uav1", "veh1", "uav2", "veh2"))
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -18,6 +18,13 @@ fell from 6 to 4 and the networks' shapes, initial weights and traces
 changed with it. The tabular agents' state ids, and so their traces,
 did not change.
 
+On the stock scenario every episode lasts one step, so every sampled
+transition is terminal and the DQN target and PPO value bootstraps are
+multiplied by zero. The horizon-2 digests (a 2 x 3 bin grid per device,
+72 states) and the digest of DQN's final parameters there are the ones
+that see those bootstraps. They were recorded before DQN and PPO stopped
+running the bootstrap forward on all-terminal batches.
+
 Last-digit float results of numpy and its BLAS (tanh, exp, small matrix
 products) can differ between platforms, and the network agents' traces
 with them. The digests are only checked where a fingerprint of those
@@ -32,6 +39,10 @@ import numpy as np
 import pytest
 
 from splitcvl.cli import main
+from splitcvl.rlopt import agents
+from splitcvl.rlopt.env import PartitionEnv
+from splitcvl.rlopt.nets import TinyNet
+from splitcvl.trico import default_scenario
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "scenario.yaml"
 SEED = "7"
@@ -43,6 +54,14 @@ TRACE_DIGESTS = {
     "dqn": "3b41ae45d35438bcdc02cc05c25cb47a6e2d6a2cb64b3609b36d32508a018cd2",
     "ppo": "ef6493e79877554b7097b723ba99eb1d4f75c43cbd3e6b1c1eefdd1677fdfc88",
 }
+HORIZON2_DIGESTS = {
+    "dqn": "e7677b3549ad885213ffc5bb2b2e3c76f37928dc88fc0365511bcf602956b703",
+    "ppo": "74a25c1dd42b9ef2d6afbd56a1ebc3f11f28fb4c9da801ef18fe8accddcf5366",
+}
+HORIZON2_OPTIMIZER = "  snr_bins: 3\n  bandwidth_bins: 2\n  horizon: 2"
+# sha256 of the online net's flat parameters after 1500 DQN steps, seed 7,
+# default hyperparameters, on the horizon-2 env above
+DQN_HORIZON2_PARAMS_DIGEST = "3b132bc5779886410e489b86984bbdb5c4f1c1261784d944fc271e024f7b723a"
 COMMAND_DIGESTS = {
     "cost": "300cb9d48b0f6df7ae25db4e7840120a91fc48227ecec29c353990a1c9b5bd04",
     "oracle": "6bc6be1b8fe24f3a252086aed04b14198f53dc1ab30927479ee74790923434f1",
@@ -99,6 +118,38 @@ def test_optimize_trace_digest(agent, tmp_path, capsys):
     assert main(argv) == 0
     assert f"agent={agent}" in capsys.readouterr().out
     assert sha256(out) == TRACE_DIGESTS[agent]
+
+
+@pytest.mark.parametrize("agent", sorted(HORIZON2_DIGESTS))
+def test_optimize_horizon2_trace_digest(agent, tmp_path, capsys):
+    config = tmp_path / "scenario.yaml"
+    config.write_text(
+        CONFIG.read_text()
+        .replace("agent: actor_critic", f"agent: {agent}")
+        .replace("  snr_bins: 2", HORIZON2_OPTIMIZER)
+    )
+    out = tmp_path / "trace.csv"
+    argv = ["optimize", "--config", str(config), "--seed", SEED, "--out", str(out)]
+    assert main(argv) == 0
+    assert f"agent={agent}" in capsys.readouterr().out
+    assert sha256(out) == HORIZON2_DIGESTS[agent]
+
+
+def test_dqn_horizon2_final_params_digest(monkeypatch):
+    created = []
+
+    class RecordingNet(TinyNet):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            created.append(self)
+
+    monkeypatch.setattr(agents, "TinyNet", RecordingNet)
+    env = PartitionEnv(default_scenario(), bandwidth_bins=2, snr_bins=3, horizon=2)
+    assert env.n_states == 72
+    agents.train_agent("dqn", env, 1500, seed=7)
+    [net] = created  # the target net is a copy, not a new TinyNet
+    digest = hashlib.sha256(net.get_flat().tobytes()).hexdigest()
+    assert digest == DQN_HORIZON2_PARAMS_DIGEST
 
 
 @pytest.mark.parametrize("command", sorted(COMMAND_DIGESTS))

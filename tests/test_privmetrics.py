@@ -93,21 +93,6 @@ class TestSSIM:
         with pytest.raises(WindowTooLargeError):
             ssim(const_image(0, size=16), const_image(0, size=16), window=17)
 
-    def test_gaussian_mode(self):
-        rng = np.random.default_rng(3)
-        a = random_image(rng, size=24)
-        b = random_image(rng, size=24)
-        assert ssim(a, a, mode="gaussian") == pytest.approx(1.0)
-        value = ssim(a, b, mode="gaussian")
-        assert 0.0 <= value <= 1.0
-        assert value == pytest.approx(ssim(b, a, mode="gaussian"), abs=1e-12)
-        with pytest.raises(WindowTooLargeError):
-            ssim(const_image(0, size=8), const_image(0, size=8), mode="gaussian")
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            ssim(const_image(0), const_image(0), mode="fancy")
-
 
 class TestKL:
     def test_identical_histograms_zero(self):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from splitcvl.netmodel import ChannelState, device_from_kind
+from splitcvl.rlopt import env as env_module
 from splitcvl.rlopt.env import EnvState, PartitionEnv, ReplayBuffer, Transition
 from splitcvl.trico import (
     PartitionDecision,
@@ -43,6 +44,26 @@ class TestSpaces:
         )
         with pytest.raises(ValueError):
             PartitionEnv(scenario)
+
+    @pytest.mark.parametrize(
+        "bins", [dict(snr_bins=1_000_000_000), dict(bandwidth_bins=65, snr_bins=63, horizon=1)]
+    )
+    def test_state_space_cap_checked_before_bins_are_built(self, bins, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("channel bins built before the state-space check")
+
+        monkeypatch.setattr(env_module, "_ChannelGrid", no_grid)
+        with pytest.raises(ValueError, match="exceeds the cap of 4096"):
+            PartitionEnv(default_scenario(), **bins)
+
+    def test_state_space_at_cap_accepted(self):
+        env = PartitionEnv(default_scenario(), bandwidth_bins=4, snr_bins=8, horizon=4)
+        assert env.n_states == 4096
+
+    def test_fixed_channels_count_one_bin(self):
+        # a fixed channel is one bin, whatever the bin counts
+        env = PartitionEnv(fixed_channel_scenario(), snr_bins=5000, horizon=2)
+        assert env.n_states == 2
 
     def test_action_encoding_round_trip(self):
         env = PartitionEnv(default_scenario())
@@ -131,6 +152,16 @@ class TestStep:
         tr3 = env.step(tr2.next_state, 0, rng)
         assert tr3.done
         assert env.decode_state(tr3.next_state).step == 0
+
+    def test_terminal_step_draws_next_channels_but_leaves_next_state_0(self):
+        # the next state's uniforms are drawn on every step, so the random
+        # stream is the same whatever the horizon; only their bins are skipped
+        env = PartitionEnv(default_scenario(), snr_bins=2)
+        rng, twin = np.random.default_rng(8), np.random.default_rng(8)
+        tr = env.step(3, 0, rng)
+        assert tr.done and tr.next_state == 0
+        twin.random(8)  # 2 devices x 2 uniforms, this step's and the next's
+        assert rng.random() == twin.random()
 
     def test_evaluate_action_matches_mean_channel_effect(self):
         scenario = default_scenario()
