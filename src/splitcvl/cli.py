@@ -12,6 +12,7 @@ runtime infeasibility (an unusable link). Diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -178,7 +179,10 @@ def cmd_privacy(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parse_args keeps no state
+    between calls, so in-process callers of ``main`` share it."""
     parser = argparse.ArgumentParser(
         prog="splitcvl",
         description=(

@@ -55,6 +55,12 @@ from .trico import (
     parse_conf_table,
 )
 
+# libyaml's scanner and parser feed the same SafeConstructor and implicit
+# resolvers as yaml.SafeLoader, so both build the same objects; the C one
+# is several times faster, and the pure-Python one is only for PyYAML
+# builds without libyaml
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -429,11 +435,27 @@ TOP_LEVEL_SECTIONS = {
 }
 
 
+def _yaml_error_message(exc: yaml.YAMLError) -> str:
+    """One line for PyYAML's multi-line error text."""
+    if isinstance(exc, yaml.reader.ReaderError):
+        return f"config is not valid YAML at position {exc.position}: {exc.reason}"
+    mark = getattr(exc, "problem_mark", None)
+    if mark is None:
+        return "config is not valid YAML: " + " ".join(str(exc).split())
+    return (
+        f"config is not valid YAML at line {mark.line + 1}, "
+        f"column {mark.column + 1}: {exc.problem}"
+    )
+
+
 def parse_config(text: str, base_dir: Path | None = None) -> ScenarioConfig:
     base_dir = base_dir or Path(".")
     try:
-        root = yaml.safe_load(text)
+        root = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
+        raise ConfigError(_yaml_error_message(exc)) from exc
+    except ValueError as exc:
+        # a plain scalar shaped like a date that is not one, e.g. 2001-13-45
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
     if root is None:
         root = {}
@@ -488,9 +510,13 @@ def parse_config(text: str, base_dir: Path | None = None) -> ScenarioConfig:
 def load_config(path) -> ScenarioConfig:
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"cannot read config {path}: not UTF-8 at byte {exc.start}: {exc.reason}"
+        ) from exc
     return parse_config(text, base_dir=path.parent)
 
 

@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from splitcvl.cli import main
+from splitcvl.cli import build_parser, main
 from splitcvl.privmetrics import write_demo_corpus
 
 
@@ -60,6 +60,44 @@ class TestProfileCommand:
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["profile", "--config", str(tmp_path / "none.yaml")]) == 2
         assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data, where", [
+    (b"devices: [a\nmodel: {builtin: x}\n", "YAML at line 2, column 6: "),
+    (b"devices:\n\t- {id: a}\n", "YAML at line 2, column 1: "),
+    (b"devices: a\x07\n", "YAML at position 10: "),
+    (b"devices: 2001-13-45\n", "YAML: "),
+    (b"devices: \xff\xfe\n", "bad.yaml: not UTF-8 at byte 9: "),
+], ids=["unclosed-flow", "tab-indent", "control-char", "impossible-date", "not-utf8"])
+def test_unreadable_config_is_one_line_exit_2(data, where, tmp_path, capsys):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_bytes(data)
+    assert main(["cost", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and where in line
+
+
+class TestParserReuse:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_options_do_not_reach_the_next_call(self, config_path, tmp_path, capsys):
+        build_parser.cache_clear()
+        fresh = tmp_path / "fresh.csv"
+        assert main(["optimize", "--config", config_path, "--out", str(fresh)]) == 0
+        seeded = tmp_path / "seeded.csv"
+        argv = ["optimize", "--config", config_path, "--seed", "99", "--out", str(seeded)]
+        assert main(argv) == 0
+        seeded_bytes = seeded.read_bytes()
+        capsys.readouterr()
+        assert main(["optimize", "--config", config_path]) == 0
+        out = capsys.readouterr().out
+        # no --out: the trace goes to stdout, followed by the summary
+        assert out.startswith(fresh.read_text())
+        assert "\nseed=7\n" in out
+        assert seeded.read_bytes() == seeded_bytes != fresh.read_bytes()
 
 
 class TestCostCommand:

@@ -1,5 +1,11 @@
-import pytest
+from pathlib import Path
 
+import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from splitcvl import config
 from splitcvl.config import DEFAULT_CONFIG_YAML, load_config, parse_config
 from splitcvl.errors import ConfigError
 from splitcvl.netmodel import ChannelDistribution, ChannelState
@@ -206,3 +212,97 @@ class TestRejection:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read config"):
             load_config(tmp_path / "missing.yaml")
+
+
+libyaml = pytest.mark.skipif(
+    not yaml.__with_libyaml__, reason="PyYAML was built without libyaml"
+)
+
+STOCK_YAML = (
+    Path(__file__).resolve().parents[1] / "configs" / "scenario.yaml"
+).read_text()
+
+# YAML 1.1 scalars that PyYAML's implicit resolvers turn into floats, ints,
+# bools, None or dates, or that only look as if they would (1.0e3, 0o17)
+EDGE_SCALARS = (
+    "1.0e3", "1e3", ".nan", "-.inf", "0x1F", "0o17", "017", "1_000", "1:30",
+    "yes", "off", "~", "2001-12-14",
+)
+
+
+class _Plain(str):
+    """A leaf written into the YAML text unquoted, so the resolvers see it."""
+
+
+def _dump_with_plain_leaves(tree) -> str:
+    plain = []
+
+    def swap(node):
+        if isinstance(node, _Plain):
+            plain.append(str(node))
+            return f"plain_leaf_{len(plain) - 1}_"
+        if isinstance(node, dict):
+            return {key: swap(value) for key, value in node.items()}
+        if isinstance(node, list):
+            return [swap(value) for value in node]
+        return node
+
+    text = yaml.safe_dump(swap(tree))
+    # highest index first, so plain_leaf_1_ cannot match inside plain_leaf_10_
+    for i in reversed(range(len(plain))):
+        text = text.replace(f"plain_leaf_{i}_", plain[i])
+    return text
+
+
+yaml_scalars = st.one_of(
+    st.sampled_from(EDGE_SCALARS),            # str values: dumped quoted if needed
+    st.sampled_from(EDGE_SCALARS).map(_Plain),  # written plain: resolved
+    st.integers(-10**20, 10**20),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+    st.text(alphabet="ab :#-'\"\n\t.0189eE_", max_size=8),
+)
+yaml_trees = st.recursive(
+    yaml_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(alphabet="abc_ 0", min_size=1, max_size=4),
+                        children, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+def _both_loaders(text: str) -> tuple[str, str]:
+    return (repr(yaml.load(text, Loader=yaml.CSafeLoader)),
+            repr(yaml.load(text, Loader=yaml.SafeLoader)))
+
+
+@libyaml
+class TestLibyamlLoader:
+    @pytest.mark.parametrize("text", [STOCK_YAML, DEFAULT_CONFIG_YAML],
+                             ids=["scenario.yaml", "default"])
+    def test_stock_configs_load_alike(self, text):
+        fast, slow = _both_loaders(text)
+        assert fast == slow
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(tree=st.dictionaries(st.sampled_from("abcde"), yaml_trees, max_size=5))
+    def test_dumped_trees_load_alike(self, tree):
+        text = _dump_with_plain_leaves(tree)
+        fast, slow = _both_loaders(text)
+        assert fast == slow, text
+
+    def test_config_parses_with_libyaml(self, monkeypatch):
+        assert config._LOADER is yaml.CSafeLoader
+        documents = []
+        construct = yaml.CSafeLoader.construct_document
+
+        def spy(loader, node):
+            documents.append(type(loader))
+            return construct(loader, node)
+
+        monkeypatch.setattr(yaml.CSafeLoader, "construct_document", spy)
+        parse_config(MINIMAL)
+        assert documents == [yaml.CSafeLoader]

@@ -25,6 +25,9 @@ multiplied by zero. The horizon-2 digests (a 2 x 3 bin grid per device,
 that see those bootstraps. They were recorded before DQN and PPO stopped
 running the bootstrap forward on all-terminal batches.
 
+The ``privacy`` digest, on a fixed demo corpus, was recorded before the
+CLI parser was cached and configs moved to libyaml.
+
 Last-digit float results of numpy and its BLAS (tanh, exp, small matrix
 products) can differ between platforms, and the network agents' traces
 with them. The digests are only checked where a fingerprint of those
@@ -39,6 +42,7 @@ import numpy as np
 import pytest
 
 from splitcvl.cli import main
+from splitcvl.privmetrics import write_demo_corpus
 from splitcvl.rlopt import agents
 from splitcvl.rlopt.env import PartitionEnv
 from splitcvl.rlopt.nets import TinyNet
@@ -80,6 +84,8 @@ RETRIEVAL_SECTIONS = {
     "layout": "{locations: 150, dim: 32, images_per_view: 3, seeds: 2, fusion: %s,"
     " noise: {satellite: 0.1, uav: 0.7, ground: 0.4}}",
 }
+# write_demo_corpus(seed=4, triples_per_cut=3): KL and SSIM per cut
+PRIVACY_DIGEST = "e62ea450c093b3d8b6033bafe6e1f65819c902ebc942344aeda1dfc2fb69551a"
 PLATFORM_DIGEST = "e493df5eb2425930d9e0a1eff9152ad6a238a42aac2ec1fae4eb2d156ee8982d"
 
 
@@ -167,3 +173,11 @@ def test_retrieval_sim_digest(case, tmp_path):
     out = tmp_path / "grid.csv"
     assert main(["retrieval-sim", "--config", str(config), "--out", str(out)]) == 0
     assert sha256(out) == RETRIEVAL_DIGESTS[case]
+
+
+def test_privacy_digest(tmp_path):
+    corpus = tmp_path / "corpus"
+    write_demo_corpus(corpus, seed=4, triples_per_cut=3)
+    out = tmp_path / "conf.csv"
+    assert main(["privacy", str(corpus), "--out", str(out)]) == 0
+    assert sha256(out) == PRIVACY_DIGEST
