@@ -12,7 +12,6 @@ from .netmodel import (
 from .nnprofile import (
     LayerProfile,
     ModelProfile,
-    PartitionPoint,
     build_resnet50_usam_profile,
     device_flops,
     intermediate_bytes,
@@ -40,7 +39,6 @@ __all__ = [
     "LayerProfile",
     "ModelProfile",
     "PartitionDecision",
-    "PartitionPoint",
     "Scenario",
     "TriCoBreakdown",
     "TriCoWeights",

@@ -13,18 +13,24 @@ Sections (all optional unless a command needs them):
   channels:         per device id, either {fixed: {bandwidth_hz,
                     snr_db | snr_linear}} or {distribution: {bandwidth_hz:
                     [lo, hi], snr_db: [lo, hi]}}
-  model:            {builtin: resnet50_usam, input_h, input_w,
+  model:            {builtin: resnet50_usam, input_h? (224), input_w? (224),
                     usam_flops_fraction?} or {profile_file: path}
   confidentiality:  {table: [{kl_open, kl_closed, ssim_open?,
-                    ssim_closed?}, ...]} in candidate order, or
+                    ssim_closed?}, ...]}, one row per cut in candidate
+                    order, or
                     {corpus_dir: path}, or {table_file: path}; omitted
                     entirely means the monotone default table
   weights:          {w_comm?, w_comp?, w_conf?, alpha_open?,
                     lambda_latency?}
-  optimizer:        {agent, steps?, seed?, horizon?, bandwidth_bins?,
+  optimizer:        {agent?, steps?, seed?, horizon?, bandwidth_bins?,
                     snr_bins?, hyper?: {...Hyperparams fields...}}
   retrieval:        {locations?, dim?, seeds?, seed?, noise?: {satellite?,
                     uav?, ground?}, images_per_view?, fusion?}
+
+Integer keys (counts, seeds, sizes) take an int or a float with an
+integral value, so 1.0e3 is 1000 and 2.5 is an error. An omitted key
+takes the default of the dataclass or builder that receives it; only
+input_h and input_w default here.
 """
 
 from __future__ import annotations
@@ -145,12 +151,23 @@ def _coerce_number(value, path: str):
     raise ConfigError(f"{path}: expected a finite number, got {value!r}")
 
 
-def _get_number(node: dict, key: str, path: str, default=None):
+def _coerce_int(value, path: str) -> int:
+    """An int, or a float with an integral value (``1.0e3`` is 1000)."""
+    number = _coerce_number(value, path)
+    if isinstance(number, float) and not number.is_integer():
+        raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    return int(number)
+
+
+def _get_number(node: dict, key: str, path: str):
     if key not in node:
-        if default is not None:
-            return default
         raise ConfigError(f"{path}: missing required key {key!r}")
     return _coerce_number(node[key], f"{path}.{key}")
+
+
+def _present_ints(node: dict, keys: tuple[str, ...], path: str) -> dict[str, int]:
+    """The integer keys that ``node`` sets; absent ones keep their defaults."""
+    return {key: _coerce_int(node[key], f"{path}.{key}") for key in keys if key in node}
 
 
 def _parse_devices(node, path: str) -> tuple[DeviceProfile, ...]:
@@ -274,13 +291,11 @@ def _parse_model(node, path: str, base_dir: Path) -> ModelProfile:
                 f"{path}.builtin: only 'resnet50_usam' is available, "
                 f"got {node['builtin']!r}"
             )
-        return build_resnet50_usam_profile(
-            input_h=int(_get_number(node, "input_h", path, default=224)),
-            input_w=int(_get_number(node, "input_w", path, default=224)),
-            usam_flops_fraction=_get_number(
-                node, "usam_flops_fraction", path, default=0.01
-            ),
-        )
+        kwargs = {"input_h": 224, "input_w": 224}
+        kwargs.update(_present_ints(node, ("input_h", "input_w"), path))
+        if "usam_flops_fraction" in node:
+            kwargs["usam_flops_fraction"] = _get_number(node, "usam_flops_fraction", path)
+        return build_resnet50_usam_profile(**kwargs)
     except (ValueError, OSError, DimensionError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -344,6 +359,34 @@ def _parse_weights(node, path: str) -> TriCoWeights:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+_OPTIMIZER_INTS = ("steps", "seed", "horizon", "bandwidth_bins", "snr_bins")
+# Hyperparams' integer fields are the ones whose default is an int
+_HYPER_INTS = tuple(
+    f.name for f in dataclass_fields(Hyperparams) if type(f.default) is int
+)
+
+
+def _parse_hyper(node, path: str) -> Hyperparams:
+    node = _require_mapping(node, path)
+    _check_keys(node, {f.name for f in dataclass_fields(Hyperparams)}, path)
+    kwargs = {}
+    for key, value in node.items():
+        kpath = f"{path}.{key}"
+        if key == "hidden":
+            if not isinstance(value, list):
+                raise ConfigError(f"{kpath}: expected a list of ints")
+            value = tuple(_coerce_int(h, f"{kpath}[{i}]") for i, h in enumerate(value))
+        elif key in _HYPER_INTS:
+            value = _coerce_int(value, kpath)
+        elif key != "ac_replay":
+            value = _coerce_number(value, kpath)
+        kwargs[key] = value
+    try:
+        return Hyperparams(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _parse_optimizer(node, path: str) -> OptimizerConfig:
     if node is None:
         return OptimizerConfig()
@@ -356,39 +399,19 @@ def _parse_optimizer(node, path: str) -> OptimizerConfig:
         },
         path,
     )
-    agent = node.get("agent", "q_learning")
-    if agent not in AGENTS:
-        raise ConfigError(
-            f"{path}.agent: unknown agent {agent!r}; choose one of {sorted(AGENTS)}"
-        )
-    hyper_kwargs = {}
+    kwargs = {}
+    if "agent" in node:
+        agent = node["agent"]
+        if agent not in AGENTS:
+            raise ConfigError(
+                f"{path}.agent: unknown agent {agent!r}; choose one of {sorted(AGENTS)}"
+            )
+        kwargs["agent"] = agent
     if "hyper" in node:
-        hyper_node = _require_mapping(node["hyper"], f"{path}.hyper")
-        allowed = {f.name for f in dataclass_fields(Hyperparams)}
-        _check_keys(hyper_node, allowed, f"{path}.hyper")
-        for key, value in hyper_node.items():
-            kpath = f"{path}.hyper.{key}"
-            if key == "hidden":
-                if not isinstance(value, list):
-                    raise ConfigError(f"{kpath}: expected a list of ints")
-                value = tuple(value)
-            elif key != "ac_replay":
-                value = _coerce_number(value, kpath)
-            hyper_kwargs[key] = value
+        kwargs["hyper"] = _parse_hyper(node["hyper"], f"{path}.hyper")
+    kwargs.update(_present_ints(node, _OPTIMIZER_INTS, path))
     try:
-        hyper = Hyperparams(**hyper_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{path}.hyper: {exc}") from exc
-    try:
-        return OptimizerConfig(
-            agent=agent,
-            steps=int(_get_number(node, "steps", path, default=3000)),
-            seed=int(_get_number(node, "seed", path, default=0)),
-            horizon=int(_get_number(node, "horizon", path, default=1)),
-            bandwidth_bins=int(_get_number(node, "bandwidth_bins", path, default=1)),
-            snr_bins=int(_get_number(node, "snr_bins", path, default=2)),
-            hyper=hyper,
-        )
+        return OptimizerConfig(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -402,29 +425,24 @@ def _parse_retrieval(node, path: str) -> RetrievalConfig:
         {"locations", "dim", "seeds", "seed", "noise", "images_per_view", "fusion"},
         path,
     )
-    noise = {"satellite": 0.0, "uav": 0.5, "ground": 0.5}
+    kwargs = {}
     if "noise" in node:
         noise_node = _require_mapping(node["noise"], f"{path}.noise")
         _check_keys(noise_node, {"satellite", "uav", "ground"}, f"{path}.noise")
         for key in noise_node:
-            noise[key] = _get_number(noise_node, key, f"{path}.noise")
-    fusion = node.get("fusion", "mean")
-    if fusion not in ("mean", "max_score"):
-        raise ConfigError(
-            f"{path}.fusion: expected 'mean' or 'max_score', got {fusion!r}"
-        )
+            kwargs[f"noise_{key}"] = _get_number(noise_node, key, f"{path}.noise")
+    if "fusion" in node:
+        fusion = node["fusion"]
+        if fusion not in ("mean", "max_score"):
+            raise ConfigError(
+                f"{path}.fusion: expected 'mean' or 'max_score', got {fusion!r}"
+            )
+        kwargs["fusion"] = fusion
+    kwargs.update(
+        _present_ints(node, ("locations", "dim", "seeds", "seed", "images_per_view"), path)
+    )
     try:
-        return RetrievalConfig(
-            locations=int(_get_number(node, "locations", path, default=200)),
-            dim=int(_get_number(node, "dim", path, default=64)),
-            seeds=int(_get_number(node, "seeds", path, default=10)),
-            seed=int(_get_number(node, "seed", path, default=0)),
-            noise_satellite=noise["satellite"],
-            noise_uav=noise["uav"],
-            noise_ground=noise["ground"],
-            images_per_view=int(_get_number(node, "images_per_view", path, default=4)),
-            fusion=fusion,
-        )
+        return RetrievalConfig(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -519,53 +537,3 @@ def load_config(path) -> ScenarioConfig:
         ) from exc
     return parse_config(text, base_dir=path.parent)
 
-
-DEFAULT_CONFIG_YAML = """\
-# Two-device split-inference scenario: one UAV, one vehicle, both talking
-# to a ground server over a 5..20 MHz / 5..15 dB channel.
-devices:
-  - id: uav1
-    kind: uav          # 0.641 TFLOPS, 30 W compute, 1 W transmit
-  - id: veh1
-    kind: vehicle      # 1.3 TFLOPS, 30 W compute, 2 W transmit
-
-channels:
-  uav1:
-    distribution: {bandwidth_hz: [5.0e6, 20.0e6], snr_db: [5.0, 15.0]}
-  veh1:
-    distribution: {bandwidth_hz: [5.0e6, 20.0e6], snr_db: [5.0, 15.0]}
-
-model:
-  builtin: resnet50_usam
-  input_h: 224
-  input_w: 224
-
-# kl values in nats per candidate cut, shallow to deep; these are the
-# illustrative monotone defaults (omit the section to get the same table)
-confidentiality:
-  table:
-    - {kl_open: 0.5, kl_closed: 0.5}
-    - {kl_open: 1.0, kl_closed: 1.0}
-    - {kl_open: 2.0, kl_closed: 2.0}
-    - {kl_open: 4.0, kl_closed: 4.0}
-    - {kl_open: 8.0, kl_closed: 8.0}
-
-weights:
-  w_comm: 0.3333333333333333
-  w_comp: 0.3333333333333333
-  w_conf: 0.3333333333333334
-  alpha_open: 0.5
-  lambda_latency: 0.5
-
-optimizer:
-  agent: actor_critic
-  steps: 3000
-  seed: 7
-  snr_bins: 2
-
-retrieval:
-  locations: 200
-  dim: 64
-  seeds: 10
-  noise: {satellite: 0.0, uav: 0.5, ground: 0.5}
-"""

@@ -62,23 +62,11 @@ class LayerProfile:
 
 
 @dataclass(frozen=True)
-class PartitionPoint:
-    """Index into a profile's partition-candidate list."""
-
-    candidate_index: int
-
-    def __post_init__(self) -> None:
-        if self.candidate_index < 0:
-            raise ValueError("candidate_index must be >= 0")
-
-
-@dataclass(frozen=True)
 class ModelProfile:
     """Ordered layer table with marked partition candidates."""
 
     layers: tuple[LayerProfile, ...]
     partition_candidates: tuple[int, ...]  # indices into layers, increasing
-    input_bytes: int = 0  # raw query-image size
 
     def __post_init__(self) -> None:
         if not self.layers:
@@ -92,8 +80,6 @@ class ModelProfile:
             if not 0 <= idx < len(self.layers):
                 raise ValueError(f"partition candidate {idx} out of range")
             prev = idx
-        if self.input_bytes < 0:
-            raise ValueError("input_bytes must be >= 0")
         prefix, total = [], 0
         for layer in self.layers:
             total += layer.flops
@@ -110,13 +96,9 @@ class ModelProfile:
     def cut_name(self, candidate_index: int) -> str:
         return self.candidate_layer(candidate_index).name
 
-    @property
-    def total_flops(self) -> int:
-        return self._prefix_flops[-1]
 
-
-def _cut_index(profile: ModelProfile, cut: PartitionPoint | int) -> int:
-    idx = cut.candidate_index if isinstance(cut, PartitionPoint) else int(cut)
+def _cut_index(profile: ModelProfile, cut: int) -> int:
+    idx = int(cut)
     if not 0 <= idx < profile.num_candidates:
         raise ValueError(
             f"cut {idx} out of range for profile with "
@@ -125,18 +107,13 @@ def _cut_index(profile: ModelProfile, cut: PartitionPoint | int) -> int:
     return idx
 
 
-def device_flops(profile: ModelProfile, cut: PartitionPoint | int) -> int:
+def device_flops(profile: ModelProfile, cut: int) -> int:
     """FLOPs executed on the device: all rows up to and including the cut."""
     layer_idx = profile.partition_candidates[_cut_index(profile, cut)]
     return profile._prefix_flops[layer_idx]
 
 
-def server_flops(profile: ModelProfile, cut: PartitionPoint | int) -> int:
-    """FLOPs left for the server; complements device_flops exactly."""
-    return profile.total_flops - device_flops(profile, cut)
-
-
-def intermediate_bytes(profile: ModelProfile, cut: PartitionPoint | int) -> int:
+def intermediate_bytes(profile: ModelProfile, cut: int) -> int:
     """Size of the feature tensor shipped to the server for this cut."""
     return profile.candidate_layer(_cut_index(profile, cut)).out_bytes
 
@@ -226,29 +203,13 @@ def build_resnet50_usam_profile(
         stage_last_idx[3],
         stage_last_idx[4],
     )
-    return ModelProfile(
-        layers=tuple(layers),
-        partition_candidates=candidates,
-        input_bytes=3 * input_h * input_w,
-    )
+    return ModelProfile(layers=tuple(layers), partition_candidates=candidates)
 
 
 PROFILE_HEADER = "name,flops,out_elements,bytes_per_element,is_candidate"
 
 
-def format_profile_csv(profile: ModelProfile) -> str:
-    """Serialize a profile to the flat CSV table (bit-exact round trip)."""
-    candidate_set = set(profile.partition_candidates)
-    lines = [PROFILE_HEADER]
-    for i, layer in enumerate(profile.layers):
-        lines.append(
-            f"{layer.name},{layer.flops},{layer.out_elements},"
-            f"{layer.bytes_per_element},{1 if i in candidate_set else 0}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def parse_profile_csv(text: str, input_bytes: int = 0) -> ModelProfile:
+def parse_profile_csv(text: str) -> ModelProfile:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != PROFILE_HEADER:
         raise ConfigError(f"profile table must start with header {PROFILE_HEADER!r}")
@@ -273,16 +234,11 @@ def parse_profile_csv(text: str, input_bytes: int = 0) -> ModelProfile:
         if is_candidate:
             candidates.append(len(layers) - 1)
     try:
-        return ModelProfile(tuple(layers), tuple(candidates), input_bytes)
+        return ModelProfile(tuple(layers), tuple(candidates))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def save_profile(profile: ModelProfile, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(format_profile_csv(profile))
-
-
-def load_profile(path, input_bytes: int = 0) -> ModelProfile:
+def load_profile(path) -> ModelProfile:
     with open(path) as fh:
-        return parse_profile_csv(fh.read(), input_bytes=input_bytes)
+        return parse_profile_csv(fh.read())

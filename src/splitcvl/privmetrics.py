@@ -90,7 +90,6 @@ class Histogram:
     """Smoothed, normalized per-channel intensity distribution."""
 
     probs: np.ndarray  # shape (channels, bins)
-    epsilon: float
 
     def __post_init__(self) -> None:
         probs = np.asarray(self.probs, dtype=np.float64)
@@ -116,11 +115,7 @@ class Histogram:
             raise ValueError("smoothing epsilon must be > 0")
         smoothed = arr + epsilon
         probs = smoothed / smoothed.sum(axis=1, keepdims=True)
-        return cls(probs=probs, epsilon=epsilon)
-
-    @property
-    def bins(self) -> int:
-        return self.probs.shape[1]
+        return cls(probs=probs)
 
 
 def histogram_of(img: Image, bins: int = 256, epsilon: float = 1e-6) -> Histogram:

@@ -52,14 +52,6 @@ class Embedding:
         vec.flags.writeable = False
         object.__setattr__(self, "vector", vec)
 
-    @classmethod
-    def normalized(cls, values) -> "Embedding":
-        vec = np.asarray(values, dtype=np.float64)
-        norm = float(np.linalg.norm(vec))
-        if norm < 1e-12:
-            raise ZeroVectorError("cannot normalize a (near-)zero vector")
-        return cls(vec / norm)
-
     @property
     def dim(self) -> int:
         return self.vector.size

@@ -9,19 +9,17 @@ from .agents import (
     train_ppo,
     train_q_learning,
 )
-from .env import EnvState, PartitionEnv, ReplayBuffer, Transition
-from .nets import TinyNet, grad_check
+from .env import PartitionEnv, ReplayBuffer, Transition
+from .nets import TinyNet
 
 __all__ = [
     "ConvergenceTrace",
-    "EnvState",
     "Hyperparams",
     "PartitionEnv",
     "ReplayBuffer",
     "TinyNet",
     "TrainedPolicy",
     "Transition",
-    "grad_check",
     "policy_effect",
     "train_actor_critic",
     "train_dqn",

@@ -98,7 +98,6 @@ class ConvergenceTrace:
 
     effects: np.ndarray
     moving_avg: np.ndarray
-    window: int
 
     def __len__(self) -> int:
         return len(self.effects)
@@ -119,14 +118,14 @@ class ConvergenceTrace:
 def _make_trace(effects: list[float], window: int) -> ConvergenceTrace:
     eff = np.asarray(effects, dtype=np.float64)
     if eff.size == 0:
-        return ConvergenceTrace(eff, eff.copy(), window)
+        return ConvergenceTrace(eff, eff.copy())
     cs = np.cumsum(eff)
     ma = np.empty_like(eff)
     head = min(window, eff.size)
     ma[:head] = cs[:head] / np.arange(1, head + 1)
     if eff.size > window:
         ma[window:] = (cs[window:] - cs[:-window]) / window
-    return ConvergenceTrace(eff, ma, window)
+    return ConvergenceTrace(eff, ma)
 
 
 @dataclass(frozen=True)
@@ -138,7 +137,6 @@ class TrainedPolicy:
     the network-based agents.
     """
 
-    kind: str
     _action_fn: Callable[[int], int] = field(repr=False)
     table: np.ndarray | None = None
 
@@ -217,7 +215,7 @@ def train_q_learning(
         q[state, action] += hyper.lr * (tr.reward + bootstrap - q[state, action])
         effects.append(-tr.reward)
         state, steps_in_episode = _advance(env, tr, steps_in_episode, rng)
-    policy = TrainedPolicy("q_learning", lambda s, q=q: int(np.argmax(q[s])), table=q)
+    policy = TrainedPolicy(lambda s, q=q: int(np.argmax(q[s])), table=q)
     return policy, _make_trace(effects, hyper.moving_avg_window)
 
 
@@ -257,7 +255,7 @@ def train_multi_q(
         effects.append(-tr.reward)
         state, steps_in_episode = _advance(env, tr, steps_in_episode, rng)
     mean_q = tables.mean(axis=0)
-    policy = TrainedPolicy("multi_q", lambda s, q=mean_q: int(np.argmax(q[s])), table=mean_q)
+    policy = TrainedPolicy(lambda s, q=mean_q: int(np.argmax(q[s])), table=mean_q)
     return policy, _make_trace(effects, hyper.moving_avg_window)
 
 
@@ -300,10 +298,7 @@ def train_actor_critic(
                 values[s] += hyper.lr * (rep_target - values[s])
         effects.append(-tr.reward)
         state, steps_in_episode = _advance(env, tr, steps_in_episode, rng)
-    policy = TrainedPolicy(
-        "actor_critic", lambda s, logits=logits: int(np.argmax(logits[s])),
-        table=logits,
-    )
+    policy = TrainedPolicy(lambda s, logits=logits: int(np.argmax(logits[s])), table=logits)
     return policy, _make_trace(effects, hyper.moving_avg_window)
 
 
@@ -356,18 +351,8 @@ def train_dqn(
     def act(s: int, net=net, table=table) -> int:
         return int(np.argmax(net.forward(table[s])[0]))
 
-    policy = TrainedPolicy("dqn", act)
+    policy = TrainedPolicy(act)
     return policy, _make_trace(effects, hyper.moving_avg_window)
-
-
-def ppo_surrogate_ratios(
-    policy_net: TinyNet, features: np.ndarray, actions: np.ndarray,
-    logp_old: np.ndarray
-) -> np.ndarray:
-    """New/old probability ratios of the chosen actions."""
-    logp = log_softmax(policy_net.forward(features))
-    rows = np.arange(len(actions))
-    return np.exp(logp[rows, actions] - logp_old)
 
 
 def ppo_policy_gradient(
@@ -481,7 +466,7 @@ def train_ppo(
     def act(s: int, net=policy_net, table=table) -> int:
         return int(np.argmax(net.forward(table[s])[0]))
 
-    policy = TrainedPolicy("ppo", act)
+    policy = TrainedPolicy(act)
     return policy, _make_trace(effects, hyper.moving_avg_window)
 
 

@@ -18,7 +18,6 @@ redrawn every step and the step counter becomes part of the state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, NamedTuple
 
@@ -33,14 +32,6 @@ MAX_JOINT_ACTIONS = 125  # 5 candidates ** 3 devices
 # slots, sampled batch rows, Q tables, and the hidden units of all layers
 # together (so a net's weights stay within a few million).
 MAX_SIZE = 4096
-
-
-@dataclass(frozen=True)
-class EnvState:
-    """Decoded environment state."""
-
-    channel_bins: tuple[int, ...]  # one bin index per device
-    step: int
 
 
 class Transition(NamedTuple):
@@ -247,25 +238,10 @@ class PartitionEnv:
 
     # -- encodings -------------------------------------------------------
 
-    def encode_state(self, state: EnvState) -> int:
-        combo = 0
-        for digit, grid in zip(state.channel_bins, self.grids):
-            if not 0 <= digit < grid.n_bins:
-                raise ValueError(f"state digit {digit} out of range {grid.n_bins}")
-            combo = combo * grid.n_bins + digit
-        return state.step * self.n_combos + combo
-
-    def decode_state(self, state_id: int) -> EnvState:
+    def decode_state(self, state_id: int) -> tuple[tuple[int, ...], int]:
+        """(one channel bin per device, step) of a state id."""
         step, combo = divmod(state_id, self.n_combos)
-        return EnvState(channel_bins=tuple(self._channel_bins(combo)), step=step)
-
-    def encode_action(self, cuts: tuple[int, ...]) -> int:
-        action = 0
-        for c in cuts:
-            if not 0 <= c < self.scenario.num_candidates:
-                raise ValueError(f"cut {c} out of range")
-            action = action * self.scenario.num_candidates + c
-        return action
+        return tuple(self._channel_bins(combo)), step
 
     def decode_action(self, action: int) -> PartitionDecision:
         if not 0 <= action < len(self._decisions):
@@ -274,15 +250,15 @@ class PartitionEnv:
 
     def state_features(self, state_id: int) -> np.ndarray:
         """Concatenated one-hot bins (plus a step one-hot for horizons > 1)."""
-        state = self.decode_state(state_id)
+        bins, step = self.decode_state(state_id)
         parts = []
-        for digit, grid in zip(state.channel_bins, self.grids):
+        for digit, grid in zip(bins, self.grids):
             one_hot = np.zeros(grid.n_bins)
             one_hot[digit] = 1.0
             parts.append(one_hot)
         if self.horizon > 1:
             step_hot = np.zeros(self.horizon)
-            step_hot[state.step] = 1.0
+            step_hot[step] = 1.0
             parts.append(step_hot)
         return np.concatenate(parts)
 
@@ -336,16 +312,9 @@ class PartitionEnv:
 
     def evaluate_action(self, state_id: int, action: int) -> float:
         """Effect of an action under the state's bin-midpoint channels."""
-        state = self.decode_state(state_id)
-        channels = tuple(
-            grid.midpoint(b) for grid, b in zip(self.grids, state.channel_bins)
-        )
+        bins, _ = self.decode_state(state_id)
+        channels = tuple(grid.midpoint(b) for grid, b in zip(self.grids, bins))
         try:
             return decision_effect(self.scenario, self.decode_action(action), channels)
         except ZeroRateError:
             return 1.0
-
-    def action_effects(self, state_id: int) -> np.ndarray:
-        return np.array(
-            [self.evaluate_action(state_id, a) for a in range(self.n_actions)]
-        )

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import NonFiniteError
-
 
 class TinyNet:
     """Fully connected net: sizes = (in, hidden..., out).
@@ -105,68 +103,6 @@ class TinyNet:
 
     def copy_params_from(self, other: "TinyNet") -> None:
         self._params[:] = other._params
-
-    # flat views used by the gradient checker
-
-    def get_flat(self) -> np.ndarray:
-        return self._params.copy()
-
-    def set_flat(self, flat: np.ndarray) -> None:
-        self._params[:] = flat
-
-    def flat_grads(self) -> np.ndarray:
-        return self._grads.copy()
-
-
-def mse_loss_and_grad(out: np.ndarray, target: np.ndarray):
-    """Mean squared error over all batch entries and outputs."""
-    target = np.atleast_2d(np.asarray(target, dtype=np.float64))
-    diff = out - target
-    loss = float(np.mean(diff**2))
-    return loss, 2.0 * diff / diff.size
-
-
-def grad_check(
-    net: TinyNet,
-    inputs: np.ndarray,
-    targets: np.ndarray,
-    h: float = 1e-5,
-) -> float:
-    """Max relative error between backprop and central finite differences.
-
-    The squared loss is evaluated at theta +/- h for every parameter. The
-    per-parameter error is |analytic - numeric| / max(1, |analytic|,
-    |numeric|), so near-zero gradients are compared absolutely and large
-    ones relatively.
-    """
-    out = net.forward(inputs)
-    loss, grad_out = mse_loss_and_grad(out, targets)
-    if not np.isfinite(loss):
-        raise NonFiniteError("loss is not finite")
-    net.zero_grads()
-    net.backward(grad_out)
-    analytic = net.flat_grads().copy()
-    if not np.all(np.isfinite(analytic)):
-        raise NonFiniteError("gradient is not finite")
-
-    theta = net.get_flat()
-    numeric = np.empty_like(analytic)
-    for i in range(theta.size):
-        saved = theta[i]
-        theta[i] = saved + h
-        net.set_flat(theta)
-        loss_plus, _ = mse_loss_and_grad(net.forward(inputs), targets)
-        theta[i] = saved - h
-        net.set_flat(theta)
-        loss_minus, _ = mse_loss_and_grad(net.forward(inputs), targets)
-        theta[i] = saved
-        numeric[i] = (loss_plus - loss_minus) / (2.0 * h)
-    net.set_flat(theta)
-    if not np.all(np.isfinite(numeric)):
-        raise NonFiniteError("finite-difference gradient is not finite")
-
-    denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
-    return float(np.max(np.abs(analytic - numeric) / denom))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

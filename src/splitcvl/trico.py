@@ -46,7 +46,6 @@ from .netmodel import (
 )
 from .nnprofile import (
     ModelProfile,
-    PartitionPoint,
     build_resnet50_usam_profile,
     device_flops,
     intermediate_bytes,
@@ -138,7 +137,6 @@ class TriCoWeights:
 class TriCoBreakdown:
     """Raw and normalized costs of one (device, cut) pair."""
 
-    cut_index: int
     cut_name: str
     comm_latency_s: float
     comm_energy_j: float
@@ -223,7 +221,6 @@ class CutCosts:
             lat, en, n_comm = self.comm_terms(rate, c)
             rows.append(
                 TriCoBreakdown(
-                    cut_index=c,
                     cut_name=name,
                     comm_latency_s=lat,
                     comm_energy_j=en,
@@ -255,9 +252,11 @@ class Scenario:
             raise ValueError("scenario needs at least one device")
         if len(self.channels) != len(self.devices):
             raise ValueError("scenario needs exactly one channel per device")
-        if len(self.conf_table.entries) < self.profile.num_candidates:
+        rows, cuts = len(self.conf_table.entries), self.profile.num_candidates
+        if rows != cuts:
             raise ValueError(
-                "confidentiality table must cover all partition candidates"
+                "confidentiality table must cover all partition candidates with "
+                f"one row per cut: got {rows} rows for {cuts} cuts"
             )
 
     @property
@@ -286,27 +285,19 @@ class PartitionDecision:
 
     cuts: tuple[int, ...]
 
-    def points(self) -> tuple[PartitionPoint, ...]:
-        return tuple(PartitionPoint(c) for c in self.cuts)
 
-
-def comp_cost(
-    dev: DeviceProfile, profile: ModelProfile, cut: PartitionPoint | int
-) -> float:
+def comp_cost(dev: DeviceProfile, profile: ModelProfile, cut: int) -> float:
     """Energy (J) the device spends on its side of the forward pass."""
     return device_flops(profile, cut) / dev.peak_flops * dev.compute_power_w
 
 
-def conf_cost(
-    table: ConfidentialityTable, cut: PartitionPoint | int, alpha_open: float = 0.5
-) -> float:
+def conf_cost(table: ConfidentialityTable, cut: int, alpha_open: float = 0.5) -> float:
     """Confidentiality cost in [0, 1]; 0 at the table's KL maximum.
 
     When every KL in the table is zero (reconstructions match originals
     everywhere) there is no confidentiality anywhere and the cost is 1.
     """
-    idx = cut.candidate_index if isinstance(cut, PartitionPoint) else int(cut)
-    entry = table.entry(idx)
+    entry = table.entry(int(cut))
     kl_max = table.kl_max
     if kl_max == 0.0:
         return 1.0

@@ -6,9 +6,9 @@ from itertools import product
 
 import numpy as np
 
-from splitcvl.errors import DimensionMismatchError, ZeroVectorError
+from splitcvl.errors import DimensionMismatchError, NonFiniteError, ZeroVectorError
 from splitcvl.netmodel import ChannelState, device_from_kind, shannon_rate
-from splitcvl.nnprofile import LayerProfile, ModelProfile
+from splitcvl.nnprofile import PROFILE_HEADER, LayerProfile, ModelProfile
 from splitcvl.retrieval import (
     METRIC_NAMES,
     Embedding,
@@ -27,7 +27,24 @@ def synthetic_profile(byte_sizes, flops=None):
         LayerProfile(f"l{i}", int(f), int(b) // 4, 4)
         for i, (f, b) in enumerate(zip(flops, byte_sizes))
     )
-    return ModelProfile(layers, tuple(range(len(layers))), input_bytes=0)
+    return ModelProfile(layers, tuple(range(len(layers))))
+
+
+def format_profile_csv(profile):
+    """The flat CSV table that ``load_profile`` reads (bit-exact round trip)."""
+    candidate_set = set(profile.partition_candidates)
+    lines = [PROFILE_HEADER]
+    for i, layer in enumerate(profile.layers):
+        lines.append(
+            f"{layer.name},{layer.flops},{layer.out_elements},"
+            f"{layer.bytes_per_element},{1 if i in candidate_set else 0}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def save_profile(profile, path):
+    with open(path, "w", newline="") as fh:
+        fh.write(format_profile_csv(profile))
 
 
 def oracle_enumerate(scenario, channels):
@@ -155,7 +172,74 @@ class BanditEnv:
         return -self.rewards[action]
 
 
+# -- TinyNet gradient checks ----------------------------------------------
+
+
+def flat_params(net):
+    """Every weight matrix, then every bias vector, as one flat copy."""
+    return np.concatenate([w.ravel() for w in net.weights] + list(net.biases))
+
+
+def flat_grads(net):
+    """The accumulated gradients in ``flat_params`` order."""
+    return np.concatenate([g.ravel() for g in net.g_weights] + list(net.g_biases))
+
+
+def mse_loss_and_grad(out, target):
+    """Mean squared error over all batch entries and outputs."""
+    target = np.atleast_2d(np.asarray(target, dtype=np.float64))
+    diff = out - target
+    loss = float(np.mean(diff**2))
+    return loss, 2.0 * diff / diff.size
+
+
+def grad_check(net, inputs, targets, h=1e-5):
+    """Max relative error between backprop and central finite differences.
+
+    The squared loss is evaluated at theta +/- h for every parameter,
+    perturbed in place through the net's weight and bias views. The
+    per-parameter error is |analytic - numeric| / max(1, |analytic|,
+    |numeric|), so near-zero gradients are compared absolutely and large
+    ones relatively.
+    """
+    loss, grad_out = mse_loss_and_grad(net.forward(inputs), targets)
+    if not np.isfinite(loss):
+        raise NonFiniteError("loss is not finite")
+    net.zero_grads()
+    net.backward(grad_out)
+    analytic = flat_grads(net)
+    if not np.all(np.isfinite(analytic)):
+        raise NonFiniteError("gradient is not finite")
+
+    numeric = []
+    for param in net.weights + net.biases:
+        flat = param.reshape(-1)  # a view: writes reach the net
+        for i in range(flat.size):
+            saved = flat[i]
+            flat[i] = saved + h
+            loss_plus, _ = mse_loss_and_grad(net.forward(inputs), targets)
+            flat[i] = saved - h
+            loss_minus, _ = mse_loss_and_grad(net.forward(inputs), targets)
+            flat[i] = saved
+            numeric.append((loss_plus - loss_minus) / (2.0 * h))
+    numeric = np.array(numeric)
+    if not np.all(np.isfinite(numeric)):
+        raise NonFiniteError("finite-difference gradient is not finite")
+
+    denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
+    return float(np.max(np.abs(analytic - numeric) / denom))
+
+
 # -- retrieval oracle: rank by sorting, score by definition ---------------
+
+
+def normalized(values):
+    """The unit ``Embedding`` along ``values``."""
+    vec = np.asarray(values, dtype=np.float64)
+    norm = float(np.linalg.norm(vec))
+    if norm < 1e-12:
+        raise ZeroVectorError("cannot normalize a (near-)zero vector")
+    return Embedding(vec / norm)
 
 
 @dataclass(frozen=True)

@@ -29,10 +29,10 @@ from splitcvl.rlopt.agents import (
     train_q_learning,
 )
 from splitcvl.rlopt.env import PartitionEnv
-from splitcvl.rlopt.nets import TinyNet, grad_check
+from splitcvl.rlopt.nets import TinyNet
 from splitcvl.trico import conf_cost, default_scenario, optimal_decision
 
-from helpers import oracle_enumerate, random_scenario
+from helpers import grad_check, oracle_enumerate, random_scenario
 from test_nnprofile import oracle_candidate_elements, oracle_conv_flops
 from test_privmetrics import random_image, spearman
 from test_retrieval import oracle_ap, oracle_recall, ranking_from_relevance
@@ -132,12 +132,13 @@ def test_criterion_4_profile_correctness():
     got_bytes = [intermediate_bytes(profile, c) for c in range(5)]
     oracle_elems = [e * 4 for e in oracle_candidate_elements(224, 224)]
     flop_oracle = oracle_conv_flops(224, 224)
-    flops_ok = abs(profile.total_flops - flop_oracle) <= 0.05 * flop_oracle
+    total_flops = sum(layer.flops for layer in profile.layers)
+    flops_ok = abs(total_flops - flop_oracle) <= 0.05 * flop_oracle
     ok = got_bytes == expected_bytes == oracle_elems and flops_ok
     report(
         "criterion-4 profile-correctness",
         ok,
-        f"bytes {got_bytes}, total FLOPs {profile.total_flops:.3e} vs "
+        f"bytes {got_bytes}, total FLOPs {total_flops:.3e} vs "
         f"oracle {flop_oracle:.3e}",
     )
 

@@ -8,7 +8,6 @@ from splitcvl.rlopt.agents import (
     _make_trace,
     policy_effect,
     ppo_policy_gradient,
-    ppo_surrogate_ratios,
     train_actor_critic,
     train_agent,
     train_dqn,
@@ -179,16 +178,6 @@ class TestDQN:
 
 
 class TestPPOMechanics:
-    def test_identical_policies_give_unit_ratios(self):
-        rng = np.random.default_rng(18)
-        net = TinyNet((3, 8, 4), rng)
-        x = rng.standard_normal((10, 3))
-        actions = rng.integers(0, 4, size=10)
-        probs = softmax(net.forward(x))
-        logp_old = np.log(probs[np.arange(10), actions])
-        ratios = ppo_surrogate_ratios(net, x, actions, logp_old)
-        assert np.allclose(ratios, 1.0)
-
     def test_huge_clip_equals_vanilla_policy_gradient(self):
         rng = np.random.default_rng(19)
         net = TinyNet((3, 8, 4), rng)

@@ -7,6 +7,9 @@ import pytest
 
 from splitcvl.cli import build_parser, main
 from splitcvl.privmetrics import write_demo_corpus
+from splitcvl.trico import ConfEntry, ConfidentialityTable, format_conf_table
+
+from helpers import save_profile
 
 
 QUICK_CONFIG = """\
@@ -42,7 +45,7 @@ class TestProfileCommand:
         assert out[-1].endswith(",401408")
 
     def test_profile_file_round_trip(self, tmp_path, capsys):
-        from splitcvl.nnprofile import build_resnet50_usam_profile, save_profile
+        from splitcvl.nnprofile import build_resnet50_usam_profile
 
         save_profile(build_resnet50_usam_profile(224, 224), tmp_path / "prof.csv")
         cfg = tmp_path / "cfg.yaml"
@@ -325,6 +328,80 @@ def test_invalid_optimize_config_exits_2(case, tmp_path, capsys):
     assert fragment in captured.err
 
 
+# integer keys take an int or a float with an integral value; a fraction
+# exits 2 naming the key instead of being truncated
+# (command, key path on stderr, config text)
+NON_INTEGER_CONFIGS = {
+    "steps": ("optimize", "optimizer.steps", optimizer_config("agent: q_learning, steps: 2.5")),
+    "snr_bins": (
+        "optimize", "optimizer.snr_bins",
+        optimizer_config("agent: q_learning, steps: 20, snr_bins: 2.9"),
+    ),
+    "seed": ("optimize", "optimizer.seed", optimizer_config("agent: q_learning, seed: 7.6")),
+    "hidden": (
+        "optimize", "optimizer.hyper.hidden[1]",
+        optimizer_config("agent: dqn, steps: 20, hyper: {hidden: [8, 4.5]}"),
+    ),
+    "input_h": ("profile", "model.input_h", QUICK_CONFIG.replace("input_h: 224", "input_h: 224.9")),
+    "locations": (
+        "retrieval-sim", "retrieval.locations",
+        QUICK_CONFIG.replace("locations: 20", "locations: 20.9"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_INTEGER_CONFIGS))
+def test_non_integer_count_exits_2(case, tmp_path, capsys):
+    command, key_path, text = NON_INTEGER_CONFIGS[case]
+    assert text != QUICK_CONFIG
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert f"{key_path}: expected an integer" in captured.err
+
+
+@pytest.mark.parametrize("written, plain", [
+    ("agent: dqn, steps: 30, hyper: {batch_size: 1.0e1}", "agent: dqn, steps: 30, hyper: {batch_size: 10}"),
+    ("agent: q_learning, steps: 1.0e2", "agent: q_learning, steps: 100"),
+], ids=["batch_size", "steps"])
+def test_integral_float_counts_as_its_integer(written, plain, tmp_path, capsys):
+    traces = []
+    for fields in (written, plain):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(optimizer_config(fields))
+        out = tmp_path / "trace.csv"
+        assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 0
+        traces.append(out.read_bytes())
+    assert traces[0] == traces[1]
+    assert capsys.readouterr().err == ""
+
+
+# the stock monotone table plus a sixth row: one more row than the model has cuts
+SIX_KL_VALUES = (0.5, 1.0, 2.0, 4.0, 8.0, 80.0)
+
+
+@pytest.mark.parametrize("source", ["table", "table_file"])
+@pytest.mark.parametrize("command", ["cost", "oracle"])
+def test_conf_table_longer_than_cut_list_exits_2(command, source, tmp_path, capsys):
+    if source == "table":
+        rows = ", ".join(f"{{kl_open: {k}, kl_closed: {k}}}" for k in SIX_KL_VALUES)
+        section = f"confidentiality: {{table: [{rows}]}}\n"
+    else:
+        table = ConfidentialityTable(tuple(ConfEntry(k, k) for k in SIX_KL_VALUES))
+        (tmp_path / "conf.csv").write_text(format_conf_table(table))
+        section = "confidentiality: {table_file: conf.csv}\n"
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(QUICK_CONFIG + section)
+    assert main([command, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "got 6 rows for 5 cuts" in captured.err
+
+
 @pytest.mark.parametrize("command", ["cost", "oracle"])
 def test_four_devices_over_action_cap_still_cost_and_oracle(command, tmp_path, capsys):
     cfg = tmp_path / "cfg.yaml"
@@ -394,7 +471,7 @@ class TestOracleCommand:
         assert out.count(":") >= 3  # one cut per device
 
     def test_single_candidate_scenario(self, tmp_path, capsys):
-        from splitcvl.nnprofile import LayerProfile, ModelProfile, save_profile
+        from splitcvl.nnprofile import LayerProfile, ModelProfile
 
         profile = ModelProfile((LayerProfile("only", 10, 100, 4),), (0,))
         save_profile(profile, tmp_path / "prof.csv")

@@ -6,11 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitcvl import config
-from splitcvl.config import DEFAULT_CONFIG_YAML, load_config, parse_config
+from splitcvl.config import load_config, parse_config
 from splitcvl.errors import ConfigError
 from splitcvl.netmodel import ChannelDistribution, ChannelState
 from splitcvl.trico import format_conf_table, default_conf_table
 
+from helpers import save_profile
+
+STOCK_YAML = (
+    Path(__file__).resolve().parents[1] / "configs" / "scenario.yaml"
+).read_text()
 
 MINIMAL = """\
 devices:
@@ -23,7 +28,7 @@ model: {builtin: resnet50_usam, input_h: 224, input_w: 224}
 
 class TestParsing:
     def test_default_config_parses(self):
-        cfg = parse_config(DEFAULT_CONFIG_YAML)
+        cfg = parse_config(STOCK_YAML)
         assert cfg.scenario is not None
         assert cfg.scenario.num_devices == 2
         assert cfg.optimizer.agent == "actor_critic"
@@ -61,7 +66,7 @@ class TestParsing:
         assert parse_config(text).scenario.channels[0].snr_linear == 3.0
 
     def test_profile_file_model(self, tmp_path):
-        from splitcvl.nnprofile import save_profile, build_resnet50_usam_profile
+        from splitcvl.nnprofile import build_resnet50_usam_profile
 
         save_profile(build_resnet50_usam_profile(224, 224), tmp_path / "prof.csv")
         text = MINIMAL.replace(
@@ -218,10 +223,6 @@ libyaml = pytest.mark.skipif(
     not yaml.__with_libyaml__, reason="PyYAML was built without libyaml"
 )
 
-STOCK_YAML = (
-    Path(__file__).resolve().parents[1] / "configs" / "scenario.yaml"
-).read_text()
-
 # YAML 1.1 scalars that PyYAML's implicit resolvers turn into floats, ints,
 # bools, None or dates, or that only look as if they would (1.0e3, 0o17)
 EDGE_SCALARS = (
@@ -281,8 +282,7 @@ def _both_loaders(text: str) -> tuple[str, str]:
 
 @libyaml
 class TestLibyamlLoader:
-    @pytest.mark.parametrize("text", [STOCK_YAML, DEFAULT_CONFIG_YAML],
-                             ids=["scenario.yaml", "default"])
+    @pytest.mark.parametrize("text", [STOCK_YAML], ids=["scenario.yaml"])
     def test_stock_configs_load_alike(self, text):
         fast, slow = _both_loaders(text)
         assert fast == slow

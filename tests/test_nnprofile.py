@@ -14,16 +14,18 @@ from splitcvl.errors import ConfigError, DimensionError
 from splitcvl.nnprofile import (
     LayerProfile,
     ModelProfile,
-    PartitionPoint,
     build_resnet50_usam_profile,
     device_flops,
-    format_profile_csv,
     intermediate_bytes,
     load_profile,
     parse_profile_csv,
-    save_profile,
-    server_flops,
 )
+
+from helpers import format_profile_csv, save_profile
+
+
+def total_flops(profile):
+    return sum(layer.flops for layer in profile.layers)
 
 
 def oracle_candidate_elements(h, w):
@@ -123,7 +125,7 @@ class TestBuilderShapes:
 class TestFlops:
     def test_total_flops_within_5pct_of_conv_oracle(self, profile224):
         oracle = oracle_conv_flops(224, 224)
-        assert profile224.total_flops == pytest.approx(oracle, rel=0.05)
+        assert total_flops(profile224) == pytest.approx(oracle, rel=0.05)
 
     def test_oracle_magnitude(self):
         # The backbone is about 4.1 GMACs at 224x224, i.e. ~8.2e9 FLOPs.
@@ -134,17 +136,17 @@ class TestFlops:
         assert all(a < b for a, b in zip(flops, flops[1:]))
 
     def test_full_prefix_at_last_cut(self, profile224):
-        assert device_flops(profile224, 4) == profile224.total_flops
+        assert device_flops(profile224, 4) == total_flops(profile224)
 
     def test_first_cut_is_stem_only(self, profile224):
         assert device_flops(profile224, 0) == profile224.layers[0].flops
 
     def test_partition_conservation(self, profile224):
+        # the device's prefix and the server's remaining rows sum to the total
         for cut in range(5):
-            assert (
-                device_flops(profile224, cut) + server_flops(profile224, cut)
-                == profile224.total_flops
-            )
+            layer_idx = profile224.partition_candidates[cut]
+            server = sum(layer.flops for layer in profile224.layers[layer_idx + 1 :])
+            assert device_flops(profile224, cut) + server == total_flops(profile224)
 
     def test_usam_preserves_shape_and_costs_little(self, profile224):
         by_name = {layer.name: layer for layer in profile224.layers}
@@ -173,14 +175,13 @@ class TestByteOrdering:
 
 
 class TestPartitionPoint:
-    def test_accepts_point_and_int(self, profile224):
-        assert device_flops(profile224, PartitionPoint(2)) == device_flops(profile224, 2)
-
     def test_out_of_range(self, profile224):
         with pytest.raises(ValueError):
             device_flops(profile224, 5)
         with pytest.raises(ValueError):
-            intermediate_bytes(profile224, PartitionPoint(9))
+            intermediate_bytes(profile224, 9)
+        with pytest.raises(ValueError):
+            device_flops(profile224, -1)
 
 
 class TestProfileFile:

@@ -48,6 +48,8 @@ from splitcvl.rlopt.env import PartitionEnv
 from splitcvl.rlopt.nets import TinyNet
 from splitcvl.trico import default_scenario
 
+from helpers import flat_params
+
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "scenario.yaml"
 SEED = "7"
 
@@ -154,7 +156,7 @@ def test_dqn_horizon2_final_params_digest(monkeypatch):
     assert env.n_states == 72
     agents.train_agent("dqn", env, 1500, seed=7)
     [net] = created  # the target net is a copy, not a new TinyNet
-    digest = hashlib.sha256(net.get_flat().tobytes()).hexdigest()
+    digest = hashlib.sha256(flat_params(net).tobytes()).hexdigest()
     assert digest == DQN_HORIZON2_PARAMS_DIGEST
 
 

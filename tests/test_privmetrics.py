@@ -133,9 +133,9 @@ class TestKL:
 
     def test_not_normalized_rejected(self):
         with pytest.raises(NotNormalizedError):
-            Histogram(np.array([[0.5, 0.4]]), epsilon=1e-6)
+            Histogram(np.array([[0.5, 0.4]]))
         with pytest.raises(NotNormalizedError):
-            Histogram(np.array([[1.0, 0.0]]), epsilon=1e-6)  # unsmoothed zero
+            Histogram(np.array([[1.0, 0.0]]))  # unsmoothed zero
 
     def test_counts_validation(self):
         with pytest.raises(ValueError):

@@ -22,6 +22,7 @@ from helpers import (
     cosine_similarity,
     fuse_queries,
     make_query_set,
+    normalized,
     rank_gallery,
     rank_query_set,
     recall_at_k,
@@ -44,7 +45,7 @@ from splitcvl.retrieval import (
 
 
 def unit(*values):
-    return Embedding.normalized(np.array(values, dtype=float))
+    return normalized(np.array(values, dtype=float))
 
 
 def ranking_from_relevance(flags):
@@ -78,12 +79,12 @@ def oracle_ap(flags):
 
 class TestEmbedding:
     def test_normalization(self):
-        e = Embedding.normalized([3.0, 4.0])
+        e = normalized([3.0, 4.0])
         assert np.allclose(e.vector, [0.6, 0.8])
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ZeroVectorError):
-            Embedding.normalized([0.0, 0.0])
+            normalized([0.0, 0.0])
 
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError):
@@ -115,8 +116,8 @@ class TestCosine:
     def test_bounded(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
-            a = Embedding.normalized(rng.standard_normal(8))
-            b = Embedding.normalized(rng.standard_normal(8))
+            a = normalized(rng.standard_normal(8))
+            b = normalized(rng.standard_normal(8))
             assert -1.0 - 1e-12 <= cosine_similarity(a, b) <= 1.0 + 1e-12
 
 
@@ -139,7 +140,7 @@ class TestFusion:
 
     def test_result_unit_norm(self):
         rng = np.random.default_rng(2)
-        embeddings = tuple(Embedding.normalized(rng.standard_normal(6)) for _ in range(4))
+        embeddings = tuple(normalized(rng.standard_normal(6)) for _ in range(4))
         fused = fuse_queries(QuerySet("x", embeddings))
         assert np.linalg.norm(fused.vector) == pytest.approx(1.0)
 
@@ -170,10 +171,10 @@ class TestRanking:
         rng = np.random.default_rng(3)
         gallery = [
             GalleryRecord(f"g{i}", "satellite", 0.0, 0.0,
-                          Embedding.normalized(rng.standard_normal(5)))
+                          normalized(rng.standard_normal(5)))
             for i in range(20)
         ]
-        ranked = rank_gallery(Embedding.normalized(rng.standard_normal(5)), gallery)
+        ranked = rank_gallery(normalized(rng.standard_normal(5)), gallery)
         assert sorted(ranked.ids()) == sorted(r.location_id for r in gallery)
 
     def test_matches_rerank_oracle_on_random_galleries(self):
@@ -181,10 +182,10 @@ class TestRanking:
         for _ in range(10):
             gallery = [
                 GalleryRecord(f"g{i:02d}", "satellite", 0.0, 0.0,
-                              Embedding.normalized(rng.standard_normal(7)))
+                              normalized(rng.standard_normal(7)))
                 for i in range(50)
             ]
-            query = Embedding.normalized(rng.standard_normal(7))
+            query = normalized(rng.standard_normal(7))
             ranked = rank_gallery(query, gallery)
             # independent oracle: recompute scores one by one and sort
             scored = [

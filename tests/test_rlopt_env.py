@@ -3,7 +3,7 @@ import pytest
 
 from splitcvl.netmodel import ChannelState, device_from_kind
 from splitcvl.rlopt import env as env_module
-from splitcvl.rlopt.env import EnvState, PartitionEnv, ReplayBuffer, Transition
+from splitcvl.rlopt.env import PartitionEnv, ReplayBuffer, Transition
 from splitcvl.trico import (
     PartitionDecision,
     Scenario,
@@ -66,17 +66,26 @@ class TestSpaces:
         assert env.n_states == 2
 
     def test_action_encoding_round_trip(self):
+        # an action id is the mixed-radix number of the cuts, first device first
         env = PartitionEnv(default_scenario())
         for a in range(env.n_actions):
-            decision = env.decode_action(a)
-            assert env.encode_action(decision.cuts) == a
-            assert len(decision.cuts) == 2
-            assert all(0 <= c < 5 for c in decision.cuts)
+            assert env.decode_action(a).cuts == divmod(a, 5)
+        with pytest.raises(ValueError):
+            env.decode_action(env.n_actions)
 
     def test_state_encoding_round_trip(self):
-        env = PartitionEnv(default_scenario(), snr_bins=3, horizon=2)
-        for s in range(env.n_states):
-            assert env.encode_state(env.decode_state(s)) == s
+        # state id = step * n_combos + combo, the combo a mixed-radix number
+        # of the devices' bins, first device first; DQN and PPO features and
+        # the tabular agents' rows depend on this layout
+        env = PartitionEnv(default_scenario(), bandwidth_bins=2, snr_bins=3, horizon=2)
+        n_bins = 6
+        n_combos = n_bins * n_bins
+        assert env.n_states == 2 * n_combos
+        for step in range(2):
+            for b0 in range(n_bins):
+                for b1 in range(n_bins):
+                    state_id = step * n_combos + b0 * n_bins + b1
+                    assert env.decode_state(state_id) == ((b0, b1), step)
 
     def test_state_features_are_one_hots(self):
         env = PartitionEnv(default_scenario(), snr_bins=2)
@@ -144,14 +153,14 @@ class TestStep:
         env = PartitionEnv(default_scenario(), horizon=3)
         rng = np.random.default_rng(6)
         state = env.reset(rng)
-        assert env.decode_state(state).step == 0
+        assert env.decode_state(state)[1] == 0
         tr = env.step(state, 0, rng)
         assert not tr.done
-        assert env.decode_state(tr.next_state).step == 1
+        assert env.decode_state(tr.next_state)[1] == 1
         tr2 = env.step(tr.next_state, 0, rng)
         tr3 = env.step(tr2.next_state, 0, rng)
         assert tr3.done
-        assert env.decode_state(tr3.next_state).step == 0
+        assert env.decode_state(tr3.next_state)[1] == 0
 
     def test_terminal_step_draws_next_channels_but_leaves_next_state_0(self):
         # the next state's uniforms are drawn on every step, so the random
@@ -175,9 +184,9 @@ class TestStep:
         rng = np.random.default_rng(7)
         for _ in range(200):
             s = env.reset(rng)
-            st = env.decode_state(s)
-            assert len(st.channel_bins) == 2
-            assert all(0 <= b < 12 for b in st.channel_bins)
+            bins, _ = env.decode_state(s)
+            assert len(bins) == 2
+            assert all(0 <= b < 12 for b in bins)
 
 
 class TestReplayBuffer:
@@ -213,10 +222,5 @@ class TestReplayBuffer:
 class TestEnvState:
     def test_decode_fields(self):
         env = PartitionEnv(default_scenario(), snr_bins=2, horizon=2)
-        state = EnvState(channel_bins=(1, 0), step=1)
-        assert env.decode_state(env.encode_state(state)) == state
-
-    def test_out_of_range_digit_rejected(self):
-        env = PartitionEnv(default_scenario(), snr_bins=2)
-        with pytest.raises(ValueError):
-            env.encode_state(EnvState((5, 0), 0))
+        # step 1, first device in bin 1, second in bin 0
+        assert env.decode_state(1 * 4 + 1 * 2 + 0) == ((1, 0), 1)
