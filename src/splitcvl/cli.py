@@ -220,6 +220,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error(f"argument --jobs: must be >= 1, got {args.jobs}")
+    if args.seed is not None and args.seed < 0:
+        parser.error(f"argument --seed: must be >= 0, got {args.seed}")
     try:
         if args.command == "privacy":
             return cmd_privacy(args)

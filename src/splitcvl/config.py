@@ -7,36 +7,36 @@ and reported with the offending key path.
 
 Sections (all optional unless a command needs them):
 
-  devices:          list of {id, kind, peak_flops?, compute_power_w?,
-                    tx_power_w?}; omitted numbers fall back to the
-                    per-kind defaults
+  devices:          list of DeviceProfile fields {id, kind, peak_flops?,
+                    compute_power_w?, tx_power_w?}; omitted numbers fall
+                    back to the per-kind defaults
   channels:         per device id, either {fixed: {bandwidth_hz,
                     snr_db | snr_linear}} or {distribution: {bandwidth_hz:
                     [lo, hi], snr_db: [lo, hi]}}
   model:            {builtin: resnet50_usam, input_h? (224), input_w? (224),
                     usam_flops_fraction?} or {profile_file: path}
-  confidentiality:  {table: [{kl_open, kl_closed, ssim_open?,
-                    ssim_closed?}, ...]}, one row per cut in candidate
-                    order, or
-                    {corpus_dir: path}, or {table_file: path}; omitted
-                    entirely means the monotone default table
-  weights:          {w_comm?, w_comp?, w_conf?, alpha_open?,
-                    lambda_latency?}
-  optimizer:        {agent?, steps?, seed?, horizon?, bandwidth_bins?,
-                    snr_bins?, hyper?: {...Hyperparams fields...}}
-  retrieval:        {locations?, dim?, seeds?, seed?, noise?: {satellite?,
-                    uav?, ground?}, images_per_view?, fusion?}
+  confidentiality:  {table: [ConfEntry fields, ...]}, one row per cut in
+                    candidate order, or {corpus_dir: path}, or
+                    {table_file: path}; omitted entirely means the
+                    monotone default table
+  weights:          TriCoWeights fields
+  optimizer:        OptimizerConfig fields; hyper: Hyperparams fields
+  retrieval:        RetrievalConfig fields; noise: ViewNoise fields
 
-Integer keys (counts, seeds, sizes) take an int or a float with an
-integral value, so 1.0e3 is 1000 and 2.5 is an error. An omitted key
-takes the default of the dataclass or builder that receives it; only
-input_h and input_w default here.
+Each key is read by the type of its dataclass field. Integer keys take an
+int or a float with an integral value, so 1.0e3 is 1000 and 2.5 is an
+error; seeds must be >= 0. Name keys (id, kind, agent, fusion) take a
+scalar as its text, so ``id: 7`` is "7"; a list or mapping is an error.
+An omitted key takes the default of the dataclass or builder that
+receives it; only input_h and input_w default here. A whole top-level
+section may be null, meaning all defaults; a nested one may not.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import MISSING, asdict, dataclass, fields as dataclass_fields
 from pathlib import Path
 
 import yaml
@@ -46,7 +46,7 @@ from .netmodel import (
     ChannelDistribution,
     ChannelState,
     DeviceProfile,
-    KIND_DEFAULTS,
+    device_from_kind,
     shannon_rate,
     snr_db_to_linear,
 )
@@ -79,10 +79,25 @@ class OptimizerConfig:
     hyper: Hyperparams = Hyperparams()
 
     def __post_init__(self) -> None:
+        if self.agent not in AGENTS:
+            raise ValueError(
+                f"unknown agent {self.agent!r}; choose one of {sorted(AGENTS)}"
+            )
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.horizon < 1 or self.bandwidth_bins < 1 or self.snr_bins < 1:
             raise ValueError("horizon, bandwidth_bins and snr_bins must be >= 1")
+
+
+@dataclass(frozen=True)
+class ViewNoise:
+    """Embedding noise of each view's images."""
+
+    satellite: float = 0.0
+    uav: float = 0.5
+    ground: float = 0.5
 
 
 @dataclass(frozen=True)
@@ -91,9 +106,7 @@ class RetrievalConfig:
     dim: int = 64
     seeds: int = 10
     seed: int = 0
-    noise_satellite: float = 0.0
-    noise_uav: float = 0.5
-    noise_ground: float = 0.5
+    noise: ViewNoise = ViewNoise()
     images_per_view: int = 4
     fusion: str = "mean"
 
@@ -102,16 +115,16 @@ class RetrievalConfig:
             raise ValueError("locations and dim must be >= 2")
         if self.seeds < 1 or self.images_per_view < 1:
             raise ValueError("seeds and images_per_view must be >= 1")
-        if min(self.view_noise.values()) < 0:
+        if min(vars(self.noise).values()) < 0:
             raise ValueError("noise must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if self.fusion not in ("mean", "max_score"):
+            raise ValueError(f"fusion must be 'mean' or 'max_score', got {self.fusion!r}")
 
     @property
     def view_noise(self) -> dict[str, float]:
-        return {
-            "satellite": self.noise_satellite,
-            "uav": self.noise_uav,
-            "ground": self.noise_ground,
-        }
+        return asdict(self.noise)
 
 
 @dataclass(frozen=True)
@@ -165,9 +178,70 @@ def _get_number(node: dict, key: str, path: str):
     return _coerce_number(node[key], f"{path}.{key}")
 
 
-def _present_ints(node: dict, keys: tuple[str, ...], path: str) -> dict[str, int]:
-    """The integer keys that ``node`` sets; absent ones keep their defaults."""
-    return {key: _coerce_int(node[key], f"{path}.{key}") for key in keys if key in node}
+def _read_bool(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{path}: expected true or false, got {value!r}")
+    return value
+
+
+def _read_name(value, path: str) -> str:
+    """A scalar as its text (``id: 7`` is ``"7"``); a list or mapping is an error."""
+    if isinstance(value, (list, dict, set)):
+        raise ConfigError(f"{path}: expected a name, got {type(value).__name__}")
+    return str(value)
+
+
+def _read_int_tuple(value, path: str) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: expected a list of ints")
+    return tuple(_coerce_int(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+
+@functools.cache
+def _field_readers(cls) -> tuple[dict, tuple[str, ...]]:
+    """``cls``'s reader per field name, and its fields without a default."""
+    readers, required = {}, []
+    for f in dataclass_fields(cls):
+        if f.type not in _READERS:
+            raise TypeError(f"{cls.__name__}.{f.name}: no config reader for {f.type!r}")
+        readers[f.name] = _READERS[f.type]
+        if f.default is MISSING:
+            required.append(f.name)
+    return readers, tuple(required)
+
+
+def _read_fields(cls, node, path: str) -> dict:
+    """The keys ``node`` sets, each read by the type of ``cls``'s field."""
+    node = _require_mapping(node, path)
+    readers, _ = _field_readers(cls)
+    _check_keys(node, readers.keys(), path)
+    return {key: readers[key](value, f"{path}.{key}") for key, value in node.items()}
+
+
+def _read(cls, node, path: str):
+    """A ``cls`` built from a mapping; omitted keys take the class defaults."""
+    values = _read_fields(cls, node, path)
+    for name in _field_readers(cls)[1]:
+        if name not in values:
+            raise ConfigError(f"{path}: missing required key {name!r}")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+# the reader of each field annotation the config dataclasses use; under
+# ``from __future__ import annotations`` an annotation is its source text
+_READERS = {
+    "int": _coerce_int,
+    "float": _coerce_number,
+    "float | None": _coerce_number,  # None is only the default; null is an error
+    "bool": _read_bool,
+    "str": _read_name,
+    "tuple[int, ...]": _read_int_tuple,
+    "Hyperparams": functools.partial(_read, Hyperparams),
+    "ViewNoise": functools.partial(_read, ViewNoise),
+}
 
 
 def _parse_devices(node, path: str) -> tuple[DeviceProfile, ...]:
@@ -177,29 +251,14 @@ def _parse_devices(node, path: str) -> tuple[DeviceProfile, ...]:
     seen_ids = set()
     for i, entry in enumerate(node):
         dpath = f"{path}[{i}]"
-        entry = _require_mapping(entry, dpath)
-        _check_keys(
-            entry,
-            {"id", "kind", "peak_flops", "compute_power_w", "tx_power_w"},
-            dpath,
-        )
-        if "id" not in entry or "kind" not in entry:
+        values = _read_fields(DeviceProfile, entry, dpath)
+        if "id" not in values or "kind" not in values:
             raise ConfigError(f"{dpath}: devices need 'id' and 'kind'")
-        kind = entry["kind"]
-        if kind not in KIND_DEFAULTS:
-            raise ConfigError(
-                f"{dpath}.kind: unknown kind {kind!r}; allowed: "
-                f"{sorted(KIND_DEFAULTS)}"
-            )
-        if entry["id"] in seen_ids:
-            raise ConfigError(f"{dpath}.id: duplicate device id {entry['id']!r}")
-        seen_ids.add(entry["id"])
-        values = dict(KIND_DEFAULTS[kind])
-        for key in ("peak_flops", "compute_power_w", "tx_power_w"):
-            if key in entry:
-                values[key] = _get_number(entry, key, dpath)
+        if values["id"] in seen_ids:
+            raise ConfigError(f"{dpath}.id: duplicate device id {values['id']!r}")
+        seen_ids.add(values["id"])
         try:
-            devices.append(DeviceProfile(id=str(entry["id"]), kind=kind, **values))
+            devices.append(device_from_kind(**values))
         except ValueError as exc:
             raise ConfigError(f"{dpath}: {exc}") from exc
     return tuple(devices)
@@ -291,8 +350,10 @@ def _parse_model(node, path: str, base_dir: Path) -> ModelProfile:
                 f"{path}.builtin: only 'resnet50_usam' is available, "
                 f"got {node['builtin']!r}"
             )
-        kwargs = {"input_h": 224, "input_w": 224}
-        kwargs.update(_present_ints(node, ("input_h", "input_w"), path))
+        kwargs = {
+            key: _coerce_int(node.get(key, 224), f"{path}.{key}")
+            for key in ("input_h", "input_w")
+        }
         if "usam_flops_fraction" in node:
             kwargs["usam_flops_fraction"] = _get_number(node, "usam_flops_fraction", path)
         return build_resnet50_usam_profile(**kwargs)
@@ -315,24 +376,9 @@ def _parse_confidentiality(node, path: str, base_dir: Path, num_candidates: int)
             rows = node["table"]
             if not isinstance(rows, list) or not rows:
                 raise ConfigError(f"{path}.table: expected a nonempty list")
-            entries = []
-            for i, row in enumerate(rows):
-                rpath = f"{path}.table[{i}]"
-                row = _require_mapping(row, rpath)
-                _check_keys(
-                    row, {"kl_open", "kl_closed", "ssim_open", "ssim_closed"}, rpath
-                )
-                entries.append(
-                    ConfEntry(
-                        kl_open=_get_number(row, "kl_open", rpath),
-                        kl_closed=_get_number(row, "kl_closed", rpath),
-                        **{
-                            key: _get_number(row, key, rpath)
-                            for key in ("ssim_open", "ssim_closed") if key in row
-                        },
-                    )
-                )
-            return ConfidentialityTable(tuple(entries))
+            return ConfidentialityTable(tuple(
+                _read(ConfEntry, row, f"{path}.table[{i}]") for i, row in enumerate(rows)
+            ))
         if "table_file" in node:
             text = (base_dir / str(node["table_file"])).read_text()
             table, _ = parse_conf_table(text)
@@ -345,106 +391,10 @@ def _parse_confidentiality(node, path: str, base_dir: Path, num_candidates: int)
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _parse_weights(node, path: str) -> TriCoWeights:
-    if node is None:
-        return TriCoWeights()
-    node = _require_mapping(node, path)
-    _check_keys(
-        node, {"w_comm", "w_comp", "w_conf", "alpha_open", "lambda_latency"}, path
-    )
-    kwargs = {key: _get_number(node, key, path) for key in node}
-    try:
-        return TriCoWeights(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-_OPTIMIZER_INTS = ("steps", "seed", "horizon", "bandwidth_bins", "snr_bins")
-# Hyperparams' integer fields are the ones whose default is an int
-_HYPER_INTS = tuple(
-    f.name for f in dataclass_fields(Hyperparams) if type(f.default) is int
-)
-
-
-def _parse_hyper(node, path: str) -> Hyperparams:
-    node = _require_mapping(node, path)
-    _check_keys(node, {f.name for f in dataclass_fields(Hyperparams)}, path)
-    kwargs = {}
-    for key, value in node.items():
-        kpath = f"{path}.{key}"
-        if key == "hidden":
-            if not isinstance(value, list):
-                raise ConfigError(f"{kpath}: expected a list of ints")
-            value = tuple(_coerce_int(h, f"{kpath}[{i}]") for i, h in enumerate(value))
-        elif key in _HYPER_INTS:
-            value = _coerce_int(value, kpath)
-        elif key != "ac_replay":
-            value = _coerce_number(value, kpath)
-        kwargs[key] = value
-    try:
-        return Hyperparams(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _parse_optimizer(node, path: str) -> OptimizerConfig:
-    if node is None:
-        return OptimizerConfig()
-    node = _require_mapping(node, path)
-    _check_keys(
-        node,
-        {
-            "agent", "steps", "seed", "horizon",
-            "bandwidth_bins", "snr_bins", "hyper",
-        },
-        path,
-    )
-    kwargs = {}
-    if "agent" in node:
-        agent = node["agent"]
-        if agent not in AGENTS:
-            raise ConfigError(
-                f"{path}.agent: unknown agent {agent!r}; choose one of {sorted(AGENTS)}"
-            )
-        kwargs["agent"] = agent
-    if "hyper" in node:
-        kwargs["hyper"] = _parse_hyper(node["hyper"], f"{path}.hyper")
-    kwargs.update(_present_ints(node, _OPTIMIZER_INTS, path))
-    try:
-        return OptimizerConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _parse_retrieval(node, path: str) -> RetrievalConfig:
-    if node is None:
-        return RetrievalConfig()
-    node = _require_mapping(node, path)
-    _check_keys(
-        node,
-        {"locations", "dim", "seeds", "seed", "noise", "images_per_view", "fusion"},
-        path,
-    )
-    kwargs = {}
-    if "noise" in node:
-        noise_node = _require_mapping(node["noise"], f"{path}.noise")
-        _check_keys(noise_node, {"satellite", "uav", "ground"}, f"{path}.noise")
-        for key in noise_node:
-            kwargs[f"noise_{key}"] = _get_number(noise_node, key, f"{path}.noise")
-    if "fusion" in node:
-        fusion = node["fusion"]
-        if fusion not in ("mean", "max_score"):
-            raise ConfigError(
-                f"{path}.fusion: expected 'mean' or 'max_score', got {fusion!r}"
-            )
-        kwargs["fusion"] = fusion
-    kwargs.update(
-        _present_ints(node, ("locations", "dim", "seeds", "seed", "images_per_view"), path)
-    )
-    try:
-        return RetrievalConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+def _read_section(root: dict, name: str, cls):
+    """A top-level section; an omitted or null one is all defaults."""
+    node = root.get(name)
+    return cls() if node is None else _read(cls, node, name)
 
 
 TOP_LEVEL_SECTIONS = {
@@ -500,7 +450,7 @@ def parse_config(text: str, base_dir: Path | None = None) -> ScenarioConfig:
             root.get("confidentiality"), "confidentiality", base_dir,
             profile.num_candidates,
         )
-        weights = _parse_weights(root.get("weights"), "weights")
+        weights = _read_section(root, "weights", TriCoWeights)
         try:
             scenario = Scenario(
                 devices=devices,
@@ -519,8 +469,8 @@ def parse_config(text: str, base_dir: Path | None = None) -> ScenarioConfig:
 
     return ScenarioConfig(
         scenario=scenario,
-        optimizer=_parse_optimizer(root.get("optimizer"), "optimizer"),
-        retrieval=_parse_retrieval(root.get("retrieval"), "retrieval"),
+        optimizer=_read_section(root, "optimizer", OptimizerConfig),
+        retrieval=_read_section(root, "retrieval", RetrievalConfig),
         profile=profile,
     )
 

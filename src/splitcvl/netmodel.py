@@ -23,13 +23,11 @@ from dataclasses import dataclass
 
 from .errors import ZeroRateError
 
-DEVICE_KINDS = ("uav", "vehicle")
-
-# Default device constants. The UAV is modeled on a Quadro P400 class
-# board (0.641 TFLOPS FP32, 30 W max draw); the vehicle on a DRIVE AGX
-# Xavier class board (1.3 TFLOPS FP32). The vehicle wattage and both
-# transmit powers are artifact defaults, overridable per device in the
-# scenario config.
+# Default device constants per kind; its keys are the only device kinds.
+# The UAV is modeled on a Quadro P400 class board (0.641 TFLOPS FP32, 30 W
+# max draw); the vehicle on a DRIVE AGX Xavier class board (1.3 TFLOPS
+# FP32). The vehicle wattage and both transmit powers are artifact
+# defaults, overridable per device in the scenario config.
 KIND_DEFAULTS: dict[str, dict[str, float]] = {
     "uav": {"peak_flops": 0.641e12, "compute_power_w": 30.0, "tx_power_w": 1.0},
     "vehicle": {"peak_flops": 1.3e12, "compute_power_w": 30.0, "tx_power_w": 2.0},
@@ -47,7 +45,7 @@ class DeviceProfile:
     tx_power_w: float        # W drawn while transmitting
 
     def __post_init__(self) -> None:
-        if self.kind not in DEVICE_KINDS:
+        if self.kind not in KIND_DEFAULTS:
             raise ValueError(f"device {self.id!r}: unknown kind {self.kind!r}")
         for name in ("peak_flops", "compute_power_w", "tx_power_w"):
             if not 0 < getattr(self, name) < math.inf:
@@ -57,7 +55,7 @@ class DeviceProfile:
 def device_from_kind(id: str, kind: str, **overrides) -> DeviceProfile:
     """Build a DeviceProfile from per-kind defaults plus overrides."""
     if kind not in KIND_DEFAULTS:
-        raise ValueError(f"unknown device kind {kind!r}")
+        raise ValueError(f"unknown kind {kind!r}; allowed: {sorted(KIND_DEFAULTS)}")
     fields = dict(KIND_DEFAULTS[kind])
     fields.update(overrides)
     return DeviceProfile(id=id, kind=kind, **fields)

@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from splitcvl.cli import main as cli_main, retrieval_grid
-from splitcvl.config import RetrievalConfig
+from splitcvl.config import RetrievalConfig, ViewNoise
 from splitcvl.nnprofile import build_resnet50_usam_profile, device_flops, intermediate_bytes
 from splitcvl.privmetrics import (
     Histogram,
@@ -198,7 +198,7 @@ def test_criterion_6_metric_oracles():
 def test_criterion_7_retrieval_trend():
     ret = RetrievalConfig(
         locations=200, dim=64, seeds=10,
-        noise_satellite=0.0, noise_uav=0.5, noise_ground=0.5, images_per_view=4,
+        noise=ViewNoise(satellite=0.0, uav=0.5, ground=0.5), images_per_view=4,
     )
     rows = retrieval_grid(ret, base_seed=0)
     cells = {(r["uav_images"], r["ground_images"]): r for r in rows}

@@ -420,6 +420,77 @@ def test_jobs_below_one_rejected(jobs, config_path, capsys):
     assert "--jobs" in capsys.readouterr().err
 
 
+def test_negative_seed_flag_rejected(config_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["optimize", "--config", config_path, "--seed", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == "splitcvl: error: argument --seed: must be >= 0, got -1"
+
+
+# values the config load rejects, whatever the command: (command, error
+# text, config text); each exits 2 with that one stderr line
+BAD_CONFIG_VALUES = {
+    "optimizer_seed_negative": (
+        "optimize", "optimizer: seed must be >= 0",
+        optimizer_config("agent: q_learning, seed: -1"),
+    ),
+    "retrieval_seed_negative": (
+        "retrieval-sim", "retrieval: seed must be >= 0",
+        QUICK_CONFIG.replace("seeds: 2}", "seeds: 2, seed: -1}"),
+    ),
+    "agent_list": (
+        "profile", "optimizer.agent: expected a name, got list", optimizer_config("agent: [1]"),
+    ),
+    "kind_list": (
+        "cost", "devices[0].kind: expected a name, got list",
+        QUICK_CONFIG.replace("kind: uav}", "kind: [uav]}"),
+    ),
+    "id_list": (
+        "oracle", "devices[0].id: expected a name, got list",
+        QUICK_CONFIG.replace("id: uav1,", "id: [1],"),
+    ),
+    "id_mapping": (
+        "cost", "devices[0].id: expected a name, got dict",
+        QUICK_CONFIG.replace("id: uav1,", "id: {a: 1},"),
+    ),
+    "fusion_list": (
+        "retrieval-sim", "retrieval.fusion: expected a name, got list",
+        QUICK_CONFIG.replace("seeds: 2}", "seeds: 2, fusion: [mean]}"),
+    ),
+    # only a whole top-level section may be null
+    "table_row_null": (
+        "cost", "confidentiality.table[0]: expected a mapping, got NoneType",
+        QUICK_CONFIG
+        + "confidentiality: {table: [null%s]}\n" % (", {kl_open: 1.0, kl_closed: 1.0}" * 4),
+    ),
+    "device_null": (
+        "cost", "devices[0]: expected a mapping, got NoneType",
+        "devices: [null]\nmodel: {builtin: resnet50_usam}\n",
+    ),
+    "hyper_null": (
+        "optimize", "optimizer.hyper: expected a mapping, got NoneType",
+        optimizer_config("agent: q_learning, hyper: null"),
+    ),
+    "noise_null": (
+        "retrieval-sim", "retrieval.noise: expected a mapping, got NoneType",
+        QUICK_CONFIG.replace("seeds: 2}", "seeds: 2, noise: null}"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIG_VALUES))
+def test_bad_config_value_exits_2(case, tmp_path, capsys):
+    command, message, text = BAD_CONFIG_VALUES[case]
+    assert text != QUICK_CONFIG
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize(
     "command", ["profile", "cost", "oracle", "optimize", "retrieval-sim", "privacy"]
 )

@@ -1,3 +1,5 @@
+import re
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import pytest
@@ -6,16 +8,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitcvl import config
-from splitcvl.config import load_config, parse_config
+from splitcvl.config import (
+    OptimizerConfig,
+    RetrievalConfig,
+    ViewNoise,
+    load_config,
+    parse_config,
+)
 from splitcvl.errors import ConfigError
-from splitcvl.netmodel import ChannelDistribution, ChannelState
-from splitcvl.trico import format_conf_table, default_conf_table
+from splitcvl.netmodel import ChannelDistribution, ChannelState, DeviceProfile
+from splitcvl.rlopt.agents import Hyperparams
+from splitcvl.trico import ConfEntry, TriCoWeights, format_conf_table, default_conf_table
 
 from helpers import save_profile
 
-STOCK_YAML = (
-    Path(__file__).resolve().parents[1] / "configs" / "scenario.yaml"
-).read_text()
+REPO = Path(__file__).resolve().parents[1]
+STOCK_YAML = (REPO / "configs" / "scenario.yaml").read_text()
 
 MINIMAL = """\
 devices:
@@ -115,6 +123,44 @@ class TestParsing:
         assert ret.locations == 42
         assert ret.view_noise["uav"] == 0.7
         assert ret.view_noise["ground"] == 0.5
+        assert ret.noise == ViewNoise(uav=0.7)
+
+    def test_null_top_level_sections_are_defaults(self):
+        cfg = parse_config(MINIMAL + "weights: null\noptimizer: null\nretrieval: null\n")
+        assert cfg.scenario.weights == TriCoWeights()
+        assert cfg.optimizer == OptimizerConfig()
+        assert cfg.retrieval == RetrievalConfig()
+
+    def test_scalar_names_read_as_text(self):
+        text = MINIMAL.replace("id: u1", "id: 7").replace("  u1:", "  '7':")
+        assert parse_config(text).scenario.devices[0].id == "7"
+
+    def test_readme_config_example_parses(self):
+        readme = (REPO / "README.md").read_text()
+        section = readme[readme.index("## Configuration"):]
+        block = re.search(r"```yaml\n(.*?)```", section, re.DOTALL).group(1)
+        cfg = parse_config(block)
+        assert cfg.scenario.num_devices == 2
+        assert cfg.scenario.conf_table == default_conf_table(5)
+        assert cfg.optimizer.agent == "actor_critic"
+
+
+@pytest.mark.parametrize("cls", [
+    OptimizerConfig, Hyperparams, RetrievalConfig, ViewNoise, TriCoWeights,
+    ConfEntry, DeviceProfile,
+])
+def test_every_config_field_has_a_reader(cls):
+    readers, _ = config._field_readers(cls)
+    assert list(readers) == [f.name for f in fields(cls)]
+
+
+def test_field_without_reader_is_an_error():
+    @dataclass(frozen=True)
+    class Odd:
+        value: complex = 0j
+
+    with pytest.raises(TypeError, match="Odd.value: no config reader"):
+        config._field_readers(Odd)
 
 
 class TestRejection:
@@ -212,6 +258,14 @@ class TestRejection:
             "devices:\n  - {id: u1, kind: uav}\n  - {id: u1, kind: uav}\n",
         )
         with pytest.raises(ConfigError, match="duplicate device id"):
+            parse_config(text)
+
+    def test_ids_compare_as_their_text(self):
+        text = MINIMAL.replace(
+            "devices:\n  - {id: u1, kind: uav}\n",
+            "devices:\n  - {id: 1, kind: uav}\n  - {id: '1', kind: uav}\n",
+        ).replace("  u1:", "  '1':")
+        with pytest.raises(ConfigError, match=r"devices\[1\].id: duplicate device id '1'"):
             parse_config(text)
 
     def test_missing_file(self, tmp_path):

@@ -29,7 +29,7 @@ from helpers import (
     reference_cell,
 )
 from splitcvl.cli import retrieval_grid
-from splitcvl.config import RetrievalConfig
+from splitcvl.config import RetrievalConfig, ViewNoise
 from splitcvl.errors import DimensionMismatchError, ZeroVectorError
 from splitcvl.retrieval import (
     Corpus,
@@ -485,7 +485,9 @@ class TestCorpus:
 
 class TestMetricsGrid:
     def test_shape_and_columns(self):
-        ret = RetrievalConfig(locations=20, dim=8, seeds=1, noise_uav=0.4, noise_ground=0.4)
+        ret = RetrievalConfig(
+            locations=20, dim=8, seeds=1, noise=ViewNoise(uav=0.4, ground=0.4)
+        )
         rows = retrieval_grid(ret, base_seed=0)
         assert len(rows) == 16
         text = format_metrics_table(rows)
