@@ -33,10 +33,6 @@ class ZeroVectorError(SplitCVLError):
     """A vector with (near-)zero norm cannot be normalized."""
 
 
-class NotNormalizedError(SplitCVLError):
-    """Histogram is not smoothed and normalized to unit mass."""
-
-
 class WindowTooLargeError(SplitCVLError):
     """SSIM window exceeds the image extent."""
 

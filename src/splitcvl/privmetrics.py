@@ -4,13 +4,14 @@ Two quantities describe how much an intermediate-feature reconstruction
 reveals about the original image:
 
   * SSIM, the structural similarity index, in [0, 1]. Computed over
-    non-overlapping windows (default 8x8) with the standard constants
+    non-overlapping 8x8 windows with the standard constants
     C1=(0.01*255)^2, C2=(0.03*255)^2 and population statistics. Higher
     SSIM means the attack recovered more structure, i.e. more leakage.
   * KL divergence between per-channel 256-bin pixel-intensity histograms,
-    in nats, direction KL(original || reconstruction), with additive
-    smoothing before normalization. Higher KL means the reconstruction
-    diverges more from the original, i.e. stronger confidentiality.
+    in nats, direction KL(original || reconstruction), with 1e-6 added to
+    every bin count before normalization. Higher KL means the
+    reconstruction diverges more from the original, i.e. stronger
+    confidentiality.
 
 The distribution behind the KL term is a modeling choice (pixel
 histograms); nothing finer-grained is implied. ``build_conf_table`` turns
@@ -20,7 +21,10 @@ SSIM per cut with exactly-rounded sums so the result is independent of
 triple order.
 
 Images load from binary PGM/PPM (P5/P6, 8-bit) or, for tests, from a
-comma-separated grayscale matrix. ``write_demo_corpus`` emits a synthetic
+comma-separated grayscale matrix. Files are checked once, as they are
+read, and the metrics then work on the validated uint8 arrays. An image
+must be at least 8x8, the SSIM window, and a corpus with two files for
+one role of a triple is rejected. ``write_demo_corpus`` emits a synthetic
 five-cut corpus whose reconstruction quality degrades with cut depth,
 standing in for real attack outputs.
 """
@@ -38,156 +42,109 @@ from .errors import (
     ConfigError,
     DimensionMismatchError,
     EmptyCutError,
-    NotNormalizedError,
     WindowTooLargeError,
 )
 from .trico import ConfEntry, ConfidentialityTable
 
 DYNAMIC_RANGE = 255  # 8-bit images throughout
+SMOOTHING = 1e-6  # added to every histogram bin count, so no probability is 0
+WINDOW = 8  # SSIM window side
+C1 = (0.01 * DYNAMIC_RANGE) ** 2
+C2 = (0.03 * DYNAMIC_RANGE) ** 2
 
 
 @dataclass(frozen=True)
 class Image:
-    """8-bit image, grayscale or RGB, pixels shaped (height, width, channels)."""
+    """8-bit image, grayscale or RGB: a read-only copy of uint8 pixels
+    shaped (height, width, channels), with 1 or 3 channels."""
 
-    width: int
-    height: int
-    channels: int
     pixels: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.channels not in (1, 3):
-            raise ValueError("channels must be 1 or 3")
-        px = np.asarray(self.pixels)
+        px = np.array(self.pixels)
         if px.dtype != np.uint8:
             raise ValueError("pixels must be uint8")
-        if px.shape != (self.height, self.width, self.channels):
-            raise ValueError(
-                f"pixel block shape {px.shape} does not match "
-                f"{self.height}x{self.width}x{self.channels}"
-            )
-        px = px.copy()
+        if px.ndim != 3 or px.shape[2] not in (1, 3):
+            raise ValueError(f"pixels must be (height, width, 1 or 3), got {px.shape}")
         px.flags.writeable = False
         object.__setattr__(self, "pixels", px)
 
-    @classmethod
-    def from_array(cls, array) -> "Image":
-        arr = np.asarray(array)
-        if arr.ndim == 2:
-            arr = arr[:, :, None]
-        if arr.ndim != 3:
-            raise ValueError("expected a 2-d or 3-d pixel array")
-        if arr.dtype != np.uint8:
-            if np.any(arr < 0) or np.any(arr > 255):
-                raise ValueError("pixel values must lie in [0, 255]")
-            arr = arr.astype(np.uint8)
-        h, w, c = arr.shape
-        return cls(width=w, height=h, channels=c, pixels=arr)
+    @property
+    def height(self) -> int:
+        return self.pixels.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.pixels.shape[1]
+
+    @property
+    def channels(self) -> int:
+        return self.pixels.shape[2]
 
 
-@dataclass(frozen=True)
-class Histogram:
-    """Smoothed, normalized per-channel intensity distribution."""
-
-    probs: np.ndarray  # shape (channels, bins)
-
-    def __post_init__(self) -> None:
-        probs = np.asarray(self.probs, dtype=np.float64)
-        if probs.ndim != 2:
-            raise ValueError("probs must be (channels, bins)")
-        if np.any(probs <= 0):
-            raise NotNormalizedError("histogram must be smoothed: all bins > 0")
-        sums = probs.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > 1e-12):
-            raise NotNormalizedError("histogram channels must sum to 1")
-        probs = probs.copy()
-        probs.flags.writeable = False
-        object.__setattr__(self, "probs", probs)
-
-    @classmethod
-    def from_counts(cls, counts, epsilon: float = 1e-6) -> "Histogram":
-        arr = np.atleast_2d(np.asarray(counts, dtype=np.float64))
-        if np.any(arr < 0):
-            raise ValueError("histogram counts must be >= 0")
-        if np.any(arr.sum(axis=1) <= 0):
-            raise ValueError("each channel needs at least one positive count")
-        if epsilon <= 0:
-            raise ValueError("smoothing epsilon must be > 0")
-        smoothed = arr + epsilon
-        probs = smoothed / smoothed.sum(axis=1, keepdims=True)
-        return cls(probs=probs)
+# (cut name, [(original, open-box, closed-box), ...]) per cut, in candidate order
+Corpus = list[tuple[str, list[tuple[Image, Image, Image]]]]
 
 
-def histogram_of(img: Image, bins: int = 256, epsilon: float = 1e-6) -> Histogram:
+def histogram_of(img: Image) -> np.ndarray:
+    """Smoothed per-channel intensity distribution, shaped (channels, 256);
+    every row is positive and sums to 1."""
     counts = np.stack(
         [
-            np.bincount(img.pixels[:, :, c].ravel(), minlength=bins)
+            np.bincount(img.pixels[:, :, c].ravel(), minlength=DYNAMIC_RANGE + 1)
             for c in range(img.channels)
         ]
     )
-    return Histogram.from_counts(counts, epsilon)
+    smoothed = counts.astype(np.float64) + SMOOTHING
+    return smoothed / smoothed.sum(axis=1, keepdims=True)
 
 
-def kl_divergence(p: Histogram, q: Histogram) -> float:
-    """KL(p || q) in nats, averaged over channels; asymmetric by design."""
-    if p.probs.shape != q.probs.shape:
-        raise DimensionMismatchError(
-            f"histogram shapes differ: {p.probs.shape} vs {q.probs.shape}"
-        )
-    per_channel = np.sum(p.probs * np.log(p.probs / q.probs), axis=1)
+def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
+    """KL(p || q) in nats, averaged over channels; asymmetric by design.
+
+    ``p`` and ``q`` are (channels, bins) rows of positive probabilities,
+    as ``histogram_of`` returns them.
+    """
+    if p.shape != q.shape:
+        raise DimensionMismatchError(f"histogram shapes differ: {p.shape} vs {q.shape}")
+    per_channel = np.sum(p * np.log(p / q), axis=1)
     return float(math.fsum(per_channel) / len(per_channel))
 
 
-def _ssim_terms(mu_a, mu_b, var_a, var_b, cov, c1, c2):
-    return ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / (
-        (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
-    )
-
-
-def ssim(
-    a: Image,
-    b: Image,
-    window: int = 8,
-    c1: float | None = None,
-    c2: float | None = None,
-) -> float:
+def ssim(a: Image, b: Image) -> float:
     """Mean structural similarity of two images, clamped to [0, 1].
 
-    The image is tiled into non-overlapping window x window patches
+    The image is tiled into non-overlapping WINDOW x WINDOW patches
     (trailing remainder pixels are ignored).
     """
-    if (a.width, a.height, a.channels) != (b.width, b.height, b.channels):
+    if a.pixels.shape != b.pixels.shape:
         raise DimensionMismatchError("images must share dimensions and channels")
-    if window < 1 or window > min(a.width, a.height):
-        raise WindowTooLargeError(
-            f"window {window} exceeds image extent {a.width}x{a.height}"
-        )
-    c1 = (0.01 * DYNAMIC_RANGE) ** 2 if c1 is None else c1
-    c2 = (0.03 * DYNAMIC_RANGE) ** 2 if c2 is None else c2
+    if WINDOW > min(a.width, a.height):
+        raise WindowTooLargeError(f"window {WINDOW} exceeds image extent {a.width}x{a.height}")
 
-    nh, nw = a.height // window, a.width // window
+    nh, nw = a.height // WINDOW, a.width // WINDOW
     values = []
     for ch in range(a.channels):
-        pa = a.pixels[: nh * window, : nw * window, ch].astype(np.float64)
-        pb = b.pixels[: nh * window, : nw * window, ch].astype(np.float64)
-        blocks_a = pa.reshape(nh, window, nw, window).transpose(0, 2, 1, 3)
+        pa = a.pixels[: nh * WINDOW, : nw * WINDOW, ch].astype(np.float64)
+        pb = b.pixels[: nh * WINDOW, : nw * WINDOW, ch].astype(np.float64)
+        blocks_a = pa.reshape(nh, WINDOW, nw, WINDOW).transpose(0, 2, 1, 3)
         blocks_a = blocks_a.reshape(nh * nw, -1)
-        blocks_b = pb.reshape(nh, window, nw, window).transpose(0, 2, 1, 3)
+        blocks_b = pb.reshape(nh, WINDOW, nw, WINDOW).transpose(0, 2, 1, 3)
         blocks_b = blocks_b.reshape(nh * nw, -1)
         mu_a = blocks_a.mean(axis=1)
         mu_b = blocks_b.mean(axis=1)
         var_a = (blocks_a**2).mean(axis=1) - mu_a**2
         var_b = (blocks_b**2).mean(axis=1) - mu_b**2
         cov = (blocks_a * blocks_b).mean(axis=1) - mu_a * mu_b
-        values.append(float(np.mean(_ssim_terms(mu_a, mu_b, var_a, var_b, cov, c1, c2))))
+        terms = ((2 * mu_a * mu_b + C1) * (2 * cov + C2)) / (
+            (mu_a**2 + mu_b**2 + C1) * (var_a + var_b + C2)
+        )
+        values.append(float(np.mean(terms)))
 
     return min(1.0, max(0.0, math.fsum(values) / len(values)))
 
 
-def build_conf_table(
-    corpus: list[tuple[str, list[tuple[Image, Image, Image]]]],
-    epsilon: float = 1e-6,
-) -> ConfidentialityTable:
+def build_conf_table(corpus: Corpus) -> ConfidentialityTable:
     """Average per-cut KL and SSIM of (original, open, closed) triples.
 
     Corpus entries are (cut_name, triples) in candidate order. Means use
@@ -199,11 +156,9 @@ def build_conf_table(
             raise EmptyCutError(f"cut {cut_name!r} has no image triples")
         kl_open, kl_closed, ssim_open, ssim_closed = [], [], [], []
         for orig, open_box, closed_box in triples:
-            h_orig = histogram_of(orig, epsilon=epsilon)
-            kl_open.append(kl_divergence(h_orig, histogram_of(open_box, epsilon=epsilon)))
-            kl_closed.append(
-                kl_divergence(h_orig, histogram_of(closed_box, epsilon=epsilon))
-            )
+            h_orig = histogram_of(orig)
+            kl_open.append(kl_divergence(h_orig, histogram_of(open_box)))
+            kl_closed.append(kl_divergence(h_orig, histogram_of(closed_box)))
             ssim_open.append(ssim(orig, open_box))
             ssim_closed.append(ssim(orig, closed_box))
         n = len(triples)
@@ -225,18 +180,17 @@ def write_image(img: Image, path) -> None:
     """Binary PGM (P5) for grayscale, PPM (P6) for color."""
     magic = b"P5" if img.channels == 1 else b"P6"
     header = magic + f" {img.width} {img.height} 255\n".encode()
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(img.pixels.tobytes())
+    Path(path).write_bytes(header + img.pixels.tobytes())
 
 
-def _read_pnm_tokens(data: bytes, count: int) -> tuple[list[int], int]:
-    """Read ``count`` whitespace-separated integer tokens, skipping comments."""
+def _read_pnm_header(data: bytes, path: Path) -> tuple[list[int], int]:
+    """Width, height and maxval after the magic, skipping comments, and
+    the raster's offset."""
     tokens: list[int] = []
-    pos = 0
-    while len(tokens) < count:
+    pos = 2
+    while len(tokens) < 3:
         if pos >= len(data):
-            raise ConfigError("truncated image header")
+            raise ConfigError(f"{path}: truncated image header")
         ch = data[pos : pos + 1]
         if ch.isspace():
             pos += 1
@@ -246,7 +200,7 @@ def _read_pnm_tokens(data: bytes, count: int) -> tuple[list[int], int]:
         else:
             match = re.match(rb"\d+", data[pos:])
             if not match:
-                raise ConfigError(f"bad header token at byte {pos}")
+                raise ConfigError(f"{path}: bad header token at byte {pos}")
             tokens.append(int(match.group()))
             pos += match.end()
     return tokens, pos + 1  # one whitespace byte separates header from raster
@@ -262,21 +216,25 @@ def read_image(path) -> Image:
     if magic not in (b"P5", b"P6"):
         raise ConfigError(f"{path}: unsupported image format {magic!r}")
     channels = 1 if magic == b"P5" else 3
-    (width, height, maxval), offset = _read_pnm_tokens(data[2:], 3)
-    offset += 2
+    (width, height, maxval), offset = _read_pnm_header(data, path)
     if maxval != 255:
         raise ConfigError(f"{path}: only maxval 255 is supported, got {maxval}")
+    if width == 0 or height == 0:
+        raise ConfigError(f"{path}: image is {width}x{height}; both sides must be positive")
     expected = width * height * channels
     raster = data[offset : offset + expected]
     if len(raster) != expected:
         raise ConfigError(f"{path}: raster holds {len(raster)} of {expected} bytes")
-    pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width, channels)
-    return Image(width=width, height=height, channels=channels, pixels=pixels)
+    return Image(np.frombuffer(raster, dtype=np.uint8).reshape(height, width, channels))
 
 
 def _read_csv_matrix(path: Path) -> Image:
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 at byte {exc.start}: {exc.reason}") from exc
     rows = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -289,19 +247,20 @@ def _read_csv_matrix(path: Path) -> Image:
     arr = np.array(rows)
     if np.any(arr < 0) or np.any(arr > 255):
         raise ConfigError(f"{path}: values must lie in [0, 255]")
-    return Image.from_array(arr.astype(np.uint8))
+    return Image(arr.astype(np.uint8)[:, :, None])
 
 
 _ROLES = ("orig", "open", "closed")
 
 
-def load_corpus_dir(path) -> list[tuple[str, list[tuple[Image, Image, Image]]]]:
+def load_corpus_dir(path) -> Corpus:
     """Read a reconstruction corpus from disk.
 
     Layout: one subdirectory per cut, taken in ascending name order (use
     numeric prefixes like ``0_conv1`` to fix candidate order); inside,
     triples are files ``orig_<id>``, ``open_<id>``, ``closed_<id>`` with
-    .pgm/.ppm/.csv extensions.
+    .pgm/.ppm/.csv extensions. Two files for one role of one triple (say
+    ``orig_1.csv`` and ``orig_1.pgm``) are rejected.
     """
     root = Path(path)
     if not root.is_dir():
@@ -313,11 +272,15 @@ def load_corpus_dir(path) -> list[tuple[str, list[tuple[Image, Image, Image]]]]:
     for cut_dir in cut_dirs:
         by_id: dict[str, dict[str, Path]] = {}
         for file in sorted(cut_dir.iterdir()):
-            stemedge = file.stem.split("_", 1)
-            if len(stemedge) != 2 or stemedge[0] not in _ROLES:
+            role, sep, triple_id = file.stem.partition("_")
+            if not sep or role not in _ROLES:
                 continue
-            role, triple_id = stemedge
-            by_id.setdefault(triple_id, {})[role] = file
+            roles = by_id.setdefault(triple_id, {})
+            if role in roles:
+                raise ConfigError(
+                    f"{cut_dir}: {roles[role].name} and {file.name} are both {file.stem}"
+                )
+            roles[role] = file
         triples = []
         for triple_id in sorted(by_id):
             roles = by_id[triple_id]
@@ -326,13 +289,7 @@ def load_corpus_dir(path) -> list[tuple[str, list[tuple[Image, Image, Image]]]]:
                     f"{cut_dir}: triple {triple_id!r} is missing "
                     f"{sorted(set(_ROLES) - set(roles))}"
                 )
-            triples.append(
-                (
-                    read_image(roles["orig"]),
-                    read_image(roles["open"]),
-                    read_image(roles["closed"]),
-                )
-            )
+            triples.append(tuple(read_image(roles[role]) for role in _ROLES))
         if not triples:
             raise EmptyCutError(f"corpus cut {cut_dir.name!r} contains no triples")
         corpus.append((cut_dir.name, triples))
@@ -371,7 +328,7 @@ def _demo_original(rng: np.random.Generator, size: int) -> Image:
         mask = (xx - cx) ** 2 + (yy - cy) ** 2 <= r**2
         base[mask] = float(rng.integers(10, 245))
     quantized = np.round(base / 32.0) * 32.0
-    return Image.from_array(np.clip(quantized, 0, 255).astype(np.uint8))
+    return Image(np.clip(quantized, 0, 255).astype(np.uint8)[:, :, None])
 
 
 def _blend_with_noise(img: Image, t: float, rng: np.random.Generator) -> Image:
@@ -379,12 +336,10 @@ def _blend_with_noise(img: Image, t: float, rng: np.random.Generator) -> Image:
     noise = rng.integers(0, 256, size=img.pixels.shape, dtype=np.int64)
     mask = rng.random(size=img.pixels.shape) < t
     mixed = np.where(mask, noise, img.pixels.astype(np.int64))
-    return Image.from_array(mixed.astype(np.uint8))
+    return Image(mixed.astype(np.uint8))
 
 
-def make_demo_corpus(
-    seed: int = 0, triples_per_cut: int = 6, size: int = 32
-) -> list[tuple[str, list[tuple[Image, Image, Image]]]]:
+def make_demo_corpus(seed: int = 0, triples_per_cut: int = 6, size: int = 32) -> Corpus:
     """In-memory five-cut corpus with depth-dependent reconstruction decay."""
     rng = np.random.default_rng(seed)
     originals = [_demo_original(rng, size) for _ in range(triples_per_cut)]

@@ -230,6 +230,13 @@ def grad_check(net, inputs, targets, h=1e-5):
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
+def smoothed_histogram(counts, epsilon=1e-6):
+    """(channels, bins) probabilities for ``kl_divergence``: each row of
+    ``counts`` plus ``epsilon``, normalized to sum 1."""
+    smoothed = np.atleast_2d(np.asarray(counts, dtype=np.float64)) + epsilon
+    return smoothed / smoothed.sum(axis=1, keepdims=True)
+
+
 # -- retrieval oracle: rank by sorting, score by definition ---------------
 
 

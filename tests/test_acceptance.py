@@ -13,13 +13,7 @@ import numpy as np
 from splitcvl.cli import main as cli_main, retrieval_grid
 from splitcvl.config import RetrievalConfig, ViewNoise
 from splitcvl.nnprofile import build_resnet50_usam_profile, device_flops, intermediate_bytes
-from splitcvl.privmetrics import (
-    Histogram,
-    build_conf_table,
-    make_demo_corpus,
-    ssim,
-    write_demo_corpus,
-)
+from splitcvl.privmetrics import build_conf_table, make_demo_corpus, ssim, write_demo_corpus
 from splitcvl.rlopt.agents import (
     policy_effect,
     train_actor_critic,
@@ -32,7 +26,7 @@ from splitcvl.rlopt.env import PartitionEnv
 from splitcvl.rlopt.nets import TinyNet
 from splitcvl.trico import conf_cost, default_scenario, optimal_decision
 
-from helpers import grad_check, oracle_enumerate, random_scenario
+from helpers import grad_check, oracle_enumerate, random_scenario, smoothed_histogram
 from test_nnprofile import oracle_candidate_elements, oracle_conv_flops
 from test_privmetrics import random_image, spearman
 from test_retrieval import oracle_ap, oracle_recall, ranking_from_relevance
@@ -233,11 +227,11 @@ def test_criterion_8_privacy_metrics():
     from splitcvl.privmetrics import kl_divergence
 
     for _ in range(1000):
-        p = Histogram.from_counts(rng.integers(0, 40, size=(1, 32)) + 0.0)
-        q = Histogram.from_counts(rng.integers(0, 40, size=(1, 32)) + 0.0)
+        p = smoothed_histogram(rng.integers(0, 40, size=(1, 32)))
+        q = smoothed_histogram(rng.integers(0, 40, size=(1, 32)))
         if kl_divergence(p, q) < 0:
             failures.append("negative KL")
-    p = Histogram.from_counts(rng.integers(1, 40, size=(1, 32)) + 0.0)
+    p = smoothed_histogram(rng.integers(1, 40, size=(1, 32)))
     if kl_divergence(p, p) != 0.0:
         failures.append("KL(p,p) != 0")
 

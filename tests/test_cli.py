@@ -637,9 +637,7 @@ class TestPrivacyCommand:
         for cut in ("0_a", "1_b"):
             cut_dir = corpus / cut
             cut_dir.mkdir(parents=True)
-            img = Image.from_array(
-                rng.integers(0, 256, size=(16, 16, 1)).astype("uint8")
-            )
+            img = Image(rng.integers(0, 256, size=(16, 16, 1)).astype(np.uint8))
             for role in ("orig", "open", "closed"):
                 write_image(img, cut_dir / f"{role}_000.pgm")
         assert main(["privacy", str(corpus)]) == 0

@@ -26,7 +26,10 @@ that see those bootstraps. They were recorded before DQN and PPO stopped
 running the bootstrap forward on all-terminal batches.
 
 The ``privacy`` digest, on a fixed demo corpus, was recorded before the
-CLI parser was cached and configs moved to libyaml.
+CLI parser was cached and configs moved to libyaml. The color ``privacy``
+digest, on a corpus this module writes byte by byte (3-channel 37x45 PPM
+and one 11x9 CSV triple), was recorded before the privacy stage moved
+from histogram and image records to plain arrays.
 
 Last-digit float results of numpy and its BLAS (tanh, exp, small matrix
 products) can differ between platforms, and the network agents' traces
@@ -88,6 +91,8 @@ RETRIEVAL_SECTIONS = {
 }
 # write_demo_corpus(seed=4, triples_per_cut=3): KL and SSIM per cut
 PRIVACY_DIGEST = "e62ea450c093b3d8b6033bafe6e1f65819c902ebc942344aeda1dfc2fb69551a"
+# write_color_corpus(): 37x45 RGB PPM triples plus one CSV triple
+COLOR_PRIVACY_DIGEST = "0d6e00a6e70edec0739ed4fdd3804f74d07b96bd20839865b1da71b22427fbf1"
 PLATFORM_DIGEST = "e493df5eb2425930d9e0a1eff9152ad6a238a42aac2ec1fae4eb2d156ee8982d"
 
 
@@ -183,3 +188,34 @@ def test_privacy_digest(tmp_path):
     out = tmp_path / "conf.csv"
     assert main(["privacy", str(corpus), "--out", str(out)]) == 0
     assert sha256(out) == PRIVACY_DIGEST
+
+
+def write_color_corpus(root: Path) -> None:
+    """Two cuts of 37x45 P6 triples, sides not multiples of the SSIM
+    window, and one 11x9 grayscale CSV triple, written without the
+    package's image writer."""
+    rng = np.random.default_rng(11)
+    yy, xx = np.mgrid[0:45, 0:37]
+    for cut, t in (("0_shallow", 0.1), ("1_deep", 0.6)):
+        cut_dir = root / cut
+        cut_dir.mkdir(parents=True)
+        for i in range(2):
+            ramp = np.stack([(xx * (c + 2) + yy * 5 + 40 * i) % 256 for c in range(3)], -1)
+            orig = (ramp // 32 * 32).astype(np.uint8)
+            for role, frac in (("orig", 0.0), ("open", t), ("closed", t / 2)):
+                noise = rng.integers(0, 256, size=orig.shape, dtype=np.uint8)
+                pixels = np.where(rng.random(orig.shape) < frac, noise, orig)
+                (cut_dir / f"{role}_{i}.ppm").write_bytes(b"P6\n37 45\n255\n" + pixels.tobytes())
+    for role, frac in (("orig", 0.0), ("open", 0.5), ("closed", 0.3)):
+        values = np.where(rng.random((9, 11)) < frac, rng.integers(0, 256, (9, 11)),
+                          np.arange(99).reshape(9, 11) * 2)
+        text = "".join(",".join(str(v) for v in row) + "\n" for row in values.tolist())
+        (root / "1_deep" / f"{role}_csv.csv").write_text(text)
+
+
+def test_color_privacy_digest(tmp_path):
+    corpus = tmp_path / "corpus"
+    write_color_corpus(corpus)
+    out = tmp_path / "conf.csv"
+    assert main(["privacy", str(corpus), "--out", str(out)]) == 0
+    assert sha256(out) == COLOR_PRIVACY_DIGEST

@@ -1,18 +1,19 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from splitcvl.cli import main
 from splitcvl.errors import (
     ConfigError,
     DimensionMismatchError,
     EmptyCutError,
-    NotNormalizedError,
     WindowTooLargeError,
 )
 from splitcvl.privmetrics import (
     DEMO_CUT_BLENDS,
-    Histogram,
     Image,
     build_conf_table,
     histogram_of,
@@ -26,17 +27,17 @@ from splitcvl.privmetrics import (
 )
 from splitcvl.trico import conf_cost
 
+from helpers import smoothed_histogram
+
+PERFBENCH_SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
 
 def const_image(value, size=16, channels=1):
-    return Image.from_array(
-        np.full((size, size, channels), value, dtype=np.uint8)
-    )
+    return Image(np.full((size, size, channels), value, dtype=np.uint8))
 
 
 def random_image(rng, size=16, channels=1):
-    return Image.from_array(
-        rng.integers(0, 256, size=(size, size, channels)).astype(np.uint8)
-    )
+    return Image(rng.integers(0, 256, size=(size, size, channels)).astype(np.uint8))
 
 
 def spearman(xs, ys):
@@ -91,7 +92,7 @@ class TestSSIM:
 
     def test_window_too_large(self):
         with pytest.raises(WindowTooLargeError):
-            ssim(const_image(0, size=16), const_image(0, size=16), window=17)
+            ssim(const_image(0, size=7), const_image(0, size=7))
 
 
 class TestKL:
@@ -104,8 +105,8 @@ class TestKL:
     def test_point_mass_vs_uniform_two_bins(self):
         # P=(1,0), Q=(.5,.5): the epsilon-smoothed value approaches ln 2.
         eps = 1e-9
-        p = Histogram.from_counts([[1.0, 0.0]], epsilon=eps)
-        q = Histogram.from_counts([[0.5, 0.5]], epsilon=eps)
+        p = smoothed_histogram([[1.0, 0.0]], epsilon=eps)
+        q = smoothed_histogram([[0.5, 0.5]], epsilon=eps)
         # independent hand evaluation of the smoothed closed form
         p0, p1 = (1 + eps) / (1 + 2 * eps), eps / (1 + 2 * eps)
         q0 = (0.5 + eps) / (1 + 2 * eps)
@@ -116,32 +117,20 @@ class TestKL:
     def test_non_negative_on_random_pairs(self):
         rng = np.random.default_rng(5)
         for _ in range(1000):
-            p = Histogram.from_counts(rng.integers(0, 50, size=(1, 16)) + 0.0)
-            q = Histogram.from_counts(rng.integers(0, 50, size=(1, 16)) + 0.0)
+            p = smoothed_histogram(rng.integers(0, 50, size=(1, 16)))
+            q = smoothed_histogram(rng.integers(0, 50, size=(1, 16)))
             assert kl_divergence(p, q) >= 0.0
 
     def test_asymmetry_not_assumed(self):
-        p = Histogram.from_counts([[9.0, 1.0]])
-        q = Histogram.from_counts([[5.0, 5.0]])
+        p = smoothed_histogram([[9.0, 1.0]])
+        q = smoothed_histogram([[5.0, 5.0]])
         assert kl_divergence(p, q) != kl_divergence(q, p)
 
     def test_shape_mismatch(self):
-        p = Histogram.from_counts([[1.0, 1.0]])
-        q = Histogram.from_counts([[1.0, 1.0, 1.0]])
+        p = smoothed_histogram([[1.0, 1.0]])
+        q = smoothed_histogram([[1.0, 1.0, 1.0]])
         with pytest.raises(DimensionMismatchError):
             kl_divergence(p, q)
-
-    def test_not_normalized_rejected(self):
-        with pytest.raises(NotNormalizedError):
-            Histogram(np.array([[0.5, 0.4]]))
-        with pytest.raises(NotNormalizedError):
-            Histogram(np.array([[1.0, 0.0]]))  # unsmoothed zero
-
-    def test_counts_validation(self):
-        with pytest.raises(ValueError):
-            Histogram.from_counts([[0.0, 0.0]])
-        with pytest.raises(ValueError):
-            Histogram.from_counts([[-1.0, 2.0]])
 
 
 class TestConfTableBuild:
@@ -271,6 +260,10 @@ class TestImageIO:
         ragged.write_text("1,2\n3\n")
         with pytest.raises(ConfigError):
             read_image(ragged)
+        out_of_range = tmp_path / "range.csv"
+        out_of_range.write_text("0,256\n-1,2\n")
+        with pytest.raises(ConfigError, match="lie in"):
+            read_image(out_of_range)
 
 
 class TestCorpusDir:
@@ -304,17 +297,73 @@ class TestCorpusDir:
         with pytest.raises(ConfigError):
             load_corpus_dir(tmp_path / "nope")
 
+    def test_two_files_for_one_role_rejected(self, tmp_path):
+        cut = tmp_path / "corpus" / "0_conv1"
+        cut.mkdir(parents=True)
+        for role in ("orig", "open", "closed"):
+            write_image(const_image(9), cut / f"{role}_1.pgm")
+        (cut / "orig_1.csv").write_text("1,2\n3,4\n")
+        with pytest.raises(ConfigError, match=r"orig_1\.csv.*orig_1\.pgm"):
+            load_corpus_dir(tmp_path / "corpus")
+
+
+def write_triple(cut_dir, orig_bytes, orig_name="orig_000.pgm"):
+    """One triple whose original holds ``orig_bytes``; the reconstructions are valid."""
+    cut_dir.mkdir(parents=True)
+    (cut_dir / orig_name).write_bytes(orig_bytes)
+    write_image(const_image(2), cut_dir / "open_000.pgm")
+    write_image(const_image(3), cut_dir / "closed_000.pgm")
+    return cut_dir / orig_name
+
+
+class TestPrivacyCommandErrors:
+    @pytest.mark.parametrize("size", ["0 0", "4 0", "0 4"])
+    def test_zero_size_image_exits_2(self, tmp_path, capsys, size):
+        bad = write_triple(tmp_path / "corpus" / "0_a", f"P5 {size} 255\n".encode())
+        assert main(["privacy", str(tmp_path / "corpus")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(bad) in err
+
+    def test_non_utf8_csv_exits_2(self, tmp_path, capsys):
+        bad = write_triple(tmp_path / "corpus" / "0_a", b"1,2\n\xff,4\n", "orig_000.csv")
+        assert main(["privacy", str(tmp_path / "corpus")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(bad) in err and "UTF-8" in err
+
+    def test_truncated_header_names_the_file(self, tmp_path, capsys):
+        bad = write_triple(tmp_path / "corpus" / "0_a", b"P5 4")
+        assert main(["privacy", str(tmp_path / "corpus")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(bad) in err
+
+
+def test_perfbench_traces_every_privmetrics_site(tmp_path):
+    """perfbench wraps these functions by name and reads ``width``,
+    ``height`` and ``channels`` from what ``read_image`` returns."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH_SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    write_demo_corpus(tmp_path / "corpus", seed=4, triples_per_cut=3)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert main(["privacy", str(tmp_path / "corpus")]) == 0
+    finally:
+        tracer.uninstall()
+    assert not [site for site in tracer.missing if site.startswith("splitcvl.privmetrics.")]
+    assert tracer.counters["privmetrics.bytes_read"] == 5 * 3 * 3 * 32 * 32 == 46080
+
 
 class TestImageType:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            Image(width=2, height=2, channels=1, pixels=np.zeros((2, 3, 1), np.uint8))
+            Image(np.zeros((2, 3), np.uint8))  # no channel axis
         with pytest.raises(ValueError):
-            Image(width=2, height=2, channels=2, pixels=np.zeros((2, 2, 2), np.uint8))
-
-    def test_from_array_value_range(self):
+            Image(np.zeros((2, 2, 2), np.uint8))
         with pytest.raises(ValueError):
-            Image.from_array(np.array([[300]]))
+            Image(np.zeros((2, 2, 1), np.int64))
+        img = Image(np.zeros((2, 3, 1), np.uint8))
+        assert (img.width, img.height, img.channels) == (3, 2, 1)
 
     def test_pixels_read_only(self):
         img = const_image(5)
