@@ -6,8 +6,6 @@ from .netmodel import (
     ChannelState,
     DeviceProfile,
     shannon_rate,
-    tx_energy,
-    tx_latency,
 )
 from .nnprofile import (
     LayerProfile,
@@ -51,6 +49,4 @@ __all__ = [
     "intermediate_bytes",
     "optimal_decision",
     "shannon_rate",
-    "tx_energy",
-    "tx_latency",
 ]

@@ -179,18 +179,25 @@ def cmd_privacy(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a flag error in one ``error:`` line, as config errors are."""
+
+    def error(self, message):
+        self.exit(EXIT_CONFIG, f"error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process; parse_args keeps no state
     between calls, so in-process callers of ``main`` share it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="splitcvl",
         description=(
             "Cost-model simulator and optimizer for split-inference "
             "cross-view localization"
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add_common(p, needs_config=True):
         if needs_config:

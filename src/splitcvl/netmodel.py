@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ZeroRateError
-
 # Default device constants per kind; its keys are the only device kinds.
 # The UAV is modeled on a Quadro P400 class board (0.641 TFLOPS FP32, 30 W
 # max draw); the vehicle on a DRIVE AGX Xavier class board (1.3 TFLOPS
@@ -94,9 +92,9 @@ class ChannelDistribution:
         if not -math.inf < lo_db <= hi_db < math.inf:
             raise ValueError("snr_range_db must be finite with min <= max")
         # (low, width) of each range, as Generator.uniform scales a draw
-        object.__setattr__(self, "_bw_scale", (float(lo), float(hi) - float(lo)))
+        object.__setattr__(self, "bw_scale", (float(lo), float(hi) - float(lo)))
         object.__setattr__(
-            self, "_db_scale", (float(lo_db), float(hi_db) - float(lo_db))
+            self, "db_scale", (float(lo_db), float(hi_db) - float(lo_db))
         )
 
     def at(self, u_bw: float, u_snr: float) -> tuple[float, float]:
@@ -107,8 +105,8 @@ class ChannelDistribution:
         ``at(rng.random(), rng.random())`` equals two ``rng.uniform`` calls,
         down to the OverflowError for a range of non-finite width.
         """
-        bw_lo, bw_width = self._bw_scale
-        db_lo, db_width = self._db_scale
+        bw_lo, bw_width = self.bw_scale
+        db_lo, db_width = self.db_scale
         if not (math.isfinite(bw_width) and math.isfinite(db_width)):
             raise OverflowError("high - low range exceeds valid bounds")
         return bw_lo + bw_width * u_bw, snr_db_to_linear(db_lo + db_width * u_snr)
@@ -131,22 +129,6 @@ def snr_db_to_linear(snr_db: float) -> float:
 def shannon_rate(ch: ChannelState) -> float:
     """Capacity B*log2(1+SNR) in bit/s; 0 when the SNR is 0."""
     return ch.bandwidth_hz * math.log2(1.0 + ch.snr_linear)
-
-
-def tx_latency(payload_bytes: float, rate_bps: float) -> float:
-    """Seconds to push ``payload_bytes`` through a link at ``rate_bps``."""
-    if payload_bytes < 0:
-        raise ValueError("payload_bytes must be >= 0")
-    if rate_bps <= 0:
-        raise ZeroRateError("link rate is zero, transmission infeasible")
-    return payload_bytes * 8.0 / rate_bps
-
-
-def tx_energy(tx_power_w: float, latency_s: float) -> float:
-    """Joules spent transmitting for ``latency_s`` at ``tx_power_w``."""
-    if tx_power_w < 0 or latency_s < 0:
-        raise ValueError("tx_energy inputs must be >= 0")
-    return tx_power_w * latency_s
 
 
 def resolve_channel(ch: ChannelState | ChannelDistribution) -> ChannelState:

@@ -260,7 +260,8 @@ def load_corpus_dir(path) -> Corpus:
     numeric prefixes like ``0_conv1`` to fix candidate order); inside,
     triples are files ``orig_<id>``, ``open_<id>``, ``closed_<id>`` with
     .pgm/.ppm/.csv extensions. Two files for one role of one triple (say
-    ``orig_1.csv`` and ``orig_1.pgm``) are rejected.
+    ``orig_1.csv`` and ``orig_1.pgm``) are rejected, and so is a triple
+    whose images differ in shape or are smaller than the SSIM window.
     """
     root = Path(path)
     if not root.is_dir():
@@ -289,7 +290,19 @@ def load_corpus_dir(path) -> Corpus:
                     f"{cut_dir}: triple {triple_id!r} is missing "
                     f"{sorted(set(_ROLES) - set(roles))}"
                 )
-            triples.append(tuple(read_image(roles[role]) for role in _ROLES))
+            triple = tuple(read_image(roles[role]) for role in _ROLES)
+            where = f"{cut_dir}: triple {triple_id!r}"
+            if len({img.pixels.shape for img in triple}) > 1:
+                raise ConfigError(f"{where}: images differ in shape: " + ", ".join(
+                    f"{roles[role].name} {img.width}x{img.height}x{img.channels}"
+                    for role, img in zip(_ROLES, triple)
+                ))
+            if min(triple[0].width, triple[0].height) < WINDOW:
+                raise ConfigError(
+                    f"{where}: images are {triple[0].width}x{triple[0].height}, "
+                    f"smaller than the {WINDOW}x{WINDOW} SSIM window"
+                )
+            triples.append(triple)
         if not triples:
             raise EmptyCutError(f"corpus cut {cut_dir.name!r} contains no triples")
         corpus.append((cut_dir.name, triples))

@@ -315,6 +315,7 @@ def train_dqn(
     rng = np.random.default_rng(seed)
     table = _feature_table(env)
     rows = np.arange(hyper.batch_size)
+    grad = np.zeros((hyper.batch_size, env.n_actions))
     net = TinyNet((env.feature_dim, *hyper.hidden, env.n_actions), rng)
     target = net.copy()
     buffer = ReplayBuffer(hyper.replay_capacity)
@@ -337,11 +338,10 @@ def train_dqn(
             q_next = target.forward(table[batch.next_states]).max(axis=1)
             y = batch.rewards + hyper.gamma * batch.not_done * q_next
         q = net.forward(table[batch.states])
-        grad = np.zeros_like(q)
         picked = (rows[:batch_size], batch.actions)
         grad[picked] = 2.0 * (q[picked] - y) / batch_size
-        net.zero_grads()
-        net.backward(grad)
+        net.backward(grad[:batch_size])
+        grad[picked] = 0.0  # the buffer is all zeros between steps
         net.sgd_step(hyper.lr_net)
         if (t + 1) % hyper.target_sync == 0:
             target.copy_params_from(net)
@@ -454,12 +454,10 @@ def train_ppo(
                 policy_net, x, actions, advantages, logp_old,
                 hyper.ppo_clip, entropy_coef,
             )
-            policy_net.zero_grads()
             policy_net.backward(grad)
             policy_net.sgd_step(hyper.lr_net)
 
             v = value_net.forward(x)
-            value_net.zero_grads()
             value_net.backward(2.0 * (v - targets[:, None]) / len(batch))
             value_net.sgd_step(hyper.lr_net)
 

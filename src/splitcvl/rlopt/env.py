@@ -13,6 +13,12 @@ Episodes default to a single step: the partition choice has no state
 dynamics, so the problem is a contextual bandit over sampled channel
 states. A longer horizon can be configured, in which case channels are
 redrawn every step and the step counter becomes part of the state.
+
+A step builds no channel or decision records: it maps its uniform draws
+straight to link rates and calls each device's ``CutCosts.effect``. The
+float expressions are those of ``ChannelDistribution.at``,
+``shannon_rate`` and ``decision_effect``, so the reward is bit for bit
+the negated ``decision_effect`` of the drawn channels.
 """
 
 from __future__ import annotations
@@ -24,7 +30,13 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from ..errors import ZeroRateError
-from ..netmodel import ChannelDistribution, ChannelState, resolve_channel
+from ..netmodel import (
+    ChannelDistribution,
+    ChannelState,
+    resolve_channel,
+    shannon_rate,
+    snr_db_to_linear,
+)
 from ..trico import PartitionDecision, Scenario, decision_effect
 
 MAX_JOINT_ACTIONS = 125  # 5 candidates ** 3 devices
@@ -119,9 +131,12 @@ class _ChannelGrid:
             self.bandwidth_bins = 1
             self.snr_bins = 1
             self.bins = (channel,)
+            self.rate = shannon_rate(channel)
             return
         self.bandwidth_bins = bandwidth_bins
         self.snr_bins = snr_bins
+        if not all(map(math.isfinite, channel.bw_scale + channel.db_scale)):
+            raise ValueError(f"{channel} spans a range wider than the largest float")
         lo, hi = channel.bandwidth_range
         if hi > lo:
             self._bw_split = (lo, hi - lo)
@@ -136,6 +151,7 @@ class _ChannelGrid:
             for ibw in range(bandwidth_bins)
             for isnr in range(snr_bins)
         )
+        self.scales = tuple(b.bw_scale + b.db_scale for b in self.bins)
 
     def bin_of(self, bandwidth_hz: float, snr_linear: float) -> int:
         ibw = isnr = 0
@@ -157,11 +173,13 @@ class _ChannelGrid:
             return 0
         return self.bin_of(*self.channel.at(next(draws), next(draws)))
 
-    def draw_within(self, bin_index: int, draws: Iterator[float]) -> ChannelState:
-        """A concrete channel drawn from the given bin's sub-ranges."""
+    def rate_within(self, bin_index: int, draws: Iterator[float]) -> float:
+        """Shannon rate of a channel drawn from the given bin's sub-ranges."""
         if self.fixed:
-            return self.channel
-        return ChannelState(*self.bins[bin_index].at(next(draws), next(draws)))
+            return self.rate
+        bw_lo, bw_width, db_lo, db_width = self.scales[bin_index]
+        bw = bw_lo + bw_width * next(draws)
+        return bw * math.log2(1.0 + snr_db_to_linear(db_lo + db_width * next(draws)))
 
     def midpoint(self, bin_index: int) -> ChannelState:
         return resolve_channel(self.bins[bin_index])
@@ -214,17 +232,14 @@ class PartitionEnv:
         # mixed-radix number of the devices' bins, first device first
         self.n_combos = math.prod(g.n_bins for g in self.grids)
         self._draws_per_set = sum(2 for g in self.grids if not g.fixed)
-        self._decisions = tuple(
-            PartitionDecision(cuts)
-            for cuts in product(range(scenario.num_candidates),
-                                repeat=scenario.num_devices)
-        )
+        self._cuts = tuple(product(range(scenario.num_candidates),
+                                   repeat=scenario.num_devices))
 
     # -- spaces ----------------------------------------------------------
 
     @property
     def n_actions(self) -> int:
-        return len(self._decisions)
+        return len(self._cuts)
 
     @property
     def n_states(self) -> int:
@@ -244,9 +259,12 @@ class PartitionEnv:
         return tuple(self._channel_bins(combo)), step
 
     def decode_action(self, action: int) -> PartitionDecision:
-        if not 0 <= action < len(self._decisions):
+        return PartitionDecision(self._cuts_of(action))
+
+    def _cuts_of(self, action: int) -> tuple[int, ...]:
+        if not 0 <= action < len(self._cuts):
             raise ValueError(f"action {action} out of range")
-        return self._decisions[action]
+        return self._cuts[action]
 
     def state_features(self, state_id: int) -> np.ndarray:
         """Concatenated one-hot bins (plus a step one-hot for horizons > 1)."""
@@ -291,16 +309,17 @@ class PartitionEnv:
 
     def step(self, state_id: int, action: int, rng: np.random.Generator) -> Transition:
         step, combo = divmod(state_id, self.n_combos)
-        decision = self.decode_action(action)
+        cuts = self._cuts_of(action)
         # this step's channels, then the next state's; a terminal step draws
         # both too, so the random stream does not depend on the horizon
         draws = self._uniforms(rng, 2)
-        channels = tuple(
-            grid.draw_within(b, draws)
-            for grid, b in zip(self.grids, self._channel_bins(combo))
-        )
+        # all rates first, so a zero-rate link cannot skip the next state's draws
+        rates = [grid.rate_within(b, draws)
+                 for grid, b in zip(self.grids, self._channel_bins(combo))]
         try:
-            reward = -decision_effect(self.scenario, decision, channels)
+            effects = [costs.effect(rate, cut) for costs, rate, cut
+                       in zip(self.scenario.cut_costs, rates, cuts)]
+            reward = -(math.fsum(effects) / len(effects))
         except ZeroRateError:
             reward = -1.0
         if step + 1 >= self.horizon:

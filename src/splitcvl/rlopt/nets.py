@@ -69,11 +69,12 @@ class TinyNet:
         self._acts = acts
         return a
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        """Accumulate parameter gradients; returns the input gradient.
+    def backward(self, grad_out: np.ndarray) -> None:
+        """Write the parameter gradients of the last forward pass.
 
-        Must follow a forward pass; grad_out is dLoss/dOutput for that
-        batch.
+        ``grad_out`` is dLoss/dOutput for that batch. Each call overwrites
+        the gradients, so no zeroing is needed between updates. The
+        input's own gradient is not computed.
         """
         if self._acts is None:
             raise RuntimeError("backward called before forward")
@@ -84,13 +85,10 @@ class TinyNet:
         for i in reversed(range(self.n_layers)):
             if i < self.n_layers - 1:
                 delta = delta * (1.0 - acts[i + 1] ** 2)  # tanh'
-            self.g_weights[i] += acts[i].T @ delta
-            self.g_biases[i] += delta.sum(axis=0)
-            delta = delta @ self.weights[i].T
-        return delta
-
-    def zero_grads(self) -> None:
-        self._grads[:] = 0.0
+            np.matmul(acts[i].T, delta, out=self.g_weights[i])
+            np.add.reduce(delta, axis=0, out=self.g_biases[i])
+            if i:
+                delta = delta @ self.weights[i].T
 
     def sgd_step(self, lr: float) -> None:
         self._params -= lr * self._grads

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import MissingEntryError
+from .errors import MissingEntryError, ZeroRateError
 from .netmodel import (
     ChannelDistribution,
     ChannelState,
@@ -41,8 +41,6 @@ from .netmodel import (
     device_from_kind,
     resolve_channel,
     shannon_rate,
-    tx_energy,
-    tx_latency,
 )
 from .nnprofile import (
     ModelProfile,
@@ -196,13 +194,15 @@ class CutCosts:
 
     def comm_terms(self, rate_bps: float, cut: int) -> tuple[float, float, float]:
         """(latency_s, energy_j, n_comm) of one cut over a link of ``rate_bps``."""
-        lat = tx_latency(self.payload_bytes[cut], rate_bps)
-        lat_lo = tx_latency(self._bytes_lo, rate_bps)
-        lat_hi = tx_latency(self._bytes_hi, rate_bps)
+        if rate_bps <= 0:
+            raise ZeroRateError("link rate is zero, transmission infeasible")
+        lat = self.payload_bytes[cut] * 8.0 / rate_bps
+        lat_lo = self._bytes_lo * 8.0 / rate_bps
+        lat_hi = self._bytes_hi * 8.0 / rate_bps
         tx_power = self.tx_power_w
-        en = tx_energy(tx_power, lat)
-        en_lo = tx_energy(tx_power, lat_lo)
-        en_hi = tx_energy(tx_power, lat_hi)
+        en = tx_power * lat
+        en_lo = tx_power * lat_lo
+        en_hi = tx_power * lat_hi
         n_lat = 0.0 if lat_hi == lat_lo else (lat - lat_lo) / (lat_hi - lat_lo)
         n_en = 0.0 if en_hi == en_lo else (en - en_lo) / (en_hi - en_lo)
         lam = self.weights.lambda_latency

@@ -1,12 +1,19 @@
 """Shared scenario builders and independent oracles used across test modules."""
 
+import importlib.util
 import math
 from dataclasses import dataclass
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 
-from splitcvl.errors import DimensionMismatchError, NonFiniteError, ZeroVectorError
+from splitcvl.errors import (
+    DimensionMismatchError,
+    NonFiniteError,
+    ZeroRateError,
+    ZeroVectorError,
+)
 from splitcvl.netmodel import ChannelState, device_from_kind, shannon_rate
 from splitcvl.nnprofile import PROFILE_HEADER, LayerProfile, ModelProfile
 from splitcvl.retrieval import (
@@ -18,6 +25,15 @@ from splitcvl.retrieval import (
     top1_percent_k,
 )
 from splitcvl.trico import ConfEntry, ConfidentialityTable, Scenario, TriCoWeights
+
+
+def perfbench_spans():
+    """``perfbench/spans.py``, the benchmark's tracer, imported by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
 
 
 def synthetic_profile(byte_sizes, flops=None):
@@ -45,6 +61,22 @@ def format_profile_csv(profile):
 def save_profile(profile, path):
     with open(path, "w", newline="") as fh:
         fh.write(format_profile_csv(profile))
+
+
+def tx_latency(payload_bytes, rate_bps):
+    """Seconds to push ``payload_bytes`` through a link at ``rate_bps``."""
+    if payload_bytes < 0:
+        raise ValueError("payload_bytes must be >= 0")
+    if rate_bps <= 0:
+        raise ZeroRateError("link rate is zero, transmission infeasible")
+    return payload_bytes * 8.0 / rate_bps
+
+
+def tx_energy(tx_power_w, latency_s):
+    """Joules spent transmitting for ``latency_s`` at ``tx_power_w``."""
+    if tx_power_w < 0 or latency_s < 0:
+        raise ValueError("tx_energy inputs must be >= 0")
+    return tx_power_w * latency_s
 
 
 def oracle_enumerate(scenario, channels):
@@ -181,7 +213,7 @@ def flat_params(net):
 
 
 def flat_grads(net):
-    """The accumulated gradients in ``flat_params`` order."""
+    """The gradients of the last ``backward`` in ``flat_params`` order."""
     return np.concatenate([g.ravel() for g in net.g_weights] + list(net.g_biases))
 
 
@@ -205,7 +237,6 @@ def grad_check(net, inputs, targets, h=1e-5):
     loss, grad_out = mse_loss_and_grad(net.forward(inputs), targets)
     if not np.isfinite(loss):
         raise NonFiniteError("loss is not finite")
-    net.zero_grads()
     net.backward(grad_out)
     analytic = flat_grads(net)
     if not np.all(np.isfinite(analytic)):

@@ -9,7 +9,7 @@ from splitcvl.cli import build_parser, main
 from splitcvl.privmetrics import write_demo_corpus
 from splitcvl.trico import ConfEntry, ConfidentialityTable, format_conf_table
 
-from helpers import save_profile
+from helpers import perfbench_spans, save_profile
 
 
 QUICK_CONFIG = """\
@@ -424,8 +424,24 @@ def test_negative_seed_flag_rejected(config_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["optimize", "--config", config_path, "--seed", "-1"])
     assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert err.splitlines()[-1] == "splitcvl: error: argument --seed: must be >= 0, got -1"
+    assert capsys.readouterr().err == "error: argument --seed: must be >= 0, got -1\n"
+
+
+# flag errors print one line in the form config errors use, with no usage line
+@pytest.mark.parametrize("argv, line", [
+    # flags are checked before the config is read
+    (["profile", "--config", "unread.yaml", "--jobs", "0"],
+     "error: argument --jobs: must be >= 1, got 0"),
+    (["bogus"], "error: argument command: invalid choice: 'bogus' (choose from "
+                "'profile', 'cost', 'optimize', 'oracle', 'retrieval-sim', 'privacy')"),
+    (["optimize"], "error: the following arguments are required: --config"),
+    (["cost", "--seed", "x"], "error: argument --seed: invalid int value: 'x'"),
+])
+def test_flag_errors_are_one_line(argv, line, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == line + "\n"
 
 
 # values the config load rejects, whatever the command: (command, error
@@ -673,3 +689,23 @@ class TestDeterminism:
                 assert main(argv + ["--out", str(out)]) == 0
                 hashes.add(sha256(out))
             assert len(hashes) == 1, f"{name} output not deterministic"
+
+
+@pytest.mark.parametrize("agent", ["q_learning", "dqn"])
+def test_perfbench_traces_every_train_site(agent, tmp_path):
+    """perfbench's ``train`` layers wrap these sites by name; ``env.step``
+    spans count the env steps."""
+    spans = perfbench_spans()
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(optimizer_config(f"agent: {agent}, steps: 200, seed: 7"))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 0
+    finally:
+        tracer.uninstall()
+    sites = {"splitcvl.rlopt.env.PartitionEnv.step", "splitcvl.rlopt.env.PartitionEnv.reset",
+             "splitcvl.cli.train_agent", "splitcvl.rlopt.nets.TinyNet.forward",
+             "splitcvl.rlopt.nets.TinyNet.backward", "splitcvl.rlopt.nets.TinyNet.sgd_step"}
+    assert sites.isdisjoint(tracer.missing)
+    assert tracer.name_id.tolist().count(tracer.names.index("env.step")) == 200

@@ -12,10 +12,10 @@ from splitcvl.netmodel import (
     resolve_channel,
     shannon_rate,
     snr_db_to_linear,
-    tx_energy,
-    tx_latency,
 )
 from splitcvl.trico import TriCoWeights
+
+from helpers import tx_energy, tx_latency
 
 
 class TestShannonRate:

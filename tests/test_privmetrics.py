@@ -1,6 +1,4 @@
-import importlib.util
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,9 +25,7 @@ from splitcvl.privmetrics import (
 )
 from splitcvl.trico import conf_cost
 
-from helpers import smoothed_histogram
-
-PERFBENCH_SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+from helpers import perfbench_spans, smoothed_histogram
 
 
 def const_image(value, size=16, channels=1):
@@ -337,12 +333,25 @@ class TestPrivacyCommandErrors:
         assert err.count("\n") == 1 and str(bad) in err
 
 
+    @pytest.mark.parametrize("orig_hw, recon_hw, message", [
+        ((4, 4), (4, 4), "images are 4x4, smaller than the 8x8 SSIM window"),
+        ((8, 9), (8, 8), "images differ in shape: orig_000.pgm 9x8x1, "
+                         "open_000.pgm 8x8x1, closed_000.pgm 8x8x1"),
+    ], ids=["under_window", "shapes_differ"])
+    def test_bad_triple_names_cut_and_triple(self, tmp_path, capsys, orig_hw, recon_hw,
+                                             message):
+        cut = tmp_path / "corpus" / "0_a"
+        cut.mkdir(parents=True)
+        for role, hw in (("orig", orig_hw), ("open", recon_hw), ("closed", recon_hw)):
+            write_image(Image(np.full((*hw, 1), 7, np.uint8)), cut / f"{role}_000.pgm")
+        assert main(["privacy", str(tmp_path / "corpus")]) == 2
+        assert capsys.readouterr().err == f"error: {cut}: triple '000': {message}\n"
+
+
 def test_perfbench_traces_every_privmetrics_site(tmp_path):
     """perfbench wraps these functions by name and reads ``width``,
     ``height`` and ``channels`` from what ``read_image`` returns."""
-    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH_SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = perfbench_spans()
     write_demo_corpus(tmp_path / "corpus", seed=4, triples_per_cut=3)
     tracer = spans.Tracer()
     tracer.install()

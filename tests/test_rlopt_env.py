@@ -1,7 +1,16 @@
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
-from splitcvl.netmodel import ChannelState, device_from_kind
+from splitcvl.errors import ZeroRateError
+from splitcvl.netmodel import (
+    ChannelDistribution,
+    ChannelState,
+    device_from_kind,
+    shannon_rate,
+)
 from splitcvl.rlopt import env as env_module
 from splitcvl.rlopt.env import PartitionEnv, ReplayBuffer, Transition
 from splitcvl.trico import (
@@ -187,6 +196,97 @@ class TestStep:
             bins, _ = env.decode_state(s)
             assert len(bins) == 2
             assert all(0 <= b < 12 for b in bins)
+
+
+def three_device_scenario(fixed_snr):
+    """A UAV on a fixed channel, then a vehicle and a UAV on two ranges."""
+    stock = default_scenario()
+    return dataclasses.replace(
+        stock,
+        devices=stock.devices + (device_from_kind("uav2", "uav", tx_power_w=0.5),),
+        channels=(
+            ChannelState(3e6, fixed_snr),
+            ChannelDistribution((1e6, 40e6), (-5.0, 25.0)),
+            ChannelDistribution((5e6, 20e6), (5.0, 15.0)),
+        ),
+    )
+
+
+def record_path_transition(env, state, action, draws):
+    """(reward, next state) by way of channel records and ``decision_effect``."""
+    bins, step = env.decode_state(state)
+    channels = tuple(
+        grid.channel if grid.fixed else ChannelState(*grid.bins[b].at(next(draws), next(draws)))
+        for grid, b in zip(env.grids, bins)
+    )
+    try:
+        reward = -decision_effect(env.scenario, env.decode_action(action), channels)
+    except ZeroRateError:
+        reward = -1.0
+    if step + 1 >= env.horizon:
+        return reward, 0
+    combo = 0
+    for grid in env.grids:
+        combo = combo * grid.n_bins + grid.draw_bin(draws)
+    return reward, (step + 1) * env.n_combos + combo
+
+
+class TestRecordFreeStep:
+    """``step`` maps its uniforms to rates without building channel records;
+    replaying the same uniforms through the records gives the same reward."""
+
+    ENVS = {
+        "stock": lambda: PartitionEnv(default_scenario()),
+        "horizon2_2x3": lambda: PartitionEnv(
+            default_scenario(), bandwidth_bins=2, snr_bins=3, horizon=2
+        ),
+        "mixed_3_devices": lambda: PartitionEnv(three_device_scenario(4.0), snr_bins=3),
+        "degenerate_range": lambda: PartitionEnv(
+            dataclasses.replace(
+                default_scenario(),
+                channels=(ChannelDistribution((5e6, 5e6), (8.0, 8.0)),) * 2,
+            ),
+            bandwidth_bins=2,
+            snr_bins=2,
+        ),
+        "zero_snr_fixed": lambda: PartitionEnv(three_device_scenario(0.0), horizon=2),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ENVS))
+    def test_reward_is_negative_decision_effect_bit_for_bit(self, name):
+        env = self.ENVS[name]()
+        rng, actions = np.random.default_rng(21), np.random.default_rng(22)
+        state = env.reset(rng)
+        for _ in range(600):
+            action = int(actions.integers(env.n_actions))
+            twin = copy.deepcopy(rng)
+            tr = env.step(state, action, rng)
+            # two uniforms per device, this step's channels and the next's
+            draws = iter(twin.random(4 * len(env.grids)).tolist())
+            reward, next_state = record_path_transition(env, state, action, draws)
+            assert tr.reward.hex() == reward.hex()
+            assert tr.next_state == next_state
+            if name == "zero_snr_fixed":
+                assert tr.reward == -1.0
+            state = env.reset(rng) if tr.done else tr.next_state
+
+    @pytest.mark.parametrize("name", sorted(ENVS))
+    def test_rates_equal_shannon_rate_of_channel_records(self, name):
+        # the stock effect barely moves with the rate, so check rates directly
+        env = self.ENVS[name]()
+        u = np.random.default_rng(23).random(200).tolist()
+        for grid in env.grids:
+            for b, dist in enumerate(grid.bins):
+                for u_bw, u_snr in zip(u[::2], u[1::2]):
+                    record = dist if grid.fixed else ChannelState(*dist.at(u_bw, u_snr))
+                    rate = grid.rate_within(b, iter((u_bw, u_snr)))
+                    assert rate.hex() == shannon_rate(record).hex()
+
+    def test_non_finite_range_width_rejected_at_construction(self):
+        wide = ChannelDistribution((1e6, 2e6), (-1e308, 1e308))
+        scenario = dataclasses.replace(default_scenario(), channels=(wide, wide))
+        with pytest.raises(ValueError, match="wider than the largest float"):
+            PartitionEnv(scenario)
 
 
 class TestReplayBuffer:

@@ -30,7 +30,14 @@ from splitcvl.trico import (
 )
 
 
-from helpers import enumerate_optimum, oracle_enumerate, random_scenario, synthetic_profile
+from helpers import (
+    enumerate_optimum,
+    oracle_enumerate,
+    random_scenario,
+    synthetic_profile,
+    tx_energy,
+    tx_latency,
+)
 
 
 class TestCommCost:
@@ -56,6 +63,19 @@ class TestCommCost:
             lat2, en2, _ = costs.comm_terms(shannon_rate(ChannelState(bw / 2, snr)), cut)
             assert lat2 == 2 * lat1
             assert en2 == 2 * en1
+
+    def test_matches_independent_latency_and_energy_formulas(self):
+        rng = np.random.default_rng(4)
+        profile = build_resnet50_usam_profile(224, 224)
+        for kind in ("uav", "vehicle"):
+            dev = device_from_kind("d", kind, tx_power_w=float(rng.uniform(0.1, 5.0)))
+            costs = CutCosts.build(dev, profile, default_conf_table(), TriCoWeights())
+            for _ in range(100):
+                rate = float(rng.uniform(1e3, 1e9))
+                for cut, payload in enumerate(costs.payload_bytes):
+                    lat, en, _ = costs.comm_terms(rate, cut)
+                    assert lat == tx_latency(payload, rate)
+                    assert en == tx_energy(dev.tx_power_w, lat)
 
     def test_zero_rate_propagates(self):
         dev = device_from_kind("u", "uav")
