@@ -111,8 +111,15 @@ def cmd_optimize(config: ScenarioConfig, args) -> int:
     _write_output(trace.to_csv(), args.out)
 
     decision = env.decode_action(policy.action(0))
-    effect = decision_effect(scenario, decision)
-    _, oracle_effect = optimal_decision(scenario)
+    try:
+        effect = decision_effect(scenario, decision)
+        _, oracle_effect = optimal_decision(scenario)
+    except ZeroRateError:
+        # every decision is infeasible there; score it as evaluate_action does
+        print("warning: a link has zero rate at the mean channel; effect and "
+              "oracle_effect read 1.0, the score of an infeasible decision",
+              file=sys.stderr)
+        effect = oracle_effect = 1.0
     gap = (effect - oracle_effect) / oracle_effect if oracle_effect > 0 else effect
     summary = [
         f"agent={opt.agent}",

@@ -10,10 +10,11 @@ how link budgets are usually specified. No path-loss or mobility model is
 attached; the channel is an input.
 
 All types are immutable and all operations are pure, so values can be
-shared freely across threads. Sampling maps uniform draws the caller
-supplies (``ChannelDistribution.at``), so parallel runs never share RNG
-state. Every number must be finite; the constructors reject NaN and
-infinities.
+shared freely across threads. A distribution keeps the (low, width)
+scale of each range, and sampling maps uniform draws the caller supplies
+through them (``low + width * u``, the float ``Generator.uniform`` makes
+of its single draw), so parallel runs never share RNG state. Every
+number must be finite; the constructors reject NaN and infinities.
 """
 
 from __future__ import annotations
@@ -91,25 +92,12 @@ class ChannelDistribution:
         lo_db, hi_db = self.snr_range_db
         if not -math.inf < lo_db <= hi_db < math.inf:
             raise ValueError("snr_range_db must be finite with min <= max")
-        # (low, width) of each range, as Generator.uniform scales a draw
+        # (low, width) of each range, as Generator.uniform scales a draw;
+        # a width can overflow to inf, which the RL env rejects
         object.__setattr__(self, "bw_scale", (float(lo), float(hi) - float(lo)))
         object.__setattr__(
             self, "db_scale", (float(lo_db), float(hi_db) - float(lo_db))
         )
-
-    def at(self, u_bw: float, u_snr: float) -> tuple[float, float]:
-        """(bandwidth_hz, snr_linear) at uniform draws ``u_bw``, ``u_snr`` in [0, 1).
-
-        A range maps a draw ``u`` to ``low + (high - low) * u``, the float
-        ``Generator.uniform`` makes of its single draw, so
-        ``at(rng.random(), rng.random())`` equals two ``rng.uniform`` calls,
-        down to the OverflowError for a range of non-finite width.
-        """
-        bw_lo, bw_width = self.bw_scale
-        db_lo, db_width = self.db_scale
-        if not (math.isfinite(bw_width) and math.isfinite(db_width)):
-            raise OverflowError("high - low range exceeds valid bounds")
-        return bw_lo + bw_width * u_bw, snr_db_to_linear(db_lo + db_width * u_snr)
 
     def mean_channel(self) -> ChannelState:
         """Midpoint channel, in the sampling parameterization (SNR in dB).

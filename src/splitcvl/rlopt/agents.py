@@ -26,9 +26,10 @@ trailing moving average.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -152,18 +153,22 @@ def policy_effect(env, policy: TrainedPolicy) -> float:
     return math.fsum(values) / len(values)
 
 
-def _epsilon(step: int, total_steps: int, hyper: Hyperparams) -> float:
+def _epsilons(total_steps: int, hyper: Hyperparams) -> Iterator[float]:
+    """Epsilon at each of ``total_steps`` steps: a linear decay from
+    ``epsilon_start`` over the first ``epsilon_decay_fraction`` of the
+    steps, then ``epsilon_final``."""
+    start, final = hyper.epsilon_start, hyper.epsilon_final
     decay_steps = hyper.epsilon_decay_fraction * total_steps
     if decay_steps <= 0:
-        return hyper.epsilon_final
-    frac = min(1.0, step / decay_steps)
-    return hyper.epsilon_start - (hyper.epsilon_start - hyper.epsilon_final) * frac
+        return itertools.repeat(final, total_steps)
+    span = start - final
+    return (start - span * min(1.0, t / decay_steps) for t in range(total_steps))
 
 
 def _eps_greedy(q_row: np.ndarray, eps: float, rng: np.random.Generator) -> int:
     if rng.random() < eps:
         return int(rng.integers(len(q_row)))
-    return int(np.argmax(q_row))
+    return int(q_row.argmax())
 
 
 _PROB_SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
@@ -208,8 +213,8 @@ def train_q_learning(
     effects: list[float] = []
     state = env.reset(rng)
     steps_in_episode = 0
-    for t in range(steps):
-        action = _eps_greedy(q[state], _epsilon(t, steps, hyper), rng)
+    for eps in _epsilons(steps, hyper):
+        action = _eps_greedy(q[state], eps, rng)
         tr = env.step(state, action, rng)
         bootstrap = 0.0 if tr.done else hyper.gamma * float(q[tr.next_state].max())
         q[state, action] += hyper.lr * (tr.reward + bootstrap - q[state, action])
@@ -237,11 +242,12 @@ def train_multi_q(
     effects: list[float] = []
     state = env.reset(rng)
     steps_in_episode = 0
-    for t in range(steps):
+    for eps in _epsilons(steps, hyper):
         # only the rows read are reduced; with two or more actions a
-        # row's sums equal the whole ensemble's bit for bit
-        mean_row = tables[:, state].mean(axis=0)
-        action = _eps_greedy(mean_row, _epsilon(t, steps, hyper), rng)
+        # row's sums equal the whole ensemble's bit for bit, and dividing
+        # the sum by k is what np.mean does
+        mean_row = tables[:, state].sum(axis=0) / k
+        action = _eps_greedy(mean_row, eps, rng)
         tr = env.step(state, action, rng)
         j = int(rng.integers(k))
         bootstrap = 0.0
@@ -292,10 +298,16 @@ def train_actor_critic(
         if buffer is not None:
             buffer.push(tr)
             rep = buffer.sample_batch(rng, hyper.batch_size)
-            for s, r, ns, nd in zip(rep.states.tolist(), rep.rewards.tolist(),
-                                    rep.next_states.tolist(), rep.not_done.tolist()):
-                rep_target = r + (hyper.gamma * values[ns] if nd else 0.0)
-                values[s] += hyper.lr * (rep_target - values[s])
+            rows = zip(rep.states.tolist(), rep.rewards.tolist())
+            if rep.not_done is None:
+                # every row is terminal; r and r + 0.0 give the same update
+                for s, r in rows:
+                    values[s] += hyper.lr * (r - values[s])
+            else:
+                for (s, r), ns, nd in zip(rows, rep.next_states.tolist(),
+                                          rep.not_done.tolist()):
+                    rep_target = r + (hyper.gamma * values[ns] if nd else 0.0)
+                    values[s] += hyper.lr * (rep_target - values[s])
         effects.append(-tr.reward)
         state, steps_in_episode = _advance(env, tr, steps_in_episode, rng)
     policy = TrainedPolicy(lambda s, logits=logits: int(np.argmax(logits[s])), table=logits)
@@ -322,11 +334,11 @@ def train_dqn(
     effects: list[float] = []
     state = env.reset(rng)
     steps_in_episode = 0
-    for t in range(steps):
+    for t, eps in enumerate(_epsilons(steps, hyper)):
         q_row = net.forward(table[state])[0]
         if not np.isfinite(q_row).all():
             raise NonFiniteError("Q-network diverged to non-finite values; lower lr_net")
-        action = _eps_greedy(q_row, _epsilon(t, steps, hyper), rng)
+        action = _eps_greedy(q_row, eps, rng)
         tr = env.step(state, action, rng)
         buffer.push(tr)
         batch_size = min(hyper.batch_size, len(buffer))
@@ -334,12 +346,16 @@ def train_dqn(
         # a terminal row's bootstrap, gamma * 0.0 * q, is +-0.0 and leaves
         # its reward unchanged: with no continuing row the target is unused
         y = batch.rewards
-        if batch.not_done.any():
+        if batch.not_done is not None and batch.not_done.any():
             q_next = target.forward(table[batch.next_states]).max(axis=1)
             y = batch.rewards + hyper.gamma * batch.not_done * q_next
         q = net.forward(table[batch.states])
         picked = (rows[:batch_size], batch.actions)
-        grad[picked] = 2.0 * (q[picked] - y) / batch_size
+        td = q[picked]  # a copy, scaled in place to 2 * (q - y) / batch_size
+        td -= y
+        td *= 2.0
+        td /= batch_size
+        grad[picked] = td
         net.backward(grad[:batch_size])
         grad[picked] = 0.0  # the buffer is all zeros between steps
         net.sgd_step(hyper.lr_net)

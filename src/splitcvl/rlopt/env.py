@@ -14,18 +14,21 @@ dynamics, so the problem is a contextual bandit over sampled channel
 states. A longer horizon can be configured, in which case channels are
 redrawn every step and the step counter becomes part of the state.
 
-A step builds no channel or decision records: it maps its uniform draws
-straight to link rates and calls each device's ``CutCosts.effect``. The
-float expressions are those of ``ChannelDistribution.at``,
-``shannon_rate`` and ``decision_effect``, so the reward is bit for bit
-the negated ``decision_effect`` of the drawn channels.
+Reset and step build no channel or decision records. They map their
+uniform draws straight to bins and link rates with scalars built when
+the env is made, and a step calls each device's ``CutCosts.effect``. The
+float expressions are those of sampling a channel (``low + width * u``,
+SNR drawn in dB), ``shannon_rate`` and ``decision_effect``, so the
+reward is bit for bit the negated ``decision_effect`` of the drawn
+channels. A channel whose linear SNR underflows to zero falls in SNR
+bin 0, and a step over it gets the zero-rate reward.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import product
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +38,6 @@ from ..netmodel import (
     ChannelState,
     resolve_channel,
     shannon_rate,
-    snr_db_to_linear,
 )
 from ..trico import PartitionDecision, Scenario, decision_effect
 
@@ -58,13 +60,17 @@ class Transition(NamedTuple):
 
 
 class Batch(NamedTuple):
-    """Sampled transitions, one array per field."""
+    """Sampled transitions, one array per field.
+
+    ``next_states`` and ``not_done`` are None while every transition
+    pushed so far is terminal, as at horizon 1: then no row bootstraps.
+    """
 
     states: np.ndarray
     actions: np.ndarray
     rewards: np.ndarray
-    next_states: np.ndarray
-    not_done: np.ndarray  # 1.0 where the episode continues, else 0.0
+    next_states: np.ndarray | None
+    not_done: np.ndarray | None  # 1.0 where the episode continues, else 0.0
 
 
 class ReplayBuffer:
@@ -85,6 +91,7 @@ class ReplayBuffer:
         self._not_done = np.zeros(capacity)
         self._size = 0
         self._next = 0
+        self._any_continuing = False
 
     def push(self, transition: Transition) -> None:
         i = self._next
@@ -92,7 +99,11 @@ class ReplayBuffer:
         self._actions[i] = transition.action
         self._rewards[i] = transition.reward
         self._next_states[i] = transition.next_state
-        self._not_done[i] = 0.0 if transition.done else 1.0
+        if transition.done:
+            self._not_done[i] = 0.0
+        else:
+            self._not_done[i] = 1.0
+            self._any_continuing = True
         self._size = max(self._size, i + 1)
         self._next = (i + 1) % self.capacity
 
@@ -103,6 +114,9 @@ class ReplayBuffer:
         if not self._size:
             raise ValueError("cannot sample from an empty buffer")
         idx = rng.integers(0, self._size, size=batch_size)
+        if not self._any_continuing:
+            return Batch(self._states[idx], self._actions[idx], self._rewards[idx],
+                         None, None)
         return Batch(self._states[idx], self._actions[idx], self._rewards[idx],
                      self._next_states[idx], self._not_done[idx])
 
@@ -112,8 +126,8 @@ class _ChannelGrid:
 
     Fixed channels get a single bin; distributions are split into
     bandwidth_bins x snr_bins equal sub-ranges (SNR split in dB), each
-    kept as its own distribution. Channels are made from uniform draws
-    handed in by the environment, two per channel drawn.
+    kept as its own distribution for evaluation at its midpoint. The env
+    draws channels with the scalars kept here, two uniforms per channel.
     """
 
     def __init__(
@@ -125,8 +139,6 @@ class _ChannelGrid:
         self.channel = channel
         self.fixed = isinstance(channel, ChannelState)
         self.n_bins = _bin_count(channel, bandwidth_bins, snr_bins)
-        # (low, width) of each range that is split into bins, else None
-        self._bw_split = self._snr_split = None
         if self.fixed:
             self.bandwidth_bins = 1
             self.snr_bins = 1
@@ -137,12 +149,6 @@ class _ChannelGrid:
         self.snr_bins = snr_bins
         if not all(map(math.isfinite, channel.bw_scale + channel.db_scale)):
             raise ValueError(f"{channel} spans a range wider than the largest float")
-        lo, hi = channel.bandwidth_range
-        if hi > lo:
-            self._bw_split = (lo, hi - lo)
-        lo_db, hi_db = channel.snr_range_db
-        if hi_db > lo_db:
-            self._snr_split = (lo_db, hi_db - lo_db)
         self.bins = tuple(
             ChannelDistribution(
                 _sub_range(*channel.bandwidth_range, bandwidth_bins, ibw),
@@ -151,35 +157,21 @@ class _ChannelGrid:
             for ibw in range(bandwidth_bins)
             for isnr in range(snr_bins)
         )
+        # (bw_lo, bw_width, db_lo, db_width) of each bin's sub-ranges
         self.scales = tuple(b.bw_scale + b.db_scale for b in self.bins)
-
-    def bin_of(self, bandwidth_hz: float, snr_linear: float) -> int:
-        ibw = isnr = 0
-        if self._bw_split is not None:
-            lo, width = self._bw_split
-            ibw = min(int((bandwidth_hz - lo) / width * self.bandwidth_bins),
-                      self.bandwidth_bins - 1)
-        if self._snr_split is not None:
-            lo_db, width_db = self._snr_split
-            db = 10.0 * float(np.log10(snr_linear))
-            isnr = min(int((db - lo_db) / width_db * self.snr_bins),
-                       self.snr_bins - 1)
-            isnr = max(isnr, 0)
-        return ibw * self.snr_bins + isnr
-
-    def draw_bin(self, draws: Iterator[float]) -> int:
-        """Bin of a channel drawn from the full distribution."""
-        if self.fixed:
-            return 0
-        return self.bin_of(*self.channel.at(next(draws), next(draws)))
-
-    def rate_within(self, bin_index: int, draws: Iterator[float]) -> float:
-        """Shannon rate of a channel drawn from the given bin's sub-ranges."""
-        if self.fixed:
-            return self.rate
-        bw_lo, bw_width, db_lo, db_width = self.scales[bin_index]
-        bw = bw_lo + bw_width * next(draws)
-        return bw * math.log2(1.0 + snr_db_to_linear(db_lo + db_width * next(draws)))
+        # How a channel drawn from the whole distribution is binned. Each
+        # dimension split into more than one bin keeps its draw scale
+        # (low, width), the split's (low, width) and its bin count; the
+        # bandwidth one also its stride in the bin index. A dimension with
+        # one bin, or with a zero-width range, is always bin 0: None.
+        lo, hi = channel.bandwidth_range
+        self.bw_binning = None
+        if bandwidth_bins > 1 and hi > lo:
+            self.bw_binning = (*channel.bw_scale, lo, hi - lo, bandwidth_bins, snr_bins)
+        lo_db, hi_db = channel.snr_range_db
+        self.snr_binning = None
+        if snr_bins > 1 and hi_db > lo_db:
+            self.snr_binning = (*channel.db_scale, lo_db, hi_db - lo_db, snr_bins)
 
     def midpoint(self, bin_index: int) -> ChannelState:
         return resolve_channel(self.bins[bin_index])
@@ -234,6 +226,16 @@ class PartitionEnv:
         self._draws_per_set = sum(2 for g in self.grids if not g.fixed)
         self._cuts = tuple(product(range(scenario.num_candidates),
                                    repeat=scenario.num_devices))
+        # a fixed channel is one bin and draws nothing, so binning skips it
+        self._binning = tuple((g.n_bins, g.bw_binning, g.snr_binning)
+                              for g in self.grids if not g.fixed)
+        self._fixed_rates = tuple(g.rate if g.fixed else None for g in self.grids)
+        # per channel combo, each device's bin scales (None on a fixed channel)
+        self._combo_scales = tuple(
+            tuple(None if g.fixed else g.scales[b]
+                  for g, b in zip(self.grids, self._channel_bins(combo)))
+            for combo in range(self.n_combos)
+        )
 
     # -- spaces ----------------------------------------------------------
 
@@ -290,41 +292,59 @@ class PartitionEnv:
         bins.reverse()
         return bins
 
-    def _uniforms(self, rng: np.random.Generator, sets: int) -> Iterator[float]:
-        """The uniform draws for ``sets`` sets of channels, in one call.
+    def _combo_of(self, u: list[float], i: int) -> int:
+        """Channel combo of the channels drawn from ``u[i:]``, two uniforms
+        per distribution channel, first device first.
 
-        ``rng.random(n)`` yields the same doubles, in the same order, as
-        ``n`` calls of ``rng.random()``.
+        ``u`` comes from one ``rng.random(n).tolist()``, which yields the
+        same doubles, in the same order, as ``n`` calls of ``rng.random()``.
+        A zero linear SNR (below about -3236 dB it underflows) is -inf dB,
+        so it falls in SNR bin 0.
         """
-        return iter(rng.random(sets * self._draws_per_set).tolist())
-
-    def _draw_channel_combo(self, draws: Iterator[float]) -> int:
         combo = 0
-        for grid in self.grids:
-            combo = combo * grid.n_bins + grid.draw_bin(draws)
+        for n_bins, bw, snr in self._binning:
+            b = 0
+            if bw is not None:
+                bw_lo, bw_width, lo, width, bins, stride = bw
+                hz = bw_lo + bw_width * u[i]
+                b = min(int((hz - lo) / width * bins), bins - 1) * stride
+            if snr is not None:
+                db_lo, db_width, lo_db, width_db, bins = snr
+                snr_linear = 10.0 ** ((db_lo + db_width * u[i + 1]) / 10.0)
+                if snr_linear > 0.0:
+                    db = 10.0 * float(np.log10(snr_linear))
+                    b += max(min(int((db - lo_db) / width_db * bins), bins - 1), 0)
+            combo = combo * n_bins + b
+            i += 2
         return combo
 
     def reset(self, rng: np.random.Generator) -> int:
-        return self._draw_channel_combo(self._uniforms(rng, 1))
+        return self._combo_of(rng.random(self._draws_per_set).tolist(), 0)
 
     def step(self, state_id: int, action: int, rng: np.random.Generator) -> Transition:
         step, combo = divmod(state_id, self.n_combos)
         cuts = self._cuts_of(action)
         # this step's channels, then the next state's; a terminal step draws
         # both too, so the random stream does not depend on the horizon
-        draws = self._uniforms(rng, 2)
-        # all rates first, so a zero-rate link cannot skip the next state's draws
-        rates = [grid.rate_within(b, draws)
-                 for grid, b in zip(self.grids, self._channel_bins(combo))]
+        u = rng.random(2 * self._draws_per_set).tolist()
+        effects = []
+        i = 0
         try:
-            effects = [costs.effect(rate, cut) for costs, rate, cut
-                       in zip(self.scenario.cut_costs, rates, cuts)]
+            for costs, cut, rate, scale in zip(self.scenario.cut_costs, cuts,
+                                               self._fixed_rates,
+                                               self._combo_scales[combo]):
+                if scale is not None:
+                    bw_lo, bw_width, db_lo, db_width = scale
+                    snr_linear = 10.0 ** ((db_lo + db_width * u[i + 1]) / 10.0)
+                    rate = (bw_lo + bw_width * u[i]) * math.log2(1.0 + snr_linear)
+                    i += 2
+                effects.append(costs.effect(rate, cut))
             reward = -(math.fsum(effects) / len(effects))
         except ZeroRateError:
             reward = -1.0
         if step + 1 >= self.horizon:
             return Transition(state_id, action, reward, 0, True)
-        next_state = (step + 1) * self.n_combos + self._draw_channel_combo(draws)
+        next_state = (step + 1) * self.n_combos + self._combo_of(u, self._draws_per_set)
         return Transition(state_id, action, reward, next_state, False)
 
     # -- deterministic evaluation -----------------------------------------

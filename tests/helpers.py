@@ -14,7 +14,12 @@ from splitcvl.errors import (
     ZeroRateError,
     ZeroVectorError,
 )
-from splitcvl.netmodel import ChannelState, device_from_kind, shannon_rate
+from splitcvl.netmodel import (
+    ChannelState,
+    device_from_kind,
+    shannon_rate,
+    snr_db_to_linear,
+)
 from splitcvl.nnprofile import PROFILE_HEADER, LayerProfile, ModelProfile
 from splitcvl.retrieval import (
     METRIC_NAMES,
@@ -24,7 +29,13 @@ from splitcvl.retrieval import (
     SyntheticQueryPool,
     top1_percent_k,
 )
-from splitcvl.trico import ConfEntry, ConfidentialityTable, Scenario, TriCoWeights
+from splitcvl.trico import (
+    ConfEntry,
+    ConfidentialityTable,
+    Scenario,
+    TriCoWeights,
+    decision_effect,
+)
 
 
 def perfbench_spans():
@@ -77,6 +88,72 @@ def tx_energy(tx_power_w, latency_s):
     if tx_power_w < 0 or latency_s < 0:
         raise ValueError("tx_energy inputs must be >= 0")
     return tx_power_w * latency_s
+
+
+def channel_at(dist, u_bw, u_snr):
+    """(bandwidth_hz, snr_linear) of ``dist`` at uniform draws in [0, 1).
+
+    A range maps a draw ``u`` to ``low + (high - low) * u``, the float
+    ``Generator.uniform`` makes of its single draw, so
+    ``channel_at(dist, rng.random(), rng.random())`` equals two
+    ``rng.uniform`` calls, down to the OverflowError for a range of
+    non-finite width.
+    """
+    bw_lo, bw_width = dist.bw_scale
+    db_lo, db_width = dist.db_scale
+    if not (math.isfinite(bw_width) and math.isfinite(db_width)):
+        raise OverflowError("high - low range exceeds valid bounds")
+    return bw_lo + bw_width * u_bw, snr_db_to_linear(db_lo + db_width * u_snr)
+
+
+def grid_bin(grid, ch):
+    """Bin of channel ``ch`` in an env channel grid: equal-width bandwidth
+    and dB sub-ranges over the grid's whole distribution, the bandwidth
+    bin major. A zero linear SNR is -inf dB, in SNR bin 0."""
+    if grid.fixed:
+        return 0
+    lo, hi = grid.channel.bandwidth_range
+    lo_db, hi_db = grid.channel.snr_range_db
+    ibw = isnr = 0
+    if hi > lo:
+        ibw = min(int((ch.bandwidth_hz - lo) / (hi - lo) * grid.bandwidth_bins),
+                  grid.bandwidth_bins - 1)
+    if hi_db > lo_db and ch.snr_linear > 0.0:
+        db = 10.0 * float(np.log10(ch.snr_linear))
+        isnr = min(int((db - lo_db) / (hi_db - lo_db) * grid.snr_bins), grid.snr_bins - 1)
+        isnr = max(isnr, 0)
+    return ibw * grid.snr_bins + isnr
+
+
+def record_path_combo(env, draws):
+    """Channel combo of a fresh draw for every device, by way of channel
+    records: what ``env.reset`` returns on the same uniforms."""
+    combo = 0
+    for grid in env.grids:
+        b = 0
+        if not grid.fixed:
+            ch = ChannelState(*channel_at(grid.channel, next(draws), next(draws)))
+            b = grid_bin(grid, ch)
+        combo = combo * grid.n_bins + b
+    return combo
+
+
+def record_path_transition(env, state, action, draws):
+    """(reward, next state) by way of channel records and ``decision_effect``:
+    what ``env.step`` returns on the same uniforms."""
+    bins, step = env.decode_state(state)
+    channels = tuple(
+        grid.channel if grid.fixed
+        else ChannelState(*channel_at(grid.bins[b], next(draws), next(draws)))
+        for grid, b in zip(env.grids, bins)
+    )
+    try:
+        reward = -decision_effect(env.scenario, env.decode_action(action), channels)
+    except ZeroRateError:
+        reward = -1.0
+    if step + 1 >= env.horizon:
+        return reward, 0
+    return reward, (step + 1) * env.n_combos + record_path_combo(env, draws)
 
 
 def oracle_enumerate(scenario, channels):

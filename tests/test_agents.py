@@ -5,6 +5,7 @@ import pytest
 
 from splitcvl.rlopt.agents import (
     Hyperparams,
+    _epsilons,
     _make_trace,
     policy_effect,
     ppo_policy_gradient,
@@ -46,6 +47,24 @@ class TestTrace:
         assert lines[0] == "step,effect,moving_avg"
         assert len(lines) == 3
         assert lines[1].startswith("0,0.5,")
+
+
+class TestEpsilonSchedule:
+    @staticmethod
+    def per_step_epsilon(step, total_steps, hyper):
+        decay_steps = hyper.epsilon_decay_fraction * total_steps
+        if decay_steps <= 0:
+            return hyper.epsilon_final
+        frac = min(1.0, step / decay_steps)
+        return hyper.epsilon_start - (hyper.epsilon_start - hyper.epsilon_final) * frac
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.3, 0.5, 1.0, 1.7])
+    @pytest.mark.parametrize("steps", [0, 1, 7, 3000])
+    def test_equals_per_step_formula(self, fraction, steps):
+        hyper = Hyperparams(epsilon_start=0.9, epsilon_final=0.03,
+                            epsilon_decay_fraction=fraction)
+        expected = [self.per_step_epsilon(t, steps, hyper) for t in range(steps)]
+        assert [e.hex() for e in _epsilons(steps, hyper)] == [e.hex() for e in expected]
 
 
 class TestQLearning:

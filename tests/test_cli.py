@@ -580,7 +580,9 @@ class TestOptimizeCommand:
         trace_lines = out.read_text().strip().split("\n")
         assert trace_lines[0] == "step,effect,moving_avg"
         assert len(trace_lines) == 201
-        summary = capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert captured.err == ""  # no zero-rate warning on a feasible channel
+        summary = captured.out
         assert "agent=q_learning" in summary
         assert "oracle_effect=" in summary
         assert "gap=" in summary
@@ -598,6 +600,22 @@ class TestOptimizeCommand:
         assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 0
         assert out.read_text() == "step,effect,moving_avg\n"
         assert "trained=no" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("snr_db", ["[-4000.0, 15.0]", "[-3300.0, -3250.0]"])
+    def test_underflowing_snr_range_trains_and_exits_0(self, snr_db, tmp_path, capsys):
+        # below about -3236 dB the linear SNR underflows to 0.0; such draws
+        # fall in SNR bin 0 and their steps get the zero-rate reward of -1
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(QUICK_CONFIG.replace("snr_db: [5.0, 15.0]", f"snr_db: {snr_db}"))
+        out = tmp_path / "trace.csv"
+        assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = out.read_text().strip().split("\n")[1:]
+        assert len(rows) == 200
+        assert any(row.split(",")[1] == "1.0" for row in rows)
+        captured = capsys.readouterr()
+        # the mean channel's rate is 0 too: its decisions score 1.0, said on stderr
+        assert captured.err.startswith("warning: a link has zero rate at the mean channel")
+        assert "effect=1.0\noracle_effect=1.0\ngap=0.0\n" in captured.out
 
     def test_seed_flag_overrides_config(self, config_path, tmp_path):
         a, b, c = (tmp_path / n for n in ("a.csv", "b.csv", "c.csv"))

@@ -15,7 +15,7 @@ from splitcvl.netmodel import (
 )
 from splitcvl.trico import TriCoWeights
 
-from helpers import tx_energy, tx_latency
+from helpers import channel_at, tx_energy, tx_latency
 
 
 class TestShannonRate:
@@ -93,30 +93,38 @@ class TestSampleChannel:
     def test_degenerate_ranges(self):
         dist = ChannelDistribution((1e6, 1e6), (6.0, 6.0))
         rng = np.random.default_rng(0)
-        ch = ChannelState(*dist.at(rng.random(), rng.random()))
+        ch = ChannelState(*channel_at(dist, rng.random(), rng.random()))
         assert ch.bandwidth_hz == 1e6
         assert ch.snr_linear == pytest.approx(10**0.6)
 
     def test_same_seed_identical(self):
         dist = ChannelDistribution((1e6, 9e6), (0.0, 20.0))
         rng_a, rng_b = np.random.default_rng(42), np.random.default_rng(42)
-        a = ChannelState(*dist.at(rng_a.random(), rng_a.random()))
-        b = ChannelState(*dist.at(rng_b.random(), rng_b.random()))
+        a = ChannelState(*channel_at(dist, rng_a.random(), rng_a.random()))
+        b = ChannelState(*channel_at(dist, rng_b.random(), rng_b.random()))
         assert a == b
 
     def test_seed_stream_sequences_identical(self):
         dist = ChannelDistribution((1e6, 9e6), (0.0, 20.0))
         rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
-        seq_a = [dist.at(rng_a.random(), rng_a.random()) for _ in range(50)]
-        seq_b = [dist.at(rng_b.random(), rng_b.random()) for _ in range(50)]
+        seq_a = [channel_at(dist, rng_a.random(), rng_a.random()) for _ in range(50)]
+        seq_b = [channel_at(dist, rng_b.random(), rng_b.random()) for _ in range(50)]
         assert seq_a == seq_b
+
+    def test_equals_two_generator_uniform_calls(self):
+        dist = ChannelDistribution((1e6, 9e6), (-20.0, 30.0))
+        rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(200):
+            bw, snr = channel_at(dist, rng.random(), rng.random())
+            assert bw == twin.uniform(1e6, 9e6)
+            assert snr == snr_db_to_linear(twin.uniform(-20.0, 30.0))
 
     def test_snr_range_exhaustive_sampling(self):
         # 0..10 dB must land in [1.0, 10.0] linear for every draw.
         dist = ChannelDistribution((1e6, 2e6), (0.0, 10.0))
         rng = np.random.default_rng(5)
         for _ in range(10_000):
-            ch = ChannelState(*dist.at(rng.random(), rng.random()))
+            ch = ChannelState(*channel_at(dist, rng.random(), rng.random()))
             assert 1.0 <= ch.snr_linear <= 10.0
             assert 1e6 <= ch.bandwidth_hz <= 2e6
 
@@ -149,7 +157,7 @@ class TestChannelTypes:
     def test_finite_bounds_of_infinite_width_overflow_when_drawn(self):
         dist = ChannelDistribution((1e6, 2e6), (-1e308, 1e308))
         with pytest.raises(OverflowError):
-            dist.at(0.5, 0.5)
+            channel_at(dist, 0.5, 0.5)
 
     def test_snr_db_to_linear(self):
         assert snr_db_to_linear(0.0) == 1.0

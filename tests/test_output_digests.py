@@ -23,7 +23,11 @@ transition is terminal and the DQN target and PPO value bootstraps are
 multiplied by zero. The horizon-2 digests (a 2 x 3 bin grid per device,
 72 states) and the digest of DQN's final parameters there are the ones
 that see those bootstraps. They were recorded before DQN and PPO stopped
-running the bootstrap forward on all-terminal batches.
+running the bootstrap forward on all-terminal batches. The horizon-2
+digests of the three tabular agents, whose bootstraps are likewise
+multiplied by zero at horizon 1, were recorded before the env's reset and
+step moved to precomputed bin tables and the tabular agents' loops were
+trimmed.
 
 The ``privacy`` digest, on a fixed demo corpus, was recorded before the
 CLI parser was cached and configs moved to libyaml. The color ``privacy``
@@ -64,6 +68,9 @@ TRACE_DIGESTS = {
     "ppo": "ef6493e79877554b7097b723ba99eb1d4f75c43cbd3e6b1c1eefdd1677fdfc88",
 }
 HORIZON2_DIGESTS = {
+    "q_learning": "cd6d36bee5bfb5b21b083da57818b4f74f4fcb47fbf7d01a7610f0ca882c305b",
+    "multi_q": "57bfcad605eacf4aa958473955ef56bbbce7ea721da216c4382f7efc65468b7b",
+    "actor_critic": "8c0c96d722460810579bc20d190d1447d678068a068d509c916e78c10090cc27",
     "dqn": "e7677b3549ad885213ffc5bb2b2e3c76f37928dc88fc0365511bcf602956b703",
     "ppo": "74a25c1dd42b9ef2d6afbd56a1ebc3f11f28fb4c9da801ef18fe8accddcf5366",
 }

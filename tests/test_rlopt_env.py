@@ -4,7 +4,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from splitcvl.errors import ZeroRateError
 from splitcvl.netmodel import (
     ChannelDistribution,
     ChannelState,
@@ -14,6 +13,7 @@ from splitcvl.netmodel import (
 from splitcvl.rlopt import env as env_module
 from splitcvl.rlopt.env import PartitionEnv, ReplayBuffer, Transition
 from splitcvl.trico import (
+    CutCosts,
     PartitionDecision,
     Scenario,
     TriCoWeights,
@@ -22,7 +22,12 @@ from splitcvl.trico import (
     default_scenario,
 )
 
-from helpers import synthetic_profile
+from helpers import (
+    channel_at,
+    record_path_combo,
+    record_path_transition,
+    synthetic_profile,
+)
 
 
 def fixed_channel_scenario():
@@ -212,28 +217,16 @@ def three_device_scenario(fixed_snr):
     )
 
 
-def record_path_transition(env, state, action, draws):
-    """(reward, next state) by way of channel records and ``decision_effect``."""
-    bins, step = env.decode_state(state)
-    channels = tuple(
-        grid.channel if grid.fixed else ChannelState(*grid.bins[b].at(next(draws), next(draws)))
-        for grid, b in zip(env.grids, bins)
-    )
-    try:
-        reward = -decision_effect(env.scenario, env.decode_action(action), channels)
-    except ZeroRateError:
-        reward = -1.0
-    if step + 1 >= env.horizon:
-        return reward, 0
-    combo = 0
-    for grid in env.grids:
-        combo = combo * grid.n_bins + grid.draw_bin(draws)
-    return reward, (step + 1) * env.n_combos + combo
+def two_channel_env(snr_a, snr_b, **bins):
+    """The stock scenario with its two channels' SNR ranges (dB) replaced."""
+    channels = tuple(ChannelDistribution((5e6, 20e6), snr) for snr in (snr_a, snr_b))
+    return PartitionEnv(dataclasses.replace(default_scenario(), channels=channels), **bins)
 
 
 class TestRecordFreeStep:
-    """``step`` maps its uniforms to rates without building channel records;
-    replaying the same uniforms through the records gives the same reward."""
+    """``reset`` and ``step`` map their uniforms to bins and rates without
+    building channel records; replaying the same uniforms through the
+    records gives the same state and reward."""
 
     ENVS = {
         "stock": lambda: PartitionEnv(default_scenario()),
@@ -250,7 +243,40 @@ class TestRecordFreeStep:
             snr_bins=2,
         ),
         "zero_snr_fixed": lambda: PartitionEnv(three_device_scenario(0.0), horizon=2),
+        # below about -3236 dB the linear SNR underflows to 0.0: SNR bin 0
+        "underflow_snr": lambda: two_channel_env(
+            (-4000.0, 15.0), (-4000.0, 15.0), bandwidth_bins=2, snr_bins=3, horizon=2
+        ),
+        "underflow_snr_always": lambda: two_channel_env(
+            (-3300.0, -3250.0), (5.0, 15.0), snr_bins=2, horizon=2
+        ),
     }
+    ALWAYS_ZERO_RATE = {"zero_snr_fixed", "underflow_snr_always"}
+
+    @pytest.mark.parametrize("name", sorted(ENVS))
+    def test_reset_matches_record_path_bit_for_bit(self, name):
+        env = self.ENVS[name]()
+        rng = np.random.default_rng(20)
+        n_draws = 2 * sum(not grid.fixed for grid in env.grids)
+        for _ in range(600):
+            twin = copy.deepcopy(rng)
+            state = env.reset(rng)
+            draws = iter(twin.random(n_draws).tolist())
+            assert state == record_path_combo(env, draws)
+            assert rng.random() == twin.random()  # reset drew n_draws uniforms
+
+    def test_reset_bins_snr_with_numpy_log10(self):
+        # at u = 0.5 over 2.0-3.8 dB in 4 bins, the drawn SNR sits on the edge
+        # of bins 1 and 2; here numpy's float64 log10 puts it in bin 2 and
+        # math.log10 in bin 1, so the binning must keep numpy's
+        env = two_channel_env((2.0, 3.8), (2.0, 3.8), snr_bins=4)
+
+        class HalfDraws:
+            @staticmethod
+            def random(n):
+                return np.full(n, 0.5)
+
+        assert env.reset(HalfDraws()) == record_path_combo(env, iter([0.5] * 4))
 
     @pytest.mark.parametrize("name", sorted(ENVS))
     def test_reward_is_negative_decision_effect_bit_for_bit(self, name):
@@ -266,21 +292,39 @@ class TestRecordFreeStep:
             reward, next_state = record_path_transition(env, state, action, draws)
             assert tr.reward.hex() == reward.hex()
             assert tr.next_state == next_state
-            if name == "zero_snr_fixed":
+            if name in self.ALWAYS_ZERO_RATE:
                 assert tr.reward == -1.0
             state = env.reset(rng) if tr.done else tr.next_state
 
     @pytest.mark.parametrize("name", sorted(ENVS))
-    def test_rates_equal_shannon_rate_of_channel_records(self, name):
-        # the stock effect barely moves with the rate, so check rates directly
+    def test_rates_equal_shannon_rate_of_channel_records(self, name, monkeypatch):
+        # the stock effect barely moves with the rate, so check the rates
+        # that step hands to CutCosts.effect directly, in every state
         env = self.ENVS[name]()
-        u = np.random.default_rng(23).random(200).tolist()
-        for grid in env.grids:
-            for b, dist in enumerate(grid.bins):
-                for u_bw, u_snr in zip(u[::2], u[1::2]):
-                    record = dist if grid.fixed else ChannelState(*dist.at(u_bw, u_snr))
-                    rate = grid.rate_within(b, iter((u_bw, u_snr)))
-                    assert rate.hex() == shannon_rate(record).hex()
+        seen = []
+        effect = CutCosts.effect
+
+        def recording_effect(costs, rate, cut):
+            seen.append(rate)
+            return effect(costs, rate, cut)
+
+        monkeypatch.setattr(CutCosts, "effect", recording_effect)
+        rng = np.random.default_rng(23)
+        for state in range(env.n_states):
+            bins, _ = env.decode_state(state)
+            for _ in range(10):
+                twin = copy.deepcopy(rng)
+                seen.clear()
+                env.step(state, 0, rng)
+                draws = iter(twin.random(2 * len(env.grids)).tolist())
+                expected = [
+                    shannon_rate(grid.channel if grid.fixed else ChannelState(
+                        *channel_at(grid.bins[b], next(draws), next(draws))))
+                    for grid, b in zip(env.grids, bins)
+                ]
+                # a zero rate ends the step's evaluations
+                assert seen and (len(seen) == len(expected) or seen[-1] == 0.0)
+                assert [r.hex() for r in seen] == [r.hex() for r in expected[:len(seen)]]
 
     def test_non_finite_range_width_rejected_at_construction(self):
         wide = ChannelDistribution((1e6, 2e6), (-1e308, 1e308))
