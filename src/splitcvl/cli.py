@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -114,13 +115,15 @@ def cmd_optimize(config: ScenarioConfig, args) -> int:
     try:
         effect = decision_effect(scenario, decision)
         _, oracle_effect = optimal_decision(scenario)
+        gap = (effect - oracle_effect) / oracle_effect if oracle_effect > 0 else effect
     except ZeroRateError:
-        # every decision is infeasible there; score it as evaluate_action does
+        # every decision is infeasible there; score it as evaluate_action
+        # does, and leave the gap undefined: there is no optimum to approach
         print("warning: a link has zero rate at the mean channel; effect and "
-              "oracle_effect read 1.0, the score of an infeasible decision",
-              file=sys.stderr)
+              "oracle_effect read 1.0, the score of an infeasible decision, "
+              "and gap is nan", file=sys.stderr)
         effect = oracle_effect = 1.0
-    gap = (effect - oracle_effect) / oracle_effect if oracle_effect > 0 else effect
+        gap = math.nan
     summary = [
         f"agent={opt.agent}",
         f"steps={opt.steps}",

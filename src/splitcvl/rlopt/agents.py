@@ -298,16 +298,10 @@ def train_actor_critic(
         if buffer is not None:
             buffer.push(tr)
             rep = buffer.sample_batch(rng, hyper.batch_size)
-            rows = zip(rep.states.tolist(), rep.rewards.tolist())
-            if rep.not_done is None:
-                # every row is terminal; r and r + 0.0 give the same update
-                for s, r in rows:
-                    values[s] += hyper.lr * (r - values[s])
-            else:
-                for (s, r), ns, nd in zip(rows, rep.next_states.tolist(),
-                                          rep.not_done.tolist()):
-                    rep_target = r + (hyper.gamma * values[ns] if nd else 0.0)
-                    values[s] += hyper.lr * (rep_target - values[s])
+            for s, r, ns, nd in zip(rep.states.tolist(), rep.rewards.tolist(),
+                                    rep.next_states.tolist(), rep.not_done.tolist()):
+                rep_target = r + (hyper.gamma * values[ns] if nd else 0.0)
+                values[s] += hyper.lr * (rep_target - values[s])
         effects.append(-tr.reward)
         state, steps_in_episode = _advance(env, tr, steps_in_episode, rng)
     policy = TrainedPolicy(lambda s, logits=logits: int(np.argmax(logits[s])), table=logits)
@@ -346,7 +340,7 @@ def train_dqn(
         # a terminal row's bootstrap, gamma * 0.0 * q, is +-0.0 and leaves
         # its reward unchanged: with no continuing row the target is unused
         y = batch.rewards
-        if batch.not_done is not None and batch.not_done.any():
+        if buffer.any_continuing and batch.not_done.any():
             q_next = target.forward(table[batch.next_states]).max(axis=1)
             y = batch.rewards + hyper.gamma * batch.not_done * q_next
         q = net.forward(table[batch.states])

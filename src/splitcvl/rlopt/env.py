@@ -38,6 +38,7 @@ from ..netmodel import (
     ChannelState,
     resolve_channel,
     shannon_rate,
+    snr_db_to_linear,
 )
 from ..trico import PartitionDecision, Scenario, decision_effect
 
@@ -60,17 +61,13 @@ class Transition(NamedTuple):
 
 
 class Batch(NamedTuple):
-    """Sampled transitions, one array per field.
-
-    ``next_states`` and ``not_done`` are None while every transition
-    pushed so far is terminal, as at horizon 1: then no row bootstraps.
-    """
+    """Sampled transitions, one array per field."""
 
     states: np.ndarray
     actions: np.ndarray
     rewards: np.ndarray
-    next_states: np.ndarray | None
-    not_done: np.ndarray | None  # 1.0 where the episode continues, else 0.0
+    next_states: np.ndarray
+    not_done: np.ndarray  # 1.0 where the episode continues, else 0.0
 
 
 class ReplayBuffer:
@@ -110,13 +107,16 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return self._size
 
+    @property
+    def any_continuing(self) -> bool:
+        """Whether any transition pushed so far continues its episode;
+        never at horizon 1, where no sampled row bootstraps."""
+        return self._any_continuing
+
     def sample_batch(self, rng: np.random.Generator, batch_size: int) -> Batch:
         if not self._size:
             raise ValueError("cannot sample from an empty buffer")
         idx = rng.integers(0, self._size, size=batch_size)
-        if not self._any_continuing:
-            return Batch(self._states[idx], self._actions[idx], self._rewards[idx],
-                         None, None)
         return Batch(self._states[idx], self._actions[idx], self._rewards[idx],
                      self._next_states[idx], self._not_done[idx])
 
@@ -223,16 +223,15 @@ class PartitionEnv:
         # a state id is step * n_combos + channel combo, the combo a
         # mixed-radix number of the devices' bins, first device first
         self.n_combos = math.prod(g.n_bins for g in self.grids)
-        self._draws_per_set = sum(2 for g in self.grids if not g.fixed)
+        # a fixed channel is one bin and draws nothing, so binning skips it
+        self._drawn_grids = tuple(g for g in self.grids if not g.fixed)
+        self._draws_per_set = 2 * len(self._drawn_grids)
         self._cuts = tuple(product(range(scenario.num_candidates),
                                    repeat=scenario.num_devices))
-        # a fixed channel is one bin and draws nothing, so binning skips it
-        self._binning = tuple((g.n_bins, g.bw_binning, g.snr_binning)
-                              for g in self.grids if not g.fixed)
-        self._fixed_rates = tuple(g.rate if g.fixed else None for g in self.grids)
-        # per channel combo, each device's bin scales (None on a fixed channel)
-        self._combo_scales = tuple(
-            tuple(None if g.fixed else g.scales[b]
+        # per channel combo, each device's link: its bin's (bw_lo, bw_width,
+        # db_lo, db_width) on a drawn channel, else the fixed channel's rate
+        self._combo_links = tuple(
+            tuple(g.rate if g.fixed else g.scales[b]
                   for g, b in zip(self.grids, self._channel_bins(combo)))
             for combo in range(self.n_combos)
         )
@@ -302,19 +301,19 @@ class PartitionEnv:
         so it falls in SNR bin 0.
         """
         combo = 0
-        for n_bins, bw, snr in self._binning:
+        for grid in self._drawn_grids:
             b = 0
-            if bw is not None:
-                bw_lo, bw_width, lo, width, bins, stride = bw
+            if grid.bw_binning is not None:
+                bw_lo, bw_width, lo, width, bins, stride = grid.bw_binning
                 hz = bw_lo + bw_width * u[i]
                 b = min(int((hz - lo) / width * bins), bins - 1) * stride
-            if snr is not None:
-                db_lo, db_width, lo_db, width_db, bins = snr
-                snr_linear = 10.0 ** ((db_lo + db_width * u[i + 1]) / 10.0)
+            if grid.snr_binning is not None:
+                db_lo, db_width, lo_db, width_db, bins = grid.snr_binning
+                snr_linear = snr_db_to_linear(db_lo + db_width * u[i + 1])
                 if snr_linear > 0.0:
                     db = 10.0 * float(np.log10(snr_linear))
                     b += max(min(int((db - lo_db) / width_db * bins), bins - 1), 0)
-            combo = combo * n_bins + b
+            combo = combo * grid.n_bins + b
             i += 2
         return combo
 
@@ -330,14 +329,15 @@ class PartitionEnv:
         effects = []
         i = 0
         try:
-            for costs, cut, rate, scale in zip(self.scenario.cut_costs, cuts,
-                                               self._fixed_rates,
-                                               self._combo_scales[combo]):
-                if scale is not None:
-                    bw_lo, bw_width, db_lo, db_width = scale
-                    snr_linear = 10.0 ** ((db_lo + db_width * u[i + 1]) / 10.0)
+            for costs, cut, link in zip(self.scenario.cut_costs, cuts,
+                                        self._combo_links[combo]):
+                if isinstance(link, tuple):
+                    bw_lo, bw_width, db_lo, db_width = link
+                    snr_linear = snr_db_to_linear(db_lo + db_width * u[i + 1])
                     rate = (bw_lo + bw_width * u[i]) * math.log2(1.0 + snr_linear)
                     i += 2
+                else:
+                    rate = link
                 effects.append(costs.effect(rate, cut))
             reward = -(math.fsum(effects) / len(effects))
         except ZeroRateError:

@@ -615,7 +615,27 @@ class TestOptimizeCommand:
         captured = capsys.readouterr()
         # the mean channel's rate is 0 too: its decisions score 1.0, said on stderr
         assert captured.err.startswith("warning: a link has zero rate at the mean channel")
-        assert "effect=1.0\noracle_effect=1.0\ngap=0.0\n" in captured.out
+        assert "effect=1.0\noracle_effect=1.0\ngap=nan\n" in captured.out
+
+    def test_fixed_zero_snr_link_trains_and_exits_0(self, tmp_path, capsys):
+        # cost exits 3 on this link (TestCostCommand); optimize trains on
+        # it, every step taking the zero-rate reward, and leaves gap undefined
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(
+            QUICK_CONFIG.replace(
+                "uav1: {distribution: {bandwidth_hz: [5.0e6, 20.0e6], "
+                "snr_db: [5.0, 15.0]}}",
+                "uav1: {fixed: {bandwidth_hz: 1.0e6, snr_linear: 0.0}}",
+            )
+        )
+        out = tmp_path / "trace.csv"
+        assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = out.read_text().strip().split("\n")[1:]
+        assert len(rows) == 200
+        assert all(row.split(",")[1] == "1.0" for row in rows)
+        captured = capsys.readouterr()
+        assert captured.err.startswith("warning: a link has zero rate at the mean channel")
+        assert "effect=1.0\noracle_effect=1.0\ngap=nan\n" in captured.out
 
     def test_seed_flag_overrides_config(self, config_path, tmp_path):
         a, b, c = (tmp_path / n for n in ("a.csv", "b.csv", "c.csv"))

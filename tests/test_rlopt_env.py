@@ -362,6 +362,22 @@ class TestReplayBuffer:
         with pytest.raises(ValueError):
             ReplayBuffer(3).sample_batch(np.random.default_rng(0), 1)
 
+    def test_any_continuing_stays_set_once_a_continuing_transition_is_pushed(self):
+        buf = ReplayBuffer(1)
+        buf.push(Transition(0, 0, 0.0, 0, True))
+        assert not buf.any_continuing
+        batch = buf.sample_batch(np.random.default_rng(0), 2)
+        assert batch.not_done.tolist() == [0.0, 0.0]
+        buf.push(Transition(1, 0, 0.0, 5, False))
+        assert buf.any_continuing
+        batch = buf.sample_batch(np.random.default_rng(0), 2)
+        assert batch.next_states.tolist() == [5, 5]
+        assert batch.not_done.tolist() == [1.0, 1.0]
+        # evicting the continuing transition leaves the flag set, which
+        # only costs a needless not_done.any()
+        buf.push(Transition(2, 0, 0.0, 0, True))
+        assert buf.any_continuing
+
 
 class TestEnvState:
     def test_decode_fields(self):
