@@ -7,6 +7,10 @@ reveals about the original image:
     non-overlapping 8x8 windows with the standard constants
     C1=(0.01*255)^2, C2=(0.03*255)^2 and population statistics. Higher
     SSIM means the attack recovered more structure, i.e. more leakage.
+    A window's sums of pixels, squares and products are integers of at
+    most 64*255^2, exact in float64, so SSIM does not depend on summation
+    order or the host. Each original is tiled once for all of its
+    reconstructions.
   * KL divergence between per-channel 256-bin pixel-intensity histograms,
     in nats, direction KL(original || reconstruction), with 1e-6 added to
     every bin count before normalization. Higher KL means the
@@ -24,15 +28,18 @@ Images load from binary PGM/PPM (P5/P6, 8-bit) or, for tests, from a
 comma-separated grayscale matrix. Files are checked once, as they are
 read, and the metrics then work on the validated uint8 arrays. An image
 must be at least 8x8, the SSIM window, and a corpus with two files for
-one role of a triple is rejected. ``write_demo_corpus`` emits a synthetic
-five-cut corpus whose reconstruction quality degrades with cut depth,
-standing in for real attack outputs.
+one role of a triple is rejected. A PNM header is whitespace-separated
+tokens, with ``#`` comments, and one whitespace byte after maxval.
+``write_demo_corpus`` emits a synthetic five-cut corpus whose
+reconstruction quality degrades with cut depth, standing in for real
+attack outputs.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -111,37 +118,52 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     return float(math.fsum(per_channel) / len(per_channel))
 
 
-def ssim(a: Image, b: Image) -> float:
-    """Mean structural similarity of two images, clamped to [0, 1].
+def _tiles(images: Sequence[Image]) -> np.ndarray:
+    """The whole WINDOW x WINDOW tiles of same-shape images as float64 rows,
+    shaped (images, channels, tiles, WINDOW**2), tiles in row-major order."""
+    nh, nw = images[0].height // WINDOW, images[0].width // WINDOW
+    ch = images[0].channels
+    px = np.stack([img.pixels[: nh * WINDOW, : nw * WINDOW] for img in images])
+    # move each tile row (WINDOW pixels of every channel) as one opaque item,
+    # far cheaper than moving its bytes one by one
+    rows = px.reshape(len(images), nh, WINDOW, nw, WINDOW * ch).view(f"V{WINDOW * ch}")
+    tiles = np.ascontiguousarray(rows.transpose(0, 1, 3, 2, 4)).view(np.uint8)
+    tiles = tiles.reshape(len(images), nh * nw, WINDOW * WINDOW, ch).transpose(0, 3, 1, 2)
+    return tiles.astype(np.float64, order="C")
+
+
+def ssim(orig: Image, recons: Sequence[Image]) -> list[float]:
+    """Mean structural similarity of ``orig`` to each reconstruction,
+    clamped to [0, 1], one score per reconstruction.
 
     The image is tiled into non-overlapping WINDOW x WINDOW patches
-    (trailing remainder pixels are ignored).
+    (trailing remainder pixels are ignored). Every per-tile sum of pixels,
+    squares and products is an integer below 2**53, so the tile statistics
+    are exact whatever the summation order.
     """
-    if a.pixels.shape != b.pixels.shape:
-        raise DimensionMismatchError("images must share dimensions and channels")
-    if WINDOW > min(a.width, a.height):
-        raise WindowTooLargeError(f"window {WINDOW} exceeds image extent {a.width}x{a.height}")
-
-    nh, nw = a.height // WINDOW, a.width // WINDOW
-    values = []
-    for ch in range(a.channels):
-        pa = a.pixels[: nh * WINDOW, : nw * WINDOW, ch].astype(np.float64)
-        pb = b.pixels[: nh * WINDOW, : nw * WINDOW, ch].astype(np.float64)
-        blocks_a = pa.reshape(nh, WINDOW, nw, WINDOW).transpose(0, 2, 1, 3)
-        blocks_a = blocks_a.reshape(nh * nw, -1)
-        blocks_b = pb.reshape(nh, WINDOW, nw, WINDOW).transpose(0, 2, 1, 3)
-        blocks_b = blocks_b.reshape(nh * nw, -1)
-        mu_a = blocks_a.mean(axis=1)
-        mu_b = blocks_b.mean(axis=1)
-        var_a = (blocks_a**2).mean(axis=1) - mu_a**2
-        var_b = (blocks_b**2).mean(axis=1) - mu_b**2
-        cov = (blocks_a * blocks_b).mean(axis=1) - mu_a * mu_b
-        terms = ((2 * mu_a * mu_b + C1) * (2 * cov + C2)) / (
-            (mu_a**2 + mu_b**2 + C1) * (var_a + var_b + C2)
+    for b in recons:
+        if b.pixels.shape != orig.pixels.shape:
+            raise DimensionMismatchError("images must share dimensions and channels")
+    if WINDOW > min(orig.width, orig.height):
+        raise WindowTooLargeError(
+            f"window {WINDOW} exceeds image extent {orig.width}x{orig.height}"
         )
-        values.append(float(np.mean(terms)))
 
-    return min(1.0, max(0.0, math.fsum(values) / len(values)))
+    n = WINDOW * WINDOW
+    tiles = _tiles((orig, *recons))
+    mu = np.einsum("kcti->kct", tiles) / n
+    var = np.einsum("kcti,kcti->kct", tiles, tiles) / n - mu**2
+    mu_a, mu_b = mu[0], mu[1:]
+    var_a, var_b = var[0], var[1:]
+    cov = np.einsum("cti,kcti->kct", tiles[0], tiles[1:]) / n - mu_a * mu_b
+    terms = ((2 * mu_a * mu_b + C1) * (2 * cov + C2)) / (
+        (mu_a**2 + mu_b**2 + C1) * (var_a + var_b + C2)
+    )
+    scores = []
+    for recon_terms in terms:  # (channels, tiles): one mean per channel row
+        values = [float(np.mean(row)) for row in recon_terms]
+        scores.append(min(1.0, max(0.0, math.fsum(values) / len(values))))
+    return scores
 
 
 def build_conf_table(corpus: Corpus) -> ConfidentialityTable:
@@ -159,8 +181,9 @@ def build_conf_table(corpus: Corpus) -> ConfidentialityTable:
             h_orig = histogram_of(orig)
             kl_open.append(kl_divergence(h_orig, histogram_of(open_box)))
             kl_closed.append(kl_divergence(h_orig, histogram_of(closed_box)))
-            ssim_open.append(ssim(orig, open_box))
-            ssim_closed.append(ssim(orig, closed_box))
+            s_open, s_closed = ssim(orig, (open_box, closed_box))
+            ssim_open.append(s_open)
+            ssim_closed.append(s_closed)
         n = len(triples)
         entries.append(
             ConfEntry(
@@ -183,27 +206,31 @@ def write_image(img: Image, path) -> None:
     Path(path).write_bytes(header + img.pixels.tobytes())
 
 
+# whitespace and comments, then a decimal token (empty where none follows)
+_HEADER_TOKEN = re.compile(rb"(?:\s|#[^\n]*\n?)*(\d*)")
+
+
 def _read_pnm_header(data: bytes, path: Path) -> tuple[list[int], int]:
     """Width, height and maxval after the magic, skipping comments, and
     the raster's offset."""
     tokens: list[int] = []
     pos = 2
-    while len(tokens) < 3:
-        if pos >= len(data):
-            raise ConfigError(f"{path}: truncated image header")
-        ch = data[pos : pos + 1]
-        if ch.isspace():
-            pos += 1
-        elif ch == b"#":
-            end = data.find(b"\n", pos)
-            pos = len(data) if end == -1 else end + 1
-        else:
-            match = re.match(rb"\d+", data[pos:])
-            if not match:
-                raise ConfigError(f"{path}: bad header token at byte {pos}")
-            tokens.append(int(match.group()))
-            pos += match.end()
-    return tokens, pos + 1  # one whitespace byte separates header from raster
+    for _ in range(3):
+        match = _HEADER_TOKEN.match(data, pos)
+        pos = match.end()
+        if not match.group(1):
+            if pos >= len(data):
+                raise ConfigError(f"{path}: truncated image header")
+            raise ConfigError(f"{path}: bad header token at byte {pos}")
+        tokens.append(int(match.group(1)))
+    # one whitespace byte separates header from raster
+    if pos >= len(data):
+        raise ConfigError(f"{path}: truncated image header")
+    if not data[pos : pos + 1].isspace():
+        raise ConfigError(
+            f"{path}: byte {pos} after maxval is {data[pos : pos + 1]!r}, not whitespace"
+        )
+    return tokens, pos + 1
 
 
 def read_image(path) -> Image:
@@ -266,13 +293,14 @@ def load_corpus_dir(path) -> Corpus:
     root = Path(path)
     if not root.is_dir():
         raise ConfigError(f"corpus directory {root} does not exist")
-    cut_dirs = sorted(p for p in root.iterdir() if p.is_dir())
+    # entries of one directory sort by name alone, without Path comparisons
+    cut_dirs = sorted((p for p in root.iterdir() if p.is_dir()), key=lambda p: p.name)
     if not cut_dirs:
         raise ConfigError(f"corpus directory {root} has no cut subdirectories")
     corpus = []
     for cut_dir in cut_dirs:
         by_id: dict[str, dict[str, Path]] = {}
-        for file in sorted(cut_dir.iterdir()):
+        for file in sorted(cut_dir.iterdir(), key=lambda p: p.name):
             role, sep, triple_id = file.stem.partition("_")
             if not sep or role not in _ROLES:
                 continue
@@ -354,6 +382,11 @@ def _blend_with_noise(img: Image, t: float, rng: np.random.Generator) -> Image:
 
 def make_demo_corpus(seed: int = 0, triples_per_cut: int = 6, size: int = 32) -> Corpus:
     """In-memory five-cut corpus with depth-dependent reconstruction decay."""
+    # a blob radius is drawn from [3, size // 3), which is empty below 12
+    if size < 12:
+        raise ValueError(f"demo image size must be at least 12, got {size}")
+    if triples_per_cut < 1:
+        raise ValueError(f"triples_per_cut must be at least 1, got {triples_per_cut}")
     rng = np.random.default_rng(seed)
     originals = [_demo_original(rng, size) for _ in range(triples_per_cut)]
     corpus = []
@@ -372,9 +405,10 @@ def write_demo_corpus(
     path, seed: int = 0, triples_per_cut: int = 6, size: int = 32
 ) -> None:
     """Write the demo corpus as PGM files in the documented dir layout."""
+    corpus = make_demo_corpus(seed, triples_per_cut, size)
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    for cut_name, triples in make_demo_corpus(seed, triples_per_cut, size):
+    for cut_name, triples in corpus:
         cut_dir = root / cut_name
         cut_dir.mkdir(exist_ok=True)
         for i, (orig, open_box, closed_box) in enumerate(triples):

@@ -21,6 +21,7 @@ from splitcvl.netmodel import (
     snr_db_to_linear,
 )
 from splitcvl.nnprofile import PROFILE_HEADER, LayerProfile, ModelProfile
+from splitcvl.privmetrics import C1, C2, WINDOW
 from splitcvl.retrieval import (
     METRIC_NAMES,
     Embedding,
@@ -343,6 +344,30 @@ def smoothed_histogram(counts, epsilon=1e-6):
     ``counts`` plus ``epsilon``, normalized to sum 1."""
     smoothed = np.atleast_2d(np.asarray(counts, dtype=np.float64)) + epsilon
     return smoothed / smoothed.sum(axis=1, keepdims=True)
+
+
+def reference_ssim(a, b):
+    """SSIM of two same-shape ``Image``s by block means: each channel cut
+    into WINDOW x WINDOW blocks, each statistic a row mean, clamped to [0, 1]."""
+    nh, nw = a.height // WINDOW, a.width // WINDOW
+    values = []
+    for ch in range(a.channels):
+        pa = a.pixels[: nh * WINDOW, : nw * WINDOW, ch].astype(np.float64)
+        pb = b.pixels[: nh * WINDOW, : nw * WINDOW, ch].astype(np.float64)
+        blocks_a = pa.reshape(nh, WINDOW, nw, WINDOW).transpose(0, 2, 1, 3)
+        blocks_a = blocks_a.reshape(nh * nw, -1)
+        blocks_b = pb.reshape(nh, WINDOW, nw, WINDOW).transpose(0, 2, 1, 3)
+        blocks_b = blocks_b.reshape(nh * nw, -1)
+        mu_a = blocks_a.mean(axis=1)
+        mu_b = blocks_b.mean(axis=1)
+        var_a = (blocks_a**2).mean(axis=1) - mu_a**2
+        var_b = (blocks_b**2).mean(axis=1) - mu_b**2
+        cov = (blocks_a * blocks_b).mean(axis=1) - mu_a * mu_b
+        terms = ((2 * mu_a * mu_b + C1) * (2 * cov + C2)) / (
+            (mu_a**2 + mu_b**2 + C1) * (var_a + var_b + C2)
+        )
+        values.append(float(np.mean(terms)))
+    return min(1.0, max(0.0, math.fsum(values) / len(values)))
 
 
 # -- retrieval oracle: rank by sorting, score by definition ---------------

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from splitcvl.privmetrics import (
 )
 from splitcvl.trico import conf_cost
 
-from helpers import perfbench_spans, smoothed_histogram
+from helpers import perfbench_spans, reference_ssim, smoothed_histogram
 
 
 def const_image(value, size=16, channels=1):
@@ -56,7 +57,7 @@ class TestSSIM:
         rng = np.random.default_rng(0)
         for channels in (1, 3):
             img = random_image(rng, channels=channels)
-            assert ssim(img, img) == 1.0
+            assert ssim(img, [img]) == [1.0]
 
     def test_constant_black_vs_white_closed_form(self):
         a = const_image(0)
@@ -65,30 +66,67 @@ class TestSSIM:
         # means differ maximally, variances are zero: only the luminance
         # term survives and equals C1 / (255^2 + C1)
         expected = c1 / (255.0**2 + c1)
-        assert ssim(a, b) == pytest.approx(expected)
+        assert ssim(a, [b]) == [pytest.approx(expected)]
         assert expected == pytest.approx(1.0e-4, rel=2e-3)
 
     def test_symmetry(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             a, b = random_image(rng), random_image(rng)
-            assert ssim(a, b) == pytest.approx(ssim(b, a), abs=1e-12)
+            assert ssim(a, [b]) == ssim(b, [a])
 
     def test_output_in_unit_interval(self):
         rng = np.random.default_rng(2)
         for _ in range(30):
             a, b = random_image(rng), random_image(rng)
-            assert 0.0 <= ssim(a, b) <= 1.0
+            assert 0.0 <= ssim(a, [b])[0] <= 1.0
+
+    def test_one_score_per_reconstruction_in_order(self):
+        rng = np.random.default_rng(3)
+        orig, b, c = (random_image(rng, channels=3) for _ in range(3))
+        assert ssim(orig, [b, c, orig]) == ssim(orig, [b]) + ssim(orig, [c]) + [1.0]
+        assert ssim(orig, []) == []
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            ssim(const_image(0, size=16), const_image(0, size=24))
+            ssim(const_image(0, size=16), [const_image(0, size=24)])
         with pytest.raises(DimensionMismatchError):
-            ssim(const_image(0, channels=1), const_image(0, channels=3))
+            ssim(const_image(0, channels=1), [const_image(0, channels=3)])
+        with pytest.raises(DimensionMismatchError):
+            ssim(const_image(0), [const_image(0), const_image(0, size=24)])
 
     def test_window_too_large(self):
         with pytest.raises(WindowTooLargeError):
-            ssim(const_image(0, size=7), const_image(0, size=7))
+            ssim(const_image(0, size=7), [const_image(0, size=7)])
+
+
+def reference_cases():
+    """(original, reconstruction) pairs for the block-mean reference."""
+    rng = np.random.default_rng(17)
+    for channels in (1, 3):
+        for height, width in ((13, 21), (8, 30), (17, 9), (31, 31)):
+            shape = (height, width, channels)
+            a, b = (Image(rng.integers(0, 256, size=shape, dtype=np.uint8)) for _ in "ab")
+            yield a, b
+            yield a, a
+        for u in (0, 255):
+            for v in (0, 255):
+                yield const_image(u, channels=channels), const_image(v, channels=channels)
+    # perfbench-shaped: 128x128 test cards with 5-100% of pixels replaced by noise
+    _, triples = make_demo_corpus(seed=5, triples_per_cut=4, size=128)[0]
+    for orig, _, _ in triples:
+        for share in (0.05, 0.25, 0.6, 1.0):
+            mask = rng.random(orig.pixels.shape) < share
+            noise = rng.integers(0, 256, size=orig.pixels.shape, dtype=np.uint8)
+            yield orig, Image(np.where(mask, noise, orig.pixels))
+
+
+def test_ssim_equals_block_mean_reference_exactly():
+    cases = list(reference_cases())
+    assert len(cases) == 40
+    for a, b in cases:
+        assert ssim(a, [b]) == [reference_ssim(a, b)]
+        assert ssim(b, [a]) == [reference_ssim(b, a)]
 
 
 class TestKL:
@@ -206,6 +244,22 @@ class TestDemoCorpusFixture:
         names = [name for name, _ in make_demo_corpus(seed=0)]
         assert names == sorted(names)
         assert len(names) == len(DEMO_CUT_BLENDS) == 5
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"size": 8}, "size must be at least 12, got 8"),
+        ({"size": 11}, "size must be at least 12, got 11"),
+        ({"triples_per_cut": 0}, "triples_per_cut must be at least 1, got 0"),
+    ])
+    def test_too_small_rejected_up_front(self, tmp_path, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            make_demo_corpus(**kwargs)
+        with pytest.raises(ValueError, match=message):
+            write_demo_corpus(tmp_path / "corpus", **kwargs)
+        assert not (tmp_path / "corpus").exists()
+
+    def test_smallest_size_builds(self):
+        corpus = make_demo_corpus(triples_per_cut=1, size=12)
+        assert corpus[0][1][0][0].pixels.shape == (12, 12, 1)
 
 
 class TestImageIO:
@@ -332,6 +386,15 @@ class TestPrivacyCommandErrors:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and str(bad) in err
 
+    @pytest.mark.parametrize("data, message", [
+        (b"P5 8 8 255", "truncated image header"),
+        (b"P5 8 x8 255\n" + bytes(64), "bad header token at byte 5"),
+        (b"P5 8 8 255x" + bytes(64), "byte 10 after maxval is b'x', not whitespace"),
+    ], ids=["no_separator", "bad_token", "byte_after_maxval"])
+    def test_bad_header_names_the_file(self, tmp_path, capsys, data, message):
+        bad = write_triple(tmp_path / "corpus" / "0_a", data)
+        assert main(["privacy", str(tmp_path / "corpus")]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
     @pytest.mark.parametrize("orig_hw, recon_hw, message", [
         ((4, 4), (4, 4), "images are 4x4, smaller than the 8x8 SSIM window"),
@@ -361,6 +424,16 @@ def test_perfbench_traces_every_privmetrics_site(tmp_path):
         tracer.uninstall()
     assert not [site for site in tracer.missing if site.startswith("splitcvl.privmetrics.")]
     assert tracer.counters["privmetrics.bytes_read"] == 5 * 3 * 3 * 32 * 32 == 46080
+    calls = Counter(tracer.names[i] for i in tracer.name_id)
+    triples = 5 * 3
+    assert {name: n for name, n in calls.items() if name.startswith("privmetrics.")} == {
+        "privmetrics.load_corpus_dir": 1,
+        "privmetrics.read_image": 3 * triples,
+        "privmetrics.histogram_of": 3 * triples,
+        "privmetrics.kl_divergence": 2 * triples,
+        "privmetrics.ssim": triples,
+        "privmetrics.build_conf_table": 1,
+    }
 
 
 class TestImageType:
