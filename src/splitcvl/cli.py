@@ -16,7 +16,6 @@ import functools
 import itertools
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .config import RetrievalConfig, ScenarioConfig, load_config
 from .errors import ConfigError, SplitCVLError, ZeroRateError
@@ -24,7 +23,7 @@ from .nnprofile import device_flops, intermediate_bytes
 from .retrieval import (
     FusionStrategy,
     METRIC_NAMES,
-    evaluate_cell,
+    evaluate_cells,
     format_metrics_table,
     synth_corpus,
 )
@@ -147,9 +146,10 @@ def _retrieval_seed_worker(ret: RetrievalConfig, seed: int) -> list[dict]:
         ret.locations, ret.dim, ret.view_noise, seed=seed,
         images_per_view=ret.images_per_view,
     )
-    strategy = FusionStrategy(ret.fusion)
     counts = range(1, ret.images_per_view + 1)
-    return [evaluate_cell(corpus, u, g, strategy) for u in counts for g in counts]
+    return evaluate_cells(
+        corpus, list(itertools.product(counts, counts)), FusionStrategy(ret.fusion)
+    )
 
 
 def retrieval_grid(ret: RetrievalConfig, base_seed: int, jobs: int = 1) -> list[dict]:
@@ -157,6 +157,9 @@ def retrieval_grid(ret: RetrievalConfig, base_seed: int, jobs: int = 1) -> list[
     ``base_seed``; rows ordered by (uav, ground)."""
     seeds = range(base_seed, base_seed + ret.seeds)
     if jobs > 1:
+        # imported here: the pool's module costs every other command import time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             per_seed = list(pool.map(_retrieval_seed_worker, [ret] * len(seeds), seeds))
     else:

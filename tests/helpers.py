@@ -447,14 +447,22 @@ def _sort_scores(scores: np.ndarray, gallery: list[GalleryRecord]) -> RankedResu
     )
 
 
-def rank_gallery(query: Embedding, gallery: list[GalleryRecord]) -> RankedResult:
+def _best_scores(queries: list[Embedding], gallery: list[GalleryRecord]) -> np.ndarray:
+    """Each gallery row's best score over the queries. Every score is an
+    exactly rounded sum, so it does not depend on the row's position in
+    the gallery (a BLAS product's does) and identical rows tie exactly."""
     if not gallery:
         raise ValueError("gallery must not be empty")
     dim = gallery[0].embedding.dim
-    if query.dim != dim:
-        raise DimensionMismatchError(f"query dim {query.dim} vs gallery dim {dim}")
+    if queries[0].dim != dim:
+        raise DimensionMismatchError(f"query dim {queries[0].dim} vs gallery dim {dim}")
     matrix = np.stack([r.embedding.vector for r in gallery])
-    return _sort_scores(matrix @ query.vector, gallery)
+    scores = [[math.fsum(row) for row in (matrix * q.vector).tolist()] for q in queries]
+    return np.max(scores, axis=0)
+
+
+def rank_gallery(query: Embedding, gallery: list[GalleryRecord]) -> RankedResult:
+    return _sort_scores(_best_scores([query], gallery), gallery)
 
 
 def rank_query_set(
@@ -465,17 +473,7 @@ def rank_query_set(
     """Rank a multi-image query under the chosen fusion strategy."""
     if strategy is FusionStrategy.MEAN:
         return rank_gallery(fuse_queries(qs), gallery)
-    if not gallery:
-        raise ValueError("gallery must not be empty")
-    dim = gallery[0].embedding.dim
-    if qs.embeddings[0].dim != dim:
-        raise DimensionMismatchError(
-            f"query dim {qs.embeddings[0].dim} vs gallery dim {dim}"
-        )
-    matrix = np.stack([r.embedding.vector for r in gallery])
-    queries = np.stack([e.vector for e in qs.embeddings])
-    best = (matrix @ queries.T).max(axis=1)
-    return _sort_scores(best, gallery)
+    return _sort_scores(_best_scores(list(qs.embeddings), gallery), gallery)
 
 
 def recall_at_k(ranked: RankedResult, true_id: str, k: int) -> int:
@@ -502,7 +500,8 @@ def average_precision(ranked: RankedResult, true_ids: set[str]) -> float:
 
 
 def reference_cell(gallery, pools, uav_count, ground_count, strategy):
-    """evaluate_cell by definition: sort every ranking, then score it."""
+    """One cell of evaluate_cells by definition: sort every ranking, then
+    score it."""
     ks = (1, min(5, len(gallery)), min(10, len(gallery)), top1_percent_k(len(gallery)))
     values = {name: [] for name in METRIC_NAMES}
     for pool in pools:

@@ -1,7 +1,11 @@
 """End-to-end CLI checks through the public main() entry point."""
 
 import hashlib
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -670,6 +674,18 @@ class TestRetrievalSimCommand:
         main(["retrieval-sim", "--config", config_path, "--out", str(a)])
         main(["retrieval-sim", "--config", config_path, "--out", str(b), "--jobs", "2"])
         assert sha256(a) == sha256(b)
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # retrieval_grid imports the pool only for --jobs above 1
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, splitcvl.cli; print('concurrent.futures.process' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        timeout=60, check=True,
+    )
+    assert done.stdout == "False\n"
 
 
 class TestPrivacyCommand:

@@ -5,11 +5,12 @@ every gallery and scores each ranking with recall_at_k and
 average_precision. Those two are compared against independent oracles
 over every binary relevance pattern of up to 8 ranked items (a ranking's
 metrics depend only on which ranks hold true matches, so this enumeration
-is exhaustive for that size). The array ``evaluate_cell``, which counts
+is exhaustive for that size). The array ``evaluate_cells``, which counts
 ranks instead of sorting, is compared against the oracle on synthetic,
 random and tied corpora."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,7 +37,8 @@ from splitcvl.retrieval import (
     Embedding,
     FusionStrategy,
     GalleryRecord,
-    evaluate_cell,
+    _row_norms,
+    evaluate_cells,
     format_metrics_table,
     synth_corpus,
     synth_gallery,
@@ -280,7 +282,7 @@ NOISE = {"satellite": 0.1, "uav": 0.4, "ground": 0.4}
 class TestSynthetic:
     def test_noiseless_is_perfect(self):
         noise = {"satellite": 0.0, "uav": 0.0, "ground": 0.0}
-        metrics = evaluate_cell(synth_corpus(20, 16, noise, seed=0), 1, 1)
+        [metrics] = evaluate_cells(synth_corpus(20, 16, noise, seed=0), [(1, 1)])
         assert metrics["recall_at_1"] == 100.0
         assert metrics["ap"] == 100.0
         gallery, pools = synth_gallery(20, 16, noise, seed=0)
@@ -322,9 +324,21 @@ class TestSynthetic:
         single, fused = [], []
         for seed in range(10):
             corpus = synth_corpus(200, 64, noise, seed=seed)
-            single.append(evaluate_cell(corpus, 1, 0)["recall_at_1"])
-            fused.append(evaluate_cell(corpus, 4, 0)["recall_at_1"])
+            one, four = evaluate_cells(corpus, [(1, 0), (4, 0)])
+            single.append(one["recall_at_1"])
+            fused.append(four["recall_at_1"])
         assert np.mean(fused) >= np.mean(single)
+
+    def test_row_norms_equal_numpy_norm_bit_for_bit(self):
+        # synth_corpus and mean fusion normalize by these; the digests need
+        # the float np.linalg.norm gives each row on its own
+        rng = np.random.default_rng(21)
+        dims = [1, 2, 3, 5, 7, 9, 13, 31, 63, 64, 65, 127]
+        dims += rng.integers(1, 200, size=40).tolist()
+        for dim in dims:
+            rows = rng.standard_normal((int(rng.integers(1, 300)), dim))
+            rows *= rng.uniform(1e-3, 1e3, size=(len(rows), 1))
+            assert np.array_equal(_row_norms(rows), [np.linalg.norm(row) for row in rows]), dim
 
     def test_geo_tags_valid(self):
         gallery, _ = synth_gallery(50, 8, {"uav": 0.2, "ground": 0.2}, seed=1)
@@ -336,7 +350,8 @@ class TestSynthetic:
         corpus = synth_corpus(5, 8, {"uav": 0.2, "ground": 0.2}, seed=2)
         for uav, ground in [(0, 0), (5, 0), (0, 5), (-1, 2)]:
             with pytest.raises(ValueError):
-                evaluate_cell(corpus, uav, ground)
+                evaluate_cells(corpus, [(1, 1), (uav, ground)])
+        assert evaluate_cells(corpus, []) == []
 
 
 def unit_rows(rng, shape):
@@ -388,12 +403,9 @@ def tied_corpus():
 def assert_matches_oracle(corpus, max_count, strategy):
     """Every cell, including those with no UAV or no ground image."""
     gallery, pools = corpus_records(corpus)
-    for u, g in itertools.product(range(max_count + 1), repeat=2):
-        if u + g == 0:
-            continue
-        assert evaluate_cell(corpus, u, g, strategy) == reference_cell(
-            gallery, pools, u, g, strategy
-        ), (u, g)
+    cells = list(itertools.product(range(max_count + 1), repeat=2))[1:]
+    for cell, metrics in zip(cells, evaluate_cells(corpus, cells, strategy), strict=True):
+        assert metrics == reference_cell(gallery, pools, *cell, strategy), cell
 
 
 class TestEvaluateCell:
@@ -403,7 +415,7 @@ class TestEvaluateCell:
 
     def test_ties_rank_by_location_id(self):
         # own image only: "b" and "a" win their ties, "d" and "c" rank second
-        metrics = evaluate_cell(tied_corpus(), 1, 0)
+        [metrics] = evaluate_cells(tied_corpus(), [(1, 0)])
         assert metrics["recall_at_1"] == 60.0
         assert metrics["recall_at_5"] == 100.0
         assert metrics["ap"] == pytest.approx(80.0)
@@ -421,16 +433,72 @@ class TestEvaluateCell:
             assert_matches_oracle(corpus, 3, strategy)
             # the oracle on synth_gallery's own records agrees too
             gallery, pools = synth_gallery(40, 8, noise, seed=seed, images_per_view=3)
-            assert evaluate_cell(corpus, 2, 1, strategy) == reference_cell(
-                gallery, pools, 2, 1, strategy
-            )
+            assert evaluate_cells(corpus, [(2, 1)], strategy) == [
+                reference_cell(gallery, pools, 2, 1, strategy)
+            ]
 
     @pytest.mark.parametrize("strategy", list(FusionStrategy))
     def test_matches_definition_on_random_corpora(self, strategy):
-        # more locations than one scoring chunk, with a partial last chunk
+        # more locations than one scoring block, with a partial last block
         rng = np.random.default_rng(12)
         for locations, dim in [(3, 2), (70, 5), (117, 16)]:
             assert_matches_oracle(random_corpus(rng, locations, dim, 3), 3, strategy)
+
+    @pytest.mark.parametrize("strategy", list(FusionStrategy))
+    @pytest.mark.parametrize("signed_zero", [False, True])
+    @pytest.mark.parametrize("locations", [69, 70])
+    def test_identical_gallery_rows_tie_in_the_gallery_tail(
+        self, strategy, signed_zero, locations
+    ):
+        # BLAS scores the last rows (or columns) of a product by another
+        # path than the rest. The last gallery row repeats row 0 (with -0.0
+        # for one of its 0.0 entries when signed_zero), and the last
+        # location's query lies close to that row, so only the ids may
+        # order the two rows: the last location ranks first exactly when
+        # its id sorts before location 0's. Cells are scored one by one
+        # and all together, so products with one query row are included.
+        copy = locations - 1
+        rng = np.random.default_rng(5)
+        gallery = unit_rows(rng, (locations, 64))
+        gallery[0, 5] = 0.0
+        gallery[0] /= np.linalg.norm(gallery[0])
+        gallery[copy] = gallery[0]
+        if signed_zero:
+            gallery[copy, 5] = -0.0
+        queries = gallery.copy()
+        queries[0] = -gallery[0]  # location 0 ranks last either way
+        queries[copy] = unit_rows(rng, (64,)) * 0.1 + gallery[copy]
+        queries[copy] /= np.linalg.norm(queries[copy])
+        cells = [(1, 0), (0, 1), (1, 1)]
+        top = []
+        for copy_id in ("a", "z"):  # sorts before / after "loc00"
+            ids = [f"loc{i:02d}" for i in range(locations)]
+            ids[copy] = copy_id
+            corpus = Corpus(tuple(ids), gallery, queries[:, None], queries[:, None])
+            gallery_records, pools = corpus_records(corpus)
+            expected = [reference_cell(gallery_records, pools, *cell, strategy) for cell in cells]
+            together = evaluate_cells(corpus, cells, strategy)
+            alone = [evaluate_cells(corpus, [cell], strategy)[0] for cell in cells]
+            assert together == alone == expected
+            top.append({m["recall_at_1"] for m in expected})
+        hits = locations - 1  # every location but location 0 can rank first
+        assert top == [{100.0 * hits / locations}, {100.0 * (hits - 1) / locations}]
+
+    @pytest.mark.parametrize("strategy", list(FusionStrategy))
+    def test_peak_memory_of_one_seed(self, strategy):
+        # Scoring a stock 200-location seed's 16 cells allocated at most
+        # 0.66 MB (mean) and 0.81 MB (max_score) beside its 1 MB corpus when
+        # written, on numpy 2.4; 8-location blocks took 1.07 and 1.36 MB.
+        corpus = synth_corpus(200, 64, {"satellite": 0.0, "uav": 0.5, "ground": 0.5}, seed=3)
+        cells = list(itertools.product(range(1, 5), repeat=2))
+        evaluate_cells(corpus, cells, strategy)  # numpy's first-call allocations
+        tracemalloc.start()
+        try:
+            evaluate_cells(corpus, cells, strategy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.0e6
 
     def test_cancelling_images_raise_under_mean_fusion(self):
         corpus = tied_corpus()
@@ -438,7 +506,7 @@ class TestEvaluateCell:
         ground[2, 0] = -uav[2, 0]
         corpus = Corpus(corpus.ids, corpus.gallery, uav, ground)
         with pytest.raises(ZeroVectorError):
-            evaluate_cell(corpus, 1, 1, FusionStrategy.MEAN)
+            evaluate_cells(corpus, [(1, 0), (1, 1)], FusionStrategy.MEAN)
         assert_matches_oracle(corpus, 1, FusionStrategy.MAX_SCORE)
 
     def test_duplicate_location_ids_rejected(self):
