@@ -116,8 +116,8 @@ def cmd_optimize(config: ScenarioConfig, args) -> int:
         _, oracle_effect = optimal_decision(scenario)
         gap = (effect - oracle_effect) / oracle_effect if oracle_effect > 0 else effect
     except ZeroRateError:
-        # every decision is infeasible there; score it as evaluate_action
-        # does, and leave the gap undefined: there is no optimum to approach
+        # every decision is infeasible there; score it 1.0, the worst
+        # effect, and leave the gap undefined: there is no optimum to approach
         print("warning: a link has zero rate at the mean channel; effect and "
               "oracle_effect read 1.0, the score of an infeasible decision, "
               "and gap is nan", file=sys.stderr)

@@ -2,7 +2,6 @@ from .agents import (
     ConvergenceTrace,
     Hyperparams,
     TrainedPolicy,
-    policy_effect,
     train_actor_critic,
     train_dqn,
     train_multi_q,
@@ -20,7 +19,6 @@ __all__ = [
     "TinyNet",
     "TrainedPolicy",
     "Transition",
-    "policy_effect",
     "train_actor_critic",
     "train_dqn",
     "train_multi_q",

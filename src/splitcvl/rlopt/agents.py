@@ -2,16 +2,15 @@
 
 All agents work against the same small env protocol: ``n_states``,
 ``n_actions``, ``horizon``, ``feature_dim``, ``reset(rng)``,
-``step(state, action, rng)`` and (for evaluation) ``evaluate_action`` and
-``state_features``. States and actions are plain integers.
+``step(state, action, rng)`` and ``state_features``. States and actions
+are plain integers.
 
   * Q-Learning        tabular, epsilon-greedy with linear decay
   * Multi-Q-Learning  ensemble of K tables; each update lands on one
                       uniformly chosen table and bootstraps from the mean
                       of the others; behavior follows the ensemble mean
   * Actor-Critic      tabular softmax policy, TD(0) critic, advantage
-                      policy gradient; replayed transitions can optionally
-                      refresh the critic
+                      policy gradient
   * DQN               TinyNet Q-function, uniform replay, periodically
                       synced target network, squared TD error, plain SGD
   * PPO               clipped-surrogate policy gradient with a TinyNet
@@ -71,7 +70,6 @@ class Hyperparams:
     multi_q_tables: int = 4
     hidden: tuple[int, ...] = (32,)
     moving_avg_window: int = 100
-    ac_replay: bool = False
 
     def __post_init__(self) -> None:
         for name in _COUNT_FIELDS:
@@ -87,8 +85,6 @@ class Hyperparams:
                 raise ValueError(f"{name} must be <= {MAX_SIZE}, got {getattr(self, name)!r}")
         if sum(self.hidden) > MAX_SIZE:
             raise ValueError(f"hidden sizes must sum to <= {MAX_SIZE}, got {self.hidden!r}")
-        if not isinstance(self.ac_replay, bool):
-            raise ValueError(f"ac_replay must be true or false, got {self.ac_replay!r}")
         if not 0.0 <= self.epsilon_final <= self.epsilon_start <= 1.0:
             raise ValueError("need 0 <= epsilon_final <= epsilon_start <= 1")
 
@@ -143,14 +139,6 @@ class TrainedPolicy:
 
     def action(self, state: int) -> int:
         return self._action_fn(state)
-
-
-def policy_effect(env, policy: TrainedPolicy) -> float:
-    """Deterministic effect of the greedy policy, averaged over states."""
-    values = [
-        env.evaluate_action(s, policy.action(s)) for s in range(env.n_states)
-    ]
-    return math.fsum(values) / len(values)
 
 
 def _epsilons(total_steps: int, hyper: Hyperparams) -> Iterator[float]:
@@ -271,15 +259,12 @@ def train_actor_critic(
     """Tabular softmax actor with a TD(0) critic.
 
     The logits start at zero, so the initial policy is uniform (entropy
-    log of the action count). When ``ac_replay`` is set, each step also
-    refreshes the critic from a replayed batch; the actor itself stays
-    strictly on-policy.
+    log of the action count).
     """
     hyper = hyper or Hyperparams()
     rng = np.random.default_rng(seed)
     logits = np.zeros((env.n_states, env.n_actions))
     values = np.zeros(env.n_states)
-    buffer = ReplayBuffer(hyper.replay_capacity) if hyper.ac_replay else None
     effects: list[float] = []
     state = env.reset(rng)
     steps_in_episode = 0
@@ -295,13 +280,6 @@ def train_actor_critic(
         one_hot = np.zeros(env.n_actions)
         one_hot[action] = 1.0
         logits[state] += hyper.lr_actor * advantage * (one_hot - probs)
-        if buffer is not None:
-            buffer.push(tr)
-            rep = buffer.sample_batch(rng, hyper.batch_size)
-            for s, r, ns, nd in zip(rep.states.tolist(), rep.rewards.tolist(),
-                                    rep.next_states.tolist(), rep.not_done.tolist()):
-                rep_target = r + (hyper.gamma * values[ns] if nd else 0.0)
-                values[s] += hyper.lr * (rep_target - values[s])
         effects.append(-tr.reward)
         state, steps_in_episode = _advance(env, tr, steps_in_episode, rng)
     policy = TrainedPolicy(lambda s, logits=logits: int(np.argmax(logits[s])), table=logits)
@@ -313,15 +291,30 @@ def _feature_table(env) -> np.ndarray:
     return np.stack([env.state_features(s) for s in range(env.n_states)])
 
 
+_Q_DIVERGED = "Q-network diverged to non-finite values; lower lr_net"
+
+
 def train_dqn(
     env, steps: int, hyper: Hyperparams | None = None, seed: int = 0
 ) -> tuple[TrainedPolicy, ConvergenceTrace]:
-    """Deep Q-network on bin one-hot features."""
+    """Deep Q-network on bin one-hot features.
+
+    Each step draws its epsilon coin first and runs the Q-network only
+    when it acts greedily: an exploring step's action does not depend on
+    the Q-values. The draws and actions are those of ``_eps_greedy``. A
+    greedy step checks the Q-value it acts on: ``argmax`` picks a NaN or
+    +inf first, so a diverged net raises NonFiniteError there, and at the
+    latest after training, when the Q-values of every state are checked.
+    """
     hyper = hyper or Hyperparams()
     rng = np.random.default_rng(seed)
     table = _feature_table(env)
-    rows = np.arange(hyper.batch_size)
-    grad = np.zeros((hyper.batch_size, env.n_actions))
+    n_actions = env.n_actions
+    # batch row r's Q-value of action a sits at r * n_actions + a of the
+    # flattened (rows, n_actions) Q-values and gradient
+    row_starts = np.arange(hyper.batch_size) * n_actions
+    grad = np.zeros((hyper.batch_size, n_actions))
+    flat_grad = grad.reshape(-1)
     net = TinyNet((env.feature_dim, *hyper.hidden, env.n_actions), rng)
     target = net.copy()
     buffer = ReplayBuffer(hyper.replay_capacity)
@@ -329,10 +322,13 @@ def train_dqn(
     state = env.reset(rng)
     steps_in_episode = 0
     for t, eps in enumerate(_epsilons(steps, hyper)):
-        q_row = net.forward(table[state])[0]
-        if not np.isfinite(q_row).all():
-            raise NonFiniteError("Q-network diverged to non-finite values; lower lr_net")
-        action = _eps_greedy(q_row, eps, rng)
+        if rng.random() < eps:
+            action = int(rng.integers(n_actions))
+        else:
+            q_row = net.forward(table[state])[0]
+            action = int(q_row.argmax())
+            if not math.isfinite(q_row[action]):
+                raise NonFiniteError(_Q_DIVERGED)
         tr = env.step(state, action, rng)
         buffer.push(tr)
         batch_size = min(hyper.batch_size, len(buffer))
@@ -344,19 +340,21 @@ def train_dqn(
             q_next = target.forward(table[batch.next_states]).max(axis=1)
             y = batch.rewards + hyper.gamma * batch.not_done * q_next
         q = net.forward(table[batch.states])
-        picked = (rows[:batch_size], batch.actions)
-        td = q[picked]  # a copy, scaled in place to 2 * (q - y) / batch_size
+        picked = row_starts[:batch_size] + batch.actions
+        td = q.take(picked)  # a copy, scaled in place to 2 * (q - y) / batch_size
         td -= y
         td *= 2.0
         td /= batch_size
-        grad[picked] = td
+        flat_grad[picked] = td
         net.backward(grad[:batch_size])
-        grad[picked] = 0.0  # the buffer is all zeros between steps
+        flat_grad[picked] = 0.0  # the buffer is all zeros between steps
         net.sgd_step(hyper.lr_net)
         if (t + 1) % hyper.target_sync == 0:
             target.copy_params_from(net)
         effects.append(-tr.reward)
         state, steps_in_episode = _advance(env, tr, steps_in_episode, rng)
+    if not np.isfinite(net.forward(table)).all():
+        raise NonFiniteError(_Q_DIVERGED)
 
     def act(s: int, net=net, table=table) -> int:
         return int(np.argmax(net.forward(table[s])[0]))

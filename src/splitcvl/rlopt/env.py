@@ -14,19 +14,25 @@ dynamics, so the problem is a contextual bandit over sampled channel
 states. A longer horizon can be configured, in which case channels are
 redrawn every step and the step counter becomes part of the state.
 
-Reset and step build no channel or decision records. They map their
-uniform draws straight to bins and link rates with scalars built when
-the env is made, and a step calls each device's ``CutCosts.effect``. The
-float expressions are those of sampling a channel (``low + width * u``,
-SNR drawn in dB), ``shannon_rate`` and ``decision_effect``, so the
-reward is bit for bit the negated ``decision_effect`` of the drawn
-channels. A channel whose linear SNR underflows to zero falls in SNR
-bin 0, and a step over it gets the zero-rate reward.
+Reset and step build no channel or decision records. A drawn channel's
+bin comes from its two uniform draws alone: a range split into ``n``
+equal bins puts the draw ``u`` in bin ``floor(u * n)``, computed
+exactly, and a zero-width range is always bin 0. Up to rounding, that is
+the sub-range the drawn bandwidth and dB fall in, and no bin depends on
+a host's pow or logarithm. A step maps its uniforms to link rates with
+scalars built when the env is made and calls each device's
+``CutCosts.effect``. The float expressions are those of sampling a
+channel (``low + width * u``, SNR drawn in dB), ``shannon_rate`` and
+``decision_effect``, so the reward is bit for bit the negated
+``decision_effect`` of the drawn channels. A channel whose linear SNR
+underflows to zero keeps its drawn dB's bin, and a step over it gets the
+zero-rate reward.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from itertools import product
 from typing import NamedTuple
 
@@ -36,11 +42,12 @@ from ..errors import ZeroRateError
 from ..netmodel import (
     ChannelDistribution,
     ChannelState,
-    resolve_channel,
     shannon_rate,
     snr_db_to_linear,
 )
-from ..trico import PartitionDecision, Scenario, decision_effect
+# decision_effect is not called here, but perfbench/spans.py traces the
+# module's name for it
+from ..trico import PartitionDecision, Scenario, decision_effect  # noqa: F401
 
 MAX_JOINT_ACTIONS = 125  # 5 candidates ** 3 devices
 # Ceiling on every count that sizes an allocation: env states, replay
@@ -126,8 +133,8 @@ class _ChannelGrid:
 
     Fixed channels get a single bin; distributions are split into
     bandwidth_bins x snr_bins equal sub-ranges (SNR split in dB), each
-    kept as its own distribution for evaluation at its midpoint. The env
-    draws channels with the scalars kept here, two uniforms per channel.
+    kept as its own distribution. The env draws channels with the scalars
+    kept here, two uniforms per channel.
     """
 
     def __init__(
@@ -159,22 +166,31 @@ class _ChannelGrid:
         )
         # (bw_lo, bw_width, db_lo, db_width) of each bin's sub-ranges
         self.scales = tuple(b.bw_scale + b.db_scale for b in self.bins)
-        # How a channel drawn from the whole distribution is binned. Each
-        # dimension split into more than one bin keeps its draw scale
-        # (low, width), the split's (low, width) and its bin count; the
-        # bandwidth one also its stride in the bin index. A dimension with
-        # one bin, or with a zero-width range, is always bin 0: None.
+        # How a channel drawn from the whole distribution is binned: each
+        # dimension's uniform u falls in bin floor(u * bins), the number of
+        # its edges at or below u. A dimension with a zero-width range has
+        # no edges, so it is always bin 0.
         lo, hi = channel.bandwidth_range
-        self.bw_binning = None
-        if bandwidth_bins > 1 and hi > lo:
-            self.bw_binning = (*channel.bw_scale, lo, hi - lo, bandwidth_bins, snr_bins)
+        self.bw_edges = _edges(bandwidth_bins) if hi > lo else ()
         lo_db, hi_db = channel.snr_range_db
-        self.snr_binning = None
-        if snr_bins > 1 and hi_db > lo_db:
-            self.snr_binning = (*channel.db_scale, lo_db, hi_db - lo_db, snr_bins)
+        self.snr_edges = _edges(snr_bins) if hi_db > lo_db else ()
 
-    def midpoint(self, bin_index: int) -> ChannelState:
-        return resolve_channel(self.bins[bin_index])
+
+def _edges(bins: int) -> tuple[float, ...]:
+    """For k = 1 .. bins - 1, the smallest float at or above k / bins.
+
+    A float u is at or above the k-th edge exactly when u >= k / bins, so
+    ``bisect_right(edges, u)`` is floor(u * bins) in exact arithmetic for
+    every u in [0, 1).
+    """
+    edges = []
+    for k in range(1, bins):
+        edge = k / bins  # correctly rounded, so at most one step below
+        num, den = edge.as_integer_ratio()
+        if num * bins < k * den:
+            edge = math.nextafter(edge, 1.0)
+        edges.append(edge)
+    return tuple(edges)
 
 
 def _bin_count(channel, bandwidth_bins: int, snr_bins: int) -> int:
@@ -223,9 +239,12 @@ class PartitionEnv:
         # a state id is step * n_combos + channel combo, the combo a
         # mixed-radix number of the devices' bins, first device first
         self.n_combos = math.prod(g.n_bins for g in self.grids)
-        # a fixed channel is one bin and draws nothing, so binning skips it
-        self._drawn_grids = tuple(g for g in self.grids if not g.fixed)
-        self._draws_per_set = 2 * len(self._drawn_grids)
+        # a fixed channel is one bin and draws nothing, so binning skips it;
+        # per drawn channel: its bin count, its bandwidth edges and their
+        # stride in the bin index, and its SNR edges
+        self._binnings = tuple((g.n_bins, g.bw_edges, g.snr_bins, g.snr_edges)
+                               for g in self.grids if not g.fixed)
+        self._draws_per_set = 2 * len(self._binnings)
         self._cuts = tuple(product(range(scenario.num_candidates),
                                    repeat=scenario.num_devices))
         # per channel combo, each device's link: its bin's (bw_lo, bw_width,
@@ -297,23 +316,11 @@ class PartitionEnv:
 
         ``u`` comes from one ``rng.random(n).tolist()``, which yields the
         same doubles, in the same order, as ``n`` calls of ``rng.random()``.
-        A zero linear SNR (below about -3236 dB it underflows) is -inf dB,
-        so it falls in SNR bin 0.
         """
         combo = 0
-        for grid in self._drawn_grids:
-            b = 0
-            if grid.bw_binning is not None:
-                bw_lo, bw_width, lo, width, bins, stride = grid.bw_binning
-                hz = bw_lo + bw_width * u[i]
-                b = min(int((hz - lo) / width * bins), bins - 1) * stride
-            if grid.snr_binning is not None:
-                db_lo, db_width, lo_db, width_db, bins = grid.snr_binning
-                snr_linear = snr_db_to_linear(db_lo + db_width * u[i + 1])
-                if snr_linear > 0.0:
-                    db = 10.0 * float(np.log10(snr_linear))
-                    b += max(min(int((db - lo_db) / width_db * bins), bins - 1), 0)
-            combo = combo * grid.n_bins + b
+        for n_bins, bw_edges, stride, snr_edges in self._binnings:
+            combo = (combo * n_bins + bisect_right(bw_edges, u[i]) * stride
+                     + bisect_right(snr_edges, u[i + 1]))
             i += 2
         return combo
 
@@ -346,14 +353,3 @@ class PartitionEnv:
             return Transition(state_id, action, reward, 0, True)
         next_state = (step + 1) * self.n_combos + self._combo_of(u, self._draws_per_set)
         return Transition(state_id, action, reward, next_state, False)
-
-    # -- deterministic evaluation -----------------------------------------
-
-    def evaluate_action(self, state_id: int, action: int) -> float:
-        """Effect of an action under the state's bin-midpoint channels."""
-        bins, _ = self.decode_state(state_id)
-        channels = tuple(grid.midpoint(b) for grid, b in zip(self.grids, bins))
-        try:
-            return decision_effect(self.scenario, self.decode_action(action), channels)
-        except ZeroRateError:
-            return 1.0

@@ -35,23 +35,26 @@ class TinyNet:
         """Adopt ``params`` as the flat parameter vector; zero the gradients."""
         self._params = params
         self._grads = np.zeros_like(params)
-        self.weights, self.g_weights = [], []
-        self.biases, self.g_biases = [], []
+        weights, g_weights, biases, g_biases = [], [], [], []
         offset = 0
         for fan_in, fan_out in zip(self.sizes, self.sizes[1:]):
             end = offset + fan_in * fan_out
-            self.weights.append(params[offset:end].reshape(fan_in, fan_out))
-            self.g_weights.append(self._grads[offset:end].reshape(fan_in, fan_out))
+            weights.append(params[offset:end].reshape(fan_in, fan_out))
+            g_weights.append(self._grads[offset:end].reshape(fan_in, fan_out))
             offset = end
         for fan_out in self.sizes[1:]:
-            self.biases.append(params[offset:offset + fan_out])
-            self.g_biases.append(self._grads[offset:offset + fan_out])
+            biases.append(params[offset:offset + fan_out])
+            g_biases.append(self._grads[offset:offset + fan_out])
             offset += fan_out
+        self.weights, self.g_weights = tuple(weights), tuple(g_weights)
+        self.biases, self.g_biases = tuple(biases), tuple(g_biases)
+        # what forward and backward walk, bound once: the tanh layers' and
+        # the linear output layer's (weights, bias); then, output layer
+        # first, each layer's (index, weights, weight and bias gradients)
+        self._hidden = tuple(zip(weights[:-1], biases[:-1]))
+        self._out = (weights[-1], biases[-1])
+        self._back = tuple(zip(range(len(weights)), weights, g_weights, g_biases))[::-1]
         self._acts: list[np.ndarray] | None = None
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.weights)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Forward pass on a (batch, in) array; caches activations."""
@@ -59,13 +62,15 @@ class TinyNet:
         if a.ndim < 2:
             a = a.reshape(1, -1)
         acts = [a]
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+        for w, b in self._hidden:
             a = a @ w
             a += b
-            if i < last:
-                np.tanh(a, out=a)
+            np.tanh(a, out=a)
             acts.append(a)
+        w, b = self._out
+        a = a @ w
+        a += b
+        acts.append(a)
         self._acts = acts
         return a
 
@@ -82,13 +87,15 @@ class TinyNet:
         delta = np.asarray(grad_out, dtype=np.float64)
         if delta.ndim < 2:
             delta = delta.reshape(1, -1)
-        for i in reversed(range(self.n_layers)):
-            if i < self.n_layers - 1:
-                delta = delta * (1.0 - acts[i + 1] ** 2)  # tanh'
-            np.matmul(acts[i].T, delta, out=self.g_weights[i])
-            np.add.reduce(delta, axis=0, out=self.g_biases[i])
+        for i, w, g_w, g_b in self._back:
+            np.matmul(acts[i].T, delta, out=g_w)
+            np.add.reduce(delta, axis=0, out=g_b)
             if i:
-                delta = delta @ self.weights[i].T
+                delta = delta @ w.T
+                # times tanh' of layer i - 1, whose output is acts[i]
+                tanh_grad = np.square(acts[i])
+                np.subtract(1.0, tanh_grad, out=tanh_grad)
+                delta *= tanh_grad
 
     def sgd_step(self, lr: float) -> None:
         self._params -= lr * self._grads

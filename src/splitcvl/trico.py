@@ -158,6 +158,13 @@ class CutCosts:
     communication min-max bounds are the smallest and the largest
     payload's; ``comm_terms`` needs no pass over the cuts and yields the
     same floats as normalizing the full latency and energy vectors.
+
+    Each cut's payload in bits and its weighted computation and
+    confidentiality terms are computed once, when the costs are built.
+    ``effect`` evaluates ``comm_terms`` and ``effect_value`` on them in
+    one frame, with every float operation in the same order, so it
+    returns the same float as ``effect_value(weights, comm_terms(rate,
+    cut)[2], n_comp[cut], conf[cut])``.
     """
 
     cut_names: tuple[str, ...]
@@ -189,16 +196,20 @@ class CutCosts:
         )
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_bytes_lo", min(self.payload_bytes))
-        object.__setattr__(self, "_bytes_hi", max(self.payload_bytes))
+        w = self.weights
+        object.__setattr__(self, "_bits", tuple(b * 8.0 for b in self.payload_bytes))
+        object.__setattr__(self, "_bits_lo", min(self.payload_bytes) * 8.0)
+        object.__setattr__(self, "_bits_hi", max(self.payload_bytes) * 8.0)
+        object.__setattr__(self, "_w_comp_terms", tuple(w.w_comp * n for n in self.n_comp))
+        object.__setattr__(self, "_w_conf_terms", tuple(w.w_conf * c for c in self.conf))
 
     def comm_terms(self, rate_bps: float, cut: int) -> tuple[float, float, float]:
         """(latency_s, energy_j, n_comm) of one cut over a link of ``rate_bps``."""
         if rate_bps <= 0:
             raise ZeroRateError("link rate is zero, transmission infeasible")
-        lat = self.payload_bytes[cut] * 8.0 / rate_bps
-        lat_lo = self._bytes_lo * 8.0 / rate_bps
-        lat_hi = self._bytes_hi * 8.0 / rate_bps
+        lat = self._bits[cut] / rate_bps
+        lat_lo = self._bits_lo / rate_bps
+        lat_hi = self._bits_hi / rate_bps
         tx_power = self.tx_power_w
         en = tx_power * lat
         en_lo = tx_power * lat_lo
@@ -210,8 +221,21 @@ class CutCosts:
 
     def effect(self, rate_bps: float, cut: int) -> float:
         """Effect value of one cut over a link of ``rate_bps``."""
-        n_comm = self.comm_terms(rate_bps, cut)[2]
-        return effect_value(self.weights, n_comm, self.n_comp[cut], self.conf[cut])
+        if rate_bps <= 0:
+            raise ZeroRateError("link rate is zero, transmission infeasible")
+        lat = self._bits[cut] / rate_bps
+        lat_lo = self._bits_lo / rate_bps
+        lat_hi = self._bits_hi / rate_bps
+        tx_power = self.tx_power_w
+        en = tx_power * lat
+        en_lo = tx_power * lat_lo
+        en_hi = tx_power * lat_hi
+        n_lat = 0.0 if lat_hi == lat_lo else (lat - lat_lo) / (lat_hi - lat_lo)
+        n_en = 0.0 if en_hi == en_lo else (en - en_lo) / (en_hi - en_lo)
+        w = self.weights
+        lam = w.lambda_latency
+        return (w.w_comm * (lam * n_lat + (1.0 - lam) * n_en)
+                + self._w_comp_terms[cut] + self._w_conf_terms[cut])
 
     def breakdowns(self, ch: ChannelState) -> list[TriCoBreakdown]:
         """Raw and normalized costs of every cut under one channel."""

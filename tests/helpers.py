@@ -3,6 +3,7 @@
 import importlib.util
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from splitcvl.errors import (
 from splitcvl.netmodel import (
     ChannelState,
     device_from_kind,
+    resolve_channel,
     shannon_rate,
     snr_db_to_linear,
 )
@@ -107,34 +109,30 @@ def channel_at(dist, u_bw, u_snr):
     return bw_lo + bw_width * u_bw, snr_db_to_linear(db_lo + db_width * u_snr)
 
 
-def grid_bin(grid, ch):
-    """Bin of channel ``ch`` in an env channel grid: equal-width bandwidth
-    and dB sub-ranges over the grid's whole distribution, the bandwidth
-    bin major. A zero linear SNR is -inf dB, in SNR bin 0."""
-    if grid.fixed:
-        return 0
+def exact_bin(u, bins):
+    """floor(u * bins) in exact arithmetic, clamped to the last bin."""
+    return min(math.floor(Fraction(u) * bins), bins - 1)
+
+
+def grid_bin(grid, u_bw, u_snr):
+    """Bin of a channel drawn from an env channel grid's whole distribution
+    with uniforms ``u_bw`` and ``u_snr``: each dimension's ``exact_bin``
+    among its equal-width sub-ranges, the bandwidth bin major. A dimension
+    with a zero-width range is bin 0."""
     lo, hi = grid.channel.bandwidth_range
     lo_db, hi_db = grid.channel.snr_range_db
-    ibw = isnr = 0
-    if hi > lo:
-        ibw = min(int((ch.bandwidth_hz - lo) / (hi - lo) * grid.bandwidth_bins),
-                  grid.bandwidth_bins - 1)
-    if hi_db > lo_db and ch.snr_linear > 0.0:
-        db = 10.0 * float(np.log10(ch.snr_linear))
-        isnr = min(int((db - lo_db) / (hi_db - lo_db) * grid.snr_bins), grid.snr_bins - 1)
-        isnr = max(isnr, 0)
+    ibw = exact_bin(u_bw, grid.bandwidth_bins) if hi > lo else 0
+    isnr = exact_bin(u_snr, grid.snr_bins) if hi_db > lo_db else 0
     return ibw * grid.snr_bins + isnr
 
 
 def record_path_combo(env, draws):
-    """Channel combo of a fresh draw for every device, by way of channel
-    records: what ``env.reset`` returns on the same uniforms."""
+    """Channel combo of a fresh draw for every device, two of the uniforms
+    ``draws`` per drawn channel, each binned by ``grid_bin``: what
+    ``env.reset`` returns on the same uniforms."""
     combo = 0
     for grid in env.grids:
-        b = 0
-        if not grid.fixed:
-            ch = ChannelState(*channel_at(grid.channel, next(draws), next(draws)))
-            b = grid_bin(grid, ch)
+        b = 0 if grid.fixed else grid_bin(grid, next(draws), next(draws))
         combo = combo * grid.n_bins + b
     return combo
 
@@ -155,6 +153,25 @@ def record_path_transition(env, state, action, draws):
     if step + 1 >= env.horizon:
         return reward, 0
     return reward, (step + 1) * env.n_combos + record_path_combo(env, draws)
+
+
+def evaluate_action(env, state, action):
+    """Effect of an action of a ``PartitionEnv`` under the state's
+    bin-midpoint channels; 1.0, the worst, where a link has zero rate."""
+    bins, _ = env.decode_state(state)
+    channels = tuple(resolve_channel(grid.bins[b]) for grid, b in zip(env.grids, bins))
+    try:
+        return decision_effect(env.scenario, env.decode_action(action), channels)
+    except ZeroRateError:
+        return 1.0
+
+
+def policy_effect(env, policy):
+    """Deterministic effect of the greedy policy, averaged over states."""
+    values = [
+        evaluate_action(env, s, policy.action(s)) for s in range(env.n_states)
+    ]
+    return math.fsum(values) / len(values)
 
 
 def oracle_enumerate(scenario, channels):
@@ -277,9 +294,6 @@ class BanditEnv:
         from splitcvl.rlopt.env import Transition
 
         return Transition(state, action, self.rewards[action], 0, True)
-
-    def evaluate_action(self, state, action):
-        return -self.rewards[action]
 
 
 # -- TinyNet gradient checks ----------------------------------------------

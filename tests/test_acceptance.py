@@ -15,7 +15,6 @@ from splitcvl.config import RetrievalConfig, ViewNoise
 from splitcvl.nnprofile import build_resnet50_usam_profile, device_flops, intermediate_bytes
 from splitcvl.privmetrics import build_conf_table, make_demo_corpus, ssim, write_demo_corpus
 from splitcvl.rlopt.agents import (
-    policy_effect,
     train_actor_critic,
     train_dqn,
     train_multi_q,
@@ -26,7 +25,13 @@ from splitcvl.rlopt.env import PartitionEnv
 from splitcvl.rlopt.nets import TinyNet
 from splitcvl.trico import conf_cost, default_scenario, optimal_decision
 
-from helpers import grad_check, oracle_enumerate, random_scenario, smoothed_histogram
+from helpers import (
+    grad_check,
+    oracle_enumerate,
+    policy_effect,
+    random_scenario,
+    smoothed_histogram,
+)
 from test_nnprofile import oracle_candidate_elements, oracle_conv_flops
 from test_privmetrics import random_image, spearman
 from test_retrieval import oracle_ap, oracle_recall, ranking_from_relevance

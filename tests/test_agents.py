@@ -7,7 +7,6 @@ from splitcvl.rlopt.agents import (
     Hyperparams,
     _epsilons,
     _make_trace,
-    policy_effect,
     ppo_policy_gradient,
     train_actor_critic,
     train_agent,
@@ -20,7 +19,7 @@ from splitcvl.rlopt.env import PartitionEnv
 from splitcvl.rlopt.nets import TinyNet, softmax
 from splitcvl.trico import default_scenario, optimal_decision
 
-from helpers import BanditEnv
+from helpers import BanditEnv, policy_effect
 
 
 TWO_ARM = [-0.9, -0.2]
@@ -143,12 +142,6 @@ class TestActorCritic:
         probs = softmax(policy.table[0][None, :])[0]
         assert probs[1] > 0.9
 
-    def test_with_replay_enabled(self):
-        env = BanditEnv(TWO_ARM)
-        hyper = Hyperparams(ac_replay=True, batch_size=8)
-        policy, _ = train_actor_critic(env, 500, hyper=hyper, seed=12)
-        assert policy.action(0) == 1
-
     def test_deterministic(self):
         a = train_actor_critic(BanditEnv(TWO_ARM), 300, seed=13)[1]
         b = train_actor_critic(BanditEnv(TWO_ARM), 300, seed=13)[1]
@@ -176,19 +169,32 @@ class TestDQN:
 
     def test_horizon_one_skips_target_forward(self, monkeypatch):
         # every sampled transition is terminal, so the target bootstrap is
-        # multiplied by zero: only the action and batch forwards run
+        # multiplied by zero and the target net never runs. The online net
+        # runs once per greedy step (one state, a 1-d row), once per step
+        # on the sampled batch, and once after training on every state.
         calls = []
         forward = TinyNet.forward
 
         def counting_forward(self, x):
-            calls.append(1)
+            calls.append((id(self), np.ndim(x)))
             return forward(self, x)
 
         monkeypatch.setattr(TinyNet, "forward", counting_forward)
         env = PartitionEnv(default_scenario(), snr_bins=2)
         assert env.horizon == 1
-        train_dqn(env, 120, seed=23)
-        assert len(calls) == 2 * 120
+        steps = 120
+        for eps, greedy in ((None, None), (0.0, steps), (1.0, 0)):
+            calls.clear()
+            hyper = Hyperparams() if eps is None else Hyperparams(
+                epsilon_start=eps, epsilon_final=eps)
+            train_dqn(env, steps, hyper, seed=23)
+            assert len({net for net, _ in calls}) == 1
+            greedy_calls = sum(ndim == 1 for _, ndim in calls)
+            if greedy is None:
+                assert 0 < greedy_calls < steps
+            else:
+                assert greedy_calls == greedy
+            assert len(calls) == steps + greedy_calls + 1
 
     def test_deterministic(self):
         a = train_dqn(BanditEnv(TWO_ARM), 150, seed=17)[1]

@@ -253,8 +253,9 @@ INVALID_OPTIMIZE_CONFIGS = {
         "replay_capacity", optimizer_config("agent: dqn, hyper: {replay_capacity: 0}")
     ),
     "batch_size_float": ("batch_size", optimizer_config("agent: dqn, hyper: {batch_size: 2.5}")),
-    "ac_replay_not_bool": (
-        "ac_replay", optimizer_config("agent: actor_critic, hyper: {ac_replay: 1}")
+    "ac_replay_unknown_key": (
+        "optimizer.hyper: unknown key(s) ['ac_replay']",
+        optimizer_config("agent: actor_critic, hyper: {ac_replay: true}"),
     ),
     "hidden_zero": ("hidden", optimizer_config("agent: dqn, hyper: {hidden: [0]}")),
     # counts that size allocations have one ceiling, checked before training
@@ -286,6 +287,14 @@ INVALID_OPTIMIZE_CONFIGS = {
     "dqn_diverges": (
         "Q-network diverged",
         optimizer_config("agent: dqn, steps: 200, hyper: {lr_net: 1.0e+6}"),
+    ),
+    # no step is greedy, so only the check after training sees the Q-values
+    "dqn_diverges_always_exploring": (
+        "Q-network diverged",
+        optimizer_config(
+            "agent: dqn, steps: 200, hyper: {lr_net: 1.0e+6, epsilon_start: 1.0,"
+            " epsilon_final: 1.0}"
+        ),
     ),
     # the RL state space (devices' bin counts times horizon) is capped at
     # 4096 states, checked before any bin is built

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from splitcvl.trico import (
 
 from helpers import (
     channel_at,
+    evaluate_action,
+    exact_bin,
     record_path_combo,
     record_path_transition,
     synthetic_profile,
@@ -189,7 +192,7 @@ class TestStep:
     def test_evaluate_action_matches_mean_channel_effect(self):
         scenario = default_scenario()
         env = PartitionEnv(scenario, snr_bins=1)
-        eff = env.evaluate_action(0, 24)
+        eff = evaluate_action(env, 0, 24)
         expected = decision_effect(scenario, PartitionDecision((4, 4)))
         assert eff == pytest.approx(expected)
 
@@ -217,6 +220,19 @@ def three_device_scenario(fixed_snr):
     )
 
 
+class Draws:
+    """Stands in for a generator: ``random(n)`` returns the next ``n`` of
+    fixed uniforms."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, n):
+        head, self.values = self.values[:n], self.values[n:]
+        assert len(head) == n
+        return np.array(head)
+
+
 def two_channel_env(snr_a, snr_b, **bins):
     """The stock scenario with its two channels' SNR ranges (dB) replaced."""
     channels = tuple(ChannelDistribution((5e6, 20e6), snr) for snr in (snr_a, snr_b))
@@ -225,8 +241,9 @@ def two_channel_env(snr_a, snr_b, **bins):
 
 class TestRecordFreeStep:
     """``reset`` and ``step`` map their uniforms to bins and rates without
-    building channel records; replaying the same uniforms through the
-    records gives the same state and reward."""
+    building channel records. Replaying the same uniforms through the
+    records gives the same reward, and binning them by the exact rule
+    (``helpers.grid_bin``) gives the same state."""
 
     ENVS = {
         "stock": lambda: PartitionEnv(default_scenario()),
@@ -243,7 +260,8 @@ class TestRecordFreeStep:
             snr_bins=2,
         ),
         "zero_snr_fixed": lambda: PartitionEnv(three_device_scenario(0.0), horizon=2),
-        # below about -3236 dB the linear SNR underflows to 0.0: SNR bin 0
+        # below about -3236 dB the linear SNR underflows to 0.0: the draw
+        # keeps its uniform's bin, and a step over it gets the zero-rate reward
         "underflow_snr": lambda: two_channel_env(
             (-4000.0, 15.0), (-4000.0, 15.0), bandwidth_bins=2, snr_bins=3, horizon=2
         ),
@@ -265,18 +283,37 @@ class TestRecordFreeStep:
             assert state == record_path_combo(env, draws)
             assert rng.random() == twin.random()  # reset drew n_draws uniforms
 
-    def test_reset_bins_snr_with_numpy_log10(self):
+    def test_reset_bins_an_edge_draw_by_its_uniform(self):
         # at u = 0.5 over 2.0-3.8 dB in 4 bins, the drawn SNR sits on the edge
-        # of bins 1 and 2; here numpy's float64 log10 puts it in bin 2 and
-        # math.log10 in bin 1, so the binning must keep numpy's
+        # of bins 1 and 2, where numpy's float64 log10 and math.log10 of the
+        # linear SNR disagree; the uniform alone puts it in bin 2
         env = two_channel_env((2.0, 3.8), (2.0, 3.8), snr_bins=4)
+        draws = Draws([0.5] * 4)
+        assert env.reset(draws) == record_path_combo(env, iter([0.5] * 4)) == 2 * 4 + 2
 
-        class HalfDraws:
-            @staticmethod
-            def random(n):
-                return np.full(n, 0.5)
-
-        assert env.reset(HalfDraws()) == record_path_combo(env, iter([0.5] * 4))
+    def test_reset_bins_draws_near_every_edge_exactly(self):
+        # every uniform the generator can return is m / 2**53; for each bin
+        # count up to 64, the ones within 8 steps of each edge k / bins, and
+        # the 8 floats on each side of it, fall in bin floor(u * bins),
+        # computed in exact arithmetic
+        one = default_scenario()
+        for bins in range(1, 65):
+            scenario = dataclasses.replace(
+                one, devices=one.devices[:1],
+                channels=(ChannelDistribution((5e6, 20e6), (-30.0, 40.0)),),
+            )
+            env = PartitionEnv(scenario, bandwidth_bins=bins, snr_bins=bins)
+            us = []
+            for k in range(bins + 1):
+                edge = k * 2**53 // bins
+                us += [m / 2**53 for m in range(max(edge - 8, 0), min(edge + 9, 2**53))]
+                below = above = k / bins
+                for _ in range(8):
+                    below, above = math.nextafter(below, 0.0), math.nextafter(above, 1.0)
+                    us += [u for u in (below, above) if 0.0 <= u < 1.0]
+            for u_bw, u_snr in zip(us, reversed(us)):
+                expected = exact_bin(u_bw, bins) * bins + exact_bin(u_snr, bins)
+                assert env.reset(Draws([u_bw, u_snr])) == expected, (bins, u_bw, u_snr)
 
     @pytest.mark.parametrize("name", sorted(ENVS))
     def test_reward_is_negative_decision_effect_bit_for_bit(self, name):

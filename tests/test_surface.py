@@ -16,7 +16,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "splitcvl"
 
 # documented library entry points that no command calls
-ENTRY_POINTS = {"default_scenario", "write_demo_corpus", "policy_effect"}
+ENTRY_POINTS = {"default_scenario", "write_demo_corpus"}
 
 
 def public_definitions():

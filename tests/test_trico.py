@@ -198,6 +198,22 @@ class TestEffect:
         w = TriCoWeights(1.0, 0.0, 0.0)
         assert effect_value(w, 0.42, 0.9, 0.1) == 0.42
 
+    def test_cut_costs_effect_equals_effect_value_of_comm_terms_bit_for_bit(self):
+        # effect inlines comm_terms and effect_value over per-cut constants;
+        # rates span 1 bit/s to 100 Gbit/s, so the payload bounds also meet
+        # rates that make latency and energy large or tiny
+        rng = np.random.default_rng(27)
+        for _ in range(40):
+            scenario = random_scenario(rng)
+            for costs in scenario.cut_costs:
+                for rate in (10.0 ** rng.uniform(0.0, 11.0, size=25)).tolist():
+                    cut = int(rng.integers(scenario.num_candidates))
+                    expected = effect_value(
+                        costs.weights, costs.comm_terms(rate, cut)[2],
+                        costs.n_comp[cut], costs.conf[cut],
+                    )
+                    assert costs.effect(rate, cut).hex() == expected.hex()
+
     def test_effect_in_unit_interval_on_random_scenarios(self):
         rng = np.random.default_rng(21)
         for _ in range(30):
