@@ -8,9 +8,10 @@ reveals about the original image:
     C1=(0.01*255)^2, C2=(0.03*255)^2 and population statistics. Higher
     SSIM means the attack recovered more structure, i.e. more leakage.
     A window's sums of pixels, squares and products are integers of at
-    most 64*255^2, exact in float64, so SSIM does not depend on summation
-    order or the host. Each original is tiled once for all of its
-    reconstructions.
+    most 64*255^2 = 4,161,600, below 2^24, so every partial sum is exact
+    in float32 and SSIM does not depend on summation order or the host.
+    The sums run in float32 and the statistics built from them in
+    float64. Each original is tiled once for all of its reconstructions.
   * KL divergence between per-channel 256-bin pixel-intensity histograms,
     in nats, direction KL(original || reconstruction), with 1e-6 added to
     every bin count before normalization. Higher KL means the
@@ -93,16 +94,20 @@ class Image:
 Corpus = list[tuple[str, list[tuple[Image, Image, Image]]]]
 
 
+# per-channel offsets that give each channel of an RGB image its own 256 bins
+_CHANNEL_SHIFTS = np.arange(3, dtype=np.intp)[:, None] * (DYNAMIC_RANGE + 1)
+
+
 def histogram_of(img: Image) -> np.ndarray:
     """Smoothed per-channel intensity distribution, shaped (channels, 256);
     every row is positive and sums to 1."""
-    counts = np.stack(
-        [
-            np.bincount(img.pixels[:, :, c].ravel(), minlength=DYNAMIC_RANGE + 1)
-            for c in range(img.channels)
-        ]
-    )
-    smoothed = counts.astype(np.float64) + SMOOTHING
+    ch = img.channels
+    # one plane per channel; a gray image is already one, so this copies nothing
+    planes = np.ascontiguousarray(img.pixels.transpose(2, 0, 1)).reshape(ch, -1)
+    if ch > 1:
+        planes = planes + _CHANNEL_SHIFTS  # channel c counts into bins c*256...
+    counts = np.bincount(planes.ravel(), minlength=ch * (DYNAMIC_RANGE + 1))
+    smoothed = counts.reshape(ch, DYNAMIC_RANGE + 1) + SMOOTHING
     return smoothed / smoothed.sum(axis=1, keepdims=True)
 
 
@@ -119,7 +124,7 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
 
 
 def _tiles(images: Sequence[Image]) -> np.ndarray:
-    """The whole WINDOW x WINDOW tiles of same-shape images as float64 rows,
+    """The whole WINDOW x WINDOW tiles of same-shape images as float32 rows,
     shaped (images, channels, tiles, WINDOW**2), tiles in row-major order."""
     nh, nw = images[0].height // WINDOW, images[0].width // WINDOW
     ch = images[0].channels
@@ -129,7 +134,7 @@ def _tiles(images: Sequence[Image]) -> np.ndarray:
     rows = px.reshape(len(images), nh, WINDOW, nw, WINDOW * ch).view(f"V{WINDOW * ch}")
     tiles = np.ascontiguousarray(rows.transpose(0, 1, 3, 2, 4)).view(np.uint8)
     tiles = tiles.reshape(len(images), nh * nw, WINDOW * WINDOW, ch).transpose(0, 3, 1, 2)
-    return tiles.astype(np.float64, order="C")
+    return tiles.astype(np.float32, order="C")
 
 
 def ssim(orig: Image, recons: Sequence[Image]) -> list[float]:
@@ -138,8 +143,9 @@ def ssim(orig: Image, recons: Sequence[Image]) -> list[float]:
 
     The image is tiled into non-overlapping WINDOW x WINDOW patches
     (trailing remainder pixels are ignored). Every per-tile sum of pixels,
-    squares and products is an integer below 2**53, so the tile statistics
-    are exact whatever the summation order.
+    squares and products is an integer of at most WINDOW**2 * 255**2,
+    below 2**24, so the float32 tile sums are exact whatever the summation
+    order.
     """
     for b in recons:
         if b.pixels.shape != orig.pixels.shape:
@@ -151,19 +157,20 @@ def ssim(orig: Image, recons: Sequence[Image]) -> list[float]:
 
     n = WINDOW * WINDOW
     tiles = _tiles((orig, *recons))
-    mu = np.einsum("kcti->kct", tiles) / n
-    var = np.einsum("kcti,kcti->kct", tiles, tiles) / n - mu**2
+    mu = np.einsum("kcti->kct", tiles).astype(np.float64) / n
+    var = np.einsum("kcti,kcti->kct", tiles, tiles).astype(np.float64) / n - mu**2
     mu_a, mu_b = mu[0], mu[1:]
     var_a, var_b = var[0], var[1:]
-    cov = np.einsum("cti,kcti->kct", tiles[0], tiles[1:]) / n - mu_a * mu_b
+    cov = np.einsum("cti,kcti->kct", tiles[0], tiles[1:]).astype(np.float64) / n - mu_a * mu_b
     terms = ((2 * mu_a * mu_b + C1) * (2 * cov + C2)) / (
         (mu_a**2 + mu_b**2 + C1) * (var_a + var_b + C2)
     )
-    scores = []
-    for recon_terms in terms:  # (channels, tiles): one mean per channel row
-        values = [float(np.mean(row)) for row in recon_terms]
-        scores.append(min(1.0, max(0.0, math.fsum(values) / len(values))))
-    return scores
+    # one mean per (reconstruction, channel) row; a reduction over the
+    # contiguous last axis sums each row pairwise, as a 1-d np.mean does
+    return [
+        min(1.0, max(0.0, math.fsum(values) / len(values)))
+        for values in np.mean(terms, axis=2).tolist()
+    ]
 
 
 def build_conf_table(corpus: Corpus) -> ConfidentialityTable:
@@ -235,7 +242,8 @@ def _read_pnm_header(data: bytes, path: Path) -> tuple[list[int], int]:
 
 def read_image(path) -> Image:
     """Decode P5/P6 (maxval 255) or a comma-separated grayscale matrix."""
-    path = Path(path)
+    if not isinstance(path, Path):
+        path = Path(path)
     if path.suffix.lower() == ".csv":
         return _read_csv_matrix(path)
     data = path.read_bytes()
@@ -288,7 +296,10 @@ def load_corpus_dir(path) -> Corpus:
     triples are files ``orig_<id>``, ``open_<id>``, ``closed_<id>`` with
     .pgm/.ppm/.csv extensions. Two files for one role of one triple (say
     ``orig_1.csv`` and ``orig_1.pgm``) are rejected, and so is a triple
-    whose images differ in shape or are smaller than the SSIM window.
+    whose images differ in shape or are smaller than the SSIM window. A
+    cut name becomes a field of the CSV confidentiality table, so one
+    holding a comma or a line break (as ``str.splitlines`` sees one) is
+    rejected too.
     """
     root = Path(path)
     if not root.is_dir():
@@ -297,6 +308,14 @@ def load_corpus_dir(path) -> Corpus:
     cut_dirs = sorted((p for p in root.iterdir() if p.is_dir()), key=lambda p: p.name)
     if not cut_dirs:
         raise ConfigError(f"corpus directory {root} has no cut subdirectories")
+    for cut_dir in cut_dirs:
+        # the table's reader splits rows with str.splitlines and fields at ","
+        name = cut_dir.name
+        if "," in name or name.splitlines() != [name]:
+            raise ConfigError(
+                f"corpus directory {root}: cut name {name!r} contains a "
+                "comma or line break, which the CSV confidentiality table cannot hold"
+            )
     corpus = []
     for cut_dir in cut_dirs:
         by_id: dict[str, dict[str, Path]] = {}

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from splitcvl.cli import build_parser, main
-from splitcvl.privmetrics import write_demo_corpus
+from splitcvl.config import load_config
+from splitcvl.privmetrics import build_conf_table, load_corpus_dir, write_demo_corpus
 from splitcvl.trico import ConfEntry, ConfidentialityTable, format_conf_table
 
 from helpers import perfbench_spans, save_profile
@@ -731,6 +732,35 @@ class TestPrivacyCommand:
         (corpus / "0_empty").mkdir(parents=True)
         assert main(["privacy", str(corpus)]) == 2
         assert "no triples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name", ["0_conv,1", "0_conv\n1", "0_conv\r1", "0_conv1\x0c", "0_conv\u20281"],
+        ids=["comma", "newline", "carriage_return", "form_feed", "line_separator"],
+    )
+    def test_cut_name_that_breaks_the_csv_exits_2(self, name, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        write_demo_corpus(corpus, seed=0, triples_per_cut=1)
+        (corpus / "0_conv1").rename(corpus / name)
+        out = tmp_path / "t.csv"
+        assert main(["privacy", str(corpus), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == (
+            f"error: corpus directory {corpus}: cut name {name!r} contains a comma "
+            "or line break, which the CSV confidentiality table cannot hold\n"
+        )
+
+    def test_table_file_round_trips_the_table_exactly(self, tmp_path):
+        """A scenario that reads ``privacy --out``'s file gets the very
+        floats ``build_conf_table`` computed, as one naming the corpus does."""
+        corpus = tmp_path / "corpus"
+        write_demo_corpus(corpus, seed=3, triples_per_cut=4)
+        assert main(["privacy", str(corpus), "--out", str(tmp_path / "t.csv")]) == 0
+        expected = build_conf_table(load_corpus_dir(corpus)).entries
+        for section in ("{table_file: t.csv}", "{corpus_dir: corpus}"):
+            cfg = tmp_path / "cfg.yaml"
+            cfg.write_text(QUICK_CONFIG + f"confidentiality: {section}\n")
+            assert load_config(cfg).scenario.conf_table.entries == expected
 
 
 class TestDeterminism:

@@ -13,6 +13,8 @@ from splitcvl.errors import (
 )
 from splitcvl.privmetrics import (
     DEMO_CUT_BLENDS,
+    DYNAMIC_RANGE,
+    WINDOW,
     Image,
     build_conf_table,
     histogram_of,
@@ -127,6 +129,63 @@ def test_ssim_equals_block_mean_reference_exactly():
     for a, b in cases:
         assert ssim(a, [b]) == [reference_ssim(a, b)]
         assert ssim(b, [a]) == [reference_ssim(b, a)]
+
+
+def test_window_sums_are_exact_in_float32():
+    """The largest window sum (of squares of 255) is an exact float32
+    integer, so a float32 sum is exact in any order; a larger window or
+    dynamic range would break that."""
+    assert WINDOW**2 * DYNAMIC_RANGE**2 < 2**24
+
+
+# (height, width) pairs: sides that are and are not multiples of WINDOW,
+# up to perfbench's 128x128, whose 256 tiles per row take numpy's
+# blocked pairwise summation
+IMAGE_SIDES = ((8, 8), (13, 21), (8, 30), (17, 9), (31, 31), (128, 128), (72, 200))
+
+
+def test_ssim_tail_mean_equals_per_row_means():
+    """``ssim`` takes one mean per (reconstruction, channel) row of its
+    (reconstructions, channels, tiles) terms in one reduction; each must be
+    the float a 1-d np.mean of that row gives."""
+    rng = np.random.default_rng(23)
+    for height, width in IMAGE_SIDES:
+        tiles = (height // WINDOW) * (width // WINDOW)
+        for recons in (1, 2, 3):
+            for channels in (1, 3):
+                terms = rng.uniform(-0.1, 1.0, size=(recons, channels, tiles))
+                per_row = [[float(np.mean(row)) for row in block] for block in terms]
+                assert np.mean(terms, axis=2).tolist() == per_row
+
+
+def test_ssim_of_several_reconstructions_equals_reference_exactly():
+    rng = np.random.default_rng(29)
+    for height, width in IMAGE_SIDES:
+        for channels in (1, 3):
+            shape = (height, width, channels)
+            orig = Image(rng.integers(0, 256, size=shape, dtype=np.uint8))
+            recons = [Image(rng.integers(0, 256, size=shape, dtype=np.uint8))
+                      for _ in range(3)]
+            recons += [orig, Image(np.full(shape, 255, np.uint8))]
+            assert ssim(orig, recons) == [reference_ssim(orig, b) for b in recons]
+
+
+def test_histogram_equals_per_channel_bincount_exactly():
+    rng = np.random.default_rng(31)
+    images = [const_image(v, channels=c) for v in (0, 255) for c in (1, 3)]
+    for height, width in IMAGE_SIDES:
+        for channels in (1, 3):
+            shape = (height, width, channels)
+            images.append(Image(rng.integers(0, 256, size=shape, dtype=np.uint8)))
+    _, triples = make_demo_corpus(seed=2, triples_per_cut=2)[1]
+    images += [img for triple in triples for img in triple]
+    for img in images:
+        counts = [np.bincount(img.pixels[:, :, c].ravel(), minlength=256)
+                  for c in range(img.channels)]
+        expected = smoothed_histogram(counts)
+        got = histogram_of(img)
+        assert got.shape == expected.shape == (img.channels, 256)
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestKL:
