@@ -11,7 +11,8 @@ reveals about the original image:
     most 64*255^2 = 4,161,600, below 2^24, so every partial sum is exact
     in float32 and SSIM does not depend on summation order or the host.
     The sums run in float32 and the statistics built from them in
-    float64. Each original is tiled once for all of its reconstructions.
+    float64. Each original is tiled once for all of its reconstructions,
+    across every cut that holds it.
   * KL divergence between per-channel 256-bin pixel-intensity histograms,
     in nats, direction KL(original || reconstruction), with 1e-6 added to
     every bin count before normalization. Higher KL means the
@@ -23,7 +24,10 @@ histograms); nothing finer-grained is implied. ``build_conf_table`` turns
 a per-cut corpus of (original, open-box, closed-box) image triples into
 the confidentiality table consumed by the cost model, averaging KL and
 SSIM per cut with exactly-rounded sums so the result is independent of
-triple order.
+triple order. An attack corpus inverts the same inputs at every cut, so
+its originals repeat: ``load_corpus_dir`` loads byte-identical originals
+as one object, ``make_demo_corpus`` shares them, and ``build_conf_table``
+histograms and tiles each original object once per table.
 
 Images load from binary PGM/PPM (P5/P6, 8-bit) or, for tests, from a
 comma-separated grayscale matrix. Files are checked once, as they are
@@ -178,20 +182,32 @@ def build_conf_table(corpus: Corpus) -> ConfidentialityTable:
 
     Corpus entries are (cut_name, triples) in candidate order. Means use
     exactly-rounded summation, so triple order inside a cut is irrelevant.
+    Triples that share one original object, across cuts or inside one,
+    share its work: the original is histogrammed once and scored against
+    all of its reconstructions in one ``ssim`` call. Every score is the
+    one its triple alone would get, so the table does not depend on how
+    originals are shared.
     """
-    entries = []
-    for cut_name, triples in corpus:
+    # each original object with the (cut, triple) slots that hold it
+    groups: dict[int, tuple[Image, list[tuple[int, int]]]] = {}
+    for c, (cut_name, triples) in enumerate(corpus):
         if not triples:
             raise EmptyCutError(f"cut {cut_name!r} has no image triples")
-        kl_open, kl_closed, ssim_open, ssim_closed = [], [], [], []
-        for orig, open_box, closed_box in triples:
-            h_orig = histogram_of(orig)
-            kl_open.append(kl_divergence(h_orig, histogram_of(open_box)))
-            kl_closed.append(kl_divergence(h_orig, histogram_of(closed_box)))
-            s_open, s_closed = ssim(orig, (open_box, closed_box))
-            ssim_open.append(s_open)
-            ssim_closed.append(s_closed)
-        n = len(triples)
+        for t, (orig, _, _) in enumerate(triples):
+            groups.setdefault(id(orig), (orig, []))[1].append((c, t))
+    # (kl_open, kl_closed, ssim_open, ssim_closed) per triple, cut by cut
+    scores: list[list] = [[None] * len(triples) for _, triples in corpus]
+    for orig, slots in groups.values():
+        h_orig = histogram_of(orig)
+        recons = [img for c, t in slots for img in corpus[c][1][t][1:]]
+        kls = [kl_divergence(h_orig, histogram_of(img)) for img in recons]
+        ssims = ssim(orig, recons)
+        for i, (c, t) in enumerate(slots):
+            scores[c][t] = (kls[2 * i], kls[2 * i + 1], ssims[2 * i], ssims[2 * i + 1])
+    entries = []
+    for rows in scores:
+        n = len(rows)
+        kl_open, kl_closed, ssim_open, ssim_closed = zip(*rows)
         entries.append(
             ConfEntry(
                 kl_open=math.fsum(kl_open) / n,
@@ -288,6 +304,23 @@ def _read_csv_matrix(path: Path) -> Image:
 _ROLES = ("orig", "open", "closed")
 
 
+def _interned(img: Image, seen: dict[tuple, Image]) -> Image:
+    """The image in ``seen`` byte-identical to ``img`` (same shape, same
+    pixels), else ``img``, which joins ``seen``.
+
+    An image is keyed by its shape and a sample of about 256 raster bytes,
+    which hashes about ten times faster than a 128x128 raster. The whole raster
+    decides a match; an image whose sample matches another's but whose
+    raster differs is keyed by its raster as well.
+    """
+    raster = img.pixels.tobytes()
+    key = (img.pixels.shape, raster[:: len(raster) // 256 + 1])
+    first = seen.setdefault(key, img)
+    if first is img or first.pixels.tobytes() == raster:
+        return first
+    return seen.setdefault((*key, raster), img)
+
+
 def load_corpus_dir(path) -> Corpus:
     """Read a reconstruction corpus from disk.
 
@@ -300,6 +333,11 @@ def load_corpus_dir(path) -> Corpus:
     cut name becomes a field of the CSV confidentiality table, so one
     holding a comma or a line break (as ``str.splitlines`` sees one) is
     rejected too.
+
+    Byte-identical originals (same shape and same pixels), as a corpus
+    holds when each cut's attacks invert the same inputs, load as one
+    shared ``Image``, so ``build_conf_table`` scores each of them once.
+    Reconstructions are never shared.
     """
     root = Path(path)
     if not root.is_dir():
@@ -317,6 +355,7 @@ def load_corpus_dir(path) -> Corpus:
                 "comma or line break, which the CSV confidentiality table cannot hold"
             )
     corpus = []
+    originals: dict[tuple, Image] = {}  # every distinct original, see _interned
     for cut_dir in cut_dirs:
         by_id: dict[str, dict[str, Path]] = {}
         for file in sorted(cut_dir.iterdir(), key=lambda p: p.name):
@@ -349,7 +388,7 @@ def load_corpus_dir(path) -> Corpus:
                     f"{where}: images are {triple[0].width}x{triple[0].height}, "
                     f"smaller than the {WINDOW}x{WINDOW} SSIM window"
                 )
-            triples.append(triple)
+            triples.append((_interned(triple[0], originals), *triple[1:]))
         if not triples:
             raise EmptyCutError(f"corpus cut {cut_dir.name!r} contains no triples")
         corpus.append((cut_dir.name, triples))

@@ -23,7 +23,7 @@ from splitcvl.netmodel import (
     snr_db_to_linear,
 )
 from splitcvl.nnprofile import PROFILE_HEADER, LayerProfile, ModelProfile
-from splitcvl.privmetrics import C1, C2, WINDOW
+from splitcvl.privmetrics import C1, C2, WINDOW, histogram_of, kl_divergence, ssim
 from splitcvl.retrieval import (
     METRIC_NAMES,
     Embedding,
@@ -382,6 +382,54 @@ def reference_ssim(a, b):
         )
         values.append(float(np.mean(terms)))
     return min(1.0, max(0.0, math.fsum(values) / len(values)))
+
+
+def reference_conf_table(corpus):
+    """``build_conf_table`` triple by triple: each triple's original is
+    histogrammed and scored on its own, however the originals are shared."""
+    entries = []
+    for _, triples in corpus:
+        kl_open, kl_closed, ssim_open, ssim_closed = [], [], [], []
+        for orig, open_box, closed_box in triples:
+            h_orig = histogram_of(orig)
+            kl_open.append(kl_divergence(h_orig, histogram_of(open_box)))
+            kl_closed.append(kl_divergence(h_orig, histogram_of(closed_box)))
+            s_open, s_closed = ssim(orig, (open_box, closed_box))
+            ssim_open.append(s_open)
+            ssim_closed.append(s_closed)
+        n = len(triples)
+        entries.append(
+            ConfEntry(
+                kl_open=math.fsum(kl_open) / n,
+                kl_closed=math.fsum(kl_closed) / n,
+                ssim_open=math.fsum(ssim_open) / n,
+                ssim_closed=math.fsum(ssim_closed) / n,
+            )
+        )
+    return ConfidentialityTable(tuple(entries))
+
+
+def write_color_corpus(root: Path) -> None:
+    """Two cuts of 37x45 P6 triples, sides not multiples of the SSIM
+    window, and one 11x9 grayscale CSV triple, written without the
+    package's image writer."""
+    rng = np.random.default_rng(11)
+    yy, xx = np.mgrid[0:45, 0:37]
+    for cut, t in (("0_shallow", 0.1), ("1_deep", 0.6)):
+        cut_dir = root / cut
+        cut_dir.mkdir(parents=True)
+        for i in range(2):
+            ramp = np.stack([(xx * (c + 2) + yy * 5 + 40 * i) % 256 for c in range(3)], -1)
+            orig = (ramp // 32 * 32).astype(np.uint8)
+            for role, frac in (("orig", 0.0), ("open", t), ("closed", t / 2)):
+                noise = rng.integers(0, 256, size=orig.shape, dtype=np.uint8)
+                pixels = np.where(rng.random(orig.shape) < frac, noise, orig)
+                (cut_dir / f"{role}_{i}.ppm").write_bytes(b"P6\n37 45\n255\n" + pixels.tobytes())
+    for role, frac in (("orig", 0.0), ("open", 0.5), ("closed", 0.3)):
+        values = np.where(rng.random((9, 11)) < frac, rng.integers(0, 256, (9, 11)),
+                          np.arange(99).reshape(9, 11) * 2)
+        text = "".join(",".join(str(v) for v in row) + "\n" for row in values.tolist())
+        (root / "1_deep" / f"{role}_csv.csv").write_text(text)
 
 
 # -- retrieval oracle: rank by sorting, score by definition ---------------

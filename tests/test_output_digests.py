@@ -64,7 +64,7 @@ from splitcvl.rlopt.env import PartitionEnv
 from splitcvl.rlopt.nets import TinyNet
 from splitcvl.trico import default_scenario
 
-from helpers import flat_params
+from helpers import flat_params, write_color_corpus
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "scenario.yaml"
 SEED = "7"
@@ -126,9 +126,17 @@ def platform_floats_digest() -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+HOST_FLOATS = platform_floats_digest()
 needs_platform = pytest.mark.skipif(
-    platform_floats_digest() != PLATFORM_DIGEST,
+    HOST_FLOATS != PLATFORM_DIGEST,
     reason="numpy/BLAS float results differ from the recording platform's",
+)
+# the fingerprint under OpenBLAS's Haswell kernel with numpy's AVX-512 paths
+# off; both privacy digests hold there byte for byte
+AVX2_PLATFORM_DIGEST = "9e1d6bb95f546ac2be5116e8f0d177ef0ea4653eb3c53e6a1a331d9bf0ecef62"
+needs_privacy_platform = pytest.mark.skipif(
+    HOST_FLOATS not in (PLATFORM_DIGEST, AVX2_PLATFORM_DIGEST),
+    reason="numpy/BLAS float results differ from both recorded platforms'",
 )
 # agents whose traces depend on numpy transcendentals or BLAS products
 PLATFORM_AGENTS = {"actor_critic", "dqn", "ppo"}
@@ -207,7 +215,7 @@ def test_retrieval_sim_digest(case, tmp_path):
     assert sha256(out) == RETRIEVAL_DIGESTS[case]
 
 
-@needs_platform
+@needs_privacy_platform
 def test_privacy_digest(tmp_path):
     corpus = tmp_path / "corpus"
     write_demo_corpus(corpus, seed=4, triples_per_cut=3)
@@ -216,30 +224,7 @@ def test_privacy_digest(tmp_path):
     assert sha256(out) == PRIVACY_DIGEST
 
 
-def write_color_corpus(root: Path) -> None:
-    """Two cuts of 37x45 P6 triples, sides not multiples of the SSIM
-    window, and one 11x9 grayscale CSV triple, written without the
-    package's image writer."""
-    rng = np.random.default_rng(11)
-    yy, xx = np.mgrid[0:45, 0:37]
-    for cut, t in (("0_shallow", 0.1), ("1_deep", 0.6)):
-        cut_dir = root / cut
-        cut_dir.mkdir(parents=True)
-        for i in range(2):
-            ramp = np.stack([(xx * (c + 2) + yy * 5 + 40 * i) % 256 for c in range(3)], -1)
-            orig = (ramp // 32 * 32).astype(np.uint8)
-            for role, frac in (("orig", 0.0), ("open", t), ("closed", t / 2)):
-                noise = rng.integers(0, 256, size=orig.shape, dtype=np.uint8)
-                pixels = np.where(rng.random(orig.shape) < frac, noise, orig)
-                (cut_dir / f"{role}_{i}.ppm").write_bytes(b"P6\n37 45\n255\n" + pixels.tobytes())
-    for role, frac in (("orig", 0.0), ("open", 0.5), ("closed", 0.3)):
-        values = np.where(rng.random((9, 11)) < frac, rng.integers(0, 256, (9, 11)),
-                          np.arange(99).reshape(9, 11) * 2)
-        text = "".join(",".join(str(v) for v in row) + "\n" for row in values.tolist())
-        (root / "1_deep" / f"{role}_csv.csv").write_text(text)
-
-
-@needs_platform
+@needs_privacy_platform
 def test_color_privacy_digest(tmp_path):
     corpus = tmp_path / "corpus"
     write_color_corpus(corpus)
@@ -254,6 +239,8 @@ HOST_FREE = [f"test_command_digest[{c}]" for c in sorted(COMMAND_DIGESTS)] + [
     for test in ("test_optimize_trace_digest", "test_optimize_horizon2_trace_digest")
     for agent in sorted(TRACE_DIGESTS) if agent not in PLATFORM_AGENTS
 ]
+# rerun on the AVX2 paths: the host-free digests and the two privacy digests
+AVX2_RERUN = HOST_FREE + ["test_privacy_digest", "test_color_privacy_digest"]
 
 
 @pytest.mark.skipif(platform.machine().lower() not in {"x86_64", "amd64"},
@@ -267,8 +254,8 @@ def test_host_free_digests_hold_on_avx2_paths():
                NPY_DISABLE_CPU_FEATURES="X86_V4,AVX512_ICL,AVX512_SPR")
     child = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         *(f"{here}::{t}" for t in HOST_FREE)],
+         *(f"{here}::{t}" for t in AVX2_RERUN)],
         cwd=root, env=env, capture_output=True, text=True, timeout=300,
     )
     assert child.returncode == 0, child.stdout + child.stderr
-    assert f"{len(HOST_FREE)} passed" in child.stdout, child.stdout
+    assert f"{len(AVX2_RERUN)} passed" in child.stdout, child.stdout

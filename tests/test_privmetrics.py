@@ -28,7 +28,13 @@ from splitcvl.privmetrics import (
 )
 from splitcvl.trico import conf_cost
 
-from helpers import perfbench_spans, reference_ssim, smoothed_histogram
+from helpers import (
+    perfbench_spans,
+    reference_conf_table,
+    reference_ssim,
+    smoothed_histogram,
+    write_color_corpus,
+)
 
 
 def const_image(value, size=16, channels=1):
@@ -151,7 +157,7 @@ def test_ssim_tail_mean_equals_per_row_means():
     rng = np.random.default_rng(23)
     for height, width in IMAGE_SIDES:
         tiles = (height // WINDOW) * (width // WINDOW)
-        for recons in (1, 2, 3):
+        for recons in (1, 2, 3, 10, 11):
             for channels in (1, 3):
                 terms = rng.uniform(-0.1, 1.0, size=(recons, channels, tiles))
                 per_row = [[float(np.mean(row)) for row in block] for block in terms]
@@ -159,15 +165,18 @@ def test_ssim_tail_mean_equals_per_row_means():
 
 
 def test_ssim_of_several_reconstructions_equals_reference_exactly():
+    """5 rows, and the 10 and 11 that ``build_conf_table`` passes for an
+    original shared by 5 cuts (with one repeat inside a cut)."""
     rng = np.random.default_rng(29)
     for height, width in IMAGE_SIDES:
         for channels in (1, 3):
             shape = (height, width, channels)
             orig = Image(rng.integers(0, 256, size=shape, dtype=np.uint8))
-            recons = [Image(rng.integers(0, 256, size=shape, dtype=np.uint8))
-                      for _ in range(3)]
-            recons += [orig, Image(np.full(shape, 255, np.uint8))]
-            assert ssim(orig, recons) == [reference_ssim(orig, b) for b in recons]
+            for noisy in (3, 8, 9):
+                recons = [Image(rng.integers(0, 256, size=shape, dtype=np.uint8))
+                          for _ in range(noisy)]
+                recons += [orig, Image(np.full(shape, 255, np.uint8))]
+                assert ssim(orig, recons) == [reference_ssim(orig, b) for b in recons]
 
 
 def test_histogram_equals_per_channel_bincount_exactly():
@@ -265,6 +274,58 @@ class TestConfTableBuild:
     def test_empty_cut_rejected(self):
         with pytest.raises(EmptyCutError):
             build_conf_table([("cut0", [])])
+
+
+def copied_originals(corpus):
+    """``corpus`` with each triple's original a distinct but equal object."""
+    return [(name, [(Image(orig.pixels.copy()), a, b) for orig, a, b in triples])
+            for name, triples in corpus]
+
+
+def conf_table_corpora(tmp_path):
+    """Corpora whose originals are shared, distinct or repeated, by name."""
+    shared = make_demo_corpus(seed=5, triples_per_cut=4)
+    write_color_corpus(tmp_path / "color")
+    rng = np.random.default_rng(37)
+    o, p = random_image(rng, size=24), random_image(rng, size=24)
+    recon = lambda: random_image(rng, size=24)  # noqa: E731
+    return {
+        "shared": shared,
+        "copied": copied_originals(shared),
+        # cut i of the corpus seeded i: no original repeats
+        "distinct": [make_demo_corpus(seed=i, triples_per_cut=4)[i] for i in range(5)],
+        "color_and_csv": load_corpus_dir(tmp_path / "color"),
+        "repeat_in_cut": [
+            ("a", [(o, recon(), recon()), (p, recon(), recon()), (o, recon(), o)]),
+            ("b", [(o, o, recon())]),
+        ],
+    }
+
+
+CONF_TABLE_CORPORA = ("shared", "copied", "distinct", "color_and_csv", "repeat_in_cut")
+
+
+@pytest.mark.parametrize("name", CONF_TABLE_CORPORA)
+def test_conf_table_equals_per_triple_reference_exactly(tmp_path, name):
+    corpus = conf_table_corpora(tmp_path)[name]
+    assert build_conf_table(corpus) == reference_conf_table(corpus)
+
+
+def test_conf_table_corpora_share_originals_as_named(tmp_path):
+    corpora = conf_table_corpora(tmp_path)
+
+    def distinct_originals(name):
+        corpus = corpora[name]
+        return len({id(orig) for _, triples in corpus for orig, _, _ in triples})
+
+    assert distinct_originals("shared") == 4
+    assert distinct_originals("copied") == distinct_originals("distinct") == 20
+    distinct_bytes = {orig.pixels.tobytes() for _, triples in corpora["distinct"]
+                      for orig, _, _ in triples}
+    assert len(distinct_bytes) == 20
+    assert distinct_originals("color_and_csv") == 3
+    assert distinct_originals("repeat_in_cut") == 2
+    assert build_conf_table(corpora["shared"]) == build_conf_table(corpora["copied"])
 
 
 class TestDemoCorpusFixture:
@@ -406,6 +467,57 @@ class TestCorpusDir:
         with pytest.raises(ConfigError):
             load_corpus_dir(tmp_path / "nope")
 
+    def test_byte_identical_originals_load_as_one_object(self, tmp_path):
+        write_demo_corpus(tmp_path / "corpus", seed=2, triples_per_cut=3)
+        corpus = load_corpus_dir(tmp_path / "corpus")
+        firsts = [orig for orig, _, _ in corpus[0][1]]
+        assert len({id(orig) for orig in firsts}) == 3
+        for _, triples in corpus:
+            assert all(orig is first for (orig, _, _), first in zip(triples, firsts))
+        recons = [img for _, triples in corpus for t in triples for img in t[1:]]
+        assert len({id(img) for img in recons}) == len(recons) == 30
+
+    def test_reconstructions_are_never_shared(self, tmp_path):
+        for cut in ("0_a", "1_b"):
+            write_uniform_cut(tmp_path / "corpus" / cut, const_image(7))
+        (_, [a]), (_, [b]) = load_corpus_dir(tmp_path / "corpus")
+        # one original; the four reconstructions, equal to it, stay apart
+        assert a[0] is b[0]
+        assert len({id(x) for x in (a[0], *a[1:], *b[1:])}) == 5
+
+    @pytest.mark.parametrize("shape_a, shape_b", [
+        ((8, 16, 1), (16, 8, 1)),
+        ((16, 24, 1), (16, 8, 3)),
+    ], ids=["transposed", "gray_vs_rgb"])
+    def test_same_raster_bytes_in_another_shape_stay_distinct(self, tmp_path,
+                                                              shape_a, shape_b):
+        raster = np.arange(np.prod(shape_a), dtype=np.uint8)
+        for cut, shape in (("0_a", shape_a), ("1_b", shape_b)):
+            write_uniform_cut(tmp_path / "corpus" / cut, Image(raster.reshape(shape)))
+        (_, [a]), (_, [b]) = load_corpus_dir(tmp_path / "corpus")
+        assert a[0].pixels.tobytes() == b[0].pixels.tobytes()
+        assert a[0] is not b[0]
+        assert (a[0].pixels.shape, b[0].pixels.shape) == (shape_a, shape_b)
+
+    def test_originals_alike_in_the_interning_sample_are_told_apart(self, tmp_path):
+        # 128x128 rasters that differ only at byte 1, which the 1-in-65
+        # sample skips; the third repeats the second
+        zeros = np.zeros((128, 128, 1), np.uint8)
+        marked = zeros.copy()
+        marked.flat[1] = 9
+        for cut, pixels in (("0_a", zeros), ("1_b", marked), ("2_c", marked)):
+            write_uniform_cut(tmp_path / "corpus" / cut, Image(pixels))
+        (_, [a]), (_, [b]), (_, [c]) = load_corpus_dir(tmp_path / "corpus")
+        assert a[0] is not b[0]
+        assert b[0] is c[0]
+        assert b[0].pixels.flat[1] == 9
+
+    def test_differing_originals_stay_distinct(self, tmp_path):
+        for cut, value in (("0_a", 7), ("1_b", 8)):
+            write_uniform_cut(tmp_path / "corpus" / cut, const_image(value))
+        (_, [a]), (_, [b]) = load_corpus_dir(tmp_path / "corpus")
+        assert a[0] is not b[0]
+
     def test_two_files_for_one_role_rejected(self, tmp_path):
         cut = tmp_path / "corpus" / "0_conv1"
         cut.mkdir(parents=True)
@@ -414,6 +526,14 @@ class TestCorpusDir:
         (cut / "orig_1.csv").write_text("1,2\n3,4\n")
         with pytest.raises(ConfigError, match=r"orig_1\.csv.*orig_1\.pgm"):
             load_corpus_dir(tmp_path / "corpus")
+
+
+def write_uniform_cut(cut_dir, img):
+    """A cut holding one triple whose three images all equal ``img``."""
+    cut_dir.mkdir(parents=True)
+    suffix = ".pgm" if img.channels == 1 else ".ppm"
+    for role in ("orig", "open", "closed"):
+        write_image(img, cut_dir / f"{role}_0{suffix}")
 
 
 def write_triple(cut_dir, orig_bytes, orig_name="orig_000.pgm"):
@@ -484,13 +604,14 @@ def test_perfbench_traces_every_privmetrics_site(tmp_path):
     assert not [site for site in tracer.missing if site.startswith("splitcvl.privmetrics.")]
     assert tracer.counters["privmetrics.bytes_read"] == 5 * 3 * 3 * 32 * 32 == 46080
     calls = Counter(tracer.names[i] for i in tracer.name_id)
-    triples = 5 * 3
+    # each of the 3 originals is shared by the 5 cuts and scored once
+    triples, originals = 5 * 3, 3
     assert {name: n for name, n in calls.items() if name.startswith("privmetrics.")} == {
         "privmetrics.load_corpus_dir": 1,
         "privmetrics.read_image": 3 * triples,
-        "privmetrics.histogram_of": 3 * triples,
+        "privmetrics.histogram_of": 2 * triples + originals,
         "privmetrics.kl_divergence": 2 * triples,
-        "privmetrics.ssim": triples,
+        "privmetrics.ssim": originals,
         "privmetrics.build_conf_table": 1,
     }
 
