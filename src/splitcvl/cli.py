@@ -100,10 +100,7 @@ def cmd_optimize(config: ScenarioConfig, args) -> int:
     # the env's action and state caps bound RL only; cost and oracle have none
     try:
         env = PartitionEnv(
-            scenario,
-            bandwidth_bins=opt.bandwidth_bins,
-            snr_bins=opt.snr_bins,
-            horizon=opt.horizon,
+            scenario, bandwidth_bins=opt.bandwidth_bins, snr_bins=opt.snr_bins
         )
     except ValueError as exc:
         raise ConfigError(f"optimizer: {exc}") from None

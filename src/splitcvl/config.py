@@ -73,7 +73,6 @@ class OptimizerConfig:
     agent: str = "q_learning"
     steps: int = 3000
     seed: int = 0
-    horizon: int = 1
     bandwidth_bins: int = 1
     snr_bins: int = 2
     hyper: Hyperparams = Hyperparams()
@@ -87,8 +86,8 @@ class OptimizerConfig:
             raise ValueError("steps must be >= 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.horizon < 1 or self.bandwidth_bins < 1 or self.snr_bins < 1:
-            raise ValueError("horizon, bandwidth_bins and snr_bins must be >= 1")
+        if self.bandwidth_bins < 1 or self.snr_bins < 1:
+            raise ValueError("bandwidth_bins and snr_bins must be >= 1")
 
 
 @dataclass(frozen=True)

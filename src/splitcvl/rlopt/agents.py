@@ -1,18 +1,22 @@
 """Five learning agents over the partition environment.
 
 All agents work against the same small env protocol: ``n_states``,
-``n_actions``, ``horizon``, ``feature_dim``, ``reset(rng)``,
-``step(state, action, rng)`` and ``state_features``. States and actions
-are plain integers.
+``n_actions``, ``feature_dim``, ``reset(rng)``, ``step(state, action,
+rng)`` returning a ``Transition(state, action, reward)``, and
+``state_features``. States and actions are plain integers. Every episode
+is one step, so each step acts in a freshly reset state and no update
+bootstraps from a next state: each value estimate tracks the reward of
+its state and action.
 
   * Q-Learning        tabular, epsilon-greedy with linear decay
   * Multi-Q-Learning  ensemble of K tables; each update lands on one
-                      uniformly chosen table and bootstraps from the mean
-                      of the others; behavior follows the ensemble mean
-  * Actor-Critic      tabular softmax policy, TD(0) critic, advantage
-                      policy gradient
-  * DQN               TinyNet Q-function, uniform replay, periodically
-                      synced target network, squared TD error, plain SGD
+                      uniformly chosen table, so the ensemble averages K
+                      tables updated on disjoint visits; behavior follows
+                      the ensemble mean
+  * Actor-Critic      tabular softmax policy, a critic of each state's
+                      reward, advantage policy gradient
+  * DQN               TinyNet Q-function, uniform replay, squared error
+                      against the sampled rewards, plain SGD
   * PPO               clipped-surrogate policy gradient with a TinyNet
                       critic baseline and configurable entropy bonus
 
@@ -38,7 +42,7 @@ from .nets import TinyNet, log_softmax, softmax
 
 
 _COUNT_FIELDS = (
-    "replay_capacity", "batch_size", "target_sync", "ppo_epochs", "ppo_batch",
+    "replay_capacity", "batch_size", "ppo_epochs", "ppo_batch",
     "multi_q_tables", "moving_avg_window",
 )
 # capped at MAX_SIZE when Hyperparams is built, before any training allocates
@@ -56,13 +60,11 @@ class Hyperparams:
     lr: float = 0.1                     # tabular value learning rate
     lr_actor: float = 1.0               # tabular softmax-logit rate
     lr_net: float = 0.1                 # SGD rate for TinyNet agents
-    gamma: float = 0.9
     epsilon_start: float = 1.0
     epsilon_final: float = 0.01
     epsilon_decay_fraction: float = 0.5  # share of steps spent decaying
     replay_capacity: int = 1000
     batch_size: int = 32
-    target_sync: int = 100
     ppo_clip: float = 0.2
     ppo_epochs: int = 4
     ppo_batch: int = 64
@@ -183,14 +185,6 @@ def _draw_action(cdf: np.ndarray, rng: np.random.Generator) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-def _advance(env, tr: Transition, steps_in_episode: int, rng) -> tuple[int, int]:
-    """(next state, steps taken in its episode); resets once an episode ends."""
-    steps_in_episode += 1
-    if tr.done or steps_in_episode >= env.horizon:
-        return env.reset(rng), 0
-    return tr.next_state, steps_in_episode
-
-
 def train_q_learning(
     env, steps: int, hyper: Hyperparams | None = None, seed: int = 0
 ) -> tuple[TrainedPolicy, ConvergenceTrace]:
@@ -199,15 +193,12 @@ def train_q_learning(
     rng = np.random.default_rng(seed)
     q = np.zeros((env.n_states, env.n_actions))
     effects: list[float] = []
-    state = env.reset(rng)
-    steps_in_episode = 0
     for eps in _epsilons(steps, hyper):
+        state = env.reset(rng)
         action = _eps_greedy(q[state], eps, rng)
-        tr = env.step(state, action, rng)
-        bootstrap = 0.0 if tr.done else hyper.gamma * float(q[tr.next_state].max())
-        q[state, action] += hyper.lr * (tr.reward + bootstrap - q[state, action])
-        effects.append(-tr.reward)
-        state, steps_in_episode = _advance(env, tr, steps_in_episode, rng)
+        reward = env.step(state, action, rng).reward
+        q[state, action] += hyper.lr * (reward - q[state, action])
+        effects.append(-reward)
     policy = TrainedPolicy(lambda s, q=q: int(np.argmax(q[s])), table=q)
     return policy, _make_trace(effects, hyper.moving_avg_window)
 
@@ -215,7 +206,7 @@ def train_q_learning(
 def train_multi_q(
     env, steps: int, hyper: Hyperparams | None = None, seed: int = 0
 ) -> tuple[TrainedPolicy, ConvergenceTrace]:
-    """Ensemble Q-learning: bootstrap each table from the mean of the rest.
+    """Ensemble Q-learning: act on the mean of K tables.
 
     Each update lands on one uniformly chosen table, which therefore sees
     only 1/K of the visits; the per-table rate is scaled by K (capped at
@@ -228,26 +219,17 @@ def train_multi_q(
     tables = np.zeros((k, env.n_states, env.n_actions))
     table_lr = min(1.0, hyper.lr * k)
     effects: list[float] = []
-    state = env.reset(rng)
-    steps_in_episode = 0
     for eps in _epsilons(steps, hyper):
+        state = env.reset(rng)
         # only the rows read are reduced; with two or more actions a
         # row's sums equal the whole ensemble's bit for bit, and dividing
         # the sum by k is what np.mean does
         mean_row = tables[:, state].sum(axis=0) / k
         action = _eps_greedy(mean_row, eps, rng)
-        tr = env.step(state, action, rng)
+        reward = env.step(state, action, rng).reward
         j = int(rng.integers(k))
-        bootstrap = 0.0
-        if not tr.done:
-            next_rows = tables[:, tr.next_state]
-            others = (next_rows.sum(axis=0) - next_rows[j]) / (k - 1)
-            bootstrap = hyper.gamma * float(others.max())
-        tables[j, state, action] += table_lr * (
-            tr.reward + bootstrap - tables[j, state, action]
-        )
-        effects.append(-tr.reward)
-        state, steps_in_episode = _advance(env, tr, steps_in_episode, rng)
+        tables[j, state, action] += table_lr * (reward - tables[j, state, action])
+        effects.append(-reward)
     mean_q = tables.mean(axis=0)
     policy = TrainedPolicy(lambda s, q=mean_q: int(np.argmax(q[s])), table=mean_q)
     return policy, _make_trace(effects, hyper.moving_avg_window)
@@ -256,7 +238,7 @@ def train_multi_q(
 def train_actor_critic(
     env, steps: int, hyper: Hyperparams | None = None, seed: int = 0
 ) -> tuple[TrainedPolicy, ConvergenceTrace]:
-    """Tabular softmax actor with a TD(0) critic.
+    """Tabular softmax actor with a critic of each state's reward.
 
     The logits start at zero, so the initial policy is uniform (entropy
     log of the action count).
@@ -266,22 +248,18 @@ def train_actor_critic(
     logits = np.zeros((env.n_states, env.n_actions))
     values = np.zeros(env.n_states)
     effects: list[float] = []
-    state = env.reset(rng)
-    steps_in_episode = 0
     for _ in range(steps):
+        state = env.reset(rng)
         probs = softmax(logits[state])
         action = _draw_action(_action_cdf(probs), rng)
-        tr = env.step(state, action, rng)
-        td_target = tr.reward + (
-            0.0 if tr.done else hyper.gamma * values[tr.next_state]
-        )
-        advantage = td_target - values[state]
+        reward = env.step(state, action, rng).reward
+        advantage = reward - values[state]
         values[state] += hyper.lr * advantage
-        one_hot = np.zeros(env.n_actions)
-        one_hot[action] = 1.0
-        logits[state] += hyper.lr_actor * advantage * (one_hot - probs)
-        effects.append(-tr.reward)
-        state, steps_in_episode = _advance(env, tr, steps_in_episode, rng)
+        # one_hot(action) - probs, in place; -p + 1.0 rounds as 1.0 - p
+        np.negative(probs, out=probs)
+        probs[action] += 1.0
+        logits[state] += hyper.lr_actor * advantage * probs
+        effects.append(-reward)
     policy = TrainedPolicy(lambda s, logits=logits: int(np.argmax(logits[s])), table=logits)
     return policy, _make_trace(effects, hyper.moving_avg_window)
 
@@ -316,12 +294,10 @@ def train_dqn(
     grad = np.zeros((hyper.batch_size, n_actions))
     flat_grad = grad.reshape(-1)
     net = TinyNet((env.feature_dim, *hyper.hidden, env.n_actions), rng)
-    target = net.copy()
     buffer = ReplayBuffer(hyper.replay_capacity)
     effects: list[float] = []
-    state = env.reset(rng)
-    steps_in_episode = 0
-    for t, eps in enumerate(_epsilons(steps, hyper)):
+    for eps in _epsilons(steps, hyper):
+        state = env.reset(rng)
         if rng.random() < eps:
             action = int(rng.integers(n_actions))
         else:
@@ -333,26 +309,17 @@ def train_dqn(
         buffer.push(tr)
         batch_size = min(hyper.batch_size, len(buffer))
         batch = buffer.sample_batch(rng, batch_size)
-        # a terminal row's bootstrap, gamma * 0.0 * q, is +-0.0 and leaves
-        # its reward unchanged: with no continuing row the target is unused
-        y = batch.rewards
-        if buffer.any_continuing and batch.not_done.any():
-            q_next = target.forward(table[batch.next_states]).max(axis=1)
-            y = batch.rewards + hyper.gamma * batch.not_done * q_next
         q = net.forward(table[batch.states])
         picked = row_starts[:batch_size] + batch.actions
-        td = q.take(picked)  # a copy, scaled in place to 2 * (q - y) / batch_size
-        td -= y
+        td = q.take(picked)  # a copy, scaled in place to 2 * (q - r) / batch_size
+        td -= batch.rewards
         td *= 2.0
         td /= batch_size
         flat_grad[picked] = td
         net.backward(grad[:batch_size])
         flat_grad[picked] = 0.0  # the buffer is all zeros between steps
         net.sgd_step(hyper.lr_net)
-        if (t + 1) % hyper.target_sync == 0:
-            target.copy_params_from(net)
         effects.append(-tr.reward)
-        state, steps_in_episode = _advance(env, tr, steps_in_episode, rng)
     if not np.isfinite(net.forward(table)).all():
         raise NonFiniteError(_Q_DIVERGED)
 
@@ -415,8 +382,6 @@ def train_ppo(
     policy_net = TinyNet((env.feature_dim, *hyper.hidden, env.n_actions), rng)
     value_net = TinyNet((env.feature_dim, *hyper.hidden, 1), rng)
     effects: list[float] = []
-    state = env.reset(rng)
-    steps_in_episode = 0
     done_steps = 0
     while done_steps < steps:
         batch_n = min(hyper.ppo_batch, steps - done_steps)
@@ -425,6 +390,7 @@ def train_ppo(
         # the policy is fixed during a rollout: one forward pass per state
         rollout_policy: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for i in range(batch_n):
+            state = env.reset(rng)
             if state not in rollout_policy:
                 logp_row = log_softmax(policy_net.forward(table[state]))[0]
                 if not np.isfinite(logp_row).all():
@@ -438,21 +404,12 @@ def train_ppo(
             batch.append(tr)
             logp_old[i] = logp_row[action]
             effects.append(-tr.reward)
-            state, steps_in_episode = _advance(env, tr, steps_in_episode, rng)
         done_steps += batch_n
         entropy_coef = hyper.entropy_coef * (1.0 - done_steps / steps)
 
-        states, actions, rewards, next_states, dones = (
-            np.array(field) for field in zip(*batch)
-        )
+        states, actions, rewards = (np.array(field) for field in zip(*batch))
         x = table[states]
-        not_done = 1.0 - dones
-        # as in DQN, an all-terminal batch needs no bootstrap
-        targets = rewards
-        if not_done.any():
-            v_next = value_net.forward(table[next_states])[:, 0]
-            targets = rewards + hyper.gamma * not_done * v_next
-        advantages = targets - value_net.forward(x)[:, 0]
+        advantages = rewards - value_net.forward(x)[:, 0]
         spread = advantages.std()
         if spread > 1e-12:
             advantages = (advantages - advantages.mean()) / spread
@@ -466,7 +423,7 @@ def train_ppo(
             policy_net.sgd_step(hyper.lr_net)
 
             v = value_net.forward(x)
-            value_net.backward(2.0 * (v - targets[:, None]) / len(batch))
+            value_net.backward(2.0 * (v - rewards[:, None]) / len(batch))
             value_net.sgd_step(hyper.lr_net)
 
     def act(s: int, net=policy_net, table=table) -> int:

@@ -1,18 +1,18 @@
-"""Partition-point selection cast as a sequential decision problem.
+"""Partition-point selection cast as a contextual bandit.
 
 The environment state is the observable network context: one discretized
-channel bin per device (a grid over bandwidth x SNR-in-dB) and a step
-counter. The action jointly assigns one
-partition candidate to every device, flattened to a single discrete id.
-The reward is the additive inverse of the decision's effect value, so it
-lies in [-1, 0] whenever the cost weights sum to 1; an infeasible link
-(zero rate) yields the worst reward of -1 instead of an error so that
-learning can continue.
+channel bin per device (a grid over bandwidth x SNR-in-dB). The action
+jointly assigns one partition candidate to every device, flattened to a
+single discrete id. The reward is the additive inverse of the decision's
+effect value, so it lies in [-1, 0] whenever the cost weights sum to 1;
+an infeasible link (zero rate) yields the worst reward of -1 instead of
+an error so that learning can continue.
 
-Episodes default to a single step: the partition choice has no state
-dynamics, so the problem is a contextual bandit over sampled channel
-states. A longer horizon can be configured, in which case channels are
-redrawn every step and the step counter becomes part of the state.
+Every episode is one step. The channels are redrawn at every step
+whatever the action, so the action never changes the next state and the
+optimal policy is myopic: a longer episode would only add a step counter
+to the state and bootstraps that carry no information. An agent calls
+``reset(rng)`` for each step's state, then ``step(state, action, rng)``.
 
 Reset and step build no channel or decision records. A drawn channel's
 bin comes from its two uniform draws alone: a range split into ``n``
@@ -20,13 +20,17 @@ equal bins puts the draw ``u`` in bin ``floor(u * n)``, computed
 exactly, and a zero-width range is always bin 0. Up to rounding, that is
 the sub-range the drawn bandwidth and dB fall in, and no bin depends on
 a host's pow or logarithm. A step maps its uniforms to link rates with
-scalars built when the env is made and calls each device's
-``CutCosts.effect``. The float expressions are those of sampling a
-channel (``low + width * u``, SNR drawn in dB), ``shannon_rate`` and
-``decision_effect``, so the reward is bit for bit the negated
-``decision_effect`` of the drawn channels. A channel whose linear SNR
-underflows to zero keeps its drawn dB's bin, and a step over it gets the
-zero-rate reward.
+scalars bound per state when the env is made, together with each
+device's ``CutCosts.effect``. The float expressions are those of
+sampling a channel (``low + width * u``, SNR drawn in dB),
+``snr_db_to_linear``, ``shannon_rate`` and ``decision_effect``, so the
+reward is bit for bit the negated ``decision_effect`` of the drawn
+channels. A channel whose linear SNR underflows to zero keeps its drawn
+dB's bin, and a step over it gets the zero-rate reward.
+
+A step draws twice the uniforms it uses. The second set seeded the
+next state when episodes could last longer; it is still drawn so that
+every agent's random stream, and every recorded trace, stays the same.
 """
 
 from __future__ import annotations
@@ -39,15 +43,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import ZeroRateError
-from ..netmodel import (
-    ChannelDistribution,
-    ChannelState,
-    shannon_rate,
-    snr_db_to_linear,
-)
-# decision_effect is not called here, but perfbench/spans.py traces the
-# module's name for it
-from ..trico import PartitionDecision, Scenario, decision_effect  # noqa: F401
+from ..netmodel import ChannelDistribution, ChannelState, shannon_rate
+from ..trico import PartitionDecision, Scenario
 
 MAX_JOINT_ACTIONS = 125  # 5 candidates ** 3 devices
 # Ceiling on every count that sizes an allocation: env states, replay
@@ -57,14 +54,11 @@ MAX_SIZE = 4096
 
 
 class Transition(NamedTuple):
-    """One env step. An episode's last transition has ``next_state`` 0:
-    the agent resets instead of reading it."""
+    """One env step: the state acted in, the action and its reward."""
 
     state: int
     action: int
     reward: float
-    next_state: int
-    done: bool
 
 
 class Batch(NamedTuple):
@@ -73,8 +67,6 @@ class Batch(NamedTuple):
     states: np.ndarray
     actions: np.ndarray
     rewards: np.ndarray
-    next_states: np.ndarray
-    not_done: np.ndarray  # 1.0 where the episode continues, else 0.0
 
 
 class ReplayBuffer:
@@ -91,41 +83,23 @@ class ReplayBuffer:
         self._states = np.zeros(capacity, dtype=np.int64)
         self._actions = np.zeros(capacity, dtype=np.int64)
         self._rewards = np.zeros(capacity)
-        self._next_states = np.zeros(capacity, dtype=np.int64)
-        self._not_done = np.zeros(capacity)
         self._size = 0
         self._next = 0
-        self._any_continuing = False
 
     def push(self, transition: Transition) -> None:
         i = self._next
-        self._states[i] = transition.state
-        self._actions[i] = transition.action
-        self._rewards[i] = transition.reward
-        self._next_states[i] = transition.next_state
-        if transition.done:
-            self._not_done[i] = 0.0
-        else:
-            self._not_done[i] = 1.0
-            self._any_continuing = True
+        self._states[i], self._actions[i], self._rewards[i] = transition
         self._size = max(self._size, i + 1)
         self._next = (i + 1) % self.capacity
 
     def __len__(self) -> int:
         return self._size
 
-    @property
-    def any_continuing(self) -> bool:
-        """Whether any transition pushed so far continues its episode;
-        never at horizon 1, where no sampled row bootstraps."""
-        return self._any_continuing
-
     def sample_batch(self, rng: np.random.Generator, batch_size: int) -> Batch:
         if not self._size:
             raise ValueError("cannot sample from an empty buffer")
         idx = rng.integers(0, self._size, size=batch_size)
-        return Batch(self._states[idx], self._actions[idx], self._rewards[idx],
-                     self._next_states[idx], self._not_done[idx])
+        return Batch(self._states[idx], self._actions[idx], self._rewards[idx])
 
 
 class _ChannelGrid:
@@ -210,12 +184,9 @@ class PartitionEnv:
         scenario: Scenario,
         bandwidth_bins: int = 1,
         snr_bins: int = 2,
-        horizon: int = 1,
     ):
         if bandwidth_bins < 1 or snr_bins < 1:
             raise ValueError("bin counts must be >= 1")
-        if horizon < 1:
-            raise ValueError("horizon must be >= 1")
         n_actions = scenario.num_candidates ** scenario.num_devices
         if n_actions > MAX_JOINT_ACTIONS:
             raise ValueError(
@@ -223,22 +194,22 @@ class PartitionEnv:
                 f"{MAX_JOINT_ACTIONS}; reduce devices or candidates"
             )
         # counted before any bin is built, so a huge bin count fails at once
-        n_states = horizon * math.prod(
+        n_states = math.prod(
             _bin_count(ch, bandwidth_bins, snr_bins) for ch in scenario.channels
         )
         if n_states > MAX_SIZE:
             raise ValueError(
                 f"state space of {n_states} states exceeds the cap of {MAX_SIZE}; "
-                "reduce snr_bins, bandwidth_bins or horizon"
+                "reduce snr_bins or bandwidth_bins"
             )
         self.scenario = scenario
-        self.horizon = horizon
         self.grids = [
             _ChannelGrid(ch, bandwidth_bins, snr_bins) for ch in scenario.channels
         ]
-        # a state id is step * n_combos + channel combo, the combo a
-        # mixed-radix number of the devices' bins, first device first
-        self.n_combos = math.prod(g.n_bins for g in self.grids)
+        # a state id is a mixed-radix number of the devices' channel bins,
+        # first device first
+        self.n_states = n_states
+        self.feature_dim = sum(g.n_bins for g in self.grids)
         # a fixed channel is one bin and draws nothing, so binning skips it;
         # per drawn channel: its bin count, its bandwidth edges and their
         # stride in the bin index, and its SNR edges
@@ -247,109 +218,83 @@ class PartitionEnv:
         self._draws_per_set = 2 * len(self._binnings)
         self._cuts = tuple(product(range(scenario.num_candidates),
                                    repeat=scenario.num_devices))
-        # per channel combo, each device's link: its bin's (bw_lo, bw_width,
-        # db_lo, db_width) on a drawn channel, else the fixed channel's rate
-        self._combo_links = tuple(
-            tuple(g.rate if g.fixed else g.scales[b]
-                  for g, b in zip(self.grids, self._channel_bins(combo)))
-            for combo in range(self.n_combos)
-        )
-
-    # -- spaces ----------------------------------------------------------
-
-    @property
-    def n_actions(self) -> int:
-        return len(self._cuts)
-
-    @property
-    def n_states(self) -> int:
-        return self.n_combos * self.horizon
-
-    @property
-    def feature_dim(self) -> int:
-        return sum(g.n_bins for g in self.grids) + (
-            self.horizon if self.horizon > 1 else 0
+        self.n_actions = len(self._cuts)
+        # per state, each device's bound CutCosts.effect and link: the fixed
+        # channel's rate, or None, the index of its bandwidth uniform and its
+        # bin's (bw_lo, bw_width, db_lo, db_width)
+        bin_links = []
+        i = 0
+        for grid in self.grids:
+            if grid.fixed:
+                bin_links.append([(grid.rate, 0, 0.0, 0.0, 0.0, 0.0)])
+            else:
+                bin_links.append([(None, i, *scale) for scale in grid.scales])
+                i += 2
+        self._state_links = tuple(
+            tuple((costs.effect, *links[b]) for costs, links, b
+                  in zip(scenario.cut_costs, bin_links, self.decode_state(state)))
+            for state in range(n_states)
         )
 
     # -- encodings -------------------------------------------------------
 
-    def decode_state(self, state_id: int) -> tuple[tuple[int, ...], int]:
-        """(one channel bin per device, step) of a state id."""
-        step, combo = divmod(state_id, self.n_combos)
-        return tuple(self._channel_bins(combo)), step
+    def decode_state(self, state_id: int) -> tuple[int, ...]:
+        """One channel bin per device of a state id."""
+        bins = []
+        for grid in reversed(self.grids):
+            state_id, b = divmod(state_id, grid.n_bins)
+            bins.append(b)
+        return tuple(reversed(bins))
 
     def decode_action(self, action: int) -> PartitionDecision:
         return PartitionDecision(self._cuts_of(action))
 
     def _cuts_of(self, action: int) -> tuple[int, ...]:
-        if not 0 <= action < len(self._cuts):
+        if not 0 <= action < self.n_actions:
             raise ValueError(f"action {action} out of range")
         return self._cuts[action]
 
     def state_features(self, state_id: int) -> np.ndarray:
-        """Concatenated one-hot bins (plus a step one-hot for horizons > 1)."""
-        bins, step = self.decode_state(state_id)
+        """Concatenated one-hot bins, one per device."""
         parts = []
-        for digit, grid in zip(bins, self.grids):
+        for digit, grid in zip(self.decode_state(state_id), self.grids):
             one_hot = np.zeros(grid.n_bins)
             one_hot[digit] = 1.0
             parts.append(one_hot)
-        if self.horizon > 1:
-            step_hot = np.zeros(self.horizon)
-            step_hot[step] = 1.0
-            parts.append(step_hot)
         return np.concatenate(parts)
 
     # -- dynamics ---------------------------------------------------------
 
-    def _channel_bins(self, channel_combo: int) -> list[int]:
-        bins = []
-        for grid in reversed(self.grids):
-            channel_combo, b = divmod(channel_combo, grid.n_bins)
-            bins.append(b)
-        bins.reverse()
-        return bins
+    def reset(self, rng: np.random.Generator) -> int:
+        """The state of freshly drawn channels, two uniforms per drawn
+        channel, first device first.
 
-    def _combo_of(self, u: list[float], i: int) -> int:
-        """Channel combo of the channels drawn from ``u[i:]``, two uniforms
-        per distribution channel, first device first.
-
-        ``u`` comes from one ``rng.random(n).tolist()``, which yields the
-        same doubles, in the same order, as ``n`` calls of ``rng.random()``.
+        ``rng.random(n).tolist()`` yields the same doubles, in the same
+        order, as ``n`` calls of ``rng.random()``.
         """
-        combo = 0
+        u = rng.random(self._draws_per_set).tolist()
+        state = i = 0
         for n_bins, bw_edges, stride, snr_edges in self._binnings:
-            combo = (combo * n_bins + bisect_right(bw_edges, u[i]) * stride
+            state = (state * n_bins + bisect_right(bw_edges, u[i]) * stride
                      + bisect_right(snr_edges, u[i + 1]))
             i += 2
-        return combo
-
-    def reset(self, rng: np.random.Generator) -> int:
-        return self._combo_of(rng.random(self._draws_per_set).tolist(), 0)
+        return state
 
     def step(self, state_id: int, action: int, rng: np.random.Generator) -> Transition:
-        step, combo = divmod(state_id, self.n_combos)
         cuts = self._cuts_of(action)
-        # this step's channels, then the next state's; a terminal step draws
-        # both too, so the random stream does not depend on the horizon
+        # this step's channels, then a set that is drawn and not used (see
+        # the module docstring)
         u = rng.random(2 * self._draws_per_set).tolist()
         effects = []
-        i = 0
         try:
-            for costs, cut, link in zip(self.scenario.cut_costs, cuts,
-                                        self._combo_links[combo]):
-                if isinstance(link, tuple):
-                    bw_lo, bw_width, db_lo, db_width = link
-                    snr_linear = snr_db_to_linear(db_lo + db_width * u[i + 1])
+            for (effect, rate, i, bw_lo, bw_width, db_lo, db_width), cut in zip(
+                self._state_links[state_id], cuts
+            ):
+                if rate is None:
+                    snr_linear = 10.0 ** ((db_lo + db_width * u[i + 1]) / 10.0)
                     rate = (bw_lo + bw_width * u[i]) * math.log2(1.0 + snr_linear)
-                    i += 2
-                else:
-                    rate = link
-                effects.append(costs.effect(rate, cut))
+                effects.append(effect(rate, cut))
             reward = -(math.fsum(effects) / len(effects))
         except ZeroRateError:
             reward = -1.0
-        if step + 1 >= self.horizon:
-            return Transition(state_id, action, reward, 0, True)
-        next_state = (step + 1) * self.n_combos + self._combo_of(u, self._draws_per_set)
-        return Transition(state_id, action, reward, next_state, False)
+        return Transition(state_id, action, reward)

@@ -24,16 +24,12 @@ class TinyNet:
         if len(sizes) < 2:
             raise ValueError("need at least an input and an output size")
         self.sizes = tuple(int(s) for s in sizes)
-        weights = []
+        drawn = []
         for fan_in, fan_out in zip(self.sizes, self.sizes[1:]):
             scale = 1.0 / np.sqrt(fan_in)
-            weights.append(rng.standard_normal((fan_in, fan_out)) * scale)
-        self._bind(np.concatenate([w.ravel() for w in weights]
-                                  + [np.zeros(n) for n in self.sizes[1:]]))
-
-    def _bind(self, params: np.ndarray) -> None:
-        """Adopt ``params`` as the flat parameter vector; zero the gradients."""
-        self._params = params
+            drawn.append(rng.standard_normal((fan_in, fan_out)) * scale)
+        self._params = params = np.concatenate(
+            [w.ravel() for w in drawn] + [np.zeros(n) for n in self.sizes[1:]])
         self._grads = np.zeros_like(params)
         weights, g_weights, biases, g_biases = [], [], [], []
         offset = 0
@@ -99,15 +95,6 @@ class TinyNet:
 
     def sgd_step(self, lr: float) -> None:
         self._params -= lr * self._grads
-
-    def copy(self) -> "TinyNet":
-        clone = object.__new__(TinyNet)
-        clone.sizes = self.sizes
-        clone._bind(self._params.copy())
-        return clone
-
-    def copy_params_from(self, other: "TinyNet") -> None:
-        self._params[:] = other._params
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

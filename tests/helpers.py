@@ -32,6 +32,8 @@ from splitcvl.retrieval import (
     SyntheticQueryPool,
     top1_percent_k,
 )
+from splitcvl.rlopt.agents import _action_cdf, _draw_action, _eps_greedy, _epsilons
+from splitcvl.rlopt.nets import softmax
 from splitcvl.trico import (
     ConfEntry,
     ConfidentialityTable,
@@ -126,39 +128,35 @@ def grid_bin(grid, u_bw, u_snr):
     return ibw * grid.snr_bins + isnr
 
 
-def record_path_combo(env, draws):
-    """Channel combo of a fresh draw for every device, two of the uniforms
+def record_path_state(env, draws):
+    """State of a fresh draw for every device, two of the uniforms
     ``draws`` per drawn channel, each binned by ``grid_bin``: what
     ``env.reset`` returns on the same uniforms."""
-    combo = 0
+    state = 0
     for grid in env.grids:
         b = 0 if grid.fixed else grid_bin(grid, next(draws), next(draws))
-        combo = combo * grid.n_bins + b
-    return combo
+        state = state * grid.n_bins + b
+    return state
 
 
-def record_path_transition(env, state, action, draws):
-    """(reward, next state) by way of channel records and ``decision_effect``:
-    what ``env.step`` returns on the same uniforms."""
-    bins, step = env.decode_state(state)
+def record_path_reward(env, state, action, draws):
+    """Reward by way of channel records and ``decision_effect``: what
+    ``env.step`` returns on the same uniforms."""
     channels = tuple(
         grid.channel if grid.fixed
         else ChannelState(*channel_at(grid.bins[b], next(draws), next(draws)))
-        for grid, b in zip(env.grids, bins)
+        for grid, b in zip(env.grids, env.decode_state(state))
     )
     try:
-        reward = -decision_effect(env.scenario, env.decode_action(action), channels)
+        return -decision_effect(env.scenario, env.decode_action(action), channels)
     except ZeroRateError:
-        reward = -1.0
-    if step + 1 >= env.horizon:
-        return reward, 0
-    return reward, (step + 1) * env.n_combos + record_path_combo(env, draws)
+        return -1.0
 
 
 def evaluate_action(env, state, action):
     """Effect of an action of a ``PartitionEnv`` under the state's
     bin-midpoint channels; 1.0, the worst, where a link has zero rate."""
-    bins, _ = env.decode_state(state)
+    bins = env.decode_state(state)
     channels = tuple(resolve_channel(grid.bins[b]) for grid, b in zip(env.grids, bins))
     try:
         return decision_effect(env.scenario, env.decode_action(action), channels)
@@ -281,7 +279,6 @@ class BanditEnv:
         self.rewards = [float(r) for r in rewards]
         self.n_states = 1
         self.n_actions = len(rewards)
-        self.horizon = 1
         self.feature_dim = 1
 
     def reset(self, rng):
@@ -293,7 +290,43 @@ class BanditEnv:
     def step(self, state, action, rng):
         from splitcvl.rlopt.env import Transition
 
-        return Transition(state, action, self.rewards[action], 0, True)
+        return Transition(state, action, self.rewards[action])
+
+
+def bootstrapped_tabular_table(name, env, steps, hyper, seed):
+    """The table that Q-learning, multi-Q or actor-critic learns, by the
+    update each had while episodes could last longer, at one step per
+    episode: every target adds the terminal bootstrap ``0.0`` to the
+    reward, which turns a reward of -0.0 into +0.0. The draws and every
+    other float operation are the agents'."""
+    rng = np.random.default_rng(seed)
+    q = np.zeros((env.n_states, env.n_actions))
+    values = np.zeros(env.n_states)
+    k = hyper.multi_q_tables
+    tables = np.zeros((k, env.n_states, env.n_actions))
+    state = env.reset(rng)
+    for eps in _epsilons(steps, hyper):
+        if name == "q_learning":
+            action = _eps_greedy(q[state], eps, rng)
+            tr = env.step(state, action, rng)
+            q[state, action] += hyper.lr * (tr.reward + 0.0 - q[state, action])
+        elif name == "multi_q":
+            action = _eps_greedy(tables[:, state].sum(axis=0) / k, eps, rng)
+            tr = env.step(state, action, rng)
+            j = int(rng.integers(k))
+            tables[j, state, action] += min(1.0, hyper.lr * k) * (
+                tr.reward + 0.0 - tables[j, state, action])
+        else:
+            probs = softmax(q[state])
+            action = _draw_action(_action_cdf(probs), rng)
+            tr = env.step(state, action, rng)
+            advantage = tr.reward + 0.0 - values[state]
+            values[state] += hyper.lr * advantage
+            one_hot = np.zeros(env.n_actions)
+            one_hot[action] = 1.0
+            q[state] += hyper.lr_actor * advantage * (one_hot - probs)
+        state = env.reset(rng)
+    return tables.mean(axis=0) if name == "multi_q" else q
 
 
 # -- TinyNet gradient checks ----------------------------------------------

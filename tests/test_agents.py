@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,9 +18,14 @@ from splitcvl.rlopt.agents import (
 )
 from splitcvl.rlopt.env import PartitionEnv
 from splitcvl.rlopt.nets import TinyNet, softmax
-from splitcvl.trico import default_scenario, optimal_decision
+from splitcvl.trico import (
+    ConfEntry,
+    ConfidentialityTable,
+    default_scenario,
+    optimal_decision,
+)
 
-from helpers import BanditEnv, policy_effect
+from helpers import BanditEnv, bootstrapped_tabular_table, policy_effect, synthetic_profile
 
 
 TWO_ARM = [-0.9, -0.2]
@@ -72,10 +78,11 @@ class TestQLearning:
         assert policy.action(0) == 1
 
     def test_gamma_zero_lr_one_single_visits(self):
-        # With lr=1 and done episodes the table holds the last seen reward.
+        # Every episode is one step, so the update is gamma-zero Q-learning:
+        # with lr=1 the table holds the last seen reward.
         rewards = [-0.3, -0.7, -0.5]
         env = BanditEnv(rewards)
-        hyper = Hyperparams(lr=1.0, gamma=0.0, epsilon_start=1.0, epsilon_final=1.0)
+        hyper = Hyperparams(lr=1.0, epsilon_start=1.0, epsilon_final=1.0)
         policy, trace = train_q_learning(env, 300, hyper=hyper, seed=2)
         assert policy.action(0) == 0
         assert policy.table[0].tolist() == rewards
@@ -86,7 +93,7 @@ class TestQLearning:
         # contraction left by the finite visit count
         rewards = [-0.6, -0.1, -0.9]
         env = BanditEnv(rewards)
-        hyper = Hyperparams(gamma=0.0, epsilon_start=1.0, epsilon_final=1.0, lr=0.2)
+        hyper = Hyperparams(epsilon_start=1.0, epsilon_final=1.0, lr=0.2)
         policy, _ = train_q_learning(env, 2000, hyper=hyper, seed=3)
         assert policy.action(0) == 1
         assert np.allclose(policy.table[0], rewards, atol=1e-10)
@@ -155,23 +162,15 @@ class TestDQN:
         policy, _ = train_dqn(env, 400, hyper=hyper, seed=14)
         assert policy.action(0) == 1
 
-    def test_target_sync_every_step_keeps_nets_equal(self):
-        # Indirect check through the public surface: training with sync=1
-        # stays stable and still solves the bandit.
-        env = BanditEnv(TWO_ARM)
-        hyper = Hyperparams(target_sync=1, hidden=(8,))
-        policy, _ = train_dqn(env, 400, hyper=hyper, seed=15)
-        assert policy.action(0) == 1
-
     def test_bandit(self):
         policy, _ = train_dqn(BanditEnv([-0.7, -0.2, -0.5]), 500, seed=16)
         assert policy.action(0) == 1
 
     def test_horizon_one_skips_target_forward(self, monkeypatch):
-        # every sampled transition is terminal, so the target bootstrap is
-        # multiplied by zero and the target net never runs. The online net
-        # runs once per greedy step (one state, a 1-d row), once per step
-        # on the sampled batch, and once after training on every state.
+        # every episode is one step, so DQN regresses on rewards alone and
+        # has no target net. Its one net runs once per greedy step (one
+        # state, a 1-d row), once per step on the sampled batch, and once
+        # after training on every state.
         calls = []
         forward = TinyNet.forward
 
@@ -181,7 +180,6 @@ class TestDQN:
 
         monkeypatch.setattr(TinyNet, "forward", counting_forward)
         env = PartitionEnv(default_scenario(), snr_bins=2)
-        assert env.horizon == 1
         steps = 120
         for eps, greedy in ((None, None), (0.0, steps), (1.0, 0)):
             calls.clear()
@@ -253,7 +251,7 @@ class TestPPOMechanics:
 
     def test_horizon_one_skips_value_bootstrap(self, monkeypatch):
         # value-net forwards per rollout batch: one for the advantages and
-        # one per epoch; the next-state bootstrap would be multiplied by zero
+        # one per epoch; one-step episodes have no next-state value
         value_calls = []
         forward = TinyNet.forward
 
@@ -300,6 +298,49 @@ class TestOnScenarioEnv:
             assert policy_effect(env, policy) >= oracle_eff - 1e-9
 
 
+def zero_effect_env():
+    """The stock devices and channels over three cuts. Cut 0 has the
+    smallest payload, the fewest prefix FLOPs and the largest KL, so each
+    of its normalized terms is 0.0: the decision (0, 0) has effect 0.0 in
+    every state, and its reward is -0.0."""
+    scenario = dataclasses.replace(
+        default_scenario(),
+        profile=synthetic_profile([1000, 2000, 4000], flops=[10, 10, 10]),
+        conf_table=ConfidentialityTable(
+            (ConfEntry(5.0, 5.0), ConfEntry(1.0, 1.0), ConfEntry(2.0, 2.0))
+        ),
+    )
+    return PartitionEnv(scenario, bandwidth_bins=2, snr_bins=2)
+
+
+class TestOneStepUpdates:
+    """The tabular updates no longer add a terminal bootstrap of 0.0 to
+    the reward. For a reward of -0.0 that changes the update's sign of
+    zero, but not the table: the tables start at +0.0, and adding -0.0 to
+    a float never changes it unless it is -0.0 itself."""
+
+    def test_zero_effect_reward_is_negative_zero(self):
+        env = zero_effect_env()
+        rng = np.random.default_rng(0)
+        for state in range(env.n_states):
+            reward = env.step(state, 0, rng).reward
+            assert reward == 0.0 and math.copysign(1.0, reward) == -1.0
+            assert env.step(state, 4, rng).reward < 0.0
+
+    @pytest.mark.parametrize("name", ["q_learning", "multi_q", "actor_critic"])
+    @pytest.mark.parametrize("hyper", [
+        Hyperparams(),
+        Hyperparams(lr=1.0, lr_actor=1.0, epsilon_start=1.0, epsilon_final=1.0),
+        Hyperparams(lr=0.5, multi_q_tables=2, epsilon_decay_fraction=0.1),
+    ], ids=["default", "lr_one_exploring", "fast_decay"])
+    def test_table_equals_bootstrapped_update_bitwise(self, name, hyper):
+        env = zero_effect_env()
+        policy, trace = train_agent(name, env, 1500, hyper=hyper, seed=31)
+        expected = bootstrapped_tabular_table(name, env, 1500, hyper, seed=31)
+        assert policy.table.tobytes() == expected.tobytes()
+        assert (trace.effects == 0.0).sum() > 10  # rewards of -0.0 were learned from
+
+
 class TestDispatch:
     def test_unknown_agent(self):
         with pytest.raises(ValueError):
@@ -314,6 +355,6 @@ class TestDispatch:
 
     @pytest.mark.parametrize("name", ["q_learning", "multi_q", "actor_critic", "dqn", "ppo"])
     def test_steps_count_env_steps_for_every_agent(self, name):
-        env = PartitionEnv(default_scenario(), horizon=3)
+        env = PartitionEnv(default_scenario(), bandwidth_bins=2, snr_bins=3)
         _, trace = train_agent(name, env, 100, seed=4)
         assert len(trace) == 100

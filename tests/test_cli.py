@@ -249,7 +249,15 @@ INVALID_OPTIMIZE_CONFIGS = {
         optimizer_config("agent: ppo, hyper: {lr: .nan}"),
     ),
     "ppo_batch_zero": ("ppo_batch", optimizer_config("agent: ppo, hyper: {ppo_batch: 0}")),
-    "target_sync_zero": ("target_sync", optimizer_config("agent: dqn, hyper: {target_sync: 0}")),
+    # episodes are one step: no horizon, discount or target net to set
+    "target_sync_zero": (
+        "optimizer.hyper: unknown key(s) ['target_sync']",
+        optimizer_config("agent: dqn, hyper: {target_sync: 0}"),
+    ),
+    "gamma_unknown_key": (
+        "optimizer.hyper: unknown key(s) ['gamma']",
+        optimizer_config("agent: q_learning, hyper: {lr: 0.1, gamma: 0.9}"),
+    ),
     "replay_capacity_zero": (
         "replay_capacity", optimizer_config("agent: dqn, hyper: {replay_capacity: 0}")
     ),
@@ -284,7 +292,12 @@ INVALID_OPTIMIZE_CONFIGS = {
         optimizer_config("agent: dqn, hyper: {hidden: [4096, 1]}"),
     ),
     "steps_negative": ("steps", optimizer_config("agent: dqn, steps: -5")),
-    "horizon_zero": ("horizon", optimizer_config("agent: dqn, horizon: 0")),
+    "horizon_zero": (
+        "optimizer: unknown key(s) ['horizon']", optimizer_config("agent: dqn, horizon: 0")
+    ),
+    "horizon_one_unknown_key": (
+        "optimizer: unknown key(s) ['horizon']", optimizer_config("agent: ppo, horizon: 1")
+    ),
     "dqn_diverges": (
         "Q-network diverged",
         optimizer_config("agent: dqn, steps: 200, hyper: {lr_net: 1.0e+6}"),
@@ -297,19 +310,15 @@ INVALID_OPTIMIZE_CONFIGS = {
             " epsilon_final: 1.0}"
         ),
     ),
-    # the RL state space (devices' bin counts times horizon) is capped at
-    # 4096 states, checked before any bin is built
+    # the RL state space (the devices' bin counts multiplied together) is
+    # capped at 4096 states, checked before any bin is built
     "state_space_snr_bins": (
         "optimizer: state space of 4900 states exceeds",
         optimizer_config("agent: q_learning, snr_bins: 70"),
     ),
     "state_space_bin_grid": (
-        "optimizer: state space of 8192 states exceeds",
-        optimizer_config("agent: ppo, bandwidth_bins: 8, snr_bins: 8, horizon: 2"),
-    ),
-    "state_space_horizon": (
-        "optimizer: state space of 4100 states exceeds",
-        optimizer_config("agent: dqn, horizon: 1025"),
+        "optimizer: state space of 5184 states exceeds",
+        optimizer_config("agent: ppo, bandwidth_bins: 9, snr_bins: 8"),
     ),
     "joint_actions_over_cap": (
         "optimizer: joint action space 625 exceeds the cap of 125", FOUR_DEVICE_CONFIG

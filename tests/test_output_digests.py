@@ -18,16 +18,12 @@ fell from 6 to 4 and the networks' shapes, initial weights and traces
 changed with it. The tabular agents' state ids, and so their traces,
 did not change.
 
-On the stock scenario every episode lasts one step, so every sampled
-transition is terminal and the DQN target and PPO value bootstraps are
-multiplied by zero. The horizon-2 digests (a 2 x 3 bin grid per device,
-72 states) and the digest of DQN's final parameters there are the ones
-that see those bootstraps. They were recorded before DQN and PPO stopped
-running the bootstrap forward on all-terminal batches. The horizon-2
-digests of the three tabular agents, whose bootstraps are likewise
-multiplied by zero at horizon 1, were recorded before the env's reset and
-step moved to precomputed bin tables and the tabular agents' loops were
-trimmed.
+The five trace digests were recorded while episodes could last several
+steps and every update bootstrapped from the next state, the bootstrap
+multiplied by zero on the stock one-step episodes. They held when the
+episode length, the bootstraps, DQN's target net and the unused
+next-state fields were deleted: each step still draws the next state's
+uniforms, so the random stream is unchanged.
 
 The ``privacy`` digest, on a fixed demo corpus, was recorded before the
 CLI parser was cached and configs moved to libyaml. The color ``privacy``
@@ -37,13 +33,14 @@ from histogram and image records to plain arrays.
 
 Last-digit float results of numpy and its BLAS (tanh, exp, small matrix
 products) can differ between platforms, and the outputs computed with
-them. Those digests (the actor-critic, DQN and PPO traces, DQN's
-parameters, ``retrieval-sim`` and ``privacy``) are only checked where a
-fingerprint of those results matches the recording platform's. ``cost``,
-``oracle`` and the Q-learning and multi-Q traces use Python floats, libm
-and elementwise numpy sums and maxima only, so they are checked on every
-host. A test reruns them with another BLAS kernel and numpy's AVX-512
-paths off.
+them. Those digests (the actor-critic, DQN and PPO traces,
+``retrieval-sim`` and ``privacy``) are only checked where a fingerprint
+of those results matches the recording platform's, or the one this host
+gives with OpenBLAS's Haswell kernel and numpy's AVX-512 paths off; every
+one of them holds on both. ``cost``, ``oracle`` and the Q-learning and
+multi-Q traces use Python floats, libm and elementwise numpy sums and
+maxima only, so they are checked on every host. A test reruns every
+digest on those AVX2 paths.
 """
 
 import hashlib
@@ -59,12 +56,8 @@ import pytest
 
 from splitcvl.cli import main
 from splitcvl.privmetrics import write_demo_corpus
-from splitcvl.rlopt import agents
-from splitcvl.rlopt.env import PartitionEnv
-from splitcvl.rlopt.nets import TinyNet
-from splitcvl.trico import default_scenario
 
-from helpers import flat_params, write_color_corpus
+from helpers import write_color_corpus
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "scenario.yaml"
 SEED = "7"
@@ -76,17 +69,6 @@ TRACE_DIGESTS = {
     "dqn": "3b41ae45d35438bcdc02cc05c25cb47a6e2d6a2cb64b3609b36d32508a018cd2",
     "ppo": "ef6493e79877554b7097b723ba99eb1d4f75c43cbd3e6b1c1eefdd1677fdfc88",
 }
-HORIZON2_DIGESTS = {
-    "q_learning": "cd6d36bee5bfb5b21b083da57818b4f74f4fcb47fbf7d01a7610f0ca882c305b",
-    "multi_q": "57bfcad605eacf4aa958473955ef56bbbce7ea721da216c4382f7efc65468b7b",
-    "actor_critic": "8c0c96d722460810579bc20d190d1447d678068a068d509c916e78c10090cc27",
-    "dqn": "e7677b3549ad885213ffc5bb2b2e3c76f37928dc88fc0365511bcf602956b703",
-    "ppo": "74a25c1dd42b9ef2d6afbd56a1ebc3f11f28fb4c9da801ef18fe8accddcf5366",
-}
-HORIZON2_OPTIMIZER = "  snr_bins: 3\n  bandwidth_bins: 2\n  horizon: 2"
-# sha256 of the online net's flat parameters after 1500 DQN steps, seed 7,
-# default hyperparameters, on the horizon-2 env above
-DQN_HORIZON2_PARAMS_DIGEST = "3b132bc5779886410e489b86984bbdb5c4f1c1261784d944fc271e024f7b723a"
 COMMAND_DIGESTS = {
     "cost": "300cb9d48b0f6df7ae25db4e7840120a91fc48227ecec29c353990a1c9b5bd04",
     "oracle": "6bc6be1b8fe24f3a252086aed04b14198f53dc1ab30927479ee74790923434f1",
@@ -126,15 +108,11 @@ def platform_floats_digest() -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+# the fingerprint under OpenBLAS's Haswell kernel with numpy's AVX-512 paths
+# off; every digest holds there byte for byte
+AVX2_PLATFORM_DIGEST = "9e1d6bb95f546ac2be5116e8f0d177ef0ea4653eb3c53e6a1a331d9bf0ecef62"
 HOST_FLOATS = platform_floats_digest()
 needs_platform = pytest.mark.skipif(
-    HOST_FLOATS != PLATFORM_DIGEST,
-    reason="numpy/BLAS float results differ from the recording platform's",
-)
-# the fingerprint under OpenBLAS's Haswell kernel with numpy's AVX-512 paths
-# off; both privacy digests hold there byte for byte
-AVX2_PLATFORM_DIGEST = "9e1d6bb95f546ac2be5116e8f0d177ef0ea4653eb3c53e6a1a331d9bf0ecef62"
-needs_privacy_platform = pytest.mark.skipif(
     HOST_FLOATS not in (PLATFORM_DIGEST, AVX2_PLATFORM_DIGEST),
     reason="numpy/BLAS float results differ from both recorded platforms'",
 )
@@ -164,39 +142,6 @@ def test_optimize_trace_digest(agent, tmp_path, capsys):
     assert sha256(out) == TRACE_DIGESTS[agent]
 
 
-@pytest.mark.parametrize("agent", agent_params(HORIZON2_DIGESTS))
-def test_optimize_horizon2_trace_digest(agent, tmp_path, capsys):
-    config = tmp_path / "scenario.yaml"
-    config.write_text(
-        CONFIG.read_text()
-        .replace("agent: actor_critic", f"agent: {agent}")
-        .replace("  snr_bins: 2", HORIZON2_OPTIMIZER)
-    )
-    out = tmp_path / "trace.csv"
-    argv = ["optimize", "--config", str(config), "--seed", SEED, "--out", str(out)]
-    assert main(argv) == 0
-    assert f"agent={agent}" in capsys.readouterr().out
-    assert sha256(out) == HORIZON2_DIGESTS[agent]
-
-
-@needs_platform
-def test_dqn_horizon2_final_params_digest(monkeypatch):
-    created = []
-
-    class RecordingNet(TinyNet):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            created.append(self)
-
-    monkeypatch.setattr(agents, "TinyNet", RecordingNet)
-    env = PartitionEnv(default_scenario(), bandwidth_bins=2, snr_bins=3, horizon=2)
-    assert env.n_states == 72
-    agents.train_agent("dqn", env, 1500, seed=7)
-    [net] = created  # the target net is a copy, not a new TinyNet
-    digest = hashlib.sha256(flat_params(net).tobytes()).hexdigest()
-    assert digest == DQN_HORIZON2_PARAMS_DIGEST
-
-
 @pytest.mark.parametrize("command", sorted(COMMAND_DIGESTS))
 def test_command_digest(command, tmp_path):
     out = tmp_path / f"{command}.csv"
@@ -215,7 +160,7 @@ def test_retrieval_sim_digest(case, tmp_path):
     assert sha256(out) == RETRIEVAL_DIGESTS[case]
 
 
-@needs_privacy_platform
+@needs_platform
 def test_privacy_digest(tmp_path):
     corpus = tmp_path / "corpus"
     write_demo_corpus(corpus, seed=4, triples_per_cut=3)
@@ -224,7 +169,7 @@ def test_privacy_digest(tmp_path):
     assert sha256(out) == PRIVACY_DIGEST
 
 
-@needs_privacy_platform
+@needs_platform
 def test_color_privacy_digest(tmp_path):
     corpus = tmp_path / "corpus"
     write_color_corpus(corpus)
@@ -233,14 +178,14 @@ def test_color_privacy_digest(tmp_path):
     assert sha256(out) == COLOR_PRIVACY_DIGEST
 
 
-# the digests checked on every host
-HOST_FREE = [f"test_command_digest[{c}]" for c in sorted(COMMAND_DIGESTS)] + [
-    f"{test}[{agent}]"
-    for test in ("test_optimize_trace_digest", "test_optimize_horizon2_trace_digest")
-    for agent in sorted(TRACE_DIGESTS) if agent not in PLATFORM_AGENTS
-]
-# rerun on the AVX2 paths: the host-free digests and the two privacy digests
-AVX2_RERUN = HOST_FREE + ["test_privacy_digest", "test_color_privacy_digest"]
+# every digest test, rerun on the AVX2 paths
+AVX2_RERUN = [
+    f"{test}[{case}]"
+    for test, digests in (("test_optimize_trace_digest", TRACE_DIGESTS),
+                          ("test_command_digest", COMMAND_DIGESTS),
+                          ("test_retrieval_sim_digest", RETRIEVAL_DIGESTS))
+    for case in sorted(digests)
+] + ["test_privacy_digest", "test_color_privacy_digest"]
 
 
 @pytest.mark.skipif(platform.machine().lower() not in {"x86_64", "amd64"},

@@ -27,8 +27,8 @@ from helpers import (
     channel_at,
     evaluate_action,
     exact_bin,
-    record_path_combo,
-    record_path_transition,
+    record_path_reward,
+    record_path_state,
     synthetic_profile,
 )
 
@@ -63,7 +63,7 @@ class TestSpaces:
             PartitionEnv(scenario)
 
     @pytest.mark.parametrize(
-        "bins", [dict(snr_bins=1_000_000_000), dict(bandwidth_bins=65, snr_bins=63, horizon=1)]
+        "bins", [dict(snr_bins=1_000_000_000), dict(bandwidth_bins=65, snr_bins=63)]
     )
     def test_state_space_cap_checked_before_bins_are_built(self, bins, monkeypatch):
         def no_grid(*args):
@@ -74,13 +74,13 @@ class TestSpaces:
             PartitionEnv(default_scenario(), **bins)
 
     def test_state_space_at_cap_accepted(self):
-        env = PartitionEnv(default_scenario(), bandwidth_bins=4, snr_bins=8, horizon=4)
+        env = PartitionEnv(default_scenario(), bandwidth_bins=8, snr_bins=8)
         assert env.n_states == 4096
 
     def test_fixed_channels_count_one_bin(self):
         # a fixed channel is one bin, whatever the bin counts
-        env = PartitionEnv(fixed_channel_scenario(), snr_bins=5000, horizon=2)
-        assert env.n_states == 2
+        env = PartitionEnv(fixed_channel_scenario(), snr_bins=5000)
+        assert env.n_states == 1
 
     def test_action_encoding_round_trip(self):
         # an action id is the mixed-radix number of the cuts, first device first
@@ -91,18 +91,15 @@ class TestSpaces:
             env.decode_action(env.n_actions)
 
     def test_state_encoding_round_trip(self):
-        # state id = step * n_combos + combo, the combo a mixed-radix number
-        # of the devices' bins, first device first; DQN and PPO features and
-        # the tabular agents' rows depend on this layout
-        env = PartitionEnv(default_scenario(), bandwidth_bins=2, snr_bins=3, horizon=2)
+        # a state id is the mixed-radix number of the devices' bins, first
+        # device first; DQN and PPO features and the tabular agents' rows
+        # depend on this layout
+        env = PartitionEnv(default_scenario(), bandwidth_bins=2, snr_bins=3)
         n_bins = 6
-        n_combos = n_bins * n_bins
-        assert env.n_states == 2 * n_combos
-        for step in range(2):
-            for b0 in range(n_bins):
-                for b1 in range(n_bins):
-                    state_id = step * n_combos + b0 * n_bins + b1
-                    assert env.decode_state(state_id) == ((b0, b1), step)
+        assert env.n_states == n_bins * n_bins
+        for b0 in range(n_bins):
+            for b1 in range(n_bins):
+                assert env.decode_state(b0 * n_bins + b1) == (b0, b1)
 
     def test_state_features_are_one_hots(self):
         env = PartitionEnv(default_scenario(), snr_bins=2)
@@ -122,8 +119,7 @@ class TestStep:
         for action in range(env.n_actions):
             tr = env.step(state, action, rng)
             expected = decision_effect(scenario, PartitionDecision((action,)))
-            assert tr.reward == -expected
-            assert tr.done
+            assert tr == (state, action, -expected)
 
     def test_same_seed_same_transition(self):
         env = PartitionEnv(default_scenario(), snr_bins=2)
@@ -166,28 +162,19 @@ class TestStep:
         tr = env.step(env.reset(rng), 0, rng)
         assert tr.reward == -1.0
 
-    def test_horizon_controls_done_flag(self):
-        env = PartitionEnv(default_scenario(), horizon=3)
-        rng = np.random.default_rng(6)
-        state = env.reset(rng)
-        assert env.decode_state(state)[1] == 0
-        tr = env.step(state, 0, rng)
-        assert not tr.done
-        assert env.decode_state(tr.next_state)[1] == 1
-        tr2 = env.step(tr.next_state, 0, rng)
-        tr3 = env.step(tr2.next_state, 0, rng)
-        assert tr3.done
-        assert env.decode_state(tr3.next_state)[1] == 0
-
-    def test_terminal_step_draws_next_channels_but_leaves_next_state_0(self):
-        # the next state's uniforms are drawn on every step, so the random
-        # stream is the same whatever the horizon; only their bins are skipped
-        env = PartitionEnv(default_scenario(), snr_bins=2)
+    @pytest.mark.parametrize("fixed_snr", [4.0, 0.0])
+    def test_step_draws_two_channel_sets(self, fixed_snr):
+        # a step draws 2 uniforms per drawn channel for its own channels and
+        # as many again that it does not use; every recorded trace depends
+        # on that stream. A fixed channel draws nothing, and a zero-rate
+        # step, which stops at the fixed channel, draws the same
+        env = PartitionEnv(three_device_scenario(fixed_snr), snr_bins=3)
         rng, twin = np.random.default_rng(8), np.random.default_rng(8)
-        tr = env.step(3, 0, rng)
-        assert tr.done and tr.next_state == 0
-        twin.random(8)  # 2 devices x 2 uniforms, this step's and the next's
-        assert rng.random() == twin.random()
+        for action in range(env.n_actions):
+            tr = env.step(5, action, rng)
+            assert (tr.reward == -1.0) == (fixed_snr == 0.0)
+            twin.random(2 * 2 * 2)
+            assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_evaluate_action_matches_mean_channel_effect(self):
         scenario = default_scenario()
@@ -200,8 +187,7 @@ class TestStep:
         env = PartitionEnv(default_scenario(), snr_bins=4, bandwidth_bins=3)
         rng = np.random.default_rng(7)
         for _ in range(200):
-            s = env.reset(rng)
-            bins, _ = env.decode_state(s)
+            bins = env.decode_state(env.reset(rng))
             assert len(bins) == 2
             assert all(0 <= b < 12 for b in bins)
 
@@ -247,9 +233,7 @@ class TestRecordFreeStep:
 
     ENVS = {
         "stock": lambda: PartitionEnv(default_scenario()),
-        "horizon2_2x3": lambda: PartitionEnv(
-            default_scenario(), bandwidth_bins=2, snr_bins=3, horizon=2
-        ),
+        "2x3": lambda: PartitionEnv(default_scenario(), bandwidth_bins=2, snr_bins=3),
         "mixed_3_devices": lambda: PartitionEnv(three_device_scenario(4.0), snr_bins=3),
         "degenerate_range": lambda: PartitionEnv(
             dataclasses.replace(
@@ -259,14 +243,14 @@ class TestRecordFreeStep:
             bandwidth_bins=2,
             snr_bins=2,
         ),
-        "zero_snr_fixed": lambda: PartitionEnv(three_device_scenario(0.0), horizon=2),
+        "zero_snr_fixed": lambda: PartitionEnv(three_device_scenario(0.0)),
         # below about -3236 dB the linear SNR underflows to 0.0: the draw
         # keeps its uniform's bin, and a step over it gets the zero-rate reward
         "underflow_snr": lambda: two_channel_env(
-            (-4000.0, 15.0), (-4000.0, 15.0), bandwidth_bins=2, snr_bins=3, horizon=2
+            (-4000.0, 15.0), (-4000.0, 15.0), bandwidth_bins=2, snr_bins=3
         ),
         "underflow_snr_always": lambda: two_channel_env(
-            (-3300.0, -3250.0), (5.0, 15.0), snr_bins=2, horizon=2
+            (-3300.0, -3250.0), (5.0, 15.0), snr_bins=2
         ),
     }
     ALWAYS_ZERO_RATE = {"zero_snr_fixed", "underflow_snr_always"}
@@ -280,7 +264,7 @@ class TestRecordFreeStep:
             twin = copy.deepcopy(rng)
             state = env.reset(rng)
             draws = iter(twin.random(n_draws).tolist())
-            assert state == record_path_combo(env, draws)
+            assert state == record_path_state(env, draws)
             assert rng.random() == twin.random()  # reset drew n_draws uniforms
 
     def test_reset_bins_an_edge_draw_by_its_uniform(self):
@@ -289,7 +273,7 @@ class TestRecordFreeStep:
         # linear SNR disagree; the uniform alone puts it in bin 2
         env = two_channel_env((2.0, 3.8), (2.0, 3.8), snr_bins=4)
         draws = Draws([0.5] * 4)
-        assert env.reset(draws) == record_path_combo(env, iter([0.5] * 4)) == 2 * 4 + 2
+        assert env.reset(draws) == record_path_state(env, iter([0.5] * 4)) == 2 * 4 + 2
 
     def test_reset_bins_draws_near_every_edge_exactly(self):
         # every uniform the generator can return is m / 2**53; for each bin
@@ -319,25 +303,23 @@ class TestRecordFreeStep:
     def test_reward_is_negative_decision_effect_bit_for_bit(self, name):
         env = self.ENVS[name]()
         rng, actions = np.random.default_rng(21), np.random.default_rng(22)
-        state = env.reset(rng)
         for _ in range(600):
+            state = env.reset(rng)
             action = int(actions.integers(env.n_actions))
             twin = copy.deepcopy(rng)
             tr = env.step(state, action, rng)
-            # two uniforms per device, this step's channels and the next's
-            draws = iter(twin.random(4 * len(env.grids)).tolist())
-            reward, next_state = record_path_transition(env, state, action, draws)
+            # two uniforms per drawn channel come first
+            draws = iter(twin.random(2 * len(env.grids)).tolist())
+            reward = record_path_reward(env, state, action, draws)
             assert tr.reward.hex() == reward.hex()
-            assert tr.next_state == next_state
             if name in self.ALWAYS_ZERO_RATE:
                 assert tr.reward == -1.0
-            state = env.reset(rng) if tr.done else tr.next_state
 
     @pytest.mark.parametrize("name", sorted(ENVS))
     def test_rates_equal_shannon_rate_of_channel_records(self, name, monkeypatch):
         # the stock effect barely moves with the rate, so check the rates
-        # that step hands to CutCosts.effect directly, in every state
-        env = self.ENVS[name]()
+        # that step hands to CutCosts.effect directly, in every state; the
+        # env binds the method when it is made
         seen = []
         effect = CutCosts.effect
 
@@ -346,9 +328,10 @@ class TestRecordFreeStep:
             return effect(costs, rate, cut)
 
         monkeypatch.setattr(CutCosts, "effect", recording_effect)
+        env = self.ENVS[name]()
         rng = np.random.default_rng(23)
         for state in range(env.n_states):
-            bins, _ = env.decode_state(state)
+            bins = env.decode_state(state)
             for _ in range(10):
                 twin = copy.deepcopy(rng)
                 seen.clear()
@@ -374,7 +357,7 @@ class TestReplayBuffer:
     def test_fifo_eviction(self):
         buf = ReplayBuffer(2)
         for i in range(5):
-            buf.push(Transition(i, 0, 0.0, 0, True))
+            buf.push(Transition(i, 0, 0.0))
         assert len(buf) == 2
         states = set(buf.sample_batch(np.random.default_rng(0), 50).states.tolist())
         assert states <= {3, 4}
@@ -383,41 +366,26 @@ class TestReplayBuffer:
         buf = ReplayBuffer(1)
         rng = np.random.default_rng(1)
         for i in range(10):
-            buf.push(Transition(i, 0, 0.0, 0, True))
+            buf.push(Transition(i, 0, 0.0))
             assert buf.sample_batch(rng, 1).states.tolist() == [i]
 
     def test_sampling_deterministic_under_seed(self):
         buf = ReplayBuffer(100)
         for i in range(100):
-            buf.push(Transition(i, 0, 0.0, 0, True))
+            buf.push(Transition(i, i % 7, -i / 100))
         a = buf.sample_batch(np.random.default_rng(3), 10)
         b = buf.sample_batch(np.random.default_rng(3), 10)
         for field_a, field_b in zip(a, b):
             assert np.array_equal(field_a, field_b)
+        assert (a.actions == a.states % 7).all() and (a.rewards == -a.states / 100).all()
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
             ReplayBuffer(3).sample_batch(np.random.default_rng(0), 1)
 
-    def test_any_continuing_stays_set_once_a_continuing_transition_is_pushed(self):
-        buf = ReplayBuffer(1)
-        buf.push(Transition(0, 0, 0.0, 0, True))
-        assert not buf.any_continuing
-        batch = buf.sample_batch(np.random.default_rng(0), 2)
-        assert batch.not_done.tolist() == [0.0, 0.0]
-        buf.push(Transition(1, 0, 0.0, 5, False))
-        assert buf.any_continuing
-        batch = buf.sample_batch(np.random.default_rng(0), 2)
-        assert batch.next_states.tolist() == [5, 5]
-        assert batch.not_done.tolist() == [1.0, 1.0]
-        # evicting the continuing transition leaves the flag set, which
-        # only costs a needless not_done.any()
-        buf.push(Transition(2, 0, 0.0, 0, True))
-        assert buf.any_continuing
-
 
 class TestEnvState:
     def test_decode_fields(self):
-        env = PartitionEnv(default_scenario(), snr_bins=2, horizon=2)
-        # step 1, first device in bin 1, second in bin 0
-        assert env.decode_state(1 * 4 + 1 * 2 + 0) == ((1, 0), 1)
+        env = PartitionEnv(default_scenario(), snr_bins=2)
+        # first device in bin 1, second in bin 0
+        assert env.decode_state(1 * 2 + 0) == (1, 0)

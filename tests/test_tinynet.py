@@ -28,12 +28,6 @@ class TestForward:
         out = net.forward(np.eye(3))
         assert np.allclose(out, net.weights[0] + net.biases[0])
 
-    def test_copy_is_independent(self):
-        net = TinyNet((3, 4, 2), np.random.default_rng(3))
-        clone = net.copy()
-        net.weights[0][:] = 0.0
-        assert not np.array_equal(clone.weights[0], net.weights[0])
-
 
 class TestGradCheck:
     def test_linear_net_squared_loss(self):
