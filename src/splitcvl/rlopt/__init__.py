@@ -8,7 +8,7 @@ from .agents import (
     train_ppo,
     train_q_learning,
 )
-from .env import PartitionEnv, ReplayBuffer, Transition
+from .env import PartitionEnv, ReplayBuffer
 from .nets import TinyNet
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "ReplayBuffer",
     "TinyNet",
     "TrainedPolicy",
-    "Transition",
     "train_actor_critic",
     "train_dqn",
     "train_multi_q",

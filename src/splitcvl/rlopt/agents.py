@@ -1,12 +1,12 @@
 """Five learning agents over the partition environment.
 
 All agents work against the same small env protocol: ``n_states``,
-``n_actions``, ``feature_dim``, ``reset(rng)``, ``step(state, action,
-rng)`` returning a ``Transition(state, action, reward)``, and
-``state_features``. States and actions are plain integers. Every episode
-is one step, so each step acts in a freshly reset state and no update
-bootstraps from a next state: each value estimate tracks the reward of
-its state and action.
+``n_actions``, ``feature_dim``, ``state_features``, ``rows(rng, steps)``
+yielding one ``(state, u, outcome)`` per step, and ``reward(outcome,
+action)``. States and actions are plain integers, and ``u`` is a uniform
+drawn for the agent in the step's place in the env's random stream.
+Every episode is one step, so no update bootstraps from a next state:
+each value estimate tracks the reward of its state and action.
 
   * Q-Learning        tabular, epsilon-greedy with linear decay
   * Multi-Q-Learning  ensemble of K tables; each update lands on one
@@ -20,10 +20,14 @@ its state and action.
   * PPO               clipped-surrogate policy gradient with a TinyNet
                       critic baseline and configurable entropy bonus
 
-A training run is strictly sequential and driven by a single seeded
-generator, so (agent, hyperparameters, seed) reproduces the convergence
-trace bit for bit. Traces record the effect value experienced at every
-environment step (the additive inverse of the reward) together with a
+A training run is strictly sequential and driven by one seeded
+generator, which the env draws its rows from. Actor-critic and PPO act
+on each row's ``u`` alone. Q-learning, multi-Q and DQN take their
+epsilon coin from ``u`` and their integer draws (explore action, table
+index, replay batch) from a second generator spawned from the seed, so
+their draws never shift the env's rows. So (agent, hyperparameters,
+seed) reproduces the convergence trace bit for bit, whatever the env's
+block size. Traces record each step's effect (minus its reward) and a
 trailing moving average.
 """
 
@@ -37,8 +41,8 @@ from typing import Callable, Iterator
 import numpy as np
 
 from ..errors import NonFiniteError
-from .env import MAX_SIZE, ReplayBuffer, Transition
-from .nets import TinyNet, log_softmax, softmax
+from .env import MAX_SIZE, ReplayBuffer
+from .nets import TinyNet, log_softmax
 
 
 _COUNT_FIELDS = (
@@ -155,8 +159,16 @@ def _epsilons(total_steps: int, hyper: Hyperparams) -> Iterator[float]:
     return (start - span * min(1.0, t / decay_steps) for t in range(total_steps))
 
 
-def _eps_greedy(q_row: np.ndarray, eps: float, rng: np.random.Generator) -> int:
-    if rng.random() < eps:
+def _generators(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
+    """``default_rng(seed)`` and its ``spawn(1)[0]``; ``Generator.spawn`` needs NumPy 1.25."""
+    seq = np.random.SeedSequence(seed)
+    return np.random.default_rng(seq), np.random.default_rng(seq.spawn(1)[0])
+
+
+def _eps_greedy(q_row: np.ndarray, eps: float, u: float, rng: np.random.Generator) -> int:
+    """A uniform action from ``rng`` when the coin ``u`` falls below ``eps``,
+    else the greedy one."""
+    if u < eps:
         return int(rng.integers(len(q_row)))
     return int(q_row.argmax())
 
@@ -180,9 +192,10 @@ def _action_cdf(probs: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _draw_action(cdf: np.ndarray, rng: np.random.Generator) -> int:
-    """Same draw and same result as ``rng.choice(len(cdf), p=probs)``."""
-    return int(cdf.searchsorted(rng.random(), side="right"))
+def _draw_action(cdf: np.ndarray, u: float) -> int:
+    """The action ``rng.choice(len(cdf), p=probs)`` picks when its one
+    draw is ``u``."""
+    return int(cdf.searchsorted(u, side="right"))
 
 
 def train_q_learning(
@@ -190,13 +203,12 @@ def train_q_learning(
 ) -> tuple[TrainedPolicy, ConvergenceTrace]:
     """Tabular Q-learning; one trace row per environment step."""
     hyper = hyper or Hyperparams()
-    rng = np.random.default_rng(seed)
+    rng, explore = _generators(seed)
     q = np.zeros((env.n_states, env.n_actions))
     effects: list[float] = []
-    for eps in _epsilons(steps, hyper):
-        state = env.reset(rng)
-        action = _eps_greedy(q[state], eps, rng)
-        reward = env.step(state, action, rng).reward
+    for eps, (state, u, outcome) in zip(_epsilons(steps, hyper), env.rows(rng, steps)):
+        action = _eps_greedy(q[state], eps, u, explore)
+        reward = env.reward(outcome, action)
         q[state, action] += hyper.lr * (reward - q[state, action])
         effects.append(-reward)
     policy = TrainedPolicy(lambda s, q=q: int(np.argmax(q[s])), table=q)
@@ -215,19 +227,18 @@ def train_multi_q(
     """
     hyper = hyper or Hyperparams()
     k = hyper.multi_q_tables
-    rng = np.random.default_rng(seed)
+    rng, explore = _generators(seed)
     tables = np.zeros((k, env.n_states, env.n_actions))
     table_lr = min(1.0, hyper.lr * k)
     effects: list[float] = []
-    for eps in _epsilons(steps, hyper):
-        state = env.reset(rng)
+    for eps, (state, u, outcome) in zip(_epsilons(steps, hyper), env.rows(rng, steps)):
         # only the rows read are reduced; with two or more actions a
         # row's sums equal the whole ensemble's bit for bit, and dividing
         # the sum by k is what np.mean does
         mean_row = tables[:, state].sum(axis=0) / k
-        action = _eps_greedy(mean_row, eps, rng)
-        reward = env.step(state, action, rng).reward
-        j = int(rng.integers(k))
+        action = _eps_greedy(mean_row, eps, u, explore)
+        reward = env.reward(outcome, action)
+        j = int(explore.integers(k))
         tables[j, state, action] += table_lr * (reward - tables[j, state, action])
         effects.append(-reward)
     mean_q = tables.mean(axis=0)
@@ -248,11 +259,12 @@ def train_actor_critic(
     logits = np.zeros((env.n_states, env.n_actions))
     values = np.zeros(env.n_states)
     effects: list[float] = []
-    for _ in range(steps):
-        state = env.reset(rng)
-        probs = softmax(logits[state])
-        action = _draw_action(_action_cdf(probs), rng)
-        reward = env.step(state, action, rng).reward
+    for state, u, outcome in env.rows(rng, steps):
+        row = logits[state]
+        e = np.exp(row - row.max())
+        probs = e / e.sum()
+        action = _draw_action(_action_cdf(probs), u)
+        reward = env.reward(outcome, action)
         advantage = reward - values[state]
         values[state] += hyper.lr * advantage
         # one_hot(action) - probs, in place; -p + 1.0 rounds as 1.0 - p
@@ -277,15 +289,15 @@ def train_dqn(
 ) -> tuple[TrainedPolicy, ConvergenceTrace]:
     """Deep Q-network on bin one-hot features.
 
-    Each step draws its epsilon coin first and runs the Q-network only
-    when it acts greedily: an exploring step's action does not depend on
-    the Q-values. The draws and actions are those of ``_eps_greedy``. A
-    greedy step checks the Q-value it acts on: ``argmax`` picks a NaN or
-    +inf first, so a diverged net raises NonFiniteError there, and at the
-    latest after training, when the Q-values of every state are checked.
+    Each step runs the Q-network only when it acts greedily: an
+    exploring step's action does not depend on the Q-values. The draws
+    and actions are those of ``_eps_greedy``. A greedy step checks the
+    Q-value it acts on: ``argmax`` picks a NaN or +inf first, so a
+    diverged net raises NonFiniteError there, and at the latest after
+    training, when the Q-values of every state are checked.
     """
     hyper = hyper or Hyperparams()
-    rng = np.random.default_rng(seed)
+    rng, explore = _generators(seed)
     table = _feature_table(env)
     n_actions = env.n_actions
     # batch row r's Q-value of action a sits at r * n_actions + a of the
@@ -296,19 +308,18 @@ def train_dqn(
     net = TinyNet((env.feature_dim, *hyper.hidden, env.n_actions), rng)
     buffer = ReplayBuffer(hyper.replay_capacity)
     effects: list[float] = []
-    for eps in _epsilons(steps, hyper):
-        state = env.reset(rng)
-        if rng.random() < eps:
-            action = int(rng.integers(n_actions))
+    for eps, (state, u, outcome) in zip(_epsilons(steps, hyper), env.rows(rng, steps)):
+        if u < eps:
+            action = int(explore.integers(n_actions))
         else:
             q_row = net.forward(table[state])[0]
             action = int(q_row.argmax())
             if not math.isfinite(q_row[action]):
                 raise NonFiniteError(_Q_DIVERGED)
-        tr = env.step(state, action, rng)
-        buffer.push(tr)
+        reward = env.reward(outcome, action)
+        buffer.push(state, action, reward)
         batch_size = min(hyper.batch_size, len(buffer))
-        batch = buffer.sample_batch(rng, batch_size)
+        batch = buffer.sample_batch(explore, batch_size)
         q = net.forward(table[batch.states])
         picked = row_starts[:batch_size] + batch.actions
         td = q.take(picked)  # a copy, scaled in place to 2 * (q - r) / batch_size
@@ -319,7 +330,7 @@ def train_dqn(
         net.backward(grad[:batch_size])
         flat_grad[picked] = 0.0  # the buffer is all zeros between steps
         net.sgd_step(hyper.lr_net)
-        effects.append(-tr.reward)
+        effects.append(-reward)
     if not np.isfinite(net.forward(table)).all():
         raise NonFiniteError(_Q_DIVERGED)
 
@@ -382,15 +393,15 @@ def train_ppo(
     policy_net = TinyNet((env.feature_dim, *hyper.hidden, env.n_actions), rng)
     value_net = TinyNet((env.feature_dim, *hyper.hidden, 1), rng)
     effects: list[float] = []
+    rows = env.rows(rng, steps)
     done_steps = 0
     while done_steps < steps:
         batch_n = min(hyper.ppo_batch, steps - done_steps)
-        batch: list[Transition] = []
+        states, actions, rewards = [], [], []
         logp_old = np.empty(batch_n)
         # the policy is fixed during a rollout: one forward pass per state
         rollout_policy: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for i in range(batch_n):
-            state = env.reset(rng)
+        for i, (state, u, outcome) in zip(range(batch_n), rows):
             if state not in rollout_policy:
                 logp_row = log_softmax(policy_net.forward(table[state]))[0]
                 if not np.isfinite(logp_row).all():
@@ -399,15 +410,17 @@ def train_ppo(
                     )
                 rollout_policy[state] = (logp_row, _action_cdf(np.exp(logp_row)))
             logp_row, cdf = rollout_policy[state]
-            action = _draw_action(cdf, rng)
-            tr = env.step(state, action, rng)
-            batch.append(tr)
+            action = _draw_action(cdf, u)
+            reward = env.reward(outcome, action)
+            states.append(state)
+            actions.append(action)
+            rewards.append(reward)
             logp_old[i] = logp_row[action]
-            effects.append(-tr.reward)
+            effects.append(-reward)
         done_steps += batch_n
         entropy_coef = hyper.entropy_coef * (1.0 - done_steps / steps)
 
-        states, actions, rewards = (np.array(field) for field in zip(*batch))
+        states, actions, rewards = np.array(states), np.array(actions), np.array(rewards)
         x = table[states]
         advantages = rewards - value_net.forward(x)[:, 0]
         spread = advantages.std()
@@ -423,7 +436,7 @@ def train_ppo(
             policy_net.sgd_step(hyper.lr_net)
 
             v = value_net.forward(x)
-            value_net.backward(2.0 * (v - rewards[:, None]) / len(batch))
+            value_net.backward(2.0 * (v - rewards[:, None]) / batch_n)
             value_net.sgd_step(hyper.lr_net)
 
     def act(s: int, net=policy_net, table=table) -> int:

@@ -11,38 +11,45 @@ an error so that learning can continue.
 Every episode is one step. The channels are redrawn at every step
 whatever the action, so the action never changes the next state and the
 optimal policy is myopic: a longer episode would only add a step counter
-to the state and bootstraps that carry no information. An agent calls
-``reset(rng)`` for each step's state, then ``step(state, action, rng)``.
+to the state and bootstraps that carry no information.
 
-Reset and step build no channel or decision records. A drawn channel's
-bin comes from its two uniform draws alone: a range split into ``n``
-equal bins puts the draw ``u`` in bin ``floor(u * n)``, computed
-exactly, and a zero-width range is always bin 0. Up to rounding, that is
-the sub-range the drawn bandwidth and dB fall in, and no bin depends on
-a host's pow or logarithm. A step maps its uniforms to link rates with
-scalars bound per state when the env is made, together with each
-device's ``CutCosts.effect``. The float expressions are those of
-sampling a channel (``low + width * u``, SNR drawn in dB),
-``snr_db_to_linear``, ``shannon_rate`` and ``decision_effect``, so the
-reward is bit for bit the negated ``decision_effect`` of the drawn
-channels. A channel whose linear SNR underflows to zero keeps its drawn
-dB's bin, and a step over it gets the zero-rate reward.
+Since no channel depends on an action, the env draws the steps a block
+at a time, ahead of the agent: ``rows(rng, steps)`` yields one
+``(state, u, outcome)`` per step, and ``reward(outcome, action)`` scores
+the action the agent picks. A block of ``n`` steps is one
+``rng.random((n, 3 * k + 1))`` call, k being two uniforms per drawn
+channel. Each row holds, in order, the k uniforms of the step's state,
+the agent's uniform ``u``, the k uniforms of the step's channels, and k
+more that are drawn and not used. That is the order of a per-step loop
+that draws a state, the agent's uniform, then the step's channels and a
+set for the next state (``tests/helpers.StepEnv`` keeps that loop as the
+reference). The unused set seeded the next state when episodes could
+last several steps; it stays so that an agent that draws nothing but
+``u`` (actor-critic, PPO) keeps its random stream and every recorded
+trace. An agent that needs more draws takes them from a generator of
+its own, so no output depends on the block size.
 
-A step draws twice the uniforms it uses. The second set seeded the
-next state when episodes could last longer; it is still drawn so that
-every agent's random stream, and every recorded trace, stays the same.
+A drawn channel's bin comes from its two state uniforms alone: a range
+split into ``n`` equal bins puts the draw ``u`` in bin ``floor(u * n)``,
+computed exactly, and a zero-width range is always bin 0. Up to
+rounding, that is the sub-range the drawn bandwidth and dB fall in, and
+no bin depends on a host's pow or logarithm. The rates follow the float
+expressions of sampling a channel in its bin (``low + width * u``, SNR
+drawn in dB), ``snr_db_to_linear`` and ``shannon_rate``, the last two on
+Python floats, and the scenario's ``EffectKernel`` turns them into every
+cut's effect. So a reward is bit for bit the negated ``decision_effect``
+of the drawn channels. A channel whose linear SNR underflows to zero
+keeps its drawn dB's bin, and a step over it gets the zero-rate reward.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from itertools import product
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from ..errors import ZeroRateError
 from ..netmodel import ChannelDistribution, ChannelState, shannon_rate
 from ..trico import PartitionDecision, Scenario
 
@@ -51,14 +58,8 @@ MAX_JOINT_ACTIONS = 125  # 5 candidates ** 3 devices
 # slots, sampled batch rows, Q tables, and the hidden units of all layers
 # together (so a net's weights stay within a few million).
 MAX_SIZE = 4096
-
-
-class Transition(NamedTuple):
-    """One env step: the state acted in, the action and its reward."""
-
-    state: int
-    action: int
-    reward: float
+# steps drawn per generator call; no output depends on it
+BLOCK_STEPS = 256
 
 
 class Batch(NamedTuple):
@@ -86,9 +87,9 @@ class ReplayBuffer:
         self._size = 0
         self._next = 0
 
-    def push(self, transition: Transition) -> None:
+    def push(self, state: int, action: int, reward: float) -> None:
         i = self._next
-        self._states[i], self._actions[i], self._rewards[i] = transition
+        self._states[i], self._actions[i], self._rewards[i] = state, action, reward
         self._size = max(self._size, i + 1)
         self._next = (i + 1) % self.capacity
 
@@ -107,8 +108,8 @@ class _ChannelGrid:
 
     Fixed channels get a single bin; distributions are split into
     bandwidth_bins x snr_bins equal sub-ranges (SNR split in dB), each
-    kept as its own distribution. The env draws channels with the scalars
-    kept here, two uniforms per channel.
+    kept as its own distribution. The env bins and draws a block's
+    channels with the arrays kept here, two uniforms per channel each.
     """
 
     def __init__(
@@ -138,24 +139,24 @@ class _ChannelGrid:
             for ibw in range(bandwidth_bins)
             for isnr in range(snr_bins)
         )
-        # (bw_lo, bw_width, db_lo, db_width) of each bin's sub-ranges
-        self.scales = tuple(b.bw_scale + b.db_scale for b in self.bins)
+        # rows bw_lo, bw_width, db_lo, db_width; one column per bin
+        self.scales = np.array([b.bw_scale + b.db_scale for b in self.bins]).T
         # How a channel drawn from the whole distribution is binned: each
         # dimension's uniform u falls in bin floor(u * bins), the number of
         # its edges at or below u. A dimension with a zero-width range has
         # no edges, so it is always bin 0.
         lo, hi = channel.bandwidth_range
-        self.bw_edges = _edges(bandwidth_bins) if hi > lo else ()
+        self.bw_edges = np.array(_edges(bandwidth_bins) if hi > lo else ())
         lo_db, hi_db = channel.snr_range_db
-        self.snr_edges = _edges(snr_bins) if hi_db > lo_db else ()
+        self.snr_edges = np.array(_edges(snr_bins) if hi_db > lo_db else ())
 
 
 def _edges(bins: int) -> tuple[float, ...]:
     """For k = 1 .. bins - 1, the smallest float at or above k / bins.
 
     A float u is at or above the k-th edge exactly when u >= k / bins, so
-    ``bisect_right(edges, u)`` is floor(u * bins) in exact arithmetic for
-    every u in [0, 1).
+    ``searchsorted(edges, u, side="right")`` is floor(u * bins) in exact
+    arithmetic for every u in [0, 1).
     """
     edges = []
     for k in range(1, bins):
@@ -210,31 +211,16 @@ class PartitionEnv:
         # first device first
         self.n_states = n_states
         self.feature_dim = sum(g.n_bins for g in self.grids)
-        # a fixed channel is one bin and draws nothing, so binning skips it;
-        # per drawn channel: its bin count, its bandwidth edges and their
-        # stride in the bin index, and its SNR edges
-        self._binnings = tuple((g.n_bins, g.bw_edges, g.snr_bins, g.snr_edges)
-                               for g in self.grids if not g.fixed)
-        self._draws_per_set = 2 * len(self._binnings)
         self._cuts = tuple(product(range(scenario.num_candidates),
                                    repeat=scenario.num_devices))
         self.n_actions = len(self._cuts)
-        # per state, each device's bound CutCosts.effect and link: the fixed
-        # channel's rate, or None, the index of its bandwidth uniform and its
-        # bin's (bw_lo, bw_width, db_lo, db_width)
-        bin_links = []
-        i = 0
-        for grid in self.grids:
-            if grid.fixed:
-                bin_links.append([(grid.rate, 0, 0.0, 0.0, 0.0, 0.0)])
-            else:
-                bin_links.append([(None, i, *scale) for scale in grid.scales])
-                i += 2
-        self._state_links = tuple(
-            tuple((costs.effect, *links[b]) for costs, links, b
-                  in zip(scenario.cut_costs, bin_links, self.decode_state(state)))
-            for state in range(n_states)
-        )
+        # a fixed channel draws nothing; a row holds 3 * k + 1 uniforms, k
+        # being two per drawn channel (see the module docstring)
+        self._draws_per_set = 2 * sum(not g.fixed for g in self.grids)
+        # per action, each device's cut in a row's flattened (device, cut) effects
+        n_cuts = scenario.num_candidates
+        self._effect_index = tuple(tuple(d * n_cuts + c for d, c in enumerate(cuts))
+                                   for cuts in self._cuts)
 
     # -- encodings -------------------------------------------------------
 
@@ -247,12 +233,9 @@ class PartitionEnv:
         return tuple(reversed(bins))
 
     def decode_action(self, action: int) -> PartitionDecision:
-        return PartitionDecision(self._cuts_of(action))
-
-    def _cuts_of(self, action: int) -> tuple[int, ...]:
         if not 0 <= action < self.n_actions:
             raise ValueError(f"action {action} out of range")
-        return self._cuts[action]
+        return PartitionDecision(self._cuts[action])
 
     def state_features(self, state_id: int) -> np.ndarray:
         """Concatenated one-hot bins, one per device."""
@@ -265,36 +248,44 @@ class PartitionEnv:
 
     # -- dynamics ---------------------------------------------------------
 
-    def reset(self, rng: np.random.Generator) -> int:
-        """The state of freshly drawn channels, two uniforms per drawn
-        channel, first device first.
+    def rows(self, rng: np.random.Generator, steps: int) -> Iterator[tuple]:
+        """``(state, u, outcome)`` of each of ``steps`` steps, drawn
+        ``BLOCK_STEPS`` at a time: the state id, the agent's uniform, and
+        what ``reward`` scores an action with."""
+        for start in range(0, steps, BLOCK_STEPS):
+            yield from self._block(rng, min(BLOCK_STEPS, steps - start))
 
-        ``rng.random(n).tolist()`` yields the same doubles, in the same
-        order, as ``n`` calls of ``rng.random()``.
-        """
-        u = rng.random(self._draws_per_set).tolist()
-        state = i = 0
-        for n_bins, bw_edges, stride, snr_edges in self._binnings:
-            state = (state * n_bins + bisect_right(bw_edges, u[i]) * stride
-                     + bisect_right(snr_edges, u[i + 1]))
+    def reward(self, outcome: list[float] | None, action: int) -> float:
+        """Minus the mean effect of the action's cuts in a row, or -1.0
+        where a link of the row has zero rate (its outcome is None)."""
+        if outcome is None:
+            return -1.0
+        cuts = self._effect_index[action]
+        return -(math.fsum(map(outcome.__getitem__, cuts)) / len(cuts))
+
+    def _block(self, rng: np.random.Generator, n: int) -> Iterator[tuple]:
+        k = self._draws_per_set
+        u = rng.random((n, 3 * k + 1))
+        log2 = math.log2
+        states = np.zeros(n, dtype=np.int64)
+        rates = np.empty((n, len(self.grids)))
+        i = 0  # column of the channel's bandwidth uniform, among the state's
+        for d, grid in enumerate(self.grids):
+            if grid.fixed:
+                rates[:, d] = grid.rate
+                continue
+            b = (np.searchsorted(grid.bw_edges, u[:, i], side="right") * grid.snr_bins
+                 + np.searchsorted(grid.snr_edges, u[:, i + 1], side="right"))
+            states *= grid.n_bins
+            states += b
+            bw_lo, bw_width, db_lo, db_width = grid.scales[:, b]
+            bw = bw_lo + bw_width * u[:, k + 1 + i]
+            db = (db_lo + db_width * u[:, k + 2 + i]) / 10.0
+            rates[:, d] = bw * [log2(1.0 + 10.0 ** x) for x in db.tolist()]
             i += 2
-        return state
-
-    def step(self, state_id: int, action: int, rng: np.random.Generator) -> Transition:
-        cuts = self._cuts_of(action)
-        # this step's channels, then a set that is drawn and not used (see
-        # the module docstring)
-        u = rng.random(2 * self._draws_per_set).tolist()
-        effects = []
-        try:
-            for (effect, rate, i, bw_lo, bw_width, db_lo, db_width), cut in zip(
-                self._state_links[state_id], cuts
-            ):
-                if rate is None:
-                    snr_linear = 10.0 ** ((db_lo + db_width * u[i + 1]) / 10.0)
-                    rate = (bw_lo + bw_width * u[i]) * math.log2(1.0 + snr_linear)
-                effects.append(effect(rate, cut))
-            reward = -(math.fsum(effects) / len(effects))
-        except ZeroRateError:
-            reward = -1.0
-        return Transition(state_id, action, reward)
+        dead = np.flatnonzero((rates <= 0.0).any(axis=1))
+        rates[dead] = 1.0  # any positive rate; these rows score -1.0
+        outcomes = self.scenario.effect_kernel(rates).reshape(n, -1).tolist()
+        for row in dead.tolist():
+            outcomes[row] = None
+        return zip(states.tolist(), u[:, k].tolist(), outcomes)

@@ -97,13 +97,6 @@ class TinyNet:
         self._params -= lr * self._grads
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise stable softmax."""
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise log softmax, safe for strongly peaked logits."""
     z = logits - logits.max(axis=-1, keepdims=True)

@@ -19,7 +19,10 @@ blends latency and energy with ``lambda_latency`` after each is scaled.
 The effect value of a decision is the weighted sum of the three
 normalized terms, averaged over devices, and lies in [0, 1] whenever the
 weights sum to 1. The reward used by the optimizer is its additive
-inverse.
+inverse. One array kernel, ``Scenario.effect_kernel``, computes the
+channel-dependent terms and the effects of every device and cut; the
+cost table, ``effect_table``, ``decision_effect`` and the RL env's
+blocks of steps all go through it.
 
 ``optimal_decision`` is the exact oracle the learning agents are
 validated against. The effect of a joint decision is the mean of
@@ -32,6 +35,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 from .errors import MissingEntryError, ZeroRateError
 from .netmodel import (
@@ -153,18 +158,7 @@ class CutCosts:
     Only the communication term depends on the channel, so a scenario
     computes the rest once per device: the per-cut payload, the raw and
     normalized computation energy, and the confidentiality cost (which is
-    also its normalized term). Latency and energy grow with the payload
-    for any positive rate, and rounding keeps that order, so the
-    communication min-max bounds are the smallest and the largest
-    payload's; ``comm_terms`` needs no pass over the cuts and yields the
-    same floats as normalizing the full latency and energy vectors.
-
-    Each cut's payload in bits and its weighted computation and
-    confidentiality terms are computed once, when the costs are built.
-    ``effect`` evaluates ``comm_terms`` and ``effect_value`` on them in
-    one frame, with every float operation in the same order, so it
-    returns the same float as ``effect_value(weights, comm_terms(rate,
-    cut)[2], n_comp[cut], conf[cut])``.
+    also its normalized term).
     """
 
     cut_names: tuple[str, ...]
@@ -173,7 +167,6 @@ class CutCosts:
     n_comp: tuple[float, ...]
     conf: tuple[float, ...]
     tx_power_w: float
-    weights: TriCoWeights
 
     @classmethod
     def build(
@@ -192,73 +185,63 @@ class CutCosts:
             n_comp=tuple(_minmax(comps)),
             conf=tuple(conf_cost(table, c, weights.alpha_open) for c in cuts),
             tx_power_w=dev.tx_power_w,
-            weights=weights,
         )
 
-    def __post_init__(self) -> None:
-        w = self.weights
-        object.__setattr__(self, "_bits", tuple(b * 8.0 for b in self.payload_bytes))
-        object.__setattr__(self, "_bits_lo", min(self.payload_bytes) * 8.0)
-        object.__setattr__(self, "_bits_hi", max(self.payload_bytes) * 8.0)
-        object.__setattr__(self, "_w_comp_terms", tuple(w.w_comp * n for n in self.n_comp))
-        object.__setattr__(self, "_w_conf_terms", tuple(w.w_conf * c for c in self.conf))
 
-    def comm_terms(self, rate_bps: float, cut: int) -> tuple[float, float, float]:
-        """(latency_s, energy_j, n_comm) of one cut over a link of ``rate_bps``."""
-        if rate_bps <= 0:
-            raise ZeroRateError("link rate is zero, transmission infeasible")
-        lat = self._bits[cut] / rate_bps
-        lat_lo = self._bits_lo / rate_bps
-        lat_hi = self._bits_hi / rate_bps
-        tx_power = self.tx_power_w
-        en = tx_power * lat
-        en_lo = tx_power * lat_lo
-        en_hi = tx_power * lat_hi
-        n_lat = 0.0 if lat_hi == lat_lo else (lat - lat_lo) / (lat_hi - lat_lo)
-        n_en = 0.0 if en_hi == en_lo else (en - en_lo) / (en_hi - en_lo)
+class EffectKernel:
+    """Every device's cost terms at every cut, over arrays of link rates.
+
+    The per-cut constants of a scenario's ``CutCosts`` are held as
+    (devices, cuts) arrays, and the payload bounds and transmit powers as
+    (devices, 1) columns. Rates of shape (..., devices) map to terms and
+    effects of shape (..., devices, cuts). Every element goes through the
+    scalar float operations of the cost model in their order, and numpy
+    rounds each one as Python floats do, so no result depends on the
+    shape it is computed in. Rates must be positive; callers deal with a
+    zero rate first.
+
+    Latency and energy grow with the payload for any positive rate, and
+    rounding keeps that order, so the communication min-max bounds are
+    the smallest and the largest payload's: the same floats as
+    normalizing the full latency and energy vectors, without a pass over
+    the cuts.
+    """
+
+    def __init__(self, cut_costs: tuple[CutCosts, ...], weights: TriCoWeights):
+        self.bits = np.array([costs.payload_bytes for costs in cut_costs]) * 8.0
+        self.bits_lo = self.bits.min(axis=1, keepdims=True)
+        self.bits_hi = self.bits.max(axis=1, keepdims=True)
+        self.tx_power_w = np.array([[costs.tx_power_w] for costs in cut_costs])
+        self.comp_terms = weights.w_comp * np.array([costs.n_comp for costs in cut_costs])
+        self.conf_terms = weights.w_conf * np.array([costs.conf for costs in cut_costs])
+        self.weights = weights
+
+    def comm_terms(self, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(latency_s, energy_j, n_comm) of every device and cut."""
+        rate = rates[..., None]
+        # a rate below about 1e-300 overflows a latency to inf, which Python
+        # floats give without a warning; so does the kernel, and its masked
+        # differences of two infs are never read
+        with np.errstate(over="ignore", invalid="ignore"):
+            lat = self.bits / rate
+            lat_lo = self.bits_lo / rate
+            lat_hi = self.bits_hi / rate
+            tx_power = self.tx_power_w
+            en = tx_power * lat
+            n_lat = _scaled(lat, lat_lo, lat_hi)
+            n_en = _scaled(en, tx_power * lat_lo, tx_power * lat_hi)
         lam = self.weights.lambda_latency
         return lat, en, lam * n_lat + (1.0 - lam) * n_en
 
-    def effect(self, rate_bps: float, cut: int) -> float:
-        """Effect value of one cut over a link of ``rate_bps``."""
-        if rate_bps <= 0:
-            raise ZeroRateError("link rate is zero, transmission infeasible")
-        lat = self._bits[cut] / rate_bps
-        lat_lo = self._bits_lo / rate_bps
-        lat_hi = self._bits_hi / rate_bps
-        tx_power = self.tx_power_w
-        en = tx_power * lat
-        en_lo = tx_power * lat_lo
-        en_hi = tx_power * lat_hi
-        n_lat = 0.0 if lat_hi == lat_lo else (lat - lat_lo) / (lat_hi - lat_lo)
-        n_en = 0.0 if en_hi == en_lo else (en - en_lo) / (en_hi - en_lo)
-        w = self.weights
-        lam = w.lambda_latency
-        return (w.w_comm * (lam * n_lat + (1.0 - lam) * n_en)
-                + self._w_comp_terms[cut] + self._w_conf_terms[cut])
+    def __call__(self, rates: np.ndarray) -> np.ndarray:
+        """The effect of every device and cut: ``effect_value`` of its terms."""
+        n_comm = self.comm_terms(rates)[2]
+        return self.weights.w_comm * n_comm + self.comp_terms + self.conf_terms
 
-    def breakdowns(self, ch: ChannelState) -> list[TriCoBreakdown]:
-        """Raw and normalized costs of every cut under one channel."""
-        rate = shannon_rate(ch)
-        rows = []
-        for c, name in enumerate(self.cut_names):
-            lat, en, n_comm = self.comm_terms(rate, c)
-            rows.append(
-                TriCoBreakdown(
-                    cut_name=name,
-                    comm_latency_s=lat,
-                    comm_energy_j=en,
-                    comp_energy_j=self.comp_energy_j[c],
-                    conf_cost=self.conf[c],
-                    n_comm=n_comm,
-                    n_comp=self.n_comp[c],
-                    n_conf=self.conf[c],
-                    effect=effect_value(
-                        self.weights, n_comm, self.n_comp[c], self.conf[c]
-                    ),
-                )
-            )
-        return rows
+
+def _scaled(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """(x - lo) / (hi - lo), and 0.0 where hi == lo, without dividing there."""
+    return np.divide(x - lo, hi - lo, out=np.zeros(x.shape), where=hi != lo)
 
 
 @dataclass(frozen=True)
@@ -298,6 +281,11 @@ class Scenario:
             CutCosts.build(dev, self.profile, self.conf_table, self.weights)
             for dev in self.devices
         )
+
+    @cached_property
+    def effect_kernel(self) -> EffectKernel:
+        """The effect of every device and cut over link rates, built on first use."""
+        return EffectKernel(self.cut_costs, self.weights)
 
     def resolved_channels(self) -> tuple[ChannelState, ...]:
         return tuple(resolve_channel(ch) for ch in self.channels)
@@ -343,13 +331,37 @@ def effect_value(
     return weights.w_comm * n_comm + weights.w_comp * n_comp + weights.w_conf * n_conf
 
 
+def link_rates(
+    scenario: Scenario, channels: tuple[ChannelState, ...] | None = None
+) -> np.ndarray:
+    """Each device's rate, with distributions at their means unless
+    concrete channels are supplied; ZeroRateError if one is zero."""
+    chans = channels if channels is not None else scenario.resolved_channels()
+    if len(chans) != scenario.num_devices:
+        raise ValueError("need exactly one channel per device")
+    rates = [shannon_rate(ch) for ch in chans]
+    if min(rates) <= 0:
+        raise ZeroRateError("link rate is zero, transmission infeasible")
+    return np.array(rates)
+
+
 def scenario_breakdowns(
     scenario: Scenario, channels: tuple[ChannelState, ...] | None = None
 ) -> list[list[TriCoBreakdown]]:
     """Per-device candidate cost tables, with distributions at their means
     unless concrete channels are supplied."""
-    chans = channels if channels is not None else scenario.resolved_channels()
-    return [costs.breakdowns(ch) for costs, ch in zip(scenario.cut_costs, chans)]
+    terms = scenario.effect_kernel.comm_terms(link_rates(scenario, channels))
+    w = scenario.weights
+    return [
+        [
+            TriCoBreakdown(name, lat, en, comp_j, conf, n_comm, n_comp, conf,
+                           effect_value(w, n_comm, n_comp, conf))
+            for name, lat, en, n_comm, comp_j, n_comp, conf in zip(
+                costs.cut_names, lats, ens, n_comms,
+                costs.comp_energy_j, costs.n_comp, costs.conf)
+        ]
+        for costs, lats, ens, n_comms in zip(scenario.cut_costs, *(t.tolist() for t in terms))
+    ]
 
 
 def effect_table(
@@ -357,12 +369,7 @@ def effect_table(
 ) -> list[list[float]]:
     """Per-device effect of every candidate cut, with distributions at
     their means unless concrete channels are supplied."""
-    chans = channels if channels is not None else scenario.resolved_channels()
-    table = []
-    for costs, ch in zip(scenario.cut_costs, chans):
-        rate = shannon_rate(ch)
-        table.append([costs.effect(rate, c) for c in range(len(costs.cut_names))])
-    return table
+    return scenario.effect_kernel(link_rates(scenario, channels)).tolist()
 
 
 def decision_effect(
@@ -372,17 +379,14 @@ def decision_effect(
 ) -> float:
     """Effect of one joint decision: mean of the per-device effects.
 
-    Only the chosen cut of each device is evaluated. fsum keeps the mean
-    exactly permutation invariant in device order.
+    fsum keeps the mean exactly permutation invariant in device order.
     """
     if len(decision.cuts) != scenario.num_devices:
         raise ValueError("decision must assign one cut per device")
-    chans = channels if channels is not None else scenario.resolved_channels()
+    table = effect_table(scenario, channels)
     profile = scenario.profile
-    per_device = [
-        costs.effect(shannon_rate(ch), _cut_index(profile, c))
-        for costs, ch, c in zip(scenario.cut_costs, chans, decision.cuts, strict=True)
-    ]
+    per_device = [row[_cut_index(profile, c)]
+                  for row, c in zip(table, decision.cuts, strict=True)]
     return math.fsum(per_device) / len(per_device)
 
 

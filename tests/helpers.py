@@ -2,6 +2,7 @@
 
 import importlib.util
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -32,14 +33,16 @@ from splitcvl.retrieval import (
     SyntheticQueryPool,
     top1_percent_k,
 )
-from splitcvl.rlopt.agents import _action_cdf, _draw_action, _eps_greedy, _epsilons
-from splitcvl.rlopt.nets import softmax
+from splitcvl.rlopt.agents import (
+    _action_cdf, _draw_action, _eps_greedy, _epsilons, _generators,
+)
 from splitcvl.trico import (
     ConfEntry,
     ConfidentialityTable,
     Scenario,
     TriCoWeights,
     decision_effect,
+    effect_value,
 )
 
 
@@ -130,8 +133,8 @@ def grid_bin(grid, u_bw, u_snr):
 
 def record_path_state(env, draws):
     """State of a fresh draw for every device, two of the uniforms
-    ``draws`` per drawn channel, each binned by ``grid_bin``: what
-    ``env.reset`` returns on the same uniforms."""
+    ``draws`` per drawn channel, each binned by ``grid_bin``: the state
+    of a block row whose state columns hold the same uniforms."""
     state = 0
     for grid in env.grids:
         b = 0 if grid.fixed else grid_bin(grid, next(draws), next(draws))
@@ -140,8 +143,8 @@ def record_path_state(env, draws):
 
 
 def record_path_reward(env, state, action, draws):
-    """Reward by way of channel records and ``decision_effect``: what
-    ``env.step`` returns on the same uniforms."""
+    """Reward by way of channel records and ``decision_effect``: the
+    reward of a block row whose channel columns hold the same uniforms."""
     channels = tuple(
         grid.channel if grid.fixed
         else ChannelState(*channel_at(grid.bins[b], next(draws), next(draws)))
@@ -281,16 +284,22 @@ class BanditEnv:
         self.n_actions = len(rewards)
         self.feature_dim = 1
 
-    def reset(self, rng):
-        return 0
+    def rows(self, rng, steps):
+        for u in rng.random(steps).tolist():
+            yield 0, u, None
+
+    def reward(self, outcome, action):
+        return self.rewards[action]
 
     def state_features(self, state):
         return np.ones(1)
 
-    def step(self, state, action, rng):
-        from splitcvl.rlopt.env import Transition
 
-        return Transition(state, action, self.rewards[action])
+def softmax(logits):
+    """Row-wise stable softmax."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def bootstrapped_tabular_table(name, env, steps, hyper, seed):
@@ -299,34 +308,138 @@ def bootstrapped_tabular_table(name, env, steps, hyper, seed):
     episode: every target adds the terminal bootstrap ``0.0`` to the
     reward, which turns a reward of -0.0 into +0.0. The draws and every
     other float operation are the agents'."""
-    rng = np.random.default_rng(seed)
+    rng, explore = _generators(seed)
     q = np.zeros((env.n_states, env.n_actions))
     values = np.zeros(env.n_states)
     k = hyper.multi_q_tables
     tables = np.zeros((k, env.n_states, env.n_actions))
-    state = env.reset(rng)
-    for eps in _epsilons(steps, hyper):
+    for eps, (state, u, outcome) in zip(_epsilons(steps, hyper), env.rows(rng, steps)):
         if name == "q_learning":
-            action = _eps_greedy(q[state], eps, rng)
-            tr = env.step(state, action, rng)
-            q[state, action] += hyper.lr * (tr.reward + 0.0 - q[state, action])
+            action = _eps_greedy(q[state], eps, u, explore)
+            reward = env.reward(outcome, action)
+            q[state, action] += hyper.lr * (reward + 0.0 - q[state, action])
         elif name == "multi_q":
-            action = _eps_greedy(tables[:, state].sum(axis=0) / k, eps, rng)
-            tr = env.step(state, action, rng)
-            j = int(rng.integers(k))
+            action = _eps_greedy(tables[:, state].sum(axis=0) / k, eps, u, explore)
+            reward = env.reward(outcome, action)
+            j = int(explore.integers(k))
             tables[j, state, action] += min(1.0, hyper.lr * k) * (
-                tr.reward + 0.0 - tables[j, state, action])
+                reward + 0.0 - tables[j, state, action])
         else:
             probs = softmax(q[state])
-            action = _draw_action(_action_cdf(probs), rng)
-            tr = env.step(state, action, rng)
-            advantage = tr.reward + 0.0 - values[state]
+            action = _draw_action(_action_cdf(probs), u)
+            reward = env.reward(outcome, action)
+            advantage = reward + 0.0 - values[state]
             values[state] += hyper.lr * advantage
             one_hot = np.zeros(env.n_actions)
             one_hot[action] = 1.0
             q[state] += hyper.lr_actor * advantage * (one_hot - probs)
-        state = env.reset(rng)
     return tables.mean(axis=0) if name == "multi_q" else q
+
+
+def scalar_comm_terms(costs, weights, rate_bps, cut):
+    """(latency_s, energy_j, n_comm) of one cut of one device's ``CutCosts``
+    over a link of ``rate_bps``, on Python floats: the float code the
+    array kernel replaced, operation by operation."""
+    if rate_bps <= 0:
+        raise ZeroRateError("link rate is zero, transmission infeasible")
+    bits = [b * 8.0 for b in costs.payload_bytes]
+    lat = bits[cut] / rate_bps
+    lat_lo = min(bits) / rate_bps
+    lat_hi = max(bits) / rate_bps
+    tx_power = costs.tx_power_w
+    en = tx_power * lat
+    en_lo = tx_power * lat_lo
+    en_hi = tx_power * lat_hi
+    n_lat = 0.0 if lat_hi == lat_lo else (lat - lat_lo) / (lat_hi - lat_lo)
+    n_en = 0.0 if en_hi == en_lo else (en - en_lo) / (en_hi - en_lo)
+    lam = weights.lambda_latency
+    return lat, en, lam * n_lat + (1.0 - lam) * n_en
+
+
+def scalar_effect(costs, weights, rate_bps, cut):
+    """Effect of one cut over a link of ``rate_bps``, on Python floats."""
+    n_comm = scalar_comm_terms(costs, weights, rate_bps, cut)[2]
+    return effect_value(weights, n_comm, costs.n_comp[cut], costs.conf[cut])
+
+
+class StepEnv:
+    """The per-step dynamics that ``PartitionEnv`` draws a block at a time,
+    one step at a time, as a reference.
+
+    ``reset`` draws the state's uniforms, two per drawn channel, and bins
+    them with ``bisect_right``. The agent then draws one uniform. ``step``
+    draws the step's channel uniforms and as many again that it does not
+    use, maps them to rates with scalars bound per state, and scores the
+    action with ``scalar_effect``.
+    """
+
+    def __init__(self, env):
+        self.env = env
+        drawn = [g for g in env.grids if not g.fixed]
+        self._binnings = tuple(
+            (g.n_bins, tuple(g.bw_edges.tolist()), g.snr_bins, tuple(g.snr_edges.tolist()))
+            for g in drawn)
+        self._draws_per_set = 2 * len(drawn)
+        # per state, each device's costs and link: the fixed channel's rate,
+        # or None, the index of its bandwidth uniform and its bin's
+        # (bw_lo, bw_width, db_lo, db_width)
+        bin_links = []
+        i = 0
+        for grid in env.grids:
+            if grid.fixed:
+                bin_links.append([(grid.rate, 0, 0.0, 0.0, 0.0, 0.0)])
+            else:
+                bin_links.append([(None, i, *grid.scales[:, b].tolist())
+                                  for b in range(grid.n_bins)])
+                i += 2
+        self._state_links = tuple(
+            tuple((costs, *links[b]) for costs, links, b
+                  in zip(env.scenario.cut_costs, bin_links, env.decode_state(state)))
+            for state in range(env.n_states)
+        )
+
+    def reset(self, rng):
+        u = rng.random(self._draws_per_set).tolist()
+        state = i = 0
+        for n_bins, bw_edges, stride, snr_edges in self._binnings:
+            state = (state * n_bins + bisect_right(bw_edges, u[i]) * stride
+                     + bisect_right(snr_edges, u[i + 1]))
+            i += 2
+        return state
+
+    def step(self, state, action, rng):
+        """The reward of ``action`` in ``state``."""
+        return self.score(state, action, rng.random(2 * self._draws_per_set).tolist())
+
+    def score(self, state, action, u):
+        """The reward of ``action`` in ``state`` over a step's uniforms ``u``."""
+        cuts = self.env.decode_action(action).cuts
+        effects = []
+        try:
+            for (costs, rate, i, bw_lo, bw_width, db_lo, db_width), cut in zip(
+                self._state_links[state], cuts
+            ):
+                if rate is None:
+                    snr_linear = 10.0 ** ((db_lo + db_width * u[i + 1]) / 10.0)
+                    rate = (bw_lo + bw_width * u[i]) * math.log2(1.0 + snr_linear)
+                effects.append(scalar_effect(costs, self.env.scenario.weights, rate, cut))
+            return -(math.fsum(effects) / len(effects))
+        except ZeroRateError:
+            return -1.0
+
+
+def step_rows(env, rng, steps):
+    """``(state, u, rewards of every action)`` of each step, one reset, one
+    agent draw and one step at a time, as ``env.rows`` draws them."""
+    ref = StepEnv(env)
+    rows = []
+    for _ in range(steps):
+        state = ref.reset(rng)
+        u = rng.random()
+        # the uniforms that one step draws, whatever its action
+        draws = rng.random(2 * ref._draws_per_set).tolist()
+        rows.append((state, u, [ref.score(state, a, draws) for a in range(env.n_actions)]))
+    return rows
 
 
 # -- TinyNet gradient checks ----------------------------------------------

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from splitcvl.rlopt import env as env_module
 from splitcvl.rlopt.agents import (
     Hyperparams,
     _epsilons,
+    _generators,
     _make_trace,
     ppo_policy_gradient,
     train_actor_critic,
@@ -17,7 +19,7 @@ from splitcvl.rlopt.agents import (
     train_q_learning,
 )
 from splitcvl.rlopt.env import PartitionEnv
-from splitcvl.rlopt.nets import TinyNet, softmax
+from splitcvl.rlopt.nets import TinyNet
 from splitcvl.trico import (
     ConfEntry,
     ConfidentialityTable,
@@ -25,7 +27,13 @@ from splitcvl.trico import (
     optimal_decision,
 )
 
-from helpers import BanditEnv, bootstrapped_tabular_table, policy_effect, synthetic_profile
+from helpers import (
+    BanditEnv,
+    bootstrapped_tabular_table,
+    policy_effect,
+    softmax,
+    synthetic_profile,
+)
 
 
 TWO_ARM = [-0.9, -0.2]
@@ -321,11 +329,13 @@ class TestOneStepUpdates:
 
     def test_zero_effect_reward_is_negative_zero(self):
         env = zero_effect_env()
-        rng = np.random.default_rng(0)
-        for state in range(env.n_states):
-            reward = env.step(state, 0, rng).reward
+        states = set()
+        for state, _, outcome in env.rows(np.random.default_rng(0), 200):
+            reward = env.reward(outcome, 0)
             assert reward == 0.0 and math.copysign(1.0, reward) == -1.0
-            assert env.step(state, 4, rng).reward < 0.0
+            assert env.reward(outcome, 4) < 0.0
+            states.add(state)
+        assert states == set(range(env.n_states))
 
     @pytest.mark.parametrize("name", ["q_learning", "multi_q", "actor_critic"])
     @pytest.mark.parametrize("hyper", [
@@ -339,6 +349,71 @@ class TestOneStepUpdates:
         expected = bootstrapped_tabular_table(name, env, 1500, hyper, seed=31)
         assert policy.table.tobytes() == expected.tobytes()
         assert (trace.effects == 0.0).sum() > 10  # rewards of -0.0 were learned from
+
+
+AGENT_NAMES = ("q_learning", "multi_q", "actor_critic", "dqn", "ppo")
+
+
+class TestGenerators:
+    """The agents' generator pair is ``default_rng(seed)`` and what its
+    ``spawn(1)[0]`` gives, built without ``Generator.spawn``, which
+    NumPy 1.24 lacks."""
+
+    @pytest.mark.skipif(not hasattr(np.random.Generator, "spawn"),
+                        reason="Generator.spawn needs NumPy 1.25")
+    @pytest.mark.parametrize("seed", [0, 3, 2**70])
+    def test_pair_equals_default_rng_and_its_spawn(self, seed):
+        rng, explore = _generators(seed)
+        ref = np.random.default_rng(seed)
+        ref_explore = ref.spawn(1)[0]
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert explore.bit_generator.state == ref_explore.bit_generator.state
+
+    def test_agents_run_without_generator_spawn(self, monkeypatch):
+        class NoSpawn(np.random.Generator):
+            def spawn(self, n_children):
+                raise AttributeError("Generator.spawn needs NumPy 1.25")
+
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: NoSpawn(default_rng(seed).bit_generator))
+        env = PartitionEnv(default_scenario(), snr_bins=2)
+        for name in AGENT_NAMES:
+            train_agent(name, env, 300, seed=3)
+
+
+class TestBlockDraw:
+    """The env draws its rows a block at a time. No trace depends on the
+    block size, and a run draws one block per ``BLOCK_STEPS`` steps and
+    nothing else from its env generator."""
+
+    def test_traces_do_not_depend_on_block_size(self, monkeypatch):
+        env = PartitionEnv(default_scenario(), snr_bins=2)
+        traces = {}
+        for block in (1, 7, env_module.BLOCK_STEPS):
+            monkeypatch.setattr(env_module, "BLOCK_STEPS", block)
+            traces[block] = [train_agent(name, env, 600, seed=5)[1].to_csv()
+                             for name in AGENT_NAMES]
+        first, *others = traces.values()
+        assert all(other == first for other in others)
+
+    def test_run_draws_one_block_per_block_steps(self, monkeypatch):
+        draws = []
+
+        class CountingGenerator(np.random.Generator):
+            def random(self, *args, **kwargs):
+                draws.append(args)
+                return super().random(*args, **kwargs)
+
+        monkeypatch.setattr(
+            np.random, "default_rng",
+            lambda seed: CountingGenerator(np.random.PCG64(seed)))
+        env = PartitionEnv(default_scenario(), snr_bins=2)
+        steps = 2500
+        for name in AGENT_NAMES:
+            draws.clear()
+            train_agent(name, env, steps, seed=3)
+            assert len(draws) == math.ceil(steps / env_module.BLOCK_STEPS), name
 
 
 class TestDispatch:

@@ -25,6 +25,14 @@ episode length, the bootstraps, DQN's target net and the unused
 next-state fields were deleted: each step still draws the next state's
 uniforms, so the random stream is unchanged.
 
+The ``q_learning``, ``multi_q`` and ``dqn`` digests were re-recorded when
+the env began to draw its steps a block at a time: those agents now take
+their epsilon coin from the row's agent uniform and their explore
+actions, table indices and replay batches from a second generator, so
+their draws no longer sit between the env's. The ``actor_critic`` and
+``ppo`` digests held, because those agents draw nothing but the row's
+agent uniform.
+
 The ``privacy`` digest, on a fixed demo corpus, was recorded before the
 CLI parser was cached and configs moved to libyaml. The color ``privacy``
 digest, on a corpus this module writes byte by byte (3-channel 37x45 PPM
@@ -63,10 +71,10 @@ CONFIG = Path(__file__).resolve().parents[1] / "configs" / "scenario.yaml"
 SEED = "7"
 
 TRACE_DIGESTS = {
-    "q_learning": "497da70c15ad0042bda79d892851479c56d481f63e5f9c7d556d6837c9fce920",
-    "multi_q": "812b2e0da188daeac3a0025a19046f95bdecf88fe10f5329326c260937331a00",
+    "q_learning": "29db10e1a2c50a2d901de4aacad5ec67cec751a8ebd3e25bb9357cecb8fafa2d",
+    "multi_q": "d444c8f8115817ab4d9a3efb6496b65e8bced90d2616a2e517387160dd0080ed",
     "actor_critic": "a6084ce668a36f9210ed6a959d78f6d060686efa268d846e85a8f461d1c6daf3",
-    "dqn": "3b41ae45d35438bcdc02cc05c25cb47a6e2d6a2cb64b3609b36d32508a018cd2",
+    "dqn": "ec9fb9e3e00e59ec5f70f2cd09e38066525790c2c60a69c31d7d7e4a4983d49c",
     "ppo": "ef6493e79877554b7097b723ba99eb1d4f75c43cbd3e6b1c1eefdd1677fdfc88",
 }
 COMMAND_DIGESTS = {

@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import math
 
@@ -12,9 +11,9 @@ from splitcvl.netmodel import (
     shannon_rate,
 )
 from splitcvl.rlopt import env as env_module
-from splitcvl.rlopt.env import PartitionEnv, ReplayBuffer, Transition
+from splitcvl.rlopt.env import PartitionEnv, ReplayBuffer
 from splitcvl.trico import (
-    CutCosts,
+    EffectKernel,
     PartitionDecision,
     Scenario,
     TriCoWeights,
@@ -27,8 +26,10 @@ from helpers import (
     channel_at,
     evaluate_action,
     exact_bin,
+    random_scenario,
     record_path_reward,
     record_path_state,
+    step_rows,
     synthetic_profile,
 )
 
@@ -110,30 +111,36 @@ class TestSpaces:
             assert f.sum() == 2  # one hot per device channel
 
 
+def one_row(env, rng):
+    """(state, u, outcome) of one step drawn from ``rng``."""
+    return next(env.rows(rng, 1))
+
+
+def row_rewards(env, outcome):
+    return [env.reward(outcome, a) for a in range(env.n_actions)]
+
+
 class TestStep:
     def test_reward_equals_negative_effect_when_deterministic(self):
         scenario = fixed_channel_scenario()
         env = PartitionEnv(scenario)
-        rng = np.random.default_rng(0)
-        state = env.reset(rng)
+        state, _, outcome = one_row(env, np.random.default_rng(0))
+        assert state == 0
         for action in range(env.n_actions):
-            tr = env.step(state, action, rng)
             expected = decision_effect(scenario, PartitionDecision((action,)))
-            assert tr == (state, action, -expected)
+            assert env.reward(outcome, action) == -expected
 
     def test_same_seed_same_transition(self):
         env = PartitionEnv(default_scenario(), snr_bins=2)
-        s = env.reset(np.random.default_rng(1))
-        a = env.step(s, 13, np.random.default_rng(99))
-        b = env.step(s, 13, np.random.default_rng(99))
-        assert a == b
+        a = list(env.rows(np.random.default_rng(99), 300))
+        b = list(env.rows(np.random.default_rng(99), 300))
+        assert a == b and len(a) == 300
 
     def test_all_action_sweep_is_order_isomorphic_to_effect_table(self):
         scenario = fixed_channel_scenario()
         env = PartitionEnv(scenario)
-        rng = np.random.default_rng(3)
-        state = env.reset(rng)
-        rewards = [env.step(state, a, rng).reward for a in range(env.n_actions)]
+        _, _, outcome = one_row(env, np.random.default_rng(3))
+        rewards = row_rewards(env, outcome)
         effects = [
             decision_effect(scenario, PartitionDecision((a,)))
             for a in range(env.n_actions)
@@ -143,10 +150,8 @@ class TestStep:
     def test_rewards_bounded(self):
         env = PartitionEnv(default_scenario(), snr_bins=2)
         rng = np.random.default_rng(4)
-        for _ in range(300):
-            s = env.reset(rng)
-            tr = env.step(s, int(rng.integers(env.n_actions)), rng)
-            assert -1.0 <= tr.reward <= 0.0
+        for _, _, outcome in env.rows(rng, 300):
+            assert all(-1.0 <= r <= 0.0 for r in row_rewards(env, outcome))
 
     def test_zero_rate_gives_worst_reward_not_error(self):
         profile = synthetic_profile([4000, 2000], flops=[10, 10])
@@ -158,22 +163,22 @@ class TestStep:
             TriCoWeights(),
         )
         env = PartitionEnv(scenario)
-        rng = np.random.default_rng(5)
-        tr = env.step(env.reset(rng), 0, rng)
-        assert tr.reward == -1.0
+        for _, _, outcome in env.rows(np.random.default_rng(5), 10):
+            assert row_rewards(env, outcome) == [-1.0, -1.0]
 
     @pytest.mark.parametrize("fixed_snr", [4.0, 0.0])
     def test_step_draws_two_channel_sets(self, fixed_snr):
-        # a step draws 2 uniforms per drawn channel for its own channels and
-        # as many again that it does not use; every recorded trace depends
-        # on that stream. A fixed channel draws nothing, and a zero-rate
-        # step, which stops at the fixed channel, draws the same
+        # a row holds 2 uniforms per drawn channel for the state, one for
+        # the agent, 2 per drawn channel for the step's channels and as many
+        # again that it does not use; every recorded trace depends on that
+        # stream. A fixed channel draws nothing, and a zero-rate row draws
+        # the same
         env = PartitionEnv(three_device_scenario(fixed_snr), snr_bins=3)
         rng, twin = np.random.default_rng(8), np.random.default_rng(8)
-        for action in range(env.n_actions):
-            tr = env.step(5, action, rng)
-            assert (tr.reward == -1.0) == (fixed_snr == 0.0)
-            twin.random(2 * 2 * 2)
+        for steps in (1, env_module.BLOCK_STEPS, env_module.BLOCK_STEPS + 3):
+            for _, _, outcome in env.rows(rng, steps):
+                assert (outcome is None) == (fixed_snr == 0.0)
+            twin.random(steps * (2 * 2 + 1 + 2 * 2 * 2))
             assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_evaluate_action_matches_mean_channel_effect(self):
@@ -185,11 +190,12 @@ class TestStep:
 
     def test_state_bins_cover_sampled_channels(self):
         env = PartitionEnv(default_scenario(), snr_bins=4, bandwidth_bins=3)
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            bins = env.decode_state(env.reset(rng))
+        states = [state for state, _, _ in env.rows(np.random.default_rng(7), 2000)]
+        for state in states:
+            bins = env.decode_state(state)
             assert len(bins) == 2
             assert all(0 <= b < 12 for b in bins)
+        assert set(states) == set(range(env.n_states))
 
 
 def three_device_scenario(fixed_snr):
@@ -206,17 +212,37 @@ def three_device_scenario(fixed_snr):
     )
 
 
+def mixed_random_env(rng):
+    """A ``random_scenario`` of 2 or 3 devices: the first keeps its fixed
+    channel, the second gets a zero-width range, and a third a random
+    range, over 1 or 2 bandwidth bins and 1 to 3 SNR bins."""
+    scenario = random_scenario(rng)
+    while scenario.num_devices < 2:
+        scenario = random_scenario(rng)
+    bw, db = float(rng.uniform(1e6, 50e6)), float(rng.uniform(-10.0, 30.0))
+    lo, lo_db = float(rng.uniform(1e6, 20e6)), float(rng.uniform(-20.0, 10.0))
+    channels = (
+        scenario.channels[0],
+        ChannelDistribution((bw, bw), (db, db)),
+        ChannelDistribution((lo, 2.5 * lo), (lo_db, lo_db + 25.0)),
+    )[:scenario.num_devices]
+    return PartitionEnv(dataclasses.replace(scenario, channels=channels),
+                        bandwidth_bins=int(rng.integers(1, 3)),
+                        snr_bins=int(rng.integers(1, 4)))
+
+
 class Draws:
-    """Stands in for a generator: ``random(n)`` returns the next ``n`` of
-    fixed uniforms."""
+    """Stands in for a generator: ``random(shape)`` returns the next of
+    fixed uniforms, in that shape."""
 
     def __init__(self, values):
         self.values = list(values)
 
-    def random(self, n):
+    def random(self, shape):
+        n = math.prod(shape)
         head, self.values = self.values[:n], self.values[n:]
         assert len(head) == n
-        return np.array(head)
+        return np.array(head).reshape(shape)
 
 
 def two_channel_env(snr_a, snr_b, **bins):
@@ -225,11 +251,24 @@ def two_channel_env(snr_a, snr_b, **bins):
     return PartitionEnv(dataclasses.replace(default_scenario(), channels=channels), **bins)
 
 
+def drawn_rows(env, seed, steps):
+    """The block rows of ``steps`` steps from a generator seeded ``seed``,
+    beside the uniforms each row was drawn from."""
+    k = 2 * sum(not grid.fixed for grid in env.grids)
+    rows = list(env.rows(np.random.default_rng(seed), steps))
+    uniforms = np.random.default_rng(seed).random((steps, 3 * k + 1)).tolist()
+    return k, zip(rows, uniforms)
+
+
 class TestRecordFreeStep:
-    """``reset`` and ``step`` map their uniforms to bins and rates without
-    building channel records. Replaying the same uniforms through the
-    records gives the same reward, and binning them by the exact rule
-    (``helpers.grid_bin``) gives the same state."""
+    """A block maps its uniforms to bins and rates without building
+    channel records. Replaying a row's uniforms through the records gives
+    the same rewards, and binning them by the exact rule
+    (``helpers.grid_bin``) gives the same state. ``helpers.StepEnv``, the
+    per-step reset and step that the block replaced, gives the same
+    states, agent uniforms and rewards. The record path scores through
+    the env's own ``EffectKernel``; ``TestBlockDraw`` checks the rewards
+    against independent scalar code."""
 
     ENVS = {
         "stock": lambda: PartitionEnv(default_scenario()),
@@ -258,22 +297,18 @@ class TestRecordFreeStep:
     @pytest.mark.parametrize("name", sorted(ENVS))
     def test_reset_matches_record_path_bit_for_bit(self, name):
         env = self.ENVS[name]()
-        rng = np.random.default_rng(20)
-        n_draws = 2 * sum(not grid.fixed for grid in env.grids)
-        for _ in range(600):
-            twin = copy.deepcopy(rng)
-            state = env.reset(rng)
-            draws = iter(twin.random(n_draws).tolist())
-            assert state == record_path_state(env, draws)
-            assert rng.random() == twin.random()  # reset drew n_draws uniforms
+        k, rows = drawn_rows(env, 20, 600)
+        for (state, u, _), uniforms in rows:
+            assert state == record_path_state(env, iter(uniforms[:k]))
+            assert u == uniforms[k]
 
     def test_reset_bins_an_edge_draw_by_its_uniform(self):
         # at u = 0.5 over 2.0-3.8 dB in 4 bins, the drawn SNR sits on the edge
         # of bins 1 and 2, where numpy's float64 log10 and math.log10 of the
         # linear SNR disagree; the uniform alone puts it in bin 2
         env = two_channel_env((2.0, 3.8), (2.0, 3.8), snr_bins=4)
-        draws = Draws([0.5] * 4)
-        assert env.reset(draws) == record_path_state(env, iter([0.5] * 4)) == 2 * 4 + 2
+        state, _, _ = one_row(env, Draws([0.5] * 13))
+        assert state == record_path_state(env, iter([0.5] * 4)) == 2 * 4 + 2
 
     def test_reset_bins_draws_near_every_edge_exactly(self):
         # every uniform the generator can return is m / 2**53; for each bin
@@ -295,56 +330,58 @@ class TestRecordFreeStep:
                 for _ in range(8):
                     below, above = math.nextafter(below, 0.0), math.nextafter(above, 1.0)
                     us += [u for u in (below, above) if 0.0 <= u < 1.0]
-            for u_bw, u_snr in zip(us, reversed(us)):
-                expected = exact_bin(u_bw, bins) * bins + exact_bin(u_snr, bins)
-                assert env.reset(Draws([u_bw, u_snr])) == expected, (bins, u_bw, u_snr)
+            pairs = list(zip(us, reversed(us)))
+            # a row: the state's two uniforms, then the agent's and the
+            # channel's, and two unused
+            draws = Draws([x for pair in pairs for x in (*pair, 0.5, *pair, 0.5, 0.5)])
+            states = [state for state, _, _ in env.rows(draws, len(pairs))]
+            expected = [exact_bin(u_bw, bins) * bins + exact_bin(u_snr, bins)
+                        for u_bw, u_snr in pairs]
+            assert states == expected, bins
 
     @pytest.mark.parametrize("name", sorted(ENVS))
     def test_reward_is_negative_decision_effect_bit_for_bit(self, name):
         env = self.ENVS[name]()
-        rng, actions = np.random.default_rng(21), np.random.default_rng(22)
-        for _ in range(600):
-            state = env.reset(rng)
+        actions = np.random.default_rng(22)
+        k, rows = drawn_rows(env, 21, 600)
+        for (state, _, outcome), uniforms in rows:
             action = int(actions.integers(env.n_actions))
-            twin = copy.deepcopy(rng)
-            tr = env.step(state, action, rng)
-            # two uniforms per drawn channel come first
-            draws = iter(twin.random(2 * len(env.grids)).tolist())
-            reward = record_path_reward(env, state, action, draws)
-            assert tr.reward.hex() == reward.hex()
+            reward = env.reward(outcome, action)
+            # the row's channel uniforms, two per drawn channel
+            channel_draws = iter(uniforms[k + 1:2 * k + 1])
+            expected = record_path_reward(env, state, action, channel_draws)
+            assert reward.hex() == expected.hex()
             if name in self.ALWAYS_ZERO_RATE:
-                assert tr.reward == -1.0
+                assert reward == -1.0
 
     @pytest.mark.parametrize("name", sorted(ENVS))
     def test_rates_equal_shannon_rate_of_channel_records(self, name, monkeypatch):
         # the stock effect barely moves with the rate, so check the rates
-        # that step hands to CutCosts.effect directly, in every state; the
-        # env binds the method when it is made
+        # that a block hands to the effect kernel directly; a row with a
+        # zero rate hands over 1.0 for each device and scores -1.0
         seen = []
-        effect = CutCosts.effect
+        kernel = EffectKernel.__call__
 
-        def recording_effect(costs, rate, cut):
-            seen.append(rate)
-            return effect(costs, rate, cut)
+        def recording_kernel(self, rates):
+            seen.append(rates.copy())
+            return kernel(self, rates)
 
-        monkeypatch.setattr(CutCosts, "effect", recording_effect)
+        monkeypatch.setattr(EffectKernel, "__call__", recording_kernel)
         env = self.ENVS[name]()
-        rng = np.random.default_rng(23)
-        for state in range(env.n_states):
-            bins = env.decode_state(state)
-            for _ in range(10):
-                twin = copy.deepcopy(rng)
-                seen.clear()
-                env.step(state, 0, rng)
-                draws = iter(twin.random(2 * len(env.grids)).tolist())
-                expected = [
-                    shannon_rate(grid.channel if grid.fixed else ChannelState(
-                        *channel_at(grid.bins[b], next(draws), next(draws))))
-                    for grid, b in zip(env.grids, bins)
-                ]
-                # a zero rate ends the step's evaluations
-                assert seen and (len(seen) == len(expected) or seen[-1] == 0.0)
-                assert [r.hex() for r in seen] == [r.hex() for r in expected[:len(seen)]]
+        k, rows = drawn_rows(env, 23, 300)
+        rows = list(rows)
+        assert len(seen) == 2  # one kernel call per block
+        for ((state, _, outcome), uniforms), rates in zip(rows, np.concatenate(seen)):
+            draws = iter(uniforms[k + 1:2 * k + 1])
+            expected = [
+                shannon_rate(grid.channel if grid.fixed else ChannelState(
+                    *channel_at(grid.bins[b], next(draws), next(draws))))
+                for grid, b in zip(env.grids, env.decode_state(state))
+            ]
+            if outcome is None:
+                assert min(expected) == 0.0 and rates.tolist() == [1.0] * len(expected)
+            else:
+                assert [r.hex() for r in rates.tolist()] == [r.hex() for r in expected]
 
     def test_non_finite_range_width_rejected_at_construction(self):
         wide = ChannelDistribution((1e6, 2e6), (-1e308, 1e308))
@@ -353,11 +390,37 @@ class TestRecordFreeStep:
             PartitionEnv(scenario)
 
 
+class TestBlockDraw:
+    """Rows drawn a block at a time equal the per-step reference: the same
+    states, agent uniforms and rewards of every action, bit for bit."""
+
+    REFERENCE_ENVS = {
+        "stock": TestRecordFreeStep.ENVS["stock"],
+        "underflow_snr_always": TestRecordFreeStep.ENVS["underflow_snr_always"],
+        **{f"mixed_random_{seed}": (lambda seed=seed: mixed_random_env(
+            np.random.default_rng(seed))) for seed in range(6)},
+    }
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_ENVS))
+    def test_rows_equal_step_reference_bit_for_bit(self, name):
+        env = self.REFERENCE_ENVS[name]()
+        steps = 300  # two blocks
+        expected = step_rows(env, np.random.default_rng(41), steps)
+        rows = list(env.rows(np.random.default_rng(41), steps))
+        assert len(rows) == steps
+        for (state, u, outcome), (ref_state, ref_u, ref_rewards) in zip(rows, expected):
+            assert (state, u.hex()) == (ref_state, ref_u.hex())
+            assert [r.hex() for r in row_rewards(env, outcome)] == [
+                r.hex() for r in ref_rewards]
+            if name == "underflow_snr_always":
+                assert set(ref_rewards) == {-1.0}
+
+
 class TestReplayBuffer:
     def test_fifo_eviction(self):
         buf = ReplayBuffer(2)
         for i in range(5):
-            buf.push(Transition(i, 0, 0.0))
+            buf.push(i, 0, 0.0)
         assert len(buf) == 2
         states = set(buf.sample_batch(np.random.default_rng(0), 50).states.tolist())
         assert states <= {3, 4}
@@ -366,13 +429,13 @@ class TestReplayBuffer:
         buf = ReplayBuffer(1)
         rng = np.random.default_rng(1)
         for i in range(10):
-            buf.push(Transition(i, 0, 0.0))
+            buf.push(i, 0, 0.0)
             assert buf.sample_batch(rng, 1).states.tolist() == [i]
 
     def test_sampling_deterministic_under_seed(self):
         buf = ReplayBuffer(100)
         for i in range(100):
-            buf.push(Transition(i, i % 7, -i / 100))
+            buf.push(i, i % 7, -i / 100)
         a = buf.sample_batch(np.random.default_rng(3), 10)
         b = buf.sample_batch(np.random.default_rng(3), 10)
         for field_a, field_b in zip(a, b):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from splitcvl.errors import NonFiniteError
-from splitcvl.rlopt.nets import TinyNet, softmax
+from splitcvl.rlopt.nets import TinyNet
 
-from helpers import flat_grads, grad_check, mse_loss_and_grad
+from helpers import flat_grads, grad_check, mse_loss_and_grad, softmax
 
 
 class TestForward:

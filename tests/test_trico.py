@@ -2,6 +2,7 @@
 enumerator that re-derives the optimum from raw costs without touching the
 package's breakdown tables."""
 
+import dataclasses
 from itertools import permutations, product
 
 import numpy as np
@@ -34,10 +35,23 @@ from helpers import (
     enumerate_optimum,
     oracle_enumerate,
     random_scenario,
+    scalar_comm_terms,
     synthetic_profile,
     tx_energy,
     tx_latency,
 )
+
+
+def one_device(dev, profile, ch=ChannelState(1e6, 3.0), table=None):
+    """A scenario of one device on one fixed channel, equal weights."""
+    table = table or default_conf_table(profile.num_candidates)
+    return Scenario((dev,), (ch,), profile, table, TriCoWeights())
+
+
+def comm_terms(dev, profile, rate):
+    """Per-cut (latencies, energies, n_comm) of one device over ``rate``."""
+    terms = one_device(dev, profile).effect_kernel.comm_terms(np.array([rate]))
+    return tuple(t[0].tolist() for t in terms)
 
 
 class TestCommCost:
@@ -45,24 +59,21 @@ class TestCommCost:
         dev = device_from_kind("v", "vehicle")  # 2 W transmit
         ch = ChannelState(1e6, 3.0)  # rate 2e6
         profile = build_resnet50_usam_profile(224, 224)
-        costs = CutCosts.build(dev, profile, default_conf_table(), TriCoWeights())
-        lat, en, _ = costs.comm_terms(shannon_rate(ch), 4)
-        assert lat == 1.605632
-        assert en == pytest.approx(3.211264)
+        lat, en, _ = comm_terms(dev, profile, shannon_rate(ch))
+        assert lat[4] == 1.605632
+        assert en[4] == pytest.approx(3.211264)
 
     def test_halving_rate_doubles_both(self):
         dev = device_from_kind("u", "uav")
         profile = build_resnet50_usam_profile(224, 224)
-        costs = CutCosts.build(dev, profile, default_conf_table(), TriCoWeights())
         rng = np.random.default_rng(3)
         for _ in range(50):
             bw = float(rng.uniform(1e6, 1e8))
             snr = float(rng.uniform(0.1, 100))
-            cut = int(rng.integers(0, 5))
-            lat1, en1, _ = costs.comm_terms(shannon_rate(ChannelState(bw, snr)), cut)
-            lat2, en2, _ = costs.comm_terms(shannon_rate(ChannelState(bw / 2, snr)), cut)
-            assert lat2 == 2 * lat1
-            assert en2 == 2 * en1
+            lat1, en1, _ = comm_terms(dev, profile, shannon_rate(ChannelState(bw, snr)))
+            lat2, en2, _ = comm_terms(dev, profile, shannon_rate(ChannelState(bw / 2, snr)))
+            assert lat2 == [2 * x for x in lat1]
+            assert en2 == [2 * x for x in en1]
 
     def test_matches_independent_latency_and_energy_formulas(self):
         rng = np.random.default_rng(4)
@@ -72,17 +83,20 @@ class TestCommCost:
             costs = CutCosts.build(dev, profile, default_conf_table(), TriCoWeights())
             for _ in range(100):
                 rate = float(rng.uniform(1e3, 1e9))
-                for cut, payload in enumerate(costs.payload_bytes):
-                    lat, en, _ = costs.comm_terms(rate, cut)
+                lats, ens, _ = comm_terms(dev, profile, rate)
+                for payload, lat, en in zip(costs.payload_bytes, lats, ens, strict=True):
                     assert lat == tx_latency(payload, rate)
                     assert en == tx_energy(dev.tx_power_w, lat)
 
     def test_zero_rate_propagates(self):
         dev = device_from_kind("u", "uav")
         profile = build_resnet50_usam_profile(224, 224)
-        costs = CutCosts.build(dev, profile, default_conf_table(), TriCoWeights())
+        scenario = one_device(dev, profile, ChannelState(1e6, 0.0))
+        for evaluate in (scenario_breakdowns, trico.effect_table):
+            with pytest.raises(ZeroRateError):
+                evaluate(scenario)
         with pytest.raises(ZeroRateError):
-            costs.comm_terms(shannon_rate(ChannelState(1e6, 0.0)), 0)
+            decision_effect(scenario, PartitionDecision((0,)))
 
 
 class TestCompCost:
@@ -149,8 +163,7 @@ class TestNormalization:
         dev = device_from_kind("u", "uav")
         ch = ChannelState(1e6, 3.0)
         profile = synthetic_profile([4000, 2000, 1000], flops=[10, 20, 30])
-        costs = CutCosts.build(dev, profile, default_conf_table(3), TriCoWeights())
-        rows = costs.breakdowns(ch)
+        rows = scenario_breakdowns(one_device(dev, profile, ch))[0]
         assert (rows[0].n_comm, rows[0].n_comp) == (1.0, 0.0)
         assert (rows[2].n_comm, rows[2].n_comp) == (0.0, 1.0)
 
@@ -160,8 +173,7 @@ class TestNormalization:
         # per-layer flops [10, 10, 10] make the device-side prefix sums
         # evenly spaced, so the middle candidate sits at 0.5 after scaling
         profile = synthetic_profile([4000, 3000, 2000], flops=[10, 10, 10])
-        costs = CutCosts.build(dev, profile, default_conf_table(3), TriCoWeights())
-        rows = costs.breakdowns(ch)
+        rows = scenario_breakdowns(one_device(dev, profile, ch))[0]
         assert rows[1].n_comm == pytest.approx(0.5)
         assert rows[1].n_comp == pytest.approx(0.5)
 
@@ -171,8 +183,7 @@ class TestNormalization:
         # second layer adds no flops, so both prefix sums and both payload
         # sizes are identical: every range is degenerate
         profile = synthetic_profile([4000, 4000], flops=[10, 0])
-        costs = CutCosts.build(dev, profile, default_conf_table(2), TriCoWeights())
-        rows = costs.breakdowns(ch)
+        rows = scenario_breakdowns(one_device(dev, profile, ch))[0]
         assert all(r.n_comm == 0.0 and r.n_comp == 0.0 for r in rows)
 
     def test_conf_passes_through(self):
@@ -180,8 +191,7 @@ class TestNormalization:
         ch = ChannelState(1e6, 3.0)
         profile = synthetic_profile([4000, 2000], flops=[10, 20])
         table = ConfidentialityTable((ConfEntry(1.0, 1.0), ConfEntry(2.0, 2.0)))
-        costs = CutCosts.build(dev, profile, table, TriCoWeights())
-        rows = costs.breakdowns(ch)
+        rows = scenario_breakdowns(one_device(dev, profile, ch, table))[0]
         assert rows[0].n_conf == conf_cost(table, 0)
         assert rows[1].n_conf == conf_cost(table, 1)
 
@@ -198,21 +208,43 @@ class TestEffect:
         w = TriCoWeights(1.0, 0.0, 0.0)
         assert effect_value(w, 0.42, 0.9, 0.1) == 0.42
 
-    def test_cut_costs_effect_equals_effect_value_of_comm_terms_bit_for_bit(self):
-        # effect inlines comm_terms and effect_value over per-cut constants;
-        # rates span 1 bit/s to 100 Gbit/s, so the payload bounds also meet
-        # rates that make latency and energy large or tiny
+    def test_effect_kernel_equals_effect_value_of_comm_terms_bit_for_bit(self):
+        # the kernel's effects are effect_value of its comm terms, and the
+        # scalar float code it replaced (helpers.scalar_comm_terms) gives
+        # the same terms; rates span 1 bit/s to 100 Gbit/s, so the payload
+        # bounds also meet rates that make latency and energy large or tiny,
+        # and rates near 1e-310 overflow them to inf
         rng = np.random.default_rng(27)
-        for _ in range(40):
+        for case in range(40):
             scenario = random_scenario(rng)
-            for costs in scenario.cut_costs:
-                for rate in (10.0 ** rng.uniform(0.0, 11.0, size=25)).tolist():
-                    cut = int(rng.integers(scenario.num_candidates))
-                    expected = effect_value(
-                        costs.weights, costs.comm_terms(rate, cut)[2],
-                        costs.n_comp[cut], costs.conf[cut],
-                    )
-                    assert costs.effect(rate, cut).hex() == expected.hex()
+            if case % 10 == 0:  # every payload equal: a degenerate comm range
+                scenario = dataclasses.replace(
+                    scenario, profile=synthetic_profile(
+                        [4000] * scenario.num_candidates,
+                        [layer.flops for layer in scenario.profile.layers]))
+            exponents = rng.uniform(0.0, 11.0, size=(25, scenario.num_devices))
+            exponents[:3] = rng.uniform(-310.0, -300.0, size=(3, scenario.num_devices))
+            rates = 10.0 ** exponents
+            kernel = scenario.effect_kernel
+            effects = kernel(rates)
+            terms = kernel.comm_terms(rates)
+            assert effects.shape == (25, scenario.num_devices, scenario.num_candidates)
+            for r, row_rates in enumerate(rates.tolist()):
+                for d, (costs, rate) in enumerate(zip(scenario.cut_costs, row_rates)):
+                    for cut in range(scenario.num_candidates):
+                        expected = scalar_comm_terms(costs, scenario.weights, rate, cut)
+                        got = tuple(float(t[r, d, cut]) for t in terms)
+                        assert [x.hex() for x in got] == [x.hex() for x in expected]
+                        effect = effect_value(
+                            scenario.weights, expected[2], costs.n_comp[cut], costs.conf[cut])
+                        assert float(effects[r, d, cut]).hex() == effect.hex()
+
+    def test_channel_count_must_match_devices(self):
+        scenario = default_scenario()
+        one_channel = scenario.resolved_channels()[:1]
+        for evaluate in (scenario_breakdowns, trico.effect_table):
+            with pytest.raises(ValueError, match="one channel per device"):
+                evaluate(scenario, one_channel)
 
     def test_effect_in_unit_interval_on_random_scenarios(self):
         rng = np.random.default_rng(21)
