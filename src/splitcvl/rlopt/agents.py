@@ -1,12 +1,13 @@
 """Five learning agents over the partition environment.
 
 All agents work against the same small env protocol: ``n_states``,
-``n_actions``, ``feature_dim``, ``state_features``, ``rows(rng, steps)``
-yielding one ``(state, u, outcome)`` per step, and ``reward(outcome,
-action)``. States and actions are plain integers, and ``u`` is a uniform
-drawn for the agent in the step's place in the env's random stream.
-Every episode is one step, so no update bootstraps from a next state:
-each value estimate tracks the reward of its state and action.
+``n_actions``, ``feature_dim``, ``state_features``, ``blocks(rng,
+steps)`` yielding each block's ``(states, us, outcomes)``, one entry per
+step, and ``reward(outcome, action)``. States and actions are plain
+integers, and ``u`` is a uniform drawn for the agent in the step's place
+in the env's random stream. Every episode is one step, so no update
+bootstraps from a next state: each value estimate tracks the reward of
+its state and action.
 
   * Q-Learning        tabular, epsilon-greedy with linear decay
   * Multi-Q-Learning  ensemble of K tables; each update lands on one
@@ -21,14 +22,18 @@ each value estimate tracks the reward of its state and action.
                       critic baseline and configurable entropy bonus
 
 A training run is strictly sequential and driven by one seeded
-generator, which the env draws its rows from. Actor-critic and PPO act
-on each row's ``u`` alone. Q-learning, multi-Q and DQN take their
-epsilon coin from ``u`` and their integer draws (explore action, table
-index, replay batch) from a second generator spawned from the seed, so
-their draws never shift the env's rows. So (agent, hyperparameters,
-seed) reproduces the convergence trace bit for bit, whatever the env's
-block size. Traces record each step's effect (minus its reward) and a
-trailing moving average.
+generator, which the env draws its rows from a block at a time.
+Actor-critic and PPO act on each row's ``u`` alone. Q-learning, multi-Q
+and DQN take their epsilon coin from ``u`` and their integer draws
+(explore action, table index, replay batch) from a second generator
+spawned from the seed, so their draws never shift the env's rows. Those
+integers depend only on each step's ``u``, epsilon and count, so each
+block's are drawn in one ``integers`` call, ahead of its first step:
+one call with an array of bounds gives the values and leaves the
+generator state that the same bounds drawn step by step would. So
+(agent, hyperparameters, seed) reproduces the convergence trace bit for
+bit, whatever the env's block size. Traces record each step's effect
+(minus its reward) and a trailing moving average.
 """
 
 from __future__ import annotations
@@ -165,12 +170,12 @@ def _generators(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
     return np.random.default_rng(seq), np.random.default_rng(seq.spawn(1)[0])
 
 
-def _eps_greedy(q_row: np.ndarray, eps: float, u: float, rng: np.random.Generator) -> int:
-    """A uniform action from ``rng`` when the coin ``u`` falls below ``eps``,
-    else the greedy one."""
-    if u < eps:
-        return int(rng.integers(len(q_row)))
-    return int(q_row.argmax())
+def _explore_bounds(us: list[float], epsilons: Iterator[float], n_actions: int) -> list[int]:
+    """Each step's explore-action bound, taking one epsilon per step:
+    ``n_actions`` where the coin ``u`` falls below epsilon, else 1, a
+    bound for which ``integers`` draws nothing and gives 0."""
+    return [n_actions if u < eps else 1
+            for u, eps in zip(us, itertools.islice(epsilons, len(us)))]
 
 
 _PROB_SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
@@ -205,12 +210,17 @@ def train_q_learning(
     hyper = hyper or Hyperparams()
     rng, explore = _generators(seed)
     q = np.zeros((env.n_states, env.n_actions))
+    epsilons = _epsilons(steps, hyper)
     effects: list[float] = []
-    for eps, (state, u, outcome) in zip(_epsilons(steps, hyper), env.rows(rng, steps)):
-        action = _eps_greedy(q[state], eps, u, explore)
-        reward = env.reward(outcome, action)
-        q[state, action] += hyper.lr * (reward - q[state, action])
-        effects.append(-reward)
+    for states, us, outcomes in env.blocks(rng, steps):
+        bounds = _explore_bounds(us, epsilons, env.n_actions)
+        picks = explore.integers(0, bounds).tolist()
+        for state, outcome, bound, pick in zip(states, outcomes, bounds, picks):
+            # a bound of 1 marks a greedy step
+            action = pick if bound > 1 else int(q[state].argmax())
+            reward = env.reward(outcome, action)
+            q[state, action] += hyper.lr * (reward - q[state, action])
+            effects.append(-reward)
     policy = TrainedPolicy(lambda s, q=q: int(np.argmax(q[s])), table=q)
     return policy, _make_trace(effects, hyper.moving_avg_window)
 
@@ -230,17 +240,20 @@ def train_multi_q(
     rng, explore = _generators(seed)
     tables = np.zeros((k, env.n_states, env.n_actions))
     table_lr = min(1.0, hyper.lr * k)
+    epsilons = _epsilons(steps, hyper)
     effects: list[float] = []
-    for eps, (state, u, outcome) in zip(_epsilons(steps, hyper), env.rows(rng, steps)):
-        # only the rows read are reduced; with two or more actions a
-        # row's sums equal the whole ensemble's bit for bit, and dividing
-        # the sum by k is what np.mean does
-        mean_row = tables[:, state].sum(axis=0) / k
-        action = _eps_greedy(mean_row, eps, u, explore)
-        reward = env.reward(outcome, action)
-        j = int(explore.integers(k))
-        tables[j, state, action] += table_lr * (reward - tables[j, state, action])
-        effects.append(-reward)
+    for states, us, outcomes in env.blocks(rng, steps):
+        bounds = _explore_bounds(us, epsilons, env.n_actions)
+        # per step, the explore action, then the table index
+        draws = explore.integers(0, [(bound, k) for bound in bounds]).tolist()
+        for state, outcome, bound, (pick, j) in zip(states, outcomes, bounds, draws):
+            # only the rows read are reduced; with two or more actions a
+            # row's sums equal the whole ensemble's bit for bit, and
+            # dividing the sum by k is what np.mean does
+            action = pick if bound > 1 else int((tables[:, state].sum(axis=0) / k).argmax())
+            reward = env.reward(outcome, action)
+            tables[j, state, action] += table_lr * (reward - tables[j, state, action])
+            effects.append(-reward)
     mean_q = tables.mean(axis=0)
     policy = TrainedPolicy(lambda s, q=mean_q: int(np.argmax(q[s])), table=mean_q)
     return policy, _make_trace(effects, hyper.moving_avg_window)
@@ -259,19 +272,20 @@ def train_actor_critic(
     logits = np.zeros((env.n_states, env.n_actions))
     values = np.zeros(env.n_states)
     effects: list[float] = []
-    for state, u, outcome in env.rows(rng, steps):
-        row = logits[state]
-        e = np.exp(row - row.max())
-        probs = e / e.sum()
-        action = _draw_action(_action_cdf(probs), u)
-        reward = env.reward(outcome, action)
-        advantage = reward - values[state]
-        values[state] += hyper.lr * advantage
-        # one_hot(action) - probs, in place; -p + 1.0 rounds as 1.0 - p
-        np.negative(probs, out=probs)
-        probs[action] += 1.0
-        logits[state] += hyper.lr_actor * advantage * probs
-        effects.append(-reward)
+    for states, us, outcomes in env.blocks(rng, steps):
+        for state, u, outcome in zip(states, us, outcomes):
+            row = logits[state]
+            e = np.exp(row - row.max())
+            probs = e / e.sum()
+            action = _draw_action(_action_cdf(probs), u)
+            reward = env.reward(outcome, action)
+            advantage = reward - values[state]
+            values[state] += hyper.lr * advantage
+            # one_hot(action) - probs, in place; -p + 1.0 rounds as 1.0 - p
+            np.negative(probs, out=probs)
+            probs[action] += 1.0
+            logits[state] += hyper.lr_actor * advantage * probs
+            effects.append(-reward)
     policy = TrainedPolicy(lambda s, logits=logits: int(np.argmax(logits[s])), table=logits)
     return policy, _make_trace(effects, hyper.moving_avg_window)
 
@@ -289,48 +303,68 @@ def train_dqn(
 ) -> tuple[TrainedPolicy, ConvergenceTrace]:
     """Deep Q-network on bin one-hot features.
 
-    Each step runs the Q-network only when it acts greedily: an
-    exploring step's action does not depend on the Q-values. The draws
-    and actions are those of ``_eps_greedy``. A greedy step checks the
-    Q-value it acts on: ``argmax`` picks a NaN or +inf first, so a
-    diverged net raises NonFiniteError there, and at the latest after
-    training, when the Q-values of every state are checked.
+    Step t draws its explore action, then ``min(batch_size, size)``
+    replay slots below ``size``, the buffer's length ``min(t + 1,
+    replay_capacity)`` after its own push; a block's integers are one
+    ``integers`` call. Each step
+    runs the Q-network once, on its state (its slot holds it before the
+    forward) and its batch's states: row 0 gives the greedy action, the
+    others the TD errors. A greedy step checks the Q-value it acts on:
+    ``argmax`` picks a NaN or +inf first, so a diverged net raises
+    NonFiniteError there, and at the latest after training, when the
+    Q-values of every state are checked.
     """
     hyper = hyper or Hyperparams()
     rng, explore = _generators(seed)
     table = _feature_table(env)
     n_actions = env.n_actions
-    # batch row r's Q-value of action a sits at r * n_actions + a of the
+    capacity, batch_size = hyper.replay_capacity, hyper.batch_size
+    # a forward's row 0 is the step's state and row r >= 1 the batch's
+    # r-th; row r's Q-value of action a sits at r * n_actions + a of the
     # flattened (rows, n_actions) Q-values and gradient
-    row_starts = np.arange(hyper.batch_size) * n_actions
-    grad = np.zeros((hyper.batch_size, n_actions))
+    row_starts = np.arange(1, batch_size + 1) * n_actions
+    grad = np.zeros((batch_size + 1, n_actions))
     flat_grad = grad.reshape(-1)
     net = TinyNet((env.feature_dim, *hyper.hidden, env.n_actions), rng)
-    buffer = ReplayBuffer(hyper.replay_capacity)
+    buffer = ReplayBuffer(capacity)
+    epsilons = _epsilons(steps, hyper)
     effects: list[float] = []
-    for eps, (state, u, outcome) in zip(_epsilons(steps, hyper), env.rows(rng, steps)):
-        if u < eps:
-            action = int(explore.integers(n_actions))
-        else:
-            q_row = net.forward(table[state])[0]
-            action = int(q_row.argmax())
-            if not math.isfinite(q_row[action]):
-                raise NonFiniteError(_Q_DIVERGED)
-        reward = env.reward(outcome, action)
-        buffer.push(state, action, reward)
-        batch_size = min(hyper.batch_size, len(buffer))
-        batch = buffer.sample_batch(explore, batch_size)
-        q = net.forward(table[batch.states])
-        picked = row_starts[:batch_size] + batch.actions
-        td = q.take(picked)  # a copy, scaled in place to 2 * (q - r) / batch_size
-        td -= batch.rewards
-        td *= 2.0
-        td /= batch_size
-        flat_grad[picked] = td
-        net.backward(grad[:batch_size])
-        flat_grad[picked] = 0.0  # the buffer is all zeros between steps
-        net.sgd_step(hyper.lr_net)
-        effects.append(-reward)
+    for states, us, outcomes in env.blocks(rng, steps):
+        pushes = np.arange(len(effects), len(effects) + len(us))
+        sizes = np.minimum(pushes + 1, capacity)  # the length after each push
+        counts = np.minimum(sizes, batch_size) + 1
+        heads = np.cumsum(counts) - counts  # each step's explore draw
+        highs = np.repeat(sizes, counts)
+        bounds = _explore_bounds(us, epsilons, n_actions)
+        highs[heads] = bounds
+        slots = explore.integers(0, highs)
+        picks = slots[heads].tolist()
+        slots[heads] = buffer.slot(pushes)  # each step's own slot
+        for state, outcome, bound, pick, head, count in zip(
+            states, outcomes, bounds, picks, heads.tolist(), counts.tolist()
+        ):
+            rows = slots[head:head + count]
+            buffer.states[rows[0]] = state
+            q = net.forward(table.take(buffer.states[rows], axis=0))
+            if bound > 1:
+                action = pick
+            else:
+                action = int(q[0].argmax())
+                if not math.isfinite(q[0, action]):
+                    raise NonFiniteError(_Q_DIVERGED)
+            reward = env.reward(outcome, action)
+            buffer.push(state, action, reward)
+            batch = rows[1:]
+            picked = row_starts[:count - 1] + buffer.actions[batch]
+            td = q.take(picked)  # a copy, scaled in place to 2 * (q - r) / rows
+            td -= buffer.rewards[batch]
+            td *= 2.0
+            td /= count - 1
+            flat_grad[picked] = td
+            net.backward(grad[:count])
+            flat_grad[picked] = 0.0  # the gradient is all zeros between steps
+            net.sgd_step(hyper.lr_net)
+            effects.append(-reward)
     if not np.isfinite(net.forward(table)).all():
         raise NonFiniteError(_Q_DIVERGED)
 
@@ -393,7 +427,7 @@ def train_ppo(
     policy_net = TinyNet((env.feature_dim, *hyper.hidden, env.n_actions), rng)
     value_net = TinyNet((env.feature_dim, *hyper.hidden, 1), rng)
     effects: list[float] = []
-    rows = env.rows(rng, steps)
+    rows = itertools.chain.from_iterable(zip(*block) for block in env.blocks(rng, steps))
     done_steps = 0
     while done_steps < steps:
         batch_n = min(hyper.ppo_batch, steps - done_steps)

@@ -14,20 +14,21 @@ optimal policy is myopic: a longer episode would only add a step counter
 to the state and bootstraps that carry no information.
 
 Since no channel depends on an action, the env draws the steps a block
-at a time, ahead of the agent: ``rows(rng, steps)`` yields one
-``(state, u, outcome)`` per step, and ``reward(outcome, action)`` scores
-the action the agent picks. A block of ``n`` steps is one
-``rng.random((n, 3 * k + 1))`` call, k being two uniforms per drawn
-channel. Each row holds, in order, the k uniforms of the step's state,
-the agent's uniform ``u``, the k uniforms of the step's channels, and k
-more that are drawn and not used. That is the order of a per-step loop
-that draws a state, the agent's uniform, then the step's channels and a
-set for the next state (``tests/helpers.StepEnv`` keeps that loop as the
-reference). The unused set seeded the next state when episodes could
-last several steps; it stays so that an agent that draws nothing but
-``u`` (actor-critic, PPO) keeps its random stream and every recorded
-trace. An agent that needs more draws takes them from a generator of
-its own, so no output depends on the block size.
+at a time, ahead of the agent: ``blocks(rng, steps)`` yields each
+block's states, agent uniforms ``u`` and outcomes as three lists, and
+``reward(outcome, action)`` scores the action the agent picks. A block
+of ``n`` steps is one ``rng.random((n, 3 * k + 1))`` call, k being two
+uniforms per drawn channel. Each row holds, in order, the k uniforms of
+the step's state, the agent's uniform ``u``, the k uniforms of the
+step's channels, and k more that are drawn and not used. That is the
+order of a per-step loop that draws a state, the agent's uniform, then
+the step's channels and a set for the next state
+(``tests/helpers.StepEnv`` keeps that loop as the reference). The unused
+set seeded the next state when episodes could last several steps; it
+stays so that an agent that draws nothing but ``u`` (actor-critic, PPO)
+keeps its random stream and every recorded trace. An agent that needs
+more draws takes them from a generator of its own, so no output depends
+on the block size.
 
 A drawn channel's bin comes from its two state uniforms alone: a range
 split into ``n`` equal bins puts the draw ``u`` in bin ``floor(u * n)``,
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 import math
 from itertools import product
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -62,45 +63,34 @@ MAX_SIZE = 4096
 BLOCK_STEPS = 256
 
 
-class Batch(NamedTuple):
-    """Sampled transitions, one array per field."""
-
-    states: np.ndarray
-    actions: np.ndarray
-    rewards: np.ndarray
-
-
 class ReplayBuffer:
-    """Bounded FIFO of transitions with uniform sampling (with replacement).
+    """Bounded FIFO of transitions, stored field by field in a ring.
 
-    Transitions are stored field by field, so a sampled batch comes out as
-    arrays without a pass over its transitions.
+    The t-th push (counting from 0) lands in ``slot(t)``, so a sampler
+    can pick slots ahead of the pushes and read a batch's fields as
+    arrays.
     """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("replay capacity must be >= 1")
         self.capacity = capacity
-        self._states = np.zeros(capacity, dtype=np.int64)
-        self._actions = np.zeros(capacity, dtype=np.int64)
-        self._rewards = np.zeros(capacity)
-        self._size = 0
-        self._next = 0
+        self.states = np.zeros(capacity, dtype=np.int64)
+        self.actions = np.zeros(capacity, dtype=np.int64)
+        self.rewards = np.zeros(capacity)
+        self._pushes = 0
+
+    def slot(self, t):
+        """Slot of the t-th push; ``t`` may be an integer array."""
+        return t % self.capacity
 
     def push(self, state: int, action: int, reward: float) -> None:
-        i = self._next
-        self._states[i], self._actions[i], self._rewards[i] = state, action, reward
-        self._size = max(self._size, i + 1)
-        self._next = (i + 1) % self.capacity
+        i = self.slot(self._pushes)
+        self.states[i], self.actions[i], self.rewards[i] = state, action, reward
+        self._pushes += 1
 
     def __len__(self) -> int:
-        return self._size
-
-    def sample_batch(self, rng: np.random.Generator, batch_size: int) -> Batch:
-        if not self._size:
-            raise ValueError("cannot sample from an empty buffer")
-        idx = rng.integers(0, self._size, size=batch_size)
-        return Batch(self._states[idx], self._actions[idx], self._rewards[idx])
+        return min(self._pushes, self.capacity)
 
 
 class _ChannelGrid:
@@ -248,12 +238,12 @@ class PartitionEnv:
 
     # -- dynamics ---------------------------------------------------------
 
-    def rows(self, rng: np.random.Generator, steps: int) -> Iterator[tuple]:
-        """``(state, u, outcome)`` of each of ``steps`` steps, drawn
-        ``BLOCK_STEPS`` at a time: the state id, the agent's uniform, and
-        what ``reward`` scores an action with."""
+    def blocks(self, rng: np.random.Generator, steps: int) -> Iterator[tuple]:
+        """``(states, us, outcomes)`` of each block of ``steps`` steps,
+        ``BLOCK_STEPS`` at a time: per step, the state id, the agent's
+        uniform, and what ``reward`` scores an action with."""
         for start in range(0, steps, BLOCK_STEPS):
-            yield from self._block(rng, min(BLOCK_STEPS, steps - start))
+            yield self._block(rng, min(BLOCK_STEPS, steps - start))
 
     def reward(self, outcome: list[float] | None, action: int) -> float:
         """Minus the mean effect of the action's cuts in a row, or -1.0
@@ -263,7 +253,7 @@ class PartitionEnv:
         cuts = self._effect_index[action]
         return -(math.fsum(map(outcome.__getitem__, cuts)) / len(cuts))
 
-    def _block(self, rng: np.random.Generator, n: int) -> Iterator[tuple]:
+    def _block(self, rng: np.random.Generator, n: int) -> tuple[list, list, list]:
         k = self._draws_per_set
         u = rng.random((n, 3 * k + 1))
         log2 = math.log2
@@ -288,4 +278,4 @@ class PartitionEnv:
         outcomes = self.scenario.effect_kernel(rates).reshape(n, -1).tolist()
         for row in dead.tolist():
             outcomes[row] = None
-        return zip(states.tolist(), u[:, k].tolist(), outcomes)
+        return states.tolist(), u[:, k].tolist(), outcomes

@@ -33,9 +33,13 @@ from splitcvl.retrieval import (
     SyntheticQueryPool,
     top1_percent_k,
 )
+from splitcvl.rlopt import env as env_module
 from splitcvl.rlopt.agents import (
-    _action_cdf, _draw_action, _eps_greedy, _epsilons, _generators,
+    _Q_DIVERGED, _action_cdf, _draw_action, _epsilons,
+    _feature_table, _generators,
 )
+from splitcvl.rlopt.env import ReplayBuffer
+from splitcvl.rlopt.nets import TinyNet
 from splitcvl.trico import (
     ConfEntry,
     ConfidentialityTable,
@@ -284,15 +288,22 @@ class BanditEnv:
         self.n_actions = len(rewards)
         self.feature_dim = 1
 
-    def rows(self, rng, steps):
-        for u in rng.random(steps).tolist():
-            yield 0, u, None
+    def blocks(self, rng, steps):
+        for start in range(0, steps, env_module.BLOCK_STEPS):
+            n = min(env_module.BLOCK_STEPS, steps - start)
+            yield [0] * n, rng.random(n).tolist(), [None] * n
 
     def reward(self, outcome, action):
         return self.rewards[action]
 
     def state_features(self, state):
         return np.ones(1)
+
+
+def env_rows(env, rng, steps):
+    """``(state, u, outcome)`` of each step of ``env.blocks``."""
+    for block in env.blocks(rng, steps):
+        yield from zip(*block)
 
 
 def softmax(logits):
@@ -302,38 +313,91 @@ def softmax(logits):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def bootstrapped_tabular_table(name, env, steps, hyper, seed):
-    """The table that Q-learning, multi-Q or actor-critic learns, by the
-    update each had while episodes could last longer, at one step per
-    episode: every target adds the terminal bootstrap ``0.0`` to the
-    reward, which turns a reward of -0.0 into +0.0. The draws and every
-    other float operation are the agents'."""
+def eps_greedy(q_row, eps, u, rng):
+    """A uniform action from ``rng`` when the coin ``u`` falls below ``eps``,
+    else the greedy one: the agents' per-step draw."""
+    if u < eps:
+        return int(rng.integers(len(q_row)))
+    return int(q_row.argmax())
+
+
+def tabular_reference(name, env, steps, hyper, seed, bootstrap=False):
+    """(table, effects) of Q-learning, multi-Q or actor-critic, one step
+    and one integer draw at a time. With ``bootstrap``, every target adds
+    the terminal bootstrap ``0.0`` to the reward, as the updates did
+    while episodes could last longer; that turns a reward of -0.0 into
+    +0.0. The draws and every other float operation are the agents'."""
     rng, explore = _generators(seed)
     q = np.zeros((env.n_states, env.n_actions))
     values = np.zeros(env.n_states)
     k = hyper.multi_q_tables
     tables = np.zeros((k, env.n_states, env.n_actions))
-    for eps, (state, u, outcome) in zip(_epsilons(steps, hyper), env.rows(rng, steps)):
+    effects = []
+    for eps, (state, u, outcome) in zip(_epsilons(steps, hyper), env_rows(env, rng, steps)):
         if name == "q_learning":
-            action = _eps_greedy(q[state], eps, u, explore)
+            action = eps_greedy(q[state], eps, u, explore)
             reward = env.reward(outcome, action)
-            q[state, action] += hyper.lr * (reward + 0.0 - q[state, action])
+            target = reward + 0.0 if bootstrap else reward
+            q[state, action] += hyper.lr * (target - q[state, action])
         elif name == "multi_q":
-            action = _eps_greedy(tables[:, state].sum(axis=0) / k, eps, u, explore)
+            action = eps_greedy(tables[:, state].sum(axis=0) / k, eps, u, explore)
             reward = env.reward(outcome, action)
+            target = reward + 0.0 if bootstrap else reward
             j = int(explore.integers(k))
             tables[j, state, action] += min(1.0, hyper.lr * k) * (
-                reward + 0.0 - tables[j, state, action])
+                target - tables[j, state, action])
         else:
             probs = softmax(q[state])
             action = _draw_action(_action_cdf(probs), u)
             reward = env.reward(outcome, action)
-            advantage = reward + 0.0 - values[state]
+            target = reward + 0.0 if bootstrap else reward
+            advantage = target - values[state]
             values[state] += hyper.lr * advantage
             one_hot = np.zeros(env.n_actions)
             one_hot[action] = 1.0
             q[state] += hyper.lr_actor * advantage * (one_hot - probs)
-    return tables.mean(axis=0) if name == "multi_q" else q
+        effects.append(-reward)
+    return (tables.mean(axis=0) if name == "multi_q" else q), effects
+
+
+def dqn_reference(env, steps, hyper, seed):
+    """(net, effects) of DQN one step at a time: a greedy step runs the
+    Q-network on its state alone, and the replay batch is one
+    ``integers(0, len(buffer), size=rows)`` call after the step's push,
+    then a forward on the batch's states."""
+    rng, explore = _generators(seed)
+    table = _feature_table(env)
+    n_actions = env.n_actions
+    row_starts = np.arange(hyper.batch_size) * n_actions
+    grad = np.zeros((hyper.batch_size, n_actions))
+    flat_grad = grad.reshape(-1)
+    net = TinyNet((env.feature_dim, *hyper.hidden, env.n_actions), rng)
+    buffer = ReplayBuffer(hyper.replay_capacity)
+    effects = []
+    for eps, (state, u, outcome) in zip(_epsilons(steps, hyper), env_rows(env, rng, steps)):
+        if u < eps:
+            action = int(explore.integers(n_actions))
+        else:
+            q_row = net.forward(table[state])[0]
+            action = int(q_row.argmax())
+            if not math.isfinite(q_row[action]):
+                raise NonFiniteError(_Q_DIVERGED)
+        reward = env.reward(outcome, action)
+        buffer.push(state, action, reward)
+        batch_size = min(hyper.batch_size, len(buffer))
+        idx = explore.integers(0, len(buffer), size=batch_size)
+        q = net.forward(table[buffer.states[idx]])
+        picked = row_starts[:batch_size] + buffer.actions[idx]
+        td = q.take(picked)
+        td -= buffer.rewards[idx]
+        td *= 2.0
+        td /= batch_size
+        flat_grad[picked] = td
+        net.backward(grad[:batch_size])
+        flat_grad[picked] = 0.0
+        net.sgd_step(hyper.lr_net)
+        effects.append(-reward)
+    return net, effects
 
 
 def scalar_comm_terms(costs, weights, rate_bps, cut):

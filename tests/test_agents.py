@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from splitcvl.rlopt import agents as agents_module
 from splitcvl.rlopt import env as env_module
 from splitcvl.rlopt.agents import (
     Hyperparams,
@@ -29,11 +30,15 @@ from splitcvl.trico import (
 
 from helpers import (
     BanditEnv,
-    bootstrapped_tabular_table,
+    dqn_reference,
+    env_rows,
+    flat_params,
     policy_effect,
     softmax,
     synthetic_profile,
+    tabular_reference,
 )
+from test_output_digests import needs_platform
 
 
 TWO_ARM = [-0.9, -0.2]
@@ -176,31 +181,28 @@ class TestDQN:
 
     def test_horizon_one_skips_target_forward(self, monkeypatch):
         # every episode is one step, so DQN regresses on rewards alone and
-        # has no target net. Its one net runs once per greedy step (one
-        # state, a 1-d row), once per step on the sampled batch, and once
-        # after training on every state.
+        # has no target net. Its one net runs once per step, exploring or
+        # not, on 1 + min(batch_size, t + 1) rows: the step's state and its
+        # batch (120 pushes stay below the default capacity). It runs once
+        # more after training, on every state.
         calls = []
         forward = TinyNet.forward
 
         def counting_forward(self, x):
-            calls.append((id(self), np.ndim(x)))
+            calls.append((id(self), np.shape(x)[0] if np.ndim(x) == 2 else None))
             return forward(self, x)
 
         monkeypatch.setattr(TinyNet, "forward", counting_forward)
         env = PartitionEnv(default_scenario(), snr_bins=2)
         steps = 120
-        for eps, greedy in ((None, None), (0.0, steps), (1.0, 0)):
+        expected = [1 + min(32, t + 1) for t in range(steps)] + [env.n_states]
+        for eps in (None, 0.0, 1.0):
             calls.clear()
             hyper = Hyperparams() if eps is None else Hyperparams(
                 epsilon_start=eps, epsilon_final=eps)
             train_dqn(env, steps, hyper, seed=23)
             assert len({net for net, _ in calls}) == 1
-            greedy_calls = sum(ndim == 1 for _, ndim in calls)
-            if greedy is None:
-                assert 0 < greedy_calls < steps
-            else:
-                assert greedy_calls == greedy
-            assert len(calls) == steps + greedy_calls + 1
+            assert [rows for _, rows in calls] == expected
 
     def test_deterministic(self):
         a = train_dqn(BanditEnv(TWO_ARM), 150, seed=17)[1]
@@ -330,7 +332,7 @@ class TestOneStepUpdates:
     def test_zero_effect_reward_is_negative_zero(self):
         env = zero_effect_env()
         states = set()
-        for state, _, outcome in env.rows(np.random.default_rng(0), 200):
+        for state, _, outcome in env_rows(env, np.random.default_rng(0), 200):
             reward = env.reward(outcome, 0)
             assert reward == 0.0 and math.copysign(1.0, reward) == -1.0
             assert env.reward(outcome, 4) < 0.0
@@ -346,7 +348,7 @@ class TestOneStepUpdates:
     def test_table_equals_bootstrapped_update_bitwise(self, name, hyper):
         env = zero_effect_env()
         policy, trace = train_agent(name, env, 1500, hyper=hyper, seed=31)
-        expected = bootstrapped_tabular_table(name, env, 1500, hyper, seed=31)
+        expected, _ = tabular_reference(name, env, 1500, hyper, 31, bootstrap=True)
         assert policy.table.tobytes() == expected.tobytes()
         assert (trace.effects == 0.0).sum() > 10  # rewards of -0.0 were learned from
 
@@ -369,6 +371,35 @@ class TestGenerators:
         assert rng.bit_generator.state == ref.bit_generator.state
         assert explore.bit_generator.state == ref_explore.bit_generator.state
 
+    def test_one_integers_call_equals_the_calls_it_replaces(self):
+        # the agents draw a block's integers with one call on an array of
+        # bounds, where a per-step loop makes scalar ``integers(n)`` calls
+        # and ``integers(0, n, size=m)`` batch calls; a bound of 1 draws
+        # nothing. Multi-Q passes its bounds as (explore, table) pairs.
+        plan_rng = np.random.default_rng(2024)
+        bounds = (1, 4, 25, 40, 1000, 2**40)
+        for seed in range(200):
+            plan = [
+                (int(plan_rng.choice(bounds)),
+                 None if plan_rng.random() < 0.5 else int(plan_rng.integers(0, 40)))
+                for _ in range(int(plan_rng.integers(1, 60)))
+            ]
+            stepwise = np.random.default_rng(seed)
+            values, highs = [], []
+            for bound, size in plan:
+                if size is None:
+                    values.append(int(stepwise.integers(bound)))
+                    highs.append(bound)
+                else:
+                    values += stepwise.integers(0, bound, size=size).tolist()
+                    highs += [bound] * size
+            shapes = [(-1,), (-1, 2)] if len(highs) % 2 == 0 else [(-1,)]
+            for shape in shapes:
+                at_once = np.random.default_rng(seed)
+                drawn = at_once.integers(0, np.reshape(highs, shape))
+                assert drawn.ravel().tolist() == values, (seed, shape)
+                assert at_once.bit_generator.state == stepwise.bit_generator.state, seed
+
     def test_agents_run_without_generator_spawn(self, monkeypatch):
         class NoSpawn(np.random.Generator):
             def spawn(self, n_children):
@@ -382,38 +413,114 @@ class TestGenerators:
             train_agent(name, env, 300, seed=3)
 
 
+class TestPerStepReference:
+    """The agents draw a block's integers in one call and DQN runs its
+    Q-network once per step; the per-step loops in ``helpers`` draw one
+    step at a time. The 40-slot, 5-row replay wraps inside a block, so
+    batches read slots that later steps of the same block overwrite; the
+    3-slot, 5-row replay draws batches of at most 3 rows."""
+
+    CASES = {
+        "stock": (lambda: PartitionEnv(default_scenario(), snr_bins=2), Hyperparams()),
+        "bins_2x3": (lambda: PartitionEnv(default_scenario(), bandwidth_bins=2, snr_bins=3),
+                     Hyperparams(multi_q_tables=3)),
+        "replay_40x5": (lambda: PartitionEnv(default_scenario(), snr_bins=2),
+                        Hyperparams(replay_capacity=40, batch_size=5)),
+        "replay_3x5": (lambda: PartitionEnv(default_scenario(), snr_bins=2),
+                       Hyperparams(replay_capacity=3, batch_size=5)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("name", ["q_learning", "multi_q"])
+    def test_tabular_equals_per_step_reference_bitwise(self, name, case):
+        make_env, hyper = self.CASES[case]
+        env = make_env()
+        policy, trace = train_agent(name, env, 3000, hyper=hyper, seed=8)
+        table, effects = tabular_reference(name, env, 3000, hyper, 8)
+        assert trace.effects.tobytes() == np.array(effects).tobytes()
+        assert policy.table.tobytes() == table.tobytes()
+
+    # the Q-values of the one-step forward and of the reference's separate
+    # greedy and batch forwards can round apart where a BLAS product's
+    # result depends on its row count
+    @needs_platform
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_dqn_equals_per_step_reference(self, case, monkeypatch):
+        nets = []
+
+        class RecordedNet(TinyNet):
+            def __init__(self, *args):
+                super().__init__(*args)
+                nets.append(self)
+
+        monkeypatch.setattr(agents_module, "TinyNet", RecordedNet)
+        make_env, hyper = self.CASES[case]
+        env = make_env()
+        _, trace = train_dqn(env, 3000, hyper=hyper, seed=8)
+        ref_net, effects = dqn_reference(env, 3000, hyper, 8)
+        assert trace.effects.tobytes() == np.array(effects).tobytes()
+        # relative to the largest parameter: a near-zero one can differ
+        # by a larger share of itself
+        params, ref_params = flat_params(nets[0]), flat_params(ref_net)
+        assert np.abs(params - ref_params).max() <= 1e-12 * np.abs(ref_params).max()
+
+
 class TestBlockDraw:
     """The env draws its rows a block at a time. No trace depends on the
     block size, and a run draws one block per ``BLOCK_STEPS`` steps and
-    nothing else from its env generator."""
+    nothing else from its env generator, and at most one ``integers``
+    call per block from its second generator."""
 
-    def test_traces_do_not_depend_on_block_size(self, monkeypatch):
-        env = PartitionEnv(default_scenario(), snr_bins=2)
-        traces = {}
-        for block in (1, 7, env_module.BLOCK_STEPS):
-            monkeypatch.setattr(env_module, "BLOCK_STEPS", block)
-            traces[block] = [train_agent(name, env, 600, seed=5)[1].to_csv()
-                             for name in AGENT_NAMES]
-        first, *others = traces.values()
-        assert all(other == first for other in others)
-
-    def test_run_draws_one_block_per_block_steps(self, monkeypatch):
-        draws = []
+    @staticmethod
+    def counting_generators(monkeypatch):
+        """Lists that every generator the agents build appends its
+        ``random`` and its ``integers`` calls to."""
+        randoms, integers = [], []
 
         class CountingGenerator(np.random.Generator):
             def random(self, *args, **kwargs):
-                draws.append(args)
+                randoms.append(args)
                 return super().random(*args, **kwargs)
+
+            def integers(self, *args, **kwargs):
+                integers.append(args)
+                return super().integers(*args, **kwargs)
 
         monkeypatch.setattr(
             np.random, "default_rng",
             lambda seed: CountingGenerator(np.random.PCG64(seed)))
+        return randoms, integers
+
+    def test_traces_do_not_depend_on_block_size(self, monkeypatch):
+        randoms, _ = self.counting_generators(monkeypatch)
+        env = PartitionEnv(default_scenario(), snr_bins=2)
+        steps = 600
+        traces = {}
+        for block in (1, 7, env_module.BLOCK_STEPS):
+            monkeypatch.setattr(env_module, "BLOCK_STEPS", block)
+            traces[block] = []
+            for name in AGENT_NAMES:
+                randoms.clear()
+                traces[block].append(train_agent(name, env, steps, seed=5)[1].to_csv())
+                # the block size is read when the run draws
+                assert len(randoms) == math.ceil(steps / env_module.BLOCK_STEPS), name
+        first, *others = traces.values()
+        assert all(other == first for other in others)
+
+    def test_run_draws_one_block_per_block_steps(self, monkeypatch):
+        randoms, integers = self.counting_generators(monkeypatch)
         env = PartitionEnv(default_scenario(), snr_bins=2)
         steps = 2500
-        for name in AGENT_NAMES:
-            draws.clear()
-            train_agent(name, env, steps, seed=3)
-            assert len(draws) == math.ceil(steps / env_module.BLOCK_STEPS), name
+        for block in (7, env_module.BLOCK_STEPS):
+            monkeypatch.setattr(env_module, "BLOCK_STEPS", block)
+            blocks = math.ceil(steps / block)
+            for name in AGENT_NAMES:
+                randoms.clear()
+                integers.clear()
+                train_agent(name, env, steps, seed=3)
+                assert len(randoms) == blocks, name
+                drawing = name in ("q_learning", "multi_q", "dqn")
+                assert len(integers) == (blocks if drawing else 0), name
 
 
 class TestDispatch:

@@ -24,6 +24,7 @@ from splitcvl.trico import (
 
 from helpers import (
     channel_at,
+    env_rows,
     evaluate_action,
     exact_bin,
     random_scenario,
@@ -113,7 +114,7 @@ class TestSpaces:
 
 def one_row(env, rng):
     """(state, u, outcome) of one step drawn from ``rng``."""
-    return next(env.rows(rng, 1))
+    return next(env_rows(env, rng, 1))
 
 
 def row_rewards(env, outcome):
@@ -132,8 +133,8 @@ class TestStep:
 
     def test_same_seed_same_transition(self):
         env = PartitionEnv(default_scenario(), snr_bins=2)
-        a = list(env.rows(np.random.default_rng(99), 300))
-        b = list(env.rows(np.random.default_rng(99), 300))
+        a = list(env_rows(env, np.random.default_rng(99), 300))
+        b = list(env_rows(env, np.random.default_rng(99), 300))
         assert a == b and len(a) == 300
 
     def test_all_action_sweep_is_order_isomorphic_to_effect_table(self):
@@ -150,7 +151,7 @@ class TestStep:
     def test_rewards_bounded(self):
         env = PartitionEnv(default_scenario(), snr_bins=2)
         rng = np.random.default_rng(4)
-        for _, _, outcome in env.rows(rng, 300):
+        for _, _, outcome in env_rows(env, rng, 300):
             assert all(-1.0 <= r <= 0.0 for r in row_rewards(env, outcome))
 
     def test_zero_rate_gives_worst_reward_not_error(self):
@@ -163,7 +164,7 @@ class TestStep:
             TriCoWeights(),
         )
         env = PartitionEnv(scenario)
-        for _, _, outcome in env.rows(np.random.default_rng(5), 10):
+        for _, _, outcome in env_rows(env, np.random.default_rng(5), 10):
             assert row_rewards(env, outcome) == [-1.0, -1.0]
 
     @pytest.mark.parametrize("fixed_snr", [4.0, 0.0])
@@ -176,7 +177,7 @@ class TestStep:
         env = PartitionEnv(three_device_scenario(fixed_snr), snr_bins=3)
         rng, twin = np.random.default_rng(8), np.random.default_rng(8)
         for steps in (1, env_module.BLOCK_STEPS, env_module.BLOCK_STEPS + 3):
-            for _, _, outcome in env.rows(rng, steps):
+            for _, _, outcome in env_rows(env, rng, steps):
                 assert (outcome is None) == (fixed_snr == 0.0)
             twin.random(steps * (2 * 2 + 1 + 2 * 2 * 2))
             assert rng.bit_generator.state == twin.bit_generator.state
@@ -190,7 +191,7 @@ class TestStep:
 
     def test_state_bins_cover_sampled_channels(self):
         env = PartitionEnv(default_scenario(), snr_bins=4, bandwidth_bins=3)
-        states = [state for state, _, _ in env.rows(np.random.default_rng(7), 2000)]
+        states = [state for state, _, _ in env_rows(env, np.random.default_rng(7), 2000)]
         for state in states:
             bins = env.decode_state(state)
             assert len(bins) == 2
@@ -255,7 +256,7 @@ def drawn_rows(env, seed, steps):
     """The block rows of ``steps`` steps from a generator seeded ``seed``,
     beside the uniforms each row was drawn from."""
     k = 2 * sum(not grid.fixed for grid in env.grids)
-    rows = list(env.rows(np.random.default_rng(seed), steps))
+    rows = list(env_rows(env, np.random.default_rng(seed), steps))
     uniforms = np.random.default_rng(seed).random((steps, 3 * k + 1)).tolist()
     return k, zip(rows, uniforms)
 
@@ -334,7 +335,7 @@ class TestRecordFreeStep:
             # a row: the state's two uniforms, then the agent's and the
             # channel's, and two unused
             draws = Draws([x for pair in pairs for x in (*pair, 0.5, *pair, 0.5, 0.5)])
-            states = [state for state, _, _ in env.rows(draws, len(pairs))]
+            states = [state for state, _, _ in env_rows(env, draws, len(pairs))]
             expected = [exact_bin(u_bw, bins) * bins + exact_bin(u_snr, bins)
                         for u_bw, u_snr in pairs]
             assert states == expected, bins
@@ -406,7 +407,7 @@ class TestBlockDraw:
         env = self.REFERENCE_ENVS[name]()
         steps = 300  # two blocks
         expected = step_rows(env, np.random.default_rng(41), steps)
-        rows = list(env.rows(np.random.default_rng(41), steps))
+        rows = list(env_rows(env, np.random.default_rng(41), steps))
         assert len(rows) == steps
         for (state, u, outcome), (ref_state, ref_u, ref_rewards) in zip(rows, expected):
             assert (state, u.hex()) == (ref_state, ref_u.hex())
@@ -417,34 +418,34 @@ class TestBlockDraw:
 
 
 class TestReplayBuffer:
+    """DQN picks its batch's slots ahead of the pushes, so a push's slot
+    must follow from its count alone."""
+
     def test_fifo_eviction(self):
         buf = ReplayBuffer(2)
         for i in range(5):
             buf.push(i, 0, 0.0)
         assert len(buf) == 2
-        states = set(buf.sample_batch(np.random.default_rng(0), 50).states.tolist())
-        assert states <= {3, 4}
+        assert set(buf.states.tolist()) == {3, 4}
 
     def test_capacity_one_always_latest(self):
         buf = ReplayBuffer(1)
-        rng = np.random.default_rng(1)
         for i in range(10):
             buf.push(i, 0, 0.0)
-            assert buf.sample_batch(rng, 1).states.tolist() == [i]
+            assert (len(buf), buf.states.tolist()) == (1, [i])
 
-    def test_sampling_deterministic_under_seed(self):
-        buf = ReplayBuffer(100)
-        for i in range(100):
-            buf.push(i, i % 7, -i / 100)
-        a = buf.sample_batch(np.random.default_rng(3), 10)
-        b = buf.sample_batch(np.random.default_rng(3), 10)
-        for field_a, field_b in zip(a, b):
-            assert np.array_equal(field_a, field_b)
-        assert (a.actions == a.states % 7).all() and (a.rewards == -a.states / 100).all()
+    def test_push_t_lands_in_slot_t_mod_capacity(self):
+        buf = ReplayBuffer(7)
+        for t in range(30):
+            buf.push(t, t % 5, -t / 100)
+            slot = t % 7
+            assert (buf.states[slot], buf.actions[slot], buf.rewards[slot]) == (
+                t, t % 5, -t / 100)
+            assert len(buf) == min(t + 1, 7)
 
-    def test_empty_sample_rejected(self):
+    def test_zero_capacity_rejected(self):
         with pytest.raises(ValueError):
-            ReplayBuffer(3).sample_batch(np.random.default_rng(0), 1)
+            ReplayBuffer(0)
 
 
 class TestEnvState:
