@@ -306,25 +306,30 @@ def train_dqn(
     Step t draws its explore action, then ``min(batch_size, size)``
     replay slots below ``size``, the buffer's length ``min(t + 1,
     replay_capacity)`` after its own push; a block's integers are one
-    ``integers`` call. Each step
-    runs the Q-network once, on its state (its slot holds it before the
-    forward) and its batch's states: row 0 gives the greedy action, the
-    others the TD errors. A greedy step checks the Q-value it acts on:
-    ``argmax`` picks a NaN or +inf first, so a diverged net raises
-    NonFiniteError there, and at the latest after training, when the
-    Q-values of every state are checked.
+    ``integers`` call. Each step runs the Q-network once. When the env
+    has no more states than a step has rows (its state and a full
+    batch), that forward is on the feature table, one row per state,
+    and each state's TD errors are summed per action before backprop:
+    rows of one state share their activations and backprop is linear in
+    the output gradient, so the gradient is the batch's in exact
+    arithmetic. Otherwise the forward is on the step's state (its slot
+    holds it before the forward) and its batch's states. The greedy
+    action reads the step's row, the TD errors the batch's. A greedy
+    step checks the Q-value it acts on: ``argmax`` picks a NaN or +inf
+    first, so a diverged net raises NonFiniteError there, and at the
+    latest after training, when the Q-values of every state are checked.
     """
     hyper = hyper or Hyperparams()
     rng, explore = _generators(seed)
     table = _feature_table(env)
     n_actions = env.n_actions
     capacity, batch_size = hyper.replay_capacity, hyper.batch_size
-    # a forward's row 0 is the step's state and row r >= 1 the batch's
-    # r-th; row r's Q-value of action a sits at r * n_actions + a of the
-    # flattened (rows, n_actions) Q-values and gradient
+    on_table = env.n_states <= batch_size + 1
+    # row r's Q-value of action a sits at r * n_actions + a of the
+    # flattened (rows, n_actions) Q-values. In the table case row s is
+    # state s; otherwise row 0 is the step's state and row r >= 1 the
+    # batch's r-th
     row_starts = np.arange(1, batch_size + 1) * n_actions
-    grad = np.zeros((batch_size + 1, n_actions))
-    flat_grad = grad.reshape(-1)
     net = TinyNet((env.feature_dim, *hyper.hidden, env.n_actions), rng)
     buffer = ReplayBuffer(capacity)
     epsilons = _epsilons(steps, hyper)
@@ -339,30 +344,36 @@ def train_dqn(
         highs[heads] = bounds
         slots = explore.integers(0, highs)
         picks = slots[heads].tolist()
-        slots[heads] = buffer.slot(pushes)  # each step's own slot
-        for state, outcome, bound, pick, head, count in zip(
-            states, outcomes, bounds, picks, heads.tolist(), counts.tolist()
+        owns = buffer.slot(pushes)  # each step's own slot
+        slots[heads] = owns
+        for state, outcome, bound, pick, own, head, count in zip(
+            states, outcomes, bounds, picks, owns.tolist(), heads.tolist(), counts.tolist()
         ):
-            rows = slots[head:head + count]
-            buffer.states[rows[0]] = state
-            q = net.forward(table.take(buffer.states[rows], axis=0))
+            batch = slots[head + 1:head + count]
+            if on_table:
+                q, row = net.forward(table), state
+            else:
+                buffer.states[own] = state
+                q = net.forward(table.take(buffer.states[slots[head:head + count]], axis=0))
+                row = 0
             if bound > 1:
                 action = pick
             else:
-                action = int(q[0].argmax())
-                if not math.isfinite(q[0, action]):
+                action = int(q[row].argmax())
+                if not math.isfinite(q[row, action]):
                     raise NonFiniteError(_Q_DIVERGED)
             reward = env.reward(outcome, action)
             buffer.push(state, action, reward)
-            batch = rows[1:]
-            picked = row_starts[:count - 1] + buffer.actions[batch]
+            # read after the push: the batch may hold the step's own slot
+            starts = buffer.states[batch] * n_actions if on_table else row_starts[:count - 1]
+            picked = starts + buffer.actions[batch]
             td = q.take(picked)  # a copy, scaled in place to 2 * (q - r) / rows
             td -= buffer.rewards[batch]
-            td *= 2.0
-            td /= count - 1
-            flat_grad[picked] = td
-            net.backward(grad[:count])
-            flat_grad[picked] = 0.0  # the gradient is all zeros between steps
+            # the halved divisor is exact, so this rounds once, as
+            # doubling (exact) and then dividing by the rows does
+            td /= (count - 1) / 2
+            # on the table, a state-action pair drawn twice sums its TD errors
+            net.backward(np.bincount(picked, td, q.size).reshape(-1, n_actions))
             net.sgd_step(hyper.lr_net)
             effects.append(-reward)
     if not np.isfinite(net.forward(table)).all():

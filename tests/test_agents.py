@@ -179,12 +179,13 @@ class TestDQN:
         policy, _ = train_dqn(BanditEnv([-0.7, -0.2, -0.5]), 500, seed=16)
         assert policy.action(0) == 1
 
-    def test_horizon_one_skips_target_forward(self, monkeypatch):
+    def test_one_forward_per_step(self, monkeypatch):
         # every episode is one step, so DQN regresses on rewards alone and
         # has no target net. Its one net runs once per step, exploring or
-        # not, on 1 + min(batch_size, t + 1) rows: the step's state and its
-        # batch (120 pushes stay below the default capacity). It runs once
-        # more after training, on every state.
+        # not: on every state when the env has at most 1 + batch_size of
+        # them, else on 1 + min(batch_size, t + 1) rows, the step's state
+        # and its batch (120 pushes stay below the default capacity). It
+        # runs once more after training, on every state.
         calls = []
         forward = TinyNet.forward
 
@@ -193,16 +194,24 @@ class TestDQN:
             return forward(self, x)
 
         monkeypatch.setattr(TinyNet, "forward", counting_forward)
-        env = PartitionEnv(default_scenario(), snr_bins=2)
         steps = 120
-        expected = [1 + min(32, t + 1) for t in range(steps)] + [env.n_states]
-        for eps in (None, 0.0, 1.0):
-            calls.clear()
-            hyper = Hyperparams() if eps is None else Hyperparams(
-                epsilon_start=eps, epsilon_final=eps)
-            train_dqn(env, steps, hyper, seed=23)
-            assert len({net for net, _ in calls}) == 1
-            assert [rows for _, rows in calls] == expected
+        stock = PartitionEnv(default_scenario(), snr_bins=2)
+        grid = PartitionEnv(default_scenario(), bandwidth_bins=2, snr_bins=3)
+        assert (stock.n_states, grid.n_states) == (4, 36)
+        # (env, batch_size, rows per step)
+        cases = [
+            (stock, 32, [stock.n_states] * steps),
+            (grid, 32, [1 + min(32, t + 1) for t in range(steps)]),
+            (grid, 35, [grid.n_states] * steps),
+            (grid, 34, [1 + min(34, t + 1) for t in range(steps)]),
+        ]
+        for env, batch_size, per_step in cases:
+            for eps in (None, 0.0, 1.0):
+                calls.clear()
+                fixed_eps = {} if eps is None else {"epsilon_start": eps, "epsilon_final": eps}
+                train_dqn(env, steps, Hyperparams(batch_size=batch_size, **fixed_eps), seed=23)
+                assert len({net for net, _ in calls}) == 1
+                assert [rows for _, rows in calls] == per_step + [env.n_states]
 
     def test_deterministic(self):
         a = train_dqn(BanditEnv(TWO_ARM), 150, seed=17)[1]
@@ -429,6 +438,13 @@ class TestPerStepReference:
         "replay_3x5": (lambda: PartitionEnv(default_scenario(), snr_bins=2),
                        Hyperparams(replay_capacity=3, batch_size=5)),
     }
+    # the 2 x 3 grid has 36 states: DQN forwards its state table with a
+    # 35-row batch and the step's 35 rows with a 34-row batch
+    DQN_CASES = {
+        **CASES,
+        "table_2x3_batch35": (CASES["bins_2x3"][0], Hyperparams(batch_size=35)),
+        "rows_2x3_batch34": (CASES["bins_2x3"][0], Hyperparams(batch_size=34)),
+    }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("name", ["q_learning", "multi_q"])
@@ -442,9 +458,10 @@ class TestPerStepReference:
 
     # the Q-values of the one-step forward and of the reference's separate
     # greedy and batch forwards can round apart where a BLAS product's
-    # result depends on its row count
+    # result depends on its row count, and a state-table forward sums a
+    # state's TD errors before backprop, in another order than the matmul
     @needs_platform
-    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("case", sorted(DQN_CASES))
     def test_dqn_equals_per_step_reference(self, case, monkeypatch):
         nets = []
 
@@ -454,7 +471,7 @@ class TestPerStepReference:
                 nets.append(self)
 
         monkeypatch.setattr(agents_module, "TinyNet", RecordedNet)
-        make_env, hyper = self.CASES[case]
+        make_env, hyper = self.DQN_CASES[case]
         env = make_env()
         _, trace = train_dqn(env, 3000, hyper=hyper, seed=8)
         ref_net, effects = dqn_reference(env, 3000, hyper, 8)

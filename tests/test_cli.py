@@ -302,6 +302,14 @@ INVALID_OPTIMIZE_CONFIGS = {
         "Q-network diverged",
         optimizer_config("agent: dqn, steps: 200, hyper: {lr_net: 1.0e+6}"),
     ),
+    # 36 states, more than a step's 33 rows: the Q-network runs on each
+    # step's rows, not on the state table
+    "dqn_diverges_many_states": (
+        "Q-network diverged",
+        optimizer_config(
+            "agent: dqn, steps: 200, bandwidth_bins: 2, snr_bins: 3, hyper: {lr_net: 1.0e+6}"
+        ),
+    ),
     # no step is greedy, so only the check after training sees the Q-values
     "dqn_diverges_always_exploring": (
         "Q-network diverged",

@@ -83,6 +83,25 @@ class TestBackwardMechanics:
         net.backward(g)
         assert np.array_equal(flat_grads(net), once)
 
+    @pytest.mark.parametrize("hidden", [(8,), (8, 5)])
+    def test_summed_gradient_on_distinct_rows_equals_per_row_gradient(self, hidden):
+        # DQN backprops one output gradient row per state, each the sum
+        # of its batch rows' gradients, in place of one row per batch row
+        rng = np.random.default_rng(17)
+        n_states, n_out = 5, 6
+        table = np.eye(n_states)
+        states = rng.integers(0, n_states - 1, size=33)  # the last state stays unused
+        per_row = rng.standard_normal((states.size, n_out))
+        summed = np.zeros((n_states, n_out))
+        np.add.at(summed, states, per_row)
+        net = TinyNet((n_states, *hidden, n_out), rng)
+        net.forward(table[states])
+        net.backward(per_row)
+        expected = flat_grads(net)
+        net.forward(table)
+        net.backward(summed)
+        assert np.abs(flat_grads(net) - expected).max() <= 1e-12 * np.abs(expected).max()
+
     def test_backward_returns_none(self):
         rng = np.random.default_rng(16)
         net = TinyNet((3, 4, 2), rng)
