@@ -18,7 +18,6 @@ from .trico import (
     ConfidentialityTable,
     PartitionDecision,
     Scenario,
-    TriCoBreakdown,
     TriCoWeights,
     comp_cost,
     conf_cost,
@@ -38,7 +37,6 @@ __all__ = [
     "ModelProfile",
     "PartitionDecision",
     "Scenario",
-    "TriCoBreakdown",
     "TriCoWeights",
     "build_resnet50_usam_profile",
     "comp_cost",

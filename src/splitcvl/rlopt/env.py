@@ -97,9 +97,9 @@ class _ChannelGrid:
     """Bin layout for one device's channel.
 
     Fixed channels get a single bin; distributions are split into
-    bandwidth_bins x snr_bins equal sub-ranges (SNR split in dB), each
-    kept as its own distribution. The env bins and draws a block's
-    channels with the arrays kept here, two uniforms per channel each.
+    bandwidth_bins x snr_bins equal sub-ranges (SNR split in dB), the
+    bandwidth bin major. The env bins and draws a block's channels with
+    the arrays kept here, two uniforms per channel each.
     """
 
     def __init__(
@@ -114,23 +114,21 @@ class _ChannelGrid:
         if self.fixed:
             self.bandwidth_bins = 1
             self.snr_bins = 1
-            self.bins = (channel,)
             self.rate = shannon_rate(channel)
             return
         self.bandwidth_bins = bandwidth_bins
         self.snr_bins = snr_bins
         if not all(map(math.isfinite, channel.bw_scale + channel.db_scale)):
             raise ValueError(f"{channel} spans a range wider than the largest float")
-        self.bins = tuple(
-            ChannelDistribution(
-                _sub_range(*channel.bandwidth_range, bandwidth_bins, ibw),
-                _sub_range(*channel.snr_range_db, snr_bins, isnr),
-            )
-            for ibw in range(bandwidth_bins)
-            for isnr in range(snr_bins)
-        )
+        bw = _range_edges(*channel.bandwidth_range, bandwidth_bins)
+        db = _range_edges(*channel.snr_range_db, snr_bins)
+        if not (np.isfinite(bw).all() and np.isfinite(db).all()):
+            raise ValueError(f"{channel} has a bin edge beyond the largest float")
         # rows bw_lo, bw_width, db_lo, db_width; one column per bin
-        self.scales = np.array([b.bw_scale + b.db_scale for b in self.bins]).T
+        self.scales = np.array([
+            np.repeat(bw[:-1], snr_bins), np.repeat(np.diff(bw), snr_bins),
+            np.tile(db[:-1], bandwidth_bins), np.tile(np.diff(db), bandwidth_bins),
+        ])
         # How a channel drawn from the whole distribution is binned: each
         # dimension's uniform u falls in bin floor(u * bins), the number of
         # its edges at or below u. A dimension with a zero-width range has
@@ -139,6 +137,13 @@ class _ChannelGrid:
         self.bw_edges = np.array(_edges(bandwidth_bins) if hi > lo else ())
         lo_db, hi_db = channel.snr_range_db
         self.snr_edges = np.array(_edges(snr_bins) if hi_db > lo_db else ())
+
+
+def _range_edges(lo: float, hi: float, bins: int) -> np.ndarray:
+    """The bins + 1 edges ``lo + k * width`` of a range's equal sub-ranges;
+    one beyond the largest float is inf, as on Python floats."""
+    with np.errstate(over="ignore"):
+        return lo + np.arange(bins + 1) * ((hi - lo) / bins)
 
 
 def _edges(bins: int) -> tuple[float, ...]:
@@ -160,11 +165,6 @@ def _edges(bins: int) -> tuple[float, ...]:
 
 def _bin_count(channel, bandwidth_bins: int, snr_bins: int) -> int:
     return 1 if isinstance(channel, ChannelState) else bandwidth_bins * snr_bins
-
-
-def _sub_range(lo: float, hi: float, bins: int, index: int) -> tuple[float, float]:
-    width = (hi - lo) / bins
-    return lo + index * width, lo + (index + 1) * width
 
 
 class PartitionEnv:

@@ -31,6 +31,7 @@ class TinyNet:
         self._params = params = np.concatenate(
             [w.ravel() for w in drawn] + [np.zeros(n) for n in self.sizes[1:]])
         self._grads = np.zeros_like(params)
+        self._step = np.empty_like(params)  # sgd_step's lr * grads
         weights, g_weights, biases, g_biases = [], [], [], []
         offset = 0
         for fan_in, fan_out in zip(self.sizes, self.sizes[1:]):
@@ -94,7 +95,8 @@ class TinyNet:
                 delta *= tanh_grad
 
     def sgd_step(self, lr: float) -> None:
-        self._params -= lr * self._grads
+        np.multiply(self._grads, lr, out=self._step)
+        self._params -= self._step
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:

@@ -19,10 +19,15 @@ blends latency and energy with ``lambda_latency`` after each is scaled.
 The effect value of a decision is the weighted sum of the three
 normalized terms, averaged over devices, and lies in [0, 1] whenever the
 weights sum to 1. The reward used by the optimizer is its additive
-inverse. One array kernel, ``Scenario.effect_kernel``, computes the
-channel-dependent terms and the effects of every device and cut; the
-cost table, ``effect_table``, ``decision_effect`` and the RL env's
-blocks of steps all go through it.
+inverse.
+
+``EffectKernel`` (built once per scenario as ``Scenario.effect_kernel``)
+is the one form of this model. It holds the channel-free terms of every
+device and cut as (devices, cuts) arrays, with both sets of min-max
+bounds, and maps link rates to the communication terms and the effects.
+The cost table, ``effect_table``, ``decision_effect`` and the RL env's
+blocks of steps all read it; only ``comp_cost`` and ``conf_cost`` remain
+as scalar functions, and the kernel is built from them.
 
 ``optimal_decision`` is the exact oracle the learning agents are
 validated against. The effect of a joint decision is the mean of
@@ -136,69 +141,18 @@ class TriCoWeights:
             raise ValueError("lambda_latency must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class TriCoBreakdown:
-    """Raw and normalized costs of one (device, cut) pair."""
-
-    cut_name: str
-    comm_latency_s: float
-    comm_energy_j: float
-    comp_energy_j: float
-    conf_cost: float
-    n_comm: float
-    n_comp: float
-    n_conf: float
-    effect: float
-
-
-@dataclass(frozen=True)
-class CutCosts:
-    """The channel-free cost terms of one device at every candidate cut.
-
-    Only the communication term depends on the channel, so a scenario
-    computes the rest once per device: the per-cut payload, the raw and
-    normalized computation energy, and the confidentiality cost (which is
-    also its normalized term).
-    """
-
-    cut_names: tuple[str, ...]
-    payload_bytes: tuple[int, ...]
-    comp_energy_j: tuple[float, ...]
-    n_comp: tuple[float, ...]
-    conf: tuple[float, ...]
-    tx_power_w: float
-
-    @classmethod
-    def build(
-        cls,
-        dev: DeviceProfile,
-        profile: ModelProfile,
-        table: ConfidentialityTable,
-        weights: TriCoWeights,
-    ) -> "CutCosts":
-        cuts = range(profile.num_candidates)
-        comps = [comp_cost(dev, profile, c) for c in cuts]
-        return cls(
-            cut_names=tuple(profile.cut_name(c) for c in cuts),
-            payload_bytes=tuple(intermediate_bytes(profile, c) for c in cuts),
-            comp_energy_j=tuple(comps),
-            n_comp=tuple(_minmax(comps)),
-            conf=tuple(conf_cost(table, c, weights.alpha_open) for c in cuts),
-            tx_power_w=dev.tx_power_w,
-        )
-
-
 class EffectKernel:
-    """Every device's cost terms at every cut, over arrays of link rates.
+    """A scenario's cost model: every device's terms at every cut, as arrays.
 
-    The per-cut constants of a scenario's ``CutCosts`` are held as
-    (devices, cuts) arrays, and the payload bounds and transmit powers as
-    (devices, 1) columns. Rates of shape (..., devices) map to terms and
-    effects of shape (..., devices, cuts). Every element goes through the
-    scalar float operations of the cost model in their order, and numpy
-    rounds each one as Python floats do, so no result depends on the
-    shape it is computed in. Rates must be positive; callers deal with a
-    zero rate first.
+    The channel-free terms are (devices, cuts) arrays, built once: payload
+    bits, raw computation energy and its per-device min-max, and the
+    confidentiality cost (which is also its normalized term). The payload
+    bounds and transmit powers are (devices, 1) columns. Rates of shape
+    (..., devices) map to communication terms and effects of shape
+    (..., devices, cuts). Every element goes through the scalar float
+    operations of the cost model in their order, and numpy rounds each one
+    as Python floats do, so no result depends on the shape it is computed
+    in. Rates must be positive; callers deal with a zero rate first.
 
     Latency and energy grow with the payload for any positive rate, and
     rounding keeps that order, so the communication min-max bounds are
@@ -207,13 +161,26 @@ class EffectKernel:
     the cuts.
     """
 
-    def __init__(self, cut_costs: tuple[CutCosts, ...], weights: TriCoWeights):
-        self.bits = np.array([costs.payload_bytes for costs in cut_costs]) * 8.0
+    def __init__(self, scenario: Scenario):
+        profile, weights = scenario.profile, scenario.weights
+        cuts = range(profile.num_candidates)
+        self.cut_names = [profile.cut_name(c) for c in cuts]
+        payload = [intermediate_bytes(profile, c) for c in cuts]
+        self.bits = np.array([payload] * scenario.num_devices) * 8.0
         self.bits_lo = self.bits.min(axis=1, keepdims=True)
         self.bits_hi = self.bits.max(axis=1, keepdims=True)
-        self.tx_power_w = np.array([[costs.tx_power_w] for costs in cut_costs])
-        self.comp_terms = weights.w_comp * np.array([costs.n_comp for costs in cut_costs])
-        self.conf_terms = weights.w_conf * np.array([costs.conf for costs in cut_costs])
+        self.tx_power_w = np.array([[dev.tx_power_w] for dev in scenario.devices])
+        self.comp_energy_j = np.array(
+            [[comp_cost(dev, profile, c) for c in cuts] for dev in scenario.devices])
+        comp = self.comp_energy_j
+        # as on Python floats, an infinite energy gives nan, not a warning
+        with np.errstate(invalid="ignore"):
+            self.n_comp = _scaled(comp, comp.min(axis=1, keepdims=True),
+                                  comp.max(axis=1, keepdims=True))
+        conf = [conf_cost(scenario.conf_table, c, weights.alpha_open) for c in cuts]
+        self.conf = np.array([conf] * scenario.num_devices)
+        self.comp_terms = weights.w_comp * self.n_comp
+        self.conf_terms = weights.w_conf * self.conf
         self.weights = weights
 
     def comm_terms(self, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -234,7 +201,8 @@ class EffectKernel:
         return lat, en, lam * n_lat + (1.0 - lam) * n_en
 
     def __call__(self, rates: np.ndarray) -> np.ndarray:
-        """The effect of every device and cut: ``effect_value`` of its terms."""
+        """The effect of every device and cut: the weighted sum
+        w_comm * n_comm + w_comp * n_comp + w_conf * n_conf."""
         n_comm = self.comm_terms(rates)[2]
         return self.weights.w_comm * n_comm + self.comp_terms + self.conf_terms
 
@@ -275,17 +243,9 @@ class Scenario:
         return self.profile.num_candidates
 
     @cached_property
-    def cut_costs(self) -> tuple[CutCosts, ...]:
-        """Per-device channel-free cost terms, computed on first use."""
-        return tuple(
-            CutCosts.build(dev, self.profile, self.conf_table, self.weights)
-            for dev in self.devices
-        )
-
-    @cached_property
     def effect_kernel(self) -> EffectKernel:
         """The effect of every device and cut over link rates, built on first use."""
-        return EffectKernel(self.cut_costs, self.weights)
+        return EffectKernel(self)
 
     def resolved_channels(self) -> tuple[ChannelState, ...]:
         return tuple(resolve_channel(ch) for ch in self.channels)
@@ -317,20 +277,6 @@ def conf_cost(table: ConfidentialityTable, cut: int, alpha_open: float = 0.5) ->
     return min(1.0, max(0.0, 1.0 - ratio))
 
 
-def _minmax(values: list[float]) -> list[float]:
-    """Min-max scale to [0, 1]; a degenerate range maps everything to 0."""
-    lo, hi = min(values), max(values)
-    if hi == lo:
-        return [0.0 for _ in values]
-    return [(v - lo) / (hi - lo) for v in values]
-
-
-def effect_value(
-    weights: TriCoWeights, n_comm: float, n_comp: float, n_conf: float
-) -> float:
-    return weights.w_comm * n_comm + weights.w_comp * n_comp + weights.w_conf * n_conf
-
-
 def link_rates(
     scenario: Scenario, channels: tuple[ChannelState, ...] | None = None
 ) -> np.ndarray:
@@ -343,25 +289,6 @@ def link_rates(
     if min(rates) <= 0:
         raise ZeroRateError("link rate is zero, transmission infeasible")
     return np.array(rates)
-
-
-def scenario_breakdowns(
-    scenario: Scenario, channels: tuple[ChannelState, ...] | None = None
-) -> list[list[TriCoBreakdown]]:
-    """Per-device candidate cost tables, with distributions at their means
-    unless concrete channels are supplied."""
-    terms = scenario.effect_kernel.comm_terms(link_rates(scenario, channels))
-    w = scenario.weights
-    return [
-        [
-            TriCoBreakdown(name, lat, en, comp_j, conf, n_comm, n_comp, conf,
-                           effect_value(w, n_comm, n_comp, conf))
-            for name, lat, en, n_comm, comp_j, n_comp, conf in zip(
-                costs.cut_names, lats, ens, n_comms,
-                costs.comp_energy_j, costs.n_comp, costs.conf)
-        ]
-        for costs, lats, ens, n_comms in zip(scenario.cut_costs, *(t.tolist() for t in terms))
-    ]
 
 
 def effect_table(
@@ -469,24 +396,23 @@ COST_TABLE_HEADER = (
 )
 
 
-def format_cost_table(
-    scenario: Scenario, tables: list[list[TriCoBreakdown]] | None = None
-) -> str:
-    """CSV cost table, one row per (device, candidate cut).
+def format_cost_table(scenario: Scenario) -> str:
+    """CSV cost table, one row per (device, candidate cut), with
+    distributions at their means.
 
     Floats use shortest round-trip decimal formatting, so re-running a
     scenario reproduces the file byte for byte.
     """
-    if tables is None:
-        tables = scenario_breakdowns(scenario)
+    kernel = scenario.effect_kernel
+    rates = link_rates(scenario)
+    lat, en, n_comm = kernel.comm_terms(rates)
+    # in header order; the confidentiality cost is also its normalized term
+    columns = (lat, en, kernel.comp_energy_j, kernel.conf, n_comm, kernel.n_comp,
+               kernel.conf, kernel(rates))
     lines = [COST_TABLE_HEADER]
-    for dev, rows in zip(scenario.devices, tables):
-        for r in rows:
-            lines.append(
-                f"{dev.id},{r.cut_name},{r.comm_latency_s!r},{r.comm_energy_j!r},"
-                f"{r.comp_energy_j!r},{r.conf_cost!r},{r.n_comm!r},{r.n_comp!r},"
-                f"{r.n_conf!r},{r.effect!r}"
-            )
+    for dev, *rows in zip(scenario.devices, *(c.tolist() for c in columns)):
+        for name, *values in zip(kernel.cut_names, *rows):
+            lines.append(",".join([dev.id, name, *map(repr, values)]))
     return "\n".join(lines) + "\n"
 
 

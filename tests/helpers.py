@@ -17,13 +17,19 @@ from splitcvl.errors import (
     ZeroVectorError,
 )
 from splitcvl.netmodel import (
+    ChannelDistribution,
     ChannelState,
     device_from_kind,
     resolve_channel,
     shannon_rate,
     snr_db_to_linear,
 )
-from splitcvl.nnprofile import PROFILE_HEADER, LayerProfile, ModelProfile
+from splitcvl.nnprofile import (
+    PROFILE_HEADER,
+    LayerProfile,
+    ModelProfile,
+    intermediate_bytes,
+)
 from splitcvl.privmetrics import C1, C2, WINDOW, histogram_of, kl_divergence, ssim
 from splitcvl.retrieval import (
     METRIC_NAMES,
@@ -41,12 +47,12 @@ from splitcvl.rlopt.agents import (
 from splitcvl.rlopt.env import ReplayBuffer
 from splitcvl.rlopt.nets import TinyNet
 from splitcvl.trico import (
+    COST_TABLE_HEADER,
     ConfEntry,
     ConfidentialityTable,
     Scenario,
     TriCoWeights,
     decision_effect,
-    effect_value,
 )
 
 
@@ -135,6 +141,24 @@ def grid_bin(grid, u_bw, u_snr):
     return ibw * grid.snr_bins + isnr
 
 
+def bin_channel(grid, b):
+    """Bin ``b`` of an env channel grid as its own distribution: the
+    ``b``-th of the grid's equal sub-ranges, the bandwidth bin major, on
+    Python floats."""
+    if grid.fixed:
+        return grid.channel
+
+    def sub_range(lo, hi, bins, index):
+        width = (hi - lo) / bins
+        return lo + index * width, lo + (index + 1) * width
+
+    ibw, isnr = divmod(b, grid.snr_bins)
+    return ChannelDistribution(
+        sub_range(*grid.channel.bandwidth_range, grid.bandwidth_bins, ibw),
+        sub_range(*grid.channel.snr_range_db, grid.snr_bins, isnr),
+    )
+
+
 def record_path_state(env, draws):
     """State of a fresh draw for every device, two of the uniforms
     ``draws`` per drawn channel, each binned by ``grid_bin``: the state
@@ -151,7 +175,7 @@ def record_path_reward(env, state, action, draws):
     reward of a block row whose channel columns hold the same uniforms."""
     channels = tuple(
         grid.channel if grid.fixed
-        else ChannelState(*channel_at(grid.bins[b], next(draws), next(draws)))
+        else ChannelState(*channel_at(bin_channel(grid, b), next(draws), next(draws)))
         for grid, b in zip(env.grids, env.decode_state(state))
     )
     try:
@@ -164,7 +188,8 @@ def evaluate_action(env, state, action):
     """Effect of an action of a ``PartitionEnv`` under the state's
     bin-midpoint channels; 1.0, the worst, where a link has zero rate."""
     bins = env.decode_state(state)
-    channels = tuple(resolve_channel(grid.bins[b]) for grid, b in zip(env.grids, bins))
+    channels = tuple(resolve_channel(bin_channel(grid, b))
+                     for grid, b in zip(env.grids, bins))
     try:
         return decision_effect(env.scenario, env.decode_action(action), channels)
     except ZeroRateError:
@@ -277,6 +302,35 @@ def random_scenario(rng, max_devices=3):
         lambda_latency=float(rng.uniform(0, 1)),
     )
     return Scenario(tuple(devices), tuple(channels), profile, table, weights)
+
+
+def random_fleet(rng, case):
+    """A ``random_scenario`` of 1 to 8 devices, each on a fixed channel
+    (now and then of zero SNR) or a distribution (now and then of zero
+    width). ``case % 4`` of 1 makes every prefix FLOPs count equal, 2
+    every payload, 3 every KL zero; 0 changes nothing."""
+    scenario = random_scenario(rng, max_devices=8)
+    channels = []
+    for ch in scenario.channels:
+        u = rng.random()
+        if u < 0.05:
+            ch = ChannelState(ch.bandwidth_hz, 0.0)
+        elif u > 0.5:
+            lo, lo_db = float(rng.uniform(1e6, 20e6)), float(rng.uniform(-20.0, 20.0))
+            hi = lo if u > 0.9 else lo * float(rng.uniform(1.0, 5.0))
+            hi_db = lo_db if u > 0.9 else lo_db + float(rng.uniform(0.0, 25.0))
+            ch = ChannelDistribution((lo, hi), (lo_db, hi_db))
+        channels.append(ch)
+    profile, table = scenario.profile, scenario.conf_table
+    byte_sizes = [layer.out_bytes for layer in profile.layers]
+    flops = [layer.flops for layer in profile.layers]
+    if case % 4 == 1:
+        profile = synthetic_profile(byte_sizes, [flops[0]] + [0] * (len(flops) - 1))
+    elif case % 4 == 2:
+        profile = synthetic_profile([byte_sizes[0]] * len(byte_sizes), flops)
+    elif case % 4 == 3:
+        table = ConfidentialityTable((ConfEntry(0.0, 0.0),) * len(table.entries))
+    return Scenario(scenario.devices, tuple(channels), profile, table, scenario.weights)
 
 
 class BanditEnv:
@@ -400,30 +454,80 @@ def dqn_reference(env, steps, hyper, seed):
     return net, effects
 
 
-def scalar_comm_terms(costs, weights, rate_bps, cut):
-    """(latency_s, energy_j, n_comm) of one cut of one device's ``CutCosts``
-    over a link of ``rate_bps``, on Python floats: the float code the
-    array kernel replaced, operation by operation."""
+def scalar_cut_terms(dev, profile, table, weights):
+    """(payload bits, comp energy, n_comp, conf cost) of one device at
+    every cut, as lists on Python floats, recomputed from the layers."""
+    bits, comps, confs = [], [], []
+    kl_max = max(max(e.kl_open, e.kl_closed) for e in table.entries)
+    a = weights.alpha_open
+    for c in range(profile.num_candidates):
+        layer_index = profile.partition_candidates[c]
+        layer = profile.layers[layer_index]
+        bits.append(layer.out_elements * layer.bytes_per_element * 8.0)
+        flops = sum(x.flops for x in profile.layers[:layer_index + 1])
+        comps.append(flops / dev.peak_flops * dev.compute_power_w)
+        e = table.entries[c]
+        confs.append(1.0 if kl_max == 0.0 else min(
+            1.0, max(0.0, 1.0 - (a * e.kl_open + (1.0 - a) * e.kl_closed) / kl_max)))
+    lo, hi = min(comps), max(comps)
+    n_comps = [0.0 if hi == lo else (x - lo) / (hi - lo) for x in comps]
+    return bits, comps, n_comps, confs
+
+
+def scalar_comm_terms(dev, profile, weights, rate_bps, cut):
+    """(latency_s, energy_j, n_comm) of one cut of one device over a link
+    of ``rate_bps``, on Python floats: the float code the array kernel
+    replaced, operation by operation."""
+    bits = [intermediate_bytes(profile, c) * 8.0 for c in range(profile.num_candidates)]
+    return _comm_terms(bits, dev.tx_power_w, weights.lambda_latency, rate_bps, cut)
+
+
+def _comm_terms(bits, tx_power, lam, rate_bps, cut):
     if rate_bps <= 0:
         raise ZeroRateError("link rate is zero, transmission infeasible")
-    bits = [b * 8.0 for b in costs.payload_bytes]
     lat = bits[cut] / rate_bps
     lat_lo = min(bits) / rate_bps
     lat_hi = max(bits) / rate_bps
-    tx_power = costs.tx_power_w
     en = tx_power * lat
     en_lo = tx_power * lat_lo
     en_hi = tx_power * lat_hi
     n_lat = 0.0 if lat_hi == lat_lo else (lat - lat_lo) / (lat_hi - lat_lo)
     n_en = 0.0 if en_hi == en_lo else (en - en_lo) / (en_hi - en_lo)
-    lam = weights.lambda_latency
     return lat, en, lam * n_lat + (1.0 - lam) * n_en
 
 
-def scalar_effect(costs, weights, rate_bps, cut):
-    """Effect of one cut over a link of ``rate_bps``, on Python floats."""
-    n_comm = scalar_comm_terms(costs, weights, rate_bps, cut)[2]
-    return effect_value(weights, n_comm, costs.n_comp[cut], costs.conf[cut])
+def scalar_effect(dev, profile, table, weights):
+    """``effect(rate_bps, cut)`` of one device, on Python floats: the
+    weighted sum of the cut's n_comm, as ``scalar_comm_terms`` computes
+    it, and the device's ``scalar_cut_terms``, which are computed once."""
+    bits, _, n_comps, confs = scalar_cut_terms(dev, profile, table, weights)
+
+    def effect(rate_bps, cut):
+        n_comm = _comm_terms(bits, dev.tx_power_w, weights.lambda_latency, rate_bps, cut)[2]
+        return (weights.w_comm * n_comm + weights.w_comp * n_comps[cut]
+                + weights.w_conf * confs[cut])
+
+    return effect
+
+
+def reference_cost_table(scenario):
+    """``format_cost_table`` of a scenario on Python floats, one row at a
+    time from ``scalar_cut_terms``, ``scalar_comm_terms`` and
+    ``scalar_effect``; ZeroRateError if a mean-channel link has zero rate."""
+    rates = [shannon_rate(resolve_channel(ch)) for ch in scenario.channels]
+    if min(rates) <= 0:
+        raise ZeroRateError("link rate is zero, transmission infeasible")
+    profile, table, weights = scenario.profile, scenario.conf_table, scenario.weights
+    lines = [COST_TABLE_HEADER]
+    for dev, rate in zip(scenario.devices, rates):
+        _, comps, n_comps, confs = scalar_cut_terms(dev, profile, table, weights)
+        effect = scalar_effect(dev, profile, table, weights)
+        for c in range(profile.num_candidates):
+            lat, en, n_comm = scalar_comm_terms(dev, profile, weights, rate, c)
+            values = (lat, en, comps[c], confs[c], n_comm, n_comps[c], confs[c],
+                      effect(rate, c))
+            lines.append(",".join([dev.id, profile.cut_name(c), *map(repr, values)]))
+    return "\n".join(lines) + "\n"
 
 
 class StepEnv:
@@ -433,8 +537,8 @@ class StepEnv:
     ``reset`` draws the state's uniforms, two per drawn channel, and bins
     them with ``bisect_right``. The agent then draws one uniform. ``step``
     draws the step's channel uniforms and as many again that it does not
-    use, maps them to rates with scalars bound per state, and scores the
-    action with ``scalar_effect``.
+    use, maps them to rates with scalars bound per state (each bin's
+    ``bin_channel`` scales), and scores the action with ``scalar_effect``.
     """
 
     def __init__(self, env):
@@ -444,7 +548,10 @@ class StepEnv:
             (g.n_bins, tuple(g.bw_edges.tolist()), g.snr_bins, tuple(g.snr_edges.tolist()))
             for g in drawn)
         self._draws_per_set = 2 * len(drawn)
-        # per state, each device's costs and link: the fixed channel's rate,
+        scenario = env.scenario
+        effects = [scalar_effect(dev, scenario.profile, scenario.conf_table, scenario.weights)
+                   for dev in scenario.devices]
+        # per state, each device's effect and link: the fixed channel's rate,
         # or None, the index of its bandwidth uniform and its bin's
         # (bw_lo, bw_width, db_lo, db_width)
         bin_links = []
@@ -453,12 +560,12 @@ class StepEnv:
             if grid.fixed:
                 bin_links.append([(grid.rate, 0, 0.0, 0.0, 0.0, 0.0)])
             else:
-                bin_links.append([(None, i, *grid.scales[:, b].tolist())
-                                  for b in range(grid.n_bins)])
+                bins = [bin_channel(grid, b) for b in range(grid.n_bins)]
+                bin_links.append([(None, i, *d.bw_scale, *d.db_scale) for d in bins])
                 i += 2
         self._state_links = tuple(
-            tuple((costs, *links[b]) for costs, links, b
-                  in zip(env.scenario.cut_costs, bin_links, env.decode_state(state)))
+            tuple((effect, *links[b]) for effect, links, b
+                  in zip(effects, bin_links, env.decode_state(state)))
             for state in range(env.n_states)
         )
 
@@ -480,13 +587,13 @@ class StepEnv:
         cuts = self.env.decode_action(action).cuts
         effects = []
         try:
-            for (costs, rate, i, bw_lo, bw_width, db_lo, db_width), cut in zip(
+            for (effect, rate, i, bw_lo, bw_width, db_lo, db_width), cut in zip(
                 self._state_links[state], cuts
             ):
                 if rate is None:
                     snr_linear = 10.0 ** ((db_lo + db_width * u[i + 1]) / 10.0)
                     rate = (bw_lo + bw_width * u[i]) * math.log2(1.0 + snr_linear)
-                effects.append(scalar_effect(costs, self.env.scenario.weights, rate, cut))
+                effects.append(effect(rate, cut))
             return -(math.fsum(effects) / len(effects))
         except ZeroRateError:
             return -1.0

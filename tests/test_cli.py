@@ -801,6 +801,27 @@ class TestDeterminism:
             assert len(hashes) == 1, f"{name} output not deterministic"
 
 
+def test_perfbench_unresolved_sites():
+    """The perfbench sites that name nothing in the package, so their
+    layers read zero. A rename or deletion that empties another layer
+    shows up here as a change to this list."""
+    spans = perfbench_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    tracer.uninstall()
+    assert sorted(tracer.missing) == [
+        "splitcvl.cli.brute_force_optimal",
+        "splitcvl.cli.evaluate_cell",
+        "splitcvl.cli.synth_gallery",
+        "splitcvl.retrieval.rank_query_set",
+        "splitcvl.rlopt.env.PartitionEnv.reset",
+        "splitcvl.rlopt.env.PartitionEnv.step",
+        "splitcvl.rlopt.env.decision_effect",
+        "splitcvl.rlopt.env.sample_channel",
+        "splitcvl.trico.scenario_breakdowns",
+    ]
+
+
 @pytest.mark.parametrize("agent", ["q_learning", "dqn"])
 def test_perfbench_traces_every_train_site(agent, tmp_path):
     """perfbench's ``train`` layers wrap these sites by name. The env draws

@@ -23,6 +23,7 @@ from splitcvl.trico import (
 )
 
 from helpers import (
+    bin_channel,
     channel_at,
     env_rows,
     evaluate_action,
@@ -376,7 +377,7 @@ class TestRecordFreeStep:
             draws = iter(uniforms[k + 1:2 * k + 1])
             expected = [
                 shannon_rate(grid.channel if grid.fixed else ChannelState(
-                    *channel_at(grid.bins[b], next(draws), next(draws))))
+                    *channel_at(bin_channel(grid, b), next(draws), next(draws))))
                 for grid, b in zip(env.grids, env.decode_state(state))
             ]
             if outcome is None:

@@ -1,6 +1,6 @@
 """Cost-model checks, including a second, independently coded exhaustive
 enumerator that re-derives the optimum from raw costs without touching the
-package's breakdown tables."""
+package's effect kernel, and a Python-float reference of the cost CSV."""
 
 import dataclasses
 from itertools import permutations, product
@@ -11,11 +11,10 @@ import pytest
 from splitcvl import trico
 from splitcvl.errors import MissingEntryError, ZeroRateError
 from splitcvl.netmodel import ChannelState, device_from_kind, shannon_rate
-from splitcvl.nnprofile import build_resnet50_usam_profile
+from splitcvl.nnprofile import build_resnet50_usam_profile, intermediate_bytes
 from splitcvl.trico import (
     ConfEntry,
     ConfidentialityTable,
-    CutCosts,
     PartitionDecision,
     Scenario,
     TriCoWeights,
@@ -24,18 +23,20 @@ from splitcvl.trico import (
     decision_effect,
     default_conf_table,
     default_scenario,
-    effect_value,
     format_cost_table,
+    link_rates,
     optimal_decision,
-    scenario_breakdowns,
 )
 
 
 from helpers import (
     enumerate_optimum,
     oracle_enumerate,
+    random_fleet,
     random_scenario,
+    reference_cost_table,
     scalar_comm_terms,
+    scalar_effect,
     synthetic_profile,
     tx_energy,
     tx_latency,
@@ -46,6 +47,17 @@ def one_device(dev, profile, ch=ChannelState(1e6, 3.0), table=None):
     """A scenario of one device on one fixed channel, equal weights."""
     table = table or default_conf_table(profile.num_candidates)
     return Scenario((dev,), (ch,), profile, table, TriCoWeights())
+
+
+def cost_rows(scenario):
+    """The rows of a scenario's cost CSV as dicts, numbers as floats."""
+    header, *lines = format_cost_table(scenario).splitlines()
+    names = header.split(",")
+    return [
+        {name: value if name in ("device", "cut_name") else float(value)
+         for name, value in zip(names, line.split(","))}
+        for line in lines
+    ]
 
 
 def comm_terms(dev, profile, rate):
@@ -80,11 +92,11 @@ class TestCommCost:
         profile = build_resnet50_usam_profile(224, 224)
         for kind in ("uav", "vehicle"):
             dev = device_from_kind("d", kind, tx_power_w=float(rng.uniform(0.1, 5.0)))
-            costs = CutCosts.build(dev, profile, default_conf_table(), TriCoWeights())
+            payloads = [intermediate_bytes(profile, c) for c in range(profile.num_candidates)]
             for _ in range(100):
                 rate = float(rng.uniform(1e3, 1e9))
                 lats, ens, _ = comm_terms(dev, profile, rate)
-                for payload, lat, en in zip(costs.payload_bytes, lats, ens, strict=True):
+                for payload, lat, en in zip(payloads, lats, ens, strict=True):
                     assert lat == tx_latency(payload, rate)
                     assert en == tx_energy(dev.tx_power_w, lat)
 
@@ -92,7 +104,7 @@ class TestCommCost:
         dev = device_from_kind("u", "uav")
         profile = build_resnet50_usam_profile(224, 224)
         scenario = one_device(dev, profile, ChannelState(1e6, 0.0))
-        for evaluate in (scenario_breakdowns, trico.effect_table):
+        for evaluate in (format_cost_table, trico.effect_table):
             with pytest.raises(ZeroRateError):
                 evaluate(scenario)
         with pytest.raises(ZeroRateError):
@@ -163,9 +175,9 @@ class TestNormalization:
         dev = device_from_kind("u", "uav")
         ch = ChannelState(1e6, 3.0)
         profile = synthetic_profile([4000, 2000, 1000], flops=[10, 20, 30])
-        rows = scenario_breakdowns(one_device(dev, profile, ch))[0]
-        assert (rows[0].n_comm, rows[0].n_comp) == (1.0, 0.0)
-        assert (rows[2].n_comm, rows[2].n_comp) == (0.0, 1.0)
+        rows = cost_rows(one_device(dev, profile, ch))
+        assert (rows[0]["n_comm"], rows[0]["n_comp"]) == (1.0, 0.0)
+        assert (rows[2]["n_comm"], rows[2]["n_comp"]) == (0.0, 1.0)
 
     def test_midpoint_is_half(self):
         dev = device_from_kind("u", "uav")
@@ -173,9 +185,9 @@ class TestNormalization:
         # per-layer flops [10, 10, 10] make the device-side prefix sums
         # evenly spaced, so the middle candidate sits at 0.5 after scaling
         profile = synthetic_profile([4000, 3000, 2000], flops=[10, 10, 10])
-        rows = scenario_breakdowns(one_device(dev, profile, ch))[0]
-        assert rows[1].n_comm == pytest.approx(0.5)
-        assert rows[1].n_comp == pytest.approx(0.5)
+        rows = cost_rows(one_device(dev, profile, ch))
+        assert rows[1]["n_comm"] == pytest.approx(0.5)
+        assert rows[1]["n_comp"] == pytest.approx(0.5)
 
     def test_degenerate_range_normalizes_to_zero(self):
         dev = device_from_kind("u", "uav")
@@ -183,37 +195,53 @@ class TestNormalization:
         # second layer adds no flops, so both prefix sums and both payload
         # sizes are identical: every range is degenerate
         profile = synthetic_profile([4000, 4000], flops=[10, 0])
-        rows = scenario_breakdowns(one_device(dev, profile, ch))[0]
-        assert all(r.n_comm == 0.0 and r.n_comp == 0.0 for r in rows)
+        rows = cost_rows(one_device(dev, profile, ch))
+        assert all(r["n_comm"] == 0.0 and r["n_comp"] == 0.0 for r in rows)
 
     def test_conf_passes_through(self):
         dev = device_from_kind("u", "uav")
         ch = ChannelState(1e6, 3.0)
         profile = synthetic_profile([4000, 2000], flops=[10, 20])
         table = ConfidentialityTable((ConfEntry(1.0, 1.0), ConfEntry(2.0, 2.0)))
-        rows = scenario_breakdowns(one_device(dev, profile, ch, table))[0]
-        assert rows[0].n_conf == conf_cost(table, 0)
-        assert rows[1].n_conf == conf_cost(table, 1)
+        rows = cost_rows(one_device(dev, profile, ch, table))
+        assert rows[0]["n_conf"] == rows[0]["conf_cost"] == conf_cost(table, 0)
+        assert rows[1]["n_conf"] == rows[1]["conf_cost"] == conf_cost(table, 1)
 
 
 class TestEffect:
     def test_weighted_sum(self):
-        w = TriCoWeights()
-        assert effect_value(w, 0.3, 0.6, 0.0) == pytest.approx(0.3)
+        # each row's effect is w_comm * n_comm + w_comp * n_comp + w_conf *
+        # n_conf of its own columns, in that order, bit for bit
+        rng = np.random.default_rng(26)
+        for _ in range(30):
+            scenario = random_scenario(rng)
+            w = scenario.weights
+            for r in cost_rows(scenario):
+                assert r["effect"] == (
+                    w.w_comm * r["n_comm"] + w.w_comp * r["n_comp"] + w.w_conf * r["n_conf"])
 
     def test_zero_terms(self):
-        assert effect_value(TriCoWeights(), 0, 0, 0) == 0.0
+        # equal payloads and equal prefix FLOPs collapse both ranges, and
+        # every cut at the table's KL maximum costs no confidentiality
+        profile = synthetic_profile([4000, 4000, 4000], flops=[10, 0, 0])
+        table = ConfidentialityTable((ConfEntry(2.0, 2.0),) * 3)
+        rows = cost_rows(one_device(device_from_kind("u", "uav"), profile, table=table))
+        assert [r["effect"] for r in rows] == [0.0, 0.0, 0.0]
 
     def test_single_weight_projects(self):
-        w = TriCoWeights(1.0, 0.0, 0.0)
-        assert effect_value(w, 0.42, 0.9, 0.1) == 0.42
+        rng = np.random.default_rng(28)
+        for _ in range(30):
+            scenario = dataclasses.replace(
+                random_scenario(rng), weights=TriCoWeights(1.0, 0.0, 0.0))
+            rows = cost_rows(scenario)
+            assert [r["effect"] for r in rows] == [r["n_comm"] for r in rows]
 
     def test_effect_kernel_equals_effect_value_of_comm_terms_bit_for_bit(self):
-        # the kernel's effects are effect_value of its comm terms, and the
-        # scalar float code it replaced (helpers.scalar_comm_terms) gives
-        # the same terms; rates span 1 bit/s to 100 Gbit/s, so the payload
-        # bounds also meet rates that make latency and energy large or tiny,
-        # and rates near 1e-310 overflow them to inf
+        # the kernel's comm terms and effects equal the scalar float code it
+        # replaced (helpers.scalar_comm_terms and scalar_effect); rates span
+        # 1 bit/s to 100 Gbit/s, so the payload bounds also meet rates that
+        # make latency and energy large or tiny, and rates near 1e-310
+        # overflow them to inf
         rng = np.random.default_rng(27)
         for case in range(40):
             scenario = random_scenario(rng)
@@ -229,20 +257,22 @@ class TestEffect:
             effects = kernel(rates)
             terms = kernel.comm_terms(rates)
             assert effects.shape == (25, scenario.num_devices, scenario.num_candidates)
+            profile, table, weights = scenario.profile, scenario.conf_table, scenario.weights
+            scalar_effects = [scalar_effect(dev, profile, table, weights)
+                              for dev in scenario.devices]
             for r, row_rates in enumerate(rates.tolist()):
-                for d, (costs, rate) in enumerate(zip(scenario.cut_costs, row_rates)):
+                for d, (dev, rate) in enumerate(zip(scenario.devices, row_rates)):
                     for cut in range(scenario.num_candidates):
-                        expected = scalar_comm_terms(costs, scenario.weights, rate, cut)
+                        expected = scalar_comm_terms(dev, profile, weights, rate, cut)
                         got = tuple(float(t[r, d, cut]) for t in terms)
                         assert [x.hex() for x in got] == [x.hex() for x in expected]
-                        effect = effect_value(
-                            scenario.weights, expected[2], costs.n_comp[cut], costs.conf[cut])
+                        effect = scalar_effects[d](rate, cut)
                         assert float(effects[r, d, cut]).hex() == effect.hex()
 
     def test_channel_count_must_match_devices(self):
         scenario = default_scenario()
         one_channel = scenario.resolved_channels()[:1]
-        for evaluate in (scenario_breakdowns, trico.effect_table):
+        for evaluate in (link_rates, trico.effect_table):
             with pytest.raises(ValueError, match="one channel per device"):
                 evaluate(scenario, one_channel)
 
@@ -379,12 +409,13 @@ class TestTradeOffDirection:
         scenario = default_scenario()
         from splitcvl.nnprofile import device_flops, intermediate_bytes
 
-        tables = scenario_breakdowns(scenario)
-        for rows in tables:
-            for a, b in zip(rows, rows[1:]):
-                assert b.comp_energy_j > a.comp_energy_j
-                assert b.comm_latency_s <= a.comm_latency_s
-                assert b.conf_cost <= a.conf_cost
+        rows = cost_rows(scenario)
+        n = scenario.num_candidates
+        for device_rows in (rows[:n], rows[n:]):
+            for a, b in zip(device_rows, device_rows[1:]):
+                assert b["comp_energy_j"] > a["comp_energy_j"]
+                assert b["comm_latency_s"] <= a["comm_latency_s"]
+                assert b["conf_cost"] <= a["conf_cost"]
         for c in range(4):
             assert device_flops(scenario.profile, c + 1) > device_flops(
                 scenario.profile, c
@@ -414,9 +445,24 @@ class TestCostTable:
         scenario = default_scenario()
         text = format_cost_table(scenario)
         row = text.strip().split("\n")[1].split(",")
-        tables = scenario_breakdowns(scenario)
-        assert float(row[2]) == tables[0][0].comm_latency_s
-        assert float(row[9]) == tables[0][0].effect
+        kernel, rates = scenario.effect_kernel, link_rates(scenario)
+        assert float(row[2]) == kernel.comm_terms(rates)[0][0, 0]
+        assert float(row[9]) == kernel(rates)[0, 0]
+
+    def test_matches_scalar_reference_on_random_fleets(self):
+        # fleets of 1 to 8 devices on fixed channels and distributions,
+        # among them equal prefix FLOPs, equal payloads and all-zero KL
+        # tables, so both min-max ranges and the KL maximum can collapse
+        rng = np.random.default_rng(29)
+        for case in range(200):
+            scenario = random_fleet(rng, case)
+            try:
+                expected = reference_cost_table(scenario)
+            except ZeroRateError:
+                with pytest.raises(ZeroRateError):
+                    format_cost_table(scenario)
+                continue
+            assert format_cost_table(scenario) == expected
 
 
 class TestScenarioValidation:
