@@ -77,6 +77,17 @@ TRACE_DIGESTS = {
     "dqn": "ec9fb9e3e00e59ec5f70f2cd09e38066525790c2c60a69c31d7d7e4a4983d49c",
     "ppo": "ef6493e79877554b7097b723ba99eb1d4f75c43cbd3e6b1c1eefdd1677fdfc88",
 }
+# keyed "agent-seed" on the stock scenario, and "dqn-rows" for seed 7 on
+# 2 bandwidth x 3 SNR bins per device: 36 states, more than a step's 33
+# rows, so DQN runs on the step's rows rather than the feature table.
+# Recorded before TinyNet folded each bias into its layer's weights.
+MORE_TRACE_DIGESTS = {
+    "dqn-0": "2b7cd5d492361d06031cddbdbc3042b6f29b9f824634a7adbeefbbae3d1bd320",
+    "dqn-123": "9c11b771aeb993f984428df44e775ad923959d0fc7ceb837b18b1ddb1dfd6af8",
+    "dqn-rows": "58735505380a672aef33f8dd49d778e9fc77e711b3a9d7212625a4f72e20db58",
+    "ppo-0": "f180e8c5e70b4e90278142f8bee9fb132c63bf034b3d4c7ac313c1cae0b34709",
+    "ppo-123": "e9d0ce5b008d2e94cdb52524543d4d9657347430f309ccec76d926f46f0524ac",
+}
 COMMAND_DIGESTS = {
     "cost": "300cb9d48b0f6df7ae25db4e7840120a91fc48227ecec29c353990a1c9b5bd04",
     "oracle": "6bc6be1b8fe24f3a252086aed04b14198f53dc1ab30927479ee74790923434f1",
@@ -150,6 +161,22 @@ def test_optimize_trace_digest(agent, tmp_path, capsys):
     assert sha256(out) == TRACE_DIGESTS[agent]
 
 
+@needs_platform
+@pytest.mark.parametrize("case", sorted(MORE_TRACE_DIGESTS))
+def test_more_optimize_trace_digests(case, tmp_path):
+    agent, _, seed = case.partition("-")
+    text = CONFIG.read_text().replace("agent: actor_critic", f"agent: {agent}")
+    if seed == "rows":
+        seed = SEED
+        text = text.replace("snr_bins: 2", "bandwidth_bins: 2\n  snr_bins: 3")
+    config = tmp_path / "scenario.yaml"
+    config.write_text(text)
+    out = tmp_path / "trace.csv"
+    argv = ["optimize", "--config", str(config), "--seed", seed, "--out", str(out)]
+    assert main(argv) == 0
+    assert sha256(out) == MORE_TRACE_DIGESTS[case]
+
+
 @pytest.mark.parametrize("command", sorted(COMMAND_DIGESTS))
 def test_command_digest(command, tmp_path):
     out = tmp_path / f"{command}.csv"
@@ -190,6 +217,7 @@ def test_color_privacy_digest(tmp_path):
 AVX2_RERUN = [
     f"{test}[{case}]"
     for test, digests in (("test_optimize_trace_digest", TRACE_DIGESTS),
+                          ("test_more_optimize_trace_digests", MORE_TRACE_DIGESTS),
                           ("test_command_digest", COMMAND_DIGESTS),
                           ("test_retrieval_sim_digest", RETRIEVAL_DIGESTS))
     for case in sorted(digests)
