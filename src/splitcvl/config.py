@@ -458,6 +458,7 @@ def parse_config(text: str, base_dir: Path | None = None) -> ScenarioConfig:
                 conf_table=conf_table,
                 weights=weights,
             )
+            scenario.effect_kernel  # rejects a non-finite cost term
         except ValueError as exc:
             raise ConfigError(f"config: {exc}") from exc
     elif "channels" in root or "confidentiality" in root or "weights" in root:

@@ -270,21 +270,25 @@ def train_actor_critic(
     hyper = hyper or Hyperparams()
     rng = np.random.default_rng(seed)
     logits = np.zeros((env.n_states, env.n_actions))
-    values = np.zeros(env.n_states)
+    rows = list(logits)  # each state's logits, a view bound once
+    values = [0.0] * env.n_states  # Python floats round as float64 arrays do
+    lr, lr_actor, reward_of = hyper.lr, hyper.lr_actor, env.reward
     effects: list[float] = []
     for states, us, outcomes in env.blocks(rng, steps):
         for state, u, outcome in zip(states, us, outcomes):
-            row = logits[state]
-            e = np.exp(row - row.max())
-            probs = e / e.sum()
+            row = rows[state]
+            probs = row - row.max()
+            np.exp(probs, out=probs)
+            probs /= probs.sum()
             action = _draw_action(_action_cdf(probs), u)
-            reward = env.reward(outcome, action)
+            reward = reward_of(outcome, action)
             advantage = reward - values[state]
-            values[state] += hyper.lr * advantage
+            values[state] += lr * advantage
             # one_hot(action) - probs, in place; -p + 1.0 rounds as 1.0 - p
             np.negative(probs, out=probs)
             probs[action] += 1.0
-            logits[state] += hyper.lr_actor * advantage * probs
+            probs *= lr_actor * advantage
+            row += probs
             effects.append(-reward)
     policy = TrainedPolicy(lambda s, logits=logits: int(np.argmax(logits[s])), table=logits)
     return policy, _make_trace(effects, hyper.moving_avg_window)
@@ -327,11 +331,15 @@ def train_dqn(
     on_table = env.n_states <= batch_size + 1
     # row r's Q-value of action a sits at r * n_actions + a of the
     # flattened (rows, n_actions) Q-values. In the table case row s is
-    # state s; otherwise row 0 is the step's state and row r >= 1 the
-    # batch's r-th
+    # state s, so a slot's cell is that whole index; otherwise row 0 is
+    # the step's state and row r >= 1 the batch's r-th, so a slot's cell
+    # is its action and the batch adds its rows' starts
     row_starts = np.arange(1, batch_size + 1) * n_actions
     net = TinyNet((env.feature_dim, *hyper.hidden, env.n_actions), rng)
+    forward, backward, sgd_step = net.forward, net.backward, net.sgd_step
+    reward_of, lr = env.reward, hyper.lr_net
     buffer = ReplayBuffer(capacity)
+    slot_states, cells, rewards = buffer.states, buffer.cells, buffer.rewards
     epsilons = _epsilons(steps, hyper)
     effects: list[float] = []
     for states, us, outcomes in env.blocks(rng, steps):
@@ -344,37 +352,36 @@ def train_dqn(
         highs[heads] = bounds
         slots = explore.integers(0, highs)
         picks = slots[heads].tolist()
-        owns = buffer.slot(pushes)  # each step's own slot
+        owns = buffer.slot(pushes)  # each step's own slot, written in place
         slots[heads] = owns
         for state, outcome, bound, pick, own, head, count in zip(
             states, outcomes, bounds, picks, owns.tolist(), heads.tolist(), counts.tolist()
         ):
             batch = slots[head + 1:head + count]
             if on_table:
-                q, row = net.forward(table), state
+                q, row = forward(table), state
             else:
-                buffer.states[own] = state
-                q = net.forward(table.take(buffer.states[slots[head:head + count]], axis=0))
-                row = 0
+                slot_states[own] = state
+                q, row = forward(table.take(slot_states[slots[head:head + count]], axis=0)), 0
             if bound > 1:
                 action = pick
             else:
                 action = int(q[row].argmax())
                 if not math.isfinite(q[row, action]):
                     raise NonFiniteError(_Q_DIVERGED)
-            reward = env.reward(outcome, action)
-            buffer.push(state, action, reward)
-            # read after the push: the batch may hold the step's own slot
-            starts = buffer.states[batch] * n_actions if on_table else row_starts[:count - 1]
-            picked = starts + buffer.actions[batch]
+            reward = reward_of(outcome, action)
+            cells[own] = state * n_actions + action if on_table else action
+            rewards[own] = reward
+            # read after the writes: the batch may hold the step's own slot
+            picked = cells[batch] if on_table else row_starts[:count - 1] + cells[batch]
             td = q.take(picked)  # a copy, scaled in place to 2 * (q - r) / rows
-            td -= buffer.rewards[batch]
+            td -= rewards[batch]
             # the halved divisor is exact, so this rounds once, as
             # doubling (exact) and then dividing by the rows does
             td /= (count - 1) / 2
             # on the table, a state-action pair drawn twice sums its TD errors
-            net.backward(np.bincount(picked, td, q.size).reshape(-1, n_actions))
-            net.sgd_step(hyper.lr_net)
+            backward(np.bincount(picked, td, q.size).reshape(-1, n_actions))
+            sgd_step(lr)
             effects.append(-reward)
     if not np.isfinite(net.forward(table)).all():
         raise NonFiniteError(_Q_DIVERGED)

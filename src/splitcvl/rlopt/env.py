@@ -64,11 +64,12 @@ BLOCK_STEPS = 256
 
 
 class ReplayBuffer:
-    """Bounded FIFO of transitions, stored field by field in a ring.
+    """Bounded FIFO of DQN's transitions, stored field by field in a ring.
 
-    The t-th push (counting from 0) lands in ``slot(t)``, so a sampler
-    can pick slots ahead of the pushes and read a batch's fields as
-    arrays.
+    Per slot: the state, the cell (the flat index of the transition's
+    Q-value that its TD error reads) and the reward. The t-th transition
+    (counting from 0) goes to ``slot(t)``, so a sampler can pick slots
+    ahead of the writes and read a batch's fields as arrays.
     """
 
     def __init__(self, capacity: int):
@@ -76,21 +77,12 @@ class ReplayBuffer:
             raise ValueError("replay capacity must be >= 1")
         self.capacity = capacity
         self.states = np.zeros(capacity, dtype=np.int64)
-        self.actions = np.zeros(capacity, dtype=np.int64)
+        self.cells = np.zeros(capacity, dtype=np.int64)
         self.rewards = np.zeros(capacity)
-        self._pushes = 0
 
     def slot(self, t):
-        """Slot of the t-th push; ``t`` may be an integer array."""
+        """Slot of the t-th transition; ``t`` may be an integer array."""
         return t % self.capacity
-
-    def push(self, state: int, action: int, reward: float) -> None:
-        i = self.slot(self._pushes)
-        self.states[i], self.actions[i], self.rewards[i] = state, action, reward
-        self._pushes += 1
-
-    def __len__(self) -> int:
-        return min(self._pushes, self.capacity)
 
 
 class _ChannelGrid:

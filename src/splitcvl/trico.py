@@ -153,6 +153,10 @@ class EffectKernel:
     operations of the cost model in their order, and numpy rounds each one
     as Python floats do, so no result depends on the shape it is computed
     in. Rates must be positive; callers deal with a zero rate first.
+    A non-finite channel-free term (a computation energy that overflows,
+    say, from a subnormal ``peak_flops``) raises ValueError naming the
+    device, the term and the cut: its min-max would read inf == inf as a
+    degenerate range, or give nan.
 
     Latency and energy grow with the payload for any positive rate, and
     rounding keeps that order, so the communication min-max bounds are
@@ -166,19 +170,26 @@ class EffectKernel:
         cuts = range(profile.num_candidates)
         self.cut_names = [profile.cut_name(c) for c in cuts]
         payload = [intermediate_bytes(profile, c) for c in cuts]
-        self.bits = np.array([payload] * scenario.num_devices) * 8.0
+        # an overflow to inf is rejected below, with the other terms
+        with np.errstate(over="ignore"):
+            self.bits = np.array([payload] * scenario.num_devices, dtype=np.float64) * 8.0
         self.bits_lo = self.bits.min(axis=1, keepdims=True)
         self.bits_hi = self.bits.max(axis=1, keepdims=True)
         self.tx_power_w = np.array([[dev.tx_power_w] for dev in scenario.devices])
-        self.comp_energy_j = np.array(
+        self.comp_energy_j = comp = np.array(
             [[comp_cost(dev, profile, c) for c in cuts] for dev in scenario.devices])
-        comp = self.comp_energy_j
-        # as on Python floats, an infinite energy gives nan, not a warning
-        with np.errstate(invalid="ignore"):
-            self.n_comp = _scaled(comp, comp.min(axis=1, keepdims=True),
-                                  comp.max(axis=1, keepdims=True))
         conf = [conf_cost(scenario.conf_table, c, weights.alpha_open) for c in cuts]
         self.conf = np.array([conf] * scenario.num_devices)
+        for term, values in (("payload bits", self.bits), ("computation energy", comp),
+                             ("confidentiality cost", self.conf)):
+            bad = np.argwhere(~np.isfinite(values))
+            if bad.size:
+                d, c = bad[0].tolist()
+                raise ValueError(
+                    f"device {scenario.devices[d].id!r}: {term} at cut "
+                    f"{self.cut_names[c]!r} is {float(values[d, c])!r}, not a finite number")
+        self.n_comp = _scaled(comp, comp.min(axis=1, keepdims=True),
+                              comp.max(axis=1, keepdims=True))
         self.comp_terms = weights.w_comp * self.n_comp
         self.conf_terms = weights.w_conf * self.conf
         self.weights = weights

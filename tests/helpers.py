@@ -417,7 +417,8 @@ def tabular_reference(name, env, steps, hyper, seed, bootstrap=False):
 def dqn_reference(env, steps, hyper, seed):
     """(net, effects) of DQN one step at a time: a greedy step runs the
     Q-network on its state alone, and the replay batch is one
-    ``integers(0, len(buffer), size=rows)`` call after the step's push,
+    ``integers(0, size, size=rows)`` call after the step's push, ``size``
+    being the buffer's length,
     then a forward on the batch's states."""
     rng, explore = _generators(seed)
     table = _feature_table(env)
@@ -428,7 +429,8 @@ def dqn_reference(env, steps, hyper, seed):
     net = TinyNet((env.feature_dim, *hyper.hidden, env.n_actions), rng)
     buffer = ReplayBuffer(hyper.replay_capacity)
     effects = []
-    for eps, (state, u, outcome) in zip(_epsilons(steps, hyper), env_rows(env, rng, steps)):
+    rows = zip(_epsilons(steps, hyper), env_rows(env, rng, steps))
+    for t, (eps, (state, u, outcome)) in enumerate(rows):
         if u < eps:
             action = int(explore.integers(n_actions))
         else:
@@ -437,11 +439,14 @@ def dqn_reference(env, steps, hyper, seed):
             if not math.isfinite(q_row[action]):
                 raise NonFiniteError(_Q_DIVERGED)
         reward = env.reward(outcome, action)
-        buffer.push(state, action, reward)
-        batch_size = min(hyper.batch_size, len(buffer))
-        idx = explore.integers(0, len(buffer), size=batch_size)
+        # a slot's cell is its action: the batch's rows follow the draw
+        slot = buffer.slot(t)
+        buffer.states[slot], buffer.cells[slot], buffer.rewards[slot] = state, action, reward
+        size = min(t + 1, hyper.replay_capacity)
+        batch_size = min(hyper.batch_size, size)
+        idx = explore.integers(0, size, size=batch_size)
         q = net.forward(table[buffer.states[idx]])
-        picked = row_starts[:batch_size] + buffer.actions[idx]
+        picked = row_starts[:batch_size] + buffer.cells[idx]
         td = q.take(picked)
         td -= buffer.rewards[idx]
         td *= 2.0

@@ -213,6 +213,47 @@ def test_non_finite_config_number_exits_2(case, command, tmp_path, capsys):
     assert key_path in captured.err
 
 
+# each input is finite, but FLOPs / peak_flops overflows to inf
+NON_FINITE_COST_TERMS = {
+    "peak_flops_1e-300": (
+        "device 'uav1': computation energy at cut 'conv1' is inf",
+        QUICK_CONFIG.replace("{id: uav1, kind: uav}", "{id: uav1, kind: uav, peak_flops: 1.0e-300}"),
+    ),
+    "peak_flops_1e-310": (
+        "device 'uav1': computation energy at cut 'conv1' is inf",
+        QUICK_CONFIG.replace("{id: uav1, kind: uav}", "{id: uav1, kind: uav, peak_flops: 1.0e-310}"),
+    ),
+    # a zero-FLOP first layer costs 0.0 where the others cost inf, which
+    # min-max scaled to nan
+    "zero_flop_first_layer": (
+        "device 'u1': computation energy at cut 'l1' is inf",
+        "devices:\n  - {id: u1, kind: uav, peak_flops: 1.0e-310}\n"
+        "channels:\n  u1: {fixed: {bandwidth_hz: 2.0e6, snr_db: 10.0}}\n"
+        "model: {profile_file: prof.csv}\n"
+        "optimizer: {agent: q_learning, steps: 20}\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["cost", "oracle", "optimize"])
+@pytest.mark.parametrize("case", sorted(NON_FINITE_COST_TERMS))
+def test_non_finite_cost_term_exits_2(case, command, tmp_path, capsys):
+    from splitcvl.nnprofile import LayerProfile, ModelProfile
+
+    message, text = NON_FINITE_COST_TERMS[case]
+    layers = (LayerProfile("l0", 0, 100, 4), LayerProfile("l1", 1000, 50, 4),
+              LayerProfile("l2", 1000, 20, 4))
+    save_profile(ModelProfile(layers, (0, 1, 2)), tmp_path / "prof.csv")
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.count("\n") == 1
+    assert f"{message}, not a finite number" in captured.err
+
+
 QUICK_OPTIMIZER = "optimizer: {agent: q_learning, steps: 200, seed: 7}"
 FIVE_ROW_TABLE = "confidentiality: {table: [%s]}\n" % ", ".join(
     ["{kl_open: 1.0, kl_closed: 1.0, ssim_open: abc}"]

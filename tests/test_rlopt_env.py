@@ -419,30 +419,34 @@ class TestBlockDraw:
 
 
 class TestReplayBuffer:
-    """DQN picks its batch's slots ahead of the pushes, so a push's slot
-    must follow from its count alone."""
+    """DQN picks its batch's slots ahead of the writes, so a transition's
+    slot must follow from its count alone."""
+
+    @staticmethod
+    def write(buf, t, state, cell, reward):
+        i = buf.slot(t)
+        buf.states[i], buf.cells[i], buf.rewards[i] = state, cell, reward
 
     def test_fifo_eviction(self):
         buf = ReplayBuffer(2)
         for i in range(5):
-            buf.push(i, 0, 0.0)
-        assert len(buf) == 2
+            self.write(buf, i, i, 0, 0.0)
         assert set(buf.states.tolist()) == {3, 4}
 
     def test_capacity_one_always_latest(self):
         buf = ReplayBuffer(1)
         for i in range(10):
-            buf.push(i, 0, 0.0)
-            assert (len(buf), buf.states.tolist()) == (1, [i])
+            self.write(buf, i, i, 0, 0.0)
+            assert buf.states.tolist() == [i]
 
     def test_push_t_lands_in_slot_t_mod_capacity(self):
         buf = ReplayBuffer(7)
+        assert buf.slot(np.arange(30)).tolist() == [t % 7 for t in range(30)]
         for t in range(30):
-            buf.push(t, t % 5, -t / 100)
+            self.write(buf, t, t, t % 5, -t / 100)
             slot = t % 7
-            assert (buf.states[slot], buf.actions[slot], buf.rewards[slot]) == (
+            assert (buf.states[slot], buf.cells[slot], buf.rewards[slot]) == (
                 t, t % 5, -t / 100)
-            assert len(buf) == min(t + 1, 7)
 
     def test_zero_capacity_rejected(self):
         with pytest.raises(ValueError):

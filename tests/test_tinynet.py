@@ -123,6 +123,83 @@ class TestBackwardMechanics:
         assert losses[-1] < 0.5 * losses[0]
 
 
+def reference_forward(net, x):
+    """The net's function from its weight and bias views, on plain numpy."""
+    a = np.atleast_2d(x)
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        a = np.tanh(a @ w + b)
+    return a @ net.weights[-1] + net.biases[-1]
+
+
+class TestLayout:
+    """Each layer is one [W; b] block, run on reused per-batch buffers."""
+
+    def test_writes_through_weights_and_biases_change_forward(self):
+        rng = np.random.default_rng(30)
+        net = TinyNet((3, 5, 4, 2), rng)
+        x = rng.standard_normal((6, 3))
+        before = net.forward(x)
+        for i in range(3):
+            net.weights[i][0, 1] += 0.5
+            after = net.forward(x)
+            assert not np.array_equal(after, before)
+            assert np.allclose(after, reference_forward(net, x))
+            net.biases[i][1] -= 0.25
+            before = net.forward(x)
+            assert not np.array_equal(after, before)
+            assert np.allclose(before, reference_forward(net, x))
+
+    def test_second_forward_leaves_first_output_intact(self):
+        rng = np.random.default_rng(31)
+        net = TinyNet((3, 6, 2), rng)
+        x, y = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
+        first = net.forward(x)
+        kept = first.copy()
+        net.forward(y)
+        net.forward(y[:2])
+        assert np.array_equal(first, kept)
+
+    def test_forward_on_fewer_rows_than_an_earlier_batch(self):
+        rng = np.random.default_rng(32)
+        net = TinyNet((4, 7, 3, 5), rng)
+        net.forward(rng.standard_normal((9, 4)))
+        for n in (1, 3, 9, 2):
+            x = rng.standard_normal((n, 4))
+            assert np.allclose(net.forward(x), reference_forward(net, x))
+        x = rng.standard_normal(4)  # one sample, promoted to a batch
+        assert np.allclose(net.forward(x), reference_forward(net, x))
+
+    @pytest.mark.parametrize("before", [(), (9,), (2,), (9, 2, 5), (1, 12)])
+    def test_backward_uses_the_last_forward(self, before):
+        rng = np.random.default_rng(33)
+        sizes = (4, 6, 5, 3)
+        net = TinyNet(sizes, np.random.default_rng(34))
+        fresh = TinyNet(sizes, np.random.default_rng(34))
+        for n in before:
+            net.forward(rng.standard_normal((n, 4)))
+        x, g = rng.standard_normal((5, 4)), rng.standard_normal((5, 3))
+        net.forward(x)
+        net.backward(g)
+        fresh.forward(x)
+        fresh.backward(g)
+        assert flat_grads(net).tobytes() == flat_grads(fresh).tobytes()
+
+    def test_buffer_memory_stays_at_the_largest_batch(self):
+        rng = np.random.default_rng(35)
+        sizes = (4, 8, 6, 3)
+        largest = TinyNet(sizes, rng)
+        largest.forward(np.zeros((12, 4)))
+        nbytes = sum(b.nbytes for b in largest._buffers)
+        net = TinyNet(sizes, rng)
+        for n in list(range(1, 13)) + list(range(12, 0, -1)):
+            net.forward(np.zeros((n, 4)))
+            net.backward(np.ones((n, 3)))
+        assert sum(b.nbytes for b in net._buffers) == nbytes
+        # the views of every row count read the one buffer set
+        for views in net._views.values():
+            assert any(np.shares_memory(views[0], b) for b in net._buffers)
+
+
 class TestSoftmax:
     def test_rows_sum_to_one(self):
         z = np.random.default_rng(17).standard_normal((5, 7))

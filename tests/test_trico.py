@@ -493,6 +493,22 @@ class TestScenarioValidation:
                 TriCoWeights(),
             )
 
+    @pytest.mark.parametrize("case", ["payload", "comp"])
+    def test_kernel_rejects_non_finite_terms(self, case):
+        # 3e307 elements of 4 bytes is 9.6e308 bits; 1e-310 FLOP/s makes
+        # every cut after the zero-FLOP first one cost inf
+        sizes, peak, term, cut = {
+            "payload": ([100, 12 * 10**307], 1e12, "payload bits", "l1"),
+            "comp": ([100, 50, 25], 1e-310, "computation energy", "l1"),
+        }[case]
+        profile = synthetic_profile(sizes, flops=[0] + [10] * (len(sizes) - 1))
+        devices = (device_from_kind("u", "uav"), device_from_kind("v", "vehicle", peak_flops=peak))
+        scenario = Scenario(devices, (ChannelState(1e6, 1.0),) * 2, profile,
+                            default_conf_table(len(sizes)), TriCoWeights())
+        message = f"device {'u' if case == 'payload' else 'v'!r}: {term} at cut {cut!r} is inf"
+        with pytest.raises(ValueError, match=message):
+            scenario.effect_kernel
+
     def test_weights_validation(self):
         with pytest.raises(ValueError):
             TriCoWeights(0.5, 0.5, 0.5)
