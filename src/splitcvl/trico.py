@@ -169,10 +169,9 @@ class EffectKernel:
         profile, weights = scenario.profile, scenario.weights
         cuts = range(profile.num_candidates)
         self.cut_names = [profile.cut_name(c) for c in cuts]
-        payload = [intermediate_bytes(profile, c) for c in cuts]
-        # an overflow to inf is rejected below, with the other terms
-        with np.errstate(over="ignore"):
-            self.bits = np.array([payload] * scenario.num_devices, dtype=np.float64) * 8.0
+        # Python floats: bits that overflow read inf, which is rejected below
+        bits = [intermediate_bytes(profile, c) * 8.0 for c in cuts]
+        self.bits = np.array([bits] * scenario.num_devices)
         self.bits_lo = self.bits.min(axis=1, keepdims=True)
         self.bits_hi = self.bits.max(axis=1, keepdims=True)
         self.tx_power_w = np.array([[dev.tx_power_w] for dev in scenario.devices])
@@ -182,9 +181,8 @@ class EffectKernel:
         self.conf = np.array([conf] * scenario.num_devices)
         for term, values in (("payload bits", self.bits), ("computation energy", comp),
                              ("confidentiality cost", self.conf)):
-            bad = np.argwhere(~np.isfinite(values))
-            if bad.size:
-                d, c = bad[0].tolist()
+            if not np.isfinite(values).all():
+                d, c = np.argwhere(~np.isfinite(values))[0].tolist()
                 raise ValueError(
                     f"device {scenario.devices[d].id!r}: {term} at cut "
                     f"{self.cut_names[c]!r} is {float(values[d, c])!r}, not a finite number")

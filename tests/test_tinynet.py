@@ -131,6 +131,13 @@ def reference_forward(net, x):
     return a @ net.weights[-1] + net.biases[-1]
 
 
+def matches_reference(net, x):
+    """Forward equals the reference but for rounding: a bias folded into
+    the product can round each element apart by a few ulps."""
+    out, ref = net.forward(x), reference_forward(net, x)
+    return out.shape == ref.shape and np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 class TestLayout:
     """Each layer is one [W; b] block, run on reused per-batch buffers."""
 
@@ -143,11 +150,11 @@ class TestLayout:
             net.weights[i][0, 1] += 0.5
             after = net.forward(x)
             assert not np.array_equal(after, before)
-            assert np.allclose(after, reference_forward(net, x))
+            assert matches_reference(net, x)
             net.biases[i][1] -= 0.25
             before = net.forward(x)
             assert not np.array_equal(after, before)
-            assert np.allclose(before, reference_forward(net, x))
+            assert matches_reference(net, x)
 
     def test_second_forward_leaves_first_output_intact(self):
         rng = np.random.default_rng(31)
@@ -164,10 +171,8 @@ class TestLayout:
         net = TinyNet((4, 7, 3, 5), rng)
         net.forward(rng.standard_normal((9, 4)))
         for n in (1, 3, 9, 2):
-            x = rng.standard_normal((n, 4))
-            assert np.allclose(net.forward(x), reference_forward(net, x))
-        x = rng.standard_normal(4)  # one sample, promoted to a batch
-        assert np.allclose(net.forward(x), reference_forward(net, x))
+            assert matches_reference(net, rng.standard_normal((n, 4)))
+        assert matches_reference(net, rng.standard_normal(4))  # one sample
 
     @pytest.mark.parametrize("before", [(), (9,), (2,), (9, 2, 5), (1, 12)])
     def test_backward_uses_the_last_forward(self, before):
