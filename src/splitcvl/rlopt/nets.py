@@ -65,8 +65,11 @@ class TinyNet:
         self.biases = tuple(b[-1] for b in blocks)
         self.g_weights = tuple(g[:-1] for g in g_blocks)
         self.g_biases = tuple(g[-1] for g in g_blocks)
+        # per layer input, and per hidden layer pre-activation and delta
+        self._ins: list[np.ndarray] = []
+        self._pres: list[np.ndarray] = []
+        self._deltas: list[np.ndarray] = []
         self._rows = 0  # the buffers' row count
-        self._buffers: tuple[np.ndarray, ...] = ()
         self._views: dict[int, tuple] = {}
         self._last: tuple | None = None  # the last forward's views
 
@@ -76,15 +79,13 @@ class TinyNet:
         if n > self._rows:
             fan_ins, hidden = self.sizes[:-1], self.sizes[1:-1]
             # inputs start as ones, and no write ever reaches the last column
-            ins = [np.ones((n, fan_in + 1)) for fan_in in fan_ins]
-            pres = [np.empty((n, h)) for h in hidden]
-            deltas = [np.empty((n, h)) for h in hidden]
-            self._buffers = (*ins, *pres, *deltas)
+            self._ins = [np.ones((n, fan_in + 1)) for fan_in in fan_ins]
+            self._pres = [np.empty((n, h)) for h in hidden]
+            self._deltas = [np.empty((n, h)) for h in hidden]
             self._rows, self._views = n, {}
-        k = len(self.sizes) - 1
-        ins = [b[:n] for b in self._buffers[:k]]
-        pres = [b[:n] for b in self._buffers[k:2 * k - 1]]
-        deltas = [b[:n] for b in self._buffers[2 * k - 1:]]
+        ins = [b[:n] for b in self._ins]
+        pres = [b[:n] for b in self._pres]
+        deltas = [b[:n] for b in self._deltas]
         outs = [a[:, :-1] for a in ins[1:]]  # each hidden layer's tanh
         hidden = tuple(zip(ins, self._blocks, pres, outs))
         # output layer first: (input^T, gradient block, W^T, delta into

@@ -190,19 +190,22 @@ class TestLayout:
         assert flat_grads(net).tobytes() == flat_grads(fresh).tobytes()
 
     def test_buffer_memory_stays_at_the_largest_batch(self):
+        def nbytes(net):
+            return sum(b.nbytes for b in net._ins + net._pres + net._deltas)
+
         rng = np.random.default_rng(35)
         sizes = (4, 8, 6, 3)
         largest = TinyNet(sizes, rng)
         largest.forward(np.zeros((12, 4)))
-        nbytes = sum(b.nbytes for b in largest._buffers)
+        largest_nbytes = nbytes(largest)
         net = TinyNet(sizes, rng)
         for n in list(range(1, 13)) + list(range(12, 0, -1)):
             net.forward(np.zeros((n, 4)))
             net.backward(np.ones((n, 3)))
-        assert sum(b.nbytes for b in net._buffers) == nbytes
+        assert nbytes(net) == largest_nbytes
         # the views of every row count read the one buffer set
         for views in net._views.values():
-            assert any(np.shares_memory(views[0], b) for b in net._buffers)
+            assert np.shares_memory(views[0], net._ins[0])
 
 
 class TestSoftmax:
