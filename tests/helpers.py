@@ -417,9 +417,9 @@ def tabular_reference(name, env, steps, hyper, seed, bootstrap=False):
 def dqn_reference(env, steps, hyper, seed):
     """(net, effects) of DQN one step at a time: a greedy step runs the
     Q-network on its state alone, and the replay batch is one
-    ``integers(0, size, size=rows)`` call after the step's push, ``size``
-    being the buffer's length,
-    then a forward on the batch's states."""
+    ``integers(0, size, size=rows)`` call after the step's transition is
+    written, ``size`` being the buffer's length, then a forward on the
+    batch's states."""
     rng, explore = _generators(seed)
     table = _feature_table(env)
     n_actions = env.n_actions
