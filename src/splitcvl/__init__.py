@@ -16,7 +16,6 @@ from .nnprofile import (
 )
 from .trico import (
     ConfidentialityTable,
-    PartitionDecision,
     Scenario,
     TriCoWeights,
     comp_cost,
@@ -35,7 +34,6 @@ __all__ = [
     "DeviceProfile",
     "LayerProfile",
     "ModelProfile",
-    "PartitionDecision",
     "Scenario",
     "TriCoWeights",
     "build_resnet50_usam_profile",

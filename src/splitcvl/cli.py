@@ -6,7 +6,8 @@ command is deterministic given the config bytes and seed, so re-runs
 produce byte-identical files.
 
 Exit codes: 0 on success, 2 for configuration or input errors, 3 for
-runtime infeasibility (an unusable link). Diagnostics go to stderr.
+runtime infeasibility (a link whose rate is zero or too low to carry the
+payload). Diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -55,10 +56,10 @@ def _require_scenario(config: ScenarioConfig):
     return config.scenario
 
 
-def _decision_text(scenario, decision) -> str:
+def _decision_text(scenario, cuts: tuple[int, ...]) -> str:
     return ",".join(
         f"{dev.id}:{scenario.profile.cut_name(cut)}"
-        for dev, cut in zip(scenario.devices, decision.cuts)
+        for dev, cut in zip(scenario.devices, cuts)
     )
 
 
@@ -84,9 +85,9 @@ def cmd_cost(config: ScenarioConfig, args) -> int:
 
 def cmd_oracle(config: ScenarioConfig, args) -> int:
     scenario = _require_scenario(config)
-    decision, effect = optimal_decision(scenario)
+    cuts, effect = optimal_decision(scenario)
     text = (
-        f"decision={_decision_text(scenario, decision)}\n"
+        f"decision={_decision_text(scenario, cuts)}\n"
         f"effect={effect!r}\n"
     )
     _write_output(text, args.out)
@@ -107,9 +108,9 @@ def cmd_optimize(config: ScenarioConfig, args) -> int:
     policy, trace = train_agent(opt.agent, env, opt.steps, hyper=opt.hyper, seed=seed)
     _write_output(trace.to_csv(), args.out)
 
-    decision = env.decode_action(policy.action(0))
+    cuts = env.decode_action(policy.action(0))
     try:
-        effect = decision_effect(scenario, decision)
+        effect = decision_effect(scenario, cuts)
         _, oracle_effect = optimal_decision(scenario)
         gap = (effect - oracle_effect) / oracle_effect if oracle_effect > 0 else effect
     except ZeroRateError:
@@ -125,7 +126,7 @@ def cmd_optimize(config: ScenarioConfig, args) -> int:
         f"steps={opt.steps}",
         f"seed={seed}",
         f"trained={'yes' if opt.steps > 0 else 'no'}",
-        f"decision={_decision_text(scenario, decision)}",
+        f"decision={_decision_text(scenario, cuts)}",
         f"effect={effect!r}",
         f"oracle_effect={oracle_effect!r}",
         f"gap={gap!r}",

@@ -157,6 +157,11 @@ def _coerce_number(value, path: str):
         except ValueError:
             pass
     if isinstance(value, int) and not isinstance(value, bool):
+        try:
+            float(value)  # every number meets float arithmetic downstream
+        except OverflowError:
+            raise ConfigError(f"{path}: expected a finite number, got an integer "
+                              "past the largest float") from None
         return value
     if isinstance(value, float) and math.isfinite(value):
         return value

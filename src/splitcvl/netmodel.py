@@ -10,11 +10,10 @@ how link budgets are usually specified. No path-loss or mobility model is
 attached; the channel is an input.
 
 All types are immutable and all operations are pure, so values can be
-shared freely across threads. A distribution keeps the (low, width)
-scale of each range, and sampling maps uniform draws the caller supplies
-through them (``low + width * u``, the float ``Generator.uniform`` makes
-of its single draw), so parallel runs never share RNG state. Every
-number must be finite; the constructors reject NaN and infinities.
+shared freely across threads. A distribution holds only its two ranges:
+the cost model reads its ``mean_channel``, and the RL env bins and draws
+channels from the ranges itself. Every number must be finite; the
+constructors reject NaN and infinities.
 """
 
 from __future__ import annotations
@@ -92,12 +91,6 @@ class ChannelDistribution:
         lo_db, hi_db = self.snr_range_db
         if not -math.inf < lo_db <= hi_db < math.inf:
             raise ValueError("snr_range_db must be finite with min <= max")
-        # (low, width) of each range, as Generator.uniform scales a draw;
-        # a width can overflow to inf, which the RL env rejects
-        object.__setattr__(self, "bw_scale", (float(lo), float(hi) - float(lo)))
-        object.__setattr__(
-            self, "db_scale", (float(lo_db), float(hi_db) - float(lo_db))
-        )
 
     def mean_channel(self) -> ChannelState:
         """Midpoint channel, in the sampling parameterization (SNR in dB).

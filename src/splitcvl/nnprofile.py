@@ -122,7 +122,6 @@ def build_resnet50_usam_profile(
     input_h: int,
     input_w: int,
     usam_flops_fraction: float = 0.01,
-    bytes_per_element: int = 4,
 ) -> ModelProfile:
     """Build the ResNet-50 + 2x USAM workload table for a given input size.
 
@@ -143,9 +142,7 @@ def build_resnet50_usam_profile(
     layers: list[LayerProfile] = []
 
     def add(name: str, flops: int, out_elements: int) -> int:
-        layers.append(
-            LayerProfile(name, int(flops), int(out_elements), bytes_per_element)
-        )
+        layers.append(LayerProfile(name, int(flops), int(out_elements)))
         return len(layers) - 1
 
     # Stem: 7x7/2 conv to 64 channels, then BN + ReLU.

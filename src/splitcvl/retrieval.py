@@ -84,9 +84,9 @@ class FusionStrategy(Enum):
     MAX_SCORE = "max_score"
 
 
-def top1_percent_k(gallery_size: int, fraction: float = 0.01) -> int:
+def top1_percent_k(gallery_size: int) -> int:
     """K used by the dataset-style 'top1' recall: 1% of the gallery."""
-    return max(1, round(gallery_size * fraction))
+    return max(1, round(gallery_size * 0.01))
 
 
 # -- synthetic cross-view corpus ------------------------------------------

@@ -8,14 +8,13 @@ from .agents import (
     train_ppo,
     train_q_learning,
 )
-from .env import PartitionEnv, ReplayBuffer
+from .env import PartitionEnv
 from .nets import TinyNet
 
 __all__ = [
     "ConvergenceTrace",
     "Hyperparams",
     "PartitionEnv",
-    "ReplayBuffer",
     "TinyNet",
     "TrainedPolicy",
     "train_actor_critic",

@@ -1,9 +1,10 @@
 """Five learning agents over the partition environment.
 
 All agents work against the same small env protocol: ``n_states``,
-``n_actions``, ``feature_dim``, ``state_features``, ``blocks(rng,
-steps)`` yielding each block's ``(states, us, outcomes)``, one entry per
-step, and ``reward(outcome, action)``. States and actions are plain
+``n_actions``, ``blocks(rng, steps)`` yielding each block's ``(states,
+us, outcomes)``, one entry per step, and ``reward(outcome, action)``;
+DQN and PPO also read ``features``, an (n_states, inputs) array whose
+row s is state s's network input. States and actions are plain
 integers, and ``u`` is a uniform drawn for the agent in the step's place
 in the env's random stream. Every episode is one step, so no update
 bootstraps from a next state: each value estimate tracks the reward of
@@ -46,7 +47,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from ..errors import NonFiniteError
-from .env import MAX_SIZE, ReplayBuffer
+from .env import MAX_SIZE
 from .nets import TinyNet, log_softmax
 
 
@@ -294,11 +295,6 @@ def train_actor_critic(
     return policy, _make_trace(effects, hyper.moving_avg_window)
 
 
-def _feature_table(env) -> np.ndarray:
-    """Dense (n_states, feature_dim) matrix; the env caps ``n_states``."""
-    return np.stack([env.state_features(s) for s in range(env.n_states)])
-
-
 _Q_DIVERGED = "Q-network diverged to non-finite values; lower lr_net"
 
 
@@ -307,25 +303,28 @@ def train_dqn(
 ) -> tuple[TrainedPolicy, ConvergenceTrace]:
     """Deep Q-network on bin one-hot features.
 
-    Step t draws its explore action, then ``min(batch_size, size)``
-    replay slots below ``size``, the buffer's length ``min(t + 1,
-    replay_capacity)`` after its own push; a block's integers are one
-    ``integers`` call. Each step runs the Q-network once. When the env
-    has no more states than a step has rows (its state and a full
-    batch), that forward is on the feature table, one row per state,
-    and each state's TD errors are summed per action before backprop:
-    rows of one state share their activations and backprop is linear in
-    the output gradient, so the gradient is the batch's in exact
-    arithmetic. Otherwise the forward is on the step's state (its slot
-    holds it before the forward) and its batch's states. The greedy
-    action reads the step's row, the TD errors the batch's. A greedy
-    step checks the Q-value it acts on: ``argmax`` picks a NaN or +inf
-    first, so a diverged net raises NonFiniteError there, and at the
-    latest after training, when the Q-values of every state are checked.
+    The replay ring is three arrays of ``replay_capacity`` slots: the state,
+    the cell (the flat index of the Q-value the TD error reads) and the
+    reward. Transition t (from 0) goes to slot ``t % replay_capacity``, so a
+    block's batches are drawn before its writes. Step t draws its explore
+    action, then ``min(batch_size, size)`` replay slots below ``size``, the
+    buffer's length ``min(t + 1, replay_capacity)`` after its own push; a
+    block's integers are one ``integers`` call. Each step runs the Q-network
+    once. When the env has no more states than a step has rows (its state
+    and a full batch), that forward is on the feature table, one row per
+    state, and each state's TD errors are summed per action before backprop:
+    rows of one state share their activations and backprop is linear in the
+    output gradient, so the gradient is the batch's in exact arithmetic.
+    Otherwise the forward is on the step's state (its slot holds it before
+    the forward) and its batch's states. The greedy action reads the step's
+    row, the TD errors the batch's. A greedy step checks the Q-value it acts
+    on: ``argmax`` picks a NaN or +inf first, so a diverged net raises
+    NonFiniteError there, and at the latest after training, when the
+    Q-values of every state are checked.
     """
     hyper = hyper or Hyperparams()
     rng, explore = _generators(seed)
-    table = _feature_table(env)
+    table = env.features
     n_actions = env.n_actions
     capacity, batch_size = hyper.replay_capacity, hyper.batch_size
     on_table = env.n_states <= batch_size + 1
@@ -335,11 +334,12 @@ def train_dqn(
     # the step's state and row r >= 1 the batch's r-th, so a slot's cell
     # is its action and the batch adds its rows' starts
     row_starts = np.arange(1, batch_size + 1) * n_actions
-    net = TinyNet((env.feature_dim, *hyper.hidden, env.n_actions), rng)
+    net = TinyNet((table.shape[1], *hyper.hidden, env.n_actions), rng)
     forward, backward, sgd_step = net.forward, net.backward, net.sgd_step
     reward_of, lr = env.reward, hyper.lr_net
-    buffer = ReplayBuffer(capacity)
-    slot_states, cells, rewards = buffer.states, buffer.cells, buffer.rewards
+    slot_states = np.zeros(capacity, dtype=np.int64)
+    cells = np.zeros(capacity, dtype=np.int64)
+    rewards = np.zeros(capacity)
     epsilons = _epsilons(steps, hyper)
     effects: list[float] = []
     for states, us, outcomes in env.blocks(rng, steps):
@@ -352,7 +352,7 @@ def train_dqn(
         highs[heads] = bounds
         slots = explore.integers(0, highs)
         picks = slots[heads].tolist()
-        owns = buffer.slot(pushes)  # each step's own slot, written in place
+        owns = pushes % capacity  # each step's own slot, written in place
         slots[heads] = owns
         for state, outcome, bound, pick, own, head, count in zip(
             states, outcomes, bounds, picks, owns.tolist(), heads.tolist(), counts.tolist()
@@ -441,9 +441,9 @@ def train_ppo(
     """
     hyper = hyper or Hyperparams()
     rng = np.random.default_rng(seed)
-    table = _feature_table(env)
-    policy_net = TinyNet((env.feature_dim, *hyper.hidden, env.n_actions), rng)
-    value_net = TinyNet((env.feature_dim, *hyper.hidden, 1), rng)
+    table = env.features
+    policy_net = TinyNet((table.shape[1], *hyper.hidden, env.n_actions), rng)
+    value_net = TinyNet((table.shape[1], *hyper.hidden, 1), rng)
     effects: list[float] = []
     rows = itertools.chain.from_iterable(zip(*block) for block in env.blocks(rng, steps))
     done_steps = 0

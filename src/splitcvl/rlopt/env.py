@@ -5,8 +5,12 @@ channel bin per device (a grid over bandwidth x SNR-in-dB). The action
 jointly assigns one partition candidate to every device, flattened to a
 single discrete id. The reward is the additive inverse of the decision's
 effect value, so it lies in [-1, 0] whenever the cost weights sum to 1;
-an infeasible link (zero rate) yields the worst reward of -1 instead of
-an error so that learning can continue.
+an infeasible link (a zero rate, or one too low to carry the payload, as
+``EffectKernel.feasible`` tells) yields the worst reward of -1 instead
+of an error so that learning can continue.
+
+A state's network input is its row of ``features``: each device's
+channel bin one-hot, first device first.
 
 Every episode is one step. The channels are redrawn at every step
 whatever the action, so the action never changes the next state and the
@@ -46,13 +50,14 @@ keeps its drawn dB's bin, and a step over it gets the zero-rate reward.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from itertools import product
 from typing import Iterator
 
 import numpy as np
 
 from ..netmodel import ChannelDistribution, ChannelState, shannon_rate
-from ..trico import PartitionDecision, Scenario
+from ..trico import Scenario
 
 MAX_JOINT_ACTIONS = 125  # 5 candidates ** 3 devices
 # Ceiling on every count that sizes an allocation: env states, replay
@@ -61,28 +66,6 @@ MAX_JOINT_ACTIONS = 125  # 5 candidates ** 3 devices
 MAX_SIZE = 4096
 # steps drawn per generator call; no output depends on it
 BLOCK_STEPS = 256
-
-
-class ReplayBuffer:
-    """Bounded FIFO of DQN's transitions, stored field by field in a ring.
-
-    Per slot: the state, the cell (the flat index of the transition's
-    Q-value that its TD error reads) and the reward. The t-th transition
-    (counting from 0) goes to ``slot(t)``, so a sampler can pick slots
-    ahead of the writes and read a batch's fields as arrays.
-    """
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("replay capacity must be >= 1")
-        self.capacity = capacity
-        self.states = np.zeros(capacity, dtype=np.int64)
-        self.cells = np.zeros(capacity, dtype=np.int64)
-        self.rewards = np.zeros(capacity)
-
-    def slot(self, t):
-        """Slot of the t-th transition; ``t`` may be an integer array."""
-        return t % self.capacity
 
 
 class _ChannelGrid:
@@ -110,10 +93,12 @@ class _ChannelGrid:
             return
         self.bandwidth_bins = bandwidth_bins
         self.snr_bins = snr_bins
-        if not all(map(math.isfinite, channel.bw_scale + channel.db_scale)):
+        lo, hi = channel.bandwidth_range
+        lo_db, hi_db = channel.snr_range_db
+        if not (math.isfinite(hi - lo) and math.isfinite(hi_db - lo_db)):
             raise ValueError(f"{channel} spans a range wider than the largest float")
-        bw = _range_edges(*channel.bandwidth_range, bandwidth_bins)
-        db = _range_edges(*channel.snr_range_db, snr_bins)
+        bw = _range_edges(lo, hi, bandwidth_bins)
+        db = _range_edges(lo_db, hi_db, snr_bins)
         if not (np.isfinite(bw).all() and np.isfinite(db).all()):
             raise ValueError(f"{channel} has a bin edge beyond the largest float")
         # rows bw_lo, bw_width, db_lo, db_width; one column per bin
@@ -125,9 +110,7 @@ class _ChannelGrid:
         # dimension's uniform u falls in bin floor(u * bins), the number of
         # its edges at or below u. A dimension with a zero-width range has
         # no edges, so it is always bin 0.
-        lo, hi = channel.bandwidth_range
         self.bw_edges = np.array(_edges(bandwidth_bins) if hi > lo else ())
-        lo_db, hi_db = channel.snr_range_db
         self.snr_edges = np.array(_edges(snr_bins) if hi_db > lo_db else ())
 
 
@@ -192,7 +175,6 @@ class PartitionEnv:
         # a state id is a mixed-radix number of the devices' channel bins,
         # first device first
         self.n_states = n_states
-        self.feature_dim = sum(g.n_bins for g in self.grids)
         self._cuts = tuple(product(range(scenario.num_candidates),
                                    repeat=scenario.num_devices))
         self.n_actions = len(self._cuts)
@@ -206,27 +188,23 @@ class PartitionEnv:
 
     # -- encodings -------------------------------------------------------
 
-    def decode_state(self, state_id: int) -> tuple[int, ...]:
-        """One channel bin per device of a state id."""
-        bins = []
-        for grid in reversed(self.grids):
-            state_id, b = divmod(state_id, grid.n_bins)
-            bins.append(b)
-        return tuple(reversed(bins))
-
-    def decode_action(self, action: int) -> PartitionDecision:
+    def decode_action(self, action: int) -> tuple[int, ...]:
+        """One cut per device of an action id."""
         if not 0 <= action < self.n_actions:
             raise ValueError(f"action {action} out of range")
-        return PartitionDecision(self._cuts[action])
+        return self._cuts[action]
 
-    def state_features(self, state_id: int) -> np.ndarray:
-        """Concatenated one-hot bins, one per device."""
-        parts = []
-        for digit, grid in zip(self.decode_state(state_id), self.grids):
-            one_hot = np.zeros(grid.n_bins)
-            one_hot[digit] = 1.0
-            parts.append(one_hot)
-        return np.concatenate(parts)
+    @cached_property
+    def features(self) -> np.ndarray:
+        """(n_states, total bins) array whose row s is state s's network
+        input: each device's channel bin one-hot, first device first.
+        Built on first use, so the tabular agents never allocate it."""
+        n_bins = [grid.n_bins for grid in self.grids]
+        columns = np.column_stack(np.unravel_index(np.arange(self.n_states), n_bins))
+        columns += np.cumsum([0, *n_bins[:-1]])
+        features = np.zeros((self.n_states, sum(n_bins)))
+        np.put_along_axis(features, columns, 1.0, axis=1)
+        return features
 
     # -- dynamics ---------------------------------------------------------
 
@@ -239,7 +217,7 @@ class PartitionEnv:
 
     def reward(self, outcome: list[float] | None, action: int) -> float:
         """Minus the mean effect of the action's cuts in a row, or -1.0
-        where a link of the row has zero rate (its outcome is None)."""
+        where a link of the row is infeasible (its outcome is None)."""
         if outcome is None:
             return -1.0
         cuts = self._effect_index[action]
@@ -265,9 +243,10 @@ class PartitionEnv:
             db = (db_lo + db_width * u[:, k + 2 + i]) / 10.0
             rates[:, d] = bw * [log2(1.0 + 10.0 ** x) for x in db.tolist()]
             i += 2
-        dead = np.flatnonzero((rates <= 0.0).any(axis=1))
+        kernel = self.scenario.effect_kernel
+        dead = np.flatnonzero(~kernel.feasible(rates).all(axis=1))
         rates[dead] = 1.0  # any positive rate; these rows score -1.0
-        outcomes = self.scenario.effect_kernel(rates).reshape(n, -1).tolist()
+        outcomes = kernel(rates).reshape(n, -1).tolist()
         for row in dead.tolist():
             outcomes[row] = None
         return states.tolist(), u[:, k].tolist(), outcomes

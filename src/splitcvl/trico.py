@@ -152,10 +152,11 @@ class EffectKernel:
     (..., devices, cuts). Every element goes through the scalar float
     operations of the cost model in their order, and numpy rounds each one
     as Python floats do, so no result depends on the shape it is computed
-    in. Rates must be positive; callers deal with a zero rate first.
+    in. Rates must be ``feasible``; callers deal with the others first.
     A non-finite channel-free term (a computation energy that overflows,
-    say, from a subnormal ``peak_flops``) raises ValueError naming the
-    device, the term and the cut: its min-max would read inf == inf as a
+    say, from a subnormal ``peak_flops``, or a FLOP or byte count past the
+    largest float, which reads inf) raises ValueError naming the device,
+    the term and the cut: its min-max would read inf == inf as a
     degenerate range, or give nan.
 
     Latency and energy grow with the payload for any positive rate, and
@@ -170,7 +171,7 @@ class EffectKernel:
         cuts = range(profile.num_candidates)
         self.cut_names = [profile.cut_name(c) for c in cuts]
         # Python floats: bits that overflow read inf, which is rejected below
-        bits = [intermediate_bytes(profile, c) * 8.0 for c in cuts]
+        bits = [_as_float(intermediate_bytes(profile, c)) * 8.0 for c in cuts]
         self.bits = np.array([bits] * scenario.num_devices)
         self.bits_lo = self.bits.min(axis=1, keepdims=True)
         self.bits_hi = self.bits.max(axis=1, keepdims=True)
@@ -191,6 +192,14 @@ class EffectKernel:
         self.comp_terms = weights.w_comp * self.n_comp
         self.conf_terms = weights.w_conf * self.conf
         self.weights = weights
+
+    def feasible(self, rates: np.ndarray) -> np.ndarray:
+        """Whether each rate of shape (..., devices) leaves every cut's
+        transmit latency and energy finite: the largest payload's, in the
+        float operations of ``comm_terms``. A zero rate is infeasible, and
+        so is a positive one too low to carry the payload."""
+        with np.errstate(over="ignore", divide="ignore"):
+            return np.isfinite(self.tx_power_w[:, 0] * (self.bits_hi[:, 0] / rates))
 
     def comm_terms(self, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(latency_s, energy_j, n_comm) of every device and cut."""
@@ -214,6 +223,14 @@ class EffectKernel:
         w_comm * n_comm + w_comp * n_comp + w_conf * n_conf."""
         n_comm = self.comm_terms(rates)[2]
         return self.weights.w_comm * n_comm + self.comp_terms + self.conf_terms
+
+
+def _as_float(count: int) -> float:
+    """``float(count)``, or inf where the count is past the largest float."""
+    try:
+        return float(count)
+    except OverflowError:
+        return math.inf
 
 
 def _scaled(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -260,16 +277,13 @@ class Scenario:
         return tuple(resolve_channel(ch) for ch in self.channels)
 
 
-@dataclass(frozen=True)
-class PartitionDecision:
-    """One candidate index per device."""
-
-    cuts: tuple[int, ...]
-
-
 def comp_cost(dev: DeviceProfile, profile: ModelProfile, cut: int) -> float:
-    """Energy (J) the device spends on its side of the forward pass."""
-    return device_flops(profile, cut) / dev.peak_flops * dev.compute_power_w
+    """Energy (J) the device spends on its side of the forward pass; inf
+    where the FLOP count or the quotient is past the largest float."""
+    try:
+        return device_flops(profile, cut) / dev.peak_flops * dev.compute_power_w
+    except OverflowError:  # Python refuses an int past the float range
+        return math.inf
 
 
 def conf_cost(table: ConfidentialityTable, cut: int, alpha_open: float = 0.5) -> float:
@@ -290,14 +304,19 @@ def link_rates(
     scenario: Scenario, channels: tuple[ChannelState, ...] | None = None
 ) -> np.ndarray:
     """Each device's rate, with distributions at their means unless
-    concrete channels are supplied; ZeroRateError if one is zero."""
+    concrete channels are supplied; ZeroRateError if one is not
+    ``EffectKernel.feasible``."""
     chans = channels if channels is not None else scenario.resolved_channels()
     if len(chans) != scenario.num_devices:
         raise ValueError("need exactly one channel per device")
-    rates = [shannon_rate(ch) for ch in chans]
-    if min(rates) <= 0:
-        raise ZeroRateError("link rate is zero, transmission infeasible")
-    return np.array(rates)
+    rates = np.array([shannon_rate(ch) for ch in chans])
+    feasible = scenario.effect_kernel.feasible(rates)
+    if not feasible.all():
+        d = int(feasible.argmin())
+        raise ZeroRateError(
+            f"device {scenario.devices[d].id!r}: link rate {float(rates[d])!r} bit/s "
+            "is zero or too low to carry the payload, transmission infeasible")
+    return rates
 
 
 def effect_table(
@@ -310,26 +329,27 @@ def effect_table(
 
 def decision_effect(
     scenario: Scenario,
-    decision: PartitionDecision,
+    cuts: tuple[int, ...],
     channels: tuple[ChannelState, ...] | None = None,
 ) -> float:
-    """Effect of one joint decision: mean of the per-device effects.
+    """Effect of one joint decision, one cut per device: the mean of the
+    per-device effects.
 
     fsum keeps the mean exactly permutation invariant in device order.
     """
-    if len(decision.cuts) != scenario.num_devices:
+    if len(cuts) != scenario.num_devices:
         raise ValueError("decision must assign one cut per device")
     table = effect_table(scenario, channels)
     profile = scenario.profile
-    per_device = [row[_cut_index(profile, c)]
-                  for row, c in zip(table, decision.cuts, strict=True)]
+    per_device = [row[_cut_index(profile, c)] for row, c in zip(table, cuts, strict=True)]
     return math.fsum(per_device) / len(per_device)
 
 
 def optimal_decision(
     scenario: Scenario, channels: tuple[ChannelState, ...] | None = None
-) -> tuple[PartitionDecision, float]:
-    """Exact argmin of the effect over every joint decision.
+) -> tuple[tuple[int, ...], float]:
+    """Exact argmin of the effect over every joint decision: one cut per
+    device, and the effect.
 
     Each device takes the deepest cut among its float-equal minima. fsum
     is correctly rounded, hence monotone in each term, so the returned
@@ -342,7 +362,7 @@ def optimal_decision(
         low = min(row)
         cuts.append(max(c for c, e in enumerate(row) if e == low))
         minima.append(low)
-    return PartitionDecision(tuple(cuts)), math.fsum(minima) / len(minima)
+    return tuple(cuts), math.fsum(minima) / len(minima)
 
 
 CONF_TABLE_HEADER = "cut_name,kl_open,kl_closed,ssim_open,ssim_closed"

@@ -1,5 +1,6 @@
 """Shared scenario builders and independent oracles used across test modules."""
 
+import functools
 import importlib.util
 import math
 from bisect import bisect_right
@@ -41,10 +42,8 @@ from splitcvl.retrieval import (
 )
 from splitcvl.rlopt import env as env_module
 from splitcvl.rlopt.agents import (
-    _Q_DIVERGED, _action_cdf, _draw_action, _epsilons,
-    _feature_table, _generators,
+    _Q_DIVERGED, _action_cdf, _draw_action, _epsilons, _generators,
 )
-from splitcvl.rlopt.env import ReplayBuffer
 from splitcvl.rlopt.nets import TinyNet
 from splitcvl.trico import (
     COST_TABLE_HEADER,
@@ -117,11 +116,28 @@ def channel_at(dist, u_bw, u_snr):
     ``rng.uniform`` calls, down to the OverflowError for a range of
     non-finite width.
     """
-    bw_lo, bw_width = dist.bw_scale
-    db_lo, db_width = dist.db_scale
+    bw_lo, bw_width = _scale(dist.bandwidth_range)
+    db_lo, db_width = _scale(dist.snr_range_db)
     if not (math.isfinite(bw_width) and math.isfinite(db_width)):
         raise OverflowError("high - low range exceeds valid bounds")
     return bw_lo + bw_width * u_bw, snr_db_to_linear(db_lo + db_width * u_snr)
+
+
+def _scale(bounds):
+    """(low, width) of a range on Python floats, as ``Generator.uniform``
+    scales a draw."""
+    lo, hi = map(float, bounds)
+    return lo, hi - lo
+
+
+def decode_state(env, state):
+    """One channel bin per device of an env's state id: the digits of a
+    mixed-radix number, first device first."""
+    bins = []
+    for grid in reversed(env.grids):
+        state, b = divmod(state, grid.n_bins)
+        bins.append(b)
+    return tuple(reversed(bins))
 
 
 def exact_bin(u, bins):
@@ -176,7 +192,7 @@ def record_path_reward(env, state, action, draws):
     channels = tuple(
         grid.channel if grid.fixed
         else ChannelState(*channel_at(bin_channel(grid, b), next(draws), next(draws)))
-        for grid, b in zip(env.grids, env.decode_state(state))
+        for grid, b in zip(env.grids, decode_state(env, state))
     )
     try:
         return -decision_effect(env.scenario, env.decode_action(action), channels)
@@ -187,7 +203,7 @@ def record_path_reward(env, state, action, draws):
 def evaluate_action(env, state, action):
     """Effect of an action of a ``PartitionEnv`` under the state's
     bin-midpoint channels; 1.0, the worst, where a link has zero rate."""
-    bins = env.decode_state(state)
+    bins = decode_state(env, state)
     channels = tuple(resolve_channel(bin_channel(grid, b))
                      for grid, b in zip(env.grids, bins))
     try:
@@ -340,7 +356,7 @@ class BanditEnv:
         self.rewards = [float(r) for r in rewards]
         self.n_states = 1
         self.n_actions = len(rewards)
-        self.feature_dim = 1
+        self.features = np.ones((1, 1))
 
     def blocks(self, rng, steps):
         for start in range(0, steps, env_module.BLOCK_STEPS):
@@ -349,9 +365,6 @@ class BanditEnv:
 
     def reward(self, outcome, action):
         return self.rewards[action]
-
-    def state_features(self, state):
-        return np.ones(1)
 
 
 def env_rows(env, rng, steps):
@@ -419,15 +432,19 @@ def dqn_reference(env, steps, hyper, seed):
     Q-network on its state alone, and the replay batch is one
     ``integers(0, size, size=rows)`` call after the step's transition is
     written, ``size`` being the buffer's length, then a forward on the
-    batch's states."""
+    batch's states. The replay ring is three arrays, and the t-th
+    transition goes to slot ``t % replay_capacity``."""
     rng, explore = _generators(seed)
-    table = _feature_table(env)
+    table = env.features
     n_actions = env.n_actions
     row_starts = np.arange(hyper.batch_size) * n_actions
     grad = np.zeros((hyper.batch_size, n_actions))
     flat_grad = grad.reshape(-1)
-    net = TinyNet((env.feature_dim, *hyper.hidden, env.n_actions), rng)
-    buffer = ReplayBuffer(hyper.replay_capacity)
+    net = TinyNet((table.shape[1], *hyper.hidden, env.n_actions), rng)
+    capacity = hyper.replay_capacity
+    slot_states = np.zeros(capacity, dtype=np.int64)
+    cells = np.zeros(capacity, dtype=np.int64)
+    rewards = np.zeros(capacity)
     effects = []
     rows = zip(_epsilons(steps, hyper), env_rows(env, rng, steps))
     for t, (eps, (state, u, outcome)) in enumerate(rows):
@@ -440,15 +457,15 @@ def dqn_reference(env, steps, hyper, seed):
                 raise NonFiniteError(_Q_DIVERGED)
         reward = env.reward(outcome, action)
         # a slot's cell is its action: the batch's rows follow the draw
-        slot = buffer.slot(t)
-        buffer.states[slot], buffer.cells[slot], buffer.rewards[slot] = state, action, reward
-        size = min(t + 1, hyper.replay_capacity)
+        slot = t % capacity
+        slot_states[slot], cells[slot], rewards[slot] = state, action, reward
+        size = min(t + 1, capacity)
         batch_size = min(hyper.batch_size, size)
         idx = explore.integers(0, size, size=batch_size)
-        q = net.forward(table[buffer.states[idx]])
-        picked = row_starts[:batch_size] + buffer.cells[idx]
+        q = net.forward(table[slot_states[idx]])
+        picked = row_starts[:batch_size] + cells[idx]
         td = q.take(picked)
-        td -= buffer.rewards[idx]
+        td -= rewards[idx]
         td *= 2.0
         td /= batch_size
         flat_grad[picked] = td
@@ -483,8 +500,25 @@ def scalar_comm_terms(dev, profile, weights, rate_bps, cut):
     """(latency_s, energy_j, n_comm) of one cut of one device over a link
     of ``rate_bps``, on Python floats: the float code the array kernel
     replaced, operation by operation."""
-    bits = [intermediate_bytes(profile, c) * 8.0 for c in range(profile.num_candidates)]
+    bits = payload_bits(profile)
     return _comm_terms(bits, dev.tx_power_w, weights.lambda_latency, rate_bps, cut)
+
+
+def payload_bits(profile):
+    """Every cut's payload in bits, on Python floats."""
+    return [intermediate_bytes(profile, c) * 8.0 for c in range(profile.num_candidates)]
+
+
+def link_infeasible(bits, tx_power, rate_bps):
+    """Whether a link's rate is zero or leaves the transmit latency or
+    energy of some payload in ``bits`` past the largest float."""
+    if rate_bps <= 0:
+        return True
+    for b in bits:
+        lat = b / rate_bps
+        if not (math.isfinite(lat) and math.isfinite(tx_power * lat)):
+            return True
+    return False
 
 
 def _comm_terms(bits, tx_power, lam, rate_bps, cut):
@@ -518,11 +552,14 @@ def scalar_effect(dev, profile, table, weights):
 def reference_cost_table(scenario):
     """``format_cost_table`` of a scenario on Python floats, one row at a
     time from ``scalar_cut_terms``, ``scalar_comm_terms`` and
-    ``scalar_effect``; ZeroRateError if a mean-channel link has zero rate."""
+    ``scalar_effect``; ZeroRateError if a mean-channel link has zero rate
+    or one too low to carry the payload."""
     rates = [shannon_rate(resolve_channel(ch)) for ch in scenario.channels]
-    if min(rates) <= 0:
-        raise ZeroRateError("link rate is zero, transmission infeasible")
     profile, table, weights = scenario.profile, scenario.conf_table, scenario.weights
+    bits = payload_bits(profile)
+    if any(link_infeasible(bits, dev.tx_power_w, rate)
+           for dev, rate in zip(scenario.devices, rates)):
+        raise ZeroRateError("link rate is zero or too low, transmission infeasible")
     lines = [COST_TABLE_HEADER]
     for dev, rate in zip(scenario.devices, rates):
         _, comps, n_comps, confs = scalar_cut_terms(dev, profile, table, weights)
@@ -543,7 +580,9 @@ class StepEnv:
     them with ``bisect_right``. The agent then draws one uniform. ``step``
     draws the step's channel uniforms and as many again that it does not
     use, maps them to rates with scalars bound per state (each bin's
-    ``bin_channel`` scales), and scores the action with ``scalar_effect``.
+    ``bin_channel`` scales), and scores the action with ``scalar_effect``:
+    -1.0 where a link's rate is zero or leaves some cut's latency or
+    energy past the largest float.
     """
 
     def __init__(self, env):
@@ -554,11 +593,13 @@ class StepEnv:
             for g in drawn)
         self._draws_per_set = 2 * len(drawn)
         scenario = env.scenario
-        effects = [scalar_effect(dev, scenario.profile, scenario.conf_table, scenario.weights)
+        bits = payload_bits(scenario.profile)
+        effects = [(scalar_effect(dev, scenario.profile, scenario.conf_table, scenario.weights),
+                    functools.partial(link_infeasible, bits, dev.tx_power_w))
                    for dev in scenario.devices]
-        # per state, each device's effect and link: the fixed channel's rate,
-        # or None, the index of its bandwidth uniform and its bin's
-        # (bw_lo, bw_width, db_lo, db_width)
+        # per state, each device's effect, its infeasibility rule and its
+        # link: the fixed channel's rate, or None, the index of its
+        # bandwidth uniform and its bin's (bw_lo, bw_width, db_lo, db_width)
         bin_links = []
         i = 0
         for grid in env.grids:
@@ -566,11 +607,12 @@ class StepEnv:
                 bin_links.append([(grid.rate, 0, 0.0, 0.0, 0.0, 0.0)])
             else:
                 bins = [bin_channel(grid, b) for b in range(grid.n_bins)]
-                bin_links.append([(None, i, *d.bw_scale, *d.db_scale) for d in bins])
+                bin_links.append([(None, i, *_scale(d.bandwidth_range),
+                                   *_scale(d.snr_range_db)) for d in bins])
                 i += 2
         self._state_links = tuple(
-            tuple((effect, *links[b]) for effect, links, b
-                  in zip(effects, bin_links, env.decode_state(state)))
+            tuple((*effect, *links[b]) for effect, links, b
+                  in zip(effects, bin_links, decode_state(env, state)))
             for state in range(env.n_states)
         )
 
@@ -589,19 +631,18 @@ class StepEnv:
 
     def score(self, state, action, u):
         """The reward of ``action`` in ``state`` over a step's uniforms ``u``."""
-        cuts = self.env.decode_action(action).cuts
+        cuts = self.env.decode_action(action)
         effects = []
-        try:
-            for (effect, rate, i, bw_lo, bw_width, db_lo, db_width), cut in zip(
-                self._state_links[state], cuts
-            ):
-                if rate is None:
-                    snr_linear = 10.0 ** ((db_lo + db_width * u[i + 1]) / 10.0)
-                    rate = (bw_lo + bw_width * u[i]) * math.log2(1.0 + snr_linear)
-                effects.append(effect(rate, cut))
-            return -(math.fsum(effects) / len(effects))
-        except ZeroRateError:
-            return -1.0
+        for (effect, infeasible, rate, i, bw_lo, bw_width, db_lo, db_width), cut in zip(
+            self._state_links[state], cuts
+        ):
+            if rate is None:
+                snr_linear = 10.0 ** ((db_lo + db_width * u[i + 1]) / 10.0)
+                rate = (bw_lo + bw_width * u[i]) * math.log2(1.0 + snr_linear)
+            if infeasible(rate):
+                return -1.0
+            effects.append(effect(rate, cut))
+        return -(math.fsum(effects) / len(effects))
 
 
 def step_rows(env, rng, steps):

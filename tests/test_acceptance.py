@@ -86,9 +86,9 @@ def test_criterion_2_oracle_lower_bound():
     for case in range(50):
         scenario = random_scenario(rng, max_devices=3)
         channels = scenario.resolved_channels()
-        decision, oracle_eff = optimal_decision(scenario, channels)
+        cuts, oracle_eff = optimal_decision(scenario, channels)
         indep_cuts, indep_eff = oracle_enumerate(scenario, channels)
-        if decision.cuts != indep_cuts or abs(oracle_eff - indep_eff) > 1e-12:
+        if cuts != indep_cuts or abs(oracle_eff - indep_eff) > 1e-12:
             violations.append(f"case {case}: enumerators disagree")
             continue
         env = PartitionEnv(scenario)

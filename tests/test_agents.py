@@ -439,9 +439,12 @@ class TestPerStepReference:
                        Hyperparams(replay_capacity=3, batch_size=5)),
     }
     # the 2 x 3 grid has 36 states: DQN forwards its state table with a
-    # 35-row batch and the step's 35 rows with a 34-row batch
+    # 35-row batch and the step's 35 rows with a 34-row batch; a 1-slot
+    # replay evicts at every step, so each batch is the step's own
+    # transition drawn once
     DQN_CASES = {
         **CASES,
+        "replay_1x5": (CASES["stock"][0], Hyperparams(replay_capacity=1, batch_size=5)),
         "table_2x3_batch35": (CASES["bins_2x3"][0], Hyperparams(batch_size=35)),
         "rows_2x3_batch34": (CASES["bins_2x3"][0], Hyperparams(batch_size=34)),
     }
@@ -557,3 +560,12 @@ class TestDispatch:
         env = PartitionEnv(default_scenario(), bandwidth_bins=2, snr_bins=3)
         _, trace = train_agent(name, env, 100, seed=4)
         assert len(trace) == 100
+
+    def test_only_network_agents_build_the_feature_table(self):
+        # a 1-device, 4096-bin env's one-hot table would take 128 MiB
+        env = PartitionEnv(default_scenario(), bandwidth_bins=8, snr_bins=8)
+        for name in ("q_learning", "multi_q", "actor_critic"):
+            train_agent(name, env, 10, seed=5)
+        assert "features" not in vars(env)
+        train_agent("ppo", env, 10, seed=5)
+        assert env.features.shape == (4096, 128)

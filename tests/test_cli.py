@@ -161,6 +161,28 @@ class TestCostCommand:
         assert "infeasible" in capsys.readouterr().err
 
 
+# a positive rate too low to carry the payload counts as zero rate: at
+# 1e-301 bit/s the largest payload's latency overflows and the smallest's
+# does not; at 1e-303 every latency overflows
+def too_low_rate_config(bandwidth_hz):
+    return QUICK_CONFIG.replace(
+        "uav1: {distribution: {bandwidth_hz: [5.0e6, 20.0e6], snr_db: [5.0, 15.0]}}",
+        f"uav1: {{fixed: {{bandwidth_hz: {bandwidth_hz}, snr_linear: 1.0}}}}",
+    )
+
+
+@pytest.mark.parametrize("command", ["cost", "oracle"])
+@pytest.mark.parametrize("bandwidth_hz", ["1.0e-301", "1.0e-303"])
+def test_too_low_rate_exits_3(bandwidth_hz, command, tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(too_low_rate_config(bandwidth_hz))
+    assert main([command, "--config", str(cfg)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: infeasible: device 'uav1': link rate ")
+    assert "too low to carry the payload" in captured.err
+
+
 NON_FINITE_CONFIGS = {
     "w_comm_nan": ("weights.w_comm", QUICK_CONFIG + "weights: {w_comm: .nan}\n"),
     "bandwidth_inf": (
@@ -213,7 +235,14 @@ def test_non_finite_config_number_exits_2(case, command, tmp_path, capsys):
     assert key_path in captured.err
 
 
-# each input is finite, but FLOPs / peak_flops overflows to inf
+ONE_DEVICE_PROFILE_CONFIG = (
+    "devices:\n  - {id: u1, kind: uav}\n"
+    "channels:\n  u1: {fixed: {bandwidth_hz: 2.0e6, snr_db: 10.0}}\n"
+    "model: {profile_file: prof.csv}\n"
+    "optimizer: {agent: q_learning, steps: 20}\n"
+)
+# each input is finite, but FLOPs / peak_flops overflows to inf, or an
+# integer of the profile is past the largest float and reads inf
 NON_FINITE_COST_TERMS = {
     "peak_flops_1e-300": (
         "device 'uav1': computation energy at cut 'conv1' is inf",
@@ -227,11 +256,19 @@ NON_FINITE_COST_TERMS = {
     # min-max scaled to nan
     "zero_flop_first_layer": (
         "device 'u1': computation energy at cut 'l1' is inf",
-        "devices:\n  - {id: u1, kind: uav, peak_flops: 1.0e-310}\n"
-        "channels:\n  u1: {fixed: {bandwidth_hz: 2.0e6, snr_db: 10.0}}\n"
-        "model: {profile_file: prof.csv}\n"
-        "optimizer: {agent: q_learning, steps: 20}\n",
+        ONE_DEVICE_PROFILE_CONFIG.replace("kind: uav}", "kind: uav, peak_flops: 1.0e-310}"),
     ),
+    "huge_out_elements": (
+        "device 'u1': payload bits at cut 'l1' is inf", ONE_DEVICE_PROFILE_CONFIG,
+    ),
+    "huge_first_layer_flops": (
+        "device 'u1': computation energy at cut 'l0' is inf", ONE_DEVICE_PROFILE_CONFIG,
+    ),
+}
+# the profile each case reads from prof.csv, as (flops, out_elements) per layer
+NON_FINITE_COST_PROFILES = {
+    "huge_out_elements": ((0, 100), (1000, 3 * 10**308), (1000, 20)),
+    "huge_first_layer_flops": ((3 * 10**308, 100), (1000, 50), (1000, 20)),
 }
 
 
@@ -241,8 +278,8 @@ def test_non_finite_cost_term_exits_2(case, command, tmp_path, capsys):
     from splitcvl.nnprofile import LayerProfile, ModelProfile
 
     message, text = NON_FINITE_COST_TERMS[case]
-    layers = (LayerProfile("l0", 0, 100, 4), LayerProfile("l1", 1000, 50, 4),
-              LayerProfile("l2", 1000, 20, 4))
+    sizes = NON_FINITE_COST_PROFILES.get(case, ((0, 100), (1000, 50), (1000, 20)))
+    layers = tuple(LayerProfile(f"l{i}", flops, out, 4) for i, (flops, out) in enumerate(sizes))
     save_profile(ModelProfile(layers, (0, 1, 2)), tmp_path / "prof.csv")
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(text)
@@ -705,6 +742,20 @@ class TestOptimizeCommand:
         rows = out.read_text().strip().split("\n")[1:]
         assert len(rows) == 200
         assert all(row.split(",")[1] == "1.0" for row in rows)
+        captured = capsys.readouterr()
+        assert captured.err.startswith("warning: a link has zero rate at the mean channel")
+        assert "effect=1.0\noracle_effect=1.0\ngap=nan\n" in captured.out
+
+    @pytest.mark.parametrize("bandwidth_hz", ["1.0e-301", "1.0e-303"])
+    def test_too_low_rate_link_trains_and_exits_0(self, bandwidth_hz, tmp_path, capsys):
+        # every step over the link takes the zero-rate reward, as at zero SNR
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(too_low_rate_config(bandwidth_hz))
+        out = tmp_path / "trace.csv"
+        assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = out.read_text().strip().split("\n")[1:]
+        assert len(rows) == 200
+        assert all(row.split(",")[1:] == ["1.0", "1.0"] for row in rows)
         captured = capsys.readouterr()
         assert captured.err.startswith("warning: a link has zero rate at the mean channel")
         assert "effect=1.0\noracle_effect=1.0\ngap=nan\n" in captured.out

@@ -13,8 +13,8 @@ from per-vector objects to one array draw.
 
 The ``dqn`` and ``ppo`` digests were re-recorded when the battery bins
 left the environment state: each device no longer adds a size-1 battery
-one-hot to the network input, so ``feature_dim`` on the stock scenario
-fell from 6 to 4 and the networks' shapes, initial weights and traces
+one-hot to the network input, so the env's ``features`` on the stock
+scenario fell from 6 to 4 columns and the networks' shapes, initial weights and traces
 changed with it. The tabular agents' state ids, and so their traces,
 did not change.
 

@@ -11,10 +11,9 @@ from splitcvl.netmodel import (
     shannon_rate,
 )
 from splitcvl.rlopt import env as env_module
-from splitcvl.rlopt.env import PartitionEnv, ReplayBuffer
+from splitcvl.rlopt.env import PartitionEnv
 from splitcvl.trico import (
     EffectKernel,
-    PartitionDecision,
     Scenario,
     TriCoWeights,
     decision_effect,
@@ -25,9 +24,12 @@ from splitcvl.trico import (
 from helpers import (
     bin_channel,
     channel_at,
+    decode_state,
     env_rows,
     evaluate_action,
     exact_bin,
+    link_infeasible,
+    payload_bits,
     random_scenario,
     record_path_reward,
     record_path_state,
@@ -53,7 +55,7 @@ class TestSpaces:
         env = PartitionEnv(default_scenario(), snr_bins=2)
         assert env.n_actions == 25
         assert env.n_states == 4  # 2 snr bins per device
-        assert env.feature_dim == 2 + 2
+        assert env.features.shape == (4, 2 + 2)
 
     def test_action_space_cap(self):
         profile = synthetic_profile([400, 200], flops=[1, 1])
@@ -89,7 +91,7 @@ class TestSpaces:
         # an action id is the mixed-radix number of the cuts, first device first
         env = PartitionEnv(default_scenario())
         for a in range(env.n_actions):
-            assert env.decode_action(a).cuts == divmod(a, 5)
+            assert env.decode_action(a) == divmod(a, 5)
         with pytest.raises(ValueError):
             env.decode_action(env.n_actions)
 
@@ -102,15 +104,22 @@ class TestSpaces:
         assert env.n_states == n_bins * n_bins
         for b0 in range(n_bins):
             for b1 in range(n_bins):
-                assert env.decode_state(b0 * n_bins + b1) == (b0, b1)
+                assert decode_state(env, b0 * n_bins + b1) == (b0, b1)
 
     def test_state_features_are_one_hots(self):
-        env = PartitionEnv(default_scenario(), snr_bins=2)
-        for s in range(env.n_states):
-            f = env.state_features(s)
-            assert f.shape == (env.feature_dim,)
-            assert set(np.unique(f)) <= {0.0, 1.0}
-            assert f.sum() == 2  # one hot per device channel
+        # row s of ``features`` is the one-hot of each device's bin in
+        # state s, first device first; a fixed channel is one column
+        for env in (PartitionEnv(default_scenario(), snr_bins=2),
+                    PartitionEnv(three_device_scenario(4.0), bandwidth_bins=2, snr_bins=3)):
+            widths = [grid.n_bins for grid in env.grids]
+            expected = np.zeros((env.n_states, sum(widths)))
+            for s in range(env.n_states):
+                offset = 0
+                for b, width in zip(decode_state(env, s), widths):
+                    expected[s, offset + b] = 1.0
+                    offset += width
+            assert env.features.dtype == np.float64
+            assert env.features.tobytes() == expected.tobytes()
 
 
 def one_row(env, rng):
@@ -129,7 +138,7 @@ class TestStep:
         state, _, outcome = one_row(env, np.random.default_rng(0))
         assert state == 0
         for action in range(env.n_actions):
-            expected = decision_effect(scenario, PartitionDecision((action,)))
+            expected = decision_effect(scenario, (action,))
             assert env.reward(outcome, action) == -expected
 
     def test_same_seed_same_transition(self):
@@ -144,7 +153,7 @@ class TestStep:
         _, _, outcome = one_row(env, np.random.default_rng(3))
         rewards = row_rewards(env, outcome)
         effects = [
-            decision_effect(scenario, PartitionDecision((a,)))
+            decision_effect(scenario, (a,))
             for a in range(env.n_actions)
         ]
         assert np.argsort(rewards).tolist() == np.argsort([-e for e in effects]).tolist()
@@ -187,14 +196,14 @@ class TestStep:
         scenario = default_scenario()
         env = PartitionEnv(scenario, snr_bins=1)
         eff = evaluate_action(env, 0, 24)
-        expected = decision_effect(scenario, PartitionDecision((4, 4)))
+        expected = decision_effect(scenario, (4, 4))
         assert eff == pytest.approx(expected)
 
     def test_state_bins_cover_sampled_channels(self):
         env = PartitionEnv(default_scenario(), snr_bins=4, bandwidth_bins=3)
         states = [state for state, _, _ in env_rows(env, np.random.default_rng(7), 2000)]
         for state in states:
-            bins = env.decode_state(state)
+            bins = decode_state(env, state)
             assert len(bins) == 2
             assert all(0 <= b < 12 for b in bins)
         assert set(states) == set(range(env.n_states))
@@ -212,6 +221,15 @@ def three_device_scenario(fixed_snr):
             ChannelDistribution((5e6, 20e6), (5.0, 15.0)),
         ),
     )
+
+
+def low_rate_env(channel):
+    """The stock scenario with the first device's channel replaced. The
+    UAV's largest payload over a link of about 1e-301 bit/s takes
+    longer than the largest float, so that link counts as zero rate."""
+    stock = default_scenario()
+    channels = (channel, stock.channels[1])
+    return PartitionEnv(dataclasses.replace(stock, channels=channels), snr_bins=2)
 
 
 def mixed_random_env(rng):
@@ -293,8 +311,13 @@ class TestRecordFreeStep:
         "underflow_snr_always": lambda: two_channel_env(
             (-3300.0, -3250.0), (5.0, 15.0), snr_bins=2
         ),
+        "too_low_rate_fixed": lambda: low_rate_env(ChannelState(1e-301, 1.0)),
+        # rates from about 1.4e-302 to 4e-300 bit/s: some rows are infeasible
+        "too_low_rate_range": lambda: low_rate_env(
+            ChannelDistribution((1e-301, 4e-301), (-10.0, 30.0))
+        ),
     }
-    ALWAYS_ZERO_RATE = {"zero_snr_fixed", "underflow_snr_always"}
+    ALWAYS_ZERO_RATE = {"zero_snr_fixed", "underflow_snr_always", "too_low_rate_fixed"}
 
     @pytest.mark.parametrize("name", sorted(ENVS))
     def test_reset_matches_record_path_bit_for_bit(self, name):
@@ -359,8 +382,8 @@ class TestRecordFreeStep:
     @pytest.mark.parametrize("name", sorted(ENVS))
     def test_rates_equal_shannon_rate_of_channel_records(self, name, monkeypatch):
         # the stock effect barely moves with the rate, so check the rates
-        # that a block hands to the effect kernel directly; a row with a
-        # zero rate hands over 1.0 for each device and scores -1.0
+        # that a block hands to the effect kernel directly; a row with an
+        # infeasible link hands over 1.0 for each device and scores -1.0
         seen = []
         kernel = EffectKernel.__call__
 
@@ -378,10 +401,14 @@ class TestRecordFreeStep:
             expected = [
                 shannon_rate(grid.channel if grid.fixed else ChannelState(
                     *channel_at(bin_channel(grid, b), next(draws), next(draws))))
-                for grid, b in zip(env.grids, env.decode_state(state))
+                for grid, b in zip(env.grids, decode_state(env, state))
             ]
-            if outcome is None:
-                assert min(expected) == 0.0 and rates.tolist() == [1.0] * len(expected)
+            bits = payload_bits(env.scenario.profile)
+            dead = any(link_infeasible(bits, dev.tx_power_w, rate)
+                       for dev, rate in zip(env.scenario.devices, expected))
+            assert (outcome is None) == dead
+            if dead:
+                assert rates.tolist() == [1.0] * len(expected)
             else:
                 assert [r.hex() for r in rates.tolist()] == [r.hex() for r in expected]
 
@@ -399,6 +426,7 @@ class TestBlockDraw:
     REFERENCE_ENVS = {
         "stock": TestRecordFreeStep.ENVS["stock"],
         "underflow_snr_always": TestRecordFreeStep.ENVS["underflow_snr_always"],
+        "too_low_rate_range": TestRecordFreeStep.ENVS["too_low_rate_range"],
         **{f"mixed_random_{seed}": (lambda seed=seed: mixed_random_env(
             np.random.default_rng(seed))) for seed in range(6)},
     }
@@ -416,45 +444,12 @@ class TestBlockDraw:
                 r.hex() for r in ref_rewards]
             if name == "underflow_snr_always":
                 assert set(ref_rewards) == {-1.0}
-
-
-class TestReplayBuffer:
-    """DQN picks its batch's slots ahead of the writes, so a transition's
-    slot must follow from its count alone."""
-
-    @staticmethod
-    def write(buf, t, state, cell, reward):
-        i = buf.slot(t)
-        buf.states[i], buf.cells[i], buf.rewards[i] = state, cell, reward
-
-    def test_fifo_eviction(self):
-        buf = ReplayBuffer(2)
-        for i in range(5):
-            self.write(buf, i, i, 0, 0.0)
-        assert set(buf.states.tolist()) == {3, 4}
-
-    def test_capacity_one_always_latest(self):
-        buf = ReplayBuffer(1)
-        for i in range(10):
-            self.write(buf, i, i, 0, 0.0)
-            assert buf.states.tolist() == [i]
-
-    def test_push_t_lands_in_slot_t_mod_capacity(self):
-        buf = ReplayBuffer(7)
-        assert buf.slot(np.arange(30)).tolist() == [t % 7 for t in range(30)]
-        for t in range(30):
-            self.write(buf, t, t, t % 5, -t / 100)
-            slot = t % 7
-            assert (buf.states[slot], buf.cells[slot], buf.rewards[slot]) == (
-                t, t % 5, -t / 100)
-
-    def test_zero_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            ReplayBuffer(0)
+        if name == "too_low_rate_range":  # both kinds of row occur
+            assert {outcome is None for _, _, outcome in rows} == {True, False}
 
 
 class TestEnvState:
     def test_decode_fields(self):
         env = PartitionEnv(default_scenario(), snr_bins=2)
         # first device in bin 1, second in bin 0
-        assert env.decode_state(1 * 2 + 0) == (1, 0)
+        assert decode_state(env, 1 * 2 + 0) == (1, 0)

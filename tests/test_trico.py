@@ -15,7 +15,6 @@ from splitcvl.nnprofile import build_resnet50_usam_profile, intermediate_bytes
 from splitcvl.trico import (
     ConfEntry,
     ConfidentialityTable,
-    PartitionDecision,
     Scenario,
     TriCoWeights,
     comp_cost,
@@ -108,7 +107,7 @@ class TestCommCost:
             with pytest.raises(ZeroRateError):
                 evaluate(scenario)
         with pytest.raises(ZeroRateError):
-            decision_effect(scenario, PartitionDecision((0,)))
+            decision_effect(scenario, (0,))
 
 
 class TestCompCost:
@@ -283,7 +282,7 @@ class TestEffect:
             for cuts in product(
                 range(scenario.num_candidates), repeat=scenario.num_devices
             ):
-                eff = decision_effect(scenario, PartitionDecision(cuts))
+                eff = decision_effect(scenario, cuts)
                 assert -1e-12 <= eff <= 1.0 + 1e-12
 
     def test_device_permutation_invariance(self):
@@ -295,7 +294,7 @@ class TestEffect:
             int(rng.integers(0, scenario.num_candidates))
             for _ in range(scenario.num_devices)
         )
-        base = decision_effect(scenario, PartitionDecision(cuts))
+        base = decision_effect(scenario, cuts)
         for perm in permutations(range(scenario.num_devices)):
             shuffled = Scenario(
                 tuple(scenario.devices[i] for i in perm),
@@ -305,7 +304,7 @@ class TestEffect:
                 scenario.weights,
             )
             assert decision_effect(
-                shuffled, PartitionDecision(tuple(cuts[i] for i in perm))
+                shuffled, tuple(cuts[i] for i in perm)
             ) == base
 
 
@@ -319,8 +318,8 @@ class TestBruteForce:
             default_conf_table(1),
             TriCoWeights(),
         )
-        decision, _ = optimal_decision(scenario)
-        assert decision.cuts == (0,)
+        cuts, _ = optimal_decision(scenario)
+        assert cuts == (0,)
 
     def test_conf_only_weights_pick_deepest(self):
         scenario = default_scenario()
@@ -331,8 +330,8 @@ class TestBruteForce:
             scenario.conf_table,
             TriCoWeights(0.0, 0.0, 1.0),
         )
-        decision, _ = optimal_decision(scenario)
-        assert decision.cuts == (4, 4)
+        cuts, _ = optimal_decision(scenario)
+        assert cuts == (4, 4)
 
     def test_comp_only_weights_pick_shallowest(self):
         scenario = default_scenario()
@@ -343,28 +342,28 @@ class TestBruteForce:
             scenario.conf_table,
             TriCoWeights(0.0, 1.0, 0.0),
         )
-        decision, _ = optimal_decision(scenario)
-        assert decision.cuts == (0, 0)
+        cuts, _ = optimal_decision(scenario)
+        assert cuts == (0, 0)
 
     def test_matches_independent_enumerator_on_random_scenarios(self):
         rng = np.random.default_rng(23)
         for _ in range(60):
             scenario = random_scenario(rng)
             channels = scenario.resolved_channels()
-            decision, eff = optimal_decision(scenario, channels)
+            cuts, eff = optimal_decision(scenario, channels)
             oracle_cuts, oracle_eff = oracle_enumerate(scenario, channels)
-            assert decision.cuts == oracle_cuts
+            assert cuts == oracle_cuts
             assert eff == pytest.approx(oracle_eff, abs=1e-12)
 
     def test_returned_effect_is_minimum(self):
         rng = np.random.default_rng(24)
         for _ in range(20):
             scenario = random_scenario(rng, max_devices=3)
-            decision, eff = optimal_decision(scenario)
+            _, eff = optimal_decision(scenario)
             for cuts in product(
                 range(scenario.num_candidates), repeat=scenario.num_devices
             ):
-                assert eff <= decision_effect(scenario, PartitionDecision(cuts)) + 1e-12
+                assert eff <= decision_effect(scenario, cuts) + 1e-12
 
     def test_tie_break_prefers_deeper_cut(self):
         # Two indistinguishable cuts produce identical effects everywhere.
@@ -377,8 +376,8 @@ class TestBruteForce:
             table,
             TriCoWeights(),
         )
-        decision, _ = optimal_decision(scenario)
-        assert decision.cuts == (1, 1)
+        cuts, _ = optimal_decision(scenario)
+        assert cuts == (1, 1)
 
     def test_rounding_tie_keeps_per_device_cut_and_effect(self, monkeypatch):
         # fsum rounds 1e-17 + 0.5 and 2e-17 + 0.5 to the same float, so
@@ -387,8 +386,8 @@ class TestBruteForce:
         # first device's exact minimum. The effect is the same.
         table = [[1e-17, 2e-17, 0.9, 0.9, 0.9], [0.5, 0.9, 0.9, 0.9, 0.9]]
         monkeypatch.setattr(trico, "effect_table", lambda scenario, channels: table)
-        decision, eff = optimal_decision(default_scenario())
-        assert decision.cuts == (0, 0)
+        cuts, eff = optimal_decision(default_scenario())
+        assert cuts == (0, 0)
         assert eff == 0.25
         assert enumerate_optimum(table) == ((1, 0), 0.25)
 
@@ -398,9 +397,9 @@ class TestBruteForce:
         while (scenario.num_devices, scenario.num_candidates) != (6, 5):
             scenario = random_scenario(rng, max_devices=6)
         channels = scenario.resolved_channels()
-        decision, eff = optimal_decision(scenario, channels)
+        cuts, eff = optimal_decision(scenario, channels)
         oracle_cuts, oracle_eff = oracle_enumerate(scenario, channels)
-        assert decision.cuts == oracle_cuts
+        assert cuts == oracle_cuts
         assert eff == oracle_eff
 
 
