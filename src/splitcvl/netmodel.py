@@ -13,7 +13,7 @@ All types are immutable and all operations are pure, so values can be
 shared freely across threads. A distribution holds only its two ranges:
 the cost model reads its ``mean_channel``, and the RL env bins and draws
 channels from the ranges itself. Every number must be finite; the
-constructors reject NaN and infinities.
+constructors reject NaN, infinities and integers past the largest float.
 """
 
 from __future__ import annotations
@@ -32,6 +32,18 @@ KIND_DEFAULTS: dict[str, dict[str, float]] = {
 }
 
 
+def fits_float(value, name: str):
+    """``value`` itself, once ``float(value)`` is known not to overflow;
+    ValueError naming ``name`` for an integer past the largest float,
+    which every float operation downstream would refuse with OverflowError."""
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got an integer past the "
+                         "largest float") from None
+    return value
+
+
 @dataclass(frozen=True)
 class DeviceProfile:
     """One terminal device (UAV or vehicle) running the front model part."""
@@ -46,8 +58,9 @@ class DeviceProfile:
         if self.kind not in KIND_DEFAULTS:
             raise ValueError(f"device {self.id!r}: unknown kind {self.kind!r}")
         for name in ("peak_flops", "compute_power_w", "tx_power_w"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"device {self.id!r}: {name} must be finite and > 0")
+            field = f"device {self.id!r}: {name}"
+            if not 0 < fits_float(getattr(self, name), field) < math.inf:
+                raise ValueError(f"{field} must be finite and > 0")
 
 
 def device_from_kind(id: str, kind: str, **overrides) -> DeviceProfile:
@@ -67,9 +80,9 @@ class ChannelState:
     snr_linear: float  # dimensionless, linear scale
 
     def __post_init__(self) -> None:
-        if not 0 < self.bandwidth_hz < math.inf:
+        if not 0 < fits_float(self.bandwidth_hz, "bandwidth_hz") < math.inf:
             raise ValueError("bandwidth_hz must be finite and > 0")
-        if not 0 <= self.snr_linear < math.inf:
+        if not 0 <= fits_float(self.snr_linear, "snr_linear") < math.inf:
             raise ValueError("snr_linear must be finite and >= 0")
 
 
@@ -85,10 +98,10 @@ class ChannelDistribution:
     snr_range_db: tuple[float, float]     # (min_db, max_db)
 
     def __post_init__(self) -> None:
-        lo, hi = self.bandwidth_range
+        lo, hi = (fits_float(x, "bandwidth_range") for x in self.bandwidth_range)
         if not 0 < lo <= hi < math.inf:
             raise ValueError("bandwidth_range must be finite with 0 < min <= max")
-        lo_db, hi_db = self.snr_range_db
+        lo_db, hi_db = (fits_float(x, "snr_range_db") for x in self.snr_range_db)
         if not -math.inf < lo_db <= hi_db < math.inf:
             raise ValueError("snr_range_db must be finite with min <= max")
 

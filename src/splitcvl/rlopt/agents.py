@@ -1,46 +1,52 @@
-"""Five learning agents over the partition environment.
+"""Five learning agents over the partition environment, one branch per device.
 
 All agents work against the same small env protocol: ``n_states``,
-``n_actions``, ``blocks(rng, steps)`` yielding each block's ``(states,
-us, outcomes)``, one entry per step, and ``reward(outcome, action)``;
-DQN and PPO also read ``features``, an (n_states, inputs) array whose
-row s is state s's network input. States and actions are plain
-integers, and ``u`` is a uniform drawn for the agent in the step's place
-in the env's random stream. Every episode is one step, so no update
-bootstraps from a next state: each value estimate tracks the reward of
-its state and action.
+``n_cuts``, ``n_bins`` and ``bins`` (each state's channel bins, one per
+device, numbered among all devices' bins; see ``env``), and
+``blocks(rng, steps)`` yielding each block's ``(states, outcomes)``, one
+entry per step. DQN and PPO also read ``features``, an (n_states,
+inputs) array whose row s is state s's network input. A step's outcome
+is its (devices, cuts) nested list of effects, or None where a link is
+infeasible, which counts as an effect of 1.0 at every cut. An action is
+a tuple of cuts, one per device. The effect is the mean of independent
+per-device terms, so each device picks its cut in a branch of its own
+(action branching, Tavakoli et al., AAAI 2018) and learns it from its
+own reward, minus its term, as in a combinatorial semi-bandit. Every
+episode is one step, so no update bootstraps from a next state: each
+value estimate tracks the reward of its device, bin (or state) and cut.
 
-  * Q-Learning        tabular, epsilon-greedy with linear decay
-  * Multi-Q-Learning  ensemble of K tables; each update lands on one
+  * Q-Learning        a table row per (device, bin), epsilon-greedy per
+                      device with linear decay
+  * Multi-Q-Learning  ensemble of K such tables; each update lands on one
                       uniformly chosen table, so the ensemble averages K
                       tables updated on disjoint visits; behavior follows
                       the ensemble mean
-  * Actor-Critic      tabular softmax policy, a critic of each state's
-                      reward, advantage policy gradient
-  * DQN               TinyNet Q-function, uniform replay, squared error
-                      against the sampled rewards, plain SGD
-  * PPO               clipped-surrogate policy gradient with a TinyNet
-                      critic baseline and configurable entropy bonus
+  * Actor-Critic      a softmax per (device, bin) row, a critic of the
+                      row's reward, advantage policy gradient
+  * DQN               TinyNet with a Q-head per device on the joint input,
+                      uniform replay, squared error against the sampled
+                      rewards, plain SGD
+  * PPO               clipped-surrogate policy gradient with a softmax per
+                      device, a TinyNet critic of each device's reward and
+                      configurable entropy bonus
 
-A training run is strictly sequential and driven by one seeded
-generator, which the env draws its rows from a block at a time.
-Actor-critic and PPO act on each row's ``u`` alone. Q-learning, multi-Q
-and DQN take their epsilon coin from ``u`` and their integer draws
-(explore action, table index, replay batch) from a second generator
-spawned from the seed, so their draws never shift the env's rows. Those
-integers depend only on each step's ``u``, epsilon and count, so each
-block's are drawn in one ``integers`` call, ahead of its first step:
-one call with an array of bounds gives the values and leaves the
-generator state that the same bounds drawn step by step would. So
-(agent, hyperparameters, seed) reproduces the convergence trace bit for
-bit, whatever the env's block size. Traces record each step's effect
-(minus its reward) and a trailing moving average.
+A training run is strictly sequential. The env draws its rows a block at
+a time from ``default_rng(seed)``. The agent draws all of its own
+randomness (initial weights, epsilon coins, explore cuts, table indices,
+softmax draws, replay batches) from a second generator spawned from the
+seed, as uniforms: per block, one ``random`` call of its steps' uniforms
+in step order, so (agent, hyperparameters, seed) reproduces the trace bit
+for bit whatever the env's block size. A uniform u picks the value
+floor(u * n) of n, and a softmax draw is the first cut whose running sum
+of weights passes u times their total. Traces record each step's effect
+(the mean of its devices' terms) and a trailing moving average.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -139,17 +145,18 @@ def _make_trace(effects: list[float], window: int) -> ConvergenceTrace:
 
 @dataclass(frozen=True)
 class TrainedPolicy:
-    """Greedy policy extracted at the end of training.
+    """Greedy policy extracted at the end of training: ``action(state)``
+    is one cut per device.
 
-    ``table`` carries the learned state-action table for tabular agents
-    (Q-values, ensemble-mean Q-values, or actor logits) and is None for
-    the network-based agents.
+    ``table`` carries the learned (n_bins, n_cuts) table of the tabular
+    agents (Q-values, ensemble-mean Q-values, or actor logits), one row
+    per (device, bin), and is None for the network-based agents.
     """
 
-    _action_fn: Callable[[int], int] = field(repr=False)
+    _action_fn: Callable[[int], tuple[int, ...]] = field(repr=False)
     table: np.ndarray | None = None
 
-    def action(self, state: int) -> int:
+    def action(self, state: int) -> tuple[int, ...]:
         return self._action_fn(state)
 
 
@@ -171,37 +178,32 @@ def _generators(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
     return np.random.default_rng(seq), np.random.default_rng(seq.spawn(1)[0])
 
 
-def _explore_bounds(us: list[float], epsilons: Iterator[float], n_actions: int) -> list[int]:
-    """Each step's explore-action bound, taking one epsilon per step:
-    ``n_actions`` where the coin ``u`` falls below epsilon, else 1, a
-    bound for which ``integers`` draws nothing and gives 0."""
-    return [n_actions if u < eps else 1
-            for u, eps in zip(us, itertools.islice(epsilons, len(us)))]
+def _explore_cuts(draws: np.ndarray, epsilons: Iterator[float], n_cuts: int) -> list:
+    """Each step's explore cut per device, or -1 where the device acts
+    greedily, taking one epsilon per step. Row t of ``draws`` holds the
+    step's devices' coins, then their explore uniforms: device d explores
+    when its coin falls below epsilon."""
+    n, n_dev = len(draws), len(draws[0]) // 2
+    eps = np.fromiter(itertools.islice(epsilons, n), float, n)
+    picks = (draws[:, n_dev:] * n_cuts).astype(np.int64)
+    return np.where(draws[:, :n_dev] < eps[:, None], picks, -1).tolist()
 
 
-_PROB_SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
+def _dead(env) -> list[list[float]]:
+    """The outcome that stands for an infeasible step: 1.0 at every cut."""
+    return [[1.0] * env.n_cuts] * len(env.bins[0])
 
 
-def _action_cdf(probs: np.ndarray) -> np.ndarray:
-    """The normalized cumulative sums ``rng.choice(n, p=probs)`` draws on.
-
-    Of that call's input checks only the sum check is kept. The
-    probabilities come from a softmax, so it fails only when the policy
-    has diverged to non-finite values.
-    """
-    cdf = probs.cumsum()
-    if not abs(cdf[-1] - 1.0) <= _PROB_SUM_ATOL:
-        raise NonFiniteError(
-            "policy diverged to non-finite values; lower the learning rates"
-        )
-    cdf /= cdf[-1]
-    return cdf
+def _table_policy(table: np.ndarray, bins) -> TrainedPolicy:
+    """Each device's argmax over its bin's row of ``table``."""
+    return TrainedPolicy(
+        lambda s: tuple(table[list(bins[s])].argmax(axis=1).tolist()), table=table)
 
 
-def _draw_action(cdf: np.ndarray, u: float) -> int:
-    """The action ``rng.choice(len(cdf), p=probs)`` picks when its one
-    draw is ``u``."""
-    return int(cdf.searchsorted(u, side="right"))
+def _net_policy(net: TinyNet, table: np.ndarray, n_cuts: int) -> TrainedPolicy:
+    """Each device's argmax over its head of the net's output."""
+    return TrainedPolicy(
+        lambda s: tuple(net.forward(table[s]).reshape(-1, n_cuts).argmax(axis=1).tolist()))
 
 
 def train_q_learning(
@@ -209,21 +211,24 @@ def train_q_learning(
 ) -> tuple[TrainedPolicy, ConvergenceTrace]:
     """Tabular Q-learning; one trace row per environment step."""
     hyper = hyper or Hyperparams()
-    rng, explore = _generators(seed)
-    q = np.zeros((env.n_states, env.n_actions))
+    rng, draw = _generators(seed)
+    n_dev, n_cuts, lr, bins, dead = len(env.bins[0]), env.n_cuts, hyper.lr, env.bins, _dead(env)
+    q = [[0.0] * n_cuts for _ in range(env.n_bins)]
     epsilons = _epsilons(steps, hyper)
     effects: list[float] = []
-    for states, us, outcomes in env.blocks(rng, steps):
-        bounds = _explore_bounds(us, epsilons, env.n_actions)
-        picks = explore.integers(0, bounds).tolist()
-        for state, outcome, bound, pick in zip(states, outcomes, bounds, picks):
-            # a bound of 1 marks a greedy step
-            action = pick if bound > 1 else int(q[state].argmax())
-            reward = env.reward(outcome, action)
-            q[state, action] += hyper.lr * (reward - q[state, action])
-            effects.append(-reward)
-    policy = TrainedPolicy(lambda s, q=q: int(np.argmax(q[s])), table=q)
-    return policy, _make_trace(effects, hyper.moving_avg_window)
+    for states, outcomes in env.blocks(rng, steps):
+        picks = _explore_cuts(draw.random((len(states), 2 * n_dev)), epsilons, n_cuts)
+        for state, outcome, step_picks in zip(states, outcomes, picks):
+            terms = []
+            for b, row_effects, cut in zip(bins[state], outcome or dead, step_picks):
+                row = q[b]
+                if cut < 0:
+                    cut = row.index(max(row))
+                term = row_effects[cut]
+                row[cut] += lr * (-term - row[cut])
+                terms.append(term)
+            effects.append(math.fsum(terms) / n_dev)
+    return _table_policy(np.array(q), bins), _make_trace(effects, hyper.moving_avg_window)
 
 
 def train_multi_q(
@@ -234,65 +239,82 @@ def train_multi_q(
     Each update lands on one uniformly chosen table, which therefore sees
     only 1/K of the visits; the per-table rate is scaled by K (capped at
     1) so the ensemble mean learns at ``lr`` regardless of the ensemble
-    size.
+    size. A greedy device takes the argmax of its row's sum over the
+    tables, K times the mean.
     """
     hyper = hyper or Hyperparams()
     k = hyper.multi_q_tables
-    rng, explore = _generators(seed)
-    tables = np.zeros((k, env.n_states, env.n_actions))
+    rng, draw = _generators(seed)
+    n_dev, n_cuts, bins, dead = len(env.bins[0]), env.n_cuts, env.bins, _dead(env)
+    # per (device, bin), the K tables' rows
+    tables = [[[0.0] * n_cuts for _ in range(k)] for _ in range(env.n_bins)]
     table_lr = min(1.0, hyper.lr * k)
     epsilons = _epsilons(steps, hyper)
     effects: list[float] = []
-    for states, us, outcomes in env.blocks(rng, steps):
-        bounds = _explore_bounds(us, epsilons, env.n_actions)
-        # per step, the explore action, then the table index
-        draws = explore.integers(0, [(bound, k) for bound in bounds]).tolist()
-        for state, outcome, bound, (pick, j) in zip(states, outcomes, bounds, draws):
-            # only the rows read are reduced; with two or more actions a
-            # row's sums equal the whole ensemble's bit for bit, and
-            # dividing the sum by k is what np.mean does
-            action = pick if bound > 1 else int((tables[:, state].sum(axis=0) / k).argmax())
-            reward = env.reward(outcome, action)
-            tables[j, state, action] += table_lr * (reward - tables[j, state, action])
-            effects.append(-reward)
-    mean_q = tables.mean(axis=0)
-    policy = TrainedPolicy(lambda s, q=mean_q: int(np.argmax(q[s])), table=mean_q)
-    return policy, _make_trace(effects, hyper.moving_avg_window)
+    for states, outcomes in env.blocks(rng, steps):
+        # per step, the devices' coins, explore uniforms and table uniforms
+        draws = draw.random((len(states), 3 * n_dev))
+        picks = _explore_cuts(draws[:, :2 * n_dev], epsilons, n_cuts)
+        indices = (draws[:, 2 * n_dev:] * k).astype(np.int64).tolist()
+        for state, outcome, step_picks, step_indices in zip(states, outcomes, picks, indices):
+            terms = []
+            for b, row_effects, cut, j in zip(bins[state], outcome or dead, step_picks,
+                                              step_indices):
+                rows = tables[b]
+                if cut < 0:
+                    sums = [sum(values) for values in zip(*rows)]
+                    cut = sums.index(max(sums))
+                row = rows[j]
+                term = row_effects[cut]
+                row[cut] += table_lr * (-term - row[cut])
+                terms.append(term)
+            effects.append(math.fsum(terms) / n_dev)
+    return (_table_policy(np.array(tables).mean(axis=1), bins),
+            _make_trace(effects, hyper.moving_avg_window))
 
 
 def train_actor_critic(
     env, steps: int, hyper: Hyperparams | None = None, seed: int = 0
 ) -> tuple[TrainedPolicy, ConvergenceTrace]:
-    """Tabular softmax actor with a critic of each state's reward.
+    """Tabular softmax actor with a critic of each row's reward.
 
-    The logits start at zero, so the initial policy is uniform (entropy
-    log of the action count).
+    The logits start at zero, so each device's initial policy is uniform
+    (entropy log of the cut count). A device draws its cut with one
+    uniform, by inverse transform on the cumulative sums of its row's
+    ``exp(logit - max)``, whose largest term is 1.0: a sum that is not at
+    least 1.0 is NaN, and the policy has diverged.
     """
     hyper = hyper or Hyperparams()
-    rng = np.random.default_rng(seed)
-    logits = np.zeros((env.n_states, env.n_actions))
-    rows = list(logits)  # each state's logits, a view bound once
-    values = [0.0] * env.n_states  # Python floats round as float64 arrays do
-    lr, lr_actor, reward_of = hyper.lr, hyper.lr_actor, env.reward
+    rng, draw = _generators(seed)
+    n_dev, n_cuts, bins, dead = len(env.bins[0]), env.n_cuts, env.bins, _dead(env)
+    logits = [[0.0] * n_cuts for _ in range(env.n_bins)]
+    values = [0.0] * env.n_bins
+    lr, lr_actor, exp, last = hyper.lr, hyper.lr_actor, math.exp, n_cuts - 1
     effects: list[float] = []
-    for states, us, outcomes in env.blocks(rng, steps):
-        for state, u, outcome in zip(states, us, outcomes):
-            row = rows[state]
-            probs = row - row.max()
-            np.exp(probs, out=probs)
-            probs /= probs.sum()
-            action = _draw_action(_action_cdf(probs), u)
-            reward = reward_of(outcome, action)
-            advantage = reward - values[state]
-            values[state] += lr * advantage
-            # one_hot(action) - probs, in place; -p + 1.0 rounds as 1.0 - p
-            np.negative(probs, out=probs)
-            probs[action] += 1.0
-            probs *= lr_actor * advantage
-            row += probs
-            effects.append(-reward)
-    policy = TrainedPolicy(lambda s, logits=logits: int(np.argmax(logits[s])), table=logits)
-    return policy, _make_trace(effects, hyper.moving_avg_window)
+    for states, outcomes in env.blocks(rng, steps):
+        draws = draw.random((len(states), n_dev)).tolist()
+        for state, outcome, us in zip(states, outcomes, draws):
+            terms = []
+            for b, row_effects, u in zip(bins[state], outcome or dead, us):
+                row = logits[b]
+                top = max(row)
+                weights = [exp(x - top) for x in row]
+                cdf = list(itertools.accumulate(weights))
+                if not cdf[-1] >= 1.0:
+                    raise NonFiniteError(
+                        "policy diverged to non-finite values; lower the learning rates")
+                cut = bisect_right(cdf, u * cdf[-1], 0, last)
+                term = row_effects[cut]
+                advantage = -term - values[b]
+                values[b] += lr * advantage
+                # logits += lr_actor * advantage * (one_hot(cut) - probs)
+                step = lr_actor * advantage
+                scale = step / cdf[-1]
+                row[:] = [x - scale * w for x, w in zip(row, weights)]
+                row[cut] += step
+                terms.append(term)
+            effects.append(math.fsum(terms) / n_dev)
+    return _table_policy(np.array(logits), bins), _make_trace(effects, hyper.moving_avg_window)
 
 
 _Q_DIVERGED = "Q-network diverged to non-finite values; lower lr_net"
@@ -301,96 +323,98 @@ _Q_DIVERGED = "Q-network diverged to non-finite values; lower lr_net"
 def train_dqn(
     env, steps: int, hyper: Hyperparams | None = None, seed: int = 0
 ) -> tuple[TrainedPolicy, ConvergenceTrace]:
-    """Deep Q-network on bin one-hot features.
+    """Deep Q-network on bin one-hot features, a Q-head per device.
 
-    The replay ring is three arrays of ``replay_capacity`` slots: the state,
-    the cell (the flat index of the Q-value the TD error reads) and the
-    reward. Transition t (from 0) goes to slot ``t % replay_capacity``, so a
-    block's batches are drawn before its writes. Step t draws its explore
-    action, then ``min(batch_size, size)`` replay slots below ``size``, the
-    buffer's length ``min(t + 1, replay_capacity)`` after its own push; a
-    block's integers are one ``integers`` call. Each step runs the Q-network
-    once. When the env has no more states than a step has rows (its state
-    and a full batch), that forward is on the feature table, one row per
-    state, and each state's TD errors are summed per action before backprop:
-    rows of one state share their activations and backprop is linear in the
-    output gradient, so the gradient is the batch's in exact arithmetic.
-    Otherwise the forward is on the step's state (its slot holds it before
-    the forward) and its batch's states. The greedy action reads the step's
-    row, the TD errors the batch's. A greedy step checks the Q-value it acts
-    on: ``argmax`` picks a NaN or +inf first, so a diverged net raises
-    NonFiniteError there, and at the latest after training, when the
-    Q-values of every state are checked.
+    The net's output d * n_cuts + c is device d's Q-value of cut c. The
+    replay ring holds, per slot, the state, each device's cell (the flat
+    index of the Q-value its TD error reads) and each device's effect
+    (minus its reward). Transition t (from 0) goes to slot
+    ``t % replay_capacity``, so a block's batches are drawn before its
+    writes. Step t draws its devices' coins and explore uniforms, then
+    ``batch_size`` slot uniforms, of which its batch takes the first
+    ``min(batch_size, size)``, ``size`` being the buffer's length
+    ``min(t + 1, replay_capacity)`` after its own push. Each step
+    runs the Q-network once. When the env has no more states than a step
+    has rows (its state and a full batch), that forward is on the feature
+    table, one row per state, and the TD errors of each state and cell
+    are summed before backprop: rows of one state share their
+    activations and backprop is linear in the output gradient, so the
+    gradient is the batch's in exact arithmetic. Otherwise the forward is
+    on the step's state (its slot holds it before the forward) and its
+    batch's states. The greedy cuts read the step's row, the TD errors
+    the batch's; the mean squared error's factor 2 / rows scales the
+    step's learning rate. Non-finite weights make every later Q-value
+    non-finite, so the last Q-values of each block are checked, and those
+    of every state after training: a diverged net raises NonFiniteError
+    within a block.
     """
     hyper = hyper or Hyperparams()
-    rng, explore = _generators(seed)
+    rng, draw = _generators(seed)
     table = env.features
-    n_actions = env.n_actions
+    n_dev, n_cuts, dead = len(env.bins[0]), env.n_cuts, _dead(env)
+    width = n_dev * n_cuts
     capacity, batch_size = hyper.replay_capacity, hyper.batch_size
     on_table = env.n_states <= batch_size + 1
-    # row r's Q-value of action a sits at r * n_actions + a of the
-    # flattened (rows, n_actions) Q-values. In the table case row s is
-    # state s, so a slot's cell is that whole index; otherwise row 0 is
-    # the step's state and row r >= 1 the batch's r-th, so a slot's cell
-    # is its action and the batch adds its rows' starts
-    row_starts = np.arange(1, batch_size + 1) * n_actions
-    net = TinyNet((table.shape[1], *hyper.hidden, env.n_actions), rng)
-    forward, backward, sgd_step = net.forward, net.backward, net.sgd_step
-    reward_of, lr = env.reward, hyper.lr_net
+    # row r's Q-value of cell i sits at r * width + i of the flattened
+    # (rows, width) Q-values. In the table case row s is state s, so a
+    # slot's cells are those whole indices; otherwise row 0 is the step's
+    # state and row r >= 1 the batch's r-th, so a slot's cells are within
+    # its row and the batch adds its rows' starts. Per state, each
+    # device's cell of cut 0:
+    bases = [[(s * width if on_table else 0) + d * n_cuts for d in range(n_dev)]
+             for s in range(env.n_states)]
+    row_starts = np.repeat(np.arange(1, batch_size + 1) * width, n_dev)
+    devices = np.tile(np.arange(n_dev), batch_size)  # each batch entry's device
+    net = TinyNet((table.shape[1], *hyper.hidden, width), draw)
+    forward, backward, sgd_step, lr = net.forward, net.backward, net.sgd_step, hyper.lr_net
     slot_states = np.zeros(capacity, dtype=np.int64)
-    cells = np.zeros(capacity, dtype=np.int64)
-    rewards = np.zeros(capacity)
+    cells = np.zeros((capacity, n_dev), dtype=np.int64)
+    slot_terms = np.zeros((capacity, n_dev))
+    flat_cells, flat_terms = cells.reshape(-1), slot_terms.reshape(-1)
     epsilons = _epsilons(steps, hyper)
     effects: list[float] = []
-    for states, us, outcomes in env.blocks(rng, steps):
-        pushes = np.arange(len(effects), len(effects) + len(us))
+    for states, outcomes in env.blocks(rng, steps):
+        pushes = np.arange(len(effects), len(effects) + len(states))
         sizes = np.minimum(pushes + 1, capacity)  # the length after each push
-        counts = np.minimum(sizes, batch_size) + 1
-        heads = np.cumsum(counts) - counts  # each step's explore draw
-        highs = np.repeat(sizes, counts)
-        bounds = _explore_bounds(us, epsilons, n_actions)
-        highs[heads] = bounds
-        slots = explore.integers(0, highs)
-        picks = slots[heads].tolist()
         owns = pushes % capacity  # each step's own slot, written in place
-        slots[heads] = owns
-        for state, outcome, bound, pick, own, head, count in zip(
-            states, outcomes, bounds, picks, owns.tolist(), heads.tolist(), counts.tolist()
+        draws = draw.random((len(states), 2 * n_dev + batch_size))
+        picks = _explore_cuts(draws[:, :2 * n_dev], epsilons, n_cuts)
+        slots = (draws[:, 2 * n_dev:] * sizes[:, None]).astype(np.int64)
+        # each step's own slot, then its batch's; and each batch slot's
+        # entries in the flat cells, one per device
+        rows = np.column_stack([owns, slots])
+        entries = (slots * n_dev).repeat(n_dev, axis=1) + devices
+        for state, outcome, step_picks, own, count, step_rows, step_entries in zip(
+            states, outcomes, picks, owns.tolist(), np.minimum(sizes, batch_size).tolist(),
+            rows, entries,
         ):
-            batch = slots[head + 1:head + count]
+            batch = step_entries[:count * n_dev]
             if on_table:
                 q, row = forward(table), state
             else:
                 slot_states[own] = state
-                q, row = forward(table.take(slot_states[slots[head:head + count]], axis=0)), 0
-            if bound > 1:
-                action = pick
-            else:
-                action = int(q[row].argmax())
-                if not math.isfinite(q[row, action]):
-                    raise NonFiniteError(_Q_DIVERGED)
-            reward = reward_of(outcome, action)
-            cells[own] = state * n_actions + action if on_table else action
-            rewards[own] = reward
+                q, row = forward(table.take(slot_states[step_rows[:count + 1]], axis=0)), 0
+            cuts = step_picks
+            if min(cuts) < 0:  # a device acts greedily
+                greedy = q[row].reshape(n_dev, n_cuts).argmax(axis=1).tolist()
+                cuts = greedy if max(cuts) < 0 else [
+                    g if c < 0 else c for c, g in zip(cuts, greedy)]
+            terms = [e[c] for e, c in zip(outcome or dead, cuts)]
+            cells[own] = [b + c for b, c in zip(bases[state], cuts)]
+            slot_terms[own] = terms
             # read after the writes: the batch may hold the step's own slot
-            picked = cells[batch] if on_table else row_starts[:count - 1] + cells[batch]
-            td = q.take(picked)  # a copy, scaled in place to 2 * (q - r) / rows
-            td -= rewards[batch]
-            # the halved divisor is exact, so this rounds once, as
-            # doubling (exact) and then dividing by the rows does
-            td /= (count - 1) / 2
-            # on the table, a state-action pair drawn twice sums its TD errors
-            backward(np.bincount(picked, td, q.size).reshape(-1, n_actions))
-            sgd_step(lr)
-            effects.append(-reward)
+            picked = flat_cells[batch] if on_table else row_starts[:len(batch)] + flat_cells[batch]
+            td = q.take(picked)
+            td += flat_terms[batch]  # q - r, r being minus the effect
+            # on the table, a state and cell drawn twice sums its TD errors
+            backward(np.bincount(picked, td, q.size).reshape(-1, width))
+            sgd_step(lr * 2.0 / count)
+            effects.append(math.fsum(terms) / n_dev)
+        if not np.isfinite(q).all():
+            raise NonFiniteError(_Q_DIVERGED)
     if not np.isfinite(net.forward(table)).all():
         raise NonFiniteError(_Q_DIVERGED)
-
-    def act(s: int, net=net, table=table) -> int:
-        return int(np.argmax(net.forward(table[s])[0]))
-
-    policy = TrainedPolicy(act)
-    return policy, _make_trace(effects, hyper.moving_avg_window)
+    return _net_policy(net, table, n_cuts), _make_trace(effects, hyper.moving_avg_window)
 
 
 def ppo_policy_gradient(
@@ -404,29 +428,28 @@ def ppo_policy_gradient(
 ) -> np.ndarray:
     """dLoss/dlogits for the clipped surrogate with an entropy bonus.
 
-    Follows a fresh forward pass on ``policy_net``. Samples whose ratio
-    has left the clip interval on the unfavourable side contribute no
-    policy gradient, which is exactly the clipped-surrogate rule. With an
-    infinite clip this reduces to the vanilla policy gradient of the
-    batch.
+    ``actions``, ``advantages`` and ``logp_old`` are (batch, devices)
+    arrays, and the net's output holds a softmax's logits per device, so
+    each device's cut has a ratio, clip and entropy of its own. Follows a
+    fresh forward pass on ``policy_net``. Samples whose ratio has left the
+    clip interval on the unfavourable side contribute no policy gradient,
+    which is exactly the clipped-surrogate rule. With an infinite clip
+    this reduces to the vanilla policy gradient of the batch.
     """
-    logp = log_softmax(policy_net.forward(features))
+    n, n_dev = actions.shape
+    logp = log_softmax(policy_net.forward(features).reshape(n, n_dev, -1))
     probs = np.exp(logp)
-    n, _ = probs.shape
-    rows = np.arange(n)
+    picked = np.arange(n)[:, None], np.arange(n_dev), actions
     # exponent clamp keeps a collapsed old policy from overflowing the ratio
-    ratio = np.exp(np.clip(logp[rows, actions] - logp_old, -30.0, 30.0))
-    active = np.where(
-        advantages >= 0.0, ratio <= 1.0 + clip, ratio >= 1.0 - clip
-    ).astype(np.float64)
+    ratio = np.exp(np.clip(logp[picked] - logp_old, -30.0, 30.0))
+    active = np.where(advantages >= 0.0, ratio <= 1.0 + clip, ratio >= 1.0 - clip)
     one_hot = np.zeros_like(probs)
-    one_hot[rows, actions] = 1.0
-    coeff = active * ratio * advantages
-    grad = -(coeff[:, None] * (one_hot - probs)) / n
+    one_hot[picked] = 1.0
+    grad = -((active * ratio * advantages)[..., None] * (one_hot - probs)) / n
     if entropy_coef != 0.0:
-        entropy = -(probs * logp).sum(axis=1)
-        grad += entropy_coef * probs * (logp + entropy[:, None]) / n
-    return grad
+        entropy = -(probs * logp).sum(axis=2, keepdims=True)
+        grad += entropy_coef * probs * (logp + entropy) / n
+    return grad.reshape(n, -1)
 
 
 def train_ppo(
@@ -434,47 +457,47 @@ def train_ppo(
 ) -> tuple[TrainedPolicy, ConvergenceTrace]:
     """Clipped-surrogate policy optimization with a critic baseline.
 
-    Advantages are normalized per batch and the entropy bonus is annealed
-    linearly to zero across the run: strong early exploration keeps the
-    policy from collapsing onto a suboptimal mode before the critic has
-    calibrated, and a zero late bonus lets it concentrate fully.
+    The critic outputs each device's expected reward. Advantages are
+    normalized per batch and the entropy bonus is annealed linearly to
+    zero across the run: strong early exploration keeps the policy from
+    collapsing onto a suboptimal mode before the critic has calibrated,
+    and a zero late bonus lets it concentrate fully.
     """
     hyper = hyper or Hyperparams()
-    rng = np.random.default_rng(seed)
+    rng, draw = _generators(seed)
     table = env.features
-    policy_net = TinyNet((table.shape[1], *hyper.hidden, env.n_actions), rng)
-    value_net = TinyNet((table.shape[1], *hyper.hidden, 1), rng)
+    n_dev, n_cuts, dead = len(env.bins[0]), env.n_cuts, _dead(env)
+    policy_net = TinyNet((table.shape[1], *hyper.hidden, n_dev * n_cuts), draw)
+    value_net = TinyNet((table.shape[1], *hyper.hidden, n_dev), draw)
     effects: list[float] = []
-    rows = itertools.chain.from_iterable(zip(*block) for block in env.blocks(rng, steps))
+    rows = itertools.chain.from_iterable(
+        zip(states, outcomes, draw.random((len(states), n_dev)).tolist())
+        for states, outcomes in env.blocks(rng, steps))
+    devices = np.arange(n_dev)
     done_steps = 0
     while done_steps < steps:
         batch_n = min(hyper.ppo_batch, steps - done_steps)
-        states, actions, rewards = [], [], []
-        logp_old = np.empty(batch_n)
+        states, outcomes, us = zip(*itertools.islice(rows, batch_n))
+        states = np.array(states)
         # the policy is fixed during a rollout: one forward pass per state
-        rollout_policy: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for i, (state, u, outcome) in zip(range(batch_n), rows):
-            if state not in rollout_policy:
-                logp_row = log_softmax(policy_net.forward(table[state]))[0]
-                if not np.isfinite(logp_row).all():
-                    raise NonFiniteError(
-                        "policy diverged to non-finite logits; lower lr_net"
-                    )
-                rollout_policy[state] = (logp_row, _action_cdf(np.exp(logp_row)))
-            logp_row, cdf = rollout_policy[state]
-            action = _draw_action(cdf, u)
-            reward = env.reward(outcome, action)
-            states.append(state)
-            actions.append(action)
-            rewards.append(reward)
-            logp_old[i] = logp_row[action]
-            effects.append(-reward)
+        seen, inverse = np.unique(states, return_inverse=True)
+        logp = log_softmax(policy_net.forward(table[seen]).reshape(len(seen), n_dev, n_cuts))
+        if not np.isfinite(logp).all():
+            raise NonFiniteError("policy diverged to non-finite logits; lower lr_net")
+        logp = logp[inverse]
+        cdf = np.exp(logp).cumsum(axis=2)
+        # each device's cut: the first whose running sum passes u times the total
+        actions = (cdf[..., :-1] <= np.array(us)[..., None] * cdf[..., -1:]).sum(axis=2)
+        logp_old = logp[np.arange(batch_n)[:, None], devices, actions]
+        terms = [[e[c] for e, c in zip(outcome or dead, cuts)]
+                 for outcome, cuts in zip(outcomes, actions.tolist())]
+        effects += [math.fsum(step_terms) / n_dev for step_terms in terms]
         done_steps += batch_n
         entropy_coef = hyper.entropy_coef * (1.0 - done_steps / steps)
 
-        states, actions, rewards = np.array(states), np.array(actions), np.array(rewards)
         x = table[states]
-        advantages = rewards - value_net.forward(x)[:, 0]
+        rewards = -np.array(terms)
+        advantages = rewards - value_net.forward(x)
         spread = advantages.std()
         if spread > 1e-12:
             advantages = (advantages - advantages.mean()) / spread
@@ -488,14 +511,10 @@ def train_ppo(
             policy_net.sgd_step(hyper.lr_net)
 
             v = value_net.forward(x)
-            value_net.backward(2.0 * (v - rewards[:, None]) / batch_n)
+            value_net.backward(2.0 * (v - rewards) / batch_n)
             value_net.sgd_step(hyper.lr_net)
 
-    def act(s: int, net=policy_net, table=table) -> int:
-        return int(np.argmax(net.forward(table[s])[0]))
-
-    policy = TrainedPolicy(act)
-    return policy, _make_trace(effects, hyper.moving_avg_window)
+    return _net_policy(policy_net, table, n_cuts), _make_trace(effects, hyper.moving_avg_window)
 
 
 AGENTS: dict[str, Callable] = {

@@ -1,16 +1,21 @@
-"""Partition-point selection cast as a contextual bandit.
+"""Partition-point selection cast as a contextual bandit, one cut per device.
 
 The environment state is the observable network context: one discretized
-channel bin per device (a grid over bandwidth x SNR-in-dB). The action
-jointly assigns one partition candidate to every device, flattened to a
-single discrete id. The reward is the additive inverse of the decision's
-effect value, so it lies in [-1, 0] whenever the cost weights sum to 1;
-an infeasible link (a zero rate, or one too low to carry the payload, as
-``EffectKernel.feasible`` tells) yields the worst reward of -1 instead
-of an error so that learning can continue.
+channel bin per device (a grid over bandwidth x SNR-in-dB). An action
+assigns one partition candidate to every device. The effect is the mean
+of independent per-device terms, and each term reads only its own
+device's channel, so the agents pick each device's cut in a branch of its
+own (action branching) and learn it from that device's reward: minus its
+term, which lies in [-1, 0] whenever the cost weights sum to 1. A step
+with an infeasible link (a zero rate, or one too low to carry the
+payload, as ``EffectKernel.feasible`` tells) gives every device the
+worst reward of -1 and has effect 1.0, instead of an error, so that
+learning can continue.
 
-A state's network input is its row of ``features``: each device's
-channel bin one-hot, first device first.
+``bins[s]`` holds state s's channel bins, one per device, each numbered
+among all ``n_bins`` bins of all devices, first device first. They are
+the one-hot columns of state s's network input, row s of ``features``,
+and the rows of the tabular agents' tables, one row per (device, bin).
 
 Every episode is one step. The channels are redrawn at every step
 whatever the action, so the action never changes the next state and the
@@ -19,20 +24,15 @@ to the state and bootstraps that carry no information.
 
 Since no channel depends on an action, the env draws the steps a block
 at a time, ahead of the agent: ``blocks(rng, steps)`` yields each
-block's states, agent uniforms ``u`` and outcomes as three lists, and
-``reward(outcome, action)`` scores the action the agent picks. A block
-of ``n`` steps is one ``rng.random((n, 3 * k + 1))`` call, k being two
-uniforms per drawn channel. Each row holds, in order, the k uniforms of
-the step's state, the agent's uniform ``u``, the k uniforms of the
-step's channels, and k more that are drawn and not used. That is the
-order of a per-step loop that draws a state, the agent's uniform, then
-the step's channels and a set for the next state
-(``tests/helpers.StepEnv`` keeps that loop as the reference). The unused
-set seeded the next state when episodes could last several steps; it
-stays so that an agent that draws nothing but ``u`` (actor-critic, PPO)
-keeps its random stream and every recorded trace. An agent that needs
-more draws takes them from a generator of its own, so no output depends
-on the block size.
+block's states and outcomes as two lists. A step's outcome is its
+(devices, cuts) nested list of effects, or None where a link is
+infeasible. A block of ``n`` steps is one ``rng.random((n, 2 * k))``
+call, k being two uniforms per drawn channel. Each row holds the k
+uniforms of the step's state, then the k of its channels: the order of
+a per-step loop that draws a state, then its channels
+(``tests/helpers.StepEnv`` keeps that loop as the reference). The
+agents draw from a generator of their own, so no output depends on the
+block size.
 
 A drawn channel's bin comes from its two state uniforms alone: a range
 split into ``n`` equal bins puts the draw ``u`` in bin ``floor(u * n)``,
@@ -42,16 +42,15 @@ no bin depends on a host's pow or logarithm. The rates follow the float
 expressions of sampling a channel in its bin (``low + width * u``, SNR
 drawn in dB), ``snr_db_to_linear`` and ``shannon_rate``, the last two on
 Python floats, and the scenario's ``EffectKernel`` turns them into every
-cut's effect. So a reward is bit for bit the negated ``decision_effect``
-of the drawn channels. A channel whose linear SNR underflows to zero
-keeps its drawn dB's bin, and a step over it gets the zero-rate reward.
+cut's effect. So an outcome is bit for bit the ``effect_table`` of the
+drawn channels. A channel whose linear SNR underflows to zero keeps its
+drawn dB's bin, and a step over it is infeasible.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property
-from itertools import product
 from typing import Iterator
 
 import numpy as np
@@ -59,7 +58,6 @@ import numpy as np
 from ..netmodel import ChannelDistribution, ChannelState, shannon_rate
 from ..trico import Scenario
 
-MAX_JOINT_ACTIONS = 125  # 5 candidates ** 3 devices
 # Ceiling on every count that sizes an allocation: env states, replay
 # slots, sampled batch rows, Q tables, and the hidden units of all layers
 # together (so a net's weights stay within a few million).
@@ -143,7 +141,7 @@ def _bin_count(channel, bandwidth_bins: int, snr_bins: int) -> int:
 
 
 class PartitionEnv:
-    """Joint partition-selection environment over one scenario."""
+    """Per-device partition-selection environment over one scenario."""
 
     def __init__(
         self,
@@ -153,12 +151,6 @@ class PartitionEnv:
     ):
         if bandwidth_bins < 1 or snr_bins < 1:
             raise ValueError("bin counts must be >= 1")
-        n_actions = scenario.num_candidates ** scenario.num_devices
-        if n_actions > MAX_JOINT_ACTIONS:
-            raise ValueError(
-                f"joint action space {n_actions} exceeds the cap of "
-                f"{MAX_JOINT_ACTIONS}; reduce devices or candidates"
-            )
         # counted before any bin is built, so a huge bin count fails at once
         n_states = math.prod(
             _bin_count(ch, bandwidth_bins, snr_bins) for ch in scenario.channels
@@ -175,57 +167,34 @@ class PartitionEnv:
         # a state id is a mixed-radix number of the devices' channel bins,
         # first device first
         self.n_states = n_states
-        self._cuts = tuple(product(range(scenario.num_candidates),
-                                   repeat=scenario.num_devices))
-        self.n_actions = len(self._cuts)
-        # a fixed channel draws nothing; a row holds 3 * k + 1 uniforms, k
+        self.n_cuts = scenario.num_candidates
+        widths = [grid.n_bins for grid in self.grids]
+        self.n_bins = sum(widths)
+        bins = np.column_stack(np.unravel_index(np.arange(n_states), widths))
+        self.bins = tuple(map(tuple, (bins + np.cumsum([0, *widths[:-1]])).tolist()))
+        # a fixed channel draws nothing; a row holds 2 * k uniforms, k
         # being two per drawn channel (see the module docstring)
         self._draws_per_set = 2 * sum(not g.fixed for g in self.grids)
-        # per action, each device's cut in a row's flattened (device, cut) effects
-        n_cuts = scenario.num_candidates
-        self._effect_index = tuple(tuple(d * n_cuts + c for d, c in enumerate(cuts))
-                                   for cuts in self._cuts)
-
-    # -- encodings -------------------------------------------------------
-
-    def decode_action(self, action: int) -> tuple[int, ...]:
-        """One cut per device of an action id."""
-        if not 0 <= action < self.n_actions:
-            raise ValueError(f"action {action} out of range")
-        return self._cuts[action]
 
     @cached_property
     def features(self) -> np.ndarray:
-        """(n_states, total bins) array whose row s is state s's network
-        input: each device's channel bin one-hot, first device first.
-        Built on first use, so the tabular agents never allocate it."""
-        n_bins = [grid.n_bins for grid in self.grids]
-        columns = np.column_stack(np.unravel_index(np.arange(self.n_states), n_bins))
-        columns += np.cumsum([0, *n_bins[:-1]])
-        features = np.zeros((self.n_states, sum(n_bins)))
-        np.put_along_axis(features, columns, 1.0, axis=1)
+        """(n_states, n_bins) array whose row s is state s's network input:
+        a one at each of its ``bins``. Built on first use, so the tabular
+        agents never allocate it."""
+        features = np.zeros((self.n_states, self.n_bins))
+        np.put_along_axis(features, np.array(self.bins), 1.0, axis=1)
         return features
 
-    # -- dynamics ---------------------------------------------------------
-
     def blocks(self, rng: np.random.Generator, steps: int) -> Iterator[tuple]:
-        """``(states, us, outcomes)`` of each block of ``steps`` steps,
-        ``BLOCK_STEPS`` at a time: per step, the state id, the agent's
-        uniform, and what ``reward`` scores an action with."""
+        """``(states, outcomes)`` of each block of ``steps`` steps,
+        ``BLOCK_STEPS`` at a time: per step, the state id and the
+        (devices, cuts) effects, or None where a link is infeasible."""
         for start in range(0, steps, BLOCK_STEPS):
             yield self._block(rng, min(BLOCK_STEPS, steps - start))
 
-    def reward(self, outcome: list[float] | None, action: int) -> float:
-        """Minus the mean effect of the action's cuts in a row, or -1.0
-        where a link of the row is infeasible (its outcome is None)."""
-        if outcome is None:
-            return -1.0
-        cuts = self._effect_index[action]
-        return -(math.fsum(map(outcome.__getitem__, cuts)) / len(cuts))
-
-    def _block(self, rng: np.random.Generator, n: int) -> tuple[list, list, list]:
+    def _block(self, rng: np.random.Generator, n: int) -> tuple[list, list]:
         k = self._draws_per_set
-        u = rng.random((n, 3 * k + 1))
+        u = rng.random((n, 2 * k))
         log2 = math.log2
         states = np.zeros(n, dtype=np.int64)
         rates = np.empty((n, len(self.grids)))
@@ -239,14 +208,14 @@ class PartitionEnv:
             states *= grid.n_bins
             states += b
             bw_lo, bw_width, db_lo, db_width = grid.scales[:, b]
-            bw = bw_lo + bw_width * u[:, k + 1 + i]
-            db = (db_lo + db_width * u[:, k + 2 + i]) / 10.0
+            bw = bw_lo + bw_width * u[:, k + i]
+            db = (db_lo + db_width * u[:, k + i + 1]) / 10.0
             rates[:, d] = bw * [log2(1.0 + 10.0 ** x) for x in db.tolist()]
             i += 2
         kernel = self.scenario.effect_kernel
         dead = np.flatnonzero(~kernel.feasible(rates).all(axis=1))
-        rates[dead] = 1.0  # any positive rate; these rows score -1.0
-        outcomes = kernel(rates).reshape(n, -1).tolist()
+        rates[dead] = 1.0  # any positive rate; these rows are replaced by None
+        outcomes = kernel(rates).tolist()
         for row in dead.tolist():
             outcomes[row] = None
-        return states.tolist(), u[:, k].tolist(), outcomes
+        return states.tolist(), outcomes

@@ -49,6 +49,7 @@ from .netmodel import (
     ChannelState,
     DeviceProfile,
     device_from_kind,
+    fits_float,
     resolve_channel,
     shannon_rate,
 )
@@ -71,8 +72,9 @@ class ConfEntry:
     ssim_closed: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kl_open < 0 or self.kl_closed < 0:
-            raise ValueError("KL divergences must be >= 0")
+        for name in ("kl_open", "kl_closed"):
+            if not 0 <= fits_float(getattr(self, name), name) < math.inf:
+                raise ValueError("KL divergences must be finite and >= 0")
         for name in ("ssim_open", "ssim_closed"):
             value = getattr(self, name)
             if value is not None and not 0.0 <= value <= 1.0:
@@ -130,7 +132,7 @@ class TriCoWeights:
 
     def __post_init__(self) -> None:
         for name in ("w_comm", "w_comp", "w_conf"):
-            if not getattr(self, name) >= 0:
+            if not fits_float(getattr(self, name), name) >= 0:
                 raise ValueError(f"{name} must be a number >= 0")
         total = self.w_comm + self.w_comp + self.w_conf
         if abs(total - 1.0) > 1e-9:

@@ -41,9 +41,6 @@ from splitcvl.retrieval import (
     top1_percent_k,
 )
 from splitcvl.rlopt import env as env_module
-from splitcvl.rlopt.agents import (
-    _Q_DIVERGED, _action_cdf, _draw_action, _epsilons, _generators,
-)
 from splitcvl.rlopt.nets import TinyNet
 from splitcvl.trico import (
     COST_TABLE_HEADER,
@@ -186,34 +183,30 @@ def record_path_state(env, draws):
     return state
 
 
-def record_path_reward(env, state, action, draws):
-    """Reward by way of channel records and ``decision_effect``: the
-    reward of a block row whose channel columns hold the same uniforms."""
-    channels = tuple(
+def record_path_channels(env, state, draws):
+    """The channels of a block row whose channel columns hold the uniforms
+    ``draws``, as channel records."""
+    return tuple(
         grid.channel if grid.fixed
         else ChannelState(*channel_at(bin_channel(grid, b), next(draws), next(draws)))
         for grid, b in zip(env.grids, decode_state(env, state))
     )
-    try:
-        return -decision_effect(env.scenario, env.decode_action(action), channels)
-    except ZeroRateError:
-        return -1.0
 
 
-def evaluate_action(env, state, action):
-    """Effect of an action of a ``PartitionEnv`` under the state's
+def evaluate_action(env, state, cuts):
+    """Effect of one cut per device in a ``PartitionEnv`` state under its
     bin-midpoint channels; 1.0, the worst, where a link has zero rate."""
     bins = decode_state(env, state)
     channels = tuple(resolve_channel(bin_channel(grid, b))
                      for grid, b in zip(env.grids, bins))
     try:
-        return decision_effect(env.scenario, env.decode_action(action), channels)
+        return decision_effect(env.scenario, cuts, channels)
     except ZeroRateError:
         return 1.0
 
 
 def policy_effect(env, policy):
-    """Deterministic effect of the greedy policy, averaged over states."""
+    """Deterministic effect of the greedy policy's cuts, averaged over states."""
     values = [
         evaluate_action(env, s, policy.action(s)) for s in range(env.n_states)
     ]
@@ -350,25 +343,24 @@ def random_fleet(rng, case):
 
 
 class BanditEnv:
-    """Single-state stub env with a fixed reward per action."""
+    """Single-state stub env with a fixed effect per device and cut."""
 
-    def __init__(self, rewards):
-        self.rewards = [float(r) for r in rewards]
+    def __init__(self, effects):
+        self.effects = [[float(e) for e in row] for row in effects]
         self.n_states = 1
-        self.n_actions = len(rewards)
+        self.n_cuts = len(self.effects[0])
+        self.n_bins = len(self.effects)  # one bin per device
+        self.bins = (tuple(range(self.n_bins)),)
         self.features = np.ones((1, 1))
 
     def blocks(self, rng, steps):
         for start in range(0, steps, env_module.BLOCK_STEPS):
             n = min(env_module.BLOCK_STEPS, steps - start)
-            yield [0] * n, rng.random(n).tolist(), [None] * n
-
-    def reward(self, outcome, action):
-        return self.rewards[action]
+            yield [0] * n, [self.effects] * n
 
 
 def env_rows(env, rng, steps):
-    """``(state, u, outcome)`` of each step of ``env.blocks``."""
+    """``(state, outcome)`` of each step of ``env.blocks``."""
     for block in env.blocks(rng, steps):
         yield from zip(*block)
 
@@ -380,99 +372,127 @@ def softmax(logits):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def eps_greedy(q_row, eps, u, rng):
-    """A uniform action from ``rng`` when the coin ``u`` falls below ``eps``,
-    else the greedy one: the agents' per-step draw."""
-    if u < eps:
-        return int(rng.integers(len(q_row)))
-    return int(q_row.argmax())
+def agent_generators(seed):
+    """The env's generator, ``default_rng(seed)``, and the agent's, its
+    ``SeedSequence``'s first spawned child."""
+    seq = np.random.SeedSequence(seed)
+    return np.random.default_rng(seq), np.random.default_rng(seq.spawn(1)[0])
+
+
+def epsilon_at(step, total_steps, hyper):
+    """Epsilon at ``step`` of a run: a linear decay from ``epsilon_start``
+    over ``epsilon_decay_fraction`` of the steps, then ``epsilon_final``."""
+    decay_steps = hyper.epsilon_decay_fraction * total_steps
+    if decay_steps <= 0:
+        return hyper.epsilon_final
+    frac = min(1.0, step / decay_steps)
+    return hyper.epsilon_start - (hyper.epsilon_start - hyper.epsilon_final) * frac
+
+
+def step_effects(env, outcome):
+    """A row's (devices, cuts) effects, 1.0 everywhere where it is infeasible."""
+    if outcome is None:
+        return [[1.0] * env.n_cuts for _ in env.bins[0]]
+    return outcome
 
 
 def tabular_reference(name, env, steps, hyper, seed, bootstrap=False):
-    """(table, effects) of Q-learning, multi-Q or actor-critic, one step
-    and one integer draw at a time. With ``bootstrap``, every target adds
-    the terminal bootstrap ``0.0`` to the reward, as the updates did
+    """(table, effects) of Q-learning, multi-Q or actor-critic, one step,
+    one device and one draw at a time, on (n_bins, n_cuts) arrays. Per
+    step the agent's generator gives each device a coin and an explore
+    uniform (and a table uniform for multi-Q), or one softmax uniform for
+    actor-critic, in that order; a uniform u picks floor(u * n) of n. A
+    softmax draw is the first cut whose running sum of ``exp(logit -
+    max)`` passes u times the whole sum. With ``bootstrap``, every target
+    adds the terminal bootstrap ``0.0`` to the reward, as the updates did
     while episodes could last longer; that turns a reward of -0.0 into
-    +0.0. The draws and every other float operation are the agents'."""
-    rng, explore = _generators(seed)
-    q = np.zeros((env.n_states, env.n_actions))
-    values = np.zeros(env.n_states)
-    k = hyper.multi_q_tables
-    tables = np.zeros((k, env.n_states, env.n_actions))
+    +0.0."""
+    rng, agent = agent_generators(seed)
+    n_dev, n_cuts, k = len(env.bins[0]), env.n_cuts, hyper.multi_q_tables
+    q = np.zeros((env.n_bins, n_cuts))
+    values = np.zeros(env.n_bins)
+    tables = np.zeros((k, env.n_bins, n_cuts))
     effects = []
-    for eps, (state, u, outcome) in zip(_epsilons(steps, hyper), env_rows(env, rng, steps)):
-        if name == "q_learning":
-            action = eps_greedy(q[state], eps, u, explore)
-            reward = env.reward(outcome, action)
+    for t, (state, outcome) in enumerate(env_rows(env, rng, steps)):
+        eps = epsilon_at(t, steps, hyper)
+        u = agent.random({"q_learning": 2, "multi_q": 3, "actor_critic": 1}[name] * n_dev)
+        terms = []
+        for d, (b, row_effects) in enumerate(zip(env.bins[state], step_effects(env, outcome))):
+            explore = u[d] < eps
+            if name == "actor_critic":
+                logits = q[b].tolist()
+                weights = np.array([math.exp(x - max(logits)) for x in logits])
+                cdf = np.cumsum(weights)
+                cut = int(np.searchsorted(cdf[:-1], u[d] * cdf[-1], side="right"))
+            elif name == "q_learning":
+                cut = int(u[n_dev + d] * n_cuts) if explore else int(q[b].argmax())
+            else:
+                cut = (int(u[n_dev + d] * n_cuts) if explore
+                       else int(tables[:, b].sum(axis=0).argmax()))
+            reward = -row_effects[cut]
             target = reward + 0.0 if bootstrap else reward
-            q[state, action] += hyper.lr * (target - q[state, action])
-        elif name == "multi_q":
-            action = eps_greedy(tables[:, state].sum(axis=0) / k, eps, u, explore)
-            reward = env.reward(outcome, action)
-            target = reward + 0.0 if bootstrap else reward
-            j = int(explore.integers(k))
-            tables[j, state, action] += min(1.0, hyper.lr * k) * (
-                target - tables[j, state, action])
-        else:
-            probs = softmax(q[state])
-            action = _draw_action(_action_cdf(probs), u)
-            reward = env.reward(outcome, action)
-            target = reward + 0.0 if bootstrap else reward
-            advantage = target - values[state]
-            values[state] += hyper.lr * advantage
-            one_hot = np.zeros(env.n_actions)
-            one_hot[action] = 1.0
-            q[state] += hyper.lr_actor * advantage * (one_hot - probs)
-        effects.append(-reward)
+            if name == "q_learning":
+                q[b, cut] += hyper.lr * (target - q[b, cut])
+            elif name == "multi_q":
+                j = int(u[2 * n_dev + d] * k)
+                tables[j, b, cut] += min(1.0, hyper.lr * k) * (target - tables[j, b, cut])
+            else:
+                advantage = target - values[b]
+                values[b] += hyper.lr * advantage
+                step = hyper.lr_actor * advantage
+                q[b] -= (step / cdf[-1]) * weights
+                q[b, cut] += step
+            terms.append(row_effects[cut])
+        effects.append(math.fsum(terms) / n_dev)
     return (tables.mean(axis=0) if name == "multi_q" else q), effects
 
 
 def dqn_reference(env, steps, hyper, seed):
-    """(net, effects) of DQN one step at a time: a greedy step runs the
-    Q-network on its state alone, and the replay batch is one
-    ``integers(0, size, size=rows)`` call after the step's transition is
-    written, ``size`` being the buffer's length, then a forward on the
-    batch's states. The replay ring is three arrays, and the t-th
-    transition goes to slot ``t % replay_capacity``."""
-    rng, explore = _generators(seed)
+    """(net, effects) of DQN one step at a time. The net is drawn from
+    the agent's generator, and its output d * n_cuts + c is device d's
+    Q-value of cut c. Per step the agent's generator gives each device a
+    coin and an explore uniform, then ``batch_size`` slot uniforms; a step
+    with a greedy device runs the Q-network on its state alone. The
+    transition goes to slot ``t % replay_capacity`` of three arrays (the
+    state, each device's cut and effect), then the first
+    ``min(batch_size, size)`` slot uniforms pick the batch's slots below
+    ``size``, the buffer's length, and a forward on the
+    batch's states gives each row's and device's TD error. A step whose
+    greedy Q-values are not finite raises NonFiniteError."""
+    rng, agent = agent_generators(seed)
     table = env.features
-    n_actions = env.n_actions
-    row_starts = np.arange(hyper.batch_size) * n_actions
-    grad = np.zeros((hyper.batch_size, n_actions))
-    flat_grad = grad.reshape(-1)
-    net = TinyNet((table.shape[1], *hyper.hidden, env.n_actions), rng)
+    n_dev, n_cuts = len(env.bins[0]), env.n_cuts
+    net = TinyNet((table.shape[1], *hyper.hidden, n_dev * n_cuts), agent)
     capacity = hyper.replay_capacity
     slot_states = np.zeros(capacity, dtype=np.int64)
-    cells = np.zeros(capacity, dtype=np.int64)
-    rewards = np.zeros(capacity)
+    slot_cuts = np.zeros((capacity, n_dev), dtype=np.int64)
+    slot_effects = np.zeros((capacity, n_dev))
+    heads = np.arange(n_dev) * n_cuts
     effects = []
-    rows = zip(_epsilons(steps, hyper), env_rows(env, rng, steps))
-    for t, (eps, (state, u, outcome)) in enumerate(rows):
-        if u < eps:
-            action = int(explore.integers(n_actions))
-        else:
-            q_row = net.forward(table[state])[0]
-            action = int(q_row.argmax())
-            if not math.isfinite(q_row[action]):
-                raise NonFiniteError(_Q_DIVERGED)
-        reward = env.reward(outcome, action)
-        # a slot's cell is its action: the batch's rows follow the draw
+    for t, (state, outcome) in enumerate(env_rows(env, rng, steps)):
+        u = agent.random(2 * n_dev + hyper.batch_size)
+        explore = u[:n_dev] < epsilon_at(t, steps, hyper)
+        cuts = (u[n_dev:2 * n_dev] * n_cuts).astype(np.int64)
+        if not explore.all():
+            q_row = net.forward(table[state]).reshape(n_dev, n_cuts)
+            if not np.isfinite(q_row).all():
+                raise NonFiniteError("Q-network diverged to non-finite values")
+            cuts = np.where(explore, cuts, q_row.argmax(axis=1))
+        terms = [row[c] for row, c in zip(step_effects(env, outcome), cuts.tolist())]
         slot = t % capacity
-        slot_states[slot], cells[slot], rewards[slot] = state, action, reward
+        slot_states[slot], slot_cuts[slot], slot_effects[slot] = state, cuts, terms
         size = min(t + 1, capacity)
-        batch_size = min(hyper.batch_size, size)
-        idx = explore.integers(0, size, size=batch_size)
+        rows = min(hyper.batch_size, size)
+        idx = (u[2 * n_dev:2 * n_dev + rows] * size).astype(np.int64)
         q = net.forward(table[slot_states[idx]])
-        picked = row_starts[:batch_size] + cells[idx]
-        td = q.take(picked)
-        td -= rewards[idx]
-        td *= 2.0
-        td /= batch_size
-        flat_grad[picked] = td
-        net.backward(grad[:batch_size])
-        flat_grad[picked] = 0.0
-        net.sgd_step(hyper.lr_net)
-        effects.append(-reward)
+        columns = heads + slot_cuts[idx]
+        row_ids = np.arange(rows)[:, None]
+        grad = np.zeros_like(q)
+        # q - r with r = -effect; the mean squared error's 2 / rows scales the step
+        grad[row_ids, columns] = q[row_ids, columns] + slot_effects[idx]
+        net.backward(grad)
+        net.sgd_step(hyper.lr_net * 2.0 / rows)
+        effects.append(math.fsum(terms) / n_dev)
     return net, effects
 
 
@@ -577,12 +597,11 @@ class StepEnv:
     one step at a time, as a reference.
 
     ``reset`` draws the state's uniforms, two per drawn channel, and bins
-    them with ``bisect_right``. The agent then draws one uniform. ``step``
-    draws the step's channel uniforms and as many again that it does not
-    use, maps them to rates with scalars bound per state (each bin's
-    ``bin_channel`` scales), and scores the action with ``scalar_effect``:
-    -1.0 where a link's rate is zero or leaves some cut's latency or
-    energy past the largest float.
+    them with ``bisect_right``. ``step`` draws the step's channel
+    uniforms, maps them to rates with scalars bound per state (each bin's
+    ``bin_channel`` scales), and gives every device's effect at every cut
+    from ``scalar_effect``: None where a link's rate is zero or leaves
+    some cut's latency or energy past the largest float.
     """
 
     def __init__(self, env):
@@ -625,37 +644,34 @@ class StepEnv:
             i += 2
         return state
 
-    def step(self, state, action, rng):
-        """The reward of ``action`` in ``state``."""
-        return self.score(state, action, rng.random(2 * self._draws_per_set).tolist())
+    def step(self, state, rng):
+        """Every device's effect at every cut in ``state``, or None."""
+        return self.score(state, rng.random(self._draws_per_set).tolist())
 
-    def score(self, state, action, u):
-        """The reward of ``action`` in ``state`` over a step's uniforms ``u``."""
-        cuts = self.env.decode_action(action)
-        effects = []
-        for (effect, infeasible, rate, i, bw_lo, bw_width, db_lo, db_width), cut in zip(
-            self._state_links[state], cuts
+    def score(self, state, u):
+        """Every device's effect at every cut in ``state`` over a step's
+        channel uniforms ``u``, or None where a link is infeasible."""
+        rows = []
+        for effect, infeasible, rate, i, bw_lo, bw_width, db_lo, db_width in (
+            self._state_links[state]
         ):
             if rate is None:
                 snr_linear = 10.0 ** ((db_lo + db_width * u[i + 1]) / 10.0)
                 rate = (bw_lo + bw_width * u[i]) * math.log2(1.0 + snr_linear)
             if infeasible(rate):
-                return -1.0
-            effects.append(effect(rate, cut))
-        return -(math.fsum(effects) / len(effects))
+                return None
+            rows.append([effect(rate, c) for c in range(self.env.n_cuts)])
+        return rows
 
 
 def step_rows(env, rng, steps):
-    """``(state, u, rewards of every action)`` of each step, one reset, one
-    agent draw and one step at a time, as ``env.rows`` draws them."""
+    """``(state, outcome)`` of each step, one reset and one step at a
+    time, as ``env.blocks`` draws them."""
     ref = StepEnv(env)
     rows = []
     for _ in range(steps):
         state = ref.reset(rng)
-        u = rng.random()
-        # the uniforms that one step draws, whatever its action
-        draws = rng.random(2 * ref._draws_per_set).tolist()
-        rows.append((state, u, [ref.score(state, a, draws) for a in range(env.n_actions)]))
+        rows.append((state, ref.step(state, rng)))
     return rows
 
 

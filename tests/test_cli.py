@@ -1,6 +1,7 @@
 """End-to-end CLI checks through the public main() entry point."""
 
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -302,8 +303,8 @@ def optimizer_config(fields: str) -> str:
     return QUICK_CONFIG.replace(QUICK_OPTIMIZER, f"optimizer: {{{fields}}}")
 
 
-# 5 cuts ** 4 devices = 625 joint actions, over the RL cap of 125; the
-# cost model and the oracle have no such cap
+# 5 cuts ** 4 devices = 625 joint actions; each agent picks one cut per
+# device, so RL, the cost model and the oracle all take it
 FOUR_DEVICE_CONFIG = QUICK_CONFIG.replace(
     "  - {id: veh1, kind: vehicle}\n",
     "  - {id: veh1, kind: vehicle}\n  - {id: uav2, kind: uav}\n  - {id: veh2, kind: vehicle}\n",
@@ -405,9 +406,6 @@ INVALID_OPTIMIZE_CONFIGS = {
     "state_space_bin_grid": (
         "optimizer: state space of 5184 states exceeds",
         optimizer_config("agent: ppo, bandwidth_bins: 9, snr_bins: 8"),
-    ),
-    "joint_actions_over_cap": (
-        "optimizer: joint action space 625 exceeds the cap of 125", FOUR_DEVICE_CONFIG
     ),
     "actor_critic_diverges": (
         "diverged",
@@ -512,13 +510,60 @@ def test_conf_table_longer_than_cut_list_exits_2(command, source, tmp_path, caps
 
 
 @pytest.mark.parametrize("command", ["cost", "oracle"])
-def test_four_devices_over_action_cap_still_cost_and_oracle(command, tmp_path, capsys):
+def test_four_devices_cost_and_oracle(command, tmp_path, capsys):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(FOUR_DEVICE_CONFIG)
     assert main([command, "--config", str(cfg)]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
     assert all(dev in captured.out for dev in ("uav1", "veh1", "uav2", "veh2"))
+
+
+def eight_device_config(agent):
+    """An 8-device fleet of 5 cuts, shaped like perfbench's oracle-fleet
+    inputs: both kinds, mixed transmit powers, and 8 channel ranges at
+    ``snr_bins: 2``, so 256 states and 5 ** 8 joint actions."""
+    devices, channels = [], []
+    for i in range(8):
+        kind = ("uav", "vehicle")[i % 2]
+        devices.append(f"  - {{id: d{i}, kind: {kind}, tx_power_w: {0.5 + 0.3 * i}}}")
+        lo, db = 2.0e6 + 1.0e6 * i, 2.0 * i
+        channels.append(f"  d{i}: {{distribution: {{bandwidth_hz: [{lo}, {3 * lo}], "
+                        f"snr_db: [{db}, {db + 8.0}]}}}}")
+    return "\n".join([
+        "devices:", *devices, "channels:", *channels,
+        "model: {builtin: resnet50_usam, input_h: 224, input_w: 224}",
+        f"optimizer: {{agent: {agent}, steps: 120, seed: 3, snr_bins: 2}}", "",
+    ])
+
+
+def optimize_summary(argv, capsys):
+    """``optimize``'s trace rows and its summary, after exit 0."""
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    split = next(i for i, line in enumerate(lines) if "=" in line)
+    return lines[1:split], dict(line.split("=", 1) for line in lines[split:])
+
+
+@pytest.mark.parametrize("fleet", ["four_devices", "eight_devices"])
+@pytest.mark.parametrize("agent", ["q_learning", "multi_q", "actor_critic", "dqn", "ppo"])
+def test_optimize_trains_every_agent_on_fleets(agent, fleet, tmp_path, capsys):
+    # one branch per device: no cap on the joint action count
+    text = (FOUR_DEVICE_CONFIG.replace("agent: q_learning", f"agent: {agent}")
+            if fleet == "four_devices" else eight_device_config(agent))
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    assert main(["oracle", "--config", str(cfg)]) == 0
+    oracle = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    rows, summary = optimize_summary(["optimize", "--config", str(cfg)], capsys)
+    effects = [float(value) for row in rows for value in row.split(",")[1:]]
+    assert len(rows) == (200 if fleet == "four_devices" else 120)
+    assert all(math.isfinite(e) and 0.0 <= e <= 1.0 for e in effects)
+    assert summary["oracle_effect"] == oracle["effect"]
+    assert float(summary["effect"]) >= float(oracle["effect"])
+    assert summary["decision"].count(":") == (4 if fleet == "four_devices" else 8)
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -914,7 +959,7 @@ def test_perfbench_unresolved_sites():
     ]
 
 
-@pytest.mark.parametrize("agent", ["q_learning", "dqn"])
+@pytest.mark.parametrize("agent", ["q_learning", "multi_q", "actor_critic", "dqn", "ppo"])
 def test_perfbench_traces_every_train_site(agent, tmp_path):
     """perfbench's ``train`` layers wrap these sites by name. The env draws
     its steps a block at a time and has no ``step`` or ``reset`` left, so

@@ -13,7 +13,7 @@ from splitcvl.netmodel import (
     shannon_rate,
     snr_db_to_linear,
 )
-from splitcvl.trico import TriCoWeights
+from splitcvl.trico import ConfEntry, TriCoWeights
 
 from helpers import channel_at, tx_energy, tx_latency
 
@@ -200,13 +200,46 @@ class TestDeviceProfile:
         lambda: device_from_kind("u", "uav", compute_power_w=math.nan),
         lambda: device_from_kind("u", "uav", tx_power_w=math.nan),
         lambda: TriCoWeights(math.nan, math.nan, math.nan),
+        lambda: ConfEntry(math.nan, 1.0),
+        lambda: ConfEntry(1.0, math.inf),
     ],
     ids=[
         "channel_bandwidth_nan", "channel_snr_inf", "distribution_bandwidth_inf",
         "distribution_snr_nan", "distribution_snr_minus_inf", "device_peak_flops_inf",
         "device_compute_power_nan", "device_tx_power_nan", "weights_nan",
+        "conf_kl_open_nan", "conf_kl_closed_inf",
     ],
 )
 def test_library_types_reject_non_finite_numbers(build):
     with pytest.raises(ValueError):
         build()
+
+
+HUGE = 10**400  # an integer past the largest float: float(HUGE) overflows
+HUGE_BUILDS = {
+    "channel-bandwidth_hz": lambda: ChannelState(HUGE, 1.0),
+    "channel-snr_linear": lambda: ChannelState(1e6, HUGE),
+    "distribution-bandwidth_low": lambda: ChannelDistribution((HUGE, HUGE), (0.0, 1.0)),
+    "distribution-bandwidth_high": lambda: ChannelDistribution((1e6, HUGE), (0.0, 1.0)),
+    "distribution-snr_low": lambda: ChannelDistribution((1e6, 2e6), (-HUGE, 1.0)),
+    "distribution-snr_high": lambda: ChannelDistribution((1e6, 2e6), (0.0, HUGE)),
+    "device-peak_flops": lambda: DeviceProfile("a", "uav", HUGE, 1.0, 1.0),
+    "device-compute_power_w": lambda: DeviceProfile("a", "uav", 1e12, HUGE, 1.0),
+    "device-tx_power_w": lambda: DeviceProfile("a", "uav", 1e12, 1.0, HUGE),
+    "conf-kl_open": lambda: ConfEntry(HUGE, 1.0),
+    "conf-kl_closed": lambda: ConfEntry(1.0, HUGE),
+    "conf-ssim_open": lambda: ConfEntry(1.0, 1.0, ssim_open=HUGE),
+    "conf-ssim_closed": lambda: ConfEntry(1.0, 1.0, ssim_closed=HUGE),
+    "weights-w_comm": lambda: TriCoWeights(HUGE, 0.0, 0.0),
+    "weights-w_comp": lambda: TriCoWeights(0.0, HUGE, 0.0),
+    "weights-w_conf": lambda: TriCoWeights(0.0, 0.0, HUGE),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_BUILDS))
+def test_library_types_reject_integers_past_the_largest_float(case):
+    # an unbounded field would otherwise construct, and a later float
+    # operation raise OverflowError (or, for peak_flops, read 0.0 FLOP
+    # energy at every cut); the SSIM fields' [0, 1] check rejects it anyway
+    with pytest.raises(ValueError):
+        HUGE_BUILDS[case]()

@@ -12,12 +12,14 @@ from splitcvl.netmodel import (
 )
 from splitcvl.rlopt import env as env_module
 from splitcvl.rlopt.env import PartitionEnv
+from splitcvl.errors import ZeroRateError
 from splitcvl.trico import (
     EffectKernel,
     Scenario,
     TriCoWeights,
     decision_effect,
     default_conf_table,
+    effect_table,
     default_scenario,
 )
 
@@ -31,7 +33,7 @@ from helpers import (
     link_infeasible,
     payload_bits,
     random_scenario,
-    record_path_reward,
+    record_path_channels,
     record_path_state,
     step_rows,
     synthetic_profile,
@@ -53,19 +55,26 @@ def fixed_channel_scenario():
 class TestSpaces:
     def test_default_scenario_spaces(self):
         env = PartitionEnv(default_scenario(), snr_bins=2)
-        assert env.n_actions == 25
+        assert env.n_cuts == 5
         assert env.n_states == 4  # 2 snr bins per device
+        assert env.n_bins == 2 + 2
         assert env.features.shape == (4, 2 + 2)
 
-    def test_action_space_cap(self):
+    def test_no_cap_on_devices_or_cuts(self):
+        # one branch per device: 2 cuts on 12 devices are 4096 joint
+        # actions, and 8 drawn devices of 2 bins each are 256 states
         profile = synthetic_profile([400, 200], flops=[1, 1])
-        devices = tuple(device_from_kind(f"u{i}", "uav") for i in range(7))
-        channels = tuple(ChannelState(1e6, 3.0) for _ in range(7))
+        devices = tuple(device_from_kind(f"u{i}", "uav") for i in range(12))
+        channels = (ChannelDistribution((1e6, 2e6), (0.0, 10.0)),) * 8 + (
+            ChannelState(1e6, 3.0),) * 4
         scenario = Scenario(
             devices, channels, profile, default_conf_table(2), TriCoWeights()
         )
-        with pytest.raises(ValueError):
-            PartitionEnv(scenario)
+        env = PartitionEnv(scenario, snr_bins=2)
+        assert (env.n_states, env.n_bins, env.n_cuts) == (256, 20, 2)
+        state, outcome = one_row(env, np.random.default_rng(0))
+        assert 0 <= state < 256
+        assert len(outcome) == 12 and all(len(row) == 2 for row in outcome)
 
     @pytest.mark.parametrize(
         "bins", [dict(snr_bins=1_000_000_000), dict(bandwidth_bins=65, snr_bins=63)]
@@ -87,13 +96,15 @@ class TestSpaces:
         env = PartitionEnv(fixed_channel_scenario(), snr_bins=5000)
         assert env.n_states == 1
 
-    def test_action_encoding_round_trip(self):
-        # an action id is the mixed-radix number of the cuts, first device first
-        env = PartitionEnv(default_scenario())
-        for a in range(env.n_actions):
-            assert env.decode_action(a) == divmod(a, 5)
-        with pytest.raises(ValueError):
-            env.decode_action(env.n_actions)
+    def test_bins_number_each_devices_bin_among_all(self):
+        # state s's bins are its devices' bins, each shifted past the bins
+        # of the devices before it: the tabular agents' table rows
+        env = PartitionEnv(three_device_scenario(4.0), bandwidth_bins=2, snr_bins=3)
+        assert env.n_bins == 1 + 6 + 6
+        assert len(env.bins) == env.n_states == 36
+        for s, bins in enumerate(env.bins):
+            b0, b1, b2 = decode_state(env, s)
+            assert bins == (b0, 1 + b1, 7 + b2)
 
     def test_state_encoding_round_trip(self):
         # a state id is the mixed-radix number of the devices' bins, first
@@ -123,23 +134,18 @@ class TestSpaces:
 
 
 def one_row(env, rng):
-    """(state, u, outcome) of one step drawn from ``rng``."""
+    """(state, outcome) of one step drawn from ``rng``."""
     return next(env_rows(env, rng, 1))
 
 
-def row_rewards(env, outcome):
-    return [env.reward(outcome, a) for a in range(env.n_actions)]
-
-
 class TestStep:
-    def test_reward_equals_negative_effect_when_deterministic(self):
+    def test_outcome_equals_effect_when_deterministic(self):
         scenario = fixed_channel_scenario()
         env = PartitionEnv(scenario)
-        state, _, outcome = one_row(env, np.random.default_rng(0))
+        state, outcome = one_row(env, np.random.default_rng(0))
         assert state == 0
-        for action in range(env.n_actions):
-            expected = decision_effect(scenario, (action,))
-            assert env.reward(outcome, action) == -expected
+        for cut in range(env.n_cuts):
+            assert outcome[0][cut] == decision_effect(scenario, (cut,))
 
     def test_same_seed_same_transition(self):
         env = PartitionEnv(default_scenario(), snr_bins=2)
@@ -147,22 +153,18 @@ class TestStep:
         b = list(env_rows(env, np.random.default_rng(99), 300))
         assert a == b and len(a) == 300
 
-    def test_all_action_sweep_is_order_isomorphic_to_effect_table(self):
+    def test_all_cut_sweep_is_order_isomorphic_to_effect_table(self):
         scenario = fixed_channel_scenario()
         env = PartitionEnv(scenario)
-        _, _, outcome = one_row(env, np.random.default_rng(3))
-        rewards = row_rewards(env, outcome)
-        effects = [
-            decision_effect(scenario, (a,))
-            for a in range(env.n_actions)
-        ]
-        assert np.argsort(rewards).tolist() == np.argsort([-e for e in effects]).tolist()
+        _, outcome = one_row(env, np.random.default_rng(3))
+        effects = [decision_effect(scenario, (c,)) for c in range(env.n_cuts)]
+        assert np.argsort(outcome[0]).tolist() == np.argsort(effects).tolist()
 
-    def test_rewards_bounded(self):
+    def test_effects_bounded(self):
         env = PartitionEnv(default_scenario(), snr_bins=2)
         rng = np.random.default_rng(4)
-        for _, _, outcome in env_rows(env, rng, 300):
-            assert all(-1.0 <= r <= 0.0 for r in row_rewards(env, outcome))
+        for _, outcome in env_rows(env, rng, 300):
+            assert all(0.0 <= e <= 1.0 for row in outcome for e in row)
 
     def test_zero_rate_gives_worst_reward_not_error(self):
         profile = synthetic_profile([4000, 2000], flops=[10, 10])
@@ -174,34 +176,33 @@ class TestStep:
             TriCoWeights(),
         )
         env = PartitionEnv(scenario)
-        for _, _, outcome in env_rows(env, np.random.default_rng(5), 10):
-            assert row_rewards(env, outcome) == [-1.0, -1.0]
+        for _, outcome in env_rows(env, np.random.default_rng(5), 10):
+            assert outcome is None
 
     @pytest.mark.parametrize("fixed_snr", [4.0, 0.0])
-    def test_step_draws_two_channel_sets(self, fixed_snr):
-        # a row holds 2 uniforms per drawn channel for the state, one for
-        # the agent, 2 per drawn channel for the step's channels and as many
-        # again that it does not use; every recorded trace depends on that
-        # stream. A fixed channel draws nothing, and a zero-rate row draws
-        # the same
+    def test_step_draws_state_and_channel_uniforms(self, fixed_snr):
+        # a row holds 2 uniforms per drawn channel for the state and 2 per
+        # drawn channel for the step's channels; every recorded trace
+        # depends on that stream. A fixed channel draws nothing, and a
+        # zero-rate row draws the same
         env = PartitionEnv(three_device_scenario(fixed_snr), snr_bins=3)
         rng, twin = np.random.default_rng(8), np.random.default_rng(8)
         for steps in (1, env_module.BLOCK_STEPS, env_module.BLOCK_STEPS + 3):
-            for _, _, outcome in env_rows(env, rng, steps):
+            for _, outcome in env_rows(env, rng, steps):
                 assert (outcome is None) == (fixed_snr == 0.0)
-            twin.random(steps * (2 * 2 + 1 + 2 * 2 * 2))
+            twin.random(steps * (2 * 2 + 2 * 2))
             assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_evaluate_action_matches_mean_channel_effect(self):
         scenario = default_scenario()
         env = PartitionEnv(scenario, snr_bins=1)
-        eff = evaluate_action(env, 0, 24)
+        eff = evaluate_action(env, 0, (4, 4))
         expected = decision_effect(scenario, (4, 4))
         assert eff == pytest.approx(expected)
 
     def test_state_bins_cover_sampled_channels(self):
         env = PartitionEnv(default_scenario(), snr_bins=4, bandwidth_bins=3)
-        states = [state for state, _, _ in env_rows(env, np.random.default_rng(7), 2000)]
+        states = [state for state, _ in env_rows(env, np.random.default_rng(7), 2000)]
         for state in states:
             bins = decode_state(env, state)
             assert len(bins) == 2
@@ -251,6 +252,11 @@ def mixed_random_env(rng):
                         snr_bins=int(rng.integers(1, 4)))
 
 
+def hex_rows(outcome):
+    """An outcome's effects as hex strings, or None."""
+    return None if outcome is None else [[e.hex() for e in row] for row in outcome]
+
+
 class Draws:
     """Stands in for a generator: ``random(shape)`` returns the next of
     fixed uniforms, in that shape."""
@@ -276,19 +282,19 @@ def drawn_rows(env, seed, steps):
     beside the uniforms each row was drawn from."""
     k = 2 * sum(not grid.fixed for grid in env.grids)
     rows = list(env_rows(env, np.random.default_rng(seed), steps))
-    uniforms = np.random.default_rng(seed).random((steps, 3 * k + 1)).tolist()
+    uniforms = np.random.default_rng(seed).random((steps, 2 * k)).tolist()
     return k, zip(rows, uniforms)
 
 
 class TestRecordFreeStep:
     """A block maps its uniforms to bins and rates without building
     channel records. Replaying a row's uniforms through the records gives
-    the same rewards, and binning them by the exact rule
+    the same effects, and binning them by the exact rule
     (``helpers.grid_bin``) gives the same state. ``helpers.StepEnv``, the
     per-step reset and step that the block replaced, gives the same
-    states, agent uniforms and rewards. The record path scores through
-    the env's own ``EffectKernel``; ``TestBlockDraw`` checks the rewards
-    against independent scalar code."""
+    states and effects. The record path scores through the env's own
+    ``EffectKernel``; ``TestBlockDraw`` checks the effects against
+    independent scalar code."""
 
     ENVS = {
         "stock": lambda: PartitionEnv(default_scenario()),
@@ -304,7 +310,7 @@ class TestRecordFreeStep:
         ),
         "zero_snr_fixed": lambda: PartitionEnv(three_device_scenario(0.0)),
         # below about -3236 dB the linear SNR underflows to 0.0: the draw
-        # keeps its uniform's bin, and a step over it gets the zero-rate reward
+        # keeps its uniform's bin, and a step over it is infeasible
         "underflow_snr": lambda: two_channel_env(
             (-4000.0, 15.0), (-4000.0, 15.0), bandwidth_bins=2, snr_bins=3
         ),
@@ -323,16 +329,15 @@ class TestRecordFreeStep:
     def test_reset_matches_record_path_bit_for_bit(self, name):
         env = self.ENVS[name]()
         k, rows = drawn_rows(env, 20, 600)
-        for (state, u, _), uniforms in rows:
+        for (state, _), uniforms in rows:
             assert state == record_path_state(env, iter(uniforms[:k]))
-            assert u == uniforms[k]
 
     def test_reset_bins_an_edge_draw_by_its_uniform(self):
         # at u = 0.5 over 2.0-3.8 dB in 4 bins, the drawn SNR sits on the edge
         # of bins 1 and 2, where numpy's float64 log10 and math.log10 of the
         # linear SNR disagree; the uniform alone puts it in bin 2
         env = two_channel_env((2.0, 3.8), (2.0, 3.8), snr_bins=4)
-        state, _, _ = one_row(env, Draws([0.5] * 13))
+        state, _ = one_row(env, Draws([0.5] * 8))
         assert state == record_path_state(env, iter([0.5] * 4)) == 2 * 4 + 2
 
     def test_reset_bins_draws_near_every_edge_exactly(self):
@@ -356,28 +361,33 @@ class TestRecordFreeStep:
                     below, above = math.nextafter(below, 0.0), math.nextafter(above, 1.0)
                     us += [u for u in (below, above) if 0.0 <= u < 1.0]
             pairs = list(zip(us, reversed(us)))
-            # a row: the state's two uniforms, then the agent's and the
-            # channel's, and two unused
-            draws = Draws([x for pair in pairs for x in (*pair, 0.5, *pair, 0.5, 0.5)])
-            states = [state for state, _, _ in env_rows(env, draws, len(pairs))]
+            # a row: the state's two uniforms, then the channel's
+            draws = Draws([x for pair in pairs for x in (*pair, *pair)])
+            states = [state for state, _ in env_rows(env, draws, len(pairs))]
             expected = [exact_bin(u_bw, bins) * bins + exact_bin(u_snr, bins)
                         for u_bw, u_snr in pairs]
             assert states == expected, bins
 
     @pytest.mark.parametrize("name", sorted(ENVS))
-    def test_reward_is_negative_decision_effect_bit_for_bit(self, name):
+    def test_outcome_is_effect_table_bit_for_bit(self, name):
+        # a row's effects are the drawn channels' ``effect_table``, and the
+        # mean of one cut per device is their ``decision_effect``
         env = self.ENVS[name]()
-        actions = np.random.default_rng(22)
+        draws = np.random.default_rng(22)
         k, rows = drawn_rows(env, 21, 600)
-        for (state, _, outcome), uniforms in rows:
-            action = int(actions.integers(env.n_actions))
-            reward = env.reward(outcome, action)
-            # the row's channel uniforms, two per drawn channel
-            channel_draws = iter(uniforms[k + 1:2 * k + 1])
-            expected = record_path_reward(env, state, action, channel_draws)
-            assert reward.hex() == expected.hex()
+        for (state, outcome), uniforms in rows:
+            channels = record_path_channels(env, state, iter(uniforms[k:]))
+            try:
+                expected = effect_table(env.scenario, channels)
+            except ZeroRateError:
+                expected = None
+            assert hex_rows(outcome) == hex_rows(expected)
             if name in self.ALWAYS_ZERO_RATE:
-                assert reward == -1.0
+                assert outcome is None
+            if outcome is not None:
+                cuts = tuple(draws.integers(env.n_cuts, size=len(outcome)).tolist())
+                mean = math.fsum(row[c] for row, c in zip(outcome, cuts)) / len(cuts)
+                assert mean.hex() == decision_effect(env.scenario, cuts, channels).hex()
 
     @pytest.mark.parametrize("name", sorted(ENVS))
     def test_rates_equal_shannon_rate_of_channel_records(self, name, monkeypatch):
@@ -396,8 +406,8 @@ class TestRecordFreeStep:
         k, rows = drawn_rows(env, 23, 300)
         rows = list(rows)
         assert len(seen) == 2  # one kernel call per block
-        for ((state, _, outcome), uniforms), rates in zip(rows, np.concatenate(seen)):
-            draws = iter(uniforms[k + 1:2 * k + 1])
+        for ((state, outcome), uniforms), rates in zip(rows, np.concatenate(seen)):
+            draws = iter(uniforms[k:])
             expected = [
                 shannon_rate(grid.channel if grid.fixed else ChannelState(
                     *channel_at(bin_channel(grid, b), next(draws), next(draws))))
@@ -421,7 +431,7 @@ class TestRecordFreeStep:
 
 class TestBlockDraw:
     """Rows drawn a block at a time equal the per-step reference: the same
-    states, agent uniforms and rewards of every action, bit for bit."""
+    states and effects of every device and cut, bit for bit."""
 
     REFERENCE_ENVS = {
         "stock": TestRecordFreeStep.ENVS["stock"],
@@ -438,14 +448,13 @@ class TestBlockDraw:
         expected = step_rows(env, np.random.default_rng(41), steps)
         rows = list(env_rows(env, np.random.default_rng(41), steps))
         assert len(rows) == steps
-        for (state, u, outcome), (ref_state, ref_u, ref_rewards) in zip(rows, expected):
-            assert (state, u.hex()) == (ref_state, ref_u.hex())
-            assert [r.hex() for r in row_rewards(env, outcome)] == [
-                r.hex() for r in ref_rewards]
+        for (state, outcome), (ref_state, ref_outcome) in zip(rows, expected):
+            assert state == ref_state
+            assert hex_rows(outcome) == hex_rows(ref_outcome)
             if name == "underflow_snr_always":
-                assert set(ref_rewards) == {-1.0}
+                assert ref_outcome is None
         if name == "too_low_rate_range":  # both kinds of row occur
-            assert {outcome is None for _, _, outcome in rows} == {True, False}
+            assert {outcome is None for _, outcome in rows} == {True, False}
 
 
 class TestEnvState:
