@@ -15,11 +15,8 @@ from .nnprofile import (
     intermediate_bytes,
 )
 from .trico import (
-    ConfidentialityTable,
     Scenario,
     TriCoWeights,
-    comp_cost,
-    conf_cost,
     decision_effect,
     default_scenario,
     optimal_decision,
@@ -30,15 +27,12 @@ __version__ = "0.1.0"
 __all__ = [
     "ChannelDistribution",
     "ChannelState",
-    "ConfidentialityTable",
     "DeviceProfile",
     "LayerProfile",
     "ModelProfile",
     "Scenario",
     "TriCoWeights",
     "build_resnet50_usam_profile",
-    "comp_cost",
-    "conf_cost",
     "decision_effect",
     "default_scenario",
     "device_flops",

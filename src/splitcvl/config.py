@@ -54,7 +54,6 @@ from .nnprofile import ModelProfile, build_resnet50_usam_profile, load_profile
 from .rlopt.agents import AGENTS, Hyperparams
 from .trico import (
     ConfEntry,
-    ConfidentialityTable,
     Scenario,
     TriCoWeights,
     default_conf_table,
@@ -182,12 +181,6 @@ def _get_number(node: dict, key: str, path: str):
     return _coerce_number(node[key], f"{path}.{key}")
 
 
-def _read_bool(value, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{path}: expected true or false, got {value!r}")
-    return value
-
-
 def _read_name(value, path: str) -> str:
     """A scalar as its text (``id: 7`` is ``"7"``); a list or mapping is an error."""
     if isinstance(value, (list, dict, set)):
@@ -240,7 +233,6 @@ _READERS = {
     "int": _coerce_int,
     "float": _coerce_number,
     "float | None": _coerce_number,  # None is only the default; null is an error
-    "bool": _read_bool,
     "str": _read_name,
     "tuple[int, ...]": _read_int_tuple,
     "Hyperparams": functools.partial(_read, Hyperparams),
@@ -380,9 +372,9 @@ def _parse_confidentiality(node, path: str, base_dir: Path, num_candidates: int)
             rows = node["table"]
             if not isinstance(rows, list) or not rows:
                 raise ConfigError(f"{path}.table: expected a nonempty list")
-            return ConfidentialityTable(tuple(
+            return tuple(
                 _read(ConfEntry, row, f"{path}.table[{i}]") for i, row in enumerate(rows)
-            ))
+            )
         if "table_file" in node:
             text = (base_dir / str(node["table_file"])).read_text()
             table, _ = parse_conf_table(text)

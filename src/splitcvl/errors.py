@@ -21,10 +21,6 @@ class DimensionError(SplitCVLError):
     """Invalid input dimensions for the profile builder."""
 
 
-class MissingEntryError(SplitCVLError):
-    """Confidentiality table has no entry for the requested cut."""
-
-
 class DimensionMismatchError(SplitCVLError):
     """Vector or image dimensions do not agree."""
 

@@ -13,7 +13,8 @@ All types are immutable and all operations are pure, so values can be
 shared freely across threads. A distribution holds only its two ranges:
 the cost model reads its ``mean_channel``, and the RL env bins and draws
 channels from the ranges itself. Every number must be finite; the
-constructors reject NaN, infinities and integers past the largest float.
+constructors reject NaN, infinities, booleans and integers past the
+largest float.
 """
 
 from __future__ import annotations
@@ -35,7 +36,10 @@ KIND_DEFAULTS: dict[str, dict[str, float]] = {
 def fits_float(value, name: str):
     """``value`` itself, once ``float(value)`` is known not to overflow;
     ValueError naming ``name`` for an integer past the largest float,
-    which every float operation downstream would refuse with OverflowError."""
+    which every float operation downstream would refuse with OverflowError,
+    and for a bool, which Python would otherwise count as 0 or 1."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
     try:
         float(value)
     except OverflowError:

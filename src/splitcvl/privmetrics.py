@@ -56,7 +56,7 @@ from .errors import (
     EmptyCutError,
     WindowTooLargeError,
 )
-from .trico import ConfEntry, ConfidentialityTable
+from .trico import ConfEntry
 
 DYNAMIC_RANGE = 255  # 8-bit images throughout
 SMOOTHING = 1e-6  # added to every histogram bin count, so no probability is 0
@@ -177,7 +177,7 @@ def ssim(orig: Image, recons: Sequence[Image]) -> list[float]:
     ]
 
 
-def build_conf_table(corpus: Corpus) -> ConfidentialityTable:
+def build_conf_table(corpus: Corpus) -> tuple[ConfEntry, ...]:
     """Average per-cut KL and SSIM of (original, open, closed) triples.
 
     Corpus entries are (cut_name, triples) in candidate order. Means use
@@ -216,7 +216,7 @@ def build_conf_table(corpus: Corpus) -> ConfidentialityTable:
                 ssim_closed=math.fsum(ssim_closed) / n,
             )
         )
-    return ConfidentialityTable(tuple(entries))
+    return tuple(entries)
 
 
 # -- image files --------------------------------------------------------------

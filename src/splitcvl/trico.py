@@ -5,7 +5,10 @@ For one device, one channel and one cut the three raw costs are:
   communication  latency  = intermediate_bytes * 8 / shannon_rate
                  energy   = tx_power * latency
   computation    energy   = device_flops / peak_flops * compute_power
-  confidentiality cost    = 1 - [a*kl_open + (1-a)*kl_closed] / kl_max
+  confidentiality cost    = 1 - [a*kl_open + (1-a)*kl_closed] / max_kl
+
+where max_kl is the table's largest KL. The confidentiality cost is
+clipped to [0, 1], and is 1 at every cut when every KL is 0.
 
 The confidentiality direction is deliberate: larger KL divergence between
 originals and attack reconstructions means stronger confidentiality, so
@@ -26,8 +29,7 @@ is the one form of this model. It holds the channel-free terms of every
 device and cut as (devices, cuts) arrays, with both sets of min-max
 bounds, and maps link rates to the communication terms and the effects.
 The cost table, ``effect_table``, ``decision_effect`` and the RL env's
-blocks of steps all read it; only ``comp_cost`` and ``conf_cost`` remain
-as scalar functions, and the kernel is built from them.
+blocks of steps all read it.
 
 ``optimal_decision`` is the exact oracle the learning agents are
 validated against. The effect of a joint decision is the mean of
@@ -43,7 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import MissingEntryError, ZeroRateError
+from .errors import ZeroRateError
 from .netmodel import (
     ChannelDistribution,
     ChannelState,
@@ -77,47 +79,18 @@ class ConfEntry:
                 raise ValueError("KL divergences must be finite and >= 0")
         for name in ("ssim_open", "ssim_closed"):
             value = getattr(self, name)
-            if value is not None and not 0.0 <= value <= 1.0:
+            if value is not None and not 0.0 <= fits_float(value, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class ConfidentialityTable:
-    """One ConfEntry per partition candidate, in candidate order."""
-
-    entries: tuple[ConfEntry, ...]
-
-    def __post_init__(self) -> None:
-        if not self.entries:
-            raise ValueError("confidentiality table must not be empty")
-        object.__setattr__(
-            self,
-            "_kl_max",
-            max(max(e.kl_open, e.kl_closed) for e in self.entries),
-        )
-
-    @property
-    def kl_max(self) -> float:
-        return self._kl_max
-
-    def entry(self, cut_index: int) -> ConfEntry:
-        if not 0 <= cut_index < len(self.entries):
-            raise MissingEntryError(
-                f"confidentiality table has no entry for cut {cut_index}"
-            )
-        return self.entries[cut_index]
-
-
-def default_conf_table(num_candidates: int = 5) -> ConfidentialityTable:
+def default_conf_table(num_candidates: int = 5) -> tuple[ConfEntry, ...]:
     """Illustrative monotone table: KL doubles with each deeper cut.
 
     For five cuts this is (0.5, 1, 2, 4, 8) nats in both columns. These are
     plumbing defaults, not measured values; real tables come from a
     reconstruction corpus via the privacy metrics.
     """
-    return ConfidentialityTable(
-        tuple(ConfEntry(0.5 * 2**i, 0.5 * 2**i) for i in range(num_candidates))
-    )
+    return tuple(ConfEntry(0.5 * 2**i, 0.5 * 2**i) for i in range(num_candidates))
 
 
 @dataclass(frozen=True)
@@ -137,10 +110,9 @@ class TriCoWeights:
         total = self.w_comm + self.w_comp + self.w_conf
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"cost weights must sum to 1, got {total}")
-        if not 0.0 <= self.alpha_open <= 1.0:
-            raise ValueError("alpha_open must lie in [0, 1]")
-        if not 0.0 <= self.lambda_latency <= 1.0:
-            raise ValueError("lambda_latency must lie in [0, 1]")
+        for name in ("alpha_open", "lambda_latency"):
+            if not 0.0 <= fits_float(getattr(self, name), name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1]")
 
 
 class EffectKernel:
@@ -154,7 +126,10 @@ class EffectKernel:
     (..., devices, cuts). Every element goes through the scalar float
     operations of the cost model in their order, and numpy rounds each one
     as Python floats do, so no result depends on the shape it is computed
-    in. Rates must be ``feasible``; callers deal with the others first.
+    in. Integer counts and constants enter as their floats, so a quotient
+    of two integers past 2**53 can differ in the last bit from Python's
+    exactly rounded ``int / int``. Rates must be ``feasible``; callers
+    deal with the others first.
     A non-finite channel-free term (a computation energy that overflows,
     say, from a subnormal ``peak_flops``, or a FLOP or byte count past the
     largest float, which reads inf) raises ValueError naming the device,
@@ -169,25 +144,37 @@ class EffectKernel:
     """
 
     def __init__(self, scenario: Scenario):
-        profile, weights = scenario.profile, scenario.weights
+        profile, weights, devices = scenario.profile, scenario.weights, scenario.devices
         cuts = range(profile.num_candidates)
         self.cut_names = [profile.cut_name(c) for c in cuts]
-        # Python floats: bits that overflow read inf, which is rejected below
+        # Python floats: bits and FLOPs that overflow read inf, which is
+        # rejected below
         bits = [_as_float(intermediate_bytes(profile, c)) * 8.0 for c in cuts]
         self.bits = np.array([bits] * scenario.num_devices)
         self.bits_lo = self.bits.min(axis=1, keepdims=True)
         self.bits_hi = self.bits.max(axis=1, keepdims=True)
-        self.tx_power_w = np.array([[dev.tx_power_w] for dev in scenario.devices])
-        self.comp_energy_j = comp = np.array(
-            [[comp_cost(dev, profile, c) for c in cuts] for dev in scenario.devices])
-        conf = [conf_cost(scenario.conf_table, c, weights.alpha_open) for c in cuts]
-        self.conf = np.array([conf] * scenario.num_devices)
+        # dtype=float: integer constants meet float arithmetic, as in Python
+        self.tx_power_w = np.array([[dev.tx_power_w] for dev in devices], dtype=float)
+        flops = np.array([_as_float(device_flops(profile, c)) for c in cuts])
+        peak_flops = np.array([[dev.peak_flops] for dev in devices], dtype=float)
+        power_w = np.array([[dev.compute_power_w] for dev in devices], dtype=float)
+        kl = np.array([(e.kl_open, e.kl_closed) for e in scenario.conf_table], dtype=float)
+        max_kl, a = kl.max(), weights.alpha_open
+        # an overflow reads inf: an energy is rejected below, a KL ratio clips to 0
+        with np.errstate(over="ignore"):
+            self.comp_energy_j = comp = flops / peak_flops * power_w
+            if max_kl == 0.0:  # reconstructions match everywhere: no confidentiality
+                conf = np.ones(len(kl))
+            else:
+                ratio = (a * kl[:, 0] + (1.0 - a) * kl[:, 1]) / max_kl
+                conf = np.clip(1.0 - ratio, 0.0, 1.0)
+        self.conf = np.tile(conf, (len(devices), 1))
         for term, values in (("payload bits", self.bits), ("computation energy", comp),
                              ("confidentiality cost", self.conf)):
             if not np.isfinite(values).all():
                 d, c = np.argwhere(~np.isfinite(values))[0].tolist()
                 raise ValueError(
-                    f"device {scenario.devices[d].id!r}: {term} at cut "
+                    f"device {devices[d].id!r}: {term} at cut "
                     f"{self.cut_names[c]!r} is {float(values[d, c])!r}, not a finite number")
         self.n_comp = _scaled(comp, comp.min(axis=1, keepdims=True),
                               comp.max(axis=1, keepdims=True))
@@ -247,7 +234,7 @@ class Scenario:
     devices: tuple[DeviceProfile, ...]
     channels: tuple[ChannelState | ChannelDistribution, ...]
     profile: ModelProfile
-    conf_table: ConfidentialityTable
+    conf_table: tuple[ConfEntry, ...]  # one row per cut, in candidate order
     weights: TriCoWeights
 
     def __post_init__(self) -> None:
@@ -255,7 +242,7 @@ class Scenario:
             raise ValueError("scenario needs at least one device")
         if len(self.channels) != len(self.devices):
             raise ValueError("scenario needs exactly one channel per device")
-        rows, cuts = len(self.conf_table.entries), self.profile.num_candidates
+        rows, cuts = len(self.conf_table), self.profile.num_candidates
         if rows != cuts:
             raise ValueError(
                 "confidentiality table must cover all partition candidates with "
@@ -277,29 +264,6 @@ class Scenario:
 
     def resolved_channels(self) -> tuple[ChannelState, ...]:
         return tuple(resolve_channel(ch) for ch in self.channels)
-
-
-def comp_cost(dev: DeviceProfile, profile: ModelProfile, cut: int) -> float:
-    """Energy (J) the device spends on its side of the forward pass; inf
-    where the FLOP count or the quotient is past the largest float."""
-    try:
-        return device_flops(profile, cut) / dev.peak_flops * dev.compute_power_w
-    except OverflowError:  # Python refuses an int past the float range
-        return math.inf
-
-
-def conf_cost(table: ConfidentialityTable, cut: int, alpha_open: float = 0.5) -> float:
-    """Confidentiality cost in [0, 1]; 0 at the table's KL maximum.
-
-    When every KL in the table is zero (reconstructions match originals
-    everywhere) there is no confidentiality anywhere and the cost is 1.
-    """
-    entry = table.entry(int(cut))
-    kl_max = table.kl_max
-    if kl_max == 0.0:
-        return 1.0
-    ratio = (alpha_open * entry.kl_open + (1.0 - alpha_open) * entry.kl_closed) / kl_max
-    return min(1.0, max(0.0, 1.0 - ratio))
 
 
 def link_rates(
@@ -371,25 +335,25 @@ CONF_TABLE_HEADER = "cut_name,kl_open,kl_closed,ssim_open,ssim_closed"
 
 
 def format_conf_table(
-    table: ConfidentialityTable, cut_names: list[str] | None = None
+    table: tuple[ConfEntry, ...], cut_names: list[str] | None = None
 ) -> str:
     """CSV confidentiality table, rows in candidate order.
 
     Absent SSIM columns stay empty. Floats use shortest round-trip decimal
     formatting.
     """
-    names = cut_names or [f"cut{i}" for i in range(len(table.entries))]
-    if len(names) != len(table.entries):
-        raise ValueError("need one cut name per table entry")
+    names = cut_names or [f"cut{i}" for i in range(len(table))]
+    if len(names) != len(table):
+        raise ValueError("need one cut name per table row")
     lines = [CONF_TABLE_HEADER]
-    for name, e in zip(names, table.entries):
+    for name, e in zip(names, table):
         ssim_open = "" if e.ssim_open is None else repr(e.ssim_open)
         ssim_closed = "" if e.ssim_closed is None else repr(e.ssim_closed)
         lines.append(f"{name},{e.kl_open!r},{e.kl_closed!r},{ssim_open},{ssim_closed}")
     return "\n".join(lines) + "\n"
 
 
-def parse_conf_table(text: str) -> tuple[ConfidentialityTable, list[str]]:
+def parse_conf_table(text: str) -> tuple[tuple[ConfEntry, ...], list[str]]:
     from .errors import ConfigError
 
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -415,10 +379,7 @@ def parse_conf_table(text: str) -> tuple[ConfidentialityTable, list[str]]:
         except ValueError as exc:
             raise ConfigError(f"conf table line {lineno}: {exc}") from exc
         names.append(name)
-    try:
-        return ConfidentialityTable(tuple(entries)), names
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return tuple(entries), names
 
 
 COST_TABLE_HEADER = (
@@ -447,7 +408,7 @@ def format_cost_table(scenario: Scenario) -> str:
     return "\n".join(lines) + "\n"
 
 
-def default_scenario(seeded_conf: ConfidentialityTable | None = None) -> Scenario:
+def default_scenario(seeded_conf: tuple[ConfEntry, ...] | None = None) -> Scenario:
     """The stock 2-device, 5-cut instance used by examples and tests.
 
     One UAV and one vehicle with the standard device constants, both on a

@@ -45,7 +45,6 @@ from splitcvl.rlopt.nets import TinyNet
 from splitcvl.trico import (
     COST_TABLE_HEADER,
     ConfEntry,
-    ConfidentialityTable,
     Scenario,
     TriCoWeights,
     decision_effect,
@@ -228,9 +227,9 @@ def oracle_enumerate(scenario, channels):
             cut_layer_idx = scenario.profile.partition_candidates[c]
             dev_fl = sum(l.flops for l in scenario.profile.layers[: cut_layer_idx + 1])
             comps.append(dev_fl / dev.peak_flops * dev.compute_power_w)
-            e = scenario.conf_table.entries[c]
+            e = scenario.conf_table[c]
             kl_max = max(
-                max(x.kl_open, x.kl_closed) for x in scenario.conf_table.entries
+                max(x.kl_open, x.kl_closed) for x in scenario.conf_table
             )
             if kl_max == 0:
                 confs.append(1.0)
@@ -295,11 +294,9 @@ def random_scenario(rng, max_devices=3):
         channels.append(
             ChannelState(float(rng.uniform(1e6, 50e6)), float(rng.uniform(0.5, 100)))
         )
-    table = ConfidentialityTable(
-        tuple(
-            ConfEntry(float(rng.uniform(0, 5)), float(rng.uniform(0, 5)))
-            for _ in range(n_cuts)
-        )
+    table = tuple(
+        ConfEntry(float(rng.uniform(0, 5)), float(rng.uniform(0, 5)))
+        for _ in range(n_cuts)
     )
     w = rng.uniform(0.05, 1.0, size=3)
     w = w / w.sum()
@@ -338,7 +335,7 @@ def random_fleet(rng, case):
     elif case % 4 == 2:
         profile = synthetic_profile([byte_sizes[0]] * len(byte_sizes), flops)
     elif case % 4 == 3:
-        table = ConfidentialityTable((ConfEntry(0.0, 0.0),) * len(table.entries))
+        table = (ConfEntry(0.0, 0.0),) * len(table)
     return Scenario(scenario.devices, tuple(channels), profile, table, scenario.weights)
 
 
@@ -496,11 +493,20 @@ def dqn_reference(env, steps, hyper, seed):
     return net, effects
 
 
+def kernel_conf_costs(table, alpha_open=0.5):
+    """``EffectKernel.conf`` of a one-device scenario over ``table``: the
+    confidentiality cost of every cut, in table order."""
+    scenario = Scenario(
+        (device_from_kind("u", "uav"),), (ChannelState(1e6, 3.0),),
+        synthetic_profile([4000] * len(table)), table, TriCoWeights(alpha_open=alpha_open))
+    return scenario.effect_kernel.conf[0].tolist()
+
+
 def scalar_cut_terms(dev, profile, table, weights):
     """(payload bits, comp energy, n_comp, conf cost) of one device at
     every cut, as lists on Python floats, recomputed from the layers."""
     bits, comps, confs = [], [], []
-    kl_max = max(max(e.kl_open, e.kl_closed) for e in table.entries)
+    kl_max = max(max(e.kl_open, e.kl_closed) for e in table)
     a = weights.alpha_open
     for c in range(profile.num_candidates):
         layer_index = profile.partition_candidates[c]
@@ -508,7 +514,7 @@ def scalar_cut_terms(dev, profile, table, weights):
         bits.append(layer.out_elements * layer.bytes_per_element * 8.0)
         flops = sum(x.flops for x in profile.layers[:layer_index + 1])
         comps.append(flops / dev.peak_flops * dev.compute_power_w)
-        e = table.entries[c]
+        e = table[c]
         confs.append(1.0 if kl_max == 0.0 else min(
             1.0, max(0.0, 1.0 - (a * e.kl_open + (1.0 - a) * e.kl_closed) / kl_max)))
     lo, hi = min(comps), max(comps)
@@ -785,7 +791,7 @@ def reference_conf_table(corpus):
                 ssim_closed=math.fsum(ssim_closed) / n,
             )
         )
-    return ConfidentialityTable(tuple(entries))
+    return tuple(entries)
 
 
 def write_color_corpus(root: Path) -> None:

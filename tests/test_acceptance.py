@@ -23,7 +23,7 @@ from splitcvl.rlopt.agents import (
 )
 from splitcvl.rlopt.env import PartitionEnv
 from splitcvl.rlopt.nets import TinyNet
-from splitcvl.trico import conf_cost, default_scenario, optimal_decision
+from splitcvl.trico import default_scenario, optimal_decision
 
 from helpers import (
     grad_check,
@@ -145,7 +145,7 @@ def test_criterion_4_profile_correctness():
 def test_criterion_5_trade_off_direction():
     scenario = default_scenario()
     profile = scenario.profile
-    table = scenario.conf_table
+    conf = scenario.effect_kernel.conf[0].tolist()
     ok = True
     for c in range(profile.num_candidates - 1):
         deeper, shallower = c + 1, c
@@ -153,7 +153,7 @@ def test_criterion_5_trade_off_direction():
         ok &= intermediate_bytes(profile, deeper) <= intermediate_bytes(
             profile, shallower
         )
-        ok &= conf_cost(table, deeper) <= conf_cost(table, shallower)
+        ok &= conf[deeper] <= conf[shallower]
     report(
         "criterion-5 trade-off-direction",
         ok,
@@ -241,13 +241,13 @@ def test_criterion_8_privacy_metrics():
         failures.append("KL(p,p) != 0")
 
     table = build_conf_table(make_demo_corpus(seed=0))
-    shallow, stage3 = table.entries[0], table.entries[3]
+    shallow, stage3 = table[0], table[3]
     if not (0.84 <= shallow.ssim_open <= 0.99 and 0.84 <= shallow.ssim_closed <= 0.99):
         failures.append(f"shallow ssim {shallow.ssim_open:.3f}/{shallow.ssim_closed:.3f}")
     if not (0.02 <= stage3.ssim_open <= 0.18 and 0.02 <= stage3.ssim_closed <= 0.18):
         failures.append(f"stage3 ssim {stage3.ssim_open:.3f}/{stage3.ssim_closed:.3f}")
-    ssims = [e.ssim_open for e in table.entries] + [e.ssim_closed for e in table.entries]
-    kls = [e.kl_open for e in table.entries] + [e.kl_closed for e in table.entries]
+    ssims = [e.ssim_open for e in table] + [e.ssim_closed for e in table]
+    kls = [e.kl_open for e in table] + [e.kl_closed for e in table]
     rank_corr = spearman(ssims, kls)
     if rank_corr >= 0:
         failures.append(f"rank correlation {rank_corr:.2f} not negative")

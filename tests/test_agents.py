@@ -24,7 +24,6 @@ from splitcvl.netmodel import ChannelState, device_from_kind
 from splitcvl.rlopt.nets import TinyNet
 from splitcvl.trico import (
     ConfEntry,
-    ConfidentialityTable,
     default_scenario,
     optimal_decision,
 )
@@ -320,9 +319,7 @@ def zero_effect_env():
     scenario = dataclasses.replace(
         default_scenario(),
         profile=synthetic_profile([1000, 2000, 4000], flops=[10, 10, 10]),
-        conf_table=ConfidentialityTable(
-            (ConfEntry(5.0, 5.0), ConfEntry(1.0, 1.0), ConfEntry(2.0, 2.0))
-        ),
+        conf_table=(ConfEntry(5.0, 5.0), ConfEntry(1.0, 1.0), ConfEntry(2.0, 2.0)),
     )
     return PartitionEnv(scenario, bandwidth_bins=2, snr_bins=2)
 

@@ -13,7 +13,7 @@ import pytest
 from splitcvl.cli import build_parser, main
 from splitcvl.config import load_config
 from splitcvl.privmetrics import build_conf_table, load_corpus_dir, write_demo_corpus
-from splitcvl.trico import ConfEntry, ConfidentialityTable, format_conf_table
+from splitcvl.trico import ConfEntry, format_conf_table
 
 from helpers import perfbench_spans, save_profile
 
@@ -497,7 +497,7 @@ def test_conf_table_longer_than_cut_list_exits_2(command, source, tmp_path, caps
         rows = ", ".join(f"{{kl_open: {k}, kl_closed: {k}}}" for k in SIX_KL_VALUES)
         section = f"confidentiality: {{table: [{rows}]}}\n"
     else:
-        table = ConfidentialityTable(tuple(ConfEntry(k, k) for k in SIX_KL_VALUES))
+        table = tuple(ConfEntry(k, k) for k in SIX_KL_VALUES)
         (tmp_path / "conf.csv").write_text(format_conf_table(table))
         section = "confidentiality: {table_file: conf.csv}\n"
     cfg = tmp_path / "cfg.yaml"
@@ -507,6 +507,18 @@ def test_conf_table_longer_than_cut_list_exits_2(command, source, tmp_path, caps
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert "got 6 rows for 5 cuts" in captured.err
+
+
+def test_conf_table_file_with_only_the_header_exits_2(tmp_path, capsys):
+    (tmp_path / "conf.csv").write_text(format_conf_table(()))
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(QUICK_CONFIG + "confidentiality: {table_file: conf.csv}\n")
+    assert main(["cost", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: config: confidentiality table must cover all partition candidates "
+        "with one row per cut: got 0 rows for 5 cuts\n")
 
 
 @pytest.mark.parametrize("command", ["cost", "oracle"])
@@ -910,11 +922,11 @@ class TestPrivacyCommand:
         corpus = tmp_path / "corpus"
         write_demo_corpus(corpus, seed=3, triples_per_cut=4)
         assert main(["privacy", str(corpus), "--out", str(tmp_path / "t.csv")]) == 0
-        expected = build_conf_table(load_corpus_dir(corpus)).entries
+        expected = build_conf_table(load_corpus_dir(corpus))
         for section in ("{table_file: t.csv}", "{corpus_dir: corpus}"):
             cfg = tmp_path / "cfg.yaml"
             cfg.write_text(QUICK_CONFIG + f"confidentiality: {section}\n")
-            assert load_config(cfg).scenario.conf_table.entries == expected
+            assert load_config(cfg).scenario.conf_table == expected
 
 
 class TestDeterminism:

@@ -93,8 +93,10 @@ class TestParsing:
                 f"    - {{kl_open: {k}, kl_closed: {k}}}\n" for k in (1, 2, 3, 4, 5)
             )
         )
-        table = parse_config(text).scenario.conf_table
-        assert table.kl_max == 5.0
+        scenario = parse_config(text).scenario
+        assert [e.kl_open for e in scenario.conf_table] == [1, 2, 3, 4, 5]
+        # the largest KL, 5, scales every cut's confidentiality cost
+        assert scenario.effect_kernel.conf[0].tolist() == [1.0 - k / 5 for k in (1, 2, 3, 4, 5)]
 
     def test_conf_table_file(self, tmp_path):
         (tmp_path / "table.csv").write_text(

@@ -240,6 +240,44 @@ HUGE_BUILDS = {
 def test_library_types_reject_integers_past_the_largest_float(case):
     # an unbounded field would otherwise construct, and a later float
     # operation raise OverflowError (or, for peak_flops, read 0.0 FLOP
-    # energy at every cut); the SSIM fields' [0, 1] check rejects it anyway
+    # energy at every cut)
     with pytest.raises(ValueError):
         HUGE_BUILDS[case]()
+
+
+# (build, the field its error names): each value passes the field's range
+# check as the 0 or 1 Python counts a bool as
+BOOL_BUILDS = {
+    "channel-bandwidth_hz": (lambda: ChannelState(True, 1.0), "bandwidth_hz"),
+    "channel-snr_linear": (lambda: ChannelState(1e6, True), "snr_linear"),
+    "distribution-bandwidth_low": (
+        lambda: ChannelDistribution((True, 2.0), (0.0, 1.0)), "bandwidth_range"),
+    "distribution-bandwidth_high": (
+        lambda: ChannelDistribution((0.5, True), (0.0, 1.0)), "bandwidth_range"),
+    "distribution-snr_low": (
+        lambda: ChannelDistribution((1e6, 2e6), (False, 1.0)), "snr_range_db"),
+    "distribution-snr_high": (
+        lambda: ChannelDistribution((1e6, 2e6), (0.0, True)), "snr_range_db"),
+    "device-peak_flops": (
+        lambda: DeviceProfile("a", "uav", True, 1.0, 1.0), "device 'a': peak_flops"),
+    "device-compute_power_w": (
+        lambda: DeviceProfile("a", "uav", 1e12, True, 1.0), "device 'a': compute_power_w"),
+    "device-tx_power_w": (
+        lambda: DeviceProfile("a", "uav", 1e12, 1.0, True), "device 'a': tx_power_w"),
+    "conf-kl_open": (lambda: ConfEntry(True, 1.0), "kl_open"),
+    "conf-kl_closed": (lambda: ConfEntry(1.0, False), "kl_closed"),
+    "conf-ssim_open": (lambda: ConfEntry(1.0, 1.0, ssim_open=True), "ssim_open"),
+    "conf-ssim_closed": (lambda: ConfEntry(1.0, 1.0, ssim_closed=False), "ssim_closed"),
+    "weights-w_comm": (lambda: TriCoWeights(True, 0.0, 0.0), "w_comm"),
+    "weights-w_comp": (lambda: TriCoWeights(0.0, True, 0.0), "w_comp"),
+    "weights-w_conf": (lambda: TriCoWeights(0.0, 0.0, True), "w_conf"),
+    "weights-alpha_open": (lambda: TriCoWeights(alpha_open=True), "alpha_open"),
+    "weights-lambda_latency": (lambda: TriCoWeights(lambda_latency=False), "lambda_latency"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOOL_BUILDS))
+def test_library_types_reject_booleans(case):
+    build, field = BOOL_BUILDS[case]
+    with pytest.raises(ValueError, match=f"^{field} must be a number, got (True|False)$"):
+        build()

@@ -26,9 +26,9 @@ from splitcvl.privmetrics import (
     write_demo_corpus,
     write_image,
 )
-from splitcvl.trico import conf_cost
 
 from helpers import (
+    kernel_conf_costs,
     perfbench_spans,
     reference_conf_table,
     reference_ssim,
@@ -244,10 +244,9 @@ class TestConfTableBuild:
             ("cut1", [(img, img, img) for img in imgs]),
         ]
         table = build_conf_table(corpus)
-        assert all(e.kl_open == 0.0 and e.kl_closed == 0.0 for e in table.entries)
-        assert conf_cost(table, 0) == 1.0
-        assert conf_cost(table, 1) == 1.0
-        assert all(e.ssim_open == 1.0 for e in table.entries)
+        assert all(e.kl_open == 0.0 and e.kl_closed == 0.0 for e in table)
+        assert kernel_conf_costs(table) == [1.0, 1.0]
+        assert all(e.ssim_open == 1.0 for e in table)
 
     def test_noise_cut_is_the_kl_max_and_zero_cost(self):
         rng = np.random.default_rng(7)
@@ -258,15 +257,15 @@ class TestConfTableBuild:
             ("deep", [(structured, noise, noise)]),
         ]
         table = build_conf_table(corpus)
-        assert table.entries[1].kl_open == table.kl_max
-        assert conf_cost(table, 1, 0.5) == 0.0
+        assert table[1].kl_open == max(max(e.kl_open, e.kl_closed) for e in table)
+        assert kernel_conf_costs(table, 0.5)[1] == 0.0
 
     def test_permutation_invariance_over_triples(self):
         corpus = make_demo_corpus(seed=3, triples_per_cut=5)
         reversed_corpus = [(name, list(reversed(triples))) for name, triples in corpus]
         a = build_conf_table(corpus)
         b = build_conf_table(reversed_corpus)
-        for ea, eb in zip(a.entries, b.entries):
+        for ea, eb in zip(a, b):
             assert ea.kl_open == eb.kl_open
             assert ea.kl_closed == eb.kl_closed
             assert ea.ssim_open == eb.ssim_open
@@ -331,8 +330,8 @@ def test_conf_table_corpora_share_originals_as_named(tmp_path):
 class TestDemoCorpusFixture:
     def test_ssim_columns_in_reported_ranges(self):
         table = build_conf_table(make_demo_corpus(seed=0))
-        shallow = table.entries[0]
-        stage3 = table.entries[3]
+        shallow = table[0]
+        stage3 = table[3]
         assert 0.84 <= shallow.ssim_open <= 0.99
         assert 0.84 <= shallow.ssim_closed <= 0.99
         assert 0.02 <= stage3.ssim_open <= 0.18
@@ -340,18 +339,14 @@ class TestDemoCorpusFixture:
 
     def test_ssim_kl_rank_correlation_negative(self):
         table = build_conf_table(make_demo_corpus(seed=0))
-        ssims = [e.ssim_open for e in table.entries] + [
-            e.ssim_closed for e in table.entries
-        ]
-        kls = [e.kl_open for e in table.entries] + [
-            e.kl_closed for e in table.entries
-        ]
+        ssims = [e.ssim_open for e in table] + [e.ssim_closed for e in table]
+        kls = [e.kl_open for e in table] + [e.kl_closed for e in table]
         assert spearman(ssims, kls) < 0
 
     def test_kl_monotone_with_depth(self):
         table = build_conf_table(make_demo_corpus(seed=0))
-        kl_open = [e.kl_open for e in table.entries]
-        kl_closed = [e.kl_closed for e in table.entries]
+        kl_open = [e.kl_open for e in table]
+        kl_closed = [e.kl_closed for e in table]
         assert all(a < b for a, b in zip(kl_open, kl_open[1:]))
         assert all(a < b for a, b in zip(kl_closed, kl_closed[1:]))
 
@@ -444,7 +439,7 @@ class TestCorpusDir:
         assert all(len(triples) == 3 for _, triples in corpus)
         table_disk = build_conf_table(corpus)
         table_mem = build_conf_table(make_demo_corpus(seed=2, triples_per_cut=3))
-        for a, b in zip(table_disk.entries, table_mem.entries):
+        for a, b in zip(table_disk, table_mem):
             assert a.kl_open == pytest.approx(b.kl_open)
             assert a.ssim_open == pytest.approx(b.ssim_open)
 

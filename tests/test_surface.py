@@ -10,7 +10,10 @@ whose name is also used elsewhere (``copy``, ``step``) always passes.
 """
 
 import ast
+import importlib
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "splitcvl"
@@ -66,3 +69,13 @@ def test_every_public_name_is_read():
             unread.append(f"{path.relative_to(ROOT)}:{first} {qualname}")
     assert unread == [], "defined in src but read by no command: " + ", ".join(unread)
 
+
+
+@pytest.mark.parametrize("module", ["splitcvl", "splitcvl.rlopt"])
+def test_every_export_resolves(module):
+    # a name deleted from the package but left in __all__ breaks
+    # ``from <module> import *`` with AttributeError
+    namespace = {}
+    exec(f"from {module} import *", namespace)
+    exports = importlib.import_module(module).__all__
+    assert sorted(set(exports) - namespace.keys()) == []

@@ -9,16 +9,14 @@ import numpy as np
 import pytest
 
 from splitcvl import trico
-from splitcvl.errors import MissingEntryError, ZeroRateError
+from splitcvl.config import load_config, parse_config
+from splitcvl.errors import ZeroRateError
 from splitcvl.netmodel import ChannelState, device_from_kind, shannon_rate
-from splitcvl.nnprofile import build_resnet50_usam_profile, intermediate_bytes
+from splitcvl.nnprofile import PROFILE_HEADER, build_resnet50_usam_profile, intermediate_bytes
 from splitcvl.trico import (
     ConfEntry,
-    ConfidentialityTable,
     Scenario,
     TriCoWeights,
-    comp_cost,
-    conf_cost,
     decision_effect,
     default_conf_table,
     default_scenario,
@@ -30,11 +28,13 @@ from splitcvl.trico import (
 
 from helpers import (
     enumerate_optimum,
+    kernel_conf_costs,
     oracle_enumerate,
     random_fleet,
     random_scenario,
     reference_cost_table,
     scalar_comm_terms,
+    scalar_cut_terms,
     scalar_effect,
     synthetic_profile,
     tx_energy,
@@ -110,63 +110,66 @@ class TestCommCost:
             decision_effect(scenario, (0,))
 
 
+def comp_energy(dev, profile):
+    """The kernel's computation energy of every cut of one device."""
+    return one_device(dev, profile).effect_kernel.comp_energy_j[0].tolist()
+
+
 class TestCompCost:
     def test_full_tflop_second_on_uav_is_30_joules(self):
         # 0.641e12 FLOPs on a 0.641 TFLOPS / 30 W device takes 1 s at 30 W.
         dev = device_from_kind("u", "uav")
         profile = synthetic_profile([4000], flops=[641_000_000_000])
-        assert comp_cost(dev, profile, 0) == pytest.approx(30.0)
+        assert comp_energy(dev, profile)[0] == pytest.approx(30.0)
 
     def test_same_workload_on_vehicle(self):
         dev = device_from_kind("v", "vehicle")
         profile = synthetic_profile([4000], flops=[641_000_000_000])
-        assert comp_cost(dev, profile, 0) == pytest.approx(0.641 / 1.3 * 30.0)
-        assert comp_cost(dev, profile, 0) == pytest.approx(14.792307692307693)
+        assert comp_energy(dev, profile)[0] == pytest.approx(0.641 / 1.3 * 30.0)
+        assert comp_energy(dev, profile)[0] == pytest.approx(14.792307692307693)
 
     def test_zero_flops_cut(self):
         dev = device_from_kind("u", "uav")
         profile = synthetic_profile([4000, 2000], flops=[0, 5])
-        assert comp_cost(dev, profile, 0) == 0.0
+        assert comp_energy(dev, profile)[0] == 0.0
 
 
 class TestConfCost:
     def test_at_kl_max_cost_zero(self):
-        table = ConfidentialityTable((ConfEntry(2.0, 2.0), ConfEntry(1.0, 1.0)))
-        assert conf_cost(table, 0, 0.5) == 0.0
+        table = (ConfEntry(2.0, 2.0), ConfEntry(1.0, 1.0))
+        assert kernel_conf_costs(table, 0.5)[0] == 0.0
 
     def test_zero_kl_cost_one(self):
-        table = ConfidentialityTable((ConfEntry(0.0, 0.0), ConfEntry(3.0, 3.0)))
-        assert conf_cost(table, 0, 0.5) == 1.0
+        table = (ConfEntry(0.0, 0.0), ConfEntry(3.0, 3.0))
+        assert kernel_conf_costs(table, 0.5)[0] == 1.0
 
     def test_half_mix(self):
-        table = ConfidentialityTable((ConfEntry(4.0, 0.0),))
-        assert conf_cost(table, 0, 0.5) == 0.5
+        table = (ConfEntry(4.0, 0.0),)
+        assert kernel_conf_costs(table, 0.5)[0] == 0.5
 
     def test_alpha_extremes(self):
-        table = ConfidentialityTable((ConfEntry(4.0, 1.0),))
-        assert conf_cost(table, 0, 1.0) == 0.0
-        assert conf_cost(table, 0, 0.0) == 0.75
+        table = (ConfEntry(4.0, 1.0),)
+        assert kernel_conf_costs(table, 1.0)[0] == 0.0
+        assert kernel_conf_costs(table, 0.0)[0] == 0.75
+
+    def test_mix_rounded_past_the_maximum_clips_to_zero(self):
+        # 0.2 * 3.0 + 0.8 * 3.0 rounds to 3.0000000000000004, a ratio over 1
+        table = (ConfEntry(3.0, 3.0), ConfEntry(1.0, 1.0))
+        assert kernel_conf_costs(table, 0.2)[0] == 0.0
 
     def test_all_zero_table_means_no_confidentiality(self):
-        table = ConfidentialityTable((ConfEntry(0.0, 0.0), ConfEntry(0.0, 0.0)))
-        assert conf_cost(table, 0) == 1.0
-        assert conf_cost(table, 1) == 1.0
-
-    def test_missing_entry(self):
-        table = ConfidentialityTable((ConfEntry(1.0, 1.0),))
-        with pytest.raises(MissingEntryError):
-            conf_cost(table, 3)
+        table = (ConfEntry(0.0, 0.0), ConfEntry(0.0, 0.0))
+        assert kernel_conf_costs(table) == [1.0, 1.0]
 
     def test_always_in_unit_interval(self):
         rng = np.random.default_rng(8)
         for _ in range(200):
-            entries = tuple(
+            table = tuple(
                 ConfEntry(float(rng.uniform(0, 9)), float(rng.uniform(0, 9)))
                 for _ in range(4)
             )
-            table = ConfidentialityTable(entries)
             for c in range(4):
-                assert 0.0 <= conf_cost(table, c, float(rng.uniform(0, 1))) <= 1.0
+                assert 0.0 <= kernel_conf_costs(table, float(rng.uniform(0, 1)))[c] <= 1.0
 
 
 class TestNormalization:
@@ -201,10 +204,11 @@ class TestNormalization:
         dev = device_from_kind("u", "uav")
         ch = ChannelState(1e6, 3.0)
         profile = synthetic_profile([4000, 2000], flops=[10, 20])
-        table = ConfidentialityTable((ConfEntry(1.0, 1.0), ConfEntry(2.0, 2.0)))
+        table = (ConfEntry(1.0, 1.0), ConfEntry(2.0, 2.0))
         rows = cost_rows(one_device(dev, profile, ch, table))
-        assert rows[0]["n_conf"] == rows[0]["conf_cost"] == conf_cost(table, 0)
-        assert rows[1]["n_conf"] == rows[1]["conf_cost"] == conf_cost(table, 1)
+        confs = scalar_cut_terms(dev, profile, table, TriCoWeights())[3]
+        assert rows[0]["n_conf"] == rows[0]["conf_cost"] == confs[0]
+        assert rows[1]["n_conf"] == rows[1]["conf_cost"] == confs[1]
 
 
 class TestEffect:
@@ -223,7 +227,7 @@ class TestEffect:
         # equal payloads and equal prefix FLOPs collapse both ranges, and
         # every cut at the table's KL maximum costs no confidentiality
         profile = synthetic_profile([4000, 4000, 4000], flops=[10, 0, 0])
-        table = ConfidentialityTable((ConfEntry(2.0, 2.0),) * 3)
+        table = (ConfEntry(2.0, 2.0),) * 3
         rows = cost_rows(one_device(device_from_kind("u", "uav"), profile, table=table))
         assert [r["effect"] for r in rows] == [0.0, 0.0, 0.0]
 
@@ -368,7 +372,7 @@ class TestBruteForce:
     def test_tie_break_prefers_deeper_cut(self):
         # Two indistinguishable cuts produce identical effects everywhere.
         profile = synthetic_profile([4000, 4000], flops=[10, 0])
-        table = ConfidentialityTable((ConfEntry(1.0, 1.0), ConfEntry(1.0, 1.0)))
+        table = (ConfEntry(1.0, 1.0), ConfEntry(1.0, 1.0))
         scenario = Scenario(
             (device_from_kind("u", "uav"), device_from_kind("v", "vehicle")),
             (ChannelState(1e6, 3.0), ChannelState(1e6, 3.0)),
@@ -462,6 +466,69 @@ class TestCostTable:
                     format_cost_table(scenario)
                 continue
             assert format_cost_table(scenario) == expected
+
+
+def int_config(peak_flops, compute_power_w, tx_power_w, kl, weights, model=None):
+    """A one-device YAML scenario whose numbers are written as given."""
+    rows = "".join(f"    - {{kl_open: {k}, kl_closed: {k + 1}}}\n" for k in kl)
+    return (
+        f"devices:\n  - {{id: u1, kind: uav, peak_flops: {peak_flops}, "
+        f"compute_power_w: {compute_power_w}, tx_power_w: {tx_power_w}}}\n"
+        "channels:\n  u1: {fixed: {bandwidth_hz: 1000000, snr_linear: 3}}\n"
+        f"model: {model or '{builtin: resnet50_usam}'}\n"
+        f"confidentiality:\n  table:\n{rows}"
+        f"weights: {weights}\n"
+    )
+
+
+def as_floats(scenario):
+    """``scenario`` with ``float()`` of every device constant, KL value and weight."""
+    devices = tuple(
+        dataclasses.replace(dev, **{name: float(getattr(dev, name)) for name in (
+            "peak_flops", "compute_power_w", "tx_power_w")})
+        for dev in scenario.devices)
+    table = tuple(ConfEntry(float(e.kl_open), float(e.kl_closed)) for e in scenario.conf_table)
+    weights = TriCoWeights(*(float(w) for w in dataclasses.astuple(scenario.weights)))
+    return dataclasses.replace(scenario, devices=devices, conf_table=table, weights=weights)
+
+
+# one weight per term, and alpha_open and lambda_latency at both ends
+INT_WEIGHTS = [
+    "{w_comm: 1, w_comp: 0, w_conf: 0, alpha_open: 1, lambda_latency: 0}",
+    "{w_comm: 0, w_comp: 1, w_conf: 0, alpha_open: 0, lambda_latency: 1}",
+    "{w_comm: 0, w_comp: 0, w_conf: 1, alpha_open: 1, lambda_latency: 1}",
+]
+
+
+class TestIntegerInputs:
+    """The kernel meets integer inputs as their floats: up to 2**53, and
+    for FLOP counts over a float ``peak_flops``, that is the exactly
+    rounded Python arithmetic of the reference; past it, a quotient of two
+    integers rounds as the quotient of their floats."""
+
+    @pytest.mark.parametrize("weights", INT_WEIGHTS)
+    def test_integers_up_to_2_pow_53_match_the_reference(self, weights):
+        scenario = parse_config(int_config(
+            641_000_000_000, 30, 2**53, [0, 3, 2**53 - 1, 7, 2**52], weights)).scenario
+        assert format_cost_table(scenario) == reference_cost_table(scenario)
+
+    def test_flop_counts_past_2_pow_63_match_the_reference(self, tmp_path):
+        layers = [3 * 10**19, 2**64 + 1, 10**300]
+        (tmp_path / "prof.csv").write_text(f"{PROFILE_HEADER}\n" + "".join(
+            f"l{i},{flops},{1000 - i},4,1\n" for i, flops in enumerate(layers)))
+        (tmp_path / "cfg.yaml").write_text(int_config(
+            0.641e12, 30.0, 1.0, [1, 2, 3], INT_WEIGHTS[1], "{profile_file: prof.csv}"))
+        scenario = load_config(tmp_path / "cfg.yaml").scenario
+        assert format_cost_table(scenario) == reference_cost_table(scenario)
+
+    @pytest.mark.parametrize("weights", INT_WEIGHTS)
+    def test_integers_past_2_pow_53_divide_as_their_floats(self, weights):
+        scenario = parse_config(int_config(
+            10**30, 10**20, 10**20, [2**60 + 1, 3**40, 5, 2**70 + 3, 0], weights)).scenario
+        expected = reference_cost_table(as_floats(scenario))
+        assert format_cost_table(scenario) == expected
+        # Python's exactly rounded int / int gives other last bits
+        assert reference_cost_table(scenario) != expected
 
 
 class TestScenarioValidation:
