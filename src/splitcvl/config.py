@@ -47,6 +47,7 @@ from .netmodel import (
     ChannelState,
     DeviceProfile,
     device_from_kind,
+    fits_float,
     shannon_rate,
     snr_db_to_linear,
 )
@@ -157,11 +158,9 @@ def _coerce_number(value, path: str):
             pass
     if isinstance(value, int) and not isinstance(value, bool):
         try:
-            float(value)  # every number meets float arithmetic downstream
-        except OverflowError:
-            raise ConfigError(f"{path}: expected a finite number, got an integer "
-                              "past the largest float") from None
-        return value
+            return fits_float(value, path)  # every number meets float arithmetic downstream
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     if isinstance(value, float) and math.isfinite(value):
         return value
     raise ConfigError(f"{path}: expected a finite number, got {value!r}")

@@ -234,10 +234,11 @@ def synth_gallery(
 
 METRIC_NAMES = ("recall_at_1", "recall_at_5", "recall_at_10", "recall_at_top1", "ap")
 
-# query locations scored together. Larger blocks ran at most 15% faster on
-# a 200-location seed, but each location added about 0.1 MB to the peak
-# memory of scoring its 16 cells, and at 16 a run's peak RSS grew 5%.
-_BLOCK = 4
+# query locations scored together. On a 200-location seed 8 ran 12-14%
+# faster than 4, and scoring its 16 cells traced at most 0.63 MB (mean) and
+# 0.80 MB (max_score) beside the corpus, against 0.41 and 0.50 MB at 4; at
+# 16 it traced 1.06 and 1.41 MB.
+_BLOCK = 8
 
 
 def evaluate_cells(
@@ -262,7 +263,11 @@ def evaluate_cells(
     UAV and ground images give every cell's query from one pass over the
     images, and one matrix product per block scores them all. Only the
     distinct gallery rows are scored: BLAS rounds a row's dot products by
-    its position in the matrix, and identical rows must tie exactly.
+    its position in the matrix, and identical rows must tie exactly. When
+    no gallery row repeats, the product is the scores; when one does, each
+    row's scores are gathered from its distinct row's column. A block
+    writes its queries, scores and comparisons to buffers allocated once
+    per call.
     """
     for uav_count, ground_count in cells:
         if not (
@@ -276,54 +281,89 @@ def evaluate_cells(
         return []
     uav_counts, ground_counts = np.array(cells, dtype=np.intp).T
     n, dim = corpus.gallery.shape
+    n_uav, n_ground = corpus.uav.shape[1], corpus.ground.shape[1]
     # column[i] is gallery row i's distinct row; + 0.0 makes -0.0 equal 0.0
     slot: dict[bytes, int] = {}
     column = np.array([slot.setdefault(row.tobytes(), len(slot)) for row in corpus.gallery + 0.0])
     distinct = np.empty((dim, len(slot)))  # transposed: a faster product
     distinct[:, column] = corpus.gallery.T
+    block = min(_BLOCK, n)
+    per_location = len(cells) if strategy is FusionStrategy.MEAN else n_uav + n_ground
+    # with no repeated row column is arange(n), so the product is the scores
+    product = np.empty((block * per_location, len(slot))) if len(slot) < n else None
+    del slot  # its keys copy the gallery: free them before the blocks
 
-    def score(queries: np.ndarray) -> np.ndarray:
-        """(queries, n) scores of a (queries, dim) matrix."""
-        return (queries @ distinct)[:, column]
+    def score(queries: np.ndarray, out: np.ndarray) -> None:
+        """Write the (queries, n) scores of a (queries, dim) matrix to ``out``."""
+        if product is None:
+            np.matmul(queries, distinct, out=out)
+        else:
+            np.matmul(queries, distinct, out=product[: len(queries)])
+            np.take(product[: len(queries)], column, axis=1, out=out, mode="clip")
 
+    # one buffer of each kind for a whole block, sliced to a short last block.
+    # np.take writes straight to its out under mode "clip" (every index here
+    # is valid), but through a temporary under the default "raise".
+    shape = (block, len(cells), n)
+    scores_buffer = np.empty(shape)
+    beaten, tied = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
+    if strategy is FusionStrategy.MEAN:
+        # prefix sums over each location's UAV and ground images; slot 0
+        # stands for no image of that view
+        prefixes = [np.zeros((block, count + 1, dim)) for count in (n_uav, n_ground)]
+        queries, gathered = np.empty(shape[:2] + (dim,)), np.empty(shape[:2] + (dim,))
+    else:
+        # each location's UAV then ground images, their scores, turned in
+        # place into prefix maxima per view. A cell with no image of one view
+        # takes the other view's maximum twice: max(x, x) is max(-inf, x).
+        images = np.empty((block, n_uav + n_ground, dim))
+        per_image = np.empty((block, n_uav + n_ground, n))
+        uav_at = np.where(uav_counts > 0, uav_counts - 1, n_uav + ground_counts - 1)
+        ground_at = np.where(ground_counts > 0, n_uav + ground_counts - 1, uav_counts - 1)
+        gathered = np.empty(shape)
     ranks = np.empty((n, len(cells)), dtype=np.int64)
     for start in range(0, n, _BLOCK):
         stop = min(start + _BLOCK, n)
         size = stop - start
         own = np.arange(start, stop)
-        # prefix sums (mean) or maxima (max_score) over each location's UAV
-        # and ground images; slot 0 stands for no image of that view
+        scores = scores_buffer[:size]
         if strategy is FusionStrategy.MEAN:
-            uav_sums = np.zeros((size, corpus.uav.shape[1] + 1, dim))
-            ground_sums = np.zeros((size, corpus.ground.shape[1] + 1, dim))
-            np.cumsum(corpus.uav[start:stop], axis=1, out=uav_sums[:, 1:])
-            np.cumsum(corpus.ground[start:stop], axis=1, out=ground_sums[:, 1:])
-            means = (uav_sums[:, uav_counts] + ground_sums[:, ground_counts]) / (
-                uav_counts + ground_counts
-            )[:, None]
+            for prefix, view in zip(prefixes, (corpus.uav, corpus.ground)):
+                # image by image: cumsum over a short axis is slow
+                for image in range(view.shape[1]):
+                    np.add(prefix[:size, image], view[start:stop, image],
+                           out=prefix[:size, image + 1])
+            means = queries[:size]
+            np.take(prefixes[0][:size], uav_counts, axis=1, out=means, mode="clip")
+            np.take(prefixes[1][:size], ground_counts, axis=1, out=gathered[:size], mode="clip")
+            means += gathered[:size]
+            means /= (uav_counts + ground_counts)[:, None]
             means = means.reshape(-1, dim)
             norms = _row_norms(means)
             if np.any(norms < 1e-12):
                 raise ZeroVectorError("query embeddings cancel out; views are contradictory")
-            scores = score(means / norms[:, None]).reshape(size, len(cells), n)
+            means /= norms[:, None]
+            score(means, scores.reshape(-1, n))
         else:
-            images = np.concatenate((corpus.uav[start:stop], corpus.ground[start:stop]), axis=1)
-            per_image = score(images.reshape(-1, dim)).reshape(size, -1, n)
-            split = corpus.uav.shape[1]
-            bests = []
-            for part in (per_image[:, :split], per_image[:, split:]):
-                best = np.empty((size, part.shape[1] + 1, n))
-                best[:, 0] = -np.inf
+            np.concatenate(
+                (corpus.uav[start:stop], corpus.ground[start:stop]), axis=1, out=images[:size]
+            )
+            score(images[:size].reshape(-1, dim), per_image[:size].reshape(-1, n))
+            for first, count in ((0, n_uav), (n_uav, n_ground)):
                 # image by image: maximum.accumulate over a short axis is slow
-                for image in range(part.shape[1]):
-                    np.maximum(best[:, image], part[:, image], out=best[:, image + 1])
-                bests.append(best)
-            scores = np.maximum(bests[0][:, uav_counts], bests[1][:, ground_counts])
+                for image in range(first + 1, first + count):
+                    np.maximum(per_image[:size, image - 1], per_image[:size, image],
+                               out=per_image[:size, image])
+            np.take(per_image[:size], uav_at, axis=1, out=scores, mode="clip")
+            np.take(per_image[:size], ground_at, axis=1, out=gathered[:size], mode="clip")
+            np.maximum(scores, gathered[:size], out=scores)
         true = scores[own - start, :, own][:, :, None]
         ahead = (corpus.id_rank < corpus.id_rank[own][:, None])[:, None]
-        beaten = scores > true
-        beaten |= (scores == true) & ahead
-        ranks[start:stop] = 1 + np.count_nonzero(beaten, axis=2)
+        np.greater(scores, true, out=beaten[:size])
+        np.equal(scores, true, out=tied[:size])
+        tied[:size] &= ahead
+        beaten[:size] |= tied[:size]
+        np.add(1, np.count_nonzero(beaten[:size], axis=2), out=ranks[start:stop])
     ks = np.array([1, min(5, n), min(10, n), top1_percent_k(n)])
     hits = np.count_nonzero(ranks.T[:, None] <= ks[:, None], axis=2).tolist()
     return [

@@ -198,6 +198,14 @@ class TestRejection:
         with pytest.raises(ConfigError, match="weights.w_comm: expected a finite number"):
             parse_config(MINIMAL + f"weights: {{w_comm: {value}}}\n")
 
+    def test_integer_past_the_largest_float(self):
+        # the rule and the wording of netmodel.fits_float, naming the key
+        with pytest.raises(ConfigError) as info:
+            parse_config(MINIMAL + f"weights: {{w_comm: {10**400}}}\n")
+        assert str(info.value) == (
+            "weights.w_comm must be finite, got an integer past the largest float"
+        )
+
     def test_unknown_agent(self):
         with pytest.raises(ConfigError, match="unknown agent"):
             parse_config(MINIMAL + "optimizer: {agent: sarsa}\n")

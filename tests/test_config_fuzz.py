@@ -11,8 +11,10 @@ must write only finite numbers.
 The second draws the scenario itself: device constants from 1e-320 to
 1e308 and integers past the largest float, fixed and distribution
 channels (zero SNR, zero-width ranges, SNR that underflows), weights,
-inline KL tables and ``profile_file`` integers up to 10^310. It runs
-``cost``, ``oracle`` and a 20-step ``optimize`` on each. Every run exits
+inline KL and SSIM tables (SSIM absent, inside [0, 1], outside it, a
+bool or NaN), the builtin model's input size (0, negative, non-integral
+or large) and ``profile_file`` integers up to 10^310. It runs
+``profile``, ``cost``, ``oracle`` and a 20-step ``optimize`` on each. Every run exits
 0 with only finite numbers, or 2 or 3 with no output and one ``error:``
 line. The one non-finite number allowed is the ``gap=nan`` of an
 ``optimize`` whose mean channel is infeasible, which stderr warns about.
@@ -119,6 +121,12 @@ bandwidths = st.one_of(constants, st.floats(-310.0, -295.0).map(lambda e: 10.0 *
 snr_dbs = st.one_of(st.floats(-30.0, 60.0), st.floats(-4000.0, 400.0),
                     st.sampled_from([-4000.0, -200.0, 0.0]))
 unit_shares = st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.sampled_from([-0.5, 1.5]))
+ssims = st.one_of(unit_shares, st.sampled_from([True, False, float("nan")]))
+# input sizes: valid ones (multiples of 32) as often as all the rest together
+input_sizes = st.one_of(
+    st.integers(1, 64).map(lambda k: 32 * k),
+    st.one_of(st.integers(-64, 300), st.sampled_from([0, -32, 224.5, 2**40, 32 * 10**12, 10**310])),
+)
 
 
 @st.composite
@@ -153,7 +161,8 @@ def scenarios(draw):
     }
     profile = None
     if draw(st.booleans()):
-        config["model"] = {"builtin": "resnet50_usam"}
+        config["model"] = {"builtin": "resnet50_usam", **draw(st.dictionaries(
+            st.sampled_from(["input_h", "input_w"]), input_sizes, max_size=2))}
         n_cuts = 5
     else:
         config["model"] = {"profile_file": "prof.csv"}
@@ -163,8 +172,8 @@ def scenarios(draw):
         n_cuts = 3
     if draw(st.booleans()):
         kl = st.one_of(magnitudes, st.just(0.0))
-        ssim = st.dictionaries(st.sampled_from(["ssim_open", "ssim_closed"]), unit_shares,
-                               max_size=1)
+        ssim = st.dictionaries(st.sampled_from(["ssim_open", "ssim_closed"]), ssims,
+                               max_size=2)
         config["confidentiality"] = {"table": [
             {"kl_open": draw(kl), "kl_closed": draw(kl), **draw(ssim)} for _ in range(n_cuts)]}
     if draw(st.booleans()):
@@ -192,7 +201,7 @@ def test_scenario_commands_exit_cleanly(scenario, tmp_path, capsys):
     if profile is not None:
         (tmp_path / "prof.csv").write_text(f"{PROFILE_HEADER}\n{profile}")
     out = tmp_path / "trace.csv"
-    for command in ("cost", "oracle", "optimize"):
+    for command in ("profile", "cost", "oracle", "optimize"):
         out.unlink(missing_ok=True)
         capsys.readouterr()
         code = main([command, "--config", str(path), "--out", str(out)])

@@ -135,13 +135,22 @@ def platform_floats_digest() -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-# the fingerprint under OpenBLAS's Haswell kernel with numpy's AVX-512 paths
-# off; every digest holds there byte for byte
-AVX2_PLATFORM_DIGEST = "9e1d6bb95f546ac2be5116e8f0d177ef0ea4653eb3c53e6a1a331d9bf0ecef62"
+# the child environments of two other x86-64 float paths, with the
+# fingerprint each gives on the recording host; every digest holds on both
+# byte for byte. "avx2" is OpenBLAS's Haswell kernel with numpy's AVX-512
+# paths off, "sse" OpenBLAS's Nehalem kernel with numpy's AVX2 paths off too.
+FLOAT_PATHS = {
+    "avx2": ({"OPENBLAS_CORETYPE": "Haswell",
+              "NPY_DISABLE_CPU_FEATURES": "X86_V4,AVX512_ICL,AVX512_SPR"},
+             "9e1d6bb95f546ac2be5116e8f0d177ef0ea4653eb3c53e6a1a331d9bf0ecef62"),
+    "sse": ({"OPENBLAS_CORETYPE": "Nehalem",
+             "NPY_DISABLE_CPU_FEATURES": "X86_V3,X86_V4,AVX512_ICL,AVX512_SPR"},
+            "a5bbc7dc3baa48e167fe5a2edde888997ee2ed6b45a021ba04477b253d8f2217"),
+}
 HOST_FLOATS = platform_floats_digest()
 needs_platform = pytest.mark.skipif(
-    HOST_FLOATS not in (PLATFORM_DIGEST, AVX2_PLATFORM_DIGEST),
-    reason="numpy/BLAS float results differ from both recorded platforms'",
+    HOST_FLOATS not in (PLATFORM_DIGEST, *(digest for _, digest in FLOAT_PATHS.values())),
+    reason="numpy/BLAS float results differ from every recorded platform's",
 )
 # agents whose traces depend on numpy transcendentals or BLAS products
 PLATFORM_AGENTS = {"dqn", "ppo"}
@@ -221,8 +230,8 @@ def test_color_privacy_digest(tmp_path):
     assert sha256(out) == COLOR_PRIVACY_DIGEST
 
 
-# every digest test, rerun on the AVX2 paths
-AVX2_RERUN = [
+# every digest test, rerun on each of FLOAT_PATHS
+RERUN = [
     f"{test}[{case}]"
     for test, digests in (("test_optimize_trace_digest", TRACE_DIGESTS),
                           ("test_more_optimize_trace_digests", MORE_TRACE_DIGESTS),
@@ -233,18 +242,26 @@ AVX2_RERUN = [
 
 
 @pytest.mark.skipif(platform.machine().lower() not in {"x86_64", "amd64"},
-                    reason="emulates the float paths of another x86-64 host")
-def test_host_free_digests_hold_on_avx2_paths():
-    # OpenBLAS's Haswell kernel and numpy without its AVX-512 paths are
-    # what an AVX2 host runs; set for the child process only
+                    reason="emulates the float paths of other x86-64 hosts")
+@pytest.mark.parametrize("float_path", sorted(FLOAT_PATHS))
+def test_host_free_digests_hold_on_other_float_paths(float_path):
+    # the BLAS kernel and numpy CPU features of an older host, set for the
+    # child process only; its fingerprint proves the child took that path
     here = Path(__file__).resolve()
     root = here.parents[1]
-    env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_CORETYPE="Haswell",
-               NPY_DISABLE_CPU_FEATURES="X86_V4,AVX512_ICL,AVX512_SPR")
+    variables, fingerprint = FLOAT_PATHS[float_path]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), **variables)
+    child = subprocess.run(
+        [sys.executable, "-c", "from test_output_digests import platform_floats_digest as f;"
+         " print(f())"],
+        cwd=root, env=dict(env, PYTHONPATH=f"{env['PYTHONPATH']}{os.pathsep}{here.parent}"),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert child.stdout.strip() == fingerprint, child.stdout + child.stderr
     child = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         *(f"{here}::{t}" for t in AVX2_RERUN)],
+         *(f"{here}::{t}" for t in RERUN)],
         cwd=root, env=env, capture_output=True, text=True, timeout=300,
     )
     assert child.returncode == 0, child.stdout + child.stderr
-    assert f"{len(AVX2_RERUN)} passed" in child.stdout, child.stdout
+    assert f"{len(RERUN)} passed" in child.stdout, child.stdout

@@ -29,6 +29,7 @@ from helpers import (
     recall_at_k,
     reference_cell,
 )
+from splitcvl import retrieval
 from splitcvl.cli import retrieval_grid
 from splitcvl.config import RetrievalConfig, ViewNoise
 from splitcvl.errors import DimensionMismatchError, ZeroVectorError
@@ -485,10 +486,39 @@ class TestEvaluateCell:
         assert top == [{100.0 * hits / locations}, {100.0 * (hits - 1) / locations}]
 
     @pytest.mark.parametrize("strategy", list(FusionStrategy))
+    def test_no_output_depends_on_the_block_size(self, strategy, monkeypatch):
+        # Galleries with no repeated row take the product as the scores, and
+        # one with a repeated row (first, middle or last) gathers them; blocks
+        # of 1, 3, the default and more than the locations reuse their
+        # buffers over full and short blocks. The repeated row ties exactly
+        # with the row it copies, so the ids must order the two at every
+        # block size.
+        rng = np.random.default_rng(13)
+        locations, dim, images = 23, 6, 3
+        cells = list(itertools.product(range(images + 1), repeat=2))[1:]
+        blocks = (1, 3, retrieval._BLOCK, locations + 5)
+        for copy in (None, 0, locations // 2, locations - 1):
+            gallery = unit_rows(rng, (locations, dim))
+            if copy is not None:
+                gallery[copy] = gallery[(copy + 5) % locations]
+            views = [gallery[:, None] + 0.4 * rng.standard_normal((locations, images, dim))
+                     for _ in range(2)]
+            uav, ground = (v / np.linalg.norm(v, axis=-1, keepdims=True) for v in views)
+            ids = tuple(f"loc{j}" for j in rng.permutation(locations))
+            corpus = Corpus(ids, gallery, uav, ground)
+            results = []
+            for block in blocks:
+                monkeypatch.setattr(retrieval, "_BLOCK", block)
+                results.append(evaluate_cells(corpus, cells, strategy))
+            assert results == [results[0]] * len(blocks), copy
+            assert_matches_oracle(corpus, images, strategy)
+
+    @pytest.mark.parametrize("strategy", list(FusionStrategy))
     def test_peak_memory_of_one_seed(self, strategy):
-        # Scoring a stock 200-location seed's 16 cells allocated at most
-        # 0.66 MB (mean) and 0.81 MB (max_score) beside its 1 MB corpus when
-        # written, on numpy 2.4; 8-location blocks took 1.07 and 1.36 MB.
+        # Scoring a stock 200-location seed's 16 cells in 8-location blocks
+        # allocated at most 0.63 MB (mean) and 0.80 MB (max_score) beside its
+        # 1 MB corpus when written, on numpy 2.4; 16-location blocks took
+        # 1.06 and 1.41 MB.
         corpus = synth_corpus(200, 64, {"satellite": 0.0, "uav": 0.5, "ground": 0.5}, seed=3)
         cells = list(itertools.product(range(1, 5), repeat=2))
         evaluate_cells(corpus, cells, strategy)  # numpy's first-call allocations
