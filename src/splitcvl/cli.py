@@ -98,7 +98,7 @@ def cmd_optimize(config: ScenarioConfig, args) -> int:
     scenario = _require_scenario(config)
     opt = config.optimizer
     seed = args.seed if args.seed is not None else opt.seed
-    # the env's state cap bounds RL only; cost and oracle have none
+    # the env's cap on channel bins bounds RL only; cost and oracle have none
     try:
         env = PartitionEnv(
             scenario, bandwidth_bins=opt.bandwidth_bins, snr_bins=opt.snr_bins
@@ -108,7 +108,8 @@ def cmd_optimize(config: ScenarioConfig, args) -> int:
     policy, trace = train_agent(opt.agent, env, opt.steps, hyper=opt.hyper, seed=seed)
     _write_output(trace.to_csv(), args.out)
 
-    cuts = policy.action(0)
+    # each device's bin 0, the bin the summary has always scored
+    cuts = policy.action(env.first_rows)
     try:
         effect = decision_effect(scenario, cuts)
         _, oracle_effect = optimal_decision(scenario)

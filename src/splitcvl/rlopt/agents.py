@@ -1,19 +1,20 @@
 """Five learning agents over the partition environment, one branch per device.
 
-All agents work against the same small env protocol: ``n_states``,
-``n_cuts``, ``n_bins`` and ``bins`` (each state's channel bins, one per
-device, numbered among all devices' bins; see ``env``), and
-``blocks(rng, steps)`` yielding each block's ``(states, outcomes)``, one
-entry per step. DQN and PPO also read ``features``, an (n_states,
-inputs) array whose row s is state s's network input. A step's outcome
-is its (devices, cuts) nested list of effects, or None where a link is
-infeasible, which counts as an effect of 1.0 at every cut. An action is
-a tuple of cuts, one per device. The effect is the mean of independent
-per-device terms, so each device picks its cut in a branch of its own
-(action branching, Tavakoli et al., AAAI 2018) and learns it from its
-own reward, minus its term, as in a combinatorial semi-bandit. Every
-episode is one step, so no update bootstraps from a next state: each
-value estimate tracks the reward of its device, bin (or state) and cut.
+All agents work against the same small env protocol: ``n_cuts``,
+``n_bins`` (the rows: one per channel bin of each device, numbered among
+all devices' bins; see ``env``), ``first_rows`` (each device's row of
+its bin 0, one per device) and ``blocks(rng, steps)`` yielding each
+block's ``(rows, outcomes)``, one entry per step: each device's row, and
+the step's (devices, cuts) nested list of effects, or None where a link
+is infeasible, which counts as an effect of 1.0 at every cut. An action
+is a tuple of cuts, one per device. The effect is the mean of
+independent per-device terms, so each device picks its cut in a branch
+of its own (action branching, Tavakoli et al., AAAI 2018) from its own
+row and learns it from its own reward, minus its term, as in a
+combinatorial semi-bandit; the devices are independent learners (Tan,
+ICML 1993) that share what they learn of each row. Every episode is one
+step, so no update bootstraps from a next state: each value estimate
+tracks the reward of its row and cut.
 
   * Q-Learning        a table row per (device, bin), epsilon-greedy per
                       device with linear decay
@@ -23,12 +24,12 @@ value estimate tracks the reward of its device, bin (or state) and cut.
                       the ensemble mean
   * Actor-Critic      a softmax per (device, bin) row, a critic of the
                       row's reward, advantage policy gradient
-  * DQN               TinyNet with a Q-head per device on the joint input,
-                      uniform replay, squared error against the sampled
-                      rewards, plain SGD
+  * DQN               one TinyNet shared by the devices, a row's one-hot
+                      in and its cuts' Q-values out, uniform replay,
+                      squared error against the sampled rewards, plain SGD
   * PPO               clipped-surrogate policy gradient with a softmax per
-                      device, a TinyNet critic of each device's reward and
-                      configurable entropy bonus
+                      row from one shared TinyNet, a TinyNet critic of the
+                      row's reward and configurable entropy bonus
 
 A training run is strictly sequential. The env draws its rows a block at
 a time from ``default_rng(seed)``. The agent draws all of its own
@@ -48,7 +49,7 @@ import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -145,19 +146,20 @@ def _make_trace(effects: list[float], window: int) -> ConvergenceTrace:
 
 @dataclass(frozen=True)
 class TrainedPolicy:
-    """Greedy policy extracted at the end of training: ``action(state)``
-    is one cut per device.
+    """Greedy policy extracted at the end of training: ``action(rows)``
+    is one cut per device, device d's read from its row ``rows[d]`` alone
+    (rows as ``env.blocks`` numbers them).
 
     ``table`` carries the learned (n_bins, n_cuts) table of the tabular
     agents (Q-values, ensemble-mean Q-values, or actor logits), one row
     per (device, bin), and is None for the network-based agents.
     """
 
-    _action_fn: Callable[[int], tuple[int, ...]] = field(repr=False)
+    _values: Callable[[Sequence[int]], np.ndarray] = field(repr=False)  # (devices, cuts)
     table: np.ndarray | None = None
 
-    def action(self, state: int) -> tuple[int, ...]:
-        return self._action_fn(state)
+    def action(self, rows: Sequence[int]) -> tuple[int, ...]:
+        return tuple(self._values(rows).argmax(axis=1).tolist())
 
 
 def _epsilons(total_steps: int, hyper: Hyperparams) -> Iterator[float]:
@@ -191,19 +193,22 @@ def _explore_cuts(draws: np.ndarray, epsilons: Iterator[float], n_cuts: int) -> 
 
 def _dead(env) -> list[list[float]]:
     """The outcome that stands for an infeasible step: 1.0 at every cut."""
-    return [[1.0] * env.n_cuts] * len(env.bins[0])
+    return [[1.0] * env.n_cuts] * len(env.first_rows)
 
 
-def _table_policy(table: np.ndarray, bins) -> TrainedPolicy:
-    """Each device's argmax over its bin's row of ``table``."""
-    return TrainedPolicy(
-        lambda s: tuple(table[list(bins[s])].argmax(axis=1).tolist()), table=table)
+def _table_policy(table: np.ndarray) -> TrainedPolicy:
+    return TrainedPolicy(lambda rows: table[list(rows)], table)
 
 
-def _net_policy(net: TinyNet, table: np.ndarray, n_cuts: int) -> TrainedPolicy:
-    """Each device's argmax over its head of the net's output."""
-    return TrainedPolicy(
-        lambda s: tuple(net.forward(table[s]).reshape(-1, n_cuts).argmax(axis=1).tolist()))
+def _one_hot(rows, n_bins: int) -> np.ndarray:
+    """The nets' input: a one-hot of ``n_bins`` per row."""
+    x = np.zeros((len(rows), n_bins))
+    x[np.arange(len(rows)), rows] = 1.0
+    return x
+
+
+def _net_policy(net: TinyNet, n_bins: int) -> TrainedPolicy:
+    return TrainedPolicy(lambda rows: net.forward(_one_hot(rows, n_bins)))
 
 
 def train_q_learning(
@@ -212,15 +217,15 @@ def train_q_learning(
     """Tabular Q-learning; one trace row per environment step."""
     hyper = hyper or Hyperparams()
     rng, draw = _generators(seed)
-    n_dev, n_cuts, lr, bins, dead = len(env.bins[0]), env.n_cuts, hyper.lr, env.bins, _dead(env)
+    n_dev, n_cuts, lr, dead = len(env.first_rows), env.n_cuts, hyper.lr, _dead(env)
     q = [[0.0] * n_cuts for _ in range(env.n_bins)]
     epsilons = _epsilons(steps, hyper)
     effects: list[float] = []
-    for states, outcomes in env.blocks(rng, steps):
-        picks = _explore_cuts(draw.random((len(states), 2 * n_dev)), epsilons, n_cuts)
-        for state, outcome, step_picks in zip(states, outcomes, picks):
+    for rows, outcomes in env.blocks(rng, steps):
+        picks = _explore_cuts(draw.random((len(rows), 2 * n_dev)), epsilons, n_cuts)
+        for step_rows, outcome, step_picks in zip(rows, outcomes, picks):
             terms = []
-            for b, row_effects, cut in zip(bins[state], outcome or dead, step_picks):
+            for b, row_effects, cut in zip(step_rows, outcome or dead, step_picks):
                 row = q[b]
                 if cut < 0:
                     cut = row.index(max(row))
@@ -228,7 +233,7 @@ def train_q_learning(
                 row[cut] += lr * (-term - row[cut])
                 terms.append(term)
             effects.append(math.fsum(terms) / n_dev)
-    return _table_policy(np.array(q), bins), _make_trace(effects, hyper.moving_avg_window)
+    return _table_policy(np.array(q)), _make_trace(effects, hyper.moving_avg_window)
 
 
 def train_multi_q(
@@ -245,20 +250,20 @@ def train_multi_q(
     hyper = hyper or Hyperparams()
     k = hyper.multi_q_tables
     rng, draw = _generators(seed)
-    n_dev, n_cuts, bins, dead = len(env.bins[0]), env.n_cuts, env.bins, _dead(env)
-    # per (device, bin), the K tables' rows
+    n_dev, n_cuts, dead = len(env.first_rows), env.n_cuts, _dead(env)
+    # per (device, bin) row, the K tables' rows
     tables = [[[0.0] * n_cuts for _ in range(k)] for _ in range(env.n_bins)]
     table_lr = min(1.0, hyper.lr * k)
     epsilons = _epsilons(steps, hyper)
     effects: list[float] = []
-    for states, outcomes in env.blocks(rng, steps):
+    for rows, outcomes in env.blocks(rng, steps):
         # per step, the devices' coins, explore uniforms and table uniforms
-        draws = draw.random((len(states), 3 * n_dev))
+        draws = draw.random((len(rows), 3 * n_dev))
         picks = _explore_cuts(draws[:, :2 * n_dev], epsilons, n_cuts)
         indices = (draws[:, 2 * n_dev:] * k).astype(np.int64).tolist()
-        for state, outcome, step_picks, step_indices in zip(states, outcomes, picks, indices):
+        for step_rows, outcome, step_picks, step_indices in zip(rows, outcomes, picks, indices):
             terms = []
-            for b, row_effects, cut, j in zip(bins[state], outcome or dead, step_picks,
+            for b, row_effects, cut, j in zip(step_rows, outcome or dead, step_picks,
                                               step_indices):
                 rows = tables[b]
                 if cut < 0:
@@ -269,7 +274,7 @@ def train_multi_q(
                 row[cut] += table_lr * (-term - row[cut])
                 terms.append(term)
             effects.append(math.fsum(terms) / n_dev)
-    return (_table_policy(np.array(tables).mean(axis=1), bins),
+    return (_table_policy(np.array(tables).mean(axis=1)),
             _make_trace(effects, hyper.moving_avg_window))
 
 
@@ -286,16 +291,16 @@ def train_actor_critic(
     """
     hyper = hyper or Hyperparams()
     rng, draw = _generators(seed)
-    n_dev, n_cuts, bins, dead = len(env.bins[0]), env.n_cuts, env.bins, _dead(env)
+    n_dev, n_cuts, dead = len(env.first_rows), env.n_cuts, _dead(env)
     logits = [[0.0] * n_cuts for _ in range(env.n_bins)]
     values = [0.0] * env.n_bins
     lr, lr_actor, exp, last = hyper.lr, hyper.lr_actor, math.exp, n_cuts - 1
     effects: list[float] = []
-    for states, outcomes in env.blocks(rng, steps):
-        draws = draw.random((len(states), n_dev)).tolist()
-        for state, outcome, us in zip(states, outcomes, draws):
+    for rows, outcomes in env.blocks(rng, steps):
+        draws = draw.random((len(rows), n_dev)).tolist()
+        for step_rows, outcome, us in zip(rows, outcomes, draws):
             terms = []
-            for b, row_effects, u in zip(bins[state], outcome or dead, us):
+            for b, row_effects, u in zip(step_rows, outcome or dead, us):
                 row = logits[b]
                 top = max(row)
                 weights = [exp(x - top) for x in row]
@@ -314,7 +319,7 @@ def train_actor_critic(
                 row[cut] += step
                 terms.append(term)
             effects.append(math.fsum(terms) / n_dev)
-    return _table_policy(np.array(logits), bins), _make_trace(effects, hyper.moving_avg_window)
+    return _table_policy(np.array(logits)), _make_trace(effects, hyper.moving_avg_window)
 
 
 _Q_DIVERGED = "Q-network diverged to non-finite values; lower lr_net"
@@ -323,103 +328,93 @@ _Q_DIVERGED = "Q-network diverged to non-finite values; lower lr_net"
 def train_dqn(
     env, steps: int, hyper: Hyperparams | None = None, seed: int = 0
 ) -> tuple[TrainedPolicy, ConvergenceTrace]:
-    """Deep Q-network on bin one-hot features, a Q-head per device.
+    """Deep Q-network on one-hot rows, one net shared by the devices.
 
-    The net's output d * n_cuts + c is device d's Q-value of cut c. The
-    replay ring holds, per slot, the state, each device's cell (the flat
-    index of the Q-value its TD error reads) and each device's effect
-    (minus its reward). Transition t (from 0) goes to slot
+    The net maps a (device, bin) row's one-hot to that row's Q-value of
+    each cut, so device d's cut reads d's row alone. The replay ring
+    holds, per slot, each device's cell ``row * n_cuts + cut`` and its
+    effect (minus its reward). Transition t (from 0) goes to slot
     ``t % replay_capacity``, so a block's batches are drawn before its
     writes. Step t draws its devices' coins and explore uniforms, then
     ``batch_size`` slot uniforms, of which its batch takes the first
     ``min(batch_size, size)``, ``size`` being the buffer's length
-    ``min(t + 1, replay_capacity)`` after its own push. Each step
-    runs the Q-network once. When the env has no more states than a step
-    has rows (its state and a full batch), that forward is on the feature
-    table, one row per state, and the TD errors of each state and cell
-    are summed before backprop: rows of one state share their
-    activations and backprop is linear in the output gradient, so the
-    gradient is the batch's in exact arithmetic. Otherwise the forward is
-    on the step's state (its slot holds it before the forward) and its
-    batch's states. The greedy cuts read the step's row, the TD errors
-    the batch's; the mean squared error's factor 2 / rows scales the
-    step's learning rate. Non-finite weights make every later Q-value
-    non-finite, so the last Q-values of each block are checked, and those
-    of every state after training: a diverged net raises NonFiniteError
-    within a block.
+    ``min(t + 1, replay_capacity)`` after its own push. Each step runs
+    the Q-network once: on every row when there are no more of them than
+    a step's ``(1 + batch_size) * devices``, so that a cell's Q-value
+    sits at the cell's index and a cell drawn twice sums its TD errors
+    before backprop (which is linear in the output gradient, so the
+    gradient is the batch's in exact arithmetic); otherwise on the step's
+    rows and its batch's, its own slot holding its rows before the
+    forward. The mean squared error over the batch's TD errors scales the
+    learning rate by 2 / their count, whatever the device count. A
+    diverged net raises NonFiniteError: the last Q-values of each block
+    are checked, and the weights after training.
     """
     hyper = hyper or Hyperparams()
     rng, draw = _generators(seed)
-    table = env.features
-    n_dev, n_cuts, dead = len(env.bins[0]), env.n_cuts, _dead(env)
-    width = n_dev * n_cuts
+    n_dev, n_cuts, n_bins, dead = len(env.first_rows), env.n_cuts, env.n_bins, _dead(env)
     capacity, batch_size = hyper.replay_capacity, hyper.batch_size
-    on_table = env.n_states <= batch_size + 1
-    # row r's Q-value of cell i sits at r * width + i of the flattened
-    # (rows, width) Q-values. In the table case row s is state s, so a
-    # slot's cells are those whole indices; otherwise row 0 is the step's
-    # state and row r >= 1 the batch's r-th, so a slot's cells are within
-    # its row and the batch adds its rows' starts. Per state, each
-    # device's cell of cut 0:
-    bases = [[(s * width if on_table else 0) + d * n_cuts for d in range(n_dev)]
-             for s in range(env.n_states)]
-    row_starts = np.repeat(np.arange(1, batch_size + 1) * width, n_dev)
+    # every row's one-hot, the identity: no more rows than a rows forward's
+    table = _one_hot(range(n_bins), n_bins) if n_bins <= (1 + batch_size) * n_dev else None
+    # on rows, batch entry j's Q-values are row n_dev + j of the forward
+    row_starts = np.arange(n_dev, n_dev * (1 + batch_size)) * n_cuts
     devices = np.tile(np.arange(n_dev), batch_size)  # each batch entry's device
-    net = TinyNet((table.shape[1], *hyper.hidden, width), draw)
+    net = TinyNet((n_bins, *hyper.hidden, n_cuts), draw)
     forward, backward, sgd_step, lr = net.forward, net.backward, net.sgd_step, hyper.lr_net
-    slot_states = np.zeros(capacity, dtype=np.int64)
     cells = np.zeros((capacity, n_dev), dtype=np.int64)
     slot_terms = np.zeros((capacity, n_dev))
     flat_cells, flat_terms = cells.reshape(-1), slot_terms.reshape(-1)
     epsilons = _epsilons(steps, hyper)
     effects: list[float] = []
-    for states, outcomes in env.blocks(rng, steps):
-        pushes = np.arange(len(effects), len(effects) + len(states))
+    for rows, outcomes in env.blocks(rng, steps):
+        pushes = np.arange(len(effects), len(effects) + len(rows))
         sizes = np.minimum(pushes + 1, capacity)  # the length after each push
         owns = pushes % capacity  # each step's own slot, written in place
-        draws = draw.random((len(states), 2 * n_dev + batch_size))
+        draws = draw.random((len(rows), 2 * n_dev + batch_size))
         picks = _explore_cuts(draws[:, :2 * n_dev], epsilons, n_cuts)
         slots = (draws[:, 2 * n_dev:] * sizes[:, None]).astype(np.int64)
-        # each step's own slot, then its batch's; and each batch slot's
-        # entries in the flat cells, one per device
-        rows = np.column_stack([owns, slots])
+        # each batch slot's entries in the flat cells, one per device
         entries = (slots * n_dev).repeat(n_dev, axis=1) + devices
-        for state, outcome, step_picks, own, count, step_rows, step_entries in zip(
-            states, outcomes, picks, owns.tolist(), np.minimum(sizes, batch_size).tolist(),
-            rows, entries,
+        for step_rows, outcome, step_picks, own, count, step_entries in zip(
+            rows, outcomes, picks, owns.tolist(), np.minimum(sizes, batch_size).tolist(),
+            entries,
         ):
             batch = step_entries[:count * n_dev]
-            if on_table:
-                q, row = forward(table), state
+            if table is None:
+                # the batch may hold the step's own slot: its rows, at cut 0
+                cells[own] = [row * n_cuts for row in step_rows]
+                q = forward(_one_hot(np.concatenate((step_rows, flat_cells[batch] // n_cuts)),
+                                     n_bins))
+                mine = q[:n_dev]
             else:
-                slot_states[own] = state
-                q, row = forward(table.take(slot_states[step_rows[:count + 1]], axis=0)), 0
+                q = forward(table)
+                mine = q.take(step_rows, axis=0)
             cuts = step_picks
             if min(cuts) < 0:  # a device acts greedily
-                greedy = q[row].reshape(n_dev, n_cuts).argmax(axis=1).tolist()
+                greedy = mine.argmax(axis=1).tolist()
                 cuts = greedy if max(cuts) < 0 else [
                     g if c < 0 else c for c, g in zip(cuts, greedy)]
             terms = [e[c] for e, c in zip(outcome or dead, cuts)]
-            cells[own] = [b + c for b, c in zip(bases[state], cuts)]
+            cells[own] = [row * n_cuts + c for row, c in zip(step_rows, cuts)]
             slot_terms[own] = terms
             # read after the writes: the batch may hold the step's own slot
-            picked = flat_cells[batch] if on_table else row_starts[:len(batch)] + flat_cells[batch]
+            picked = (flat_cells[batch] if table is not None
+                      else row_starts[:len(batch)] + flat_cells[batch] % n_cuts)
             td = q.take(picked)
             td += flat_terms[batch]  # q - r, r being minus the effect
-            # on the table, a state and cell drawn twice sums its TD errors
-            backward(np.bincount(picked, td, q.size).reshape(-1, width))
-            sgd_step(lr * 2.0 / count)
+            # on every row, a cell drawn twice sums its TD errors
+            backward(np.bincount(picked, td, q.size).reshape(-1, n_cuts))
+            sgd_step(lr * 2.0 / len(batch))
             effects.append(math.fsum(terms) / n_dev)
         if not np.isfinite(q).all():
             raise NonFiniteError(_Q_DIVERGED)
-    if not np.isfinite(net.forward(table)).all():
+    if not all(np.isfinite(w).all() for w in (*net.weights, *net.biases)):
         raise NonFiniteError(_Q_DIVERGED)
-    return _net_policy(net, table, n_cuts), _make_trace(effects, hyper.moving_avg_window)
+    return _net_policy(net, n_bins), _make_trace(effects, hyper.moving_avg_window)
 
 
 def ppo_policy_gradient(
-    policy_net: TinyNet,
-    features: np.ndarray,
+    logits: np.ndarray,
     actions: np.ndarray,
     advantages: np.ndarray,
     logp_old: np.ndarray,
@@ -428,16 +423,16 @@ def ppo_policy_gradient(
 ) -> np.ndarray:
     """dLoss/dlogits for the clipped surrogate with an entropy bonus.
 
-    ``actions``, ``advantages`` and ``logp_old`` are (batch, devices)
-    arrays, and the net's output holds a softmax's logits per device, so
-    each device's cut has a ratio, clip and entropy of its own. Follows a
-    fresh forward pass on ``policy_net``. Samples whose ratio has left the
+    ``logits`` holds a softmax per device of each sample, (batch,
+    devices, cuts), and ``actions``, ``advantages`` and ``logp_old`` are
+    (batch, devices), so each device's cut has a ratio, clip and entropy
+    of its own; the loss is their mean. Samples whose ratio has left the
     clip interval on the unfavourable side contribute no policy gradient,
     which is exactly the clipped-surrogate rule. With an infinite clip
     this reduces to the vanilla policy gradient of the batch.
     """
     n, n_dev = actions.shape
-    logp = log_softmax(policy_net.forward(features).reshape(n, n_dev, -1))
+    logp = log_softmax(logits)
     probs = np.exp(logp)
     picked = np.arange(n)[:, None], np.arange(n_dev), actions
     # exponent clamp keeps a collapsed old policy from overflowing the ratio
@@ -445,11 +440,19 @@ def ppo_policy_gradient(
     active = np.where(advantages >= 0.0, ratio <= 1.0 + clip, ratio >= 1.0 - clip)
     one_hot = np.zeros_like(probs)
     one_hot[picked] = 1.0
-    grad = -((active * ratio * advantages)[..., None] * (one_hot - probs)) / n
+    grad = -((active * ratio * advantages)[..., None] * (one_hot - probs)) / actions.size
     if entropy_coef != 0.0:
         entropy = -(probs * logp).sum(axis=2, keepdims=True)
-        grad += entropy_coef * probs * (logp + entropy) / n
-    return grad.reshape(n, -1)
+        grad += entropy_coef * probs * (logp + entropy) / actions.size
+    return grad
+
+
+def _row_sums(inverse: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
+    """(n_rows, width) sums of the (..., width) ``values`` of the samples
+    that ``inverse`` maps to each row."""
+    width = values.shape[-1]
+    index = (inverse[..., None] * width + np.arange(width)).reshape(-1)
+    return np.bincount(index, values.reshape(-1), n_rows * width).reshape(n_rows, width)
 
 
 def train_ppo(
@@ -457,31 +460,34 @@ def train_ppo(
 ) -> tuple[TrainedPolicy, ConvergenceTrace]:
     """Clipped-surrogate policy optimization with a critic baseline.
 
-    The critic outputs each device's expected reward. Advantages are
-    normalized per batch and the entropy bonus is annealed linearly to
-    zero across the run: strong early exploration keeps the policy from
-    collapsing onto a suboptimal mode before the critic has calibrated,
-    and a zero late bonus lets it concentrate fully.
+    The policy net and the critic are shared by the devices: on a
+    (device, bin) row's one-hot, they give the row's cut logits and its
+    expected reward. Both run on a batch's distinct rows, and the samples'
+    gradients are summed per row before backprop, which is linear in
+    them. Advantages are normalized per batch and the entropy bonus is
+    annealed linearly to zero across the run: strong early exploration
+    keeps the policy from collapsing onto a suboptimal mode before the
+    critic has calibrated, and a zero late bonus lets it concentrate.
     """
     hyper = hyper or Hyperparams()
     rng, draw = _generators(seed)
-    table = env.features
-    n_dev, n_cuts, dead = len(env.bins[0]), env.n_cuts, _dead(env)
-    policy_net = TinyNet((table.shape[1], *hyper.hidden, n_dev * n_cuts), draw)
-    value_net = TinyNet((table.shape[1], *hyper.hidden, n_dev), draw)
+    n_dev, n_cuts, n_bins, dead = len(env.first_rows), env.n_cuts, env.n_bins, _dead(env)
+    policy_net = TinyNet((n_bins, *hyper.hidden, n_cuts), draw)
+    value_net = TinyNet((n_bins, *hyper.hidden, 1), draw)
     effects: list[float] = []
-    rows = itertools.chain.from_iterable(
-        zip(states, outcomes, draw.random((len(states), n_dev)).tolist())
-        for states, outcomes in env.blocks(rng, steps))
+    drawn = itertools.chain.from_iterable(
+        zip(rows, outcomes, draw.random((len(rows), n_dev)).tolist())
+        for rows, outcomes in env.blocks(rng, steps))
     devices = np.arange(n_dev)
     done_steps = 0
     while done_steps < steps:
         batch_n = min(hyper.ppo_batch, steps - done_steps)
-        states, outcomes, us = zip(*itertools.islice(rows, batch_n))
-        states = np.array(states)
-        # the policy is fixed during a rollout: one forward pass per state
-        seen, inverse = np.unique(states, return_inverse=True)
-        logp = log_softmax(policy_net.forward(table[seen]).reshape(len(seen), n_dev, n_cuts))
+        rows, outcomes, us = zip(*itertools.islice(drawn, batch_n))
+        seen, inverse = np.unique(rows, return_inverse=True)
+        inverse = inverse.reshape(batch_n, n_dev)
+        x = _one_hot(seen, n_bins)
+        # the policy is fixed during a rollout
+        logp = log_softmax(policy_net.forward(x))
         if not np.isfinite(logp).all():
             raise NonFiniteError("policy diverged to non-finite logits; lower lr_net")
         logp = logp[inverse]
@@ -495,26 +501,27 @@ def train_ppo(
         done_steps += batch_n
         entropy_coef = hyper.entropy_coef * (1.0 - done_steps / steps)
 
-        x = table[states]
         rewards = -np.array(terms)
-        advantages = rewards - value_net.forward(x)
+        advantages = rewards - value_net.forward(x)[inverse, 0]
         spread = advantages.std()
         if spread > 1e-12:
             advantages = (advantages - advantages.mean()) / spread
 
         for _ in range(hyper.ppo_epochs):
             grad = ppo_policy_gradient(
-                policy_net, x, actions, advantages, logp_old,
+                policy_net.forward(x)[inverse], actions, advantages, logp_old,
                 hyper.ppo_clip, entropy_coef,
             )
-            policy_net.backward(grad)
+            policy_net.backward(_row_sums(inverse, grad, len(seen)))
             policy_net.sgd_step(hyper.lr_net)
 
-            v = value_net.forward(x)
-            value_net.backward(2.0 * (v - rewards) / batch_n)
+            v = value_net.forward(x)[inverse]
+            # the critic's loss: a mean over the (sample, device) pairs
+            v -= rewards[..., None]
+            value_net.backward(_row_sums(inverse, 2.0 * v / rewards.size, len(seen)))
             value_net.sgd_step(hyper.lr_net)
 
-    return _net_policy(policy_net, table, n_cuts), _make_trace(effects, hyper.moving_avg_window)
+    return _net_policy(policy_net, n_bins), _make_trace(effects, hyper.moving_avg_window)
 
 
 AGENTS: dict[str, Callable] = {

@@ -12,10 +12,11 @@ payload, as ``EffectKernel.feasible`` tells) gives every device the
 worst reward of -1 and has effect 1.0, instead of an error, so that
 learning can continue.
 
-``bins[s]`` holds state s's channel bins, one per device, each numbered
-among all ``n_bins`` bins of all devices, first device first. They are
-the one-hot columns of state s's network input, row s of ``features``,
-and the rows of the tabular agents' tables, one row per (device, bin).
+A step's state is one row per device: its channel bin, numbered among
+all ``n_bins`` bins of all devices, first device first (device d's bin 0
+is ``first_rows[d]``). A row indexes the tabular agents' tables and is
+the one-hot input of DQN's and PPO's nets. No joint state is formed, so
+what the agents allocate grows with the sum of the bin counts.
 
 Every episode is one step. The channels are redrawn at every step
 whatever the action, so the action never changes the next state and the
@@ -24,17 +25,17 @@ to the state and bootstraps that carry no information.
 
 Since no channel depends on an action, the env draws the steps a block
 at a time, ahead of the agent: ``blocks(rng, steps)`` yields each
-block's states and outcomes as two lists. A step's outcome is its
+block's rows and outcomes as two lists. A step's outcome is its
 (devices, cuts) nested list of effects, or None where a link is
 infeasible. A block of ``n`` steps is one ``rng.random((n, 2 * k))``
-call, k being two uniforms per drawn channel. Each row holds the k
-uniforms of the step's state, then the k of its channels: the order of
-a per-step loop that draws a state, then its channels
+call, k being two uniforms per drawn channel. Each step's draw holds
+the k uniforms of its bins, then the k of its channels: the order of a
+per-step loop that draws the bins, then the channels
 (``tests/helpers.StepEnv`` keeps that loop as the reference). The
 agents draw from a generator of their own, so no output depends on the
 block size.
 
-A drawn channel's bin comes from its two state uniforms alone: a range
+A drawn channel's bin comes from its two bin uniforms alone: a range
 split into ``n`` equal bins puts the draw ``u`` in bin ``floor(u * n)``,
 computed exactly, and a zero-width range is always bin 0. Up to
 rounding, that is the sub-range the drawn bandwidth and dB fall in, and
@@ -49,8 +50,8 @@ drawn dB's bin, and a step over it is infeasible.
 
 from __future__ import annotations
 
+import itertools
 import math
-from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -58,8 +59,9 @@ import numpy as np
 from ..netmodel import ChannelDistribution, ChannelState, shannon_rate
 from ..trico import Scenario
 
-# Ceiling on every count that sizes an allocation: env states, replay
-# slots, sampled batch rows, Q tables, and the hidden units of all layers
+# Ceiling on every count that sizes an allocation: the env's channel bins
+# (the tables' rows and the networks' input width), replay slots,
+# sampled batch rows, Q tables, and the hidden units of all layers
 # together (so a net's weights stay within a few million).
 MAX_SIZE = 4096
 # steps drawn per generator call; no output depends on it
@@ -151,44 +153,29 @@ class PartitionEnv:
     ):
         if bandwidth_bins < 1 or snr_bins < 1:
             raise ValueError("bin counts must be >= 1")
-        # counted before any bin is built, so a huge bin count fails at once
-        n_states = math.prod(
-            _bin_count(ch, bandwidth_bins, snr_bins) for ch in scenario.channels
-        )
-        if n_states > MAX_SIZE:
+        # counted before any grid is built, so a huge bin count fails at once
+        widths = [_bin_count(ch, bandwidth_bins, snr_bins) for ch in scenario.channels]
+        self.n_bins = sum(widths)
+        if self.n_bins > MAX_SIZE:
             raise ValueError(
-                f"state space of {n_states} states exceeds the cap of {MAX_SIZE}; "
+                f"{self.n_bins} channel bins exceed the cap of {MAX_SIZE}; "
                 "reduce snr_bins or bandwidth_bins"
             )
         self.scenario = scenario
         self.grids = [
             _ChannelGrid(ch, bandwidth_bins, snr_bins) for ch in scenario.channels
         ]
-        # a state id is a mixed-radix number of the devices' channel bins,
-        # first device first
-        self.n_states = n_states
         self.n_cuts = scenario.num_candidates
-        widths = [grid.n_bins for grid in self.grids]
-        self.n_bins = sum(widths)
-        bins = np.column_stack(np.unravel_index(np.arange(n_states), widths))
-        self.bins = tuple(map(tuple, (bins + np.cumsum([0, *widths[:-1]])).tolist()))
-        # a fixed channel draws nothing; a row holds 2 * k uniforms, k
-        # being two per drawn channel (see the module docstring)
+        self.first_rows = tuple(itertools.accumulate(widths[:-1], initial=0))
+        # a fixed channel draws nothing; a step's draw holds 2 * k
+        # uniforms, k being two per drawn channel (see the module docstring)
         self._draws_per_set = 2 * sum(not g.fixed for g in self.grids)
 
-    @cached_property
-    def features(self) -> np.ndarray:
-        """(n_states, n_bins) array whose row s is state s's network input:
-        a one at each of its ``bins``. Built on first use, so the tabular
-        agents never allocate it."""
-        features = np.zeros((self.n_states, self.n_bins))
-        np.put_along_axis(features, np.array(self.bins), 1.0, axis=1)
-        return features
-
     def blocks(self, rng: np.random.Generator, steps: int) -> Iterator[tuple]:
-        """``(states, outcomes)`` of each block of ``steps`` steps,
-        ``BLOCK_STEPS`` at a time: per step, the state id and the
-        (devices, cuts) effects, or None where a link is infeasible."""
+        """``(rows, outcomes)`` of each block of ``steps`` steps,
+        ``BLOCK_STEPS`` at a time: per step, a tuple of each device's row
+        and the (devices, cuts) effects, or None where a link is
+        infeasible."""
         for start in range(0, steps, BLOCK_STEPS):
             yield self._block(rng, min(BLOCK_STEPS, steps - start))
 
@@ -196,17 +183,17 @@ class PartitionEnv:
         k = self._draws_per_set
         u = rng.random((n, 2 * k))
         log2 = math.log2
-        states = np.zeros(n, dtype=np.int64)
+        rows = []  # per device, its row at each step
         rates = np.empty((n, len(self.grids)))
-        i = 0  # column of the channel's bandwidth uniform, among the state's
-        for d, grid in enumerate(self.grids):
+        i = 0  # column of the channel's bandwidth uniform, among the bins'
+        for d, (grid, first) in enumerate(zip(self.grids, self.first_rows)):
             if grid.fixed:
+                rows.append([first] * n)
                 rates[:, d] = grid.rate
                 continue
             b = (np.searchsorted(grid.bw_edges, u[:, i], side="right") * grid.snr_bins
                  + np.searchsorted(grid.snr_edges, u[:, i + 1], side="right"))
-            states *= grid.n_bins
-            states += b
+            rows.append((b + first).tolist())
             bw_lo, bw_width, db_lo, db_width = grid.scales[:, b]
             bw = bw_lo + bw_width * u[:, k + i]
             db = (db_lo + db_width * u[:, k + i + 1]) / 10.0
@@ -214,8 +201,8 @@ class PartitionEnv:
             i += 2
         kernel = self.scenario.effect_kernel
         dead = np.flatnonzero(~kernel.feasible(rates).all(axis=1))
-        rates[dead] = 1.0  # any positive rate; these rows are replaced by None
+        rates[dead] = 1.0  # any positive rate; these steps' outcomes are None
         outcomes = kernel(rates).tolist()
-        for row in dead.tolist():
-            outcomes[row] = None
-        return states.tolist(), outcomes
+        for step in dead.tolist():
+            outcomes[step] = None
+        return list(zip(*rows)), outcomes

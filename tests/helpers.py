@@ -126,14 +126,19 @@ def _scale(bounds):
     return lo, hi - lo
 
 
-def decode_state(env, state):
-    """One channel bin per device of an env's state id: the digits of a
-    mixed-radix number, first device first."""
-    bins = []
-    for grid in reversed(env.grids):
-        state, b = divmod(state, grid.n_bins)
-        bins.append(b)
-    return tuple(reversed(bins))
+def first_rows(env):
+    """Each device's row of its bin 0: the rows are numbered over all
+    devices' bins, first device first."""
+    firsts, row = [], 0
+    for grid in env.grids:
+        firsts.append(row)
+        row += grid.n_bins
+    return firsts
+
+
+def device_bins(env, rows):
+    """Each device's own bin, from its row among all devices' bins."""
+    return [row - first for row, first in zip(rows, first_rows(env))]
 
 
 def exact_bin(u, bins):
@@ -171,31 +176,28 @@ def bin_channel(grid, b):
     )
 
 
-def record_path_state(env, draws):
-    """State of a fresh draw for every device, two of the uniforms
-    ``draws`` per drawn channel, each binned by ``grid_bin``: the state
-    of a block row whose state columns hold the same uniforms."""
-    state = 0
-    for grid in env.grids:
-        b = 0 if grid.fixed else grid_bin(grid, next(draws), next(draws))
-        state = state * grid.n_bins + b
-    return state
+def record_path_rows(env, draws):
+    """Each device's row for a fresh draw, two of the uniforms ``draws``
+    per drawn channel, each binned by ``grid_bin``: the rows of a block
+    step whose bin columns hold the same uniforms."""
+    return tuple(first + (0 if grid.fixed else grid_bin(grid, next(draws), next(draws)))
+                 for grid, first in zip(env.grids, first_rows(env)))
 
 
-def record_path_channels(env, state, draws):
-    """The channels of a block row whose channel columns hold the uniforms
-    ``draws``, as channel records."""
+def record_path_channels(env, rows, draws):
+    """The channels of a block step whose channel columns hold the
+    uniforms ``draws``, as channel records."""
     return tuple(
         grid.channel if grid.fixed
         else ChannelState(*channel_at(bin_channel(grid, b), next(draws), next(draws)))
-        for grid, b in zip(env.grids, decode_state(env, state))
+        for grid, b in zip(env.grids, device_bins(env, rows))
     )
 
 
-def evaluate_action(env, state, cuts):
-    """Effect of one cut per device in a ``PartitionEnv`` state under its
-    bin-midpoint channels; 1.0, the worst, where a link has zero rate."""
-    bins = decode_state(env, state)
+def evaluate_action(env, bins, cuts):
+    """Effect of one cut per device, each device in its own channel bin
+    ``bins[d]``, under the bins' midpoint channels; 1.0, the worst, where
+    a link has zero rate."""
     channels = tuple(resolve_channel(bin_channel(grid, b))
                      for grid, b in zip(env.grids, bins))
     try:
@@ -205,9 +207,13 @@ def evaluate_action(env, state, cuts):
 
 
 def policy_effect(env, policy):
-    """Deterministic effect of the greedy policy's cuts, averaged over states."""
+    """Deterministic effect of the greedy policy's cuts, averaged over
+    every combination of the devices' bins; each device's cut is asked
+    of its own row."""
+    firsts = first_rows(env)
     values = [
-        evaluate_action(env, s, policy.action(s)) for s in range(env.n_states)
+        evaluate_action(env, bins, policy.action([f + b for f, b in zip(firsts, bins)]))
+        for bins in product(*(range(grid.n_bins) for grid in env.grids))
     ]
     return math.fsum(values) / len(values)
 
@@ -340,24 +346,23 @@ def random_fleet(rng, case):
 
 
 class BanditEnv:
-    """Single-state stub env with a fixed effect per device and cut."""
+    """Stub env of one bin per device, with a fixed effect per device and
+    cut: device d is always in row d."""
 
     def __init__(self, effects):
         self.effects = [[float(e) for e in row] for row in effects]
-        self.n_states = 1
         self.n_cuts = len(self.effects[0])
-        self.n_bins = len(self.effects)  # one bin per device
-        self.bins = (tuple(range(self.n_bins)),)
-        self.features = np.ones((1, 1))
+        self.n_bins = len(self.effects)
+        self.first_rows = tuple(range(self.n_bins))
 
     def blocks(self, rng, steps):
         for start in range(0, steps, env_module.BLOCK_STEPS):
             n = min(env_module.BLOCK_STEPS, steps - start)
-            yield [0] * n, [self.effects] * n
+            yield [self.first_rows] * n, [self.effects] * n
 
 
 def env_rows(env, rng, steps):
-    """``(state, outcome)`` of each step of ``env.blocks``."""
+    """``(rows, outcome)`` of each step of ``env.blocks``."""
     for block in env.blocks(rng, steps):
         yield from zip(*block)
 
@@ -389,7 +394,7 @@ def epsilon_at(step, total_steps, hyper):
 def step_effects(env, outcome):
     """A row's (devices, cuts) effects, 1.0 everywhere where it is infeasible."""
     if outcome is None:
-        return [[1.0] * env.n_cuts for _ in env.bins[0]]
+        return [[1.0] * env.n_cuts for _ in env.first_rows]
     return outcome
 
 
@@ -405,16 +410,16 @@ def tabular_reference(name, env, steps, hyper, seed, bootstrap=False):
     while episodes could last longer; that turns a reward of -0.0 into
     +0.0."""
     rng, agent = agent_generators(seed)
-    n_dev, n_cuts, k = len(env.bins[0]), env.n_cuts, hyper.multi_q_tables
+    n_dev, n_cuts, k = len(env.first_rows), env.n_cuts, hyper.multi_q_tables
     q = np.zeros((env.n_bins, n_cuts))
     values = np.zeros(env.n_bins)
     tables = np.zeros((k, env.n_bins, n_cuts))
     effects = []
-    for t, (state, outcome) in enumerate(env_rows(env, rng, steps)):
+    for t, (rows, outcome) in enumerate(env_rows(env, rng, steps)):
         eps = epsilon_at(t, steps, hyper)
         u = agent.random({"q_learning": 2, "multi_q": 3, "actor_critic": 1}[name] * n_dev)
         terms = []
-        for d, (b, row_effects) in enumerate(zip(env.bins[state], step_effects(env, outcome))):
+        for d, (b, row_effects) in enumerate(zip(rows, step_effects(env, outcome))):
             explore = u[d] < eps
             if name == "actor_critic":
                 logits = q[b].tolist()
@@ -444,53 +449,137 @@ def tabular_reference(name, env, steps, hyper, seed, bootstrap=False):
     return (tables.mean(axis=0) if name == "multi_q" else q), effects
 
 
+def one_hots(rows, n_bins):
+    """A (len(rows), n_bins) array with a one at each row's column."""
+    x = np.zeros((len(rows), n_bins))
+    for i, row in enumerate(rows):
+        x[i, row] = 1.0
+    return x
+
+
+def log_probs(logits):
+    """A softmax's log-probabilities: the logits less their maximum, less
+    the log of the sum of their exponentials."""
+    z = logits - logits.max()
+    return z - np.log(np.exp(z).sum())
+
+
 def dqn_reference(env, steps, hyper, seed):
-    """(net, effects) of DQN one step at a time. The net is drawn from
-    the agent's generator, and its output d * n_cuts + c is device d's
-    Q-value of cut c. Per step the agent's generator gives each device a
-    coin and an explore uniform, then ``batch_size`` slot uniforms; a step
-    with a greedy device runs the Q-network on its state alone. The
-    transition goes to slot ``t % replay_capacity`` of three arrays (the
-    state, each device's cut and effect), then the first
-    ``min(batch_size, size)`` slot uniforms pick the batch's slots below
-    ``size``, the buffer's length, and a forward on the
-    batch's states gives each row's and device's TD error. A step whose
-    greedy Q-values are not finite raises NonFiniteError."""
+    """(net, effects) of DQN one step and one device at a time. The net
+    is drawn from the agent's generator; its input is a device's row as a
+    one-hot over all ``n_bins`` rows and its output c the row's Q-value of
+    cut c. Per step the agent's generator gives each device a coin and an
+    explore uniform, then ``batch_size`` slot uniforms; a step with a
+    greedy device runs the Q-network on each greedy device's row alone.
+    The transition goes to slot ``t % replay_capacity`` of three arrays
+    (each device's row, cut and effect), then the first ``min(batch_size,
+    size)`` slot uniforms pick the batch's slots below ``size``, the
+    buffer's length, and a forward on the batch's rows, slot by slot and
+    device by device, gives each TD error; the mean squared error's
+    2 / (rows x devices) scales the step. A greedy Q-value that is not
+    finite raises NonFiniteError."""
     rng, agent = agent_generators(seed)
-    table = env.features
-    n_dev, n_cuts = len(env.bins[0]), env.n_cuts
-    net = TinyNet((table.shape[1], *hyper.hidden, n_dev * n_cuts), agent)
+    n_dev, n_cuts = len(env.first_rows), env.n_cuts
+    net = TinyNet((env.n_bins, *hyper.hidden, n_cuts), agent)
     capacity = hyper.replay_capacity
-    slot_states = np.zeros(capacity, dtype=np.int64)
+    slot_rows = np.zeros((capacity, n_dev), dtype=np.int64)
     slot_cuts = np.zeros((capacity, n_dev), dtype=np.int64)
     slot_effects = np.zeros((capacity, n_dev))
-    heads = np.arange(n_dev) * n_cuts
     effects = []
-    for t, (state, outcome) in enumerate(env_rows(env, rng, steps)):
+    for t, (rows, outcome) in enumerate(env_rows(env, rng, steps)):
         u = agent.random(2 * n_dev + hyper.batch_size)
-        explore = u[:n_dev] < epsilon_at(t, steps, hyper)
-        cuts = (u[n_dev:2 * n_dev] * n_cuts).astype(np.int64)
-        if not explore.all():
-            q_row = net.forward(table[state]).reshape(n_dev, n_cuts)
+        eps = epsilon_at(t, steps, hyper)
+        cuts = []
+        for d, row in enumerate(rows):
+            if u[d] < eps:
+                cuts.append(int(u[n_dev + d] * n_cuts))
+                continue
+            q_row = net.forward(one_hots([row], env.n_bins))[0]
             if not np.isfinite(q_row).all():
                 raise NonFiniteError("Q-network diverged to non-finite values")
-            cuts = np.where(explore, cuts, q_row.argmax(axis=1))
-        terms = [row[c] for row, c in zip(step_effects(env, outcome), cuts.tolist())]
+            cuts.append(int(q_row.argmax()))
+        terms = [effect[c] for effect, c in zip(step_effects(env, outcome), cuts)]
         slot = t % capacity
-        slot_states[slot], slot_cuts[slot], slot_effects[slot] = state, cuts, terms
+        slot_rows[slot], slot_cuts[slot], slot_effects[slot] = rows, cuts, terms
         size = min(t + 1, capacity)
-        rows = min(hyper.batch_size, size)
-        idx = (u[2 * n_dev:2 * n_dev + rows] * size).astype(np.int64)
-        q = net.forward(table[slot_states[idx]])
-        columns = heads + slot_cuts[idx]
-        row_ids = np.arange(rows)[:, None]
+        count = min(hyper.batch_size, size)
+        idx = (u[2 * n_dev:2 * n_dev + count] * size).astype(np.int64)
+        q = net.forward(one_hots(slot_rows[idx].ravel(), env.n_bins))
+        entries = np.arange(count * n_dev)
         grad = np.zeros_like(q)
-        # q - r with r = -effect; the mean squared error's 2 / rows scales the step
-        grad[row_ids, columns] = q[row_ids, columns] + slot_effects[idx]
+        # q - r with r = -effect
+        grad[entries, slot_cuts[idx].ravel()] = (q[entries, slot_cuts[idx].ravel()]
+                                                 + slot_effects[idx].ravel())
         net.backward(grad)
-        net.sgd_step(hyper.lr_net * 2.0 / rows)
+        net.sgd_step(hyper.lr_net * 2.0 / (count * n_dev))
         effects.append(math.fsum(terms) / n_dev)
     return net, effects
+
+
+def ppo_reference(env, steps, hyper, seed):
+    """(policy net, effects) of PPO, each device's cut drawn from a
+    forward on its own row. The policy net, then the critic, are drawn
+    from the agent's generator; each reads a device's row as a one-hot
+    and gives that row's cut logits, or its expected reward. Per step the
+    agent's generator gives each device one softmax uniform. A batch of
+    ``ppo_batch`` steps (fewer at the end) is rolled out on the batch's
+    starting policy, then both nets take ``ppo_epochs`` steps on the
+    batch's rows, step by step and device by device: the clipped
+    surrogate with an entropy bonus annealed to zero over the run, and
+    the mean squared error of the critic, each a mean over the rows;
+    advantages are normalized over the batch."""
+    rng, agent = agent_generators(seed)
+    n_dev, n_cuts, n_bins = len(env.first_rows), env.n_cuts, env.n_bins
+    policy = TinyNet((n_bins, *hyper.hidden, n_cuts), agent)
+    critic = TinyNet((n_bins, *hyper.hidden, 1), agent)
+    drawn = [(rows, step_effects(env, outcome), agent.random(n_dev))
+             for rows, outcome in env_rows(env, rng, steps)]
+    effects = []
+    for start in range(0, steps, hyper.ppo_batch):
+        batch = drawn[start:start + hyper.ppo_batch]
+        rows, actions, logp_old, terms = [], [], [], []
+        for step_rows, step_effects_, us in batch:
+            step_terms = []
+            for row, effect, u in zip(step_rows, step_effects_, us):
+                logp = log_probs(policy.forward(one_hots([row], n_bins))[0])
+                if not np.isfinite(logp).all():
+                    raise NonFiniteError("policy diverged to non-finite logits")
+                cdf = np.cumsum(np.exp(logp))
+                cut = int(np.searchsorted(cdf[:-1], u * cdf[-1], side="right"))
+                rows.append(row)
+                actions.append(cut)
+                logp_old.append(logp[cut])
+                step_terms.append(effect[cut])
+            terms += step_terms
+            effects.append(math.fsum(step_terms) / n_dev)
+        done = min(start + hyper.ppo_batch, steps)
+        entropy_coef = hyper.entropy_coef * (1.0 - done / steps)
+        x = one_hots(rows, n_bins)
+        rewards = -np.array(terms)
+        advantages = rewards - critic.forward(x)[:, 0]
+        if advantages.std() > 1e-12:
+            advantages = (advantages - advantages.mean()) / advantages.std()
+        m = len(rows)
+        for _ in range(hyper.ppo_epochs):
+            logits = policy.forward(x)
+            grad = np.zeros_like(logits)
+            for i in range(m):
+                logp = log_probs(logits[i])
+                probs = np.exp(logp)
+                ratio = math.exp(min(max(logp[actions[i]] - logp_old[i], -30.0), 30.0))
+                clipped = (ratio > 1.0 + hyper.ppo_clip if advantages[i] >= 0.0
+                           else ratio < 1.0 - hyper.ppo_clip)
+                if not clipped:
+                    grad[i] = ratio * advantages[i] * probs
+                    grad[i, actions[i]] -= ratio * advantages[i]
+                entropy = -(probs * logp).sum()
+                grad[i] += entropy_coef * probs * (logp + entropy)
+            policy.backward(grad / m)
+            policy.sgd_step(hyper.lr_net)
+            v = critic.forward(x)
+            critic.backward(2.0 * (v - rewards[:, None]) / m)
+            critic.sgd_step(hyper.lr_net)
+    return policy, effects
 
 
 def kernel_conf_costs(table, alpha_open=0.5):
@@ -602,83 +691,85 @@ class StepEnv:
     """The per-step dynamics that ``PartitionEnv`` draws a block at a time,
     one step at a time, as a reference.
 
-    ``reset`` draws the state's uniforms, two per drawn channel, and bins
-    them with ``bisect_right``. ``step`` draws the step's channel
-    uniforms, maps them to rates with scalars bound per state (each bin's
-    ``bin_channel`` scales), and gives every device's effect at every cut
-    from ``scalar_effect``: None where a link's rate is zero or leaves
-    some cut's latency or energy past the largest float.
+    ``reset`` draws the step's bin uniforms, two per drawn channel, bins
+    them with ``bisect_right`` and gives each device's row among all
+    devices' bins. ``step`` draws the step's channel uniforms, maps them
+    to rates with scalars bound per row (each bin's ``bin_channel``
+    scales), and gives every device's effect at every cut from
+    ``scalar_effect``: None where a link's rate is zero or leaves some
+    cut's latency or energy past the largest float.
     """
 
     def __init__(self, env):
         self.env = env
-        drawn = [g for g in env.grids if not g.fixed]
-        self._binnings = tuple(
-            (g.n_bins, tuple(g.bw_edges.tolist()), g.snr_bins, tuple(g.snr_edges.tolist()))
-            for g in drawn)
-        self._draws_per_set = 2 * len(drawn)
         scenario = env.scenario
         bits = payload_bits(scenario.profile)
-        effects = [(scalar_effect(dev, scenario.profile, scenario.conf_table, scenario.weights),
-                    functools.partial(link_infeasible, bits, dev.tx_power_w))
-                   for dev in scenario.devices]
-        # per state, each device's effect, its infeasibility rule and its
-        # link: the fixed channel's rate, or None, the index of its
-        # bandwidth uniform and its bin's (bw_lo, bw_width, db_lo, db_width)
-        bin_links = []
+        # per device: its first row and its binning, None for a fixed
+        # channel; per row: the device's effect, its infeasibility rule
+        # and its link: the fixed channel's rate, or None, the index of
+        # its bandwidth uniform and its bin's (bw_lo, bw_width, db_lo,
+        # db_width)
+        self._binnings = []
+        self._row_links = []
         i = 0
-        for grid in env.grids:
+        for grid, dev in zip(env.grids, scenario.devices):
+            effect = (scalar_effect(dev, scenario.profile, scenario.conf_table, scenario.weights),
+                      functools.partial(link_infeasible, bits, dev.tx_power_w))
+            first = len(self._row_links)
             if grid.fixed:
-                bin_links.append([(grid.rate, 0, 0.0, 0.0, 0.0, 0.0)])
-            else:
-                bins = [bin_channel(grid, b) for b in range(grid.n_bins)]
-                bin_links.append([(None, i, *_scale(d.bandwidth_range),
-                                   *_scale(d.snr_range_db)) for d in bins])
-                i += 2
-        self._state_links = tuple(
-            tuple((*effect, *links[b]) for effect, links, b
-                  in zip(effects, bin_links, decode_state(env, state)))
-            for state in range(env.n_states)
-        )
+                self._binnings.append((first, None))
+                self._row_links.append((*effect, grid.rate, 0, 0.0, 0.0, 0.0, 0.0))
+                continue
+            self._binnings.append((first, (i, tuple(grid.bw_edges.tolist()), grid.snr_bins,
+                                           tuple(grid.snr_edges.tolist()))))
+            for b in range(grid.n_bins):
+                d = bin_channel(grid, b)
+                self._row_links.append((*effect, None, i, *_scale(d.bandwidth_range),
+                                        *_scale(d.snr_range_db)))
+            i += 2
+        self._draws_per_set = i
 
     def reset(self, rng):
         u = rng.random(self._draws_per_set).tolist()
-        state = i = 0
-        for n_bins, bw_edges, stride, snr_edges in self._binnings:
-            state = (state * n_bins + bisect_right(bw_edges, u[i]) * stride
-                     + bisect_right(snr_edges, u[i + 1]))
-            i += 2
-        return state
-
-    def step(self, state, rng):
-        """Every device's effect at every cut in ``state``, or None."""
-        return self.score(state, rng.random(self._draws_per_set).tolist())
-
-    def score(self, state, u):
-        """Every device's effect at every cut in ``state`` over a step's
-        channel uniforms ``u``, or None where a link is infeasible."""
         rows = []
-        for effect, infeasible, rate, i, bw_lo, bw_width, db_lo, db_width in (
-            self._state_links[state]
-        ):
+        for first, binning in self._binnings:
+            if binning is None:
+                rows.append(first)
+                continue
+            i, bw_edges, stride, snr_edges = binning
+            rows.append(first + bisect_right(bw_edges, u[i]) * stride
+                        + bisect_right(snr_edges, u[i + 1]))
+        return tuple(rows)
+
+    def step(self, rows, rng):
+        """Every device's effect at every cut with its rows, or None."""
+        return self.score(rows, rng.random(self._draws_per_set).tolist())
+
+    def score(self, rows, u):
+        """Every device's effect at every cut in its row ``rows[d]`` over
+        a step's channel uniforms ``u``, or None where a link is
+        infeasible."""
+        outcome = []
+        for row in rows:
+            effect, infeasible, rate, i, bw_lo, bw_width, db_lo, db_width = self._row_links[row]
             if rate is None:
                 snr_linear = 10.0 ** ((db_lo + db_width * u[i + 1]) / 10.0)
                 rate = (bw_lo + bw_width * u[i]) * math.log2(1.0 + snr_linear)
             if infeasible(rate):
                 return None
-            rows.append([effect(rate, c) for c in range(self.env.n_cuts)])
-        return rows
+            outcome.append([effect(rate, c) for c in range(self.env.n_cuts)])
+        return outcome
 
 
 def step_rows(env, rng, steps):
-    """``(state, outcome)`` of each step, one reset and one step at a
+    """``(rows, outcome)`` of each step, one reset and one step at a
     time, as ``env.blocks`` draws them."""
     ref = StepEnv(env)
-    rows = []
+    steps_drawn = []
     for _ in range(steps):
-        state = ref.reset(rng)
-        rows.append((state, ref.step(state, rng)))
-    return rows
+        rows = ref.reset(rng)
+        steps_drawn.append((rows, ref.step(rows, rng)))
+    return steps_drawn
 
 
 # -- TinyNet gradient checks ----------------------------------------------

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from splitcvl.rlopt.agents import (
     train_q_learning,
 )
 from splitcvl.rlopt.env import PartitionEnv
-from splitcvl.netmodel import ChannelState, device_from_kind
+from splitcvl.netmodel import ChannelDistribution, ChannelState, device_from_kind
 from splitcvl.rlopt.nets import TinyNet
 from splitcvl.trico import (
     ConfEntry,
@@ -35,6 +37,7 @@ from helpers import (
     epsilon_at,
     flat_params,
     policy_effect,
+    ppo_reference,
     softmax,
     synthetic_profile,
     tabular_reference,
@@ -81,7 +84,7 @@ class TestEpsilonSchedule:
 class TestQLearning:
     def test_bandit_picks_best_arm(self):
         policy, _ = train_q_learning(BanditEnv(TWO_ARM), 200, seed=1)
-        assert policy.action(0) == (1,)
+        assert policy.action((0,)) == (1,)
 
     def test_gamma_zero_lr_one_single_visits(self):
         # Every episode is one step, so the update is gamma-zero Q-learning:
@@ -90,7 +93,7 @@ class TestQLearning:
         env = BanditEnv([effects])
         hyper = Hyperparams(lr=1.0, epsilon_start=1.0, epsilon_final=1.0)
         policy, trace = train_q_learning(env, 300, hyper=hyper, seed=2)
-        assert policy.action(0) == (0,)
+        assert policy.action((0,)) == (0,)
         assert policy.table[0].tolist() == [-e for e in effects]
         assert set(np.round(trace.effects, 6)) <= {0.3, 0.7, 0.5}
 
@@ -101,7 +104,7 @@ class TestQLearning:
         env = BanditEnv([effects])
         hyper = Hyperparams(epsilon_start=1.0, epsilon_final=1.0, lr=0.2)
         policy, _ = train_q_learning(env, 2000, hyper=hyper, seed=3)
-        assert policy.action(0) == (1,)
+        assert policy.action((0,)) == (1,)
         assert np.allclose(policy.table[0], [-e for e in effects], atol=1e-10)
 
     def test_trace_length_matches_steps(self):
@@ -122,11 +125,11 @@ class TestMultiQ:
         env = BanditEnv([[0.9, 0.2, 0.5]])
         single, _ = train_q_learning(env, 400, seed=5)
         multi, _ = train_multi_q(env, 400, Hyperparams(multi_q_tables=4), seed=5)
-        assert multi.action(0) == single.action(0) == (1,)
+        assert multi.action((0,)) == single.action((0,)) == (1,)
 
     def test_bandit_argmax(self):
         policy, _ = train_multi_q(BanditEnv(TWO_ARM), 300, Hyperparams(multi_q_tables=3), seed=6)
-        assert policy.action(0) == (1,)
+        assert policy.action((0,)) == (1,)
 
     def test_needs_two_tables(self):
         with pytest.raises(ValueError):
@@ -151,7 +154,7 @@ class TestActorCritic:
     def test_bandit_concentrates_on_best_action(self):
         env = BanditEnv([[0.8, 0.1, 0.6, 0.9]])
         policy, _ = train_actor_critic(env, 3000, seed=11)
-        assert policy.action(0) == (1,)
+        assert policy.action((0,)) == (1,)
         probs = softmax(policy.table[0][None, :])[0]
         assert probs[1] > 0.9
 
@@ -166,19 +169,19 @@ class TestDQN:
         env = BanditEnv(TWO_ARM)
         hyper = Hyperparams(replay_capacity=1, batch_size=1, hidden=(8,))
         policy, _ = train_dqn(env, 400, hyper=hyper, seed=14)
-        assert policy.action(0) == (1,)
+        assert policy.action((0,)) == (1,)
 
     def test_bandit(self):
         policy, _ = train_dqn(BanditEnv([[0.7, 0.2, 0.5]]), 500, seed=16)
-        assert policy.action(0) == (1,)
+        assert policy.action((0,)) == (1,)
 
     def test_one_forward_per_step(self, monkeypatch):
         # every episode is one step, so DQN regresses on rewards alone and
         # has no target net. Its one net runs once per step, exploring or
-        # not: on every state when the env has at most 1 + batch_size of
-        # them, else on 1 + min(batch_size, t + 1) rows, the step's state
-        # and its batch (120 pushes stay below the default capacity). It
-        # runs once more after training, on every state.
+        # not: on every row when the env has at most (1 + batch_size) x
+        # devices of them, else on (1 + min(batch_size, t + 1)) x devices
+        # rows, the step's and its batch's (120 pushes stay below the
+        # default capacity). Nothing runs it after training.
         calls = []
         forward = TinyNet.forward
 
@@ -190,13 +193,17 @@ class TestDQN:
         steps = 120
         stock = PartitionEnv(default_scenario(), snr_bins=2)
         grid = PartitionEnv(default_scenario(), bandwidth_bins=2, snr_bins=3)
-        assert (stock.n_states, grid.n_states) == (4, 36)
-        # (env, batch_size, rows per step)
+        wide = PartitionEnv(default_scenario(), bandwidth_bins=6, snr_bins=6)
+        assert (stock.n_bins, grid.n_bins, wide.n_bins) == (4, 12, 72)
+        # (env, batch_size, rows per step); 2 devices
         cases = [
-            (stock, 32, [stock.n_states] * steps),
-            (grid, 32, [1 + min(32, t + 1) for t in range(steps)]),
-            (grid, 35, [grid.n_states] * steps),
-            (grid, 34, [1 + min(34, t + 1) for t in range(steps)]),
+            (stock, 32, [4] * steps),
+            (grid, 32, [12] * steps),
+            (grid, 5, [12] * steps),  # 12 rows against a step's 12
+            (grid, 4, [2 * (1 + min(4, t + 1)) for t in range(steps)]),
+            (wide, 35, [72] * steps),  # 72 rows against a step's 72
+            (wide, 34, [2 * (1 + min(34, t + 1)) for t in range(steps)]),
+            (wide, 32, [2 * (1 + min(32, t + 1)) for t in range(steps)]),
         ]
         for env, batch_size, per_step in cases:
             for eps in (None, 0.0, 1.0):
@@ -204,7 +211,7 @@ class TestDQN:
                 fixed_eps = {} if eps is None else {"epsilon_start": eps, "epsilon_final": eps}
                 train_dqn(env, steps, Hyperparams(batch_size=batch_size, **fixed_eps), seed=23)
                 assert len({net for net, _ in calls}) == 1
-                assert [rows for _, rows in calls] == per_step + [env.n_states]
+                assert [rows for _, rows in calls] == per_step
 
     def test_deterministic(self):
         a = train_dqn(BanditEnv(TWO_ARM), 150, seed=17)[1]
@@ -214,48 +221,45 @@ class TestDQN:
 
 class TestPPOMechanics:
     def test_huge_clip_equals_vanilla_policy_gradient(self):
-        # two devices of four cuts each: one softmax per device
+        # 12 samples of two devices of four cuts each: a softmax per device
         rng = np.random.default_rng(19)
-        net = TinyNet((3, 8, 2 * 4), rng)
-        x = rng.standard_normal((12, 3))
+        logits = rng.standard_normal((12, 2, 4))
         actions = rng.integers(0, 4, size=(12, 2))
         adv = rng.standard_normal((12, 2))
-        probs = softmax(net.forward(x).reshape(12, 2, 4))
+        probs = softmax(logits)
         rows, devices = np.arange(12)[:, None], np.arange(2)
         logp_old = np.log(probs[rows, devices, actions])
 
-        grad = ppo_policy_gradient(net, x, actions, adv, logp_old,
-                                   clip=1e9, entropy_coef=0.0)
+        grad = ppo_policy_gradient(logits, actions, adv, logp_old, clip=1e9, entropy_coef=0.0)
 
-        # Vanilla policy gradient of -E[sum_d A_d log pi_d(a_d|s)] wrt
-        # logits, computed directly from the same batch (every ratio is 1
-        # for the current policy).
+        # Vanilla policy gradient of -E[A_d log pi_d(a_d|s)] wrt logits,
+        # the mean over the 24 (sample, device) pairs, computed directly
+        # from the same batch (every ratio is 1 for the current policy).
         one_hot = np.zeros_like(probs)
         one_hot[rows, devices, actions] = 1.0
-        vanilla = -(adv[..., None] * (one_hot - probs)) / 12
-        assert np.allclose(grad, vanilla.reshape(12, 8))
+        vanilla = -(adv[..., None] * (one_hot - probs)) / 24
+        assert np.allclose(grad, vanilla)
 
     def test_clip_blocks_gradient_outside_interval(self):
         rng = np.random.default_rng(20)
-        net = TinyNet((2, 4, 3), rng)
-        x = rng.standard_normal((6, 2))
+        logits = rng.standard_normal((6, 1, 3))  # one device
         actions = rng.integers(0, 3, size=(6, 1))
         adv = np.ones((6, 1))
         # Pretend the old policy assigned much higher probability, so the
         # current ratio is far below 1 for positive advantages: unclipped.
-        probs = softmax(net.forward(x))
-        taken = np.log(probs[np.arange(6)[:, None], actions])
-        g_active = ppo_policy_gradient(net, x, actions, adv, taken + 5.0,
+        probs = softmax(logits)
+        taken = np.log(probs[np.arange(6)[:, None], 0, actions])
+        g_active = ppo_policy_gradient(logits, actions, adv, taken + 5.0,
                                        clip=0.2, entropy_coef=0.0)
         assert np.any(g_active != 0.0)
         # Ratio far above 1+clip with positive advantage: fully clipped.
-        g_clipped = ppo_policy_gradient(net, x, actions, adv, taken - 5.0,
+        g_clipped = ppo_policy_gradient(logits, actions, adv, taken - 5.0,
                                         clip=0.2, entropy_coef=0.0)
         assert np.allclose(g_clipped, 0.0)
 
     def test_bandit(self):
         policy, _ = train_ppo(BanditEnv([[0.9, 0.15, 0.6]]), 600, seed=21)
-        assert policy.action(0) == (1,)
+        assert policy.action((0,)) == (1,)
 
     def test_deterministic(self):
         a = train_ppo(BanditEnv(TWO_ARM), 200, seed=22)[1]
@@ -269,7 +273,7 @@ class TestPPOMechanics:
         forward = TinyNet.forward
 
         def counting_forward(self, x):
-            if self.sizes[-1] == 2:  # the critic: one value per stock device
+            if self.sizes[-1] == 1:  # the critic: one value per row
                 value_calls.append(1)
             return forward(self, x)
 
@@ -332,14 +336,14 @@ class TestOneStepUpdates:
 
     def test_zero_effect_reward_is_negative_zero(self):
         env = zero_effect_env()
-        states = set()
-        for state, outcome in env_rows(env, np.random.default_rng(0), 200):
-            for row in outcome:
-                reward = -row[0]
+        seen = set()
+        for rows, outcome in env_rows(env, np.random.default_rng(0), 200):
+            for effects in outcome:
+                reward = -effects[0]
                 assert reward == 0.0 and math.copysign(1.0, reward) == -1.0
-                assert row[1] > 0.0
-            states.add(state)
-        assert states == set(range(env.n_states))
+                assert effects[1] > 0.0
+            seen.update(rows)
+        assert seen == set(range(env.n_bins))
 
     @pytest.mark.parametrize("name", ["q_learning", "multi_q", "actor_critic"])
     @pytest.mark.parametrize("hyper", [
@@ -360,7 +364,8 @@ AGENT_NAMES = ("q_learning", "multi_q", "actor_critic", "dqn", "ppo")
 
 def four_device_env():
     """The stock scenario with a UAV and a vehicle added on fixed
-    channels: 5 cuts on 4 devices, 625 joint actions, and 4 states."""
+    channels: 5 cuts on 4 devices, 625 joint actions, and 2 + 2 + 1 + 1
+    rows."""
     stock = default_scenario()
     scenario = dataclasses.replace(
         stock,
@@ -386,7 +391,7 @@ class TestFactoredBandit:
         policy, trace = train_agent(name, env, 3000, seed=4)
         argmins = tuple(row.index(min(row)) for row in self.EFFECTS)
         assert argmins == (3, 0, 4, 1)
-        assert policy.action(0) == argmins
+        assert policy.action(env.first_rows) == argmins
         assert trace.final_moving_avg <= 1.1 * sum(map(min, self.EFFECTS)) / 4
 
 
@@ -433,7 +438,7 @@ class TestPerStepReference:
     step and one device at a time. The 40-slot, 5-row replay wraps inside
     a block, so batches read slots that later steps of the same block
     overwrite; the 3-slot, 5-row replay draws batches of at most 3 rows.
-    The 4-device env has 625 joint actions and 4 states."""
+    The 4-device env has 625 joint actions and 6 rows."""
 
     CASES = {
         "stock": (lambda: PartitionEnv(default_scenario(), snr_bins=2), Hyperparams()),
@@ -445,15 +450,18 @@ class TestPerStepReference:
                        Hyperparams(replay_capacity=3, batch_size=5)),
         "devices_4": (lambda: four_device_env(), Hyperparams()),
     }
-    # the 2 x 3 grid has 36 states: DQN forwards its state table with a
-    # 35-row batch and the step's 35 rows with a 34-row batch; a 1-slot
-    # replay evicts at every step, so each batch is the step's own
-    # transition drawn once
-    DQN_CASES = {
+    # the 2 x 3 grid has 12 rows: DQN forwards every row with a 5-entry
+    # batch (a step's 2 x 6 rows) and the step's 10 rows with a 4-entry
+    # batch; the 6 x 6 grid's 72 rows are more than a default step's 66.
+    # A 1-slot replay evicts at every step, so each batch is the step's
+    # own transition drawn once
+    NET_CASES = {
         **CASES,
         "replay_1x5": (CASES["stock"][0], Hyperparams(replay_capacity=1, batch_size=5)),
-        "table_2x3_batch35": (CASES["bins_2x3"][0], Hyperparams(batch_size=35)),
-        "rows_2x3_batch34": (CASES["bins_2x3"][0], Hyperparams(batch_size=34)),
+        "table_2x3_batch5": (CASES["bins_2x3"][0], Hyperparams(batch_size=5)),
+        "rows_2x3_batch4": (CASES["bins_2x3"][0], Hyperparams(batch_size=4)),
+        "rows_6x6": (lambda: PartitionEnv(default_scenario(), bandwidth_bins=6, snr_bins=6),
+                     Hyperparams()),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -466,13 +474,14 @@ class TestPerStepReference:
         assert trace.effects.tobytes() == np.array(effects).tobytes()
         assert policy.table.tobytes() == table.tobytes()
 
-    # the Q-values of the one-step forward and of the reference's separate
-    # greedy and batch forwards can round apart where a BLAS product's
-    # result depends on its row count, and a state-table forward sums a
-    # state's TD errors before backprop, in another order than the matmul
+    # the outputs of one forward and of the reference's per-row forwards
+    # can round apart where a BLAS product's result depends on its row
+    # count, and a forward on every row sums a cell's TD errors before
+    # backprop, in another order than the matmul
     @needs_platform
-    @pytest.mark.parametrize("case", sorted(DQN_CASES))
-    def test_dqn_equals_per_step_reference(self, case, monkeypatch):
+    @pytest.mark.parametrize("case", sorted(NET_CASES))
+    @pytest.mark.parametrize("name", ["dqn", "ppo"])
+    def test_net_agent_equals_per_step_reference(self, name, case, monkeypatch):
         nets = []
 
         class RecordedNet(TinyNet):
@@ -481,10 +490,11 @@ class TestPerStepReference:
                 nets.append(self)
 
         monkeypatch.setattr(agents_module, "TinyNet", RecordedNet)
-        make_env, hyper = self.DQN_CASES[case]
+        make_env, hyper = self.NET_CASES[case]
         env = make_env()
-        _, trace = train_dqn(env, 3000, hyper=hyper, seed=8)
-        ref_net, effects = dqn_reference(env, 3000, hyper, 8)
+        _, trace = train_agent(name, env, 3000, hyper=hyper, seed=8)
+        reference = dqn_reference if name == "dqn" else ppo_reference
+        ref_net, effects = reference(env, 3000, hyper, 8)
         assert trace.effects.tobytes() == np.array(effects).tobytes()
         # relative to the largest parameter: a near-zero one can differ
         # by a larger share of itself
@@ -559,7 +569,7 @@ class TestDispatch:
         for name in ("q_learning", "multi_q", "actor_critic", "dqn", "ppo"):
             policy, trace = train_agent(name, env, 60, seed=3)
             assert len(trace) == 60
-            assert policy.action(0) in ((0,), (1,))
+            assert policy.action((0,)) in ((0,), (1,))
 
     @pytest.mark.parametrize("name", ["q_learning", "multi_q", "actor_critic", "dqn", "ppo"])
     def test_steps_count_env_steps_for_every_agent(self, name):
@@ -567,11 +577,56 @@ class TestDispatch:
         _, trace = train_agent(name, env, 100, seed=4)
         assert len(trace) == 100
 
-    def test_only_network_agents_build_the_feature_table(self):
-        # a 1-device, 4096-bin env's one-hot table would take 128 MiB
-        env = PartitionEnv(default_scenario(), bandwidth_bins=8, snr_bins=8)
-        for name in ("q_learning", "multi_q", "actor_critic"):
-            train_agent(name, env, 10, seed=5)
-        assert "features" not in vars(env)
-        train_agent("ppo", env, 10, seed=5)
-        assert env.features.shape == (4096, 128)
+    def test_net_agents_build_no_table_of_every_row(self):
+        # one device of 64 x 64 bins: eye(4096) alone would take 128 MiB.
+        # Ten steps peaked at 4.8 MiB traced for DQN (a net of 4097 x 32
+        # weights, its gradients and its step, and the 33 rows of a step's
+        # forward) and 7.0 MiB for PPO (two such nets)
+        stock = default_scenario()
+        scenario = dataclasses.replace(stock, devices=stock.devices[:1],
+                                       channels=stock.channels[:1])
+        env = PartitionEnv(scenario, bandwidth_bins=64, snr_bins=64)
+        assert env.n_bins == 4096
+        for name in ("dqn", "ppo"):
+            tracemalloc.start()
+            try:
+                train_agent(name, env, 10, seed=5)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2**20, (name, peak)
+
+
+def three_channel_env():
+    """The stock scenario with a third device, each of the three on a
+    channel range of its own, over 3 SNR bins: 9 rows."""
+    stock = default_scenario()
+    scenario = dataclasses.replace(
+        stock,
+        devices=stock.devices + (device_from_kind("uav2", "uav", tx_power_w=0.5),),
+        channels=(ChannelDistribution((1e6, 40e6), (-5.0, 25.0)),
+                  ChannelDistribution((5e6, 20e6), (5.0, 15.0)),
+                  ChannelDistribution((2e6, 8e6), (0.0, 30.0))),
+    )
+    return PartitionEnv(scenario, snr_bins=3)
+
+
+class TestDeviceIndependence:
+    """Each device's term of the effect reads its own channel alone, so
+    each device's cut reads its own row alone: a greedy cut never moves
+    when another device's channel bin does."""
+
+    @pytest.mark.parametrize("steps", [0, 300])
+    @pytest.mark.parametrize("name", AGENT_NAMES)
+    def test_a_devices_cut_reads_only_its_own_row(self, name, steps):
+        env = three_channel_env()
+        assert env.first_rows == (0, 3, 6)
+        every_rows = list(itertools.product(range(3), range(3, 6), range(6, 9)))
+        for seed in range(10):
+            policy, _ = train_agent(name, env, steps, seed=seed)
+            cuts = {rows: policy.action(rows) for rows in every_rows}
+            for d in range(3):
+                own = {}
+                for rows, step_cuts in cuts.items():
+                    own.setdefault(rows[d], set()).add(step_cuts[d])
+                assert all(len(seen) == 1 for seen in own.values()), (seed, d, own)

@@ -381,12 +381,12 @@ INVALID_OPTIMIZE_CONFIGS = {
         "Q-network diverged",
         optimizer_config("agent: dqn, steps: 200, hyper: {lr_net: 1.0e+6}"),
     ),
-    # 36 states, more than a step's 33 rows: the Q-network runs on each
-    # step's rows, not on the state table
-    "dqn_diverges_many_states": (
+    # 72 rows, more than a step's 2 x 33: the Q-network runs on each
+    # step's rows, not on every row
+    "dqn_diverges_many_rows": (
         "Q-network diverged",
         optimizer_config(
-            "agent: dqn, steps: 200, bandwidth_bins: 2, snr_bins: 3, hyper: {lr_net: 1.0e+6}"
+            "agent: dqn, steps: 200, bandwidth_bins: 6, snr_bins: 6, hyper: {lr_net: 1.0e+6}"
         ),
     ),
     # no step is greedy, so only the check after training sees the Q-values
@@ -397,15 +397,15 @@ INVALID_OPTIMIZE_CONFIGS = {
             " epsilon_final: 1.0}"
         ),
     ),
-    # the RL state space (the devices' bin counts multiplied together) is
-    # capped at 4096 states, checked before any bin is built
-    "state_space_snr_bins": (
-        "optimizer: state space of 4900 states exceeds",
-        optimizer_config("agent: q_learning, snr_bins: 70"),
+    # the RL rows (the devices' bin counts summed) are capped at 4096,
+    # checked before any bin is built
+    "bin_cap_snr_bins": (
+        "error: optimizer: 4098 channel bins exceed the cap of 4096",
+        optimizer_config("agent: q_learning, snr_bins: 2049"),
     ),
-    "state_space_bin_grid": (
-        "optimizer: state space of 5184 states exceeds",
-        optimizer_config("agent: ppo, bandwidth_bins: 9, snr_bins: 8"),
+    "bin_cap_bin_grid": (
+        "error: optimizer: 4160 channel bins exceed the cap of 4096",
+        optimizer_config("agent: ppo, bandwidth_bins: 65, snr_bins: 32"),
     ),
     "actor_critic_diverges": (
         "diverged",
@@ -531,10 +531,11 @@ def test_four_devices_cost_and_oracle(command, tmp_path, capsys):
     assert all(dev in captured.out for dev in ("uav1", "veh1", "uav2", "veh2"))
 
 
-def eight_device_config(agent):
+def eight_device_config(agent, snr_bins=2):
     """An 8-device fleet of 5 cuts, shaped like perfbench's oracle-fleet
-    inputs: both kinds, mixed transmit powers, and 8 channel ranges at
-    ``snr_bins: 2``, so 256 states and 5 ** 8 joint actions."""
+    inputs: both kinds, mixed transmit powers, and 8 channel ranges of
+    ``snr_bins`` bins each, so 8 x ``snr_bins`` rows (``snr_bins ** 8``
+    combinations of the devices' bins) and 5 ** 8 joint actions."""
     devices, channels = [], []
     for i in range(8):
         kind = ("uav", "vehicle")[i % 2]
@@ -545,7 +546,7 @@ def eight_device_config(agent):
     return "\n".join([
         "devices:", *devices, "channels:", *channels,
         "model: {builtin: resnet50_usam, input_h: 224, input_w: 224}",
-        f"optimizer: {{agent: {agent}, steps: 120, seed: 3, snr_bins: 2}}", "",
+        f"optimizer: {{agent: {agent}, steps: 120, seed: 3, snr_bins: {snr_bins}}}", "",
     ])
 
 
@@ -559,12 +560,15 @@ def optimize_summary(argv, capsys):
     return lines[1:split], dict(line.split("=", 1) for line in lines[split:])
 
 
-@pytest.mark.parametrize("fleet", ["four_devices", "eight_devices"])
+@pytest.mark.parametrize("fleet", ["four_devices", "eight_devices", "eight_devices_3_bins"])
 @pytest.mark.parametrize("agent", ["q_learning", "multi_q", "actor_critic", "dqn", "ppo"])
 def test_optimize_trains_every_agent_on_fleets(agent, fleet, tmp_path, capsys):
-    # one branch per device: no cap on the joint action count
+    # one branch per device: no cap on the joint action count. A row per
+    # (device, bin) and no joint state: 8 devices of 3 bins are 24 rows,
+    # where their 3 ** 8 = 6561 combinations once exceeded a cap of 4096
     text = (FOUR_DEVICE_CONFIG.replace("agent: q_learning", f"agent: {agent}")
-            if fleet == "four_devices" else eight_device_config(agent))
+            if fleet == "four_devices"
+            else eight_device_config(agent, 3 if fleet.endswith("3_bins") else 2))
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(text)
     assert main(["oracle", "--config", str(cfg)]) == 0
@@ -576,6 +580,23 @@ def test_optimize_trains_every_agent_on_fleets(agent, fleet, tmp_path, capsys):
     assert summary["oracle_effect"] == oracle["effect"]
     assert float(summary["effect"]) >= float(oracle["effect"])
     assert summary["decision"].count(":") == (4 if fleet == "four_devices" else 8)
+
+
+# exited 2 while the RL state was one joint id, past 4096 of them: 70 x 70
+# and 72 x 72 combinations of two devices' bins. They are 140 and 144 rows
+@pytest.mark.parametrize("fields", [
+    "agent: q_learning, snr_bins: 70",
+    "agent: ppo, bandwidth_bins: 9, snr_bins: 8",
+], ids=["snr_bins_4900_combinations", "bin_grid_5184_combinations"])
+def test_optimize_trains_past_the_old_joint_state_cap(fields, tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(optimizer_config(fields))
+    rows, summary = optimize_summary(["optimize", "--config", str(cfg)], capsys)
+    assert len(rows) == 3000
+    effects = [float(value) for row in rows for value in row.split(",")[1:]]
+    assert all(math.isfinite(e) and 0.0 <= e <= 1.0 for e in effects)
+    assert float(summary["effect"]) >= float(summary["oracle_effect"])
+    assert math.isfinite(float(summary["gap"]))
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -8,16 +8,19 @@ type or range must be a config error (exit 2), a run that diverges must
 raise the package's NonFiniteError (exit 2), and any run that finishes
 must write only finite numbers.
 
-The second draws the scenario itself: device constants from 1e-320 to
-1e308 and integers past the largest float, fixed and distribution
-channels (zero SNR, zero-width ranges, SNR that underflows), weights,
+The second draws the scenario itself: 1 to 8 devices, of which at most
+one draws its constants (from 1e-320 to 1e308, and integers past the
+largest float) and its channel (zero SNR, zero-width ranges, SNR that
+underflows) from the wide ranges, the others at desk scale; weights,
 inline KL and SSIM tables (SSIM absent, inside [0, 1], outside it, a
 bool or NaN), the builtin model's input size (0, negative, non-integral
-or large) and ``profile_file`` integers up to 10^310. It runs
-``profile``, ``cost``, ``oracle`` and a 20-step ``optimize`` on each. Every run exits
-0 with only finite numbers, or 2 or 3 with no output and one ``error:``
-line. The one non-finite number allowed is the ``gap=nan`` of an
-``optimize`` whose mean channel is infeasible, which stderr warns about.
+or large), ``profile_file`` integers up to 10^310, and the optimizer's
+bin counts, so that many fleets have more than 4096 combinations of the
+devices' bins. It runs ``profile``, ``cost``, ``oracle`` and a 20-step
+``optimize`` on each. Every run exits 0 with only finite numbers, or 2
+or 3 with no output and one ``error:`` line. The one non-finite number
+allowed is the ``gap=nan`` of an ``optimize`` whose mean channel is
+infeasible, which stderr warns about.
 """
 
 import re
@@ -123,17 +126,18 @@ snr_dbs = st.one_of(st.floats(-30.0, 60.0), st.floats(-4000.0, 400.0),
 unit_shares = st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.sampled_from([-0.5, 1.5]))
 ssims = st.one_of(unit_shares, st.sampled_from([True, False, float("nan")]))
 # input sizes: valid ones (multiples of 32) as often as all the rest together
+valid_input_sizes = st.integers(1, 64).map(lambda k: 32 * k)
 input_sizes = st.one_of(
-    st.integers(1, 64).map(lambda k: 32 * k),
+    valid_input_sizes,
     st.one_of(st.integers(-64, 300), st.sampled_from([0, -32, 224.5, 2**40, 32 * 10**12, 10**310])),
 )
 
 
 @st.composite
-def channels(draw):
+def channels(draw, bandwidths, snr_dbs, snr_linears):
     if draw(st.booleans()):
         key, snr = (("snr_db", draw(snr_dbs)) if draw(st.booleans())
-                    else ("snr_linear", draw(st.one_of(constants, st.just(0.0)))))
+                    else ("snr_linear", draw(snr_linears)))
         return {"fixed": {"bandwidth_hz": draw(bandwidths), key: snr}}
     # zero-width ranges too
     bw = sorted([draw(bandwidths)] * 2 if draw(st.booleans())
@@ -143,45 +147,64 @@ def channels(draw):
     return {"distribution": {"bandwidth_hz": bw, "snr_db": db}}
 
 
+# the section that an example draws from the wide ranges above, if any;
+# the others draw values that pass the config checks, so that most
+# examples get past the devices to the model and table sections, and a
+# third of them to training
+WILD_SECTIONS = ("devices", None, "model", "devices", "confidentiality", "weights")
+
+
 @st.composite
 def scenarios(draw):
     """(config, profile CSV or None) of a drawn scenario."""
-    n_devices = draw(st.integers(1, 3))
-    devices = [
-        {"id": f"d{i}", "kind": draw(st.sampled_from(["uav", "vehicle"])),
-         **draw(st.dictionaries(
-             st.sampled_from(["peak_flops", "compute_power_w", "tx_power_w"]), constants,
-             max_size=2))}
-        for i in range(n_devices)
-    ]
+    n_devices = draw(st.integers(1, 8))
+    wild = draw(st.sampled_from(WILD_SECTIONS))
+    # where the devices are wild, one of them is
+    odd = draw(st.integers(0, n_devices - 1)) if wild == "devices" else -1
+    devices, links = [], {}
+    for i in range(n_devices):
+        devices.append({"id": f"d{i}", "kind": draw(st.sampled_from(["uav", "vehicle"])),
+                        **draw(st.dictionaries(
+                            st.sampled_from(["peak_flops", "compute_power_w", "tx_power_w"]),
+                            constants if i == odd else desk_scale, max_size=2))})
+        links[f"d{i}"] = draw(
+            channels(bandwidths, snr_dbs, st.one_of(constants, st.just(0.0))) if i == odd
+            else channels(desk_scale, st.floats(-30.0, 60.0), desk_scale))
     config = {
         "devices": devices,
-        "channels": {f"d{i}": draw(channels()) for i in range(n_devices)},
-        "optimizer": {"agent": draw(st.sampled_from(sorted(AGENTS))), "steps": 20},
+        "channels": links,
+        "optimizer": {"agent": draw(st.sampled_from(sorted(AGENTS))), "steps": 20,
+                      "bandwidth_bins": draw(st.integers(1, 4)),
+                      "snr_bins": draw(st.integers(1, 8))},
     }
     profile = None
     if draw(st.booleans()):
+        sizes = input_sizes if wild == "model" else valid_input_sizes
         config["model"] = {"builtin": "resnet50_usam", **draw(st.dictionaries(
-            st.sampled_from(["input_h", "input_w"]), input_sizes, max_size=2))}
+            st.sampled_from(["input_h", "input_w"]), sizes, max_size=2))}
         n_cuts = 5
     else:
         config["model"] = {"profile_file": "prof.csv"}
-        counts = st.one_of(st.integers(1, 10**12), st.integers(1, 10**310))
+        counts = st.integers(1, 10**12)
+        if wild == "model":
+            counts = st.one_of(counts, st.integers(1, 10**310))
         layers = draw(st.lists(st.tuples(counts, counts), min_size=3, max_size=3))
         profile = "".join(f"l{i},{flops},{out},4,1\n" for i, (flops, out) in enumerate(layers))
         n_cuts = 3
+    shares = unit_shares if wild == "weights" else st.floats(0.0, 1.0)
     if draw(st.booleans()):
         kl = st.one_of(magnitudes, st.just(0.0))
-        ssim = st.dictionaries(st.sampled_from(["ssim_open", "ssim_closed"]), ssims,
-                               max_size=2)
+        ssim = st.dictionaries(
+            st.sampled_from(["ssim_open", "ssim_closed"]),
+            ssims if wild == "confidentiality" else st.floats(0.0, 1.0), max_size=2)
         config["confidentiality"] = {"table": [
             {"kl_open": draw(kl), "kl_closed": draw(kl), **draw(ssim)} for _ in range(n_cuts)]}
     if draw(st.booleans()):
-        w_comm = draw(unit_shares)
-        w_comp = draw(unit_shares) * (1.0 - w_comm)
+        w_comm = draw(shares)
+        w_comp = draw(shares) * (1.0 - w_comm)
         config["weights"] = {
             "w_comm": w_comm, "w_comp": w_comp, "w_conf": 1.0 - w_comm - w_comp,
-            "alpha_open": draw(unit_shares), "lambda_latency": draw(unit_shares),
+            "alpha_open": draw(shares), "lambda_latency": draw(shares),
         }
     return config, profile
 

@@ -41,6 +41,18 @@ randomness (initial weights included) as uniforms from the generator
 spawned from the seed. The traces of seed 7 under ``BLOCK_STEPS`` of 1,
 7 and 256 are identical, and all ten digests hold on the AVX2 paths.
 
+The seven DQN and PPO digests were re-recorded when the joint state id
+left the env. Each net is now shared by the devices: its input is one
+(device, bin) row's one-hot and its output that row's cut values (PPO's
+critic: its expected reward), so a device's cut reads its own channel
+alone, and each loss is a mean over the rows, whatever the device count.
+The nets' shapes, initial weights and traces changed with them.
+``dqn-rows`` moved from 2 x 3 bins (12 rows, which DQN now runs as every
+row at once) to 6 x 6 bins, so that it still pins the forward on a
+step's rows. The stream of uniforms did not change, and the Q-learning,
+multi-Q and actor-critic digests held, which also pins their tables'
+row numbering. All ten hold on the AVX2 and SSE-baseline paths.
+
 The ``privacy`` digest, on a fixed demo corpus, was recorded before the
 CLI parser was cached and configs moved to libyaml. The color ``privacy``
 digest, on a corpus this module writes byte by byte (3-channel 37x45 PPM
@@ -82,19 +94,18 @@ TRACE_DIGESTS = {
     "q_learning": "a82749e30e85e30369b131691509f5de4f2d491801ff750c18ef1f1d5f5d8d7b",
     "multi_q": "8782a4416e00dc67a13103b906f98f5e07d4f9eab0e79d0e15f38be7c4470040",
     "actor_critic": "b91208f243e072551e93871ce1cee334b83ee16a848ef00e9b8ea1215ef6b4ef",
-    "dqn": "e7890b3fb731a2fb4f53014c02842edaf4269fbd092d295271f2c5dc174d597c",
-    "ppo": "3466ca12d531f89999e39e8b330d986e5f03fc91d8401defd1e0cafb656e6000",
+    "dqn": "be3cf0b168bc4a9215effbe90a3b71ad729aa1a0b5fd5fea15f0d9e027a96094",
+    "ppo": "d8b2b91dcbeb7682d1497e4af3f085f792e697cb03a66910f69a64a66626f78c",
 }
 # keyed "agent-seed" on the stock scenario, and "dqn-rows" for seed 7 on
-# 2 bandwidth x 3 SNR bins per device: 36 states, more than a step's 33
-# rows, so DQN runs on the step's rows rather than the feature table.
-# Recorded before TinyNet folded each bias into its layer's weights.
+# 6 bandwidth x 6 SNR bins per device: 72 rows, more than a step's 2 x 33,
+# so DQN runs on the step's rows rather than on every row.
 MORE_TRACE_DIGESTS = {
-    "dqn-0": "1e3b2fbdb8d4351833e7b0a1c386baad96d5ac856bace5d8dbfa4de57785c765",
-    "dqn-123": "c4f29e16d05f91a31b47504006e1918ceff33478bfc03fbe1941f49acd2e338d",
-    "dqn-rows": "9e2e0a2c50baecc5ea7f3725a02a225d13d994fb4166eb0a8dfc02a660255aa3",
-    "ppo-0": "6d1d98710e32848e7ac86882e2e4f5bb5a2bf78f71be659f7dc0c61d3207835e",
-    "ppo-123": "8c5d9c6570ebfc8f12f6ab5b16d38b37335214ac74515ad8372462b15ffef81b",
+    "dqn-0": "3baeea8db1912e1541119ad6d4f432abbcf82f162371993a4643537a02f1c799",
+    "dqn-123": "afd1ec9656451e9954d89a657951f99f559836ba5c34229b3938e57baafda1b1",
+    "dqn-rows": "7bdda03423c6ab9a972f70c65845440a4b84c568e40cd2ffe5a543ea825b5ee4",
+    "ppo-0": "cdf6b8298c85c7c673dec0334ae3c7bf09572964ffe3b425db539f964167e032",
+    "ppo-123": "7d7ab4a88f59cf8c8d52730fdf19335a81469fce4126e5c388eae27504f2c79a",
 }
 COMMAND_DIGESTS = {
     "cost": "300cb9d48b0f6df7ae25db4e7840120a91fc48227ecec29c353990a1c9b5bd04",
@@ -185,7 +196,7 @@ def test_more_optimize_trace_digests(case, tmp_path):
     text = CONFIG.read_text().replace("agent: actor_critic", f"agent: {agent}")
     if seed == "rows":
         seed = SEED
-        text = text.replace("snr_bins: 2", "bandwidth_bins: 2\n  snr_bins: 3")
+        text = text.replace("snr_bins: 2", "bandwidth_bins: 6\n  snr_bins: 6")
     config = tmp_path / "scenario.yaml"
     config.write_text(text)
     out = tmp_path / "trace.csv"

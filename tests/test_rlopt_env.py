@@ -26,7 +26,7 @@ from splitcvl.trico import (
 from helpers import (
     bin_channel,
     channel_at,
-    decode_state,
+    device_bins,
     env_rows,
     evaluate_action,
     exact_bin,
@@ -34,7 +34,7 @@ from helpers import (
     payload_bits,
     random_scenario,
     record_path_channels,
-    record_path_state,
+    record_path_rows,
     step_rows,
     synthetic_profile,
 )
@@ -56,13 +56,13 @@ class TestSpaces:
     def test_default_scenario_spaces(self):
         env = PartitionEnv(default_scenario(), snr_bins=2)
         assert env.n_cuts == 5
-        assert env.n_states == 4  # 2 snr bins per device
-        assert env.n_bins == 2 + 2
-        assert env.features.shape == (4, 2 + 2)
+        assert env.n_bins == 2 + 2  # 2 snr bins per device
+        assert env.first_rows == (0, 2)
 
     def test_no_cap_on_devices_or_cuts(self):
         # one branch per device: 2 cuts on 12 devices are 4096 joint
-        # actions, and 8 drawn devices of 2 bins each are 256 states
+        # actions, and 8 drawn devices of 2 bins each and 4 fixed ones
+        # are 20 rows
         profile = synthetic_profile([400, 200], flops=[1, 1])
         devices = tuple(device_from_kind(f"u{i}", "uav") for i in range(12))
         channels = (ChannelDistribution((1e6, 2e6), (0.0, 10.0)),) * 8 + (
@@ -71,70 +71,64 @@ class TestSpaces:
             devices, channels, profile, default_conf_table(2), TriCoWeights()
         )
         env = PartitionEnv(scenario, snr_bins=2)
-        assert (env.n_states, env.n_bins, env.n_cuts) == (256, 20, 2)
-        state, outcome = one_row(env, np.random.default_rng(0))
-        assert 0 <= state < 256
+        assert (env.n_bins, env.n_cuts) == (20, 2)
+        rows, outcome = one_row(env, np.random.default_rng(0))
+        assert all(2 * d <= row < 2 * d + 2 for d, row in enumerate(rows[:8]))
+        assert rows[8:] == (16, 17, 18, 19)
         assert len(outcome) == 12 and all(len(row) == 2 for row in outcome)
 
     @pytest.mark.parametrize(
         "bins", [dict(snr_bins=1_000_000_000), dict(bandwidth_bins=65, snr_bins=63)]
     )
-    def test_state_space_cap_checked_before_bins_are_built(self, bins, monkeypatch):
+    def test_bin_cap_checked_before_bins_are_built(self, bins, monkeypatch):
         def no_grid(*args):
-            raise AssertionError("channel bins built before the state-space check")
+            raise AssertionError("channel bins built before the bin-count check")
 
         monkeypatch.setattr(env_module, "_ChannelGrid", no_grid)
-        with pytest.raises(ValueError, match="exceeds the cap of 4096"):
+        with pytest.raises(ValueError, match="channel bins exceed the cap of 4096"):
             PartitionEnv(default_scenario(), **bins)
 
-    def test_state_space_at_cap_accepted(self):
-        env = PartitionEnv(default_scenario(), bandwidth_bins=8, snr_bins=8)
-        assert env.n_states == 4096
+    def test_bins_at_cap_accepted(self):
+        # the cap is on the sum of the devices' bin counts, not their
+        # product: 2 devices of 32 x 64 bins are 4096 rows
+        env = PartitionEnv(default_scenario(), bandwidth_bins=32, snr_bins=64)
+        assert (env.n_bins, env.first_rows) == (4096, (0, 2048))
+        with pytest.raises(ValueError, match="4098 channel bins exceed the cap of 4096"):
+            PartitionEnv(default_scenario(), bandwidth_bins=1, snr_bins=2049)
 
     def test_fixed_channels_count_one_bin(self):
         # a fixed channel is one bin, whatever the bin counts
         env = PartitionEnv(fixed_channel_scenario(), snr_bins=5000)
-        assert env.n_states == 1
+        assert (env.n_bins, env.first_rows) == (1, (0,))
 
-    def test_bins_number_each_devices_bin_among_all(self):
-        # state s's bins are its devices' bins, each shifted past the bins
-        # of the devices before it: the tabular agents' table rows
+    def test_fixed_channel_devices_past_the_cap_rejected(self, monkeypatch):
+        # each device is at least one row, so 4097 devices exceed the cap
+        # even on fixed channels
+        def no_grid(*args):
+            raise AssertionError("channel bins built before the bin-count check")
+
+        one = fixed_channel_scenario()
+        scenario = dataclasses.replace(one, devices=one.devices * 4097,
+                                       channels=one.channels * 4097)
+        monkeypatch.setattr(env_module, "_ChannelGrid", no_grid)
+        with pytest.raises(ValueError, match="4097 channel bins exceed the cap of 4096"):
+            PartitionEnv(scenario)
+
+    def test_rows_number_each_devices_bin_among_all(self):
+        # a device's rows follow the bins of the devices before it: the
+        # tabular agents' table rows and the nets' one-hot columns
         env = PartitionEnv(three_device_scenario(4.0), bandwidth_bins=2, snr_bins=3)
         assert env.n_bins == 1 + 6 + 6
-        assert len(env.bins) == env.n_states == 36
-        for s, bins in enumerate(env.bins):
-            b0, b1, b2 = decode_state(env, s)
-            assert bins == (b0, 1 + b1, 7 + b2)
-
-    def test_state_encoding_round_trip(self):
-        # a state id is the mixed-radix number of the devices' bins, first
-        # device first; DQN and PPO features and the tabular agents' rows
-        # depend on this layout
-        env = PartitionEnv(default_scenario(), bandwidth_bins=2, snr_bins=3)
-        n_bins = 6
-        assert env.n_states == n_bins * n_bins
-        for b0 in range(n_bins):
-            for b1 in range(n_bins):
-                assert decode_state(env, b0 * n_bins + b1) == (b0, b1)
-
-    def test_state_features_are_one_hots(self):
-        # row s of ``features`` is the one-hot of each device's bin in
-        # state s, first device first; a fixed channel is one column
-        for env in (PartitionEnv(default_scenario(), snr_bins=2),
-                    PartitionEnv(three_device_scenario(4.0), bandwidth_bins=2, snr_bins=3)):
-            widths = [grid.n_bins for grid in env.grids]
-            expected = np.zeros((env.n_states, sum(widths)))
-            for s in range(env.n_states):
-                offset = 0
-                for b, width in zip(decode_state(env, s), widths):
-                    expected[s, offset + b] = 1.0
-                    offset += width
-            assert env.features.dtype == np.float64
-            assert env.features.tobytes() == expected.tobytes()
+        assert env.first_rows == (0, 1, 7)
+        seen = [set(), set(), set()]
+        for rows, _ in env_rows(env, np.random.default_rng(2), 2000):
+            for d, row in enumerate(rows):
+                seen[d].add(row)
+        assert seen == [{0}, set(range(1, 7)), set(range(7, 13))]
 
 
 def one_row(env, rng):
-    """(state, outcome) of one step drawn from ``rng``."""
+    """(rows, outcome) of one step drawn from ``rng``."""
     return next(env_rows(env, rng, 1))
 
 
@@ -142,8 +136,8 @@ class TestStep:
     def test_outcome_equals_effect_when_deterministic(self):
         scenario = fixed_channel_scenario()
         env = PartitionEnv(scenario)
-        state, outcome = one_row(env, np.random.default_rng(0))
-        assert state == 0
+        rows, outcome = one_row(env, np.random.default_rng(0))
+        assert rows == (0,)
         for cut in range(env.n_cuts):
             assert outcome[0][cut] == decision_effect(scenario, (cut,))
 
@@ -181,10 +175,10 @@ class TestStep:
 
     @pytest.mark.parametrize("fixed_snr", [4.0, 0.0])
     def test_step_draws_state_and_channel_uniforms(self, fixed_snr):
-        # a row holds 2 uniforms per drawn channel for the state and 2 per
-        # drawn channel for the step's channels; every recorded trace
-        # depends on that stream. A fixed channel draws nothing, and a
-        # zero-rate row draws the same
+        # a step draws 2 uniforms per drawn channel for its bins and 2 per
+        # drawn channel for its channels; every recorded trace depends on
+        # that stream. A fixed channel draws nothing, and a zero-rate step
+        # draws the same
         env = PartitionEnv(three_device_scenario(fixed_snr), snr_bins=3)
         rng, twin = np.random.default_rng(8), np.random.default_rng(8)
         for steps in (1, env_module.BLOCK_STEPS, env_module.BLOCK_STEPS + 3):
@@ -196,18 +190,19 @@ class TestStep:
     def test_evaluate_action_matches_mean_channel_effect(self):
         scenario = default_scenario()
         env = PartitionEnv(scenario, snr_bins=1)
-        eff = evaluate_action(env, 0, (4, 4))
+        eff = evaluate_action(env, (0, 0), (4, 4))
         expected = decision_effect(scenario, (4, 4))
         assert eff == pytest.approx(expected)
 
-    def test_state_bins_cover_sampled_channels(self):
+    def test_rows_cover_sampled_channels(self):
         env = PartitionEnv(default_scenario(), snr_bins=4, bandwidth_bins=3)
-        states = [state for state, _ in env_rows(env, np.random.default_rng(7), 2000)]
-        for state in states:
-            bins = decode_state(env, state)
+        pairs = set()
+        for rows, _ in env_rows(env, np.random.default_rng(7), 2000):
+            bins = device_bins(env, rows)
             assert len(bins) == 2
             assert all(0 <= b < 12 for b in bins)
-        assert set(states) == set(range(env.n_states))
+            pairs.add(tuple(bins))
+        assert len(pairs) == 12 * 12
 
 
 def three_device_scenario(fixed_snr):
@@ -290,9 +285,9 @@ class TestRecordFreeStep:
     """A block maps its uniforms to bins and rates without building
     channel records. Replaying a row's uniforms through the records gives
     the same effects, and binning them by the exact rule
-    (``helpers.grid_bin``) gives the same state. ``helpers.StepEnv``, the
+    (``helpers.grid_bin``) gives the same rows. ``helpers.StepEnv``, the
     per-step reset and step that the block replaced, gives the same
-    states and effects. The record path scores through the env's own
+    rows and effects. The record path scores through the env's own
     ``EffectKernel``; ``TestBlockDraw`` checks the effects against
     independent scalar code."""
 
@@ -328,17 +323,17 @@ class TestRecordFreeStep:
     @pytest.mark.parametrize("name", sorted(ENVS))
     def test_reset_matches_record_path_bit_for_bit(self, name):
         env = self.ENVS[name]()
-        k, rows = drawn_rows(env, 20, 600)
-        for (state, _), uniforms in rows:
-            assert state == record_path_state(env, iter(uniforms[:k]))
+        k, steps = drawn_rows(env, 20, 600)
+        for (rows, _), uniforms in steps:
+            assert rows == record_path_rows(env, iter(uniforms[:k]))
 
     def test_reset_bins_an_edge_draw_by_its_uniform(self):
         # at u = 0.5 over 2.0-3.8 dB in 4 bins, the drawn SNR sits on the edge
         # of bins 1 and 2, where numpy's float64 log10 and math.log10 of the
         # linear SNR disagree; the uniform alone puts it in bin 2
         env = two_channel_env((2.0, 3.8), (2.0, 3.8), snr_bins=4)
-        state, _ = one_row(env, Draws([0.5] * 8))
-        assert state == record_path_state(env, iter([0.5] * 4)) == 2 * 4 + 2
+        rows, _ = one_row(env, Draws([0.5] * 8))
+        assert rows == record_path_rows(env, iter([0.5] * 4)) == (2, 4 + 2)
 
     def test_reset_bins_draws_near_every_edge_exactly(self):
         # every uniform the generator can return is m / 2**53; for each bin
@@ -361,12 +356,12 @@ class TestRecordFreeStep:
                     below, above = math.nextafter(below, 0.0), math.nextafter(above, 1.0)
                     us += [u for u in (below, above) if 0.0 <= u < 1.0]
             pairs = list(zip(us, reversed(us)))
-            # a row: the state's two uniforms, then the channel's
+            # a step: the bin's two uniforms, then the channel's
             draws = Draws([x for pair in pairs for x in (*pair, *pair)])
-            states = [state for state, _ in env_rows(env, draws, len(pairs))]
+            rows = [row for (row,), _ in env_rows(env, draws, len(pairs))]
             expected = [exact_bin(u_bw, bins) * bins + exact_bin(u_snr, bins)
                         for u_bw, u_snr in pairs]
-            assert states == expected, bins
+            assert rows == expected, bins
 
     @pytest.mark.parametrize("name", sorted(ENVS))
     def test_outcome_is_effect_table_bit_for_bit(self, name):
@@ -374,9 +369,9 @@ class TestRecordFreeStep:
         # mean of one cut per device is their ``decision_effect``
         env = self.ENVS[name]()
         draws = np.random.default_rng(22)
-        k, rows = drawn_rows(env, 21, 600)
-        for (state, outcome), uniforms in rows:
-            channels = record_path_channels(env, state, iter(uniforms[k:]))
+        k, steps = drawn_rows(env, 21, 600)
+        for (rows, outcome), uniforms in steps:
+            channels = record_path_channels(env, rows, iter(uniforms[k:]))
             try:
                 expected = effect_table(env.scenario, channels)
             except ZeroRateError:
@@ -403,15 +398,15 @@ class TestRecordFreeStep:
 
         monkeypatch.setattr(EffectKernel, "__call__", recording_kernel)
         env = self.ENVS[name]()
-        k, rows = drawn_rows(env, 23, 300)
-        rows = list(rows)
+        k, steps = drawn_rows(env, 23, 300)
+        steps = list(steps)
         assert len(seen) == 2  # one kernel call per block
-        for ((state, outcome), uniforms), rates in zip(rows, np.concatenate(seen)):
+        for ((rows, outcome), uniforms), rates in zip(steps, np.concatenate(seen)):
             draws = iter(uniforms[k:])
             expected = [
                 shannon_rate(grid.channel if grid.fixed else ChannelState(
                     *channel_at(bin_channel(grid, b), next(draws), next(draws))))
-                for grid, b in zip(env.grids, decode_state(env, state))
+                for grid, b in zip(env.grids, device_bins(env, rows))
             ]
             bits = payload_bits(env.scenario.profile)
             dead = any(link_infeasible(bits, dev.tx_power_w, rate)
@@ -430,8 +425,8 @@ class TestRecordFreeStep:
 
 
 class TestBlockDraw:
-    """Rows drawn a block at a time equal the per-step reference: the same
-    states and effects of every device and cut, bit for bit."""
+    """Steps drawn a block at a time equal the per-step reference: the
+    same rows and effects of every device and cut, bit for bit."""
 
     REFERENCE_ENVS = {
         "stock": TestRecordFreeStep.ENVS["stock"],
@@ -446,19 +441,21 @@ class TestBlockDraw:
         env = self.REFERENCE_ENVS[name]()
         steps = 300  # two blocks
         expected = step_rows(env, np.random.default_rng(41), steps)
-        rows = list(env_rows(env, np.random.default_rng(41), steps))
-        assert len(rows) == steps
-        for (state, outcome), (ref_state, ref_outcome) in zip(rows, expected):
-            assert state == ref_state
+        drawn = list(env_rows(env, np.random.default_rng(41), steps))
+        assert len(drawn) == steps
+        for (rows, outcome), (ref_rows, ref_outcome) in zip(drawn, expected):
+            assert rows == ref_rows
             assert hex_rows(outcome) == hex_rows(ref_outcome)
             if name == "underflow_snr_always":
                 assert ref_outcome is None
-        if name == "too_low_rate_range":  # both kinds of row occur
-            assert {outcome is None for _, outcome in rows} == {True, False}
+        if name == "too_low_rate_range":  # both kinds of step occur
+            assert {outcome is None for _, outcome in drawn} == {True, False}
 
 
 class TestEnvState:
-    def test_decode_fields(self):
+    def test_rows_of_each_devices_bin(self):
         env = PartitionEnv(default_scenario(), snr_bins=2)
-        # first device in bin 1, second in bin 0
-        assert decode_state(env, 1 * 2 + 0) == (1, 0)
+        # first device in SNR bin 1, second in bin 0: rows 1 and 2 + 0
+        rows, _ = one_row(env, Draws([0.0, 0.75, 0.0, 0.25] + [0.5] * 4))
+        assert rows == (1, 2)
+        assert device_bins(env, rows) == [1, 0]
