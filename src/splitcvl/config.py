@@ -52,6 +52,7 @@ from .netmodel import (
     snr_db_to_linear,
 )
 from .nnprofile import ModelProfile, build_resnet50_usam_profile, load_profile
+from .retrieval import _BLOCK as _RETRIEVAL_BLOCK
 from .rlopt.agents import AGENTS, Hyperparams
 from .trico import (
     ConfEntry,
@@ -99,6 +100,11 @@ class ViewNoise:
     ground: float = 0.5
 
 
+# the most float64 elements (1 GiB) a retrieval section may have numpy
+# allocate at once: its corpus draw, or one block's buffer of scores
+_MAX_RETRIEVAL_ELEMENTS = 2**27
+
+
 @dataclass(frozen=True)
 class RetrievalConfig:
     locations: int = 200
@@ -114,6 +120,17 @@ class RetrievalConfig:
             raise ValueError("locations and dim must be >= 2")
         if self.seeds < 1 or self.images_per_view < 1:
             raise ValueError("seeds and images_per_view must be >= 1")
+        sizes = {
+            "locations x (2 + 2 x images_per_view) x dim":
+                self.locations * (2 + 2 * self.images_per_view) * self.dim,
+            f"{_RETRIEVAL_BLOCK} x images_per_view**2 x locations":
+                _RETRIEVAL_BLOCK * self.images_per_view**2 * self.locations,
+        }
+        for what, size in sizes.items():
+            if size > _MAX_RETRIEVAL_ELEMENTS:
+                raise ValueError(
+                    f"{what} is {size} elements, past the cap of {_MAX_RETRIEVAL_ELEMENTS}"
+                )
         if min(vars(self.noise).values()) < 0:
             raise ValueError("noise must be >= 0")
         if self.seed < 0:

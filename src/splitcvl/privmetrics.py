@@ -25,16 +25,16 @@ a per-cut corpus of (original, open-box, closed-box) image triples into
 the confidentiality table consumed by the cost model, averaging KL and
 SSIM per cut with exactly-rounded sums so the result is independent of
 triple order. An attack corpus inverts the same inputs at every cut, so
-its originals repeat: ``load_corpus_dir`` loads byte-identical originals
-as one object, ``make_demo_corpus`` shares them, and ``build_conf_table``
-histograms and tiles each original object once per table.
+its originals repeat: ``build_conf_table`` histograms and tiles each
+distinct original (same shape, same pixels) once per table, whatever
+objects hold it.
 
-Images load from binary PGM/PPM (P5/P6, 8-bit) or, for tests, from a
-comma-separated grayscale matrix. Files are checked once, as they are
-read, and the metrics then work on the validated uint8 arrays. An image
-must be at least 8x8, the SSIM window, and a corpus with two files for
-one role of a triple is rejected. A PNM header is whitespace-separated
-tokens, with ``#`` comments, and one whitespace byte after maxval.
+Images load from binary PGM/PPM (P5/P6, 8-bit). Files are checked once,
+as they are read, and the metrics then work on the validated uint8
+arrays. An image must be at least 8x8, the SSIM window, and a corpus
+with two files for one role of a triple is rejected. A PNM header is
+whitespace-separated tokens, with ``#`` comments, and one whitespace
+byte after maxval.
 ``write_demo_corpus`` emits a synthetic five-cut corpus whose
 reconstruction quality degrades with cut depth, standing in for real
 attack outputs.
@@ -182,19 +182,21 @@ def build_conf_table(corpus: Corpus) -> tuple[ConfEntry, ...]:
 
     Corpus entries are (cut_name, triples) in candidate order. Means use
     exactly-rounded summation, so triple order inside a cut is irrelevant.
-    Triples that share one original object, across cuts or inside one,
-    share its work: the original is histogrammed once and scored against
-    all of its reconstructions in one ``ssim`` call. Every score is the
-    one its triple alone would get, so the table does not depend on how
-    originals are shared.
+    Triples whose originals are equal (same shape and same pixels), across
+    cuts or inside one, share that original's work, whether or not they
+    hold one object: it is histogrammed once and scored against all of
+    their reconstructions in one ``ssim`` call. Every score is the one its
+    triple alone would get, so the table does not depend on how originals
+    repeat.
     """
-    # each original object with the (cut, triple) slots that hold it
-    groups: dict[int, tuple[Image, list[tuple[int, int]]]] = {}
+    # each distinct original with the (cut, triple) slots that hold it
+    groups: dict[tuple, tuple[Image, list[tuple[int, int]]]] = {}
     for c, (cut_name, triples) in enumerate(corpus):
         if not triples:
             raise EmptyCutError(f"cut {cut_name!r} has no image triples")
         for t, (orig, _, _) in enumerate(triples):
-            groups.setdefault(id(orig), (orig, []))[1].append((c, t))
+            key = (orig.pixels.shape, orig.pixels.tobytes())
+            groups.setdefault(key, (orig, []))[1].append((c, t))
     # (kl_open, kl_closed, ssim_open, ssim_closed) per triple, cut by cut
     scores: list[list] = [[None] * len(triples) for _, triples in corpus]
     for orig, slots in groups.values():
@@ -257,11 +259,9 @@ def _read_pnm_header(data: bytes, path: Path) -> tuple[list[int], int]:
 
 
 def read_image(path) -> Image:
-    """Decode P5/P6 (maxval 255) or a comma-separated grayscale matrix."""
+    """Decode P5/P6 (maxval 255)."""
     if not isinstance(path, Path):
         path = Path(path)
-    if path.suffix.lower() == ".csv":
-        return _read_csv_matrix(path)
     data = path.read_bytes()
     magic = data[:2]
     if magic not in (b"P5", b"P6"):
@@ -279,46 +279,7 @@ def read_image(path) -> Image:
     return Image(np.frombuffer(raster, dtype=np.uint8).reshape(height, width, channels))
 
 
-def _read_csv_matrix(path: Path) -> Image:
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 at byte {exc.start}: {exc.reason}") from exc
-    rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            row = [int(v) for v in line.split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-        rows.append(row)
-    if not rows or any(len(r) != len(rows[0]) for r in rows):
-        raise ConfigError(f"{path}: matrix rows must be nonempty and equal length")
-    arr = np.array(rows)
-    if np.any(arr < 0) or np.any(arr > 255):
-        raise ConfigError(f"{path}: values must lie in [0, 255]")
-    return Image(arr.astype(np.uint8)[:, :, None])
-
-
 _ROLES = ("orig", "open", "closed")
-
-
-def _interned(img: Image, seen: dict[tuple, Image]) -> Image:
-    """The image in ``seen`` byte-identical to ``img`` (same shape, same
-    pixels), else ``img``, which joins ``seen``.
-
-    An image is keyed by its shape and a sample of about 256 raster bytes,
-    which hashes about ten times faster than a 128x128 raster. The whole raster
-    decides a match; an image whose sample matches another's but whose
-    raster differs is keyed by its raster as well.
-    """
-    raster = img.pixels.tobytes()
-    key = (img.pixels.shape, raster[:: len(raster) // 256 + 1])
-    first = seen.setdefault(key, img)
-    if first is img or first.pixels.tobytes() == raster:
-        return first
-    return seen.setdefault((*key, raster), img)
 
 
 def load_corpus_dir(path) -> Corpus:
@@ -327,17 +288,12 @@ def load_corpus_dir(path) -> Corpus:
     Layout: one subdirectory per cut, taken in ascending name order (use
     numeric prefixes like ``0_conv1`` to fix candidate order); inside,
     triples are files ``orig_<id>``, ``open_<id>``, ``closed_<id>`` with
-    .pgm/.ppm/.csv extensions. Two files for one role of one triple (say
-    ``orig_1.csv`` and ``orig_1.pgm``) are rejected, and so is a triple
+    .pgm/.ppm extensions. Two files for one role of one triple (say
+    ``orig_1.pgm`` and ``orig_1.ppm``) are rejected, and so is a triple
     whose images differ in shape or are smaller than the SSIM window. A
     cut name becomes a field of the CSV confidentiality table, so one
     holding a comma or a line break (as ``str.splitlines`` sees one) is
     rejected too.
-
-    Byte-identical originals (same shape and same pixels), as a corpus
-    holds when each cut's attacks invert the same inputs, load as one
-    shared ``Image``, so ``build_conf_table`` scores each of them once.
-    Reconstructions are never shared.
     """
     root = Path(path)
     if not root.is_dir():
@@ -355,7 +311,6 @@ def load_corpus_dir(path) -> Corpus:
                 "comma or line break, which the CSV confidentiality table cannot hold"
             )
     corpus = []
-    originals: dict[tuple, Image] = {}  # every distinct original, see _interned
     for cut_dir in cut_dirs:
         by_id: dict[str, dict[str, Path]] = {}
         for file in sorted(cut_dir.iterdir(), key=lambda p: p.name):
@@ -388,7 +343,7 @@ def load_corpus_dir(path) -> Corpus:
                     f"{where}: images are {triple[0].width}x{triple[0].height}, "
                     f"smaller than the {WINDOW}x{WINDOW} SSIM window"
                 )
-            triples.append((_interned(triple[0], originals), *triple[1:]))
+            triples.append(triple)
         if not triples:
             raise EmptyCutError(f"corpus cut {cut_dir.name!r} contains no triples")
         corpus.append((cut_dir.name, triples))

@@ -54,6 +54,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from ..errors import NonFiniteError
+from ..netmodel import fits_float
 from .env import MAX_SIZE
 from .nets import TinyNet, log_softmax
 
@@ -64,6 +65,10 @@ _COUNT_FIELDS = (
 )
 # capped at MAX_SIZE when Hyperparams is built, before any training allocates
 _SIZE_FIELDS = ("replay_capacity", "batch_size", "ppo_batch", "multi_q_tables")
+_FLOAT_FIELDS = (
+    "lr", "lr_actor", "lr_net", "epsilon_start", "epsilon_final",
+    "epsilon_decay_fraction", "ppo_clip", "entropy_coef",
+)
 
 
 def _is_int(value) -> bool:
@@ -91,6 +96,10 @@ class Hyperparams:
     moving_avg_window: int = 100
 
     def __post_init__(self) -> None:
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if not math.isfinite(fits_float(value, name)):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         for name in _COUNT_FIELDS:
             value = getattr(self, name)
             if not _is_int(value) or value < 1:
@@ -148,7 +157,8 @@ def _make_trace(effects: list[float], window: int) -> ConvergenceTrace:
 class TrainedPolicy:
     """Greedy policy extracted at the end of training: ``action(rows)``
     is one cut per device, device d's read from its row ``rows[d]`` alone
-    (rows as ``env.blocks`` numbers them).
+    (rows as ``env.blocks`` numbers them). It takes exactly one row per
+    device, each among its own device's rows, and raises ValueError else.
 
     ``table`` carries the learned (n_bins, n_cuts) table of the tabular
     agents (Q-values, ensemble-mean Q-values, or actor logits), one row
@@ -156,9 +166,20 @@ class TrainedPolicy:
     """
 
     _values: Callable[[Sequence[int]], np.ndarray] = field(repr=False)  # (devices, cuts)
+    _device_rows: tuple[range, ...] = field(repr=False)  # each device's rows
     table: np.ndarray | None = None
 
     def action(self, rows: Sequence[int]) -> tuple[int, ...]:
+        if len(rows) != len(self._device_rows):
+            raise ValueError(
+                f"need one row per device ({len(self._device_rows)}), got {len(rows)}"
+            )
+        for d, (row, own) in enumerate(zip(rows, self._device_rows)):
+            if not (_is_int(row) or isinstance(row, np.integer)) or row not in own:
+                raise ValueError(
+                    f"device {d}: row {row!r} is not one of its rows "
+                    f"{own.start}..{own.stop - 1}"
+                )
         return tuple(self._values(rows).argmax(axis=1).tolist())
 
 
@@ -196,8 +217,13 @@ def _dead(env) -> list[list[float]]:
     return [[1.0] * env.n_cuts] * len(env.first_rows)
 
 
-def _table_policy(table: np.ndarray) -> TrainedPolicy:
-    return TrainedPolicy(lambda rows: table[list(rows)], table)
+def _device_rows(env) -> tuple[range, ...]:
+    """Each device's rows: from its first row to the next device's."""
+    return tuple(map(range, env.first_rows, (*env.first_rows[1:], env.n_bins)))
+
+
+def _table_policy(table: np.ndarray, env) -> TrainedPolicy:
+    return TrainedPolicy(lambda rows: table[list(rows)], _device_rows(env), table)
 
 
 def _one_hot(rows, n_bins: int) -> np.ndarray:
@@ -207,8 +233,9 @@ def _one_hot(rows, n_bins: int) -> np.ndarray:
     return x
 
 
-def _net_policy(net: TinyNet, n_bins: int) -> TrainedPolicy:
-    return TrainedPolicy(lambda rows: net.forward(_one_hot(rows, n_bins)))
+def _net_policy(net: TinyNet, env) -> TrainedPolicy:
+    return TrainedPolicy(lambda rows: net.forward(_one_hot(rows, env.n_bins)),
+                         _device_rows(env))
 
 
 def train_q_learning(
@@ -233,7 +260,7 @@ def train_q_learning(
                 row[cut] += lr * (-term - row[cut])
                 terms.append(term)
             effects.append(math.fsum(terms) / n_dev)
-    return _table_policy(np.array(q)), _make_trace(effects, hyper.moving_avg_window)
+    return _table_policy(np.array(q), env), _make_trace(effects, hyper.moving_avg_window)
 
 
 def train_multi_q(
@@ -274,7 +301,7 @@ def train_multi_q(
                 row[cut] += table_lr * (-term - row[cut])
                 terms.append(term)
             effects.append(math.fsum(terms) / n_dev)
-    return (_table_policy(np.array(tables).mean(axis=1)),
+    return (_table_policy(np.array(tables).mean(axis=1), env),
             _make_trace(effects, hyper.moving_avg_window))
 
 
@@ -319,7 +346,7 @@ def train_actor_critic(
                 row[cut] += step
                 terms.append(term)
             effects.append(math.fsum(terms) / n_dev)
-    return _table_policy(np.array(logits)), _make_trace(effects, hyper.moving_avg_window)
+    return _table_policy(np.array(logits), env), _make_trace(effects, hyper.moving_avg_window)
 
 
 _Q_DIVERGED = "Q-network diverged to non-finite values; lower lr_net"
@@ -410,7 +437,7 @@ def train_dqn(
             raise NonFiniteError(_Q_DIVERGED)
     if not all(np.isfinite(w).all() for w in (*net.weights, *net.biases)):
         raise NonFiniteError(_Q_DIVERGED)
-    return _net_policy(net, n_bins), _make_trace(effects, hyper.moving_avg_window)
+    return _net_policy(net, env), _make_trace(effects, hyper.moving_avg_window)
 
 
 def ppo_policy_gradient(
@@ -521,7 +548,7 @@ def train_ppo(
             value_net.backward(_row_sums(inverse, 2.0 * v / rewards.size, len(seen)))
             value_net.sgd_step(hyper.lr_net)
 
-    return _net_policy(policy_net, n_bins), _make_trace(effects, hyper.moving_avg_window)
+    return _net_policy(policy_net, env), _make_trace(effects, hyper.moving_avg_window)
 
 
 AGENTS: dict[str, Callable] = {

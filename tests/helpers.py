@@ -887,8 +887,8 @@ def reference_conf_table(corpus):
 
 def write_color_corpus(root: Path) -> None:
     """Two cuts of 37x45 P6 triples, sides not multiples of the SSIM
-    window, and one 11x9 grayscale CSV triple, written without the
-    package's image writer."""
+    window, and one 11x9 P5 triple, written without the package's image
+    writer."""
     rng = np.random.default_rng(11)
     yy, xx = np.mgrid[0:45, 0:37]
     for cut, t in (("0_shallow", 0.1), ("1_deep", 0.6)):
@@ -904,8 +904,8 @@ def write_color_corpus(root: Path) -> None:
     for role, frac in (("orig", 0.0), ("open", 0.5), ("closed", 0.3)):
         values = np.where(rng.random((9, 11)) < frac, rng.integers(0, 256, (9, 11)),
                           np.arange(99).reshape(9, 11) * 2)
-        text = "".join(",".join(str(v) for v in row) + "\n" for row in values.tolist())
-        (root / "1_deep" / f"{role}_csv.csv").write_text(text)
+        raster = values.astype(np.uint8).tobytes()
+        (root / "1_deep" / f"{role}_gray.pgm").write_bytes(b"P5 11 9 255\n" + raster)
 
 
 # -- retrieval oracle: rank by sorting, score by definition ---------------

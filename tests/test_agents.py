@@ -559,6 +559,26 @@ class TestBlockDraw:
                 assert integers == [], name
 
 
+class TestHyperparams:
+    FLOAT_FIELDS = ("lr", "lr_actor", "lr_net", "epsilon_start", "epsilon_final",
+                    "epsilon_decay_fraction", "ppo_clip", "entropy_coef")
+
+    def test_float_fields_listed(self):
+        floats = [f.name for f in dataclasses.fields(Hyperparams) if f.type == "float"]
+        assert tuple(floats) == self.FLOAT_FIELDS
+
+    @pytest.mark.parametrize("value, message", [
+        (math.nan, "must be finite, got nan"),
+        (math.inf, "must be finite, got inf"),
+        (-math.inf, "must be finite, got -inf"),
+        (True, "must be a number, got True"),
+    ], ids=["nan", "inf", "-inf", "bool"])
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    def test_float_field_rejects_non_finite_and_bool(self, name, value, message):
+        with pytest.raises(ValueError, match=f"^{name} {message}$"):
+            Hyperparams(**{name: value})
+
+
 class TestDispatch:
     def test_unknown_agent(self):
         with pytest.raises(ValueError):
@@ -630,3 +650,36 @@ class TestDeviceIndependence:
                 for rows, step_cuts in cuts.items():
                     own.setdefault(rows[d], set()).add(step_cuts[d])
                 assert all(len(seen) == 1 for seen in own.values()), (seed, d, own)
+
+
+class TestPolicyRows:
+    """``action`` takes exactly one row per device, each among its own
+    device's rows."""
+
+    @pytest.mark.parametrize("rows, message", [
+        ((0,), r"need one row per device \(2\), got 1"),
+        ((0, 2, 3), r"need one row per device \(2\), got 3"),
+        ((), r"need one row per device \(2\), got 0"),
+        ((-1, 2), r"device 0: row -1 is not one of its rows 0\.\.1"),
+        ((2, 2), r"device 0: row 2 is not one of its rows 0\.\.1"),
+        ((0, 0), r"device 1: row 0 is not one of its rows 2\.\.3"),
+        ((0, 4), r"device 1: row 4 is not one of its rows 2\.\.3"),
+        ((0.0, 2), r"device 0: row 0\.0 is not one of its rows 0\.\.1"),
+        ((True, 2), r"device 0: row True is not one of its rows 0\.\.1"),
+    ])
+    @pytest.mark.parametrize("name", AGENT_NAMES)
+    def test_bad_rows_rejected(self, name, rows, message):
+        env = PartitionEnv(default_scenario(), snr_bins=2)
+        assert (env.first_rows, env.n_bins) == ((0, 2), 4)
+        policy, _ = train_agent(name, env, 20, seed=1)
+        with pytest.raises(ValueError, match=message):
+            policy.action(rows)
+
+    @pytest.mark.parametrize("name", AGENT_NAMES)
+    def test_every_own_row_answers(self, name):
+        env = three_channel_env()
+        policy, _ = train_agent(name, env, 20, seed=1)
+        for rows in itertools.product(range(3), range(3, 6), range(6, 9)):
+            cuts = policy.action(rows)
+            assert policy.action(np.array(rows)) == cuts
+            assert len(cuts) == 3 and all(0 <= c < env.n_cuts for c in cuts)

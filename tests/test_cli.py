@@ -642,6 +642,12 @@ BAD_CONFIG_VALUES = {
         "retrieval-sim", "retrieval: seed must be >= 0",
         QUICK_CONFIG.replace("seeds: 2}", "seeds: 2, seed: -1}"),
     ),
+    # an oversized section is refused before numpy is asked for memory
+    "retrieval_dim_oversized": (
+        "retrieval-sim", "retrieval: locations x (2 + 2 x images_per_view) x dim is "
+        "200000000000 elements, past the cap of 134217728",
+        QUICK_CONFIG.replace("dim: 16", "dim: 1000000000"),
+    ),
     "agent_list": (
         "profile", "optimizer.agent: expected a name, got list", optimizer_config("agent: [1]"),
     ),

@@ -193,6 +193,30 @@ class TestRejection:
         with pytest.raises(ConfigError, match="retrieval"):
             parse_config(f"retrieval: {{{field}}}\n")
 
+    @pytest.mark.parametrize("field, message", [
+        ("dim: 1000000000", "locations x (2 + 2 x images_per_view) x dim is "
+                            "2000000000000 elements"),
+        ("locations: 1000000000", "locations x (2 + 2 x images_per_view) x dim is "
+                                  "640000000000 elements"),
+        ("images_per_view: 1000000000", "locations x (2 + 2 x images_per_view) x dim is "
+                                        "25600000025600 elements"),
+        # a corpus draw of 33 million elements, a score buffer of 2.7 billion
+        ("images_per_view: 1300", "8 x images_per_view**2 x locations is "
+                                  "2704000000 elements"),
+    ], ids=["dim", "locations", "images_per_view", "score_buffer"])
+    def test_oversized_retrieval_section(self, field, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(f"retrieval: {{{field}}}\n")
+        assert str(info.value) == f"retrieval: {message}, past the cap of 134217728"
+
+    def test_retrieval_sizes_at_the_cap_accepted(self):
+        # 2**24 locations of 1 image per view and dim 2: a corpus draw and a
+        # score buffer of 2**27 elements each. Building the config draws nothing.
+        at_cap = "retrieval: {locations: %d, dim: 2, images_per_view: 1}\n"
+        assert parse_config(at_cap % 2**24).retrieval.locations == 2**24
+        with pytest.raises(ConfigError, match="past the cap"):
+            parse_config(at_cap % (2**24 + 1))
+
     @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf", "'nan'", "'1e999'"])
     def test_non_finite_number(self, value):
         with pytest.raises(ConfigError, match="weights.w_comm: expected a finite number"):

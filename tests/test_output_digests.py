@@ -56,8 +56,10 @@ row numbering. All ten hold on the AVX2 and SSE-baseline paths.
 The ``privacy`` digest, on a fixed demo corpus, was recorded before the
 CLI parser was cached and configs moved to libyaml. The color ``privacy``
 digest, on a corpus this module writes byte by byte (3-channel 37x45 PPM
-and one 11x9 CSV triple), was recorded before the privacy stage moved
-from histogram and image records to plain arrays.
+and one 11x9 grayscale triple), was recorded before the privacy stage
+moved from histogram and image records to plain arrays. Its grayscale
+triple was a comma-separated matrix then; it held when that format was
+deleted and the triple became P5 bytes of the same pixels.
 
 Last-digit float results of numpy and its BLAS (tanh, exp, small matrix
 products) can differ between platforms, and the outputs computed with
@@ -127,7 +129,7 @@ RETRIEVAL_SECTIONS = {
 }
 # write_demo_corpus(seed=4, triples_per_cut=3): KL and SSIM per cut
 PRIVACY_DIGEST = "e62ea450c093b3d8b6033bafe6e1f65819c902ebc942344aeda1dfc2fb69551a"
-# write_color_corpus(): 37x45 RGB PPM triples plus one CSV triple
+# write_color_corpus(): 37x45 RGB PPM triples plus one 11x9 PGM triple
 COLOR_PRIVACY_DIGEST = "0d6e00a6e70edec0739ed4fdd3804f74d07b96bd20839865b1da71b22427fbf1"
 PLATFORM_DIGEST = "e493df5eb2425930d9e0a1eff9152ad6a238a42aac2ec1fae4eb2d156ee8982d"
 

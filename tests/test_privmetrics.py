@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from splitcvl import privmetrics
 from splitcvl.cli import main
 from splitcvl.errors import (
     ConfigError,
@@ -293,7 +294,7 @@ def conf_table_corpora(tmp_path):
         "copied": copied_originals(shared),
         # cut i of the corpus seeded i: no original repeats
         "distinct": [make_demo_corpus(seed=i, triples_per_cut=4)[i] for i in range(5)],
-        "color_and_csv": load_corpus_dir(tmp_path / "color"),
+        "color_and_gray": load_corpus_dir(tmp_path / "color"),
         "repeat_in_cut": [
             ("a", [(o, recon(), recon()), (p, recon(), recon()), (o, recon(), o)]),
             ("b", [(o, o, recon())]),
@@ -301,7 +302,7 @@ def conf_table_corpora(tmp_path):
     }
 
 
-CONF_TABLE_CORPORA = ("shared", "copied", "distinct", "color_and_csv", "repeat_in_cut")
+CONF_TABLE_CORPORA = ("shared", "copied", "distinct", "color_and_gray", "repeat_in_cut")
 
 
 @pytest.mark.parametrize("name", CONF_TABLE_CORPORA)
@@ -310,21 +311,53 @@ def test_conf_table_equals_per_triple_reference_exactly(tmp_path, name):
     assert build_conf_table(corpus) == reference_conf_table(corpus)
 
 
-def test_conf_table_corpora_share_originals_as_named(tmp_path):
+def counted_conf_table(monkeypatch, corpus):
+    """``build_conf_table(corpus)`` and a Counter of its ``ssim`` and
+    ``histogram_of`` calls, with the originals ``ssim`` was called on."""
+    calls, scored = Counter(), []
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            if name == "ssim":
+                scored.append(args[0])
+            return real(*args)
+        return wrapper
+
+    for name in ("ssim", "histogram_of"):
+        monkeypatch.setattr(privmetrics, name, counting(name, getattr(privmetrics, name)))
+    return build_conf_table(corpus), calls, scored
+
+
+def test_conf_table_corpora_repeat_originals_as_named(tmp_path):
     corpora = conf_table_corpora(tmp_path)
 
-    def distinct_originals(name):
+    def originals(name):
         corpus = corpora[name]
-        return len({id(orig) for _, triples in corpus for orig, _, _ in triples})
+        return [orig for _, triples in corpus for orig, _, _ in triples]
 
-    assert distinct_originals("shared") == 4
-    assert distinct_originals("copied") == distinct_originals("distinct") == 20
-    distinct_bytes = {orig.pixels.tobytes() for _, triples in corpora["distinct"]
-                      for orig, _, _ in triples}
+    assert len({id(orig) for orig in originals("shared")}) == 4
+    assert len({id(orig) for orig in originals("copied")}) == 20
+    distinct_bytes = {orig.pixels.tobytes() for orig in originals("distinct")}
     assert len(distinct_bytes) == 20
-    assert distinct_originals("color_and_csv") == 3
-    assert distinct_originals("repeat_in_cut") == 2
+    # the loader shares no object: the color corpus's 3 originals are 5 images
+    assert len({id(orig) for orig in originals("color_and_gray")}) == 5
+    assert len({id(orig) for orig in originals("repeat_in_cut")}) == 2
     assert build_conf_table(corpora["shared"]) == build_conf_table(corpora["copied"])
+
+
+# distinct originals (by shape and pixels) and triples of each corpus; the
+# 4 originals of "copied" are 20 objects, one per cut
+DISTINCT_ORIGINALS = {"shared": (4, 20), "copied": (4, 20), "distinct": (20, 20),
+                      "color_and_gray": (3, 5), "repeat_in_cut": (2, 4)}
+
+
+@pytest.mark.parametrize("name", CONF_TABLE_CORPORA)
+def test_each_distinct_original_is_scored_once(tmp_path, monkeypatch, name):
+    corpus = conf_table_corpora(tmp_path)[name]
+    _, calls, _ = counted_conf_table(monkeypatch, corpus)
+    originals, triples = DISTINCT_ORIGINALS[name]
+    assert calls == {"ssim": originals, "histogram_of": 2 * triples + originals}
 
 
 class TestDemoCorpusFixture:
@@ -402,12 +435,6 @@ class TestImageIO:
         img = read_image(path)
         assert img.pixels[1, 1, 0] == 255
 
-    def test_csv_matrix(self, tmp_path):
-        path = tmp_path / "img.csv"
-        path.write_text("0,128\n255,64\n")
-        img = read_image(path)
-        assert img.pixels[:, :, 0].tolist() == [[0, 128], [255, 64]]
-
     def test_bad_files_rejected(self, tmp_path):
         bad = tmp_path / "bad.pgm"
         bad.write_bytes(b"P7 notreal")
@@ -421,14 +448,6 @@ class TestImageIO:
         wrong_maxval.write_bytes(b"P5 1 1 65535\n\x00\x00")
         with pytest.raises(ConfigError):
             read_image(wrong_maxval)
-        ragged = tmp_path / "ragged.csv"
-        ragged.write_text("1,2\n3\n")
-        with pytest.raises(ConfigError):
-            read_image(ragged)
-        out_of_range = tmp_path / "range.csv"
-        out_of_range.write_text("0,256\n-1,2\n")
-        with pytest.raises(ConfigError, match="lie in"):
-            read_image(out_of_range)
 
 
 class TestCorpusDir:
@@ -462,64 +481,72 @@ class TestCorpusDir:
         with pytest.raises(ConfigError):
             load_corpus_dir(tmp_path / "nope")
 
-    def test_byte_identical_originals_load_as_one_object(self, tmp_path):
+    def test_byte_identical_originals_are_scored_once(self, tmp_path, monkeypatch):
         write_demo_corpus(tmp_path / "corpus", seed=2, triples_per_cut=3)
         corpus = load_corpus_dir(tmp_path / "corpus")
-        firsts = [orig for orig, _, _ in corpus[0][1]]
-        assert len({id(orig) for orig in firsts}) == 3
-        for _, triples in corpus:
-            assert all(orig is first for (orig, _, _), first in zip(triples, firsts))
-        recons = [img for _, triples in corpus for t in triples for img in t[1:]]
-        assert len({id(img) for img in recons}) == len(recons) == 30
+        expected = reference_conf_table(corpus)
+        table, calls, scored = counted_conf_table(monkeypatch, corpus)
+        # 3 originals, each written once per cut: 15 triples
+        assert calls == {"ssim": 3, "histogram_of": 2 * 15 + 3}
+        firsts = [orig.pixels.tobytes() for orig, _, _ in corpus[0][1]]
+        assert [orig.pixels.tobytes() for orig in scored] == firsts
+        assert table == expected
 
-    def test_reconstructions_are_never_shared(self, tmp_path):
+    def test_reconstructions_equal_to_the_original_are_each_scored(self, tmp_path,
+                                                                   monkeypatch):
         for cut in ("0_a", "1_b"):
             write_uniform_cut(tmp_path / "corpus" / cut, const_image(7))
-        (_, [a]), (_, [b]) = load_corpus_dir(tmp_path / "corpus")
-        # one original; the four reconstructions, equal to it, stay apart
-        assert a[0] is b[0]
-        assert len({id(x) for x in (a[0], *a[1:], *b[1:])}) == 5
+        corpus = load_corpus_dir(tmp_path / "corpus")
+        table, calls, _ = counted_conf_table(monkeypatch, corpus)
+        # one original; the four reconstructions, equal to it, count apart
+        assert calls == {"ssim": 1, "histogram_of": 4 + 1}
+        assert all(e.ssim_open == e.ssim_closed == 1.0 for e in table)
 
     @pytest.mark.parametrize("shape_a, shape_b", [
         ((8, 16, 1), (16, 8, 1)),
         ((16, 24, 1), (16, 8, 3)),
     ], ids=["transposed", "gray_vs_rgb"])
-    def test_same_raster_bytes_in_another_shape_stay_distinct(self, tmp_path,
+    def test_same_raster_bytes_in_another_shape_stay_distinct(self, tmp_path, monkeypatch,
                                                               shape_a, shape_b):
         raster = np.arange(np.prod(shape_a), dtype=np.uint8)
         for cut, shape in (("0_a", shape_a), ("1_b", shape_b)):
             write_uniform_cut(tmp_path / "corpus" / cut, Image(raster.reshape(shape)))
-        (_, [a]), (_, [b]) = load_corpus_dir(tmp_path / "corpus")
+        corpus = load_corpus_dir(tmp_path / "corpus")
+        (_, [a]), (_, [b]) = corpus
         assert a[0].pixels.tobytes() == b[0].pixels.tobytes()
-        assert a[0] is not b[0]
-        assert (a[0].pixels.shape, b[0].pixels.shape) == (shape_a, shape_b)
+        _, calls, scored = counted_conf_table(monkeypatch, corpus)
+        assert calls == {"ssim": 2, "histogram_of": 4 + 2}
+        assert [orig.pixels.shape for orig in scored] == [shape_a, shape_b]
 
-    def test_originals_alike_in_the_interning_sample_are_told_apart(self, tmp_path):
-        # 128x128 rasters that differ only at byte 1, which the 1-in-65
-        # sample skips; the third repeats the second
+    def test_originals_differing_in_one_byte_are_told_apart(self, tmp_path, monkeypatch):
+        # 128x128 rasters that differ only at byte 1; the third repeats the second
         zeros = np.zeros((128, 128, 1), np.uint8)
         marked = zeros.copy()
         marked.flat[1] = 9
         for cut, pixels in (("0_a", zeros), ("1_b", marked), ("2_c", marked)):
             write_uniform_cut(tmp_path / "corpus" / cut, Image(pixels))
-        (_, [a]), (_, [b]), (_, [c]) = load_corpus_dir(tmp_path / "corpus")
-        assert a[0] is not b[0]
-        assert b[0] is c[0]
-        assert b[0].pixels.flat[1] == 9
+        corpus = load_corpus_dir(tmp_path / "corpus")
+        expected = reference_conf_table(corpus)
+        table, calls, scored = counted_conf_table(monkeypatch, corpus)
+        assert calls == {"ssim": 2, "histogram_of": 6 + 2}
+        assert [orig.pixels.flat[1] for orig in scored] == [0, 9]
+        assert table == expected
 
-    def test_differing_originals_stay_distinct(self, tmp_path):
+    def test_differing_originals_stay_distinct(self, tmp_path, monkeypatch):
         for cut, value in (("0_a", 7), ("1_b", 8)):
             write_uniform_cut(tmp_path / "corpus" / cut, const_image(value))
-        (_, [a]), (_, [b]) = load_corpus_dir(tmp_path / "corpus")
-        assert a[0] is not b[0]
+        corpus = load_corpus_dir(tmp_path / "corpus")
+        _, calls, scored = counted_conf_table(monkeypatch, corpus)
+        assert calls == {"ssim": 2, "histogram_of": 4 + 2}
+        assert [orig.pixels[0, 0, 0] for orig in scored] == [7, 8]
 
     def test_two_files_for_one_role_rejected(self, tmp_path):
         cut = tmp_path / "corpus" / "0_conv1"
         cut.mkdir(parents=True)
         for role in ("orig", "open", "closed"):
             write_image(const_image(9), cut / f"{role}_1.pgm")
-        (cut / "orig_1.csv").write_text("1,2\n3,4\n")
-        with pytest.raises(ConfigError, match=r"orig_1\.csv.*orig_1\.pgm"):
+        write_image(const_image(9, channels=3), cut / "orig_1.ppm")
+        with pytest.raises(ConfigError, match=r"orig_1\.pgm.*orig_1\.ppm"):
             load_corpus_dir(tmp_path / "corpus")
 
 
@@ -548,11 +575,10 @@ class TestPrivacyCommandErrors:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and str(bad) in err
 
-    def test_non_utf8_csv_exits_2(self, tmp_path, capsys):
-        bad = write_triple(tmp_path / "corpus" / "0_a", b"1,2\n\xff,4\n", "orig_000.csv")
+    def test_csv_image_exits_2(self, tmp_path, capsys):
+        bad = write_triple(tmp_path / "corpus" / "0_a", b"0,128\n255,64\n", "orig_000.csv")
         assert main(["privacy", str(tmp_path / "corpus")]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and str(bad) in err and "UTF-8" in err
+        assert capsys.readouterr().err == f"error: {bad}: unsupported image format b'0,'\n"
 
     def test_truncated_header_names_the_file(self, tmp_path, capsys):
         bad = write_triple(tmp_path / "corpus" / "0_a", b"P5 4")
@@ -599,7 +625,7 @@ def test_perfbench_traces_every_privmetrics_site(tmp_path):
     assert not [site for site in tracer.missing if site.startswith("splitcvl.privmetrics.")]
     assert tracer.counters["privmetrics.bytes_read"] == 5 * 3 * 3 * 32 * 32 == 46080
     calls = Counter(tracer.names[i] for i in tracer.name_id)
-    # each of the 3 originals is shared by the 5 cuts and scored once
+    # each of the 3 originals repeats in the 5 cuts and is scored once
     triples, originals = 5 * 3, 3
     assert {name: n for name, n in calls.items() if name.startswith("privmetrics.")} == {
         "privmetrics.load_corpus_dir": 1,
