@@ -13,13 +13,14 @@ All types are immutable and all operations are pure, so values can be
 shared freely across threads. A distribution holds only its two ranges:
 the cost model reads its ``mean_channel``, and the RL env bins and draws
 channels from the ranges itself. Every number must be finite; the
-constructors reject NaN, infinities, booleans and integers past the
-largest float.
+constructors reject NaN, infinities, booleans, integers past the largest
+float and anything that is not a real number, with ValueError.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 # Default device constants per kind; its keys are the only device kinds.
@@ -34,11 +35,12 @@ KIND_DEFAULTS: dict[str, dict[str, float]] = {
 
 
 def fits_float(value, name: str):
-    """``value`` itself, once ``float(value)`` is known not to overflow;
-    ValueError naming ``name`` for an integer past the largest float,
+    """``value`` itself, once it is known to be a real number whose
+    ``float(value)`` does not overflow; ValueError naming ``name`` for
+    anything else: a string or None, an integer past the largest float,
     which every float operation downstream would refuse with OverflowError,
-    and for a bool, which Python would otherwise count as 0 or 1."""
-    if isinstance(value, bool):
+    and a bool, which Python would otherwise count as 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
     try:
         float(value)

@@ -5,8 +5,8 @@ All agents work against the same small env protocol: ``n_cuts``,
 all devices' bins; see ``env``), ``first_rows`` (each device's row of
 its bin 0, one per device) and ``blocks(rng, steps)`` yielding each
 block's ``(rows, outcomes)``, one entry per step: each device's row, and
-the step's (devices, cuts) nested list of effects, or None where a link
-is infeasible, which counts as an effect of 1.0 at every cut. An action
+the step's (devices, cuts) nested list of effects (1.0 throughout where a
+link is infeasible; the env writes them). An action
 is a tuple of cuts, one per device. The effect is the mean of
 independent per-device terms, so each device picks its cut in a branch
 of its own (action branching, Tavakoli et al., AAAI 2018) from its own
@@ -142,8 +142,6 @@ class ConvergenceTrace:
 
 def _make_trace(effects: list[float], window: int) -> ConvergenceTrace:
     eff = np.asarray(effects, dtype=np.float64)
-    if eff.size == 0:
-        return ConvergenceTrace(eff, eff.copy())
     cs = np.cumsum(eff)
     ma = np.empty_like(eff)
     head = min(window, eff.size)
@@ -212,11 +210,6 @@ def _explore_cuts(draws: np.ndarray, epsilons: Iterator[float], n_cuts: int) -> 
     return np.where(draws[:, :n_dev] < eps[:, None], picks, -1).tolist()
 
 
-def _dead(env) -> list[list[float]]:
-    """The outcome that stands for an infeasible step: 1.0 at every cut."""
-    return [[1.0] * env.n_cuts] * len(env.first_rows)
-
-
 def _device_rows(env) -> tuple[range, ...]:
     """Each device's rows: from its first row to the next device's."""
     return tuple(map(range, env.first_rows, (*env.first_rows[1:], env.n_bins)))
@@ -239,12 +232,11 @@ def _net_policy(net: TinyNet, env) -> TrainedPolicy:
 
 
 def train_q_learning(
-    env, steps: int, hyper: Hyperparams | None = None, seed: int = 0
+    env, steps: int, hyper: Hyperparams = Hyperparams(), seed: int = 0
 ) -> tuple[TrainedPolicy, ConvergenceTrace]:
     """Tabular Q-learning; one trace row per environment step."""
-    hyper = hyper or Hyperparams()
     rng, draw = _generators(seed)
-    n_dev, n_cuts, lr, dead = len(env.first_rows), env.n_cuts, hyper.lr, _dead(env)
+    n_dev, n_cuts, lr = len(env.first_rows), env.n_cuts, hyper.lr
     q = [[0.0] * n_cuts for _ in range(env.n_bins)]
     epsilons = _epsilons(steps, hyper)
     effects: list[float] = []
@@ -252,7 +244,7 @@ def train_q_learning(
         picks = _explore_cuts(draw.random((len(rows), 2 * n_dev)), epsilons, n_cuts)
         for step_rows, outcome, step_picks in zip(rows, outcomes, picks):
             terms = []
-            for b, row_effects, cut in zip(step_rows, outcome or dead, step_picks):
+            for b, row_effects, cut in zip(step_rows, outcome, step_picks):
                 row = q[b]
                 if cut < 0:
                     cut = row.index(max(row))
@@ -264,7 +256,7 @@ def train_q_learning(
 
 
 def train_multi_q(
-    env, steps: int, hyper: Hyperparams | None = None, seed: int = 0
+    env, steps: int, hyper: Hyperparams = Hyperparams(), seed: int = 0
 ) -> tuple[TrainedPolicy, ConvergenceTrace]:
     """Ensemble Q-learning: act on the mean of K tables.
 
@@ -274,10 +266,9 @@ def train_multi_q(
     size. A greedy device takes the argmax of its row's sum over the
     tables, K times the mean.
     """
-    hyper = hyper or Hyperparams()
     k = hyper.multi_q_tables
     rng, draw = _generators(seed)
-    n_dev, n_cuts, dead = len(env.first_rows), env.n_cuts, _dead(env)
+    n_dev, n_cuts = len(env.first_rows), env.n_cuts
     # per (device, bin) row, the K tables' rows
     tables = [[[0.0] * n_cuts for _ in range(k)] for _ in range(env.n_bins)]
     table_lr = min(1.0, hyper.lr * k)
@@ -290,8 +281,7 @@ def train_multi_q(
         indices = (draws[:, 2 * n_dev:] * k).astype(np.int64).tolist()
         for step_rows, outcome, step_picks, step_indices in zip(rows, outcomes, picks, indices):
             terms = []
-            for b, row_effects, cut, j in zip(step_rows, outcome or dead, step_picks,
-                                              step_indices):
+            for b, row_effects, cut, j in zip(step_rows, outcome, step_picks, step_indices):
                 rows = tables[b]
                 if cut < 0:
                     sums = [sum(values) for values in zip(*rows)]
@@ -306,7 +296,7 @@ def train_multi_q(
 
 
 def train_actor_critic(
-    env, steps: int, hyper: Hyperparams | None = None, seed: int = 0
+    env, steps: int, hyper: Hyperparams = Hyperparams(), seed: int = 0
 ) -> tuple[TrainedPolicy, ConvergenceTrace]:
     """Tabular softmax actor with a critic of each row's reward.
 
@@ -316,9 +306,8 @@ def train_actor_critic(
     ``exp(logit - max)``, whose largest term is 1.0: a sum that is not at
     least 1.0 is NaN, and the policy has diverged.
     """
-    hyper = hyper or Hyperparams()
     rng, draw = _generators(seed)
-    n_dev, n_cuts, dead = len(env.first_rows), env.n_cuts, _dead(env)
+    n_dev, n_cuts = len(env.first_rows), env.n_cuts
     logits = [[0.0] * n_cuts for _ in range(env.n_bins)]
     values = [0.0] * env.n_bins
     lr, lr_actor, exp, last = hyper.lr, hyper.lr_actor, math.exp, n_cuts - 1
@@ -327,7 +316,7 @@ def train_actor_critic(
         draws = draw.random((len(rows), n_dev)).tolist()
         for step_rows, outcome, us in zip(rows, outcomes, draws):
             terms = []
-            for b, row_effects, u in zip(step_rows, outcome or dead, us):
+            for b, row_effects, u in zip(step_rows, outcome, us):
                 row = logits[b]
                 top = max(row)
                 weights = [exp(x - top) for x in row]
@@ -353,7 +342,7 @@ _Q_DIVERGED = "Q-network diverged to non-finite values; lower lr_net"
 
 
 def train_dqn(
-    env, steps: int, hyper: Hyperparams | None = None, seed: int = 0
+    env, steps: int, hyper: Hyperparams = Hyperparams(), seed: int = 0
 ) -> tuple[TrainedPolicy, ConvergenceTrace]:
     """Deep Q-network on one-hot rows, one net shared by the devices.
 
@@ -377,9 +366,8 @@ def train_dqn(
     diverged net raises NonFiniteError: the last Q-values of each block
     are checked, and the weights after training.
     """
-    hyper = hyper or Hyperparams()
     rng, draw = _generators(seed)
-    n_dev, n_cuts, n_bins, dead = len(env.first_rows), env.n_cuts, env.n_bins, _dead(env)
+    n_dev, n_cuts, n_bins = len(env.first_rows), env.n_cuts, env.n_bins
     capacity, batch_size = hyper.replay_capacity, hyper.batch_size
     # every row's one-hot, the identity: no more rows than a rows forward's
     table = _one_hot(range(n_bins), n_bins) if n_bins <= (1 + batch_size) * n_dev else None
@@ -421,7 +409,7 @@ def train_dqn(
                 greedy = mine.argmax(axis=1).tolist()
                 cuts = greedy if max(cuts) < 0 else [
                     g if c < 0 else c for c, g in zip(cuts, greedy)]
-            terms = [e[c] for e, c in zip(outcome or dead, cuts)]
+            terms = [e[c] for e, c in zip(outcome, cuts)]
             cells[own] = [row * n_cuts + c for row, c in zip(step_rows, cuts)]
             slot_terms[own] = terms
             # read after the writes: the batch may hold the step's own slot
@@ -483,7 +471,7 @@ def _row_sums(inverse: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarra
 
 
 def train_ppo(
-    env, steps: int, hyper: Hyperparams | None = None, seed: int = 0
+    env, steps: int, hyper: Hyperparams = Hyperparams(), seed: int = 0
 ) -> tuple[TrainedPolicy, ConvergenceTrace]:
     """Clipped-surrogate policy optimization with a critic baseline.
 
@@ -496,9 +484,8 @@ def train_ppo(
     keeps the policy from collapsing onto a suboptimal mode before the
     critic has calibrated, and a zero late bonus lets it concentrate.
     """
-    hyper = hyper or Hyperparams()
     rng, draw = _generators(seed)
-    n_dev, n_cuts, n_bins, dead = len(env.first_rows), env.n_cuts, env.n_bins, _dead(env)
+    n_dev, n_cuts, n_bins = len(env.first_rows), env.n_cuts, env.n_bins
     policy_net = TinyNet((n_bins, *hyper.hidden, n_cuts), draw)
     value_net = TinyNet((n_bins, *hyper.hidden, 1), draw)
     effects: list[float] = []
@@ -522,7 +509,7 @@ def train_ppo(
         # each device's cut: the first whose running sum passes u times the total
         actions = (cdf[..., :-1] <= np.array(us)[..., None] * cdf[..., -1:]).sum(axis=2)
         logp_old = logp[np.arange(batch_n)[:, None], devices, actions]
-        terms = [[e[c] for e, c in zip(outcome or dead, cuts)]
+        terms = [[e[c] for e, c in zip(outcome, cuts)]
                  for outcome, cuts in zip(outcomes, actions.tolist())]
         effects += [math.fsum(step_terms) / n_dev for step_terms in terms]
         done_steps += batch_n
@@ -561,7 +548,7 @@ AGENTS: dict[str, Callable] = {
 
 
 def train_agent(
-    name: str, env, steps: int, hyper: Hyperparams | None = None, seed: int = 0
+    name: str, env, steps: int, hyper: Hyperparams = Hyperparams(), seed: int = 0
 ) -> tuple[TrainedPolicy, ConvergenceTrace]:
     """Dispatch by agent name; ``steps`` counts environment steps.
 

@@ -8,9 +8,9 @@ device's channel, so the agents pick each device's cut in a branch of its
 own (action branching) and learn it from that device's reward: minus its
 term, which lies in [-1, 0] whenever the cost weights sum to 1. A step
 with an infeasible link (a zero rate, or one too low to carry the
-payload, as ``EffectKernel.feasible`` tells) gives every device the
-worst reward of -1 and has effect 1.0, instead of an error, so that
-learning can continue.
+payload, as ``EffectKernel.feasible`` tells) has effect 1.0 for every
+device and cut, the worst reward of -1 whatever the action, instead of
+an error, so that learning can continue.
 
 A step's state is one row per device: its channel bin, numbered among
 all ``n_bins`` bins of all devices, first device first (device d's bin 0
@@ -26,7 +26,7 @@ to the state and bootstraps that carry no information.
 Since no channel depends on an action, the env draws the steps a block
 at a time, ahead of the agent: ``blocks(rng, steps)`` yields each
 block's rows and outcomes as two lists. A step's outcome is its
-(devices, cuts) nested list of effects, or None where a link is
+(devices, cuts) nested list of effects, 1.0 throughout where a link is
 infeasible. A block of ``n`` steps is one ``rng.random((n, 2 * k))``
 call, k being two uniforms per drawn channel. Each step's draw holds
 the k uniforms of its bins, then the k of its channels: the order of a
@@ -43,9 +43,9 @@ no bin depends on a host's pow or logarithm. The rates follow the float
 expressions of sampling a channel in its bin (``low + width * u``, SNR
 drawn in dB), ``snr_db_to_linear`` and ``shannon_rate``, the last two on
 Python floats, and the scenario's ``EffectKernel`` turns them into every
-cut's effect. So an outcome is bit for bit the ``effect_table`` of the
-drawn channels. A channel whose linear SNR underflows to zero keeps its
-drawn dB's bin, and a step over it is infeasible.
+cut's effect. So a feasible outcome is bit for bit the ``effect_table``
+of the drawn channels. A channel whose linear SNR underflows to zero
+keeps its drawn dB's bin, and a step over it is infeasible.
 """
 
 from __future__ import annotations
@@ -174,8 +174,7 @@ class PartitionEnv:
     def blocks(self, rng: np.random.Generator, steps: int) -> Iterator[tuple]:
         """``(rows, outcomes)`` of each block of ``steps`` steps,
         ``BLOCK_STEPS`` at a time: per step, a tuple of each device's row
-        and the (devices, cuts) effects, or None where a link is
-        infeasible."""
+        and the (devices, cuts) effects."""
         for start in range(0, steps, BLOCK_STEPS):
             yield self._block(rng, min(BLOCK_STEPS, steps - start))
 
@@ -200,9 +199,9 @@ class PartitionEnv:
             rates[:, d] = bw * [log2(1.0 + 10.0 ** x) for x in db.tolist()]
             i += 2
         kernel = self.scenario.effect_kernel
-        dead = np.flatnonzero(~kernel.feasible(rates).all(axis=1))
-        rates[dead] = 1.0  # any positive rate; these steps' outcomes are None
-        outcomes = kernel(rates).tolist()
-        for step in dead.tolist():
-            outcomes[step] = None
-        return list(zip(*rows)), outcomes
+        # a step with an infeasible link scores 1.0 for every device and cut
+        dead = ~kernel.feasible(rates).all(axis=1)
+        rates[dead] = 1.0  # any positive rate keeps the kernel finite
+        effects = kernel(rates)
+        effects[dead] = 1.0
+        return list(zip(*rows)), effects.tolist()

@@ -408,7 +408,7 @@ def format_cost_table(scenario: Scenario) -> str:
     return "\n".join(lines) + "\n"
 
 
-def default_scenario(seeded_conf: tuple[ConfEntry, ...] | None = None) -> Scenario:
+def default_scenario() -> Scenario:
     """The stock 2-device, 5-cut instance used by examples and tests.
 
     One UAV and one vehicle with the standard device constants, both on a
@@ -421,6 +421,6 @@ def default_scenario(seeded_conf: tuple[ConfEntry, ...] | None = None) -> Scenar
         devices=(device_from_kind("uav1", "uav"), device_from_kind("veh1", "vehicle")),
         channels=(dist, dist),
         profile=profile,
-        conf_table=seeded_conf or default_conf_table(profile.num_candidates),
+        conf_table=default_conf_table(profile.num_candidates),
         weights=TriCoWeights(),
     )

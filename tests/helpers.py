@@ -391,13 +391,6 @@ def epsilon_at(step, total_steps, hyper):
     return hyper.epsilon_start - (hyper.epsilon_start - hyper.epsilon_final) * frac
 
 
-def step_effects(env, outcome):
-    """A row's (devices, cuts) effects, 1.0 everywhere where it is infeasible."""
-    if outcome is None:
-        return [[1.0] * env.n_cuts for _ in env.first_rows]
-    return outcome
-
-
 def tabular_reference(name, env, steps, hyper, seed, bootstrap=False):
     """(table, effects) of Q-learning, multi-Q or actor-critic, one step,
     one device and one draw at a time, on (n_bins, n_cuts) arrays. Per
@@ -419,7 +412,7 @@ def tabular_reference(name, env, steps, hyper, seed, bootstrap=False):
         eps = epsilon_at(t, steps, hyper)
         u = agent.random({"q_learning": 2, "multi_q": 3, "actor_critic": 1}[name] * n_dev)
         terms = []
-        for d, (b, row_effects) in enumerate(zip(rows, step_effects(env, outcome))):
+        for d, (b, row_effects) in enumerate(zip(rows, outcome)):
             explore = u[d] < eps
             if name == "actor_critic":
                 logits = q[b].tolist()
@@ -498,7 +491,7 @@ def dqn_reference(env, steps, hyper, seed):
             if not np.isfinite(q_row).all():
                 raise NonFiniteError("Q-network diverged to non-finite values")
             cuts.append(int(q_row.argmax()))
-        terms = [effect[c] for effect, c in zip(step_effects(env, outcome), cuts)]
+        terms = [effect[c] for effect, c in zip(outcome, cuts)]
         slot = t % capacity
         slot_rows[slot], slot_cuts[slot], slot_effects[slot] = rows, cuts, terms
         size = min(t + 1, capacity)
@@ -532,15 +525,15 @@ def ppo_reference(env, steps, hyper, seed):
     n_dev, n_cuts, n_bins = len(env.first_rows), env.n_cuts, env.n_bins
     policy = TinyNet((n_bins, *hyper.hidden, n_cuts), agent)
     critic = TinyNet((n_bins, *hyper.hidden, 1), agent)
-    drawn = [(rows, step_effects(env, outcome), agent.random(n_dev))
+    drawn = [(rows, outcome, agent.random(n_dev))
              for rows, outcome in env_rows(env, rng, steps)]
     effects = []
     for start in range(0, steps, hyper.ppo_batch):
         batch = drawn[start:start + hyper.ppo_batch]
         rows, actions, logp_old, terms = [], [], [], []
-        for step_rows, step_effects_, us in batch:
+        for step_rows, outcome, us in batch:
             step_terms = []
-            for row, effect, u in zip(step_rows, step_effects_, us):
+            for row, effect, u in zip(step_rows, outcome, us):
                 logp = log_probs(policy.forward(one_hots([row], n_bins))[0])
                 if not np.isfinite(logp).all():
                     raise NonFiniteError("policy diverged to non-finite logits")
@@ -696,8 +689,8 @@ class StepEnv:
     devices' bins. ``step`` draws the step's channel uniforms, maps them
     to rates with scalars bound per row (each bin's ``bin_channel``
     scales), and gives every device's effect at every cut from
-    ``scalar_effect``: None where a link's rate is zero or leaves some
-    cut's latency or energy past the largest float.
+    ``scalar_effect``: 1.0 for every device and cut where a link's rate
+    is zero or leaves some cut's latency or energy past the largest float.
     """
 
     def __init__(self, env):
@@ -742,12 +735,12 @@ class StepEnv:
         return tuple(rows)
 
     def step(self, rows, rng):
-        """Every device's effect at every cut with its rows, or None."""
+        """Every device's effect at every cut with its rows."""
         return self.score(rows, rng.random(self._draws_per_set).tolist())
 
     def score(self, rows, u):
         """Every device's effect at every cut in its row ``rows[d]`` over
-        a step's channel uniforms ``u``, or None where a link is
+        a step's channel uniforms ``u``, 1.0 throughout where a link is
         infeasible."""
         outcome = []
         for row in rows:
@@ -756,7 +749,7 @@ class StepEnv:
                 snr_linear = 10.0 ** ((db_lo + db_width * u[i + 1]) / 10.0)
                 rate = (bw_lo + bw_width * u[i]) * math.log2(1.0 + snr_linear)
             if infeasible(rate):
-                return None
+                return [[1.0] * self.env.n_cuts for _ in rows]
             outcome.append([effect(rate, c) for c in range(self.env.n_cuts)])
         return outcome
 

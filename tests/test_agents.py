@@ -42,7 +42,6 @@ from helpers import (
     synthetic_profile,
     tabular_reference,
 )
-from test_output_digests import needs_platform
 
 
 TWO_ARM = [[0.9, 0.2]]  # one device, two cuts
@@ -478,7 +477,6 @@ class TestPerStepReference:
     # can round apart where a BLAS product's result depends on its row
     # count, and a forward on every row sums a cell's TD errors before
     # backprop, in another order than the matmul
-    @needs_platform
     @pytest.mark.parametrize("case", sorted(NET_CASES))
     @pytest.mark.parametrize("name", ["dqn", "ppo"])
     def test_net_agent_equals_per_step_reference(self, name, case, monkeypatch):

@@ -13,6 +13,7 @@ from splitcvl.netmodel import (
     shannon_rate,
     snr_db_to_linear,
 )
+from splitcvl.rlopt.agents import Hyperparams
 from splitcvl.trico import ConfEntry, TriCoWeights
 
 from helpers import channel_at, tx_energy, tx_latency
@@ -281,3 +282,28 @@ def test_library_types_reject_booleans(case):
     build, field = BOOL_BUILDS[case]
     with pytest.raises(ValueError, match=f"^{field} must be a number, got (True|False)$"):
         build()
+
+
+# (build, the field its error names, the value as the error shows it)
+NON_NUMBER_BUILDS = {
+    "hyperparams-lr-str": (lambda: Hyperparams(lr="0.1"), "lr", "'0.1'"),
+    "hyperparams-lr-none": (lambda: Hyperparams(lr=None), "lr", "None"),
+    "weights-alpha_open": (lambda: TriCoWeights(alpha_open="0.5"), "alpha_open", "'0.5'"),
+    "channel-bandwidth_hz": (lambda: ChannelState("1e6", 3.0), "bandwidth_hz", "'1e6'"),
+    "conf-kl_open": (lambda: ConfEntry("1", 2.0), "kl_open", "'1'"),
+    "device-peak_flops": (lambda: DeviceProfile("a", "uav", None, 1.0, 1.0),
+                          "device 'a': peak_flops", "None"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_NUMBER_BUILDS))
+def test_library_types_reject_non_numbers(case):
+    # float() and the range comparisons would raise TypeError instead
+    build, field, shown = NON_NUMBER_BUILDS[case]
+    with pytest.raises(ValueError, match=f"^{field} must be a number, got {shown}$"):
+        build()
+
+
+@pytest.mark.parametrize("value", [np.float64(2.5), np.float32(2.5), np.int64(2), 2])
+def test_numpy_numbers_pass(value):
+    assert ChannelState(value, 1.0).bandwidth_hz == value

@@ -63,14 +63,18 @@ deleted and the triple became P5 bytes of the same pixels.
 
 Last-digit float results of numpy and its BLAS (tanh, exp, small matrix
 products) can differ between platforms, and the outputs computed with
-them. Those digests (the DQN and PPO traces, ``retrieval-sim`` and
-``privacy``) are only checked where a fingerprint of those results
-matches the recording platform's, or the one this host gives with
-OpenBLAS's Haswell kernel and numpy's AVX-512 paths off; every one of
-them holds on both. ``cost``, ``oracle`` and the Q-learning, multi-Q and
-actor-critic traces use Python floats, libm and elementwise numpy sums
-and maxima only, so they are checked on every host. A test reruns every
-digest on those AVX2 paths.
+them (the DQN and PPO traces, ``retrieval-sim`` and ``privacy``). Every
+digest is checked on every host: each holds where it was recorded (AVX-512
+numpy, OpenBLAS with ``DYNAMIC_ARCH``), and a test reruns every one on two
+other x86-64 float paths, OpenBLAS's Haswell and Nehalem kernels with
+numpy's newer CPU features off. A mismatch names this host's fingerprint
+of those float results beside the recorded ones, so that a platform
+difference tells itself apart from a changed output.
+
+The ``infeasible`` traces run the stock config with a link too slow for
+the largest payload in some steps. They were recorded while the env still
+marked such a step as None and each agent put 1.0 in its place; they held
+when the env began to write those 1.0 effects itself.
 """
 
 import hashlib
@@ -109,6 +113,16 @@ MORE_TRACE_DIGESTS = {
     "ppo-0": "cdf6b8298c85c7c673dec0334ae3c7bf09572964ffe3b425db539f964167e032",
     "ppo-123": "7d7ab4a88f59cf8c8d52730fdf19335a81469fce4126e5c388eae27504f2c79a",
 }
+# seed 7 on the stock config with uav1's bandwidth at 1e-302 to 4e-300 Hz:
+# its rate then falls below the largest payload's limit in 19 of the 3000
+# steps, which the env scores as infeasible, 1.0 for every device and cut
+INFEASIBLE_TRACE_DIGESTS = {
+    "actor_critic": "faf1c2483fa5d67e3c770350af2cfdf0d543d3c1a209276bac6d2d842ca46799",
+    "dqn": "b96801bc37f1adbf383b3dab1bd64e37fa12d3e03f9a960995179845c5effc90",
+    "multi_q": "dd2896bf5bdc789a6d5d81365027e14c409669ff22d839ec57dc4efdcc1f2384",
+    "ppo": "7488f59ce78f7380f85e392820af186b4f9e0f70a8d4c14bd31294e130c0b0a8",
+    "q_learning": "376a5ce8bb11e8d69209ead14cab88a15893e95f2362faee59b983ed1af5e8b2",
+}
 COMMAND_DIGESTS = {
     "cost": "300cb9d48b0f6df7ae25db4e7840120a91fc48227ecec29c353990a1c9b5bd04",
     "oracle": "6bc6be1b8fe24f3a252086aed04b14198f53dc1ab30927479ee74790923434f1",
@@ -131,7 +145,6 @@ RETRIEVAL_SECTIONS = {
 PRIVACY_DIGEST = "e62ea450c093b3d8b6033bafe6e1f65819c902ebc942344aeda1dfc2fb69551a"
 # write_color_corpus(): 37x45 RGB PPM triples plus one 11x9 PGM triple
 COLOR_PRIVACY_DIGEST = "0d6e00a6e70edec0739ed4fdd3804f74d07b96bd20839865b1da71b22427fbf1"
-PLATFORM_DIGEST = "e493df5eb2425930d9e0a1eff9152ad6a238a42aac2ec1fae4eb2d156ee8982d"
 
 
 def platform_floats_digest() -> str:
@@ -148,9 +161,11 @@ def platform_floats_digest() -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+# platform_floats_digest() on the host the digests were recorded on
+RECORDING_FLOATS = "e493df5eb2425930d9e0a1eff9152ad6a238a42aac2ec1fae4eb2d156ee8982d"
 # the child environments of two other x86-64 float paths, with the
-# fingerprint each gives on the recording host; every digest holds on both
-# byte for byte. "avx2" is OpenBLAS's Haswell kernel with numpy's AVX-512
+# fingerprint each gives on the recording host, which proves that a child
+# took its path. "avx2" is OpenBLAS's Haswell kernel with numpy's AVX-512
 # paths off, "sse" OpenBLAS's Nehalem kernel with numpy's AVX2 paths off too.
 FLOAT_PATHS = {
     "avx2": ({"OPENBLAS_CORETYPE": "Haswell",
@@ -160,25 +175,23 @@ FLOAT_PATHS = {
              "NPY_DISABLE_CPU_FEATURES": "X86_V3,X86_V4,AVX512_ICL,AVX512_SPR"},
             "a5bbc7dc3baa48e167fe5a2edde888997ee2ed6b45a021ba04477b253d8f2217"),
 }
-HOST_FLOATS = platform_floats_digest()
-needs_platform = pytest.mark.skipif(
-    HOST_FLOATS not in (PLATFORM_DIGEST, *(digest for _, digest in FLOAT_PATHS.values())),
-    reason="numpy/BLAS float results differ from every recorded platform's",
-)
-# agents whose traces depend on numpy transcendentals or BLAS products
-PLATFORM_AGENTS = {"dqn", "ppo"}
-
-
-def agent_params(digests):
-    return [pytest.param(agent, marks=needs_platform) if agent in PLATFORM_AGENTS
-            else agent for agent in sorted(digests)]
 
 
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("agent", agent_params(TRACE_DIGESTS))
+def assert_digest(path: Path, expected: str) -> None:
+    """The file's sha256 is ``expected``; a mismatch names this host's
+    float fingerprint beside the recorded ones."""
+    recorded = {"recording host": RECORDING_FLOATS,
+                **{name: digest for name, (_, digest) in FLOAT_PATHS.items()}}
+    assert sha256(path) == expected, (
+        f"{path.name}: sha256 differs; this host's platform_floats_digest() is "
+        f"{platform_floats_digest()}, recorded: {recorded}")
+
+
+@pytest.mark.parametrize("agent", sorted(TRACE_DIGESTS))
 def test_optimize_trace_digest(agent, tmp_path, capsys):
     config = tmp_path / "scenario.yaml"
     config.write_text(
@@ -188,10 +201,9 @@ def test_optimize_trace_digest(agent, tmp_path, capsys):
     argv = ["optimize", "--config", str(config), "--seed", SEED, "--out", str(out)]
     assert main(argv) == 0
     assert f"agent={agent}" in capsys.readouterr().out
-    assert sha256(out) == TRACE_DIGESTS[agent]
+    assert_digest(out, TRACE_DIGESTS[agent])
 
 
-@needs_platform
 @pytest.mark.parametrize("case", sorted(MORE_TRACE_DIGESTS))
 def test_more_optimize_trace_digests(case, tmp_path):
     agent, _, seed = case.partition("-")
@@ -204,17 +216,31 @@ def test_more_optimize_trace_digests(case, tmp_path):
     out = tmp_path / "trace.csv"
     argv = ["optimize", "--config", str(config), "--seed", seed, "--out", str(out)]
     assert main(argv) == 0
-    assert sha256(out) == MORE_TRACE_DIGESTS[case]
+    assert_digest(out, MORE_TRACE_DIGESTS[case])
+
+
+@pytest.mark.parametrize("agent", sorted(INFEASIBLE_TRACE_DIGESTS))
+def test_infeasible_link_trace_digest(agent, tmp_path):
+    text = CONFIG.read_text().replace("agent: actor_critic", f"agent: {agent}")
+    uav1 = "  uav1:\n    distribution: {bandwidth_hz: "
+    config = tmp_path / "scenario.yaml"
+    config.write_text(text.replace(uav1 + "[5.0e6, 20.0e6]", uav1 + "[1.0e-302, 4.0e-300]"))
+    out = tmp_path / "trace.csv"
+    argv = ["optimize", "--config", str(config), "--seed", SEED, "--out", str(out)]
+    assert main(argv) == 0
+    # an infeasible step scores exactly 1.0, a feasible one less: both occur
+    effects = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
+    assert effects.count(1.0) == 19 < len(effects) == 3000
+    assert_digest(out, INFEASIBLE_TRACE_DIGESTS[agent])
 
 
 @pytest.mark.parametrize("command", sorted(COMMAND_DIGESTS))
 def test_command_digest(command, tmp_path):
     out = tmp_path / f"{command}.csv"
     assert main([command, "--config", str(CONFIG), "--out", str(out)]) == 0
-    assert sha256(out) == COMMAND_DIGESTS[command]
+    assert_digest(out, COMMAND_DIGESTS[command])
 
 
-@needs_platform
 @pytest.mark.parametrize("case", sorted(RETRIEVAL_DIGESTS))
 def test_retrieval_sim_digest(case, tmp_path):
     layout, _, fusion = case.rpartition("-")
@@ -222,25 +248,23 @@ def test_retrieval_sim_digest(case, tmp_path):
     config.write_text(f"retrieval: {RETRIEVAL_SECTIONS[layout] % fusion}\n")
     out = tmp_path / "grid.csv"
     assert main(["retrieval-sim", "--config", str(config), "--out", str(out)]) == 0
-    assert sha256(out) == RETRIEVAL_DIGESTS[case]
+    assert_digest(out, RETRIEVAL_DIGESTS[case])
 
 
-@needs_platform
 def test_privacy_digest(tmp_path):
     corpus = tmp_path / "corpus"
     write_demo_corpus(corpus, seed=4, triples_per_cut=3)
     out = tmp_path / "conf.csv"
     assert main(["privacy", str(corpus), "--out", str(out)]) == 0
-    assert sha256(out) == PRIVACY_DIGEST
+    assert_digest(out, PRIVACY_DIGEST)
 
 
-@needs_platform
 def test_color_privacy_digest(tmp_path):
     corpus = tmp_path / "corpus"
     write_color_corpus(corpus)
     out = tmp_path / "conf.csv"
     assert main(["privacy", str(corpus), "--out", str(out)]) == 0
-    assert sha256(out) == COLOR_PRIVACY_DIGEST
+    assert_digest(out, COLOR_PRIVACY_DIGEST)
 
 
 # every digest test, rerun on each of FLOAT_PATHS
@@ -248,6 +272,7 @@ RERUN = [
     f"{test}[{case}]"
     for test, digests in (("test_optimize_trace_digest", TRACE_DIGESTS),
                           ("test_more_optimize_trace_digests", MORE_TRACE_DIGESTS),
+                          ("test_infeasible_link_trace_digest", INFEASIBLE_TRACE_DIGESTS),
                           ("test_command_digest", COMMAND_DIGESTS),
                           ("test_retrieval_sim_digest", RETRIEVAL_DIGESTS))
     for case in sorted(digests)

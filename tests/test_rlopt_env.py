@@ -171,7 +171,7 @@ class TestStep:
         )
         env = PartitionEnv(scenario)
         for _, outcome in env_rows(env, np.random.default_rng(5), 10):
-            assert outcome is None
+            assert outcome == [[1.0, 1.0]]
 
     @pytest.mark.parametrize("fixed_snr", [4.0, 0.0])
     def test_step_draws_state_and_channel_uniforms(self, fixed_snr):
@@ -183,7 +183,7 @@ class TestStep:
         rng, twin = np.random.default_rng(8), np.random.default_rng(8)
         for steps in (1, env_module.BLOCK_STEPS, env_module.BLOCK_STEPS + 3):
             for _, outcome in env_rows(env, rng, steps):
-                assert (outcome is None) == (fixed_snr == 0.0)
+                assert (outcome == infeasible_outcome(env)) == (fixed_snr == 0.0)
             twin.random(steps * (2 * 2 + 2 * 2))
             assert rng.bit_generator.state == twin.bit_generator.state
 
@@ -247,9 +247,15 @@ def mixed_random_env(rng):
                         snr_bins=int(rng.integers(1, 4)))
 
 
+def infeasible_outcome(env):
+    """The outcome of a step with an infeasible link: 1.0 for every
+    device and cut."""
+    return [[1.0] * env.n_cuts for _ in env.first_rows]
+
+
 def hex_rows(outcome):
-    """An outcome's effects as hex strings, or None."""
-    return None if outcome is None else [[e.hex() for e in row] for row in outcome]
+    """An outcome's effects as hex strings."""
+    return [[e.hex() for e in row] for row in outcome]
 
 
 class Draws:
@@ -376,10 +382,10 @@ class TestRecordFreeStep:
                 expected = effect_table(env.scenario, channels)
             except ZeroRateError:
                 expected = None
-            assert hex_rows(outcome) == hex_rows(expected)
+            assert hex_rows(outcome) == hex_rows(expected or infeasible_outcome(env))
             if name in self.ALWAYS_ZERO_RATE:
-                assert outcome is None
-            if outcome is not None:
+                assert outcome == infeasible_outcome(env)
+            if expected is not None:
                 cuts = tuple(draws.integers(env.n_cuts, size=len(outcome)).tolist())
                 mean = math.fsum(row[c] for row, c in zip(outcome, cuts)) / len(cuts)
                 assert mean.hex() == decision_effect(env.scenario, cuts, channels).hex()
@@ -411,7 +417,7 @@ class TestRecordFreeStep:
             bits = payload_bits(env.scenario.profile)
             dead = any(link_infeasible(bits, dev.tx_power_w, rate)
                        for dev, rate in zip(env.scenario.devices, expected))
-            assert (outcome is None) == dead
+            assert (outcome == infeasible_outcome(env)) == dead
             if dead:
                 assert rates.tolist() == [1.0] * len(expected)
             else:
@@ -447,9 +453,10 @@ class TestBlockDraw:
             assert rows == ref_rows
             assert hex_rows(outcome) == hex_rows(ref_outcome)
             if name == "underflow_snr_always":
-                assert ref_outcome is None
+                assert ref_outcome == infeasible_outcome(env)
         if name == "too_low_rate_range":  # both kinds of step occur
-            assert {outcome is None for _, outcome in drawn} == {True, False}
+            dead = infeasible_outcome(env)
+            assert {outcome == dead for _, outcome in drawn} == {True, False}
 
 
 class TestEnvState:
