@@ -17,7 +17,6 @@ from .nnprofile import (
 from .trico import (
     Scenario,
     TriCoWeights,
-    decision_effect,
     default_scenario,
     optimal_decision,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "Scenario",
     "TriCoWeights",
     "build_resnet50_usam_profile",
-    "decision_effect",
     "default_scenario",
     "device_flops",
     "intermediate_bytes",

@@ -31,7 +31,7 @@ from .retrieval import (
 from .rlopt.agents import train_agent
 from .rlopt.env import PartitionEnv
 from .trico import (
-    decision_effect,
+    effect_table,
     format_conf_table,
     format_cost_table,
     optimal_decision,
@@ -111,7 +111,8 @@ def cmd_optimize(config: ScenarioConfig, args) -> int:
     # each device's bin 0, the bin the summary has always scored
     cuts = policy.action(env.first_rows)
     try:
-        effect = decision_effect(scenario, cuts)
+        table = effect_table(scenario)
+        effect = math.fsum(row[c] for row, c in zip(table, cuts)) / len(cuts)
         _, oracle_effect = optimal_decision(scenario)
         gap = (effect - oracle_effect) / oracle_effect if oracle_effect > 0 else effect
     except ZeroRateError:
@@ -259,7 +260,7 @@ def main(argv=None) -> int:
     except ZeroRateError as exc:
         print(f"error: infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ConfigError, SplitCVLError, OSError) as exc:
+    except (SplitCVLError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

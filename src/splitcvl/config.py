@@ -41,7 +41,7 @@ from pathlib import Path
 
 import yaml
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError
 from .netmodel import (
     ChannelDistribution,
     ChannelState,
@@ -369,7 +369,7 @@ def _parse_model(node, path: str, base_dir: Path) -> ModelProfile:
         if "usam_flops_fraction" in node:
             kwargs["usam_flops_fraction"] = _get_number(node, "usam_flops_fraction", path)
         return build_resnet50_usam_profile(**kwargs)
-    except (ValueError, OSError, DimensionError) as exc:
+    except (ValueError, OSError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 

@@ -50,6 +50,12 @@ def fits_float(value, name: str):
     return value
 
 
+def is_int(value) -> bool:
+    """Whether ``value`` is an integer, a Python or a numpy one; a bool is
+    not, though Python would count it as 0 or 1."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class DeviceProfile:
     """One terminal device (UAV or vehicle) running the front model part."""

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError
 
 # (bottleneck planes, block count, stride of the stage's first block)
 _RESNET50_STAGES = ((64, 3, 1), (128, 4, 2), (256, 6, 2), (512, 3, 2))
@@ -132,7 +132,7 @@ def build_resnet50_usam_profile(
     """
     for dim in (input_h, input_w):
         if dim < 32 or dim % 32 != 0:
-            raise DimensionError(
+            raise ValueError(
                 f"input dimensions must be >= 32 and divisible by 32, got "
                 f"{input_h}x{input_w}"
             )

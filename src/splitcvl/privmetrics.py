@@ -50,12 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DimensionMismatchError,
-    EmptyCutError,
-    WindowTooLargeError,
-)
+from .errors import ConfigError
 from .trico import ConfEntry
 
 DYNAMIC_RANGE = 255  # 8-bit images throughout
@@ -122,7 +117,7 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     as ``histogram_of`` returns them.
     """
     if p.shape != q.shape:
-        raise DimensionMismatchError(f"histogram shapes differ: {p.shape} vs {q.shape}")
+        raise ValueError(f"histogram shapes differ: {p.shape} vs {q.shape}")
     per_channel = np.sum(p * np.log(p / q), axis=1)
     return float(math.fsum(per_channel) / len(per_channel))
 
@@ -153,9 +148,9 @@ def ssim(orig: Image, recons: Sequence[Image]) -> list[float]:
     """
     for b in recons:
         if b.pixels.shape != orig.pixels.shape:
-            raise DimensionMismatchError("images must share dimensions and channels")
+            raise ValueError("images must share dimensions and channels")
     if WINDOW > min(orig.width, orig.height):
-        raise WindowTooLargeError(
+        raise ValueError(
             f"window {WINDOW} exceeds image extent {orig.width}x{orig.height}"
         )
 
@@ -193,7 +188,7 @@ def build_conf_table(corpus: Corpus) -> tuple[ConfEntry, ...]:
     groups: dict[tuple, tuple[Image, list[tuple[int, int]]]] = {}
     for c, (cut_name, triples) in enumerate(corpus):
         if not triples:
-            raise EmptyCutError(f"cut {cut_name!r} has no image triples")
+            raise ValueError(f"cut {cut_name!r} has no image triples")
         for t, (orig, _, _) in enumerate(triples):
             key = (orig.pixels.shape, orig.pixels.tobytes())
             groups.setdefault(key, (orig, []))[1].append((c, t))
@@ -345,7 +340,7 @@ def load_corpus_dir(path) -> Corpus:
                 )
             triples.append(triple)
         if not triples:
-            raise EmptyCutError(f"corpus cut {cut_dir.name!r} contains no triples")
+            raise ConfigError(f"corpus cut {cut_dir.name!r} contains no triples")
         corpus.append((cut_dir.name, triples))
     return corpus
 

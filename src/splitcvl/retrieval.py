@@ -30,8 +30,6 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ZeroVectorError
-
 VIEWS = ("satellite", "uav", "ground")
 
 _UNIT_TOL = 1e-9
@@ -139,7 +137,7 @@ class Corpus:
             if name != "gallery" and (arr.ndim != 3 or arr.shape[0] != n):
                 raise ValueError(f"{name} must be a (locations, images, dim) array")
             if arr.shape[-1] != gallery.shape[1]:
-                raise DimensionMismatchError(
+                raise ValueError(
                     f"{name} dim {arr.shape[-1]} vs gallery dim {gallery.shape[1]}"
                 )
             norms = np.sqrt(np.einsum("...i,...i", arr, arr))
@@ -341,7 +339,7 @@ def evaluate_cells(
             means = means.reshape(-1, dim)
             norms = _row_norms(means)
             if np.any(norms < 1e-12):
-                raise ZeroVectorError("query embeddings cancel out; views are contradictory")
+                raise ValueError("query embeddings cancel out; views are contradictory")
             means /= norms[:, None]
             score(means, scores.reshape(-1, n))
         else:

@@ -54,7 +54,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from ..errors import NonFiniteError
-from ..netmodel import fits_float
+from ..netmodel import fits_float, is_int
 from .env import MAX_SIZE
 from .nets import TinyNet, log_softmax
 
@@ -69,10 +69,6 @@ _FLOAT_FIELDS = (
     "lr", "lr_actor", "lr_net", "epsilon_start", "epsilon_final",
     "epsilon_decay_fraction", "ppo_clip", "entropy_coef",
 )
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -102,11 +98,11 @@ class Hyperparams:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         for name in _COUNT_FIELDS:
             value = getattr(self, name)
-            if not _is_int(value) or value < 1:
+            if not is_int(value) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if self.multi_q_tables < 2:
             raise ValueError("multi_q_tables must be >= 2")
-        if not all(_is_int(h) and h >= 1 for h in self.hidden):
+        if not all(is_int(h) and h >= 1 for h in self.hidden):
             raise ValueError(f"hidden sizes must be integers >= 1, got {self.hidden!r}")
         for name in _SIZE_FIELDS:
             if getattr(self, name) > MAX_SIZE:
@@ -173,7 +169,7 @@ class TrainedPolicy:
                 f"need one row per device ({len(self._device_rows)}), got {len(rows)}"
             )
         for d, (row, own) in enumerate(zip(rows, self._device_rows)):
-            if not (_is_int(row) or isinstance(row, np.integer)) or row not in own:
+            if not is_int(row) or row not in own:
                 raise ValueError(
                     f"device {d}: row {row!r} is not one of its rows "
                     f"{own.start}..{own.stop - 1}"

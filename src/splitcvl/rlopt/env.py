@@ -56,7 +56,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ..netmodel import ChannelDistribution, ChannelState, shannon_rate
+from ..netmodel import ChannelDistribution, ChannelState, is_int, shannon_rate
 from ..trico import Scenario
 
 # Ceiling on every count that sizes an allocation: the env's channel bins
@@ -151,8 +151,9 @@ class PartitionEnv:
         bandwidth_bins: int = 1,
         snr_bins: int = 2,
     ):
-        if bandwidth_bins < 1 or snr_bins < 1:
-            raise ValueError("bin counts must be >= 1")
+        for name, value in (("bandwidth_bins", bandwidth_bins), ("snr_bins", snr_bins)):
+            if not is_int(value) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         # counted before any grid is built, so a huge bin count fails at once
         widths = [_bin_count(ch, bandwidth_bins, snr_bins) for ch in scenario.channels]
         self.n_bins = sum(widths)

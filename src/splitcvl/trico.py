@@ -28,8 +28,8 @@ inverse.
 is the one form of this model. It holds the channel-free terms of every
 device and cut as (devices, cuts) arrays, with both sets of min-max
 bounds, and maps link rates to the communication terms and the effects.
-The cost table, ``effect_table``, ``decision_effect`` and the RL env's
-blocks of steps all read it.
+The cost table, ``effect_table`` and the RL env's blocks of steps all
+read it.
 
 ``optimal_decision`` is the exact oracle the learning agents are
 validated against. The effect of a joint decision is the mean of
@@ -60,7 +60,6 @@ from .nnprofile import (
     build_resnet50_usam_profile,
     device_flops,
     intermediate_bytes,
-    _cut_index,
 )
 
 
@@ -262,20 +261,11 @@ class Scenario:
         """The effect of every device and cut over link rates, built on first use."""
         return EffectKernel(self)
 
-    def resolved_channels(self) -> tuple[ChannelState, ...]:
-        return tuple(resolve_channel(ch) for ch in self.channels)
 
-
-def link_rates(
-    scenario: Scenario, channels: tuple[ChannelState, ...] | None = None
-) -> np.ndarray:
-    """Each device's rate, with distributions at their means unless
-    concrete channels are supplied; ZeroRateError if one is not
-    ``EffectKernel.feasible``."""
-    chans = channels if channels is not None else scenario.resolved_channels()
-    if len(chans) != scenario.num_devices:
-        raise ValueError("need exactly one channel per device")
-    rates = np.array([shannon_rate(ch) for ch in chans])
+def link_rates(scenario: Scenario) -> np.ndarray:
+    """Each device's rate, with distributions at their means;
+    ZeroRateError if one is not ``EffectKernel.feasible``."""
+    rates = np.array([shannon_rate(resolve_channel(ch)) for ch in scenario.channels])
     feasible = scenario.effect_kernel.feasible(rates)
     if not feasible.all():
         d = int(feasible.argmin())
@@ -285,35 +275,13 @@ def link_rates(
     return rates
 
 
-def effect_table(
-    scenario: Scenario, channels: tuple[ChannelState, ...] | None = None
-) -> list[list[float]]:
+def effect_table(scenario: Scenario) -> list[list[float]]:
     """Per-device effect of every candidate cut, with distributions at
-    their means unless concrete channels are supplied."""
-    return scenario.effect_kernel(link_rates(scenario, channels)).tolist()
+    their means."""
+    return scenario.effect_kernel(link_rates(scenario)).tolist()
 
 
-def decision_effect(
-    scenario: Scenario,
-    cuts: tuple[int, ...],
-    channels: tuple[ChannelState, ...] | None = None,
-) -> float:
-    """Effect of one joint decision, one cut per device: the mean of the
-    per-device effects.
-
-    fsum keeps the mean exactly permutation invariant in device order.
-    """
-    if len(cuts) != scenario.num_devices:
-        raise ValueError("decision must assign one cut per device")
-    table = effect_table(scenario, channels)
-    profile = scenario.profile
-    per_device = [row[_cut_index(profile, c)] for row, c in zip(table, cuts, strict=True)]
-    return math.fsum(per_device) / len(per_device)
-
-
-def optimal_decision(
-    scenario: Scenario, channels: tuple[ChannelState, ...] | None = None
-) -> tuple[tuple[int, ...], float]:
+def optimal_decision(scenario: Scenario) -> tuple[tuple[int, ...], float]:
     """Exact argmin of the effect over every joint decision: one cut per
     device, and the effect.
 
@@ -324,7 +292,7 @@ def optimal_decision(
     joint minima only when two different exact sums round to one float.
     """
     cuts, minima = [], []
-    for row in effect_table(scenario, channels):
+    for row in effect_table(scenario):
         low = min(row)
         cuts.append(max(c for c, e in enumerate(row) if e == low))
         minima.append(low)

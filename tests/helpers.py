@@ -4,19 +4,14 @@ import functools
 import importlib.util
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 
-from splitcvl.errors import (
-    DimensionMismatchError,
-    NonFiniteError,
-    ZeroRateError,
-    ZeroVectorError,
-)
+from splitcvl.errors import NonFiniteError, ZeroRateError
 from splitcvl.netmodel import (
     ChannelDistribution,
     ChannelState,
@@ -47,7 +42,7 @@ from splitcvl.trico import (
     ConfEntry,
     Scenario,
     TriCoWeights,
-    decision_effect,
+    effect_table,
 )
 
 
@@ -194,14 +189,25 @@ def record_path_channels(env, rows, draws):
     )
 
 
+def at_channels(scenario, channels):
+    """``scenario`` with its channels replaced, one per device."""
+    return replace(scenario, channels=tuple(channels))
+
+
+def decision_mean(scenario, cuts):
+    """Effect of one cut per device: the fsum mean of the devices'
+    ``effect_table`` entries at their cuts."""
+    rows = effect_table(scenario)
+    return math.fsum(row[c] for row, c in zip(rows, cuts, strict=True)) / len(cuts)
+
+
 def evaluate_action(env, bins, cuts):
     """Effect of one cut per device, each device in its own channel bin
     ``bins[d]``, under the bins' midpoint channels; 1.0, the worst, where
     a link has zero rate."""
-    channels = tuple(resolve_channel(bin_channel(grid, b))
-                     for grid, b in zip(env.grids, bins))
+    channels = (resolve_channel(bin_channel(grid, b)) for grid, b in zip(env.grids, bins))
     try:
-        return decision_effect(env.scenario, cuts, channels)
+        return decision_mean(at_channels(env.scenario, channels), cuts)
     except ZeroRateError:
         return 1.0
 
@@ -218,11 +224,12 @@ def policy_effect(env, policy):
     return math.fsum(values) / len(values)
 
 
-def oracle_enumerate(scenario, channels):
-    """Independent optimum: recompute raw costs and normalization inline,
-    without going through the package's breakdown tables."""
+def oracle_enumerate(scenario):
+    """Independent optimum, with distributions at their means: recompute
+    raw costs and normalization inline, without going through the
+    package's breakdown tables."""
     per_device_effect = []
-    for dev, ch in zip(scenario.devices, channels):
+    for dev, ch in zip(scenario.devices, map(resolve_channel, scenario.channels)):
         lats, ens, comps, confs = [], [], [], []
         n = scenario.profile.num_candidates
         for c in range(n):
@@ -909,7 +916,7 @@ def normalized(values):
     vec = np.asarray(values, dtype=np.float64)
     norm = float(np.linalg.norm(vec))
     if norm < 1e-12:
-        raise ZeroVectorError("cannot normalize a (near-)zero vector")
+        raise ValueError("cannot normalize a (near-)zero vector")
     return Embedding(vec / norm)
 
 
@@ -944,7 +951,7 @@ class RankedResult:
 
 def cosine_similarity(a: Embedding, b: Embedding) -> float:
     if a.dim != b.dim:
-        raise DimensionMismatchError(f"embedding dims differ: {a.dim} vs {b.dim}")
+        raise ValueError(f"embedding dims differ: {a.dim} vs {b.dim}")
     return float(a.vector @ b.vector)
 
 
@@ -964,7 +971,7 @@ def fuse_queries(qs: QuerySet) -> Embedding:
     mean = np.mean([e.vector for e in qs.embeddings], axis=0)
     norm = float(np.linalg.norm(mean))
     if norm < 1e-12:
-        raise ZeroVectorError("query embeddings cancel out; views are contradictory")
+        raise ValueError("query embeddings cancel out; views are contradictory")
     return Embedding(mean / norm)
 
 
@@ -986,7 +993,7 @@ def _best_scores(queries: list[Embedding], gallery: list[GalleryRecord]) -> np.n
         raise ValueError("gallery must not be empty")
     dim = gallery[0].embedding.dim
     if queries[0].dim != dim:
-        raise DimensionMismatchError(f"query dim {queries[0].dim} vs gallery dim {dim}")
+        raise ValueError(f"query dim {queries[0].dim} vs gallery dim {dim}")
     matrix = np.stack([r.embedding.vector for r in gallery])
     scores = [[math.fsum(row) for row in (matrix * q.vector).tolist()] for q in queries]
     return np.max(scores, axis=0)

@@ -85,9 +85,8 @@ def test_criterion_2_oracle_lower_bound():
     violations = []
     for case in range(50):
         scenario = random_scenario(rng, max_devices=3)
-        channels = scenario.resolved_channels()
-        cuts, oracle_eff = optimal_decision(scenario, channels)
-        indep_cuts, indep_eff = oracle_enumerate(scenario, channels)
+        cuts, oracle_eff = optimal_decision(scenario)
+        indep_cuts, indep_eff = oracle_enumerate(scenario)
         if cuts != indep_cuts or abs(oracle_eff - indep_eff) > 1e-12:
             violations.append(f"case {case}: enumerators disagree")
             continue

@@ -565,6 +565,29 @@ class TestHyperparams:
         floats = [f.name for f in dataclasses.fields(Hyperparams) if f.type == "float"]
         assert tuple(floats) == self.FLOAT_FIELDS
 
+    COUNTS = dict(replay_capacity=50, batch_size=8, ppo_epochs=2, ppo_batch=16,
+                  multi_q_tables=3, moving_avg_window=20)
+
+    @pytest.mark.parametrize("value", [2.5, True, "2", None], ids=["float", "bool", "str", "None"])
+    @pytest.mark.parametrize("name", sorted(COUNTS))
+    def test_count_field_rejects_non_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got {value!r}$"):
+            Hyperparams(**{name: value})
+
+    @pytest.mark.parametrize("hidden", [(8.0,), (True,), (8, 0)])
+    def test_hidden_sizes_must_be_integers(self, hidden):
+        with pytest.raises(ValueError, match="^hidden sizes must be integers >= 1"):
+            Hyperparams(hidden=hidden)
+
+    @pytest.mark.parametrize("name", AGENT_NAMES)
+    def test_numpy_integers_train_like_python_ints(self, name):
+        hypers = (Hyperparams(hidden=(8,), **self.COUNTS),
+                  Hyperparams(hidden=(np.int64(8),),
+                              **{k: np.int64(v) for k, v in self.COUNTS.items()}))
+        traces = [train_agent(name, PartitionEnv(default_scenario(), snr_bins=2), 300,
+                              hyper=hyper, seed=3)[1].to_csv() for hyper in hypers]
+        assert traces[0] == traces[1]
+
     @pytest.mark.parametrize("value, message", [
         (math.nan, "must be finite, got nan"),
         (math.inf, "must be finite, got inf"),

@@ -580,6 +580,12 @@ def test_optimize_trains_every_agent_on_fleets(agent, fleet, tmp_path, capsys):
     assert summary["oracle_effect"] == oracle["effect"]
     assert float(summary["effect"]) >= float(oracle["effect"])
     assert summary["decision"].count(":") == (4 if fleet == "four_devices" else 8)
+    # the effect is the mean of the cost table's effects at the decision
+    assert main(["cost", "--config", str(cfg)]) == 0
+    table = {tuple(row[:2]): float(row[-1]) for row in
+             (line.split(",") for line in capsys.readouterr().out.splitlines()[1:])}
+    picked = [table[tuple(pair.split(":"))] for pair in summary["decision"].split(",")]
+    assert summary["effect"] == repr(math.fsum(picked) / len(picked))
 
 
 # exited 2 while the RL state was one joint id, past 4096 of them: 70 x 70
@@ -987,6 +993,7 @@ def test_perfbench_unresolved_sites():
     tracer.uninstall()
     assert sorted(tracer.missing) == [
         "splitcvl.cli.brute_force_optimal",
+        "splitcvl.cli.decision_effect",
         "splitcvl.cli.evaluate_cell",
         "splitcvl.cli.synth_gallery",
         "splitcvl.retrieval.rank_query_set",

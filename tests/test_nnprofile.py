@@ -10,7 +10,7 @@ comparison carries a 5% band while the shape comparison is exact.
 
 import pytest
 
-from splitcvl.errors import ConfigError, DimensionError
+from splitcvl.errors import ConfigError
 from splitcvl.nnprofile import (
     LayerProfile,
     ModelProfile,
@@ -118,7 +118,7 @@ class TestBuilderShapes:
 
     def test_invalid_dimensions(self):
         for h, w in [(223, 224), (224, 100), (31, 32), (0, 224)]:
-            with pytest.raises(DimensionError):
+            with pytest.raises(ValueError, match="must be >= 32 and divisible by 32"):
                 build_resnet50_usam_profile(h, w)
 
 

@@ -75,6 +75,11 @@ The ``infeasible`` traces run the stock config with a link too slow for
 the largest payload in some steps. They were recorded while the env still
 marked such a step as None and each agent put 1.0 in its place; they held
 when the env began to write those 1.0 effects itself.
+
+The ``optimize`` summary digests (stdout of the stock and ``infeasible``
+trace runs) were recorded while the summary still scored its decision with
+a per-decision effect function; they held when it began to read the
+decision's effect from the mean-channel effect table.
 """
 
 import hashlib
@@ -122,6 +127,21 @@ INFEASIBLE_TRACE_DIGESTS = {
     "multi_q": "dd2896bf5bdc789a6d5d81365027e14c409669ff22d839ec57dc4efdcc1f2384",
     "ppo": "7488f59ce78f7380f85e392820af186b4f9e0f70a8d4c14bd31294e130c0b0a8",
     "q_learning": "376a5ce8bb11e8d69209ead14cab88a15893e95f2362faee59b983ed1af5e8b2",
+}
+# stdout of the runs above: agent, decision, effect, oracle effect, gap
+SUMMARY_DIGESTS = {
+    "actor_critic": "67bd09887c154d674df52027020be4a9bab86627dd6d94eb0481693c106cd52e",
+    "dqn": "bd4a7984f6aa23b5094c75bfd5a828c26b1c0d48b56d5c2d5786bde72176f2e7",
+    "multi_q": "243aa4cbc5318f484a1e304f4035ac75e1a15997317498fbe28336b538eadf80",
+    "ppo": "110046bb2a02a22f5688ca481a0c8252d5fb209e7b66b7ff5ef6e5bd4c6dd156",
+    "q_learning": "023156fceb810176c5dcc1e4406bd76b76e6c5f4a0d30a84276f5434a25f2955",
+}
+INFEASIBLE_SUMMARY_DIGESTS = {
+    "actor_critic": "f0080a02519e54742ae393a31eb75dd5bef796a7f97e85524f27e1f036bc54a5",
+    "dqn": "bd4a7984f6aa23b5094c75bfd5a828c26b1c0d48b56d5c2d5786bde72176f2e7",
+    "multi_q": "243aa4cbc5318f484a1e304f4035ac75e1a15997317498fbe28336b538eadf80",
+    "ppo": "110046bb2a02a22f5688ca481a0c8252d5fb209e7b66b7ff5ef6e5bd4c6dd156",
+    "q_learning": "023156fceb810176c5dcc1e4406bd76b76e6c5f4a0d30a84276f5434a25f2955",
 }
 COMMAND_DIGESTS = {
     "cost": "300cb9d48b0f6df7ae25db4e7840120a91fc48227ecec29c353990a1c9b5bd04",
@@ -200,8 +220,11 @@ def test_optimize_trace_digest(agent, tmp_path, capsys):
     out = tmp_path / "trace.csv"
     argv = ["optimize", "--config", str(config), "--seed", SEED, "--out", str(out)]
     assert main(argv) == 0
-    assert f"agent={agent}" in capsys.readouterr().out
+    summary = tmp_path / "stdout.txt"
+    summary.write_text(capsys.readouterr().out)
+    assert f"agent={agent}" in summary.read_text()
     assert_digest(out, TRACE_DIGESTS[agent])
+    assert_digest(summary, SUMMARY_DIGESTS[agent])
 
 
 @pytest.mark.parametrize("case", sorted(MORE_TRACE_DIGESTS))
@@ -220,7 +243,7 @@ def test_more_optimize_trace_digests(case, tmp_path):
 
 
 @pytest.mark.parametrize("agent", sorted(INFEASIBLE_TRACE_DIGESTS))
-def test_infeasible_link_trace_digest(agent, tmp_path):
+def test_infeasible_link_trace_digest(agent, tmp_path, capsys):
     text = CONFIG.read_text().replace("agent: actor_critic", f"agent: {agent}")
     uav1 = "  uav1:\n    distribution: {bandwidth_hz: "
     config = tmp_path / "scenario.yaml"
@@ -232,6 +255,9 @@ def test_infeasible_link_trace_digest(agent, tmp_path):
     effects = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
     assert effects.count(1.0) == 19 < len(effects) == 3000
     assert_digest(out, INFEASIBLE_TRACE_DIGESTS[agent])
+    summary = tmp_path / "stdout.txt"
+    summary.write_text(capsys.readouterr().out)
+    assert_digest(summary, INFEASIBLE_SUMMARY_DIGESTS[agent])
 
 
 @pytest.mark.parametrize("command", sorted(COMMAND_DIGESTS))

@@ -32,7 +32,6 @@ from helpers import (
 from splitcvl import retrieval
 from splitcvl.cli import retrieval_grid
 from splitcvl.config import RetrievalConfig, ViewNoise
-from splitcvl.errors import DimensionMismatchError, ZeroVectorError
 from splitcvl.retrieval import (
     Corpus,
     Embedding,
@@ -86,7 +85,7 @@ class TestEmbedding:
         assert np.allclose(e.vector, [0.6, 0.8])
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(ZeroVectorError):
+        with pytest.raises(ValueError, match="cannot normalize a \\(near-\\)zero vector"):
             normalized([0.0, 0.0])
 
     def test_non_unit_rejected(self):
@@ -113,7 +112,7 @@ class TestCosine:
         assert cosine_similarity(unit(1, 0), unit(0, 1)) == 0.0
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValueError, match="embedding dims differ: 2 vs 3"):
             cosine_similarity(unit(1, 0), unit(1, 0, 0))
 
     def test_bounded(self):
@@ -138,7 +137,7 @@ class TestFusion:
     def test_exact_cancellation(self):
         v = unit(1.0, 0.0)
         w = Embedding(-v.vector)
-        with pytest.raises(ZeroVectorError):
+        with pytest.raises(ValueError, match="query embeddings cancel out"):
             fuse_queries(QuerySet("x", (v, w)))
 
     def test_result_unit_norm(self):
@@ -203,7 +202,7 @@ class TestRanking:
             assert all(x >= y for x, y in zip(scores, scores[1:]))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValueError, match="query dim 2 vs gallery dim 3"):
             rank_gallery(unit(1, 0), small_gallery())
 
     def test_max_score_fusion(self):
@@ -535,7 +534,7 @@ class TestEvaluateCell:
         uav, ground = corpus.uav.copy(), corpus.ground.copy()
         ground[2, 0] = -uav[2, 0]
         corpus = Corpus(corpus.ids, corpus.gallery, uav, ground)
-        with pytest.raises(ZeroVectorError):
+        with pytest.raises(ValueError, match="query embeddings cancel out"):
             evaluate_cells(corpus, [(1, 0), (1, 1)], FusionStrategy.MEAN)
         assert_matches_oracle(corpus, 1, FusionStrategy.MAX_SCORE)
 
@@ -559,7 +558,7 @@ class TestCorpus:
 
     def test_dimension_mismatch_rejected(self):
         ids, gallery, uav, ground = self.arrays()
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValueError, match="uav dim 3 vs gallery dim"):
             Corpus(ids, gallery, uav[:, :, :3], ground)
 
     def test_shapes_rejected(self):

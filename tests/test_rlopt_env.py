@@ -17,15 +17,16 @@ from splitcvl.trico import (
     EffectKernel,
     Scenario,
     TriCoWeights,
-    decision_effect,
     default_conf_table,
     effect_table,
     default_scenario,
 )
 
 from helpers import (
+    at_channels,
     bin_channel,
     channel_at,
+    decision_mean,
     device_bins,
     env_rows,
     evaluate_action,
@@ -58,6 +59,23 @@ class TestSpaces:
         assert env.n_cuts == 5
         assert env.n_bins == 2 + 2  # 2 snr bins per device
         assert env.first_rows == (0, 2)
+
+    @pytest.mark.parametrize("value", [2.5, "2", True, None, 0],
+                             ids=["float", "str", "bool", "None", "zero"])
+    @pytest.mark.parametrize("name", ["bandwidth_bins", "snr_bins"])
+    def test_bin_counts_must_be_integers(self, name, value):
+        # a bool is not a count, though Python would read True as 1
+        message = f"^{name} must be an integer >= 1, got {value!r}$"
+        with pytest.raises(ValueError, match=message):
+            PartitionEnv(default_scenario(), **{name: value})
+
+    @pytest.mark.parametrize("value", [2, np.int64(2)], ids=["int", "np.int64"])
+    def test_numpy_integer_bin_counts_accepted(self, value):
+        env = PartitionEnv(default_scenario(), bandwidth_bins=value, snr_bins=value)
+        assert (env.n_bins, env.first_rows) == (8, (0, 4))
+        twin = PartitionEnv(default_scenario(), bandwidth_bins=2, snr_bins=2)
+        rows = list(env_rows(env, np.random.default_rng(3), 50))
+        assert rows == list(env_rows(twin, np.random.default_rng(3), 50))
 
     def test_no_cap_on_devices_or_cuts(self):
         # one branch per device: 2 cuts on 12 devices are 4096 joint
@@ -139,7 +157,7 @@ class TestStep:
         rows, outcome = one_row(env, np.random.default_rng(0))
         assert rows == (0,)
         for cut in range(env.n_cuts):
-            assert outcome[0][cut] == decision_effect(scenario, (cut,))
+            assert outcome[0][cut] == decision_mean(scenario, (cut,))
 
     def test_same_seed_same_transition(self):
         env = PartitionEnv(default_scenario(), snr_bins=2)
@@ -151,7 +169,7 @@ class TestStep:
         scenario = fixed_channel_scenario()
         env = PartitionEnv(scenario)
         _, outcome = one_row(env, np.random.default_rng(3))
-        effects = [decision_effect(scenario, (c,)) for c in range(env.n_cuts)]
+        effects = [decision_mean(scenario, (c,)) for c in range(env.n_cuts)]
         assert np.argsort(outcome[0]).tolist() == np.argsort(effects).tolist()
 
     def test_effects_bounded(self):
@@ -191,7 +209,7 @@ class TestStep:
         scenario = default_scenario()
         env = PartitionEnv(scenario, snr_bins=1)
         eff = evaluate_action(env, (0, 0), (4, 4))
-        expected = decision_effect(scenario, (4, 4))
+        expected = decision_mean(scenario, (4, 4))
         assert eff == pytest.approx(expected)
 
     def test_rows_cover_sampled_channels(self):
@@ -372,14 +390,15 @@ class TestRecordFreeStep:
     @pytest.mark.parametrize("name", sorted(ENVS))
     def test_outcome_is_effect_table_bit_for_bit(self, name):
         # a row's effects are the drawn channels' ``effect_table``, and the
-        # mean of one cut per device is their ``decision_effect``
+        # mean of one cut per device is their ``decision_mean``
         env = self.ENVS[name]()
         draws = np.random.default_rng(22)
         k, steps = drawn_rows(env, 21, 600)
         for (rows, outcome), uniforms in steps:
             channels = record_path_channels(env, rows, iter(uniforms[k:]))
+            scenario = at_channels(env.scenario, channels)
             try:
-                expected = effect_table(env.scenario, channels)
+                expected = effect_table(scenario)
             except ZeroRateError:
                 expected = None
             assert hex_rows(outcome) == hex_rows(expected or infeasible_outcome(env))
@@ -388,7 +407,7 @@ class TestRecordFreeStep:
             if expected is not None:
                 cuts = tuple(draws.integers(env.n_cuts, size=len(outcome)).tolist())
                 mean = math.fsum(row[c] for row, c in zip(outcome, cuts)) / len(cuts)
-                assert mean.hex() == decision_effect(env.scenario, cuts, channels).hex()
+                assert mean.hex() == decision_mean(scenario, cuts).hex()
 
     @pytest.mark.parametrize("name", sorted(ENVS))
     def test_rates_equal_shannon_rate_of_channel_records(self, name, monkeypatch):

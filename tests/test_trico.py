@@ -11,13 +11,12 @@ import pytest
 from splitcvl import trico
 from splitcvl.config import load_config, parse_config
 from splitcvl.errors import ZeroRateError
-from splitcvl.netmodel import ChannelState, device_from_kind, shannon_rate
+from splitcvl.netmodel import ChannelState, device_from_kind, resolve_channel, shannon_rate
 from splitcvl.nnprofile import PROFILE_HEADER, build_resnet50_usam_profile, intermediate_bytes
 from splitcvl.trico import (
     ConfEntry,
     Scenario,
     TriCoWeights,
-    decision_effect,
     default_conf_table,
     default_scenario,
     format_cost_table,
@@ -27,6 +26,7 @@ from splitcvl.trico import (
 
 
 from helpers import (
+    decision_mean,
     enumerate_optimum,
     kernel_conf_costs,
     oracle_enumerate,
@@ -106,8 +106,6 @@ class TestCommCost:
         for evaluate in (format_cost_table, trico.effect_table):
             with pytest.raises(ZeroRateError):
                 evaluate(scenario)
-        with pytest.raises(ZeroRateError):
-            decision_effect(scenario, (0,))
 
 
 def comp_energy(dev, profile):
@@ -272,13 +270,6 @@ class TestEffect:
                         effect = scalar_effects[d](rate, cut)
                         assert float(effects[r, d, cut]).hex() == effect.hex()
 
-    def test_channel_count_must_match_devices(self):
-        scenario = default_scenario()
-        one_channel = scenario.resolved_channels()[:1]
-        for evaluate in (link_rates, trico.effect_table):
-            with pytest.raises(ValueError, match="one channel per device"):
-                evaluate(scenario, one_channel)
-
     def test_effect_in_unit_interval_on_random_scenarios(self):
         rng = np.random.default_rng(21)
         for _ in range(30):
@@ -286,7 +277,7 @@ class TestEffect:
             for cuts in product(
                 range(scenario.num_candidates), repeat=scenario.num_devices
             ):
-                eff = decision_effect(scenario, cuts)
+                eff = decision_mean(scenario, cuts)
                 assert -1e-12 <= eff <= 1.0 + 1e-12
 
     def test_device_permutation_invariance(self):
@@ -298,7 +289,7 @@ class TestEffect:
             int(rng.integers(0, scenario.num_candidates))
             for _ in range(scenario.num_devices)
         )
-        base = decision_effect(scenario, cuts)
+        base = decision_mean(scenario, cuts)
         for perm in permutations(range(scenario.num_devices)):
             shuffled = Scenario(
                 tuple(scenario.devices[i] for i in perm),
@@ -307,7 +298,7 @@ class TestEffect:
                 scenario.conf_table,
                 scenario.weights,
             )
-            assert decision_effect(
+            assert decision_mean(
                 shuffled, tuple(cuts[i] for i in perm)
             ) == base
 
@@ -353,9 +344,8 @@ class TestBruteForce:
         rng = np.random.default_rng(23)
         for _ in range(60):
             scenario = random_scenario(rng)
-            channels = scenario.resolved_channels()
-            cuts, eff = optimal_decision(scenario, channels)
-            oracle_cuts, oracle_eff = oracle_enumerate(scenario, channels)
+            cuts, eff = optimal_decision(scenario)
+            oracle_cuts, oracle_eff = oracle_enumerate(scenario)
             assert cuts == oracle_cuts
             assert eff == pytest.approx(oracle_eff, abs=1e-12)
 
@@ -367,7 +357,7 @@ class TestBruteForce:
             for cuts in product(
                 range(scenario.num_candidates), repeat=scenario.num_devices
             ):
-                assert eff <= decision_effect(scenario, cuts) + 1e-12
+                assert eff <= decision_mean(scenario, cuts) + 1e-12
 
     def test_tie_break_prefers_deeper_cut(self):
         # Two indistinguishable cuts produce identical effects everywhere.
@@ -389,7 +379,7 @@ class TestBruteForce:
         # lexicographically larger vector; the per-device argmin keeps the
         # first device's exact minimum. The effect is the same.
         table = [[1e-17, 2e-17, 0.9, 0.9, 0.9], [0.5, 0.9, 0.9, 0.9, 0.9]]
-        monkeypatch.setattr(trico, "effect_table", lambda scenario, channels: table)
+        monkeypatch.setattr(trico, "effect_table", lambda scenario: table)
         cuts, eff = optimal_decision(default_scenario())
         assert cuts == (0, 0)
         assert eff == 0.25
@@ -400,9 +390,8 @@ class TestBruteForce:
         scenario = random_scenario(rng, max_devices=6)
         while (scenario.num_devices, scenario.num_candidates) != (6, 5):
             scenario = random_scenario(rng, max_devices=6)
-        channels = scenario.resolved_channels()
-        cuts, eff = optimal_decision(scenario, channels)
-        oracle_cuts, oracle_eff = oracle_enumerate(scenario, channels)
+        cuts, eff = optimal_decision(scenario)
+        oracle_cuts, oracle_eff = oracle_enumerate(scenario)
         assert cuts == oracle_cuts
         assert eff == oracle_eff
 
@@ -587,6 +576,6 @@ class TestScenarioValidation:
 
     def test_default_scenario_resolves_mean_channel(self):
         scenario = default_scenario()
-        chans = scenario.resolved_channels()
+        chans = [resolve_channel(ch) for ch in scenario.channels]
         assert chans[0].bandwidth_hz == 12.5e6
         assert chans[0].snr_linear == pytest.approx(10.0)
